@@ -99,13 +99,10 @@ def print_cache_stats(runner) -> None:
 def print_telemetry(cache_dir) -> None:
     """Print the fleetscope ``--telemetry`` rollup for one cache tree.
 
-    Three planes over the shared directory: the span store (request
-    traces and the queue latency percentiles derived from completion
-    spans), the worker fleet's kernel-throughput probes with each host's
-    auto-picked engine, and a pointer at the perf-trajectory CLI for the
-    longitudinal view.
+    The span store under the shared directory (request traces and the
+    queue latency percentiles derived from completion spans), plus a
+    pointer at the perf-trajectory CLI for the longitudinal view.
     """
-    from repro.harness.queue import WorkQueue
     from repro.telemetry import spans as tracing
 
     latency = tracing.queue_latency_summary(cache_dir)
@@ -127,20 +124,6 @@ def print_telemetry(cache_dir) -> None:
         if record.get("trace")
     }
     print(f"  distinct traces: {len(traces)}")
-    fleet = WorkQueue(cache_dir).worker_stats()
-    for host in sorted(fleet["hosts"]):
-        per_host = fleet["hosts"][host]
-        probes = per_host.get("probes") or {}
-        preferred = per_host.get("preferred_engines") or []
-        if not probes and not preferred:
-            continue
-        rates = ", ".join(
-            f"{engine} {rate:,.0f} cyc/s" for engine, rate in sorted(probes.items())
-        )
-        print(
-            f"  host {host or '<untagged>'}: probes [{rates or 'none'}], "
-            f"preferred engine(s): {', '.join(preferred) or 'unprobed'}"
-        )
     print("  trend: python -m repro.telemetry.trend (perf-trajectory gate)")
 
 
@@ -178,8 +161,8 @@ def main(argv: list[str] | None = None) -> None:
         "--telemetry",
         action="store_true",
         help="trace this run (REPRO_TELEMETRY semantics) and print the "
-        "fleetscope rollup: span counts, queue latency percentiles, "
-        "per-host kernel probes (needs --cache-dir)",
+        "fleetscope rollup: span counts and queue latency percentiles "
+        "(needs --cache-dir)",
     )
     parser.add_argument(
         "--max-trace-bytes",
@@ -204,8 +187,9 @@ def main(argv: list[str] | None = None) -> None:
         choices=available_engines(),
         default=None,
         help="replay kernel for every simulation (default: the executing "
-        "host's REPRO_REPLAY_KERNEL, else scalar); statistics are "
-        "bit-identical between kernels, so cached results are shared",
+        "host's REPRO_REPLAY_KERNEL, else native where it builds, else "
+        "scalar); statistics are bit-identical between kernels, so "
+        "cached results are shared",
     )
     parser.add_argument(
         "--backend",

@@ -27,14 +27,6 @@ Reference points on the development machine (1-core container):
 * PR 3 (windowed trace decode & streaming replay; the cold run streams
   the 12k budget through 4k-instruction windows): rates within noise of
   PR 2 — windowing bounds decode memory without giving back throughput.
-* PR 5 (replay-engine architecture): the scalar kernel is the extracted
-  PR 3 loop, rates unchanged; the new columnar (numpy structured-array)
-  kernel measures ~33k cycles/s cold / ~37k warm on this container
-  (exact values in the trajectory file's per-engine entries) — at
-  table-1 machine sizes (80-entry IQ, ≤8 wakeups/cycle) the per-cycle
-  fixed cost of the batched tag-vector pass outweighs what it saves
-  over the consumer-list scalar path, an honestly-recorded finding the
-  ROADMAP tracks for wider-machine configurations.
 * PR 10 (native compiled kernel): the lazily-compiled C replay kernel
   (:mod:`repro.uarch.engine.native`) measures ~280k cycles/s cold /
   ~2.2M warm on this container — ~5.4x / ~35x the scalar rates.  The
@@ -50,9 +42,7 @@ rate per kernel) so the bench fails only on a genuine hot-path
 regression, not on machine noise.  The scalar floor stays at the
 ≥29k cycles/s the earlier PRs established.  Each run appends both
 rates for each engine to ``BENCH_trace.json`` next to this file,
-giving later PRs a machine-readable perf history.  The wide-machine
-cross-over study (where columnar's batched CAM pass beats the scalar
-consumer-list walk) lives in ``test_perf_crossover.py``.
+giving later PRs a machine-readable perf history.
 """
 
 from __future__ import annotations
@@ -68,11 +58,7 @@ import pytest
 from repro.techniques import BaselinePolicy
 from repro.telemetry import trend
 from repro.uarch import simulate
-from repro.uarch.engine import (
-    native_available,
-    numpy_available,
-    resolve_engine_name,
-)
+from repro.uarch.engine import native_available, resolve_engine_name
 from repro.uarch.trace import clear_trace_memo
 from repro.workloads import build_benchmark
 
@@ -86,7 +72,6 @@ TRACE_WINDOW = 4_096
 #: steady state, so losing the replay speedup still fails).
 MIN_CYCLES_PER_SECOND = {
     "scalar": 29_000.0,
-    "columnar": 15_000.0,
     # The native C kernel measures ~280k cold / ~2.2M warm here; the
     # floor is ~half the cold rate (and well above any Python kernel)
     # so it trips on "the C fast path silently fell back to something
@@ -96,11 +81,7 @@ MIN_CYCLES_PER_SECOND = {
 #: PR 1 reference rate the ISSUE's 2x target is measured against.
 PR1_REFERENCE_CYCLES_PER_SECOND = 24_700.0
 
-ENGINES = (
-    ("scalar",)
-    + (("columnar",) if numpy_available() else ())
-    + (("native",) if native_available() else ())
-)
+ENGINES = ("scalar",) + (("native",) if native_available() else ())
 
 TRAJECTORY_FILE = Path(__file__).with_name("BENCH_trace.json")
 TRAJECTORY_LIMIT = 200

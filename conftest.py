@@ -8,17 +8,17 @@ in-process and deterministic; CI or local reproduction runs can pass
 ``--workers N`` or export ``REPRO_WORKERS=N`` to exercise the pool.
 
 Adds the ``--engine`` option (default: the ``REPRO_REPLAY_KERNEL``
-environment variable, else the library's scalar default) selecting the
-replay kernel every simulation in the session runs under.  It is
+environment variable, else the library default: native where it builds,
+else scalar) pinning the replay kernel every simulation in the session
+runs under.  It is
 exported back into ``REPRO_REPLAY_KERNEL`` at configure time so the
 whole stack — direct ``simulate`` calls, suite runners, pool workers and
 queue worker subprocesses — inherits one kernel; replay statistics are
 bit-identical between kernels, so tier-1 results must not change with
 this option (that invariance is itself under test in
 ``tests/test_engines.py``).  Selecting a kernel whose toolchain is
-absent on this host (``--engine native`` without a C compiler,
-``--engine columnar`` without numpy) skips the session cleanly rather
-than erroring.
+absent on this host (``--engine native`` without a C compiler) skips the
+session cleanly rather than erroring.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def pytest_addoption(parser) -> None:
 
         engines = available_engines()
     except ImportError:
-        engines = ("scalar", "columnar")
+        engines = ("scalar", "native")
 
     # Opt-out for the reprolint tier-1 gate (tests/test_analysis.py's
     # shipped-tree check).  Default ON: a plain `python -m pytest -x -q`
@@ -65,7 +65,7 @@ def pytest_addoption(parser) -> None:
     )
 
     # Opt-out for the fleetscope telemetry tests (tests/test_telemetry.py
-    # and the span/probe assertions elsewhere), mirroring --no-lint.
+    # and the span assertions elsewhere), mirroring --no-lint.
     # Default ON: tracing is no-op-by-default on the hot path, so the
     # telemetry tests enable it explicitly per test; --no-telemetry skips
     # those tests and force-disables tracing for the whole session (for
@@ -85,7 +85,8 @@ def pytest_addoption(parser) -> None:
         default=None,
         help="replay kernel for every simulation in the session "
         "(env: REPRO_REPLAY_KERNEL; unset means the library default, "
-        "scalar); statistics are bit-identical between kernels",
+        "native where it builds, else scalar); statistics are "
+        "bit-identical between kernels",
     )
 
     parser.addoption(
@@ -108,7 +109,7 @@ def pytest_addoption(parser) -> None:
 def pytest_configure(config) -> None:
     config.addinivalue_line(
         "markers",
-        "telemetry: test exercises the fleetscope span/metrics/probe "
+        "telemetry: test exercises the fleetscope span/metrics "
         "plane (deselected by --no-telemetry)",
     )
     if config.getoption("--no-telemetry"):
@@ -146,10 +147,10 @@ def pytest_collection_modifyitems(config, items) -> None:
                 item.add_marker(skip_marker)
 
     # ``--engine`` with a registered-but-unavailable kernel (native
-    # without a C toolchain, columnar without numpy) skips the session
+    # without a C toolchain) skips the session
     # cleanly instead of erroring out of every simulation — mirroring how
     # the JaCe/hpy conftests treat an absent optional backend.  The
-    # availability probe is the engine's own unavailable_reason() seam,
+    # availability check is the engine's own unavailable_reason() seam,
     # so a future kernel gets this behaviour for free.
     engine = config.getoption("--engine")
     if engine:
@@ -171,11 +172,3 @@ def pytest_collection_modifyitems(config, items) -> None:
 def suite_workers(request) -> int:
     """Worker count for ParallelSuiteRunner-based tests and benchmarks."""
     return request.config.getoption("--workers")
-
-
-@pytest.fixture(scope="session")
-def replay_engine(request) -> str:
-    """The session's effective replay kernel name."""
-    from repro.uarch.engine import resolve_engine_name
-
-    return resolve_engine_name(request.config.getoption("--engine"))

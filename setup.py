@@ -2,19 +2,17 @@
 
 This file enables the legacy `pip install -e .` code path on environments
 whose setuptools cannot build PEP 660 editable wheels, declares the
-optional extras of the columnar and native replay engines, and lists the
-package tree (``repro`` is a namespace package, so discovery must be
-explicit) including the :mod:`repro.analysis` static checker and its
-``repro-lint`` console entry point.
+package's runtime requirement and the native replay engine's extra, and
+lists the package tree (``repro`` is a namespace package, so discovery
+must be explicit) including the :mod:`repro.analysis` static checker and
+its ``repro-lint`` console entry point.
 
-numpy is deliberately an *extra*, not a hard requirement: the scalar
-engine (and therefore the whole tier-1 suite) runs on a bare Python
-toolchain, and hosts without numpy get a clear
-``ColumnarUnavailableError`` naming this extra only when the columnar
-kernel is actually selected (see ``repro.uarch.engine.columnar``) —
-never an ``ImportError`` at callsite depth.  That contract is itself
-statically enforced by reprolint's ``optional-deps`` rule
-(``python -m repro.analysis``).
+The one runtime requirement is networkx: the compiler's loop analysis
+(``repro.core.loop_analysis``) imports it at module top, so every
+simulation, figure and tier-1 run needs it.  The replay kernel itself
+needs nothing beyond the standard library: the scalar engine always
+runs, and the faster native engine is used only where a C toolchain can
+build it.
 """
 from setuptools import find_namespace_packages, setup
 
@@ -23,6 +21,7 @@ setup(
     # find_packages() would discover nothing; enumerate the namespace.
     packages=find_namespace_packages(where="src", include=["repro", "repro.*"]),
     package_dir={"": "src"},
+    install_requires=["networkx"],
     entry_points={
         "console_scripts": [
             # The reprolint CLI: strict over src/, advisory over
@@ -34,18 +33,14 @@ setup(
         ],
     },
     extras_require={
-        # The columnar replay kernel (engine="columnar",
-        # REPRO_REPLAY_KERNEL=columnar) lowers trace windows into numpy
-        # structured arrays; everything else runs without it.
-        "columnar": ["numpy>=1.22"],
-        # The native replay kernel (engine="native",
-        # REPRO_REPLAY_KERNEL=native) compiles its per-cycle loop as a C
-        # extension, lazily, on first use.  Its dependency is a host
-        # *toolchain* (a C compiler plus the Python development
-        # headers), not a Python package, so the extra is an empty
-        # marker: installing it documents intent, and hosts without the
-        # toolchain get a NativeUnavailableError naming this extra only
-        # when the native kernel is actually selected (see
+        # The native replay kernel (engine="native", the default where
+        # it builds) compiles its per-cycle loop as a C extension,
+        # lazily, on first use.  Its dependency is a host *toolchain* (a
+        # C compiler plus the Python development headers), not a Python
+        # package, so the extra is an empty marker: installing it
+        # documents intent.  Hosts without the toolchain run the scalar
+        # kernel, and get a NativeUnavailableError naming this extra
+        # only when the native kernel is pinned explicitly (see
         # ``repro.uarch.engine.native``).
         "native": [],
     },

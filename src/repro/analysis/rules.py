@@ -344,7 +344,7 @@ class FingerprintPurityRule(Rule):
 
     Replay engines are bit-identical by contract, so the engine is
     *transport*, like the worker count: a grid cached under the scalar
-    kernel must be a pure hit under the columnar one.  One ``"engine"``
+    kernel must be a pure hit under the native one.  One ``"engine"``
     key in a fingerprint payload silently doubles every cache.  The
     rule inspects every function whose name contains ``fingerprint``
     and flags any identifier, parameter, keyword or dict key matching
@@ -492,38 +492,41 @@ class ExceptionHygieneRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# 6. optional-deps — numpy stays an extra, the scalar path stdlib-only
+# 6. optional-deps — optional backends stay in their home modules
 # ----------------------------------------------------------------------
 @register_rule
 class OptionalDependencyRule(Rule):
     """Each optional dependency stays inside its kernel's home module.
 
-    The scalar engine — and with it the whole tier-1 suite — must run on
-    a bare Python toolchain; every accelerated kernel's dependency is a
-    setup.py extra with exactly one home: numpy belongs to the columnar
-    kernel (``engine/columnar.py``), and the compiled backend's
-    artefacts (the built ``_native_replay`` module, or a numba/Cython
-    toolchain should a second backend adopt one) belong to
-    ``engine/native.py`` plus its ``engine/build.py`` compiler harness.
-    A top-level unguarded import anywhere else turns a missing extra
-    into an ``ImportError`` at callsite depth instead of the deliberate
-    named ``*UnavailableError``.  Imports are fine inside the module's
-    listed home(s), inside a function body (deferred), or inside
+    The scalar replay path must run on a plain Python install (the
+    package's one runtime requirement, networkx, serves the compiler);
+    every accelerated kernel's dependency is a setup.py extra with
+    exactly one home: the compiled backend's artefacts (the built
+    ``_native_replay`` module, or a numba/Cython toolchain should a
+    second backend adopt one) belong to ``engine/native.py`` plus its
+    ``engine/build.py`` compiler harness.  numpy has no home: no shipped
+    kernel needs it, so an unguarded numpy import anywhere would make
+    every process pay for it at startup.  A top-level unguarded import
+    outside a listed home turns a missing extra into an ``ImportError``
+    at callsite depth instead of the deliberate named
+    ``*UnavailableError``.  Imports are fine inside the module's listed
+    home(s), inside a function body (deferred), or inside
     ``try``/``except ImportError`` (guarded).
     """
 
     rule_id = "optional-deps"
     contract = (
-        "optional dependencies only in their kernel's home module (numpy → "
-        "engine/columnar.py; compiled-backend artefacts → engine/native.py "
-        "+ engine/build.py) or behind a guarded/deferred import; the "
-        "scalar path is stdlib-only"
+        "optional dependencies only in their kernel's home module "
+        "(compiled-backend artefacts → engine/native.py + engine/build.py; "
+        "numpy → none) or behind a guarded/deferred import; the scalar "
+        "replay path needs no extra"
     )
 
     #: Optional import root → the module suffixes allowed to import it
-    #: at top level, unguarded.  A new optional backend adds one entry.
+    #: at top level, unguarded (an empty tuple: no module may).  A new
+    #: optional backend adds one entry.
     SCOPED_IMPORTS: dict[str, tuple[str, ...]] = {
-        "numpy": ("repro/uarch/engine/columnar.py",),
+        "numpy": (),
         "_native_replay": (
             "repro/uarch/engine/native.py",
             "repro/uarch/engine/build.py",
@@ -564,13 +567,17 @@ class OptionalDependencyRule(Rule):
                         continue
                     if any(path.endswith(home) for home in homes):
                         continue
-                    allowed = " or ".join(homes)
+                    scope = (
+                        f"only {' or '.join(homes)} may import it "
+                        "directly — elsewhere"
+                        if homes
+                        else "no module may import it directly —"
+                    )
                     yield self.finding(
                         child,
                         path,
                         f"unguarded import of optional dependency "
-                        f"{module!r}; only {allowed} may import it "
-                        "directly — elsewhere guard with try/except "
+                        f"{module!r}; {scope} guard with try/except "
                         "ImportError or defer into a function",
                     )
             yield from self._visit(child, path, child_guarded)
@@ -770,7 +777,7 @@ class TelemetryPurityRule(Rule):
     """Telemetry stays off the replay hot path and out of cache keys.
 
     The fleetscope layer (:mod:`repro.telemetry`) is an observer: spans,
-    metric counters and kernel-throughput probes describe a run, they
+    metric counters and throughput measurements describe a run, they
     must never *change* one.  Two halves enforce that.  First,
     ``repro/uarch/`` — the replay kernels' inner loops — may not import
     any telemetry module: a span context manager or registry lookup in

@@ -69,15 +69,15 @@ Semantics:
   default) pitches in on unclaimed jobs itself so a queue with no
   external workers still drains.  Results are bit-identical between
   backends for any worker count.
-* **Replay engines** — ``engine="scalar"|"columnar"`` selects the
-  replay kernel (:mod:`repro.uarch.engine`) every job runs under; None
-  (the default) lets each executing host resolve its own
-  ``REPRO_REPLAY_KERNEL``.  Statistics are bit-identical between
-  kernels, so the engine is transport like the worker count: it never
-  participates in cache fingerprints, results cached under one kernel
-  are hits under any other, and queue completion markers stay
-  idempotent even when a re-leased job reruns on a host with a
-  different kernel.
+* **Replay engines** — ``engine="scalar"|"native"`` pins the replay
+  kernel (:mod:`repro.uarch.engine`) every job runs under; None (the
+  default) lets each executing host resolve its own: its
+  ``REPRO_REPLAY_KERNEL``, else native where it builds, else scalar.
+  Statistics are bit-identical between kernels, so the engine is
+  transport like the worker count: it never participates in cache
+  fingerprints, results cached under one kernel are hits under any
+  other, and queue completion markers stay idempotent even when a
+  re-leased job reruns on a host with a different kernel.
 * **Window sharding** — ``shard_span_windows=N`` splits every cell's
   budget into measure spans of N trace windows
   (:mod:`repro.harness.shard`), fans the shards over the chosen backend
@@ -121,9 +121,9 @@ class SimulationJob:
     :mod:`repro.uarch.trace`), ``trace_cache_max_bytes`` its LRU byte
     cap, ``trace_window`` the decoded-trace window size threaded into
     the replay core (None: library default), and ``engine`` the replay
-    kernel (:mod:`repro.uarch.engine`; None: the executing host's
-    ``REPRO_REPLAY_KERNEL`` default, so heterogeneous grids may run each
-    host on whichever kernel is fastest there).  All four are transport,
+    kernel (:mod:`repro.uarch.engine`; None: the executing host's own
+    resolution, so a heterogeneous fleet runs native wherever it builds
+    and scalar elsewhere).  All four are transport,
     not identity — replay statistics are bit-identical for every window
     size, cache setting and engine — so none participates in
     :meth:`fingerprint`, and a result produced by one kernel is a cache
@@ -239,7 +239,7 @@ class ParallelSuiteRunner(SuiteRunner):
             (the shared-directory work queue of
             :mod:`repro.harness.queue`).
         engine: replay kernel jobs are pinned to (None: each executing
-            host's ``REPRO_REPLAY_KERNEL`` default).
+            host resolves its own, see :mod:`repro.uarch.engine`).
     """
 
     def __init__(

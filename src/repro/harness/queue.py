@@ -137,7 +137,7 @@ from repro.harness.faults import (
 from repro.harness.parallel import SimulationJob, execute_job
 from repro.telemetry import spans as tracing
 from repro.telemetry.metrics import MetricsRegistry, counter_property
-from repro.uarch.engine import ENGINE_ENV_VAR, resolve_engine_name
+from repro.uarch.engine import resolve_engine_name
 
 #: Bump when the envelope/marker layout changes; foreign-format files
 #: are poisoned (envelopes) or ignored (markers), never trusted.
@@ -938,9 +938,6 @@ class WorkQueue:
                 jobs_failed = int(payload.get("jobs_failed", 0))
                 gc_sweeps = int(payload.get("gc_sweeps", 0))
                 host = str(payload.get("host", ""))
-                probes = payload.get("probes")
-                probes = probes if isinstance(probes, dict) else {}
-                preferred = payload.get("preferred_engine")
             except (OSError, ValueError, TypeError, json.JSONDecodeError):
                 continue
             totals["workers"] += 1
@@ -957,12 +954,6 @@ class WorkQueue:
                     "jobs_done": 0,
                     "jobs_failed": 0,
                     "gc_sweeps": 0,
-                    # Per-kernel throughput on this host (best probe
-                    # seen across its workers) and the kernels those
-                    # workers resolved to — the heterogeneous-placement
-                    # view of the fleet.
-                    "probes": {},
-                    "preferred_engines": [],
                 },
             )
             per_host["workers"] += 1
@@ -970,17 +961,6 @@ class WorkQueue:
             per_host["jobs_done"] += jobs_done
             per_host["jobs_failed"] += jobs_failed
             per_host["gc_sweeps"] += gc_sweeps
-            for engine, rate in sorted(probes.items()):
-                if isinstance(rate, (int, float)):
-                    best = per_host["probes"].get(engine)
-                    if best is None or rate > best:
-                        per_host["probes"][str(engine)] = float(rate)
-            if (
-                isinstance(preferred, str)
-                and preferred not in per_host["preferred_engines"]
-            ):
-                per_host["preferred_engines"].append(preferred)
-                per_host["preferred_engines"].sort()
         totals["mean_batch_size"] = (
             round(totals["claimed"] / totals["claim_batches"], 2)
             if totals["claim_batches"]
@@ -1036,9 +1016,8 @@ def _execute_and_complete(
     faults.maybe_die(claimed.fingerprint)
     try:
         # The replay span records which engine actually executed the
-        # job: an unpinned job (engine=None) resolves through
-        # REPRO_REPLAY_KERNEL at simulate() time, which the probe may
-        # have pointed at this host's fastest kernel.
+        # job: an unpinned job (engine=None) resolves on this host at
+        # simulate() time, exactly as resolve_engine_name does here.
         with tracing.span(
             "worker.replay",
             trace=claimed.envelope.get("trace"),
@@ -1150,19 +1129,6 @@ class QueueWorker:
             in lockstep, and the first sweep lands at a random fraction
             of the period to desynchronise hosts started together.
         gc_sweeps: sweeps this worker has run (tests, exit summary).
-        probe_interval: per-kernel throughput probe refresh period in
-            seconds (None/0 disables probing).  When enabled the worker
-            calibrates every registered replay engine at startup and on
-            a jittered refresh (:mod:`repro.telemetry.probes`),
-            publishes the measured ``cycles_per_second`` per kernel in
-            its stats file, and — unless the operator pinned
-            ``REPRO_REPLAY_KERNEL`` — makes the fastest kernel this
-            process's engine default, so unpinned claimed jobs execute
-            on the host's best kernel.  Bit-identity is untouched:
-            engines never enter fingerprints, so a result replayed on
-            any kernel is a cache hit for every other.
-        probes: last calibration, ``{engine: cycles_per_second}``.
-        preferred_engine: fastest probed engine (None before a probe).
     """
 
     #: Upper jitter fraction applied to each worker's gc period.
@@ -1178,7 +1144,6 @@ class QueueWorker:
         drain_grace: float = 1.0,
         claim_batch: int = 1,
         gc_interval: Optional[float] = None,
-        probe_interval: Optional[float] = None,
     ):
         if claim_batch < 1:
             raise ValueError("claim_batch must be a positive integer")
@@ -1198,16 +1163,6 @@ class QueueWorker:
             if self.gc_interval
             else None
         )
-        self.probe_interval = probe_interval or None
-        self.probes: dict[str, float] = {}
-        self.preferred_engine: Optional[str] = None
-        # An operator pin (REPRO_REPLAY_KERNEL in the environment, e.g.
-        # exported by --engine on the CLIs) always outranks the probe;
-        # decide once at startup so this worker's own auto-pick export
-        # is never mistaken for a pin when the probe refreshes.
-        self._engine_pinned = ENGINE_ENV_VAR in os.environ
-        # 0.0 sentinel: probe immediately on the first run() iteration.
-        self._next_probe = 0.0 if self.probe_interval else None
 
     def _publish_stats(self) -> None:
         """Publish this worker's counters to ``queue/workers/<id>.json``.
@@ -1229,11 +1184,6 @@ class QueueWorker:
             "jobs_done": self.jobs_done,
             "jobs_failed": self.jobs_failed,
             "gc_sweeps": self.gc_sweeps,
-            # Heterogeneous-fleet placement data: the last calibration's
-            # cycles/second per replay engine and the kernel this worker
-            # resolved to — empty/None until a probe runs.
-            "probes": self.probes,
-            "preferred_engine": self.preferred_engine,
             "updated_at": time.time(),
         }
         # The id is operator-supplied (--worker-id) and becomes a file
@@ -1291,49 +1241,10 @@ class QueueWorker:
             1.0, 1.0 + self.GC_JITTER
         )
 
-    def _maybe_probe(self, now: float) -> None:
-        """Calibrate per-kernel throughput when the probe period lapses.
-
-        Runs the short seeded replay of :mod:`repro.telemetry.probes`
-        for every registered engine, publishes the rates into this
-        worker's stats file, and points ``REPRO_REPLAY_KERNEL`` at the
-        fastest kernel (skipped when the operator pinned one), so
-        subsequently claimed unpinned jobs execute on it.  The refresh
-        is jittered like the gc sweep so a fleet doesn't calibrate in
-        lockstep.  A probe must never take the worker down — it runs
-        real simulation code, so any failure just skips this refresh.
-        """
-        if self._next_probe is None or now < self._next_probe:
-            return
-        from repro.telemetry import probes as kernel_probes
-
-        try:
-            rates = kernel_probes.calibrate_engines()
-        # Calibration runs arbitrary engine code (and a kernel may be
-        # broken on exactly this host); a failed probe costs placement
-        # data, never the worker.
-        # repro: allow[exception-hygiene] unbounded engine-code surface
-        except Exception:
-            rates = {}
-        if rates:
-            self.probes = rates
-            fastest = kernel_probes.fastest_engine(rates)
-            self.preferred_engine = fastest
-            if fastest is not None and not self._engine_pinned:
-                os.environ[ENGINE_ENV_VAR] = fastest
-            self._publish_stats()
-        self._next_probe = now + self.probe_interval * random.uniform(
-            1.0, 1.0 + self.GC_JITTER
-        )
-
     def run(self) -> int:
         """Serve the queue; returns the number of jobs executed."""
         queue = self.queue
         idle_since: Optional[float] = None
-        if self._next_probe is not None:
-            # Startup calibration, before the first claim: placement
-            # should be right from job one, not from the first idle gap.
-            self._maybe_probe(time.time())
         while True:
             if self.max_jobs is not None and self.jobs_done >= self.max_jobs:
                 break
@@ -1352,7 +1263,6 @@ class QueueWorker:
                 else:
                     idle_since = None
                 self._maybe_gc(now)
-                self._maybe_probe(now)
                 faults.sleep(self.poll_interval)
                 continue
             idle_since = None
@@ -1374,7 +1284,6 @@ def spawn_local_workers(
     drain: bool = False,
     claim_batch: Optional[int] = None,
     gc_interval: Optional[float] = None,
-    probe_interval: Optional[float] = None,
 ):
     """Start ``count`` worker subprocesses against ``cache_dir``.
 
@@ -1411,10 +1320,6 @@ def spawn_local_workers(
     # daemon default; these spawned workers are ephemeral batch hands,
     # not long-lived hosts.
     command.extend(["--gc-interval", str(gc_interval if gc_interval else 0)])
-    # Same explicit-0 rationale as --gc-interval: spawned workers are
-    # ephemeral batch hands and should not spend their first half-second
-    # calibrating kernels unless the caller opts in.
-    command.extend(["--probe-interval", str(probe_interval if probe_interval else 0)])
     return [subprocess.Popen(command, env=env) for _ in range(count)]
 
 
@@ -1462,17 +1367,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         "worker so shared caches aren't swept in lockstep (0 disables)",
     )
     parser.add_argument(
-        "--probe-interval",
-        type=float,
-        default=3600.0,
-        help="per-kernel throughput probe refresh period in seconds, "
-        "jittered per worker (0 disables).  The worker calibrates every "
-        "registered replay engine at startup and each refresh, publishes "
-        "cycles/second per kernel into queue/workers/, and executes "
-        "unpinned jobs on the fastest kernel (REPRO_REPLAY_KERNEL, when "
-        "set, always wins)",
-    )
-    parser.add_argument(
         "--status",
         action="store_true",
         help="print queue status as JSON and exit; the 'workers' section "
@@ -1501,7 +1395,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         drain_grace=args.drain_grace,
         claim_batch=args.claim_batch,
         gc_interval=args.gc_interval,
-        probe_interval=args.probe_interval,
     )
     done = worker.run()
     print(

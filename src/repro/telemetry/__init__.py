@@ -1,4 +1,4 @@
-"""fleetscope: structured tracing, fleet metrics, probes, and the trend gate.
+"""fleetscope: structured tracing, fleet metrics, and the trend gate.
 
 The observability plane for the distributed harness (docs/observability.md):
 
@@ -11,10 +11,6 @@ The observability plane for the distributed harness (docs/observability.md):
   registry behind ``cache_stats()``, the queue counters, the completion
   core, and the service daemon's ``status`` op, all sharing one
   ``snapshot()`` shape.
-* :mod:`repro.telemetry.probes` — per-kernel throughput calibration so
-  each worker can publish ``cycles_per_second`` per replay engine and
-  execute with the fastest one (bit-identity untouched; engines never
-  enter fingerprints).
 * :mod:`repro.telemetry.trend` — ``python -m repro.telemetry.trend``
   gates the ``BENCH_trace.json`` perf trajectory with a MAD-based
   noise band.
@@ -22,8 +18,6 @@ The observability plane for the distributed harness (docs/observability.md):
 This package is imported by the harness and service layers only; the
 reprolint ``telemetry-purity`` rule forbids it under ``repro/uarch/``
 (the replay hot path) and anywhere near fingerprint construction.
-Heavy imports live in :mod:`.probes` and stay function-local, so
-importing this package is cheap.
 """
 
 from repro.telemetry.metrics import (

@@ -15,10 +15,7 @@ parses the history, splits it into per-series samples —
   attributed to ``scalar``, the only kernel that existed then);
 * ``queue_grid/seconds`` and ``service_grid/seconds``: 6-cell grid
   wall-clock through the queue and the service daemon (lower is
-  better);
-* ``crossover/<config>/<engine>``: warm replay throughput of one
-  kernel on one machine-width configuration from the cross-over study
-  (``benchmarks/test_perf_crossover.py``; higher is better) —
+  better) —
 
 and gates the **latest** sample of each series against the median of
 its history with a robust noise band.
@@ -101,14 +98,6 @@ def split_series(history: list[dict]) -> dict[str, dict]:
             _append("queue_grid/seconds", entry.get("queue_seconds"), "lower")
         elif kind == "service_grid":
             _append("service_grid/seconds", entry.get("service_seconds"), "lower")
-        elif kind == "crossover":
-            config = entry.get("config", "table1")
-            engine = entry.get("engine", "scalar")
-            _append(
-                f"crossover/{config}/{engine}",
-                entry.get("cycles_per_second"),
-                "higher",
-            )
         elif "cycles_per_second_cold" in entry:
             engine = entry.get("engine", "scalar")
             _append(

@@ -51,9 +51,9 @@ Main entry points:
 * :class:`~repro.uarch.core.OutOfOrderCore` -- the timing model; pair it
   with a resizing policy from :mod:`repro.techniques` and run.
 * :mod:`repro.uarch.engine` -- the pluggable replay kernels behind the
-  timing loop: ``scalar`` (the reference) and ``columnar`` (numpy
-  structured arrays, batched tag-vector writeback), bit-identical and
-  selectable via ``engine=`` / ``REPRO_REPLAY_KERNEL``.
+  timing loop: ``scalar`` (the reference) and ``native`` (compiled C,
+  the default where it builds), bit-identical and pinned via
+  ``engine=`` / ``REPRO_REPLAY_KERNEL``.
 * :func:`~repro.uarch.core.simulate` -- convenience wrapper that wires the
   decoded trace, a replay engine, a policy and the statistics together.
 """
@@ -73,7 +73,6 @@ from repro.uarch.trace import (
 )
 from repro.uarch.core import OutOfOrderCore, simulate, simulate_span
 from repro.uarch.engine import (
-    ColumnarEngine,
     ReplayEngine,
     ScalarEngine,
     available_engines,
@@ -102,7 +101,6 @@ __all__ = [
     "simulate_span",
     "ReplayEngine",
     "ScalarEngine",
-    "ColumnarEngine",
     "available_engines",
     "get_engine",
     "resolve_engine_name",

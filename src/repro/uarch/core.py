@@ -4,8 +4,8 @@ The per-cycle timing loop lives behind the
 :class:`~repro.uarch.engine.base.ReplayEngine` interface in
 :mod:`repro.uarch.engine`: the scalar reference kernel
 (:class:`~repro.uarch.engine.scalar.OutOfOrderCore`, re-exported here so
-existing imports keep working) and the columnar numpy kernel
-(:class:`~repro.uarch.engine.columnar.ColumnarCore`).  This module wires
+existing imports keep working) and the compiled native kernel
+(:class:`~repro.uarch.engine.native.NativeCore`).  This module wires
 a kernel together with the trace tiers of :mod:`repro.uarch.trace` and a
 resizing policy:
 
@@ -15,11 +15,11 @@ resizing policy:
   statistics at the commit of the N-th measured instruction (the
   window-shard entry point of :mod:`repro.harness.shard`).
 
-Both take ``engine=`` (``"scalar"`` | ``"columnar"``; default: the
-``REPRO_REPLAY_KERNEL`` environment variable, else scalar).  Engine
-statistics are bit-identical, so the choice is transport — like the
-trace window size or the worker count — and never affects results or
-cache fingerprints.
+Both take ``engine=`` (``"scalar"`` | ``"native"``; default: the
+``REPRO_REPLAY_KERNEL`` environment variable, else ``native`` where it
+builds, else ``scalar``).  Engine statistics are bit-identical, so the
+choice is transport — like the trace window size or the worker count —
+and never affects results or cache fingerprints.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ def simulate(
         trace_window: decoded-trace window size in instructions (None:
             ``REPRO_TRACE_WINDOW`` or the library default; 0 forces a
             monolithic decode).
-        engine: replay kernel name (None: ``REPRO_REPLAY_KERNEL`` or
-            ``"scalar"``).
+        engine: replay kernel name (None: ``REPRO_REPLAY_KERNEL``, else
+            ``"native"`` where it builds, else ``"scalar"``).
 
     Returns:
         The populated :class:`~repro.uarch.stats.SimulationStats`.

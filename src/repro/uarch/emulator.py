@@ -26,6 +26,28 @@ from repro.isa.registers import NUM_ARCH_REGS, NUM_FP_ARCH_REGS, ZERO_REG
 _VALUE_MASK = (1 << 63) - 1
 _UNINIT_HASH_MULTIPLIER = 2654435761
 
+# The ALU dispatch in ``run_collect_windows`` compares against these
+# module-level aliases: on CPython 3.11 every ``Opcode.ADD``-style lookup
+# goes through the enum metaclass and costs several times a global read,
+# once per comparison in the chain.
+_ADD = Opcode.ADD
+_LI = Opcode.LI
+_SUB = Opcode.SUB
+_MOV = Opcode.MOV
+_CMP_LT = Opcode.CMP_LT
+_CMP_EQ = Opcode.CMP_EQ
+_AND = Opcode.AND
+_OR = Opcode.OR
+_XOR = Opcode.XOR
+_SHL = Opcode.SHL
+_SHR = Opcode.SHR
+_MUL = Opcode.MUL
+_DIV = Opcode.DIV
+_FADD = Opcode.FADD
+_FSUB = Opcode.FSUB
+_FMUL = Opcode.FMUL
+_FDIV = Opcode.FDIV
+
 
 class EmulationError(Exception):
     """Raised when a program cannot be executed (bad targets, empty blocks...)."""
@@ -382,39 +404,39 @@ class FunctionalEmulator:
                 else:
                     b_idx, b_fp = b_spec
                     b = fregs[b_idx] if b_fp else regs[b_idx]
-                if opcode is Opcode.ADD:
+                if opcode is _ADD:
                     result = a + b
-                elif opcode is Opcode.LI:
+                elif opcode is _LI:
                     result = imm
-                elif opcode is Opcode.SUB:
+                elif opcode is _SUB:
                     result = a - b
-                elif opcode is Opcode.MOV:
+                elif opcode is _MOV:
                     result = a
-                elif opcode is Opcode.CMP_LT:
+                elif opcode is _CMP_LT:
                     result = 1 if a < b else 0
-                elif opcode is Opcode.CMP_EQ:
+                elif opcode is _CMP_EQ:
                     result = 1 if a == b else 0
-                elif opcode is Opcode.AND:
+                elif opcode is _AND:
                     result = int(a) & int(b)
-                elif opcode is Opcode.OR:
+                elif opcode is _OR:
                     result = int(a) | int(b)
-                elif opcode is Opcode.XOR:
+                elif opcode is _XOR:
                     result = int(a) ^ int(b)
-                elif opcode is Opcode.SHL:
+                elif opcode is _SHL:
                     result = int(a) << (int(b) & 31)
-                elif opcode is Opcode.SHR:
+                elif opcode is _SHR:
                     result = int(a) >> (int(b) & 31)
-                elif opcode is Opcode.MUL:
+                elif opcode is _MUL:
                     result = int(a) * int(b)
-                elif opcode is Opcode.DIV:
+                elif opcode is _DIV:
                     result = int(a) // int(b) if int(b) != 0 else 0
-                elif opcode is Opcode.FADD:
+                elif opcode is _FADD:
                     result = float(a) + float(b)
-                elif opcode is Opcode.FSUB:
+                elif opcode is _FSUB:
                     result = float(a) - float(b)
-                elif opcode is Opcode.FMUL:
+                elif opcode is _FMUL:
                     result = float(a) * float(b)
-                elif opcode is Opcode.FDIV:
+                elif opcode is _FDIV:
                     result = float(a) / float(b) if float(b) != 0.0 else 0.0
                 else:  # pragma: no cover - defensive
                     result = 0

@@ -3,32 +3,27 @@
 The simulator separates *what* a cycle does from *how* a kernel executes
 it: :class:`~repro.uarch.engine.base.ReplayEngine` is the contract
 (``run`` over a trace window stream, plus the ``run_span``
-freeze-at-commit entry window sharding stitches), and three kernels
+freeze-at-commit entry window sharding stitches), and two kernels
 implement it —
 
 * :class:`~repro.uarch.engine.scalar.ScalarEngine` (``"scalar"``): the
   pure-Python reference loop, behaviour frozen;
-* :class:`~repro.uarch.engine.columnar.ColumnarEngine` (``"columnar"``):
-  trace windows lowered into numpy structured arrays with batched
-  tag-vector writeback and mask-based ready-set updates;
 * :class:`~repro.uarch.engine.native.NativeEngine` (``"native"``): the
   per-cycle loop as a C extension, compiled lazily on first use by
   :mod:`repro.uarch.engine.build` and skipped cleanly on hosts without
   a toolchain (:class:`~repro.uarch.engine.native.NativeUnavailableError`).
 
 Statistics are **bit-identical** between kernels for every technique at
-every window size, so the engine choice is pure transport: it is
-selectable per call (``engine=``), per process (``REPRO_REPLAY_KERNEL``)
-and per run (``figure_report.py --engine``, ``pytest --engine``), and it
-never participates in result-cache fingerprints.  The catalogue —
-contract, measured throughput, and how to add a kernel — is
-``docs/engines.md``.
+every window size, so the engine choice is pure transport and never
+participates in result-cache fingerprints.  An unpinned call runs
+``native`` where it builds and ``scalar`` elsewhere; ``engine=``,
+``REPRO_REPLAY_KERNEL``, ``figure_report.py --engine`` and
+``pytest --engine`` pin it.  The catalogue — contract, selection rule,
+measured throughput, and how to add a kernel — is ``docs/engines.md``.
 """
 
 from repro.uarch.engine.base import (
-    DEFAULT_ENGINE,
     ENGINE_ENV_VAR,
-    EngineUnavailableError,
     ReplayEngine,
     available_engines,
     get_engine,
@@ -36,12 +31,6 @@ from repro.uarch.engine.base import (
     resolve_engine_name,
 )
 from repro.uarch.engine.scalar import OutOfOrderCore, ScalarEngine
-from repro.uarch.engine.columnar import (
-    ColumnarCore,
-    ColumnarEngine,
-    ColumnarUnavailableError,
-    numpy_available,
-)
 from repro.uarch.engine.native import (
     NativeCore,
     NativeEngine,
@@ -51,9 +40,7 @@ from repro.uarch.engine.native import (
 )
 
 __all__ = [
-    "DEFAULT_ENGINE",
     "ENGINE_ENV_VAR",
-    "EngineUnavailableError",
     "ReplayEngine",
     "available_engines",
     "get_engine",
@@ -61,10 +48,6 @@ __all__ = [
     "resolve_engine_name",
     "OutOfOrderCore",
     "ScalarEngine",
-    "ColumnarCore",
-    "ColumnarEngine",
-    "ColumnarUnavailableError",
-    "numpy_available",
     "NativeCore",
     "NativeEngine",
     "NativeUnavailableError",

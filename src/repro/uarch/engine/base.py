@@ -7,8 +7,8 @@ and produces :class:`~repro.uarch.stats.SimulationStats`.  The contract
 deliberately separates *what* a cycle does (the machine semantics, fixed
 by the paper's table 1 and section 3) from *how* a kernel executes it, so
 the execution harness — the process pool, the distributed work queue, the
-window-shard stitcher — can fan work out to whichever kernel is fastest
-on each host without any caller noticing.
+window-shard stitcher — can run each job on whichever kernel its host
+resolves without any caller noticing.
 
 Two invariants every engine must uphold:
 
@@ -23,7 +23,9 @@ Two invariants every engine must uphold:
   transport, like the trace window size or the worker count.
 
 Selection: :func:`get_engine` resolves an explicit name, else the
-``REPRO_REPLAY_KERNEL`` environment variable, else ``"scalar"``.
+``REPRO_REPLAY_KERNEL`` environment variable, else ``"native"`` when this
+host can build it, else ``"scalar"``.  Every executing process applies
+the rule for itself, so a mixed fleet picks per host.
 """
 
 from __future__ import annotations
@@ -34,23 +36,8 @@ from typing import Optional
 
 from repro.uarch.stats import SimulationStats
 
-#: Environment variable supplying the default kernel name.
+#: Environment variable pinning the kernel for a process.
 ENGINE_ENV_VAR = "REPRO_REPLAY_KERNEL"
-
-#: The kernel used when neither an argument nor the environment chooses.
-DEFAULT_ENGINE = "scalar"
-
-
-class EngineUnavailableError(RuntimeError):
-    """A registered kernel was selected but cannot run on this host.
-
-    Every optional kernel raises its own named subclass
-    (``ColumnarUnavailableError`` when numpy is missing,
-    ``NativeUnavailableError`` when the C toolchain is) so callsites can
-    be specific, while fleet plumbing that degrades gracefully — the
-    telemetry probes, the worker calibration pass — catches this base
-    class once instead of enumerating kernels.
-    """
 
 
 class ReplayEngine(abc.ABC):
@@ -70,9 +57,9 @@ class ReplayEngine(abc.ABC):
 
         Registration is unconditional (the registry answers "what kernels
         exist", not "what runs here"); optional kernels override this so
-        callers — the pytest ``--engine`` plumbing, the telemetry probes —
-        can skip or degrade *before* :meth:`build_core` raises the
-        kernel's named ``*UnavailableError``.
+        callers — the default resolution rule, the pytest ``--engine``
+        plumbing — can fall back or skip *before* :meth:`build_core`
+        raises the kernel's named ``*UnavailableError``.
         """
         return None
 
@@ -149,14 +136,20 @@ def available_engines() -> tuple[str, ...]:
 
 
 def resolve_engine_name(name: Optional[str] = None) -> str:
-    """The effective kernel name: argument, else env, else the default.
+    """The effective kernel name on this host.
 
-    Raises ``ValueError`` for a name that is not registered, naming the
-    choices — a typo in ``REPRO_REPLAY_KERNEL`` should fail loudly at
-    selection time, not deep inside a worker.
+    An explicit ``name`` wins, then ``REPRO_REPLAY_KERNEL``; otherwise
+    the compiled ``native`` kernel when its ``unavailable_reason()`` is
+    ``None``, else the ``scalar`` reference.  Raises ``ValueError`` for a
+    name that is not registered, naming the choices — a typo in
+    ``REPRO_REPLAY_KERNEL`` should fail loudly at selection time, not
+    deep inside a worker.
     """
     if name is None:
-        name = os.environ.get(ENGINE_ENV_VAR) or DEFAULT_ENGINE
+        name = os.environ.get(ENGINE_ENV_VAR)
+    if not name:
+        native = get_engine("native")
+        return "native" if native.unavailable_reason() is None else "scalar"
     if name not in _ENGINE_CLASSES:
         raise ValueError(
             f"unknown replay engine {name!r}; available: "

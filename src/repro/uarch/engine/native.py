@@ -29,9 +29,10 @@ that, the engine never enters cache fingerprints — a grid cached under
 ``scalar`` is a pure hit under ``native``.
 
 The C toolchain is optional (the ``native`` install extra): this module
-imports with or without it, and selecting the native engine on a host
-without a compiler raises :class:`NativeUnavailableError` naming the
-extra — never a raw build error from callsite depth.
+imports with or without it.  An unpinned run on a host without a
+compiler resolves to the scalar kernel; explicitly selecting the native
+engine there raises :class:`NativeUnavailableError` naming the extra —
+never a raw build error from callsite depth.
 """
 
 from __future__ import annotations
@@ -40,11 +41,7 @@ import os
 from typing import Optional
 
 from repro.uarch.config import ProcessorConfig
-from repro.uarch.engine.base import (
-    EngineUnavailableError,
-    ReplayEngine,
-    register_engine,
-)
+from repro.uarch.engine.base import ReplayEngine, register_engine
 from repro.uarch.engine.build import ExtensionCompiler
 from repro.uarch.issue_queue import BankedIssueQueue
 from repro.uarch.rob import ReorderBuffer
@@ -63,7 +60,7 @@ from repro.uarch.trace import (
 )
 
 
-class NativeUnavailableError(EngineUnavailableError):
+class NativeUnavailableError(RuntimeError):
     """The native kernel was selected but cannot be built on this host."""
 
 
@@ -79,11 +76,17 @@ _MODULE = None
 
 def native_available() -> bool:
     """True when the native kernel can be built (or already was) here."""
-    return _COMPILER.unavailable_reason() is None
+    return native_unavailable_reason() is None
 
 
 def native_unavailable_reason() -> Optional[str]:
-    """Why the native kernel cannot run here, or ``None`` when it can."""
+    """Why the native kernel cannot run here, or ``None`` when it can.
+
+    Unpinned runs ask this on every call (the default resolution rule),
+    so a kernel already loaded answers without re-probing the toolchain.
+    """
+    if _MODULE is not None:
+        return None
     return _COMPILER.unavailable_reason()
 
 
@@ -92,8 +95,7 @@ def load_native_module():
 
     Raises :class:`NativeUnavailableError` naming the ``native`` extra
     for *any* failure — missing compiler, missing ``Python.h``, or a
-    compile error — so a worker that probes the kernel can degrade on
-    one exception type.
+    compile error — so a caller handles one exception type.
     """
     global _MODULE
     if _MODULE is None:

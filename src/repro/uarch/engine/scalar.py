@@ -9,10 +9,9 @@ register files, functional units, caches and branch prediction.
 :class:`OutOfOrderCore` is the reference implementation of the
 :class:`~repro.uarch.engine.base.ReplayEngine` contract — the pure-Python
 per-cycle loop, moved here verbatim from ``repro.uarch.core`` (which
-remains the import-compatible front door).  The columnar kernel
-(:mod:`repro.uarch.engine.columnar`) subclasses it, overriding only the
-stages it lowers onto numpy, so the machine semantics are defined exactly
-once.
+remains the import-compatible front door).  It is the model the
+compiled native kernel (:mod:`repro.uarch.engine.native`) is held to,
+bit for bit, and the kernel hosts without a C toolchain run.
 
 The core is a **replay engine**: it consumes the committed stream lowered
 into flat, pre-decoded arrays and walks it by index.  Functional

@@ -65,12 +65,13 @@ import os
 import sys
 import warnings
 from collections import OrderedDict
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Optional
 
 from repro.atomicio import publish_atomically
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import Opcode, default_latency, fu_class
+from repro.isa.opcodes import Opcode, default_latency, fu_class, is_branch
 from repro.uarch.config import DEFAULT_TRACE_WINDOW_ENTRIES
 from repro.uarch.emulator import DynamicInstruction, FunctionalEmulator, ProgramLayout
 from repro.uarch.functional_units import FU_INDEX
@@ -99,6 +100,33 @@ F_LOAD = 32
 F_STORE = 64
 #: Any instruction that must consult the branch predictor at fetch.
 F_CONTROL = F_BRANCH | F_CALL | F_RET
+
+
+def _opcode_decode(opcode: Opcode) -> tuple[int, int, int]:
+    """``(flags, latency, fu_ordinal)``: the part of a decode fixed by the opcode."""
+    flags = 0
+    if opcode is Opcode.HINT:
+        flags |= F_HINT
+    if opcode is Opcode.NOP:
+        flags |= F_NOP
+    if is_branch(opcode):
+        flags |= F_BRANCH
+    if opcode is Opcode.CALL:
+        flags |= F_CALL
+    if opcode is Opcode.RET:
+        flags |= F_RET
+    if opcode is Opcode.LOAD:
+        flags |= F_LOAD
+    if opcode is Opcode.STORE:
+        flags |= F_STORE
+    return flags, default_latency(opcode), FU_INDEX[fu_class(opcode)]
+
+
+#: :func:`_opcode_decode` for every opcode, so decoding a static costs one
+#: lookup rather than a dozen property calls that each hash an enum.
+_OPCODE_DECODE: dict[Opcode, tuple[int, int, int]] = {
+    opcode: _opcode_decode(opcode) for opcode in Opcode
+}
 
 #: Counters for tests and reports: how often the emulator actually ran
 #: versus how often a decoded trace was reused.
@@ -208,30 +236,17 @@ class DecodedTrace:
 
         Returns ``(flags, latency, fu_ordinal, iq_tag, rename_spec)``.
         """
-        opcode = instr.opcode
-        flags = 0
-        if instr.is_hint:
-            flags |= F_HINT
-        if opcode is Opcode.NOP:
-            flags |= F_NOP
-        if instr.is_branch:
-            flags |= F_BRANCH
-        if instr.is_call:
-            flags |= F_CALL
-        if instr.is_return:
-            flags |= F_RET
-        if instr.is_load:
-            flags |= F_LOAD
-        if instr.is_store:
-            flags |= F_STORE
-        int_srcs = tuple(reg.index for reg in instr.srcs if not reg.is_fp)
-        fp_srcs = tuple(reg.index for reg in instr.srcs if reg.is_fp)
-        int_dests = tuple(reg.index for reg in instr.dests if not reg.is_fp)
-        fp_dests = tuple(reg.index for reg in instr.dests if reg.is_fp)
+        flags, latency, fu_ordinal = _OPCODE_DECODE[instr.opcode]
+        srcs = instr.srcs
+        dests = instr.dests
+        int_srcs = tuple([reg.index for reg in srcs if not reg.is_fp])
+        fp_srcs = tuple([reg.index for reg in srcs if reg.is_fp])
+        int_dests = tuple([reg.index for reg in dests if not reg.is_fp])
+        fp_dests = tuple([reg.index for reg in dests if reg.is_fp])
         return (
             flags,
-            default_latency(opcode),
-            FU_INDEX[fu_class(opcode)],
+            latency,
+            fu_ordinal,
             instr.iq_tag,
             (int_srcs, fp_srcs, int_dests, fp_dests),
         )
@@ -263,17 +278,25 @@ class DecodedTrace:
                 statics.append(instr)
                 decoded.append(static_decode(instr))
             idx_append(sidx)
-        # Scatter the per-static attributes per entry with C-level maps.
+        # Scatter the per-static attributes per entry: one itemgetter
+        # gathers a whole column in a single C call.
         if decoded:
             flags_by, lat_by, fu_by, tag_by, spec_by = zip(*decoded)
-            trace.flags = bytearray(map(flags_by.__getitem__, static_idx))
-            trace.latency = bytearray(map(lat_by.__getitem__, static_idx))
-            trace.fu_idx = bytearray(map(fu_by.__getitem__, static_idx))
-            trace.iq_tag = list(map(tag_by.__getitem__, static_idx))
-            trace.rename_specs = list(map(spec_by.__getitem__, static_idx))
+            if len(static_idx) > 1:
+                gather = itemgetter(*static_idx)
+            else:  # one key: itemgetter would return the bare item
+
+                def gather(column: tuple) -> tuple:
+                    return (column[0],)
+
+            trace.flags = bytearray(gather(flags_by))
+            trace.latency = bytearray(gather(lat_by))
+            trace.fu_idx = bytearray(gather(fu_by))
+            trace.iq_tag = list(gather(tag_by))
+            trace.rename_specs = list(gather(spec_by))
         trace.pc = list(pcs)
         trace.next_pc = list(next_pcs)
-        trace.taken = bytearray(1 if t else 0 for t in takens)
+        trace.taken = bytearray(map(bool, takens))
         trace.mem_addr = list(mem_addrs)
         trace.length = len(trace.pc)
         return trace
@@ -320,44 +343,69 @@ def _emulator_code_digest() -> str:
     return digest.hexdigest()
 
 
+#: Memo of :func:`program_digest`, keyed by :func:`_program_content`.
+#: Small: an entry holds a copy of the program's content (up to about
+#: 1 MiB, for gcc), and the callers that repeat a digest do so for the
+#: program they just digested.
+_DIGEST_MEMO_CAPACITY = 4
+_digest_memo: "OrderedDict[tuple, str]" = OrderedDict()
+
+
+def _program_content(program) -> tuple:
+    """Everything the emulator reads from ``program``, as one hashable tuple.
+
+    Procedure order and names, library flags, block labels, and for every
+    instruction the opcode, operand registers, immediate, control
+    targets, hint payload and issue-queue tag, in layout order.
+    """
+    items: list = [program.entry]
+    for procedure in program.procedures.values():
+        items.append((procedure.name, procedure.is_library))
+        for block in procedure.blocks:
+            items.append(block.label)
+            items.extend(
+                [
+                    (
+                        instr.opcode._value_,
+                        tuple([(r.index, r.is_fp) for r in instr.dests]),
+                        tuple([(r.index, r.is_fp) for r in instr.srcs]),
+                        instr.imm,
+                        instr.target,
+                        instr.call_target,
+                        instr.hint_value,
+                        instr.iq_tag,
+                    )
+                    for instr in block.instructions
+                ]
+            )
+    return tuple(items)
+
+
 def program_digest(program) -> str:
     """SHA-256 over the program's full static content, in layout order.
 
-    Covers everything the emulator reads: procedure order and names,
-    library flags, block labels, and for every instruction the opcode,
-    operand registers, immediate, control targets, hint payload and
-    issue-queue tag.  Two programs with identical digests produce
-    identical dynamic streams under identical budgets.
+    The digest covers :func:`_program_content`.  Two programs with
+    identical digests produce identical dynamic streams under identical
+    budgets.
 
-    Deliberately *not* memoised by object identity: programs may be
+    Memoised on that content, never on object identity: programs may be
     mutated in place between simulations (``build_benchmark(fresh=True)``
-    exists exactly for that), and an identity-keyed memo would keep
-    serving the pre-mutation digest.  The walk is linear in static size
-    and negligible next to a simulation.
+    exists exactly for that), and a mutated program has new content, so
+    it misses.  A hit still walks the program, but skips the ``repr``
+    and hashing, which cost about three times as much as the walk.  That
+    matters because every ``simulate`` call takes a digest, and a warm
+    replay under the native kernel takes only a few milliseconds.
     """
-    digest = hashlib.sha256()
-    feed = digest.update
-    feed(repr(program.entry).encode())
-    for procedure in program.procedures.values():
-        feed(repr((procedure.name, procedure.is_library)).encode())
-        for block in procedure.blocks:
-            feed(repr(block.label).encode())
-            for instr in block.instructions:
-                feed(
-                    repr(
-                        (
-                            instr.opcode.value,
-                            tuple((r.index, r.is_fp) for r in instr.dests),
-                            tuple((r.index, r.is_fp) for r in instr.srcs),
-                            instr.imm,
-                            instr.target,
-                            instr.call_target,
-                            instr.hint_value,
-                            instr.iq_tag,
-                        )
-                    ).encode()
-                )
-    return digest.hexdigest()
+    content = _program_content(program)
+    digest = _digest_memo.get(content)
+    if digest is not None:
+        _digest_memo.move_to_end(content)
+        return digest
+    digest = hashlib.sha256("".join(map(repr, content)).encode()).hexdigest()
+    _digest_memo[content] = digest
+    while len(_digest_memo) > _DIGEST_MEMO_CAPACITY:
+        _digest_memo.popitem(last=False)
+    return digest
 
 
 def _fingerprint_from_digest(digest: str, max_instructions: int) -> str:
@@ -712,7 +760,7 @@ class TraceWindowWriter:
                     array.array("q", pcs).tobytes(),
                     array.array("q", next_pcs).tobytes(),
                     array.array("q", mems).tobytes(),
-                    bytes(bytearray(1 if t else 0 for t in takens)),
+                    bytes(map(bool, takens)),
                 )
             )
         )
@@ -938,7 +986,7 @@ def get_trace_columns(
         max_instructions, window_size or None
     ):
         mems = [mem if mem is not None else 0 for mem in mems]
-        takens = bytearray(1 if t else 0 for t in takens)
+        takens = bytearray(map(bool, takens))
         if writer is not None:
             writer.add(pcs, next_pcs, takens, mems)
         pcs_acc.extend(pcs)
@@ -1092,7 +1140,7 @@ def _emulated_windows(
         max_instructions, window_size
     ):
         mems = [mem if mem is not None else 0 for mem in mems]
-        takens = bytearray(1 if t else 0 for t in takens)
+        takens = bytearray(map(bool, takens))
         if writer is not None:
             writer.add(pcs, next_pcs, takens, mems)
         if memo_key is not None:

@@ -354,9 +354,14 @@ def test_optional_deps_fires_on_unguarded_top_level_numpy():
     assert rule_ids(result.findings) == {"optional-deps"}
     result = lint_snippet("from numpy import zeros\n", "repro/harness/mod.py")
     assert rule_ids(result.findings) == {"optional-deps"}
+    # numpy has no home module: not even a replay kernel may import it.
+    for path in ("repro/uarch/engine/scalar.py", "repro/uarch/engine/native.py"):
+        result = lint_snippet("import numpy\n", path)
+        assert rule_ids(result.findings) == {"optional-deps"}, path
+        assert "no module may import it directly" in result.findings[0].message
 
 
-def test_optional_deps_silent_when_guarded_deferred_or_in_columnar():
+def test_optional_deps_silent_when_guarded_or_deferred():
     guarded = """
     try:
         import numpy as np
@@ -368,25 +373,20 @@ def test_optional_deps_silent_when_guarded_deferred_or_in_columnar():
         return numpy
     """
     assert lint_snippet(guarded, "repro/harness/mod.py").findings == []
-    assert (
-        lint_snippet(
-            "import numpy\n", "repro/uarch/engine/columnar.py"
-        ).findings
-        == []
-    )
 
 
 def test_optional_deps_fires_on_compiled_backend_imports_outside_native():
     """The compiled kernel's artefacts (the built extension module, or a
     numba/Cython toolchain) are scoped to engine/native.py + its build
-    helper, exactly as numpy is scoped to columnar.py."""
+    helper."""
     for module in ("_native_replay", "numba", "Cython", "pyximport"):
         result = lint_snippet(f"import {module}\n", "repro/harness/mod.py")
         assert rule_ids(result.findings) == {"optional-deps"}, module
     result = lint_snippet(
-        "from numba import njit\n", "repro/uarch/engine/columnar.py"
+        "from numba import njit\n", "repro/uarch/engine/scalar.py"
     )
     assert rule_ids(result.findings) == {"optional-deps"}  # wrong home
+    assert "only repro/uarch/engine/native.py or" in result.findings[0].message
 
 
 def test_optional_deps_silent_for_compiled_backend_in_its_home_modules():
@@ -396,10 +396,7 @@ def test_optional_deps_silent_for_compiled_backend_in_its_home_modules():
     ):
         assert lint_snippet("import _native_replay\n", path).findings == []
         assert lint_snippet("import numba\n", path).findings == []
-    # numpy's home does not transfer to the compiled backend's modules...
-    result = lint_snippet("import numpy\n", "repro/uarch/engine/native.py")
-    assert rule_ids(result.findings) == {"optional-deps"}
-    # ...and guarded/deferred imports stay legal anywhere.
+    # Guarded/deferred imports stay legal anywhere.
     guarded = """
     try:
         import numba
@@ -578,8 +575,8 @@ def test_telemetry_purity_silent_on_clean_fingerprints_and_elsewhere():
         return digest({"traits": traits, "technique": technique})
     """
     assert lint_snippet(clean, "repro/harness/cache.py").findings == []
-    # The vocabulary only binds fingerprint functions: a worker reading
-    # its probe table is exactly what the telemetry plane is for.
+    # The vocabulary only binds fingerprint functions: a worker publishing
+    # its own measurements is exactly what the telemetry plane is for.
     elsewhere = """
     def publish_stats(self):
         return {"probes": self.probes, "telemetry": True}

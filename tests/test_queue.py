@@ -764,8 +764,6 @@ class TestHostStats:
             "jobs_done": 3,
             "jobs_failed": 0,
             "gc_sweeps": 0,
-            "probes": {},
-            "preferred_engines": [],
         }
         assert stats["hosts"]["beta"]["workers"] == 1
         # Pre-host-tag files aggregate under the unknown-host bucket.

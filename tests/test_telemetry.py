@@ -1,12 +1,10 @@
-"""fleetscope tests: spans, metrics plane, kernel probes, trend gate.
+"""fleetscope tests: spans, metrics plane, trend gate.
 
 The contracts (see docs/observability.md): tracing is no-op by default
 and leaves zero residue in envelopes when disabled; one trace id
 connects driver → enqueue → claim → replay → complete across process
-boundaries; enabling telemetry never changes simulation statistics;
-probes pick the fastest kernel without touching fingerprints (a result
-probed onto any kernel is a pure cache hit for every other); and the
-perf-trajectory gate fails a synthetic regression while passing the
+boundaries; enabling telemetry never changes simulation statistics; and
+the perf-trajectory gate fails a synthetic regression while passing the
 repo's real recorded history.
 """
 
@@ -16,13 +14,12 @@ import dataclasses
 import json
 import os
 import threading
-import time
 
 import pytest
 
 from repro.harness import ParallelSuiteRunner, RunConfig, SimulationJob
 from repro.harness.cache import ResultCache, simulation_fingerprint
-from repro.harness.queue import QueueWorker, WorkQueue
+from repro.harness.queue import WorkQueue
 from repro.telemetry import (
     Counter,
     Gauge,
@@ -33,7 +30,6 @@ from repro.telemetry import (
 )
 from repro.telemetry import spans as tracing
 from repro.telemetry import trend
-from repro.uarch.engine import ENGINE_ENV_VAR, available_engines
 
 # The whole module exercises the observability plane; --no-telemetry
 # (root conftest) deselects it alongside force-disabling tracing.
@@ -378,172 +374,6 @@ class TestConnectedTrace:
 
 
 # ----------------------------------------------------------------------
-# Kernel throughput probes and placement
-# ----------------------------------------------------------------------
-class TestProbes:
-    def test_calibrate_engines_measures_every_available_kernel(self):
-        from repro.telemetry.probes import calibrate_engines
-        from repro.uarch.engine import get_engine
-
-        rates = calibrate_engines()
-        expected = {
-            name
-            for name in available_engines()
-            if get_engine(name).unavailable_reason() is None
-        }
-        assert set(rates) == expected
-        assert "scalar" in rates  # always runnable
-        for engine, rate in rates.items():
-            assert rate > 0.0, engine
-
-    def test_calibrate_skips_an_unavailable_native_kernel(self, monkeypatch):
-        """Per-kernel degradation, not whole-probe failure: the native
-        kernel missing its toolchain must cost only its own entry."""
-        from repro.telemetry.probes import calibrate_engines
-        from repro.uarch.engine import native as native_module
-
-        monkeypatch.setattr(native_module, "_MODULE", None)
-        monkeypatch.setattr(
-            native_module._COMPILER,
-            "unavailable_reason",
-            lambda: "no C compiler (cc/gcc/$CC) on PATH",
-        )
-        rates = calibrate_engines()
-        assert "native" not in rates
-        assert rates.get("scalar", 0.0) > 0.0
-
-    def test_worker_survives_a_native_probe_failure(self, tmp_path, monkeypatch):
-        """The ISSUE's degraded-path criterion: a worker probing a host
-        where the native kernel cannot build still publishes rates for
-        the kernels that ran and keeps serving."""
-        from repro.uarch.engine import native as native_module
-
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        monkeypatch.setattr(native_module, "_MODULE", None)
-        monkeypatch.setattr(
-            native_module._COMPILER,
-            "unavailable_reason",
-            lambda: "no C compiler (cc/gcc/$CC) on PATH",
-        )
-        queue = WorkQueue(tmp_path, ttl=30)
-        worker = QueueWorker(queue, probe_interval=3600.0)
-        worker._maybe_probe(time.time())  # must not raise
-        assert "native" not in worker.probes
-        assert worker.probes.get("scalar", 0.0) > 0.0
-        assert worker.preferred_engine in worker.probes
-
-    def test_fastest_engine_picks_the_max_deterministically(self):
-        from repro.telemetry.probes import fastest_engine
-
-        assert fastest_engine({}) is None
-        assert fastest_engine({"scalar": 10.0}) == "scalar"
-        assert fastest_engine({"scalar": 10.0, "columnar": 20.0}) == "columnar"
-        # Ties break on sorted name order, so fleets agree.
-        assert fastest_engine({"b": 1.0, "a": 1.0}) == "a"
-
-    def test_worker_probe_picks_fastest_and_result_is_a_pure_cache_hit(
-        self, tmp_path, monkeypatch
-    ):
-        """The placement contract end to end.
-
-        A cell simulated under the scalar kernel is cached; a probing
-        worker that auto-picks a different kernel must execute the same
-        unpinned job to a bit-identical result under the *same*
-        fingerprint — engines are transport, so the scalar-run entry is
-        a pure hit for the probed run and vice versa.
-        """
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-
-        # Scalar reference run, stored under the engine-free fingerprint.
-        from repro.harness.parallel import execute_job
-
-        job = _job()
-        scalar_payload = execute_job(dataclasses.replace(job, engine="scalar"))
-        fingerprint = job.fingerprint()
-        assert fingerprint == dataclasses.replace(job, engine="scalar").fingerprint()
-        cache = ResultCache(tmp_path)
-        from repro.harness.cache import stats_from_dict
-
-        cache.store(
-            fingerprint,
-            stats_from_dict(scalar_payload["stats"]),
-            benchmark=job.benchmark,
-            technique=job.technique,
-        )
-
-        # A probing worker whose calibration says another kernel is
-        # faster (forced, so the test is engine-agnostic and quick).
-        engines = available_engines()
-        fastest = engines[-1] if len(engines) > 1 else engines[0]
-        fake_rates = {
-            engine: (9_999.0 if engine == fastest else 1.0) for engine in engines
-        }
-        from repro.telemetry import probes as kernel_probes
-
-        monkeypatch.setattr(
-            kernel_probes, "calibrate_engines", lambda **kwargs: fake_rates
-        )
-
-        queue = WorkQueue(tmp_path, ttl=30)
-        queue.enqueue(job)  # engine=None: resolves through the probe's pick
-        worker = QueueWorker(
-            queue, worker_id="prober", max_jobs=1, poll_interval=0.01,
-            probe_interval=3600.0,
-        )
-        assert worker.run() == 1
-        assert worker.probes == fake_rates
-        assert worker.preferred_engine == fastest
-        assert os.environ.get(ENGINE_ENV_VAR) == fastest
-
-        # Same fingerprint, bit-identical statistics: the probed run's
-        # marker payload matches the scalar reference exactly, and the
-        # cache entry under the scalar-run fingerprint satisfies both.
-        marker = queue.done_marker(fingerprint)
-        assert marker is not None
-        assert marker["payload"]["stats"] == scalar_payload["stats"]
-        hits_before = cache.hits
-        loaded = cache.load(fingerprint)
-        assert loaded is not None
-        assert dataclasses.asdict(loaded) == scalar_payload["stats"]
-        assert cache.hits == hits_before + 1  # a pure hit, not a re-store
-
-        # The probe results are fleet-visible through worker_stats().
-        stats = queue.worker_stats()
-        per_host = next(iter(stats["hosts"].values()))
-        assert per_host["probes"] == fake_rates
-        assert per_host["preferred_engines"] == [fastest]
-
-    def test_operator_pin_outranks_the_probe(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "scalar")
-        engines = available_engines()
-        fake_rates = {engine: 1.0 for engine in engines}
-        fake_rates[engines[-1]] = 9_999.0
-        from repro.telemetry import probes as kernel_probes
-
-        monkeypatch.setattr(
-            kernel_probes, "calibrate_engines", lambda **kwargs: fake_rates
-        )
-        queue = WorkQueue(tmp_path, ttl=30)
-        worker = QueueWorker(queue, probe_interval=3600.0)
-        worker._maybe_probe(time.time())
-        assert worker.preferred_engine == engines[-1]  # measured and published
-        assert os.environ[ENGINE_ENV_VAR] == "scalar"  # but never overridden
-
-    def test_probe_failure_never_kills_the_worker(self, tmp_path, monkeypatch):
-        from repro.telemetry import probes as kernel_probes
-
-        def explode(**kwargs):
-            raise RuntimeError("broken kernel on this host")
-
-        monkeypatch.setattr(kernel_probes, "calibrate_engines", explode)
-        queue = WorkQueue(tmp_path, ttl=30)
-        worker = QueueWorker(queue, probe_interval=3600.0)
-        worker._maybe_probe(time.time())  # must not raise
-        assert worker.probes == {}
-        assert worker.preferred_engine is None
-
-
-# ----------------------------------------------------------------------
 # The perf-trajectory gate
 # ----------------------------------------------------------------------
 class TestTrendGate:
@@ -587,7 +417,7 @@ class TestTrendGate:
         history = [
             # Pre-PR 9 unstamped throughput entry: defaults to scalar.
             {"cycles_per_second_cold": 50_000, "cycles_per_second_warm": 60_000},
-            {"engine": "columnar", "cycles_per_second_cold": 30_000},
+            {"engine": "native", "cycles_per_second_cold": 300_000},
             {"kind": "queue_grid", "queue_seconds": 1.5},
             {"kind": "service_grid", "service_seconds": 2.5},
             {"malformed": True},
@@ -595,32 +425,9 @@ class TestTrendGate:
         series = trend.split_series(history)
         assert series["engine/scalar/cold"]["values"] == [50_000.0]
         assert series["engine/scalar/warm"]["direction"] == "higher"
-        assert series["engine/columnar/cold"]["values"] == [30_000.0]
+        assert series["engine/native/cold"]["values"] == [300_000.0]
         assert series["queue_grid/seconds"]["direction"] == "lower"
         assert series["service_grid/seconds"]["values"] == [2.5]
-
-    def test_split_series_groups_crossover_entries_per_config_and_kernel(self):
-        history = [
-            {
-                "kind": "crossover",
-                "config": "iq512-w32",
-                "engine": "columnar",
-                "cycles_per_second": 8_000,
-            },
-            {
-                "kind": "crossover",
-                "config": "iq512-w32",
-                "engine": "native",
-                "cycles_per_second": 400_000,
-            },
-            # Unstamped crossover entry: defaults like the engine series.
-            {"kind": "crossover", "cycles_per_second": 55_000},
-        ]
-        series = trend.split_series(history)
-        assert series["crossover/iq512-w32/columnar"]["values"] == [8_000.0]
-        assert series["crossover/iq512-w32/columnar"]["direction"] == "higher"
-        assert series["crossover/iq512-w32/native"]["values"] == [400_000.0]
-        assert series["crossover/table1/scalar"]["values"] == [55_000.0]
 
     def test_gate_series_returns_none_for_unknown_series(self, tmp_path):
         path = tmp_path / "BENCH_trace.json"

@@ -25,6 +25,8 @@ import pytest
 from repro.core import CompilerConfig, compile_program
 from repro.harness import ParallelSuiteRunner, RunConfig
 from repro.harness.cache import ResultCache, stats_to_dict
+from repro.isa.instruction import Instruction
+from repro.isa.opcodes import Opcode
 from repro.techniques import (
     AbellaPolicy,
     BaselinePolicy,
@@ -32,11 +34,21 @@ from repro.techniques import (
     SoftwareDirectedPolicy,
 )
 from repro.uarch import OutOfOrderCore, TraceCache, simulate
+from repro.uarch.functional_units import FU_ORDER
 from repro.uarch.trace import (
+    F_BRANCH,
+    F_CALL,
+    F_HINT,
+    F_LOAD,
+    F_NOP,
+    F_RET,
+    F_STORE,
     TRACE_FORMAT_VERSION,
+    DecodedTrace,
     clear_trace_memo,
     get_decoded_trace,
     get_trace_stream,
+    program_digest,
     reset_trace_events,
     trace_events,
     trace_fingerprint,
@@ -408,6 +420,46 @@ class TestTraceFingerprint:
         plain = build_benchmark("gzip")
         hinted = _program("gzip", "noop")
         assert trace_fingerprint(plain, 1_000) != trace_fingerprint(hinted, 1_000)
+
+    def test_memoised_digest_follows_in_place_edits(self):
+        """The digest memo keys on content: every edit a compiler pass can
+        make in place moves the digest, and undoing it moves it back."""
+        program = build_benchmark("gzip", fresh=True)
+        original = program_digest(program)
+        instr = next(iter(program.procedures.values())).blocks[0].instructions[0]
+        seen = {original}
+        for field, value in (("iq_tag", 24), ("imm", instr.imm + 1)):
+            before = getattr(instr, field)
+            setattr(instr, field, value)
+            edited = program_digest(program)
+            assert edited not in seen
+            seen.add(edited)
+            setattr(instr, field, before)
+            assert program_digest(program) == original
+
+
+def test_static_decode_flags_match_the_instruction_predicates():
+    """The per-opcode decode table agrees with ``Instruction``'s own
+    classification for every opcode."""
+    predicates = (
+        (F_HINT, "is_hint"),
+        (F_BRANCH, "is_branch"),
+        (F_CALL, "is_call"),
+        (F_RET, "is_return"),
+        (F_LOAD, "is_load"),
+        (F_STORE, "is_store"),
+    )
+    for opcode in Opcode:
+        instr = Instruction(
+            opcode, target="b", call_target="f", hint_value=8, iq_tag=16
+        )
+        flags, latency, fu_ordinal, iq_tag, _ = DecodedTrace._static_decode(instr)
+        for bit, name in predicates:
+            assert bool(flags & bit) == getattr(instr, name), (opcode, name)
+        assert bool(flags & F_NOP) == (opcode is Opcode.NOP)
+        assert latency == instr.latency
+        assert FU_ORDER[fu_ordinal] is instr.fu_class
+        assert iq_tag == 16
 
 
 class TestGridReuse:
