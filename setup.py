@@ -2,17 +2,15 @@
 
 This file enables the legacy `pip install -e .` code path on environments
 whose setuptools cannot build PEP 660 editable wheels, declares the
-package's runtime requirement and the native replay engine's extra, and
-lists the package tree (``repro`` is a namespace package, so discovery
-must be explicit) including the :mod:`repro.analysis` static checker and
-its ``repro-lint`` console entry point.
+native replay engine's extra, and lists the package tree (``repro`` is a
+namespace package, so discovery must be explicit) including the
+:mod:`repro.analysis` static checker and its ``repro-lint`` console
+entry point.
 
-The one runtime requirement is networkx: the compiler's loop analysis
-(``repro.core.loop_analysis``) imports it at module top, so every
-simulation, figure and tier-1 run needs it.  The replay kernel itself
-needs nothing beyond the standard library: the scalar engine always
-runs, and the faster native engine is used only where a C toolchain can
-build it.
+The package has no runtime requirement: the compiler, the simulator and
+the experiment harness need nothing beyond the standard library.  The
+scalar replay engine always runs, and the faster native engine is used
+only where a C toolchain can build it.
 """
 from setuptools import find_namespace_packages, setup
 
@@ -21,7 +19,6 @@ setup(
     # find_packages() would discover nothing; enumerate the namespace.
     packages=find_namespace_packages(where="src", include=["repro", "repro.*"]),
     package_dir={"": "src"},
-    install_requires=["networkx"],
     entry_points={
         "console_scripts": [
             # The reprolint CLI: strict over src/, advisory over

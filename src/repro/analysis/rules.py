@@ -498,28 +498,28 @@ class ExceptionHygieneRule(Rule):
 class OptionalDependencyRule(Rule):
     """Each optional dependency stays inside its kernel's home module.
 
-    The scalar replay path must run on a plain Python install (the
-    package's one runtime requirement, networkx, serves the compiler);
-    every accelerated kernel's dependency is a setup.py extra with
-    exactly one home: the compiled backend's artefacts (the built
-    ``_native_replay`` module, or a numba/Cython toolchain should a
-    second backend adopt one) belong to ``engine/native.py`` plus its
-    ``engine/build.py`` compiler harness.  numpy has no home: no shipped
-    kernel needs it, so an unguarded numpy import anywhere would make
-    every process pay for it at startup.  A top-level unguarded import
-    outside a listed home turns a missing extra into an ``ImportError``
-    at callsite depth instead of the deliberate named
-    ``*UnavailableError``.  Imports are fine inside the module's listed
-    home(s), inside a function body (deferred), or inside
-    ``try``/``except ImportError`` (guarded).
+    The package has no runtime requirement: the compiler and the scalar
+    replay path run on a plain Python install.  Every accelerated
+    kernel's dependency is a setup.py extra with exactly one home: the
+    compiled backend's artefacts (the built ``_native_replay`` module,
+    or a numba/Cython toolchain should a second backend adopt one)
+    belong to ``engine/native.py`` plus its ``engine/build.py`` compiler
+    harness.  numpy and networkx have no home: no shipped code needs
+    either (the compiler's loop analysis finds recurrences itself), so
+    an unguarded import of one anywhere would make every process pay for
+    it at startup.  A top-level unguarded import outside a listed home
+    turns a missing extra into an ``ImportError`` at callsite depth
+    instead of the deliberate named ``*UnavailableError``.  Imports are
+    fine inside the module's listed home(s), inside a function body
+    (deferred), or inside ``try``/``except ImportError`` (guarded).
     """
 
     rule_id = "optional-deps"
     contract = (
         "optional dependencies only in their kernel's home module "
         "(compiled-backend artefacts → engine/native.py + engine/build.py; "
-        "numpy → none) or behind a guarded/deferred import; the scalar "
-        "replay path needs no extra"
+        "numpy, networkx → none) or behind a guarded/deferred import; the "
+        "compiler and the scalar replay path need no extra"
     )
 
     #: Optional import root → the module suffixes allowed to import it
@@ -527,6 +527,7 @@ class OptionalDependencyRule(Rule):
     #: optional backend adds one entry.
     SCOPED_IMPORTS: dict[str, tuple[str, ...]] = {
         "numpy": (),
+        "networkx": (),
         "_native_replay": (
             "repro/uarch/engine/native.py",
             "repro/uarch/engine/build.py",

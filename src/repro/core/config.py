@@ -50,8 +50,6 @@ class CompilerConfig:
             to the ``"ready"`` summary.  This models the paper's
             "conservative assumptions ... in the presence of complex control
             paths" that limit gcc's accuracy (section 5.3).
-        max_simple_cycles: cap on the number of elementary dependence cycles
-            enumerated per loop before falling back to an SCC approximation.
         hot_call_threshold: a callee invoked from at least this many call
             sites inside loops is considered *hot* for the Improved scheme's
             inter-procedural functional-unit-contention refinement.
@@ -74,7 +72,6 @@ class CompilerConfig:
     min_hint_value: int = 4
     merge_policy: str = "max"
     max_merge_preds: int = 4
-    max_simple_cycles: int = 200
     hot_call_threshold: int = 1
     sizing_margin: float = 1.6
     sizing_slack: int = 8

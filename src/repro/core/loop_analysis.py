@@ -18,15 +18,16 @@ The implementation computes the recurrence's initiation interval (maximum
 cycle ratio over the dependence graph with loop-carried edges), solves for
 steady-state issue times by longest-path relaxation, converts them into
 iteration offsets, and applies the entry-count formula of the paper's
-worked example (figure 4: 15 entries for the 6-instruction loop).
+worked example (figure 4: 15 entries for the 6-instruction loop).  All of
+it runs on integers: the interval is an exact ratio ``p / q``, and issue
+times are kept scaled by ``q``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Optional, Sequence
-
-import networkx as nx
 
 from repro.cfg.ddg import DataDependenceGraph, build_ddg
 from repro.core.config import CompilerConfig
@@ -75,133 +76,119 @@ class LoopRequirement:
         )
 
 
-def _recurrence_nodes(ddg: DataDependenceGraph, config: CompilerConfig) -> list[int]:
+#: One dependence edge as plain integers: ``(src, dst, latency, distance)``,
+#: with the producer's latency as the compiler assumes it.
+Edge = tuple[int, int, int, int]
+
+
+def _recurrence_nodes(ddg: DataDependenceGraph) -> list[int]:
     """Nodes that participate in some dependence recurrence (the CDS candidates).
 
-    A node is part of a recurrence when it belongs to a strongly connected
-    component of the dependence graph (with loop-carried edges included)
-    that contains at least one carried edge.
-    """
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(len(ddg.instructions)))
-    for edge in ddg.edges:
-        graph.add_edge(edge.src, edge.dst)
-    recurrence: list[int] = []
-    for component in nx.strongly_connected_components(graph):
-        if len(component) == 1:
-            node = next(iter(component))
-            has_self_carried = any(
-                edge.src == node and edge.dst == node and edge.distance >= 1
-                for edge in ddg.succs[node]
-            )
-            if not has_self_carried:
-                continue
-        recurrence.extend(component)
-    return sorted(recurrence)
-
-
-def _has_positive_cycle(ddg: DataDependenceGraph, config: CompilerConfig, ii: float) -> bool:
-    """True when some dependence cycle has positive slack at initiation interval ``ii``.
-
-    Edge weight is ``latency - distance * ii``; a positive-weight cycle means
-    ``ii`` is too small to sustain the recurrence.
+    Same-iteration edges all point forward in the body, so every cycle
+    runs through a loop-carried edge, and a node is on a recurrence
+    exactly when it reaches itself.  Reachability is a transitive closure
+    over one bitmask of successors per node (Warshall).
     """
     count = len(ddg.instructions)
-    distance = [0.0] * count
-    for _ in range(count):
+    reach = [0] * count
+    for edge in ddg.edges:
+        reach[edge.src] |= 1 << edge.dst
+    for via in range(count):
+        bit, through = 1 << via, reach[via]
+        for node in range(count):
+            if reach[node] & bit:
+                reach[node] |= through
+    return [node for node in range(count) if reach[node] >> node & 1]
+
+
+def _predecessor_cycle(pred: list[Optional[Edge]]) -> Optional[list[Edge]]:
+    """A cycle of the predecessor graph (one edge per node at most), if any."""
+    walk = [-1] * len(pred)
+    for start in range(len(pred)):
+        node: Optional[int] = start
+        while node is not None and walk[node] < 0:
+            walk[node] = start
+            edge = pred[node]
+            node = edge[0] if edge is not None else None
+        if node is not None and walk[node] == start:
+            cycle = [pred[node]]
+            while cycle[-1][0] != node:
+                cycle.append(pred[cycle[-1][0]])
+            return cycle
+    return None
+
+
+def _longest_paths(
+    count: int, edges: list[Edge], p: int, q: int
+) -> tuple[list[int], Optional[list[Edge]]]:
+    """Longest-path relaxation under the weights ``q * latency - p * distance``.
+
+    Every node starts at 0, as if a virtual source reached each at no
+    cost.  Returns ``(labels, None)`` once no edge relaxes.  Returns
+    ``(labels, cycle)`` as soon as the predecessor graph closes a cycle:
+    relaxations are strict, so such a cycle has positive weight, that is
+    a latency-per-distance ratio above ``p / q``.  One of the two always
+    happens: while the predecessor graph is a forest every label is
+    bounded by a simple path's weight, and the labels are integers.
+    """
+    labels = [0] * count
+    pred: list[Optional[Edge]] = [None] * count
+    while True:
         changed = False
-        for edge in ddg.edges:
-            latency = config.instruction_latency(ddg.instructions[edge.src])
-            weight = latency - edge.distance * ii
-            candidate = distance[edge.src] + weight
-            if candidate > distance[edge.dst] + 1e-9:
-                distance[edge.dst] = candidate
+        for edge in edges:
+            src, dst, latency, distance = edge
+            candidate = labels[src] + q * latency - p * distance
+            if candidate > labels[dst]:
+                labels[dst] = candidate
+                pred[dst] = edge
                 changed = True
         if not changed:
-            return False
-    return True
+            return labels, None
+        cycle = _predecessor_cycle(pred)
+        if cycle is not None:
+            return labels, cycle
 
 
-def _recurrence_initiation_interval(
-    ddg: DataDependenceGraph, config: CompilerConfig
-) -> float:
-    """Maximum cycle ratio (latency per iteration distance) of the dependence graph.
+def _recurrence_initiation_interval(count: int, edges: list[Edge]) -> tuple[int, int]:
+    """Maximum cycle ratio (latency per iteration distance), exactly.
 
-    Computed by binary search on the candidate initiation interval with a
-    positive-cycle test, which is robust for arbitrary dependence graphs
-    (enumerating simple cycles can blow up combinatorially).
-    Returns 0.0 when no recurrence exists.
+    Returned as a reduced ``(p, q)`` pair meaning ``p / q``; ``(0, 1)``
+    when no recurrence exists.  Newton (Dinkelbach) iteration: at the
+    current ratio, one relaxation either proves no cycle exceeds it,
+    which makes it the maximum, or yields a cycle that does, whose ratio
+    is the next candidate.  The ratio rises strictly, so the search ends.
     """
-    if not any(edge.distance >= 1 for edge in ddg.edges):
-        return 0.0
-    upper = float(
-        sum(config.instruction_latency(instr) for instr in ddg.instructions)
-    )
-    if not _has_positive_cycle(ddg, config, 0.0):
-        return 0.0
-    low, high = 0.0, upper
-    for _ in range(40):
-        mid = (low + high) / 2.0
-        if _has_positive_cycle(ddg, config, mid):
-            low = mid
-        else:
-            high = mid
-    return high
+    p, q = 0, 1
+    while True:
+        _, cycle = _longest_paths(count, edges, p, q)
+        if cycle is None:
+            return p, q
+        latency = sum(edge[2] for edge in cycle)
+        distance = sum(edge[3] for edge in cycle)
+        divisor = gcd(latency, distance)
+        p, q = latency // divisor, distance // divisor
 
 
 def _resource_initiation_interval(
     ddg: DataDependenceGraph, config: CompilerConfig
-) -> float:
+) -> tuple[int, int]:
     """Resource-constrained lower bound on the initiation interval.
 
     The issue width and the functional-unit counts bound how fast iterations
     can be started regardless of dependences (the paper's analysis considers
-    resources as well as data dependences, section 4).
+    resources as well as data dependences, section 4).  Returned as a
+    ``(p, q)`` pair meaning ``p / q``.
     """
     work = ddg.instructions
-    if not work:
-        return 0.0
-    width_bound = len(work) / max(1, config.issue_width)
-    fu_bound = 0.0
+    bound = (len(work), max(1, config.issue_width))
     usage: dict = {}
     for instr in work:
         usage[instr.fu_class] = usage.get(instr.fu_class, 0) + 1
     for fu, count in usage.items():
         units = config.fu_counts.get(fu, config.issue_width)
-        if units > 0:
-            fu_bound = max(fu_bound, count / units)
-    return max(width_bound, fu_bound)
-
-
-def _steady_state_times(
-    ddg: DataDependenceGraph,
-    config: CompilerConfig,
-    representative: int,
-    initiation_interval: float,
-) -> list[float]:
-    """Longest-path issue times relative to the CDS representative.
-
-    Loop-carried edges contribute ``latency - distance * II`` so the
-    relaxation converges (with the critical cycle summing to zero).
-    """
-    count = len(ddg.instructions)
-    times = [0.0] * count
-    times[representative] = 0.0
-    # |V| rounds of relaxation suffice because non-critical cycles have
-    # negative adjusted weight; a couple of extra rounds guard against
-    # floating-point ties.
-    for _ in range(count + 2):
-        changed = False
-        for edge in ddg.edges:
-            latency = config.instruction_latency(ddg.instructions[edge.src])
-            weight = latency - edge.distance * initiation_interval
-            candidate = times[edge.src] + weight
-            if candidate > times[edge.dst] + 1e-9:
-                times[edge.dst] = candidate
-                changed = True
-        if not changed:
-            break
-    return times
+        if units > 0 and count * bound[1] > bound[0] * units:
+            bound = (count, units)
+    return bound
 
 
 def analyse_loop_body(
@@ -223,13 +210,14 @@ def analyse_loop_body(
         )
 
     ddg = build_ddg(work, include_loop_carried=True)
-    recurrence_ii = _recurrence_initiation_interval(ddg, config)
-    cds_nodes = _recurrence_nodes(ddg, config)
+    cds_nodes = _recurrence_nodes(ddg)
+    latency = [config.instruction_latency(instr) for instr in work]
+    edges = [(edge.src, edge.dst, latency[edge.src], edge.distance) for edge in ddg.edges]
+    recurrence = (
+        _recurrence_initiation_interval(body_size, edges) if cds_nodes else (0, 1)
+    )
 
-    scheduler = PseudoIssueQueue(config)
-    single_iteration = scheduler.schedule(work, ddg=None).entries_needed
-
-    if not cds_nodes or recurrence_ii <= 0:
+    if recurrence[0] == 0:
         # No recurrence: iterations are independent, so the more entries the
         # better; request the full queue (the paper's library-call treatment
         # applies the same "maximum size" escape hatch).
@@ -247,12 +235,16 @@ def analyse_loop_body(
 
     # The achievable initiation interval is bounded below by both the
     # critical recurrence and the machine's issue resources.
-    initiation_interval = max(
-        recurrence_ii, _resource_initiation_interval(ddg, config)
-    )
+    p, q = recurrence
+    resource = _resource_initiation_interval(ddg, config)
+    if resource[0] * q > p * resource[1]:
+        p, q = resource
+    times, _ = _longest_paths(body_size, edges, p, q)
+    # The labels are issue times scaled by q, so floor(time / II) is
+    # label // p.
+    offsets = [label // p for label in times]
     representative = min(cds_nodes)
-    times = _steady_state_times(ddg, config, representative, initiation_interval)
-    offsets = [int((t + 1e-9) // initiation_interval) for t in times]
+    single_iteration = PseudoIssueQueue(config).schedule(work, ddg=None).entries_needed
 
     max_offset = max(offsets)
     if max_offset <= 0:
@@ -273,7 +265,7 @@ def analyse_loop_body(
         header=header_label,
         entries=config.clamp_requirement(raw),
         raw_entries=raw,
-        initiation_interval=initiation_interval,
+        initiation_interval=p / q,
         iteration_offsets=offsets,
         cds=cds_nodes,
         body_size=body_size,

@@ -361,6 +361,24 @@ def test_optional_deps_fires_on_unguarded_top_level_numpy():
         assert "no module may import it directly" in result.findings[0].message
 
 
+def test_optional_deps_fires_on_unguarded_networkx_anywhere():
+    # networkx has no home module either: the loop analysis finds its
+    # recurrences without it, so no module may bring it back unguarded.
+    paths = ("repro/core/loop_analysis.py", "repro/cfg/graph.py", "repro/harness/mod.py")
+    for path in paths:
+        for source in ("import networkx as nx\n", "from networkx import DiGraph\n"):
+            result = lint_snippet(source, path)
+            assert rule_ids(result.findings) == {"optional-deps"}, (path, source)
+            assert "'networkx'" in result.findings[0].message
+            assert "no module may import it directly" in result.findings[0].message
+    deferred = """
+    def components(graph):
+        import networkx
+        return networkx.strongly_connected_components(graph)
+    """
+    assert lint_snippet(deferred, "repro/core/loop_analysis.py").findings == []
+
+
 def test_optional_deps_silent_when_guarded_or_deferred():
     guarded = """
     try:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import CompilerConfig, compile_program
 from repro.core.dag_analysis import PathSummary, analyse_block, analyse_dag_region
-from repro.core.instrument import instrument_program
+from repro.core.instrument import ALL_MODES, instrument_program
 from repro.core.interprocedural import (
     apply_interprocedural_refinement,
     summarise_call_sites,
@@ -19,6 +19,8 @@ from repro.cfg import build_cfg, find_dag_regions, find_natural_loops
 from repro.isa import Instruction, Opcode
 from repro.isa.opcodes import FuClass
 from repro.isa.registers import int_reg as r
+from repro.uarch.trace import program_digest
+from repro.workloads import SPECINT_BENCHMARKS, build_benchmark
 from tests.conftest import make_call_program, make_counted_loop_program
 
 
@@ -139,7 +141,21 @@ class TestLoopAnalysis:
             Instruction.branch_nez(r(1), "loop"),
         ]
         requirement = analyse_loop_body(body, config)
-        assert requirement.initiation_interval == pytest.approx(1.0, abs=1e-6)
+        assert requirement.initiation_interval == 1.0
+
+    def test_recurrence_through_two_carried_edges_has_half_integer_interval(self):
+        config = CompilerConfig()
+        body = [
+            Instruction.alu(Opcode.MUL, r(1), [r(2)]),          # 0: r2 from 1, carried
+            Instruction.alu(Opcode.ADD, r(2), [r(3)], imm=1),   # 1: r3 from 2, carried
+            Instruction.alu(Opcode.ADD, r(3), [r(1)], imm=1),   # 2: r1 from 0
+            Instruction.alu(Opcode.ADD, r(5), [r(5)], imm=1),   # 3: a 1-cycle recurrence
+        ]
+        # The critical cycle 0 -> 2 -> 1 -> 0 spends 3 + 1 + 1 = 5 cycles
+        # over two iterations.
+        requirement = analyse_loop_body(body, config)
+        assert requirement.initiation_interval == 2.5
+        assert requirement.cds == [0, 1, 2, 3]
 
     def test_requirement_clamped_to_queue_size(self):
         config = CompilerConfig()
@@ -286,3 +302,55 @@ class TestCompileTimeReport:
         assert report.limited_seconds > 0
         assert report.hints_emitted > 0
         assert report.num_blocks == counted_loop_program.num_basic_blocks
+
+
+#: ``program_digest`` of every shipped benchmark's instrumented program,
+#: per hint mode, as the compiler emitted it with the default
+#: ``CompilerConfig``.  Recorded before the recurrence solver became
+#: exact, so any change to the loop analysis that moves a hint fails
+#: here.  A deliberate change to the emitted hints re-records the table.
+GOLDEN_INSTRUMENTED_DIGESTS = {
+    ("gzip", "noop"): "92eb22b956cdc12b3a4b8296f4efe00978130ff1df872bc4e248b8d647bde5e5",
+    ("gzip", "extension"): "4434334a612cbbc72d3fe5ae2375244a9a2618486253d5bf3dbedc18b017bfed",
+    ("gzip", "improved"): "a037f1a47a7ffa7acf91e703b5a0c8b97ea52d27d896885e38191016284c7619",
+    ("vpr", "noop"): "20420689c91e068b7b9851708877b34b19b7e39788b1137b094e8d4aa1fe4a14",
+    ("vpr", "extension"): "5bfc0a277a6df1689531d670f36649c48ef6ded3578a3e26442d5a8f59c626fa",
+    ("vpr", "improved"): "d8ecdee0bfa6639a193386c6f47c63997dca11bf1a50ce72cf87668b009d4d78",
+    ("gcc", "noop"): "24a1e101c4304a006f7ad955a72b2545e78f710de37ceaaf7bcaf824ed322089",
+    ("gcc", "extension"): "d5a58df373c7a733e5592fda3cb2cfe1f50ca4783a74c379f79b5bf24debc2c7",
+    ("gcc", "improved"): "eb63964c33088d736fd93c01d28ac29c965c67d9cf15f1a0f53315678576f94e",
+    ("mcf", "noop"): "07e63cf13e73f9d4d5ad8f88fb783c3b406dcce908093620ab9265e6a7a0aaa8",
+    ("mcf", "extension"): "453f884a50fa5321bc80b8f5f3bff3f8f758c981e40e3b1d86283916ced69fe5",
+    ("mcf", "improved"): "bd7a5537d8d65ffd2dcda105c4ccf3ba1dbe691a78e13ec48610ace17025753b",
+    ("crafty", "noop"): "f65a41205406fffb0a8954b82decacd5becd82d38d11adc34fafd3c9744825ed",
+    ("crafty", "extension"): "cd86e0747b50c2a23f321b34f60d0e97b29a93c467706514a08d5073f7180413",
+    ("crafty", "improved"): "cbeb24f61a4e64054752443e50e2eefe410211c06019a5d1abade09d6008151a",
+    ("parser", "noop"): "743cc401d1c804ac39caf6c6c2d13bea8af64cc8a26916dc034f7ee453d62bab",
+    ("parser", "extension"): "77688a654e538e528011295f038e7e9bc883cb0f3cf18416160cc1523ea4a557",
+    ("parser", "improved"): "54c89ce9d382f9a90a765136079b0557d73971adbc891b2a4117ee496bc8dcfe",
+    ("perlbmk", "noop"): "9d48a3891e0905e7cedfa4128ead5fa1c34aadbcd638e1193903b7f0eb0d8dbe",
+    ("perlbmk", "extension"): "691be0625d5f47a34d0e14a6719592b1a2d1ca6b4a87235c7d4359b3796d2475",
+    ("perlbmk", "improved"): "43152e9eea4a5a9edd41fb231ed5307691b923000eda38be9b8078b80042844c",
+    ("gap", "noop"): "13e79a1bdf51acfa1a9ac1e8f3f58d939d350ff2abc794b922643cddf276640e",
+    ("gap", "extension"): "8cf5c7f02039285585a5f5ccffcf9742a1119e9261f2118800460dce38b79322",
+    ("gap", "improved"): "8094b4c1efd958133fc83fd6acfa243a398eb894d35dff2b5db3cb106789d5b8",
+    ("vortex", "noop"): "19ce40354c99075fa13e4275fde61f0987a1e64ab8665608c45c3960022d989d",
+    ("vortex", "extension"): "d13968365e182dd6b0e6a22c0ce60117fe496cf9938e26445a721223728e1091",
+    ("vortex", "improved"): "cf576238bacd476f1fd585a68549158f8f248cd136c6970c16dc8ef9327a8b2b",
+    ("bzip2", "noop"): "25ca98fe518364e9ae13aa5d96ccd0025923644ea424cf12d6e1169f2f1d1d5e",
+    ("bzip2", "extension"): "867a01f05a4d1f7be40aefee81bd47069d04b0cabf4c57d741b61c94c6830863",
+    ("bzip2", "improved"): "817325d39163d9e1b95e227b18b250b960f0cdf5dd3c1a35e6b5f54b043b2acf",
+    ("twolf", "noop"): "1e4e45060b21f048850da3a8fdf7f1a730104be04d6e87a45035f61adf9e191a",
+    ("twolf", "extension"): "5ed9a0f8ebe2b7c0b21e4ee013eed334be0df69b64998c268f1f2604e53c9a70",
+    ("twolf", "improved"): "9bd68082836136d34c62fb1565237faee8d6dc5b9bf03f222bef4ea863662ff3",
+}
+
+
+class TestGoldenHints:
+    @pytest.mark.parametrize("name", SPECINT_BENCHMARKS)
+    def test_instrumented_programs_match_the_recorded_digests(self, name):
+        program = build_benchmark(name)
+        for mode in ALL_MODES:
+            compiled = compile_program(program, CompilerConfig(), mode=mode)
+            digest = program_digest(compiled.instrumented_program)
+            assert digest == GOLDEN_INSTRUMENTED_DIGESTS[(name, mode)], mode

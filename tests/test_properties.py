@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+from collections import deque
+from fractions import Fraction
+from math import gcd
+
 from hypothesis import given, settings, strategies as st
 
 from repro.cfg import build_ddg
 from repro.core import CompilerConfig
-from repro.core.loop_analysis import analyse_loop_body
+from repro.core.loop_analysis import (
+    _recurrence_initiation_interval,
+    _recurrence_nodes,
+    analyse_loop_body,
+)
 from repro.core.pseudo_queue import PseudoIssueQueue
 from repro.isa import Instruction, Opcode
 from repro.isa.encoding import HINT_MAX_VALUE, decode_hint_payload, encode_hint_payload
@@ -106,6 +114,73 @@ def test_loop_requirement_is_clamped_and_monotone_in_margin(instructions):
     loose_req = analyse_loop_body(instructions, loose)
     assert tight.min_hint_value <= tight_req.entries <= tight.max_iq_entries
     assert loose_req.entries >= tight_req.entries
+
+
+def _simple_cycles(count, edges):
+    """Every simple cycle as its edge list, each found once from its lowest node."""
+    out_edges = {node: [] for node in range(count)}
+    for edge in edges:
+        out_edges[edge[0]].append(edge)
+    cycles = []
+
+    def extend(start, node, path, seen):
+        for edge in out_edges[node]:
+            dst = edge[1]
+            if dst == start:
+                cycles.append(path + [edge])
+            elif dst > start and dst not in seen:
+                extend(start, dst, path + [edge], seen | {dst})
+
+    for start in range(count):
+        extend(start, start, [], {start})
+    return cycles
+
+
+def _reaches_itself(successors, node):
+    """Breadth-first search from ``node``'s successors back to ``node``."""
+    frontier = deque(successors[node])
+    seen = set(frontier)
+    while frontier:
+        current = frontier.popleft()
+        if current == node:
+            return True
+        for nxt in successors[current] - seen:
+            seen.add(nxt)
+            frontier.append(nxt)
+    return False
+
+
+@given(instruction_sequences(max_length=10))
+@settings(max_examples=80, deadline=None)
+def test_recurrence_analysis_matches_brute_force(instructions):
+    config = CompilerConfig()
+    ddg = build_ddg(instructions, include_loop_carried=True)
+    count = len(instructions)
+    latency = [config.instruction_latency(instr) for instr in instructions]
+    edges = [(edge.src, edge.dst, latency[edge.src], edge.distance) for edge in ddg.edges]
+    ratios = [
+        Fraction(sum(edge[2] for edge in cycle), sum(edge[3] for edge in cycle))
+        for cycle in _simple_cycles(count, edges)
+    ]
+    expected = max(ratios, default=Fraction(0))
+    p, q = _recurrence_initiation_interval(count, edges)
+    assert Fraction(p, q) == expected
+    assert gcd(p, q) == 1
+
+    successors = {node: set() for node in range(count)}
+    for edge in ddg.edges:
+        successors[edge.src].add(edge.dst)
+    assert _recurrence_nodes(ddg) == [
+        node for node in range(count) if _reaches_itself(successors, node)
+    ]
+
+    # The loop's interval is the recurrence's, or the resource bound above
+    # it, rounded to the nearest float.
+    requirement = analyse_loop_body(instructions, config)
+    if expected:
+        assert requirement.initiation_interval >= float(expected)
+    else:
+        assert requirement.initiation_interval == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ class TestFigure3:
 class TestFigure4:
     def test_initiation_interval_is_one(self, config):
         requirement = analyse_loop_body(figure4_loop(), config)
-        assert requirement.initiation_interval == pytest.approx(1.0, abs=1e-6)
+        assert requirement.initiation_interval == 1.0
 
     def test_iteration_offsets_match_paper(self, config):
         requirement = analyse_loop_body(figure4_loop(), config)
