@@ -115,7 +115,7 @@ def pytest_configure(config) -> None:
     if config.getoption("--no-telemetry"):
         # Environment, not a fixture, for the same subprocess reason as
         # --engine: "0" pins install_from_env() to disabled in spawned
-        # queue workers and daemons too.
+        # queue workers too.
         os.environ["REPRO_TELEMETRY"] = "0"
         from repro.telemetry import spans as tracing
 

@@ -24,9 +24,6 @@ setup(
             # The reprolint CLI: strict over src/, advisory over
             # benchmarks/ and examples/ (same as python -m repro.analysis).
             "repro-lint = repro.analysis.cli:main",
-            # The experiment-service daemon (same as python -m
-            # repro.service <cache_dir>; see docs/service.md).
-            "repro-service = repro.service.__main__:main",
         ],
     },
     extras_require={

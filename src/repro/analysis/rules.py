@@ -149,8 +149,6 @@ class AtomicIoRule(Rule):
         "repro/harness/queue.py",
         "repro/harness/parallel.py",
         "repro/harness/shard.py",
-        "repro/harness/completion.py",
-        "repro/service/daemon.py",
         "repro/uarch/trace.py",
         "repro/telemetry/spans.py",
     )
@@ -682,96 +680,7 @@ class RetryDisciplineRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# 8. request-validation — service handlers validate before acting
-# ----------------------------------------------------------------------
-@register_rule
-class RequestValidationRule(Rule):
-    """Service handlers must validate client payloads before queue/cache IO.
-
-    The experiment service daemon is the one place untrusted input
-    meets the shared cache tree: a handler that enqueues or probes the
-    caches from a raw client payload lets a malformed or hostile
-    request plant garbage fingerprints, bypass the config whitelist, or
-    dodge admission bounds.  The contract has a single chokepoint —
-    :func:`repro.service.protocol.validate_request` — and this rule
-    enforces its position: every ``handle_*`` function under
-    ``repro/service/`` that touches the queue or the caches must call
-    ``validate_request`` *before* its first touch.  The protocol module
-    itself (the chokepoint's home) is exempt.
-    """
-
-    rule_id = "request-validation"
-    contract = (
-        "every repro/service/ handle_* function must pass the client "
-        "payload through validate_request() before touching the queue or "
-        "the caches"
-    )
-
-    #: Call names that constitute a queue/cache touch.  Resolution is
-    #: syntactic (the trailing identifier), mirroring the other rules:
-    #: over-approximate on purpose — a handler naming one of these at
-    #: all should already hold a validated request.
-    TOUCH_CALLS = frozenset(
-        {
-            "enqueue",
-            "claim",
-            "claim_batch",
-            "complete",
-            "fail",
-            "requeue_expired",
-            "status",
-            "load",
-            "store",
-            "list_done",
-            "list_poisoned",
-            "done_marker",
-            "poison_record",
-        }
-    )
-
-    def applies_to(self, posix_path: str) -> bool:
-        return "repro/service/" in posix_path and not posix_path.endswith(
-            "protocol.py"
-        )
-
-    def check(self, tree: ast.AST, path: str) -> Iterable[Finding]:
-        for function in _walk_functions(tree):
-            if not function.name.startswith("handle_"):
-                continue
-            first_touch: Optional[ast.Call] = None
-            validated_at: Optional[int] = None
-            for node in ast.walk(function):
-                if not isinstance(node, ast.Call):
-                    continue
-                name = _call_name(node.func)
-                if name == "validate_request":
-                    if validated_at is None or node.lineno < validated_at:
-                        validated_at = node.lineno
-                elif name in self.TOUCH_CALLS:
-                    if first_touch is None or node.lineno < first_touch.lineno:
-                        first_touch = node
-            if first_touch is None:
-                continue
-            if validated_at is None:
-                yield self.finding(
-                    first_touch,
-                    path,
-                    f"handler {function.name}() touches the queue/caches "
-                    "without validating the client payload; route it "
-                    "through validate_request() first",
-                )
-            elif validated_at > first_touch.lineno:
-                yield self.finding(
-                    first_touch,
-                    path,
-                    f"handler {function.name}() touches the queue/caches "
-                    "before validate_request(); validation must precede "
-                    "the first queue/cache call",
-                )
-
-
-# ----------------------------------------------------------------------
-# 9. telemetry-purity — observability never shapes simulation identity
+# 8. telemetry-purity — observability never shapes simulation identity
 # ----------------------------------------------------------------------
 @register_rule
 class TelemetryPurityRule(Rule):

@@ -421,34 +421,18 @@ def sleep(seconds: float) -> None:
     """The package's single ``time.sleep`` seam.
 
     Every poll and backoff wait routes through here (the
-    ``retry-discipline`` reprolint rule enforces it), so waiting is
-    centralised: an active chaos plan compresses it via ``sleep_scale``
-    to keep fault soaks fast.  The event-driven completion core
-    (:mod:`repro.harness.completion`) does not sleep at all — it blocks
-    in a selector — but its wait *timeouts* pass through
-    :func:`scale_timeout` below so chaos compression covers both seams.
+    ``retry-discipline`` reprolint rule enforces it): the workers' idle
+    polls, the runner's marker wait
+    (:func:`repro.harness.queue.wait_for_markers`) and every
+    ``RetryPolicy`` backoff.  Waiting is therefore centralised, and an
+    active chaos plan compresses it via ``sleep_scale`` to keep fault
+    soaks fast.
     """
     injector = _INJECTOR
     if injector is not None:
         seconds *= injector.plan.sleep_scale
     if seconds > 0:
         time.sleep(seconds)
-
-
-def scale_timeout(seconds: float) -> float:
-    """Apply the active plan's ``sleep_scale`` to a wait *timeout*.
-
-    The selector-based completion core never calls :func:`sleep` — its
-    one wait is ``selector.select(timeout)``, which must stay a real
-    blocking wait so socket readiness can interrupt it.  Routing the
-    timeout value through here keeps that wait on the same chaos dial as
-    every sleeping wait: a soak plan's ``sleep_scale`` compresses the
-    event loop's idle ticks exactly like the workers' poll sleeps.
-    """
-    injector = _INJECTOR
-    if injector is not None:
-        return seconds * injector.plan.sleep_scale
-    return seconds
 
 
 # ----------------------------------------------------------------------

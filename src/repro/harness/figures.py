@@ -25,8 +25,10 @@ class FigureData:
         series: mapping from series name (e.g. "noop dynamic") to a mapping
             from bar label (benchmark or aggregate) to value.
         unit: unit of the values (always percent here).
-        paper_reference: the headline numbers the paper reports, for
-            side-by-side comparison in EXPERIMENTS.md.
+        paper_reference: the headline numbers the paper reports;
+            :meth:`to_text` prints them under the table, and
+            ``gridbench/spec.json`` maps them onto the reproduced bars
+            for the ``paper_gap_*`` metrics.
     """
 
     name: str

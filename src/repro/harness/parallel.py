@@ -141,11 +141,6 @@ class SimulationJob:
     # transport fields above it never participates in fingerprint():
     # how often a job may be retried doesn't change what it computes.
     max_attempts: Optional[int] = None
-    # Queue scheduling band (None: the queue's default band).  Pure
-    # transport as well — when a worker runs this job has no bearing on
-    # what it computes, so a high-priority service request is a cache
-    # hit for an identical batch cell and vice versa.
-    priority: Optional[int] = None
 
     def fingerprint(self) -> str:
         """Content hash of the job's full input set (see :mod:`.cache`)."""
@@ -257,8 +252,6 @@ class ParallelSuiteRunner(SuiteRunner):
         queue_poll: float = 0.2,
         queue_assist: bool = True,
         queue_timeout: Optional[float] = 600.0,
-        queue_max_attempts: Optional[int] = None,
-        queue_priority: Optional[int] = None,
         shard_span_windows: Optional[int] = None,
         shard_overlap: Union[str, int] = "full",
         shard_slack: Optional[int] = None,
@@ -286,11 +279,7 @@ class ParallelSuiteRunner(SuiteRunner):
             )
         if queue_workers < 0:
             raise ValueError("queue_workers must be a non-negative integer")
-        if queue_max_attempts is not None and queue_max_attempts < 1:
-            raise ValueError("queue_max_attempts must be a positive integer or None")
         self.workers = workers
-        self.queue_max_attempts = queue_max_attempts
-        self.queue_priority = queue_priority
         self.backend = backend
         self.queue_workers = queue_workers
         self.queue_ttl = queue_ttl
@@ -341,8 +330,6 @@ class ParallelSuiteRunner(SuiteRunner):
             trace_window=self.trace_window,
             trace_cache_max_bytes=self.trace_cache_max_bytes,
             engine=self.engine,
-            max_attempts=self.queue_max_attempts,
-            priority=self.queue_priority,
         )
 
     def _fold_trace_counters(self, payload: dict) -> None:
@@ -467,8 +454,6 @@ class ParallelSuiteRunner(SuiteRunner):
                         trace_window=self.trace_window,
                         trace_cache_max_bytes=self.trace_cache_max_bytes,
                         engine=self.engine,
-                        max_attempts=self.queue_max_attempts,
-                        priority=self.queue_priority,
                     )
                 )
             groups.append((start, len(spans)))
@@ -559,31 +544,27 @@ class ParallelSuiteRunner(SuiteRunner):
         return payloads
 
     def _await_markers(self, queue, fingerprints: list[str]) -> dict[str, dict]:
-        """Await completion markers on the shared event-driven core.
+        """Await the batch's completion markers (see :func:`wait_for_markers`).
 
-        This used to be a fixed-interval sleep-poll loop; it now
-        subscribes the batch's fingerprints on a
-        :class:`~repro.harness.completion.QueueEventCore` — the same
-        selector loop the experiment service daemon multiplexes client
-        sockets on — whose scan cadence adapts between ``queue_poll/4``
-        and ``queue_poll*4`` with queue activity.  Semantics are
-        unchanged: ``queue_timeout`` bounds *stall* (it re-arms on every
-        marker, heartbeat and assisted job, so slow-but-live fleets
-        never trip it), a job escalated to ``poison/`` fails the batch
-        immediately with the recorded reason, and ``queue_assist``
-        claims unassigned jobs between scans so progress never depends
-        on anyone else being alive.
+        The scan cadence adapts between ``queue_poll/4`` and
+        ``queue_poll*4`` with queue activity.  ``queue_timeout`` bounds
+        *stall* (it re-arms on every marker, heartbeat and assisted job,
+        so slow-but-live fleets never trip it), a job escalated to
+        ``poison/`` fails the batch immediately with the recorded
+        reason, and ``queue_assist`` claims unassigned jobs between
+        scans so progress never depends on anyone else being alive.
         """
-        from repro.harness.completion import QueueEventCore
+        from repro.harness.queue import wait_for_markers
 
-        with QueueEventCore(
+        poll_floor = max(0.01, self.queue_poll / 4.0)
+        return wait_for_markers(
             queue,
-            poll_floor=max(0.01, self.queue_poll / 4.0),
-            poll_ceiling=max(self.queue_poll * 4.0, self.queue_poll),
+            fingerprints,
+            poll_floor=poll_floor,
+            poll_ceiling=max(self.queue_poll * 4.0, poll_floor),
             assist=self.queue_assist,
             stall_timeout=self.queue_timeout,
-        ) as core:
-            return core.wait_for_markers(fingerprints)
+        )
 
     # ------------------------------------------------------------------
     def _program_for(self, job):

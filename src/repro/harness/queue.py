@@ -27,29 +27,23 @@ All queue state lives under ``<cache_dir>/queue/``::
 * **Envelope** — every job file is a one-object JSON envelope:
   ``{"format": 1, "kind": "simulation"|"shard", "fingerprint": ...,
   "benchmark": ..., "technique": ..., "attempts": 0, "max_attempts": 3,
-  "priority": 0, "job": <base64 pickle>}``.  The human-readable fields
-  make the queue greppable; the pickled job is the exact
+  "job": <base64 pickle>}``.  The human-readable fields make the queue
+  greppable; the pickled job is the exact
   :class:`~repro.harness.parallel.SimulationJob` /
   :class:`~repro.harness.shard.ShardJob` the process pool already
   ships between processes.  ``attempts`` counts execution failures so
   far; ``max_attempts`` is the job's retry budget (jobs may carry their
   own ``max_attempts`` attribute, else :data:`DEFAULT_MAX_ATTEMPTS`).
-  ``priority`` is the scheduling band (0–9, higher claims first;
-  default 0): workers sort each claim listing by band before renaming,
-  so an interactive service request overtakes a batch backfill without
-  any new queue state.  Priority is transport, not identity — it never
-  enters the fingerprint, lives only in the envelope JSON (file names
-  stay pure fingerprints, keeping the rename choreography and
-  idempotence checks untouched), and is fixed at first enqueue: a
-  deduped re-submission at a different band does **not** rewrite the
-  pending envelope, because an atomic republish could resurrect a
-  just-claimed job and double-execute it.  Two more transport-only
-  stamps ride the envelope the same way: ``enqueued_at`` (wall-clock
-  publish time, which completion combines with the lease stamp into
-  the enqueue→claim / claim→done latencies ``--status`` reports) and,
-  when the producer runs with ``REPRO_TELEMETRY=1``, ``trace`` — the
-  request id that links the driver's spans to the claiming worker's
-  (see :mod:`repro.telemetry.spans` and docs/observability.md).
+  Two transport-only stamps ride the envelope: they never enter the
+  fingerprint, and file names stay pure fingerprints.  They are
+  ``enqueued_at`` (wall-clock publish time, which completion combines
+  with the lease stamp into the enqueue→claim / claim→done latencies
+  ``--status`` reports) and, when the producer runs with
+  ``REPRO_TELEMETRY=1``, ``trace`` — the request id that links the
+  producer's spans to the claiming worker's (see
+  :mod:`repro.telemetry.spans` and docs/observability.md).  Decoders
+  ignore keys they do not use, such as the ``priority`` band older
+  envelopes carry.
 * **Enqueue** — write the envelope to a ``.tmp-*`` file and
   ``os.replace`` it into ``pending/`` (the same atomicity discipline as
   ``ResultCache.store``).  Enqueueing is idempotent: a fingerprint that
@@ -86,9 +80,13 @@ All queue state lives under ``<cache_dir>/queue/``::
   claiming worker id and the attempt count — so ``--status`` can
   explain *why* instead of the driver wedging.  An envelope that cannot
   be decoded is poisoned immediately with the decode error recorded the
-  same way.  The driver polls ``poison/`` and surfaces the reason; a
-  fresh driver run consumes the poison record and retries the job from
-  scratch.
+  same way.  A fresh enqueue of the job consumes the poison record and
+  queues the job afresh.
+* **Await** — the runner blocks in :func:`wait_for_markers`: one
+  ``done/`` and one ``poison/`` listing per scan however many jobs are
+  outstanding, the youngest lease age as the fleet's heartbeat, and an
+  adaptive wait between scans.  A poisoned job fails the wait at once
+  with its recorded reason.
 
 Counter exactness: each marker carries the executing worker's
 trace-cache hit/miss/store/eviction deltas for that job, and the runner
@@ -147,22 +145,6 @@ QUEUE_FORMAT_VERSION = 1
 #: its own ``max_attempts``: total executions allowed before a failing
 #: job escalates to ``poison/`` with its last traceback recorded.
 DEFAULT_MAX_ATTEMPTS = 3
-
-#: Scheduling bands: envelopes carry ``priority`` in [MIN, MAX]; higher
-#: bands are claimed first.  Values outside the range are clamped at
-#: enqueue so a foreign producer can't starve the fleet with 2**31.
-PRIORITY_MIN = 0
-PRIORITY_MAX = 9
-DEFAULT_PRIORITY = 0
-
-
-def clamp_priority(priority) -> int:
-    """Coerce ``priority`` into the documented band range."""
-    try:
-        value = int(priority)
-    except (TypeError, ValueError):
-        return DEFAULT_PRIORITY
-    return max(PRIORITY_MIN, min(PRIORITY_MAX, value))
 
 
 def _default_worker_id() -> str:
@@ -275,13 +257,6 @@ class WorkQueue:
             "claim_batches",
         ):
             self.metrics.counter(name)
-        # Priority memo: fingerprint -> band, filled at enqueue (the
-        # producer knows the band without a read) and lazily from
-        # pending envelopes during claim ordering, so each worker
-        # process reads any given envelope's band at most once instead
-        # of once per scan.  Priority is fixed at first enqueue, so a
-        # memo entry can never go stale while its file exists.
-        self._priority_memo: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Paths
@@ -301,12 +276,7 @@ class WorkQueue:
     # ------------------------------------------------------------------
     # Producer side
     # ------------------------------------------------------------------
-    def enqueue(
-        self,
-        job,
-        kind: Optional[str] = None,
-        priority: Optional[int] = None,
-    ) -> str:
+    def enqueue(self, job, kind: Optional[str] = None) -> str:
         """Publish ``job`` for any worker to claim; idempotent.
 
         ``job`` must expose ``fingerprint()`` and pickle cleanly (both
@@ -319,14 +289,6 @@ class WorkQueue:
         job queued afresh with a fresh ``attempts`` counter — otherwise
         one bad spell (disk full, OOM, a since-fixed bug) would poison
         its fingerprint forever.
-
-        ``priority`` (explicit argument, else the job's own ``priority``
-        attribute, else :data:`DEFAULT_PRIORITY`) selects the scheduling
-        band, clamped to [:data:`PRIORITY_MIN`, :data:`PRIORITY_MAX`].
-        The band is fixed at first enqueue: when the fingerprint is
-        already queued the call returns without touching the envelope —
-        republishing a pending file to bump its band could race a claim
-        rename and resurrect a just-leased job into double execution.
         """
         if kind is None:
             kind = "simulation" if isinstance(job, SimulationJob) else "shard"
@@ -350,9 +312,6 @@ class WorkQueue:
         ):
             return fingerprint
         max_attempts = getattr(job, "max_attempts", None) or DEFAULT_MAX_ATTEMPTS
-        if priority is None:
-            priority = getattr(job, "priority", None)
-        band = clamp_priority(priority if priority is not None else DEFAULT_PRIORITY)
         envelope = {
             "format": QUEUE_FORMAT_VERSION,
             "kind": kind,
@@ -361,14 +320,13 @@ class WorkQueue:
             "technique": getattr(job, "technique", ""),
             "attempts": 0,
             "max_attempts": int(max_attempts),
-            "priority": band,
             "enqueued_at": time.time(),
             "job": base64.b64encode(pickle.dumps(job)).decode("ascii"),
         }
-        # Trace propagation (transport, not identity — like priority,
-        # fixed at first enqueue and never part of the fingerprint): the
-        # producer's active trace id rides the envelope so the claiming
-        # worker's spans land under the same request id.
+        # Trace propagation (transport, not identity — fixed at first
+        # enqueue and never part of the fingerprint): the producer's
+        # active trace id rides the envelope so the claiming worker's
+        # spans land under the same request id.
         trace = tracing.current_trace()
         if trace is not None:
             envelope["trace"] = trace
@@ -377,7 +335,6 @@ class WorkQueue:
             fingerprint=fingerprint,
             benchmark=envelope["benchmark"],
             technique=envelope["technique"],
-            priority=band,
         ):
             DEFAULT_RETRY_POLICY.call(
                 lambda: _atomic_write_json(
@@ -386,7 +343,6 @@ class WorkQueue:
                 key=f"enqueue/{fingerprint}",
             )
         self.enqueued += 1
-        self._priority_memo[fingerprint] = band
         return fingerprint
 
     # ------------------------------------------------------------------
@@ -406,14 +362,9 @@ class WorkQueue:
         metadata operation) per claim attempt; batching amortises that
         single scan over up to ``limit`` atomic renames, cutting
         per-job filesystem round-trips by the batch size.  Candidates
-        are shuffled and then **stably sorted by priority band**
-        (higher first): within one band a fleet of workers scanning the
-        same directory mostly avoids colliding on one file, while
-        across bands every worker agrees that interactive work is
-        claimed before backfill; the rename makes any remaining
-        collision safe (one winner per file).  Band reads are memoized
-        per fingerprint, so ordering costs each worker at most one
-        envelope read per job over its lifetime, not one per scan.
+        are shuffled, so a fleet of workers scanning the same directory
+        mostly avoids colliding on one file; the rename makes any
+        remaining collision safe (one winner per file).
 
         Callers executing a batch sequentially must keep every held
         lease heartbeating while earlier jobs run
@@ -427,9 +378,6 @@ class WorkQueue:
         claims: list[ClaimedJob] = []
         names = _protocol_names(self.pending_dir)
         random.shuffle(names)
-        # Stable sort after the shuffle: strict priority order across
-        # bands, randomised contention-avoidance order within one.
-        names.sort(key=self._pending_priority, reverse=True)
         for name in names:
             if len(claims) >= limit:
                 break
@@ -458,7 +406,6 @@ class WorkQueue:
                     claim_span.set(
                         trace=claimed.envelope.get("trace"),
                         fingerprint=claimed.fingerprint,
-                        priority=claimed.envelope.get("priority"),
                     )
             if claimed is not None:
                 self.claimed += 1
@@ -466,28 +413,6 @@ class WorkQueue:
         if claims:
             self.claim_batches += 1
         return claims
-
-    def _pending_priority(self, name: str) -> int:
-        """The priority band of pending file ``name`` (memoized).
-
-        A file that vanished mid-read (another worker's claim rename
-        won) or carries no readable band sorts as the default band and
-        is *not* memoized — the next scan, if the file reappears via a
-        retry re-enqueue, reads it fresh.
-        """
-        fingerprint = name[: -len(".json")] if name.endswith(".json") else name
-        memo = self._priority_memo.get(fingerprint)
-        if memo is not None:
-            return memo
-        try:
-            envelope = json.loads(
-                (self.pending_dir / name).read_text(encoding="utf-8")
-            )
-            band = clamp_priority(envelope.get("priority", DEFAULT_PRIORITY))
-        except (OSError, ValueError, TypeError, json.JSONDecodeError):
-            return DEFAULT_PRIORITY
-        self._priority_memo[fingerprint] = band
-        return band
 
     def _decode_lease(self, lease: Path, worker_id: str) -> Optional[ClaimedJob]:
         """Decode a freshly won lease, poisoning undecodable envelopes."""
@@ -856,18 +781,9 @@ class WorkQueue:
                     "attempts": record.get("attempts"),
                 }
             )
-        # Pending work broken down by scheduling band (band -> count,
-        # bands with no pending jobs omitted): one glance answers
-        # whether the backlog is interactive traffic or batch backfill.
-        pending_names = _protocol_names(self.pending_dir)
-        pending_by_priority: dict[str, int] = {}
-        for name in pending_names:
-            band = str(self._pending_priority(name))
-            pending_by_priority[band] = pending_by_priority.get(band, 0) + 1
         return {
             "directory": str(self.root),
-            "pending": len(pending_names),
-            "pending_by_priority": pending_by_priority,
+            "pending": _count(self.pending_dir),
             "leased": _count(self.leases_dir),
             "done": _count(self.done_dir),
             "poisoned": _count(self.poison_dir),
@@ -1109,6 +1025,86 @@ def process_claimed_job(
     """
     succeeded, _ = process_claimed_jobs(queue, [claimed], worker_id)
     return succeeded == 1
+
+
+# ----------------------------------------------------------------------
+# Runner side: awaiting completion markers
+# ----------------------------------------------------------------------
+def wait_for_markers(
+    queue: WorkQueue,
+    fingerprints: list[str],
+    *,
+    poll_floor: float,
+    poll_ceiling: float,
+    assist: bool,
+    stall_timeout: Optional[float],
+) -> dict[str, dict]:
+    """Block until every fingerprint has a completion marker; return them.
+
+    Each scan sweeps expired leases, lists ``done/`` and ``poison/``
+    once however many fingerprints are outstanding, and samples the
+    youngest lease age, which drops whenever any worker heartbeats.
+    With ``assist`` the waiting process also claims and executes one
+    unclaimed job per scan, so a queue with no workers still drains.  A scan that
+    made progress (a marker landed, an assisted job ran, a heartbeat
+    moved) is followed by a ``poll_floor`` wait; idle scans double the
+    wait up to ``poll_ceiling``.  Waits go through :func:`faults.sleep`,
+    so a chaos plan's ``sleep_scale`` compresses them.
+
+    A poisoned fingerprint raises ``RuntimeError`` with the recorded
+    reason.  ``stall_timeout`` bounds *inactivity*: it re-arms on every
+    progress event, so a slow but live fleet never trips it and only a
+    wedged queue raises ``TimeoutError``.
+    """
+    worker_id = "driver-" + _default_worker_id()
+    outstanding = set(fingerprints)
+    markers: dict[str, dict] = {}
+    wait = poll_floor
+    last_beat: Optional[float] = None
+    last_progress = time.monotonic()
+    while True:
+        progressed = False
+        queue.requeue_expired()
+        for fingerprint in sorted(queue.list_done() & outstanding):
+            marker = queue.done_marker(fingerprint)
+            if marker is None:
+                continue  # torn or foreign marker: wait for a clean one
+            markers[fingerprint] = marker
+            outstanding.discard(fingerprint)
+            progressed = True
+        if not outstanding:
+            return {fingerprint: markers[fingerprint] for fingerprint in fingerprints}
+        for fingerprint in sorted(queue.list_poisoned() & outstanding):
+            record = queue.poison_record(fingerprint) or {}
+            raise RuntimeError(
+                f"queue job {record.get('benchmark')}/"
+                f"{record.get('technique')} was poisoned after "
+                f"{record.get('attempts', '?')} attempt(s) on worker "
+                f"{record.get('worker')!r}:\n"
+                f"{record.get('poison_reason', 'unrecorded')}"
+            )
+        if assist:
+            claimed = queue.claim(worker_id)
+            if claimed is not None:
+                process_claimed_job(queue, claimed, worker_id)
+                progressed = True
+        beat = queue.youngest_lease_age()
+        if beat is not None and (last_beat is None or beat < last_beat):
+            progressed = True
+        last_beat = beat
+        if progressed:
+            last_progress = time.monotonic()
+            wait = poll_floor
+        elif (
+            stall_timeout is not None
+            and time.monotonic() - last_progress > stall_timeout
+        ):
+            raise TimeoutError(
+                f"queue backend stalled for {stall_timeout:.0f}s awaiting "
+                f"{len(outstanding)} job(s); queue status: {queue.status()}"
+            )
+        faults.sleep(wait)
+        wait = min(wait * 2.0, poll_ceiling)
 
 
 class QueueWorker:

@@ -185,12 +185,6 @@ class ShardJob:
     # Replay kernel (transport, not identity — engines are bit-identical
     # and never participate in the fingerprint, mirroring SimulationJob).
     engine: Optional[str] = None
-    # Queue-backend retry budget (transport as well, mirroring
-    # SimulationJob.max_attempts; None means the queue's default).
-    max_attempts: Optional[int] = None
-    # Queue scheduling band (transport, mirroring SimulationJob.priority;
-    # None means the queue's default band).
-    priority: Optional[int] = None
 
     def fingerprint(self) -> str:
         span = self.span

@@ -1,7 +1,7 @@
 """Energy coefficients for the power model.
 
 The coefficients are expressed in arbitrary energy units; only ratios
-matter.  They were calibrated (see EXPERIMENTS.md) so that the *baseline*
+matter.  They were calibrated so that the *baseline*
 machine's issue-queue dynamic energy is split roughly 60% wakeup CAM, 25%
 RAM read/write and 15% selection logic -- the balance Wattch-era studies
 report for CAM-based issue queues -- and so the register file's per-access

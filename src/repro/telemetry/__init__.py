@@ -8,14 +8,13 @@ The observability plane for the distributed harness (docs/observability.md):
   ``<cache_dir>/telemetry/spans/<host>-<pid>.jsonl``.  No-op by default
   (one is-None check); opt in with ``REPRO_TELEMETRY=1``.
 * :mod:`repro.telemetry.metrics` — the counters/gauges/histograms
-  registry behind ``cache_stats()``, the queue counters, the completion
-  core, and the service daemon's ``status`` op, all sharing one
-  ``snapshot()`` shape.
+  registry behind ``cache_stats()`` and the queue counters, both
+  sharing one ``snapshot()`` shape.
 * :mod:`repro.telemetry.trend` — ``python -m repro.telemetry.trend``
   gates the ``BENCH_trace.json`` perf trajectory with a MAD-based
   noise band.
 
-This package is imported by the harness and service layers only; the
+This package is imported by the harness layer only; the
 reprolint ``telemetry-purity`` rule forbids it under ``repro/uarch/``
 (the replay hot path) and anywhere near fingerprint construction.
 """

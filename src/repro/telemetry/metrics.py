@@ -1,9 +1,8 @@
 """Fleet metrics plane: counters, gauges, and histograms with one shape.
 
-Every long-lived harness object (the result cache, the work queue, the
-event-driven completion core, the service daemon) used to keep its own
-hand-rolled dict of integer counters and expose it through a bespoke
-``*_stats()`` method.  This module replaces those dicts with a single
+Every long-lived harness object (the result cache, the work queue)
+used to keep its own hand-rolled dict of integer counters and expose it
+through a bespoke ``*_stats()`` method.  This module replaces those dicts with a single
 :class:`MetricsRegistry` per object: counters and gauges are named
 metrics created on first use, and every registry renders through the
 same ``snapshot()`` shape::
@@ -13,9 +12,9 @@ same ``snapshot()`` shape::
      "histograms": {name: {"count", "min", "max", "mean",
                            "p50", "p90", "p99"}, ...}}
 
-The existing public stats dicts (``cache_stats()``, ``WorkQueue.stats``,
-service ``status``) keep their key layout — they are now *views* over a
-registry instead of parallel bookkeeping — and callers that mutated
+The existing public stats dicts (``cache_stats()``,
+``WorkQueue.status()``) keep their key layout — they are now *views*
+over a registry instead of parallel bookkeeping — and callers that mutated
 counters as plain attributes (``cache.hits += deltas["hits"]``) keep
 working through the :class:`counter_property` descriptor.
 
@@ -32,7 +31,7 @@ from typing import Iterable
 
 # Observations retained per histogram.  Percentiles are computed over
 # this sliding window, which is plenty for the second-scale latencies
-# the harness records and keeps a long-lived daemon's memory bounded.
+# the harness records and keeps a long-lived worker's memory bounded.
 HISTOGRAM_WINDOW = 1024
 
 

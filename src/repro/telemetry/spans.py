@@ -5,10 +5,10 @@ A *span* is one timed unit of work at a named site (``driver.grid``,
 ``queue.complete``).  Spans carry a *trace id* — one opaque request id
 minted by whoever starts the work — and the queue propagates it across
 process boundaries inside the job envelope (transport, not identity:
-like ``priority``, the trace id never enters a fingerprint), so a
-single id connects the driver's grid submission to the enqueue, the
-worker's claim, the replay, and the completion marker even when those
-happen in different processes on different hosts.
+the trace id never enters a fingerprint), so a single id connects the
+runner's grid submission to the enqueue, the worker's claim, the
+replay, and the completion marker even when those happen in different
+processes on different hosts.
 
 Durations come from :func:`time.perf_counter` (monotonic — immune to
 wall-clock steps); the start timestamp is wall-clock so spans from
@@ -46,8 +46,8 @@ SPAN_FORMAT = 1
 
 #: Environment opt-in: any value other than ""/"0" enables tracing in
 #: processes that call :func:`install_from_env` (the queue worker CLI,
-#: the runner's queue backend, the service daemon), and is inherited by
-#: worker subprocesses so one setting lights up the whole fleet.
+#: the runner's queue backend), and is inherited by worker subprocesses
+#: so one setting lights up the whole fleet.
 ENV_VAR = "REPRO_TELEMETRY"
 
 #: Span files live under ``<cache_dir>/telemetry/spans/``.
@@ -58,9 +58,9 @@ SPANS_SUBDIR = ("telemetry", "spans")
 _recorder: "SpanRecorder | None" = None
 
 # Current trace-context stack (innermost last).  Process-wide, not
-# thread-local: every span-emitting path (runner, worker loop, daemon
-# event loop) runs on its process's main thread; helper threads such as
-# the lease heartbeat emit no spans.
+# thread-local: every span-emitting path (runner, worker loop) runs on
+# its process's main thread; helper threads such as the lease heartbeat
+# emit no spans.
 _trace_stack: list[str] = []
 
 

@@ -13,9 +13,8 @@ parses the history, splits it into per-series samples —
   simulator throughput in cycles/second (higher is better; entries
   older than the PR 5 engine split carry no ``engine`` field and are
   attributed to ``scalar``, the only kernel that existed then);
-* ``queue_grid/seconds`` and ``service_grid/seconds``: 6-cell grid
-  wall-clock through the queue and the service daemon (lower is
-  better) —
+* ``queue_grid/seconds``: 6-cell grid wall-clock through the queue
+  (lower is better) —
 
 and gates the **latest** sample of each series against the median of
 its history with a robust noise band.
@@ -96,8 +95,6 @@ def split_series(history: list[dict]) -> dict[str, dict]:
         kind = entry.get("kind")
         if kind == "queue_grid":
             _append("queue_grid/seconds", entry.get("queue_seconds"), "lower")
-        elif kind == "service_grid":
-            _append("service_grid/seconds", entry.get("service_seconds"), "lower")
         elif "cycles_per_second_cold" in entry:
             engine = entry.get("engine", "scalar")
             _append(

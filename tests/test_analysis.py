@@ -56,11 +56,28 @@ def test_registry_ships_at_least_six_rules_with_unique_ids():
         "exception-hygiene",
         "optional-deps",
         "retry-discipline",
-        "request-validation",
         "telemetry-purity",
     } <= set(ids)
     for rule in rules:
         assert rule.contract  # --list-rules has something to show
+
+
+def test_rule_scope_tables_name_existing_modules():
+    """Every module a rule's scope table names exists under ``src/``,
+    so a deleted layer cannot leave its scope entries behind."""
+    from repro.analysis.rules import (
+        AtomicIoRule,
+        OptionalDependencyRule,
+        RetryDisciplineRule,
+    )
+
+    src_root = Path(next(iter(repro.__path__))).parent
+    scoped = set(AtomicIoRule.SCOPED_MODULES)
+    for homes in OptionalDependencyRule.SCOPED_IMPORTS.values():
+        scoped.update(homes)
+    scoped.add(RetryDisciplineRule.SLEEP_OWNER)
+    missing = sorted(path for path in scoped if not (src_root / path).is_file())
+    assert missing == []
 
 
 def test_get_rules_rejects_unknown_ids():
@@ -492,67 +509,7 @@ def test_retry_discipline_faults_import_allowed_outside_uarch():
 
 
 # ----------------------------------------------------------------------
-# Rule 8: request-validation (service handlers validate before acting)
-# ----------------------------------------------------------------------
-def test_request_validation_fires_on_unvalidated_handler():
-    snippet = """
-    def handle_grid(self, connection, payload):
-        self.queue.enqueue(payload["job"])
-    """
-    result = lint_snippet(snippet, "repro/service/daemon.py")
-    assert rule_ids(result.findings) == {"request-validation"}
-
-
-def test_request_validation_fires_when_validation_comes_too_late():
-    snippet = """
-    def handle_simulate(self, connection, payload):
-        stats = self.cache.load(payload["fingerprint"])
-        normalized = validate_request(payload)
-        return stats, normalized
-    """
-    result = lint_snippet(snippet, "repro/service/daemon.py")
-    assert rule_ids(result.findings) == {"request-validation"}
-    (finding,) = result.findings
-    assert "before validate_request" in finding.message
-
-
-def test_request_validation_silent_when_validation_precedes_touches():
-    snippet = """
-    def handle_grid(self, connection, payload):
-        normalized = validate_request(payload)
-        self.queue.enqueue(normalized["job"])
-        return self.cache.load(normalized["fingerprint"])
-    """
-    assert lint_snippet(snippet, "repro/service/daemon.py").findings == []
-
-
-def test_request_validation_silent_outside_handlers_and_service():
-    touch_only = """
-    def fan_out(self, jobs):
-        for job in jobs:
-            self.queue.enqueue(job)
-    """
-    # Not a handle_* function: the rule binds the handler boundary, not
-    # every queue call in the service package.
-    assert lint_snippet(touch_only, "repro/service/daemon.py").findings == []
-    unvalidated_handler = """
-    def handle_grid(self, connection, payload):
-        self.queue.enqueue(payload["job"])
-    """
-    # Same code outside repro/service/ is out of the rule's scope.
-    assert (
-        lint_snippet(unvalidated_handler, "repro/harness/queue.py").findings
-        == []
-    )
-    # ... and the chokepoint's home module is exempt by design.
-    assert (
-        lint_snippet(unvalidated_handler, "repro/service/protocol.py").findings
-        == []
-    )
-
-
-# ----------------------------------------------------------------------
-# Rule 9: telemetry-purity (observability stays out of uarch and keys)
+# Rule 8: telemetry-purity (observability stays out of uarch and keys)
 # ----------------------------------------------------------------------
 def test_telemetry_purity_fires_on_telemetry_import_under_uarch():
     for line in (

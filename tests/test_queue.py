@@ -17,13 +17,14 @@ import time
 
 import pytest
 
-from repro.harness import ParallelSuiteRunner, RunConfig, SimulationJob
+from repro.harness import ParallelSuiteRunner, RunConfig, SimulationJob, faults
 from repro.harness.queue import (
     DEFAULT_MAX_ATTEMPTS,
     QueueWorker,
     WorkQueue,
     process_claimed_job,
     spawn_local_workers,
+    wait_for_markers,
 )
 
 TINY_CONFIG = RunConfig(
@@ -623,102 +624,6 @@ class TestWorkerStatsPublication:
         assert queue.worker_stats()["workers"] == 2
 
 
-class TestPriorityScheduling:
-    """The ``priority`` envelope band and priority-ordered claiming."""
-
-    CELLS = [
-        ("gzip", "baseline"),
-        ("gzip", "noop"),
-        ("mcf", "baseline"),
-        ("mcf", "noop"),
-    ]
-
-    def test_envelope_carries_the_clamped_band(self, tmp_path):
-        queue = WorkQueue(tmp_path, ttl=30)
-        fingerprint = queue.enqueue(_job(priority=7))
-        envelope = json.loads(queue.pending_path(fingerprint).read_text())
-        assert envelope["priority"] == 7
-        # Out-of-band values clamp instead of corrupting the schedule.
-        low = queue.enqueue(_job(technique="noop", priority=-3))
-        high = queue.enqueue(_job(benchmark="mcf", priority=99))
-        assert json.loads(queue.pending_path(low).read_text())["priority"] == 0
-        assert json.loads(queue.pending_path(high).read_text())["priority"] == 9
-
-    def test_default_band_is_zero(self, tmp_path):
-        queue = WorkQueue(tmp_path, ttl=30)
-        fingerprint = queue.enqueue(_job())
-        assert (
-            json.loads(queue.pending_path(fingerprint).read_text())["priority"]
-            == 0
-        )
-
-    def test_claims_come_out_in_band_order(self, tmp_path):
-        queue = WorkQueue(tmp_path, ttl=30)
-        bands = [0, 9, 3, 5]
-        expected: dict[str, int] = {}
-        for (benchmark, technique), band in zip(self.CELLS, bands):
-            fingerprint = queue.enqueue(
-                _job(benchmark=benchmark, technique=technique), priority=band
-            )
-            expected[fingerprint] = band
-        claimed_bands = []
-        while True:
-            claimed = queue.claim("w1")
-            if claimed is None:
-                break
-            claimed_bands.append(expected[claimed.fingerprint])
-        assert claimed_bands == [9, 5, 3, 0]
-
-    def test_band_order_holds_for_a_fresh_queue_object(self, tmp_path):
-        """A worker process that did not enqueue (empty priority memo)
-        must read the bands from the pending envelopes themselves."""
-        producer = WorkQueue(tmp_path, ttl=30)
-        bands = [2, 8, 0, 6]
-        expected = {}
-        for (benchmark, technique), band in zip(self.CELLS, bands):
-            fingerprint = producer.enqueue(
-                _job(benchmark=benchmark, technique=technique), priority=band
-            )
-            expected[fingerprint] = band
-        consumer = WorkQueue(tmp_path, ttl=30)
-        order = [
-            expected[claim.fingerprint]
-            for claim in consumer.claim_batch("w2", limit=4)
-        ]
-        assert order == [8, 6, 2, 0]
-
-    def test_priority_is_fixed_at_first_enqueue(self, tmp_path):
-        """A deduped re-submission at another band must not rewrite the
-        pending envelope: the republish could race the claim rename and
-        resurrect a just-leased job into double execution."""
-        queue = WorkQueue(tmp_path, ttl=30)
-        fingerprint = queue.enqueue(_job(), priority=2)
-        queue.enqueue(_job(), priority=9)
-        envelope = json.loads(queue.pending_path(fingerprint).read_text())
-        assert envelope["priority"] == 2
-
-    def test_status_reports_pending_by_priority_band(self, tmp_path):
-        queue = WorkQueue(tmp_path, ttl=30)
-        for (benchmark, technique), band in zip(self.CELLS, [9, 9, 4, 0]):
-            queue.enqueue(
-                _job(benchmark=benchmark, technique=technique), priority=band
-            )
-        status = queue.status()
-        assert status["pending_by_priority"] == {"9": 2, "4": 1, "0": 1}
-        # Bands drain in order and the breakdown follows.
-        queue.claim("w1")
-        assert queue.status()["pending_by_priority"] == {"9": 1, "4": 1, "0": 1}
-
-    def test_retry_preserves_the_band(self, tmp_path):
-        queue = WorkQueue(tmp_path, ttl=30)
-        fingerprint = queue.enqueue(_job(max_attempts=3), priority=6)
-        claimed = queue.claim("w1")
-        assert queue.fail(claimed, "boom", "w1")  # retried, not poisoned
-        envelope = json.loads(queue.pending_path(fingerprint).read_text())
-        assert envelope["priority"] == 6
-        assert envelope["attempts"] == 1
-
-
 class TestHostStats:
     """Per-host aggregation of the fleet's published worker counters."""
 
@@ -773,140 +678,89 @@ class TestHostStats:
         assert queue.worker_stats()["hosts"][""]["claimed"] == 2
 
 
-class TestCompletionCore:
-    """The shared event-driven completion core the driver waits on."""
+class TestWaitForMarkers:
+    """The runner's marker wait, :func:`wait_for_markers`."""
 
-    def _complete(self, queue, fingerprint, cycles=1):
+    # The stall timeout turns a wait that never resolves into a failure
+    # instead of a hung test.
+    KNOBS = dict(
+        poll_floor=0.01, poll_ceiling=0.05, assist=False, stall_timeout=30.0
+    )
+
+    def _complete(self, queue):
         claimed = queue.claim("w1")
         assert claimed is not None
-        queue.complete(claimed, {"stats": {"cycles": cycles}}, "w1")
-        return claimed
+        queue.complete(claimed, {"stats": {"cycles": 1}}, "w1")
 
-    def test_wait_for_markers_returns_existing_markers(self, tmp_path):
-        from repro.harness.completion import QueueEventCore
-
+    def test_returns_existing_markers(self, tmp_path):
         queue = WorkQueue(tmp_path, ttl=30)
         fingerprint = queue.enqueue(_job())
-        self._complete(queue, fingerprint)
-        with QueueEventCore(queue, poll_floor=0.01) as core:
-            markers = core.wait_for_markers([fingerprint])
+        self._complete(queue)
+        markers = wait_for_markers(queue, [fingerprint], **self.KNOBS)
         assert markers[fingerprint]["payload"] == {"stats": {"cycles": 1}}
 
     def test_assist_executes_the_job_itself(self, tmp_path):
-        from repro.harness.completion import QueueEventCore
-
         queue = WorkQueue(tmp_path, ttl=30)
         fingerprint = queue.enqueue(_job())
-        with QueueEventCore(queue, poll_floor=0.01, assist=True) as core:
-            markers = core.wait_for_markers([fingerprint])
+        markers = wait_for_markers(
+            queue, [fingerprint], **{**self.KNOBS, "assist": True}
+        )
         assert "stats" in markers[fingerprint]["payload"]
-        assert core.assists_run == 1
+        assert markers[fingerprint]["worker"].startswith("driver-")
 
     def test_poisoned_job_raises_with_the_recorded_reason(self, tmp_path):
-        from repro.harness.completion import QueueEventCore
-
         queue = WorkQueue(tmp_path, ttl=30)
         fingerprint = queue.enqueue(_job(max_attempts=1))
         claimed = queue.claim("w1")
         assert not queue.fail(claimed, "synthetic failure", "w1")
-        with QueueEventCore(queue, poll_floor=0.01) as core:
-            with pytest.raises(RuntimeError, match="synthetic failure"):
-                core.wait_for_markers([fingerprint])
+        with pytest.raises(RuntimeError, match="synthetic failure"):
+            wait_for_markers(queue, [fingerprint], **self.KNOBS)
 
     def test_stall_timeout_bounds_inactivity(self, tmp_path):
-        from repro.harness.completion import QueueEventCore
-
         queue = WorkQueue(tmp_path, ttl=30)
         fingerprint = queue.enqueue(_job())
-        core = QueueEventCore(
-            queue, poll_floor=0.01, poll_ceiling=0.02, stall_timeout=0.2
-        )
         # Nobody serves the queue and assist is off: only the stall
         # clock can end this wait.
-        with core, pytest.raises(TimeoutError, match="stalled"):
-            core.wait_for_markers([fingerprint])
+        with pytest.raises(TimeoutError, match="stalled"):
+            wait_for_markers(
+                queue, [fingerprint], **{**self.KNOBS, "stall_timeout": 0.2}
+            )
 
-    def test_subscriptions_are_one_shot_and_counted(self, tmp_path):
-        from repro.harness.completion import QueueEventCore
+    def _record_waits(self, monkeypatch, queue, complete_after):
+        """Record every ``faults.sleep`` wait; complete a job after the
+        waits numbered in ``complete_after`` (nobody else serves the queue)."""
+        waits = []
 
+        def record(seconds):
+            waits.append(seconds)
+            if len(waits) in complete_after:
+                self._complete(queue)
+
+        monkeypatch.setattr(faults, "sleep", record)
+        return waits
+
+    def test_idle_waits_double_from_floor_to_ceiling(
+        self, tmp_path, monkeypatch
+    ):
         queue = WorkQueue(tmp_path, ttl=30)
         fingerprint = queue.enqueue(_job())
-        events = []
-        with QueueEventCore(queue, poll_floor=0.01) as core:
-            core.watch(fingerprint, events.append)
-            core.watch(fingerprint, events.append)
-            assert core.subscriber_count(fingerprint) == 2
-            assert core.watched() == {fingerprint}
-            self._complete(queue, fingerprint)
-            while not events:
-                core.step()
-        assert len(events) == 2  # both subscribers fired once
-        assert core.subscriber_count(fingerprint) == 0
-        assert all(event.kind == "done" for event in events)
+        waits = self._record_waits(monkeypatch, queue, (6,))
+        markers = wait_for_markers(
+            queue, [fingerprint], **{**self.KNOBS, "poll_ceiling": 0.08}
+        )
+        assert set(markers) == {fingerprint}
+        assert waits == pytest.approx([0.01, 0.02, 0.04, 0.08, 0.08, 0.08])
 
-    def test_wake_interrupts_an_idle_wait_from_another_thread(self, tmp_path):
-        import threading
-
-        from repro.harness.completion import QueueEventCore
-
-        queue = WorkQueue(tmp_path, ttl=30)
-        with QueueEventCore(queue, poll_floor=5.0, poll_ceiling=5.0) as core:
-            core.step()  # consume the immediate first scan
-            timer = threading.Timer(0.05, core.wake)
-            timer.start()
-            started = time.monotonic()
-            core.step()  # would block ~5s without the wake
-            assert time.monotonic() - started < 2.0
-            timer.join()
-
-    def test_idle_scans_back_off_floor_to_ceiling(self, tmp_path):
-        from repro.harness.completion import QueueEventCore
-
-        queue = WorkQueue(tmp_path, ttl=30)
-        fingerprint = queue.enqueue(_job())
-        with QueueEventCore(queue, poll_floor=0.01, poll_ceiling=0.05) as core:
-            core.watch(fingerprint, lambda event: None)
-            assert core._interval == core.poll_floor
-            # Nobody serves the queue: each unproductive scan doubles the
-            # interval until it saturates at the ceiling, never beyond.
-            observed = []
-            for _ in range(6):
-                assert core._scan() is False
-                observed.append(core._interval)
-            assert observed[0] == pytest.approx(0.02)
-            assert observed[1] == pytest.approx(0.04)
-            assert all(value <= core.poll_ceiling for value in observed)
-            assert observed[-1] == pytest.approx(core.poll_ceiling)
-
-    def test_progress_resets_the_backed_off_interval(self, tmp_path):
-        from repro.harness.completion import QueueEventCore
-
-        queue = WorkQueue(tmp_path, ttl=30)
-        fingerprint = queue.enqueue(_job())
-        with QueueEventCore(queue, poll_floor=0.01, poll_ceiling=0.08) as core:
-            events = []
-            core.watch(fingerprint, events.append)
-            for _ in range(5):
-                core._scan()  # idle: back off toward the ceiling
-            assert core._interval > core.poll_floor
-            self._complete(queue, fingerprint)
-            assert core._scan() is True  # the marker lands: progress
-            assert events and events[0].kind == "done"
-            assert core._interval == core.poll_floor
-            assert core.markers_seen == 1
-
-    def test_new_watch_resets_a_backed_off_interval(self, tmp_path):
-        from repro.harness.completion import QueueEventCore
-
+    def test_a_landing_marker_resets_the_wait_to_the_floor(
+        self, tmp_path, monkeypatch
+    ):
         queue = WorkQueue(tmp_path, ttl=30)
         first = queue.enqueue(_job())
-        with QueueEventCore(queue, poll_floor=0.01, poll_ceiling=0.08) as core:
-            core.watch(first, lambda event: None)
-            for _ in range(5):
-                core._scan()
-            assert core._interval == pytest.approx(core.poll_ceiling)
-            # A fresh subscriber must not inherit the idle backoff: its
-            # marker may already exist and deserves a floor-rate scan.
-            second = queue.enqueue(_job(technique="noop"))
-            core.watch(second, lambda event: None)
-            assert core._interval == core.poll_floor
+        second = queue.enqueue(_job(technique="noop"))
+        waits = self._record_waits(monkeypatch, queue, (6, 12))
+        markers = wait_for_markers(
+            queue, [first, second], **{**self.KNOBS, "poll_ceiling": 0.08}
+        )
+        assert set(markers) == {first, second}
+        idle = [0.01, 0.02, 0.04, 0.08, 0.08, 0.08]
+        assert waits == pytest.approx(idle + idle)

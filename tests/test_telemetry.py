@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import threading
 
 import pytest
 
@@ -419,7 +418,6 @@ class TestTrendGate:
             {"cycles_per_second_cold": 50_000, "cycles_per_second_warm": 60_000},
             {"engine": "native", "cycles_per_second_cold": 300_000},
             {"kind": "queue_grid", "queue_seconds": 1.5},
-            {"kind": "service_grid", "service_seconds": 2.5},
             {"malformed": True},
         ]
         series = trend.split_series(history)
@@ -427,7 +425,6 @@ class TestTrendGate:
         assert series["engine/scalar/warm"]["direction"] == "higher"
         assert series["engine/native/cold"]["values"] == [300_000.0]
         assert series["queue_grid/seconds"]["direction"] == "lower"
-        assert series["service_grid/seconds"]["values"] == [2.5]
 
     def test_gate_series_returns_none_for_unknown_series(self, tmp_path):
         path = tmp_path / "BENCH_trace.json"
@@ -465,40 +462,3 @@ class TestTrendGate:
             pytest.skip("no recorded trajectory in this checkout")
         assert trend.main([str(trend.DEFAULT_TRAJECTORY)]) == 0
 
-
-# ----------------------------------------------------------------------
-# Service status surfaces the metrics plane
-# ----------------------------------------------------------------------
-class TestServiceTelemetry:
-    def test_status_op_carries_registry_snapshot_and_queue_latency(
-        self, tmp_path
-    ):
-        from repro.service.client import ServiceClient
-        from repro.service.daemon import ExperimentService
-
-        service = ExperimentService(
-            tmp_path, config=TINY_CONFIG, poll_floor=0.01, poll_ceiling=0.1
-        )
-        host, port = service.open()
-        thread = threading.Thread(target=service.serve_forever, daemon=True)
-        thread.start()
-        try:
-            with ServiceClient(host, port, timeout=60) as probe:
-                status = probe.status()
-        finally:
-            service.stop()
-            thread.join(timeout=30)
-        snapshot = status["service"]["metrics"]
-        assert snapshot["namespace"] == "service"
-        # Admission counters pre-register at zero (a status probe is not
-        # an admission), and the point-in-time gauges refresh on read.
-        assert snapshot["counters"]["requests_accepted"] == 0
-        assert snapshot["counters"]["requests_rejected"] == 0
-        assert snapshot["gauges"]["connections"] >= 1
-        telemetry = status["queue"]["telemetry"]
-        assert telemetry["metrics"]["namespace"] == "queue"
-        assert set(telemetry["latency"]) == {
-            "spans",
-            "enqueue_to_claim",
-            "claim_to_done",
-        }
