@@ -168,14 +168,14 @@ def main(argv: list[str] | None = None) -> None:
         "--max-trace-bytes",
         type=int,
         default=None,
-        help="LRU byte cap for the decoded-trace cache (default: unbounded)",
+        help="LRU byte cap for the trace cache (default: unbounded)",
     )
     parser.add_argument(
         "--trace-window",
         type=int,
         default=None,
-        help="decoded-trace window size in instructions (default: "
-        "REPRO_TRACE_WINDOW or ~16k; 0 forces monolithic decode)",
+        help="replay window size in trace entries (default: ~16k; 0 "
+        "replays each trace as one window)",
     )
     parser.add_argument("--workers", type=int, default=None, help="pool size")
     # Choices come from the engine registry so new kernels need no edit

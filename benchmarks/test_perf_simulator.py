@@ -11,10 +11,14 @@ engine:
 * **cold** — a fresh in-process trace memo and an empty on-disk trace
   cache, with the **windowed streaming path on** (the budget is split
   across several trace windows), so the measured time includes one
-  functional emulation, the per-window pre-decode, the windowed cache
-  store and the timed window-by-window replay;
-* **warm** — the decoded trace already memoised, so the measured time is
-  the replay core alone (the steady state of a grid run).
+  functional emulation, building the program's static table, packing
+  each emulated window into compact columns, the windowed cache store
+  and the timed window-by-window replay;
+* **warm** — the trace's columns and static table already memoised by
+  the cold rounds, so the measured time is the replay kernel alone,
+  reading ``memoryview`` windows of the memoised columns in place: no
+  per-window decode remains on this path (the steady state of a grid
+  run).
 
 Reference points on the development machine (1-core container):
 
@@ -154,8 +158,8 @@ def test_simulator_cycle_throughput(benchmark, tmp_path, engine):
 
     def _cold_run() -> tuple[int, float]:
         # A fresh memo and a fresh cache directory every round: the timed
-        # region covers emulation, per-window pre-decode, the windowed
-        # cache store and the streaming window-by-window replay.
+        # region covers emulation, the static table, the windowed cache
+        # store and the streaming window-by-window replay.
         clear_trace_memo()
         round_dir = trace_dir / str(len(cold_rates))
         cycles, elapsed = _timed_simulate(
@@ -169,7 +173,7 @@ def test_simulator_cycle_throughput(benchmark, tmp_path, engine):
     cycles = cycles_holder[-1]
     cold_rate = max(cold_rates)
 
-    # Steady state: the decoded trace is memoised, only the core replays.
+    # Steady state: columns and table are memoised, only the core replays.
     warm_rates = []
     for _ in range(5):
         warm_cycles, warm_elapsed = _timed_simulate(engine)

@@ -529,7 +529,7 @@ def gc_cache_tree(
 ) -> list[dict]:
     """Garbage-collect a shared cache directory and its satellites.
 
-    Covers the result cache at the top level, the decoded-trace cache in
+    Covers the result cache at the top level, the trace cache in
     ``traces/``, and the work queue's subdirectories.  Live queue
     protocol files — pending jobs and leases — are never touched (only
     their orphaned ``.tmp-*`` writer files are); completion markers in

@@ -41,9 +41,9 @@ Semantics:
 * **Compilations** are not cached on disk: they are cheap relative to
   simulation, required in-process anyway for table 2 and the
   per-result ``compilation`` field, and already memoised per runner.
-* **Decoded traces** are cached one level below the results: a
+* **Traces** are cached one level below the results: a
   ``traces/`` subdirectory of ``cache_dir`` (override with
-  ``trace_cache_dir``) holds each benchmark's pre-decoded dynamic stream
+  ``trace_cache_dir``) holds each benchmark's emulated trace columns
   (:mod:`repro.uarch.trace`), keyed by program content + budget +
   emulator source and stored in independently loadable windows.  A
   result-cache miss that only changed the technique or the
@@ -117,9 +117,9 @@ from repro.workloads import ALL_TRAITS, build_benchmark
 class SimulationJob:
     """Picklable description of one (benchmark, technique) simulation.
 
-    ``trace_cache_dir`` names the shared on-disk decoded-trace cache (see
+    ``trace_cache_dir`` names the shared on-disk trace cache (see
     :mod:`repro.uarch.trace`), ``trace_cache_max_bytes`` its LRU byte
-    cap, ``trace_window`` the decoded-trace window size threaded into
+    cap, ``trace_window`` the replay window size threaded into
     the replay core (None: library default), and ``engine`` the replay
     kernel (:mod:`repro.uarch.engine`; None: the executing host's own
     resolution, so a heterogeneous fleet runs native wherever it builds
@@ -303,7 +303,7 @@ class ParallelSuiteRunner(SuiteRunner):
             if cache_dir is not None
             else None
         )
-        # Decoded traces are shared one level below the result cache: a
+        # Traces are shared one level below the result cache: a
         # result-cache miss (new technique, changed processor/energy
         # config) still reuses the benchmark's emulation if the trace
         # cache holds it.  Defaults to a ``traces/`` subdirectory of the

@@ -3,7 +3,7 @@
 The work-queue backend (:mod:`repro.harness.queue`) parallelises a
 (benchmark × technique) grid *across* cells; this module parallelises
 *within* a single large cell.  PR 3's per-window trace format made each
-window of a decoded trace an independently loadable unit, so an
+window of a trace an independently loadable unit, so an
 N-instruction budget can be split into per-window **spans** replayed in
 parallel: each shard warms the machine up over a configurable stretch of
 the preceding trace, measures exactly its span, and keeps a short

@@ -84,6 +84,10 @@ class AbellaPolicy(ResizingPolicy):
         # makes window-sharded replay of this policy exact).
         self._interval_start_cycle -= cycle_shift
 
+    def next_wake_cycle(self) -> int:
+        # on_cycle_end acts only once an interval has elapsed.
+        return self._interval_start_cycle + self.interval_cycles
+
     def on_cycle_end(self, core) -> None:
         elapsed = core.cycle - self._interval_start_cycle
         if elapsed < self.interval_cycles:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+from typing import Optional
 
 
 class ResizingPolicy(abc.ABC):
@@ -48,7 +49,20 @@ class ResizingPolicy(abc.ABC):
         """Called when a hint NOOP is stripped or a tagged instruction dispatches."""
 
     def on_cycle_end(self, core) -> None:
-        """Called at the end of every simulated cycle."""
+        """Called at the end of a cycle the policy asked to be woken at."""
+
+    def next_wake_cycle(self) -> Optional[int]:
+        """The cycle at whose end ``on_cycle_end`` next has work, or None.
+
+        Kernels call ``on_cycle_end`` at the end of a cycle only once the
+        core's clock has reached this value, and ask again after
+        ``on_simulation_start``, ``on_measurement_start`` (in the rebased
+        clock) and every ``on_cycle_end``.  The default wakes every cycle
+        for a policy that overrides ``on_cycle_end``, and never otherwise.
+        """
+        if type(self).on_cycle_end is ResizingPolicy.on_cycle_end:
+            return None
+        return 0
 
     def describe(self) -> dict:
         """Summary of the policy's static properties (for reports)."""

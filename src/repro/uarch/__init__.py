@@ -12,33 +12,34 @@ Trace-replay architecture
 Functional emulation is decoupled from the timing loop.  The committed
 dynamic instruction stream of a (program, instruction-budget) pair is a
 pure function of its inputs, so :mod:`repro.uarch.trace` runs the
-:class:`~repro.uarch.emulator.FunctionalEmulator` **once**, lowers the
-stream into a :class:`~repro.uarch.trace.DecodedTrace` — flat parallel
-arrays of pc, next-pc, branch outcome, memory address and pre-decoded
-timing attributes (classification flags, latency, functional-unit
-ordinal, rename operand specs) — and the
-:class:`~repro.uarch.core.OutOfOrderCore` *replays* those arrays by
-index.  Decoded traces are memoised in-process and may be cached on disk
+:class:`~repro.uarch.emulator.FunctionalEmulator` **once** and keeps
+only what it decided: four compact columns per trace
+(:class:`~repro.uarch.trace.TraceWindow` — pc, next pc, memory address
+and branch outcome, 25 bytes per instruction).  Everything fixed by the
+static instruction (classification flags, latency, functional-unit
+ordinal, issue-queue tag, hint payload, rename operand specs) lives once
+per program in a :class:`~repro.uarch.trace.StaticTable`, built from
+the program's layout and indexed by ``(pc - CODE_BASE) >> 2``.  Both replay kernels read each fetched entry's
+row through that index; nothing is decoded per entry.  Columns are
+memoised in-process and may be cached on disk
 (:class:`~repro.uarch.trace.TraceCache`, content-addressed by program
 text + budget + emulator source digest), so a (benchmark × technique)
 grid emulates each benchmark once, not once per technique.
 
-Instruction budgets above the decoded-trace window size (default
-:data:`~repro.uarch.config.DEFAULT_TRACE_WINDOW_ENTRIES`, ~16k) stream:
-the emulator's output is lowered into fixed-size windows
-(:class:`~repro.uarch.trace.TraceWindowStream`), the disk cache stores
-them independently addressable under one fingerprint, and the core
-replays window by window with microarchitectural state carried across
-boundaries — statistics are bit-identical to a monolithic replay while
-peak decoded-trace memory stays bounded by the window size, which is
-what makes 100k+ instruction budgets practical.
+Replay streams ``memoryview`` windows of the columns (default
+:data:`~repro.uarch.config.DEFAULT_TRACE_WINDOW_ENTRIES`, ~16k entries,
+through a :class:`~repro.uarch.trace.TraceWindowStream`); the disk cache
+stores them independently addressable under one fingerprint, and the
+core replays window by window with microarchitectural state carried
+across boundaries — statistics are bit-identical for every window size,
+and a fresh emulation streams its windows as they are produced.
 
 To force live emulation (bypassing the memo and the disk cache) pass
 ``live_emulation=True`` to :func:`~repro.uarch.core.simulate`, or set the
 ``REPRO_LIVE_EMULATION`` environment variable; the result is statistically
 identical, just slower.  Feeding :class:`OutOfOrderCore` a plain iterable
 of :class:`~repro.uarch.emulator.DynamicInstruction` also still works —
-it is lowered into a ``DecodedTrace`` on construction.
+it is lowered into columns and a table on construction.
 
 Main entry points:
 
@@ -46,8 +47,9 @@ Main entry points:
   (``ProcessorConfig.hpca2005()`` is table 1).
 * :class:`~repro.uarch.emulator.FunctionalEmulator` -- architectural
   execution of an IR program, producing the committed instruction stream.
-* :class:`~repro.uarch.trace.DecodedTrace` / ``get_decoded_trace`` -- the
-  pre-decoded replay arrays and their memo/cache front door.
+* :class:`~repro.uarch.trace.TraceWindow` / :class:`~repro.uarch.trace.StaticTable`
+  / ``get_trace_stream`` -- the trace columns, the per-program static
+  table, and their memo/cache front door.
 * :class:`~repro.uarch.core.OutOfOrderCore` -- the timing model; pair it
   with a resizing policy from :mod:`repro.techniques` and run.
 * :mod:`repro.uarch.engine` -- the pluggable replay kernels behind the
@@ -55,17 +57,17 @@ Main entry points:
   the default where it builds), bit-identical and pinned via
   ``engine=`` / ``REPRO_REPLAY_KERNEL``.
 * :func:`~repro.uarch.core.simulate` -- convenience wrapper that wires the
-  decoded trace, a replay engine, a policy and the statistics together.
+  trace stream, a replay engine, a policy and the statistics together.
 """
 
 from repro.uarch.config import DEFAULT_TRACE_WINDOW_ENTRIES, ProcessorConfig
 from repro.uarch.emulator import DynamicInstruction, EmulationLimitExceeded, FunctionalEmulator
 from repro.uarch.stats import SimulationStats, merge_stats
 from repro.uarch.trace import (
-    DecodedTrace,
+    StaticTable,
     TraceCache,
+    TraceWindow,
     TraceWindowStream,
-    get_decoded_trace,
     get_trace_columns,
     get_trace_span_stream,
     get_trace_stream,
@@ -88,10 +90,10 @@ __all__ = [
     "FunctionalEmulator",
     "SimulationStats",
     "merge_stats",
-    "DecodedTrace",
+    "StaticTable",
     "TraceCache",
+    "TraceWindow",
     "TraceWindowStream",
-    "get_decoded_trace",
     "get_trace_columns",
     "get_trace_span_stream",
     "get_trace_stream",

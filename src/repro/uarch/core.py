@@ -50,12 +50,12 @@ def simulate(
     ``policy``.
 
     The functional emulation is decoupled from the timing loop: the
-    committed stream is pre-decoded into flat arrays by
+    committed stream's compact columns come from
     :func:`repro.uarch.trace.get_trace_stream` (memoised per process and
     optionally cached on disk), and the selected replay engine replays
-    those arrays.  Budgets above the trace window stream window by
-    window, bounding peak decoded-trace memory by the window size;
-    statistics are bit-identical for every window size and every engine.
+    them window by window against the program's static table, bounding
+    resident trace memory by the window size; statistics are
+    bit-identical for every window size and every engine.
 
     Args:
         program: an IR :class:`~repro.isa.program.Program`.
@@ -71,9 +71,8 @@ def simulate(
         live_emulation: force a fresh functional emulation, bypassing the
             trace memo and the disk cache (default: the
             ``REPRO_LIVE_EMULATION`` environment variable).
-        trace_window: decoded-trace window size in instructions (None:
-            ``REPRO_TRACE_WINDOW`` or the library default; 0 forces a
-            monolithic decode).
+        trace_window: replay window size in trace entries (None: the
+            library default; 0 replays the whole trace as one window).
         engine: replay kernel name (None: ``REPRO_REPLAY_KERNEL``, else
             ``"native"`` where it builds, else ``"scalar"``).
 

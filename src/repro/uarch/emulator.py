@@ -49,6 +49,10 @@ _FMUL = Opcode.FMUL
 _FDIV = Opcode.FDIV
 
 
+#: Address of a program's first instruction.
+CODE_BASE = 0x1000
+
+
 class EmulationError(Exception):
     """Raised when a program cannot be executed (bad targets, empty blocks...)."""
 
@@ -64,16 +68,20 @@ class ProgramLayout:
     Instructions get consecutive 4-byte addresses, procedure by procedure
     and block by block, so the instruction cache sees realistic spatial
     locality and every static instruction has a unique PC for the branch
-    predictor and BTB.
+    predictor and BTB.  This is the one place addresses are assigned:
+    ``instruction_at`` maps each PC back to its static instruction (in PC
+    order), and the replay kernels' static table is built from it.
     """
 
     instruction_pc: dict[int, int] = field(default_factory=dict)  # uid -> pc
+    # pc -> static instruction, in pc order.
+    instruction_at: dict[int, Instruction] = field(default_factory=dict)
     block_pc: dict[tuple[str, str], int] = field(default_factory=dict)
     procedure_pc: dict[str, int] = field(default_factory=dict)
     code_size: int = 0
 
     @classmethod
-    def for_program(cls, program: Program, base_address: int = 0x1000) -> "ProgramLayout":
+    def for_program(cls, program: Program, base_address: int = CODE_BASE) -> "ProgramLayout":
         """Lay out ``program`` starting at ``base_address``."""
         layout = cls()
         pc = base_address
@@ -83,6 +91,7 @@ class ProgramLayout:
                 layout.block_pc[(procedure.name, block.label)] = pc
                 for instruction in block.instructions:
                     layout.instruction_pc[instruction.uid] = pc
+                    layout.instruction_at[pc] = instruction
                     pc += 4
         layout.code_size = pc - base_address
         return layout
@@ -218,11 +227,11 @@ class FunctionalEmulator:
             name: {block.label: i for i, block in enumerate(proc.blocks)}
             for name, proc in program.procedures.items()
         }
-        # Per-procedure list of per-block [(instruction, pc, spec), ...]
-        # triples, so the main loop never consults the uid -> pc map and
-        # dispatches on a pre-compiled small-int execution spec instead of
-        # opcode enums and ``Reg`` attribute chains; built lazily on first
-        # entry into each procedure.
+        # Per-procedure list of per-block [(pc, spec), ...] pairs, so the
+        # main loop never consults the uid -> pc map and dispatches on a
+        # pre-compiled small-int execution spec instead of opcode enums
+        # and ``Reg`` attribute chains; built lazily on first entry into
+        # each procedure.
         self._proc_cache: dict[str, list[list[tuple]]] = {}
 
     def _blocks_for(self, proc_name: str) -> list[list[tuple]]:
@@ -233,7 +242,6 @@ class FunctionalEmulator:
             cached = [
                 [
                     (
-                        instr,
                         instruction_pc[instr.uid],
                         _compile_instruction(instr, block_index),
                     )
@@ -286,12 +294,14 @@ class FunctionalEmulator:
         after ``max_instructions`` dynamic instructions.  The whole stream
         is produced by :meth:`run_collect` (bounded by
         ``max_instructions``) and then wrapped in
-        :class:`DynamicInstruction` objects.
+        :class:`DynamicInstruction` objects, each pc resolved to its
+        static instruction through the layout.
         """
-        statics, pcs, next_pcs, takens, mems = self.run_collect(max_instructions)
+        pcs, next_pcs, takens, mems = self.run_collect(max_instructions)
+        instruction_at = self.layout.instruction_at
         for seq in range(len(pcs)):
             yield DynamicInstruction(
-                static=statics[seq],
+                static=instruction_at[pcs[seq]],
                 seq=seq,
                 pc=pcs[seq],
                 next_pc=next_pcs[seq],
@@ -301,33 +311,32 @@ class FunctionalEmulator:
 
     def run_collect(
         self, max_instructions: int = 1_000_000
-    ) -> tuple[list, list[int], list[int], list[bool], list[Optional[int]]]:
-        """Execute and return ``(statics, pcs, next_pcs, takens, mems)``.
+    ) -> tuple[list[int], list[int], list[bool], list[Optional[int]]]:
+        """Execute and return ``(pcs, next_pcs, takens, mems)``.
 
         The column-oriented form feeds :mod:`repro.uarch.trace` directly,
         avoiding one :class:`DynamicInstruction` allocation per committed
-        instruction on the pre-decode path.
+        instruction; a pc names its static instruction through
+        ``layout.instruction_at``.
         """
-        statics: list = []
         pcs: list[int] = []
         next_pcs: list[int] = []
         takens: list[bool] = []
         mems: list[Optional[int]] = []
         for chunk in self.run_collect_windows(max_instructions, None):
             if not pcs:
-                statics, pcs, next_pcs, takens, mems = chunk
+                pcs, next_pcs, takens, mems = chunk
             else:  # pragma: no cover - window_size=None yields one chunk
-                statics.extend(chunk[0])
-                pcs.extend(chunk[1])
-                next_pcs.extend(chunk[2])
-                takens.extend(chunk[3])
-                mems.extend(chunk[4])
-        return statics, pcs, next_pcs, takens, mems
+                pcs.extend(chunk[0])
+                next_pcs.extend(chunk[1])
+                takens.extend(chunk[2])
+                mems.extend(chunk[3])
+        return pcs, next_pcs, takens, mems
 
     def run_collect_windows(
         self, max_instructions: int = 1_000_000, window_size: Optional[int] = None
-    ) -> Iterator[tuple[list, list[int], list[int], list[bool], list[Optional[int]]]]:
-        """Execute, yielding ``(statics, pcs, next_pcs, takens, mems)`` chunks.
+    ) -> Iterator[tuple[list[int], list[int], list[bool], list[Optional[int]]]]:
+        """Execute, yielding ``(pcs, next_pcs, takens, mems)`` chunks.
 
         Every yielded chunk except possibly the last holds exactly
         ``window_size`` committed instructions; ``window_size=None`` (or
@@ -349,12 +358,10 @@ class FunctionalEmulator:
 
         window_limit = window_size if window_size and window_size > 0 else None
 
-        statics: list = []
         pcs: list[int] = []
         next_pcs: list[int] = []
         takens: list[bool] = []
         mems: list[Optional[int]] = []
-        statics_append = statics.append
         pcs_append = pcs.append
         next_pcs_append = next_pcs.append
         takens_append = takens.append
@@ -362,7 +369,7 @@ class FunctionalEmulator:
 
         # The current position is (procedure name, block index, instruction
         # index) held in plain locals; ``blocks`` holds the procedure's
-        # pre-zipped [(instruction, pc), ...] lists and ``instrs`` the
+        # pre-zipped [(pc, spec), ...] lists and ``instrs`` the
         # current block's, refreshed whenever control flow moves.
         proc_name = program.entry
         blocks = self._blocks_for(proc_name)
@@ -382,7 +389,7 @@ class FunctionalEmulator:
                 instrs = blocks[block_idx]
                 continue
 
-            instr, pc, spec = instrs[instr_idx]
+            pc, spec = instrs[instr_idx]
             taken = False
             mem_address: Optional[int] = None
             halt = False
@@ -508,20 +515,17 @@ class FunctionalEmulator:
             else:
                 next_pc = self._position_pc(next_proc, next_block, next_instr)
 
-            statics_append(instr)
             pcs_append(pc)
             next_pcs_append(next_pc)
             takens_append(taken)
             mems_append(mem_address)
             seq += 1
             if window_limit is not None and len(pcs) >= window_limit:
-                yield (statics, pcs, next_pcs, takens, mems)
-                statics = []
+                yield (pcs, next_pcs, takens, mems)
                 pcs = []
                 next_pcs = []
                 takens = []
                 mems = []
-                statics_append = statics.append
                 pcs_append = pcs.append
                 next_pcs_append = next_pcs.append
                 takens_append = takens.append
@@ -542,7 +546,7 @@ class FunctionalEmulator:
                 instr_idx = next_instr
         self.instructions_executed = seq
         if pcs:
-            yield (statics, pcs, next_pcs, takens, mems)
+            yield (pcs, next_pcs, takens, mems)
 
     # ------------------------------------------------------------------
     def _position_pc(self, proc_name: str, block_index: int, instr_index: int) -> int:

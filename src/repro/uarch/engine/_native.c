@@ -4,7 +4,8 @@
  * The whole machine — fetch queue, rename, issue queue, ROB, caches,
  * branch predictor, event-driven sampling — lives in flat C arrays; the
  * only Python crossings on the hot path are the policy hook (absent for
- * the baseline/nonempty policies) and the per-window trace lowering.
+ * the baseline/nonempty policies) and the per-window callback that hands
+ * over the next window of trace columns, read in place.
  *
  * Bit-identity contract: statistics must be byte-identical to the scalar
  * kernel for every (trace, policy, config, warm-up, measure-span)
@@ -331,279 +332,86 @@ static inline void rf_release(RegFile *f, int32_t phys) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Trace windows, lowered from DecodedTrace.                           */
+/* The static table and the trace windows.                             */
 /* ------------------------------------------------------------------ */
 
-/* rename spec layout: 4 count bytes + 4x4 arch-register bytes.        */
-#define SPEC_STRIDE 20
+/* One static instruction's pre-decoded attributes: a row of the
+ * per-program table (StaticTable.packed in repro/uarch/trace.py), found
+ * for a trace entry at index (pc - table_base) >> 2. */
+typedef struct {
+    int64_t iq_tag;     /* IQTAG_NONE = untagged */
+    int64_t hint_value; /* valid at F_HINT rows */
+    uint8_t flags, latency, fu, pad;
+    uint8_t nspec[4];   /* int srcs, fp srcs, int dests, fp dests */
+    uint8_t regs[16];   /* four architectural indices per category */
+} StaticRow;
 
+_Static_assert(sizeof(StaticRow) == 40, "StaticRow must match trace._NATIVE_ROW");
+
+/* A window of trace columns, read in place through the buffer protocol
+ * (the views pin the Python buffers until the window is released). */
 typedef struct Window {
     struct Window *next;
     int64_t length;
-    int64_t *pc;
-    int64_t *next_pc;
-    int64_t *mem_addr;
-    uint8_t *taken;
-    uint8_t *flags;
-    uint8_t *latency;
-    uint8_t *fu_idx;
-    uint8_t *spec;       /* length * SPEC_STRIDE */
-    int64_t *iq_tag;     /* only when uses_hints; IQTAG_NONE = None */
-    int64_t *hint_value; /* only when uses_hints; valid at F_HINT entries */
+    const int64_t *pc;
+    const int64_t *next_pc;
+    const int64_t *mem;
+    const uint8_t *taken;
+    Py_buffer views[4];
+    int n_views;
 } Window;
+
+static const char *const COLUMN_NAMES[4] = {"pc", "next_pc", "mem", "taken"};
 
 static void free_window(Window *w) {
     if (!w) return;
-    free(w->pc);
-    free(w->next_pc);
-    free(w->mem_addr);
-    free(w->taken);
-    free(w->flags);
-    free(w->latency);
-    free(w->fu_idx);
-    free(w->spec);
-    free(w->iq_tag);
-    free(w->hint_value);
+    for (int i = 0; i < w->n_views; i++) PyBuffer_Release(&w->views[i]);
     free(w);
 }
 
-/* Copy a Python int list attribute into a fresh int64 array. */
-static int lower_int_list(PyObject *trace, const char *name, int64_t length,
-                          int64_t **out) {
-    PyObject *obj = PyObject_GetAttrString(trace, name);
-    if (!obj) return -1;
-    PyObject *fast = PySequence_Fast(obj, "trace array must be a sequence");
-    Py_DECREF(obj);
-    if (!fast) return -1;
-    if (PySequence_Fast_GET_SIZE(fast) != (Py_ssize_t)length) {
-        Py_DECREF(fast);
-        PyErr_Format(PyExc_ValueError, "trace array %s has wrong length", name);
-        return -1;
+/* Wrap a (pc, next_pc, mem, taken) tuple: three contiguous, aligned
+ * int64 ('q') columns and one byte ('B') column of one length. */
+static Window *lower_window(PyObject *columns) {
+    if (!PyTuple_Check(columns) || PyTuple_GET_SIZE(columns) != 4) {
+        PyErr_SetString(PyExc_TypeError,
+                        "trace window must be a (pc, next_pc, mem, taken) tuple");
+        return NULL;
     }
-    int64_t *arr = (int64_t *)malloc((size_t)(length > 0 ? length : 1) * sizeof(int64_t));
-    if (!arr) {
-        Py_DECREF(fast);
-        PyErr_NoMemory();
-        return -1;
-    }
-    PyObject **items = PySequence_Fast_ITEMS(fast);
-    for (int64_t i = 0; i < length; i++) {
-        int64_t v = PyLong_AsLongLong(items[i]);
-        if (v == -1 && PyErr_Occurred()) {
-            free(arr);
-            Py_DECREF(fast);
-            return -1;
-        }
-        arr[i] = v;
-    }
-    Py_DECREF(fast);
-    *out = arr;
-    return 0;
-}
-
-/* Copy a bytes-like attribute (bytearray) into a fresh uint8 array. */
-static int lower_bytes(PyObject *trace, const char *name, int64_t length,
-                       uint8_t **out) {
-    PyObject *obj = PyObject_GetAttrString(trace, name);
-    if (!obj) return -1;
-    Py_buffer view;
-    if (PyObject_GetBuffer(obj, &view, PyBUF_SIMPLE) < 0) {
-        Py_DECREF(obj);
-        return -1;
-    }
-    if (view.len != (Py_ssize_t)length) {
-        PyBuffer_Release(&view);
-        Py_DECREF(obj);
-        PyErr_Format(PyExc_ValueError, "trace array %s has wrong length", name);
-        return -1;
-    }
-    uint8_t *arr = (uint8_t *)malloc((size_t)(length > 0 ? length : 1));
-    if (!arr) {
-        PyBuffer_Release(&view);
-        Py_DECREF(obj);
-        PyErr_NoMemory();
-        return -1;
-    }
-    memcpy(arr, view.buf, (size_t)length);
-    PyBuffer_Release(&view);
-    Py_DECREF(obj);
-    *out = arr;
-    return 0;
-}
-
-/* Lower one spec category tuple into count byte + up to 4 reg bytes. */
-static int lower_spec_cat(PyObject *cat, uint8_t *count_slot, uint8_t *regs) {
-    PyObject *fast = PySequence_Fast(cat, "rename spec category must be a sequence");
-    if (!fast) return -1;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
-    if (n > 4) {
-        Py_DECREF(fast);
-        PyErr_SetString(PyExc_ValueError,
-                        "native kernel supports at most 4 operands per category");
-        return -1;
-    }
-    PyObject **items = PySequence_Fast_ITEMS(fast);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        long v = PyLong_AsLong(items[i]);
-        if (v == -1 && PyErr_Occurred()) {
-            Py_DECREF(fast);
-            return -1;
-        }
-        if (v < 0 || v > 255) {
-            Py_DECREF(fast);
-            PyErr_SetString(PyExc_ValueError, "architectural register out of range");
-            return -1;
-        }
-        regs[i] = (uint8_t)v;
-    }
-    *count_slot = (uint8_t)n;
-    Py_DECREF(fast);
-    return 0;
-}
-
-static Window *lower_window(PyObject *trace, int uses_hints, int f_hint_flag) {
     Window *w = (Window *)calloc(1, sizeof(Window));
     if (!w) {
         PyErr_NoMemory();
         return NULL;
     }
-    PyObject *len_obj = PyObject_GetAttrString(trace, "length");
-    if (!len_obj) goto fail;
-    w->length = PyLong_AsLongLong(len_obj);
-    Py_DECREF(len_obj);
-    if (w->length == -1 && PyErr_Occurred()) goto fail;
-    int64_t n = w->length;
-
-    if (lower_int_list(trace, "pc", n, &w->pc) < 0) goto fail;
-    if (lower_int_list(trace, "next_pc", n, &w->next_pc) < 0) goto fail;
-    if (lower_int_list(trace, "mem_addr", n, &w->mem_addr) < 0) goto fail;
-    if (lower_bytes(trace, "taken", n, &w->taken) < 0) goto fail;
-    if (lower_bytes(trace, "flags", n, &w->flags) < 0) goto fail;
-    if (lower_bytes(trace, "latency", n, &w->latency) < 0) goto fail;
-    if (lower_bytes(trace, "fu_idx", n, &w->fu_idx) < 0) goto fail;
-
-    w->spec = (uint8_t *)calloc((size_t)(n > 0 ? n : 1), SPEC_STRIDE);
-    if (!w->spec) {
-        PyErr_NoMemory();
-        goto fail;
+    for (int i = 0; i < 4; i++) {
+        Py_buffer *view = &w->views[i];
+        if (PyObject_GetBuffer(PyTuple_GET_ITEM(columns, i), view,
+                               PyBUF_ND | PyBUF_FORMAT) < 0)
+            goto fail;
+        w->n_views++;
+        Py_ssize_t itemsize = i < 3 ? 8 : 1;
+        const char *format = i < 3 ? "q" : "B";
+        if (view->ndim != 1 || view->itemsize != itemsize || !view->format ||
+            strcmp(view->format, format) != 0 ||
+            (view->len && (uintptr_t)view->buf % (uintptr_t)itemsize)) {
+            PyErr_Format(PyExc_TypeError,
+                         "trace column %s must be a contiguous, aligned '%s' buffer",
+                         COLUMN_NAMES[i], format);
+            goto fail;
+        }
+        int64_t n = (int64_t)(view->len / itemsize);
+        if (i == 0) {
+            w->length = n;
+        } else if (n != w->length) {
+            PyErr_Format(PyExc_ValueError,
+                         "trace column %s has %lld entries, pc has %lld",
+                         COLUMN_NAMES[i], (long long)n, (long long)w->length);
+            goto fail;
+        }
     }
-    {
-        PyObject *specs = PyObject_GetAttrString(trace, "rename_specs");
-        if (!specs) goto fail;
-        PyObject *fast = PySequence_Fast(specs, "rename_specs must be a sequence");
-        Py_DECREF(specs);
-        if (!fast) goto fail;
-        if (PySequence_Fast_GET_SIZE(fast) != (Py_ssize_t)n) {
-            Py_DECREF(fast);
-            PyErr_SetString(PyExc_ValueError, "rename_specs has wrong length");
-            goto fail;
-        }
-        PyObject **items = PySequence_Fast_ITEMS(fast);
-        for (int64_t i = 0; i < n; i++) {
-            PyObject *sfast = PySequence_Fast(items[i], "rename spec must be a sequence");
-            if (!sfast) {
-                Py_DECREF(fast);
-                goto fail;
-            }
-            if (PySequence_Fast_GET_SIZE(sfast) != 4) {
-                Py_DECREF(sfast);
-                Py_DECREF(fast);
-                PyErr_SetString(PyExc_ValueError, "rename spec must have 4 categories");
-                goto fail;
-            }
-            uint8_t *row = w->spec + i * SPEC_STRIDE;
-            int bad = 0;
-            for (int c = 0; c < 4; c++) {
-                if (lower_spec_cat(PySequence_Fast_GET_ITEM(sfast, c),
-                                   row + c, row + 4 + c * 4) < 0) {
-                    bad = 1;
-                    break;
-                }
-            }
-            Py_DECREF(sfast);
-            if (bad) {
-                Py_DECREF(fast);
-                goto fail;
-            }
-        }
-        Py_DECREF(fast);
-    }
-
-    if (uses_hints) {
-        w->iq_tag = (int64_t *)malloc((size_t)(n > 0 ? n : 1) * sizeof(int64_t));
-        w->hint_value = (int64_t *)calloc((size_t)(n > 0 ? n : 1), sizeof(int64_t));
-        if (!w->iq_tag || !w->hint_value) {
-            PyErr_NoMemory();
-            goto fail;
-        }
-        PyObject *tags = PyObject_GetAttrString(trace, "iq_tag");
-        if (!tags) goto fail;
-        PyObject *fast = PySequence_Fast(tags, "iq_tag must be a sequence");
-        Py_DECREF(tags);
-        if (!fast) goto fail;
-        if (PySequence_Fast_GET_SIZE(fast) != (Py_ssize_t)n) {
-            Py_DECREF(fast);
-            PyErr_SetString(PyExc_ValueError, "iq_tag has wrong length");
-            goto fail;
-        }
-        PyObject **items = PySequence_Fast_ITEMS(fast);
-        for (int64_t i = 0; i < n; i++) {
-            if (items[i] == Py_None) {
-                w->iq_tag[i] = IQTAG_NONE;
-            } else {
-                int64_t v = PyLong_AsLongLong(items[i]);
-                if (v == -1 && PyErr_Occurred()) {
-                    Py_DECREF(fast);
-                    goto fail;
-                }
-                w->iq_tag[i] = v;
-            }
-        }
-        Py_DECREF(fast);
-
-        /* Hint payloads: statics[static_idx[rel]].hint_value at F_HINT. */
-        PyObject *statics = NULL, *sidx_fast = NULL;
-        statics = PyObject_GetAttrString(trace, "statics");
-        if (!statics) goto fail;
-        PyObject *sidx = PyObject_GetAttrString(trace, "static_idx");
-        if (!sidx) {
-            Py_DECREF(statics);
-            goto fail;
-        }
-        sidx_fast = PySequence_Fast(sidx, "static_idx must be a sequence");
-        Py_DECREF(sidx);
-        if (!sidx_fast) {
-            Py_DECREF(statics);
-            goto fail;
-        }
-        PyObject **sidx_items = PySequence_Fast_ITEMS(sidx_fast);
-        for (int64_t i = 0; i < n; i++) {
-            if (!(w->flags[i] & f_hint_flag)) continue;
-            Py_ssize_t si = PyLong_AsSsize_t(sidx_items[i]);
-            if (si == -1 && PyErr_Occurred()) goto hint_fail;
-            PyObject *instr = PySequence_GetItem(statics, si);
-            if (!instr) goto hint_fail;
-            PyObject *hv = PyObject_GetAttrString(instr, "hint_value");
-            Py_DECREF(instr);
-            if (!hv) goto hint_fail;
-            if (hv == Py_None) {
-                Py_DECREF(hv);
-                PyErr_SetString(PyExc_ValueError, "hint instruction without hint_value");
-                goto hint_fail;
-            }
-            int64_t v = PyLong_AsLongLong(hv);
-            Py_DECREF(hv);
-            if (v == -1 && PyErr_Occurred()) goto hint_fail;
-            w->hint_value[i] = v;
-            continue;
-        hint_fail:
-            Py_DECREF(sidx_fast);
-            Py_DECREF(statics);
-            goto fail;
-        }
-        Py_DECREF(sidx_fast);
-        Py_DECREF(statics);
-    }
+    w->pc = (const int64_t *)w->views[0].buf;
+    w->next_pc = (const int64_t *)w->views[1].buf;
+    w->mem = (const int64_t *)w->views[2].buf;
+    w->taken = (const uint8_t *)w->views[3].buf;
     return w;
 
 fail:
@@ -643,9 +451,16 @@ typedef struct {
     int64_t l1d_hit_lat, l1d_l2, l1d_mem;
     int64_t cmp_full_per_broadcast;
     int F_HINT, F_NOP, F_BRANCH, F_CALL, F_RET, F_LOAD, F_STORE, F_CONTROL;
-    int uses_hints, iq_bank_gating, rf_bank_gating, has_cycle_end;
+    int uses_hints, iq_bank_gating, rf_bank_gating;
     int has_measure, has_max_cycles;
     int64_t warmup_instructions, measure_limit, max_cycles;
+    /* The policy's next wake cycle in the reported clock: on_cycle_end
+     * runs at the end of a cycle once abs_cycle - base reaches it. */
+    int64_t wake;
+
+    /* The static table (an owned, validated copy). */
+    StaticRow *rows;
+    int64_t n_rows, table_base;
 
     /* Components. */
     Cache l1i, l1d, l2;
@@ -689,8 +504,9 @@ typedef struct {
     Bucket *ring;
     int64_t ring_size, ring_mask;
 
-    /* Fetch queue ring. */
+    /* Fetch queue ring: trace index, decode-ready cycle, static row. */
     int64_t *fq_idx, *fq_ready;
+    int32_t *fq_row;
     int64_t fq_head, fq_n;
 
     /* Front end / trace. */
@@ -724,11 +540,13 @@ typedef struct {
 /* Small machine helpers.                                              */
 /* ------------------------------------------------------------------ */
 
-static inline void fq_push(Machine *m, int64_t index, int64_t decode_ready) {
+static inline void fq_push(Machine *m, int64_t index, int64_t decode_ready,
+                           int32_t row) {
     int64_t pos = m->fq_head + m->fq_n;
     if (pos >= m->fq_cap) pos -= m->fq_cap;
     m->fq_idx[pos] = index;
     m->fq_ready[pos] = decode_ready;
+    m->fq_row[pos] = row;
     m->fq_n++;
 }
 
@@ -811,20 +629,36 @@ static void iq_advance(Machine *m) {
     m->iq_new_head = nh;
 }
 
+/* The table row of `pc`, or -1 with ValueError set: a pc that is
+ * misaligned or outside the table is never read out of bounds.  The
+ * offset is unsigned, so a pc below the base wraps past every row. */
+static inline int64_t static_row(const Machine *m, int64_t pc) {
+    uint64_t offset = (uint64_t)pc - (uint64_t)m->table_base;
+    if (!(offset & 3) && (offset >> 2) < (uint64_t)m->n_rows)
+        return (int64_t)(offset >> 2);
+    PyErr_Format(PyExc_ValueError,
+                 "trace pc %#llx names no static instruction (table base %#llx, "
+                 "%lld rows)",
+                 (unsigned long long)pc, (unsigned long long)m->table_base,
+                 (long long)m->n_rows);
+    return -1;
+}
+
 /* Policy hook crossing.  kind: 0 = on_hint, 1 = on_cycle_end,
  * 2 = on_measurement_start.  The Python side syncs the view objects,
- * dispatches to the policy, and returns the four policy-owned values
- * (new_head, max_new_range, global_limit, rob_limit; -1 encodes None). */
+ * dispatches to the policy, and returns the five policy-owned values
+ * (new_head, max_new_range, global_limit, rob_limit, with -1 encoding
+ * None, and the next wake cycle). */
 static int call_hook(Machine *m, int kind, int64_t arg) {
     PyObject *res = PyObject_CallFunction(
         m->hook, "iLLLLL", kind, (long long)arg,
         (long long)(m->abs_cycle - m->base), (long long)m->committed_total,
         (long long)m->iq_tail, (long long)m->iq_new_head);
     if (!res) return -1;
-    long long vals[4];
-    int ok = PyTuple_Check(res) && PyTuple_GET_SIZE(res) == 4;
+    long long vals[5];
+    int ok = PyTuple_Check(res) && PyTuple_GET_SIZE(res) == 5;
     if (ok) {
-        for (int i = 0; i < 4; i++) {
+        for (int i = 0; i < 5; i++) {
             vals[i] = PyLong_AsLongLong(PyTuple_GET_ITEM(res, i));
             if (vals[i] == -1 && PyErr_Occurred()) {
                 ok = 0;
@@ -836,13 +670,14 @@ static int call_hook(Machine *m, int kind, int64_t arg) {
     if (!ok) {
         if (!PyErr_Occurred())
             PyErr_SetString(PyExc_TypeError,
-                            "native hook must return a 4-tuple of ints");
+                            "native hook must return a 5-tuple of ints");
         return -1;
     }
     m->iq_new_head = vals[0];
     m->iq_max_new_range = vals[1];
     m->iq_global_limit = vals[2];
     m->rob_limit = vals[3];
+    m->wake = vals[4];
     return 0;
 }
 
@@ -1110,6 +945,7 @@ static int dispatch_stage(Machine *m) {
     while (dispatched < width && m->fq_n) {
         int64_t index = m->fq_idx[m->fq_head];
         if (m->fq_ready[m->fq_head] > cycle) break;
+        const StaticRow *row = &m->rows[m->fq_row[m->fq_head]];
         while (index >= d_limit) {
             /* Dispatch drained its window: step to the next one fetch
              * already pulled in, releasing the old window. */
@@ -1128,15 +964,14 @@ static int dispatch_stage(Machine *m) {
             m->d_base = d_base;
             m->d_limit = d_limit;
         }
-        int64_t rel = index - d_base;
-        int flags = w->flags[rel];
+        int flags = row->flags;
 
         /* The paper's special NOOP: consumes a dispatch slot but never
          * reaches the issue queue. */
         if (flags & hint_nop) {
             if (flags & m->F_HINT) {
                 if (uses_hints) {
-                    if (call_hook(m, 0, w->hint_value[rel])) return -1;
+                    if (call_hook(m, 0, row->hint_value)) return -1;
                 }
                 if (warm) m->st.hint_noops_stripped++;
             }
@@ -1147,7 +982,7 @@ static int dispatch_stage(Machine *m) {
 
         /* Tag-carried hints (Extension/Improved) cost no dispatch slot. */
         if (uses_hints) {
-            int64_t tag_value = w->iq_tag[rel];
+            int64_t tag_value = row->iq_tag;
             if (tag_value != IQTAG_NONE) {
                 if (call_hook(m, 0, tag_value)) return -1;
                 if (warm) m->st.tagged_instructions_seen++;
@@ -1155,8 +990,9 @@ static int dispatch_stage(Machine *m) {
         }
 
         if (m->rob_count >= rob_effective) break;
-        const uint8_t *spec = w->spec + rel * SPEC_STRIDE;
-        int n_is = spec[0], n_fs = spec[1], n_id = spec[2], n_fd = spec[3];
+        const uint8_t *spec = row->regs;
+        int n_is = row->nspec[0], n_fs = row->nspec[1];
+        int n_id = row->nspec[2], n_fd = row->nspec[3];
         if (m->rf_int.free_count < n_id ||
             (n_fd && m->rf_fp.free_count < n_fd))
             break;
@@ -1181,14 +1017,14 @@ static int dispatch_stage(Machine *m) {
         int32_t src_tags[8];
         int n_src = 0;
         for (int i = 0; i < n_is; i++)
-            src_tags[n_src++] = m->rf_int.rename_map[spec[4 + i]];
+            src_tags[n_src++] = m->rf_int.rename_map[spec[i]];
         for (int i = 0; i < n_fs; i++)
-            src_tags[n_src++] = m->rf_fp.rename_map[spec[8 + i]] + fp_offset;
+            src_tags[n_src++] = m->rf_fp.rename_map[spec[4 + i]] + fp_offset;
         int32_t dest_tags[8], freed[8];
         int n_dest = 0;
         for (int i = 0; i < n_id; i++) {
             int32_t np, prev;
-            rf_alloc(&m->rf_int, spec[12 + i], &np, &prev);
+            rf_alloc(&m->rf_int, spec[8 + i], &np, &prev);
             dest_tags[n_dest] = np;
             freed[n_dest] = prev;
             n_dest++;
@@ -1196,7 +1032,7 @@ static int dispatch_stage(Machine *m) {
         }
         for (int i = 0; i < n_fd; i++) {
             int32_t np, prev;
-            rf_alloc(&m->rf_fp, spec[16 + i], &np, &prev);
+            rf_alloc(&m->rf_fp, spec[12 + i], &np, &prev);
             dest_tags[n_dest] = np + fp_offset;
             freed[n_dest] = prev + fp_offset;
             m->tag_ready[np + fp_offset] = 0;
@@ -1214,8 +1050,8 @@ static int dispatch_stage(Machine *m) {
         memcpy(m->rob_freed + (int64_t)ri * 8, freed, (size_t)n_dest * 4);
         memcpy(m->rob_src + (int64_t)ri * 8, src_tags, (size_t)n_src * 4);
         m->rob_flags[ri] = (uint8_t)flags;
-        m->rob_latency[ri] = w->latency[rel];
-        m->rob_mem[ri] = w->mem_addr[rel];
+        m->rob_latency[ri] = row->latency;
+        m->rob_mem[ri] = w->mem[index - d_base];
         m->rob_tail = m->rob_tail + 1 == m->rob_cap ? 0 : m->rob_tail + 1;
         m->rob_count++;
 
@@ -1238,7 +1074,7 @@ static int dispatch_stage(Machine *m) {
         m->iq_valid[slot] = 1;
         m->iq_rob[slot] = ri;
         m->iq_nwait[slot] = (uint8_t)nw;
-        m->iq_fu[slot] = w->fu_idx[rel];
+        m->iq_fu[slot] = row->fu;
         m->iq_ready_cycle[slot] = ready_cycle;
         int64_t age = m->iq_next_age++;
         m->iq_age_arr[slot] = age;
@@ -1283,7 +1119,7 @@ static int advance_fetch_window(Machine *m) {
             Py_DECREF(win);
             return 0;
         }
-        Window *w = lower_window(win, m->uses_hints, m->F_HINT);
+        Window *w = lower_window(win);
         Py_DECREF(win);
         if (!w) return -1;
         if (w->length == 0) {
@@ -1346,7 +1182,9 @@ static int fetch_stage(Machine *m) {
         }
         int64_t rel = index - m->f_base;
         int64_t pc = w->pc[rel];
-        int flags = w->flags[rel];
+        int64_t row = static_row(m, pc);
+        if (row < 0) return -1;
+        int flags = m->rows[row].flags;
         if (flags & m->F_HINT) hints_fetched++;
 
         /* Instruction-cache access per new line. */
@@ -1367,7 +1205,7 @@ static int fetch_stage(Machine *m) {
             }
             if (!l1_hit) {
                 m->fetch_resume = cycle + latency;
-                fq_push(m, index, decode_ready);
+                fq_push(m, index, decode_ready, (int32_t)row);
                 fetched++;
                 /* The missed line still delivers this instruction: run
                  * branch prediction (it can block fetch past the miss). */
@@ -1378,7 +1216,7 @@ static int fetch_stage(Machine *m) {
             }
         }
 
-        fq_push(m, index, decode_ready);
+        fq_push(m, index, decode_ready, (int32_t)row);
         fetched++;
         if ((flags & m->F_CONTROL) && handle_control(m, w, rel, flags, index)) {
             index++;
@@ -1414,7 +1252,7 @@ static int step(Machine *m) {
     if (dispatch_stage(m)) return -1;
     if (fetch_stage(m)) return -1;
     if (m->warm && m->sample_dirty) flush_sample(m);
-    if (m->has_cycle_end) {
+    if (m->abs_cycle - m->base >= m->wake) {
         if (call_hook(m, 1, 0)) return -1;
     }
     m->abs_cycle++;
@@ -1478,6 +1316,8 @@ static void free_machine(Machine *m) {
     }
     free(m->fq_idx);
     free(m->fq_ready);
+    free(m->fq_row);
+    free(m->rows);
     {
         Window *w = m->d_win;
         while (w) {
@@ -1593,7 +1433,7 @@ static Machine *build_machine(PyObject *params) {
     GET("uses_hints", m->uses_hints);
     GET("iq_bank_gating", m->iq_bank_gating);
     GET("rf_bank_gating", m->rf_bank_gating);
-    GET("has_cycle_end", m->has_cycle_end);
+    GET("wake", m->wake);
     GET("warmup_instructions", m->warmup_instructions);
     GET("max_cycles", m->max_cycles);
     m->has_max_cycles = m->max_cycles >= 0;
@@ -1689,7 +1529,53 @@ static Machine *build_machine(PyObject *params) {
     /* Fetch queue. */
     m->fq_idx = (int64_t *)malloc((size_t)m->fq_cap * sizeof(int64_t));
     m->fq_ready = (int64_t *)malloc((size_t)m->fq_cap * sizeof(int64_t));
-    if (!m->fq_idx || !m->fq_ready) goto fail_mem;
+    m->fq_row = (int32_t *)malloc((size_t)m->fq_cap * sizeof(int32_t));
+    if (!m->fq_idx || !m->fq_ready || !m->fq_row) goto fail_mem;
+
+    /* The static table: copied once per run, and every row validated so
+     * dispatch can index the rename maps and FU arrays unchecked. */
+    GET("table_base", m->table_base);
+    {
+        PyObject *table = PyDict_GetItemString(params, "table");
+        if (!table) {
+            PyErr_SetString(PyExc_KeyError, "native params missing table");
+            goto fail;
+        }
+        Py_buffer view;
+        if (PyObject_GetBuffer(table, &view, PyBUF_SIMPLE) < 0) goto fail;
+        if (view.len % (Py_ssize_t)sizeof(StaticRow) ||
+            view.len / (Py_ssize_t)sizeof(StaticRow) > INT32_MAX) {
+            PyBuffer_Release(&view);
+            PyErr_SetString(PyExc_ValueError,
+                            "static table must be whole 40-byte rows");
+            goto fail;
+        }
+        m->n_rows = view.len / (Py_ssize_t)sizeof(StaticRow);
+        m->rows = (StaticRow *)malloc((size_t)(m->n_rows ? m->n_rows : 1) *
+                                      sizeof(StaticRow));
+        if (!m->rows) {
+            PyBuffer_Release(&view);
+            goto fail_mem;
+        }
+        if (view.len) memcpy(m->rows, view.buf, (size_t)view.len);
+        PyBuffer_Release(&view);
+    }
+    for (int64_t r = 0; r < m->n_rows; r++) {
+        const StaticRow *row = &m->rows[r];
+        int bad = row->fu >= m->n_fu;
+        for (int c = 0; c < 4 && !bad; c++) {
+            int32_t narch = (c & 1) ? m->rf_fp.narch : m->rf_int.narch;
+            if (row->nspec[c] > 4) bad = 1;
+            for (int i = 0; i < row->nspec[c] && !bad; i++)
+                if (row->regs[c * 4 + i] >= narch) bad = 1;
+        }
+        if (bad) {
+            PyErr_Format(PyExc_ValueError,
+                         "static table row %lld is out of range for this machine",
+                         (long long)r);
+            goto fail;
+        }
+    }
 
     /* Front-end state. */
     m->blocked_seq = -1;
@@ -1708,7 +1594,7 @@ static Machine *build_machine(PyObject *params) {
         }
         m->next_window = Py_NewRef(nw);
         m->hook = Py_NewRef(hook);
-        Window *w = lower_window(first, m->uses_hints, m->F_HINT);
+        Window *w = lower_window(first);
         if (!w) goto fail;
         m->d_win = m->f_win = w;
         m->d_limit = m->f_limit = w->length;
@@ -1771,7 +1657,7 @@ static PyObject *native_run(PyObject *self, PyObject *args) {
 
 static PyMethodDef native_methods[] = {
     {"run", native_run, METH_VARARGS,
-     "Replay a pre-decoded trace stream; returns the statistics dict."},
+     "Replay a trace window stream; returns the statistics dict."},
     {NULL, NULL, 0, NULL},
 };
 

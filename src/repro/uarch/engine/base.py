@@ -1,7 +1,7 @@
 """The replay-engine contract and registry.
 
 A **replay engine** is one implementation of the per-cycle timing loop:
-it consumes a pre-decoded trace window stream
+it consumes a trace window stream
 (:class:`~repro.uarch.trace.TraceWindowStream`) under a resizing policy
 and produces :class:`~repro.uarch.stats.SimulationStats`.  The contract
 deliberately separates *what* a cycle does (the machine semantics, fixed
@@ -74,9 +74,9 @@ class ReplayEngine(abc.ABC):
         max_cycles: Optional[int] = None,
         measure_instructions: Optional[int] = None,
     ):
-        """Construct this kernel's core over ``trace`` (a window stream,
-        a :class:`~repro.uarch.trace.DecodedTrace`, or a dynamic-
-        instruction iterable — whatever the scalar core accepts)."""
+        """Construct this kernel's core over ``trace`` (a window stream
+        or a dynamic-instruction iterable — whatever the scalar core
+        accepts)."""
 
     def run(
         self,

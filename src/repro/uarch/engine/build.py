@@ -12,9 +12,10 @@ source file and a module name it answers two questions —
 * :meth:`ExtensionCompiler.load` — compile (once) and import the module.
 
 The compile is **lazy and cached**: artefacts land in a directory keyed
-by a digest of the C source, the interpreter version and the compiler,
-so editing the kernel source or switching interpreters rebuilds while
-repeated test sessions reuse the shared object.  Publication is atomic
+by a digest of the C source, the compiler flags, the interpreter version
+and the compiler, so editing the kernel source, building it another way
+(an instrumented sanitizer build, say) or switching interpreters
+rebuilds while repeated test sessions reuse the shared object.  Publication is atomic
 (build to a pid-suffixed temp name, then ``os.replace``) so concurrent
 pytest workers racing the first build never import a torn ``.so``.
 This deliberately does *not* route through :mod:`repro.atomicio` — that
@@ -38,7 +39,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
-from typing import Optional
+from typing import Optional, Sequence
 
 #: Environment override for the build/cache directory (e.g. CI keeping
 #: artefacts on a tmpfs, or tests forcing a cold build).
@@ -67,6 +68,9 @@ class ExtensionCompiler:
             ``gcc`` — whichever is first found on ``PATH``.
         build_dir: artefact cache root; default ``$REPRO_NATIVE_BUILD_DIR``,
             else ``~/.cache/repro-native``.
+        flags: compiler flags ahead of the fixed ``-fPIC -shared`` pair
+            (optimisation level, instrumentation; default ``-O2``); part
+            of the artefact digest.
     """
 
     def __init__(
@@ -75,9 +79,11 @@ class ExtensionCompiler:
         module_name: str,
         cc: Optional[str] = None,
         build_dir: Optional[str] = None,
+        flags: Sequence[str] = ("-O2",),
     ):
         self.source_path = source_path
         self.module_name = module_name
+        self.flags = tuple(flags)
         self._cc_arg = cc
         self._build_dir_arg = build_dir
         self._module = None
@@ -130,6 +136,7 @@ class ExtensionCompiler:
         digest = hashlib.sha256()
         with open(self.source_path, "rb") as handle:
             digest.update(handle.read())
+        digest.update("\0".join(self.flags).encode())
         digest.update(sys.version.encode())
         digest.update((self.compiler() or "").encode())
         return os.path.join(root, f"{self.module_name}-{digest.hexdigest()[:16]}")
@@ -159,7 +166,7 @@ class ExtensionCompiler:
         temp = f"{artifact}.tmp-{os.getpid()}"
         command = [
             self.compiler(),
-            "-O2",
+            *self.flags,
             "-fPIC",
             "-shared",
             f"-I{self.include_dir()}",

@@ -8,18 +8,26 @@ process.  The C loop owns every per-cycle structure (issue queue, ROB,
 rename, caches, predictor) in flat arrays; Python keeps only the pieces
 that are inherently Python-facing:
 
-* **Trace windows** stream in through a callback: the kernel lowers each
-  :class:`~repro.uarch.trace.DecodedTrace` window into C arrays as fetch
-  crosses a window boundary, so the windowed replay's decode-memory
-  bound (and ``max_resident_windows`` semantics) are preserved exactly.
+* **The trace is read in place.**  The kernel copies the program's
+  :class:`~repro.uarch.trace.StaticTable` once per run (its packed
+  40-byte rows) and pulls each :class:`~repro.uarch.trace.TraceWindow`
+  through a callback as fetch crosses a window boundary, reading the
+  window's ``memoryview`` columns through the buffer protocol without
+  copying them.  Fetch looks up each entry's static row with a bounds
+  check: a pc that is misaligned or outside the table raises
+  ``ValueError`` and is never read out of bounds.  The windowed
+  replay's memory bound (and ``max_resident_windows`` semantics) are
+  those of the scalar kernel exactly.
 * **Policies stay Python.**  The kernel calls back on exactly the events
-  the scalar core exposes — ``on_hint`` at dispatch, ``on_cycle_end``
-  (only for policies that override it), ``on_measurement_start`` at the
-  warm-up flip — against a :class:`NativeCore` facade carrying real
+  the scalar core exposes — ``on_hint`` at dispatch, ``on_cycle_end`` at
+  the cycles the policy's ``next_wake_cycle`` names,
+  ``on_measurement_start`` at the warm-up flip — against a
+  :class:`NativeCore` facade carrying real
   :class:`~repro.uarch.issue_queue.BankedIssueQueue` /
   :class:`~repro.uarch.rob.ReorderBuffer` views, so policy code (and its
-  clamping semantics) runs unmodified; the resulting limits flow back
-  into the C loop through the callback's return value.
+  clamping semantics) runs unmodified; the resulting limits and the next
+  wake cycle flow back into the C loop through the callback's return
+  value.
 
 Bit-identity is the contract, not a goal: the equivalence suite
 (``tests/test_engines.py``) asserts byte-identical statistics against
@@ -55,8 +63,9 @@ from repro.uarch.trace import (
     F_NOP,
     F_RET,
     F_STORE,
-    DecodedTrace,
+    TraceWindow,
     TraceWindowStream,
+    empty_columns,
 )
 
 
@@ -70,6 +79,10 @@ class NativeUnavailableError(RuntimeError):
 _COMPILER = ExtensionCompiler(
     os.path.join(os.path.dirname(__file__), "_native.c"), "_native_replay"
 )
+
+#: The wake cycle passed to the C loop for a policy that never wants
+#: ``on_cycle_end``: the reported clock never reaches it.
+_NO_WAKE = (1 << 63) - 1
 
 _MODULE = None
 
@@ -150,15 +163,9 @@ class NativeCore:
         self.max_cycles = max_cycles
         self.measure_instructions = measure_instructions
 
-        if isinstance(trace, TraceWindowStream):
-            stream = trace
-        elif isinstance(trace, DecodedTrace):
-            stream = TraceWindowStream.single(trace)
-        else:
-            stream = TraceWindowStream.single(
-                DecodedTrace.from_dynamic_stream(trace)
-            )
-        self._stream = stream
+        if not isinstance(trace, TraceWindowStream):
+            trace = TraceWindowStream.from_dynamic_stream(trace)
+        self._stream = trace
 
         cfg = self.config
         # Policy-facing views (see class docstring).
@@ -178,21 +185,21 @@ class NativeCore:
             and warmup_instructions == 0
         )
 
-        from repro.techniques.base import ResizingPolicy
-
-        self._has_cycle_end = (
-            type(policy).on_cycle_end is not ResizingPolicy.on_cycle_end
-        )
-
         self.policy.on_simulation_start(self)
+        self._wake = self._next_wake()
         self._finished = False
+
+    def _next_wake(self) -> int:
+        wake = self.policy.next_wake_cycle()
+        return _NO_WAKE if wake is None else wake
 
     # ------------------------------------------------------------------
     def _hook(self, kind, arg, cycle, committed, iq_tail, iq_new_head):
         """Policy dispatch from the C loop (see ``call_hook`` in _native.c).
 
         Synchronises the facade, runs the policy event, and returns the
-        four limits the C loop needs back, ``None`` encoded as -1.
+        four limits the C loop needs back, ``None`` encoded as -1, and
+        the policy's next wake cycle.
         """
         self.cycle = cycle
         self._committed_total = committed
@@ -201,10 +208,12 @@ class NativeCore:
         iq.new_head = iq_new_head
         if kind == 0:
             self.policy.on_hint(self, arg)
-        elif kind == 1:
-            self.policy.on_cycle_end(self)
         else:
-            self.policy.on_measurement_start(self, arg)
+            if kind == 1:
+                self.policy.on_cycle_end(self)
+            else:
+                self.policy.on_measurement_start(self, arg)
+            self._wake = self._next_wake()
         max_new_range = iq.max_new_range
         global_limit = iq.global_limit
         rob_limit = self.rob.limit
@@ -213,9 +222,10 @@ class NativeCore:
             -1 if max_new_range is None else max_new_range,
             -1 if global_limit is None else global_limit,
             -1 if rob_limit is None else rob_limit,
+            self._wake,
         )
 
-    def _params(self, first_window: DecodedTrace) -> dict:
+    def _params(self, first_window: TraceWindow) -> dict:
         cfg = self.config
         branch = cfg.branch
         iq = self.iq
@@ -265,7 +275,7 @@ class NativeCore:
             "uses_hints": int(self.policy.uses_hints),
             "iq_bank_gating": int(self.policy.iq_bank_gating),
             "rf_bank_gating": int(self.policy.rf_bank_gating),
-            "has_cycle_end": int(self._has_cycle_end),
+            "wake": self._wake,
             "warmup_instructions": self.warmup_instructions,
             "max_cycles": -1 if self.max_cycles is None else self.max_cycles,
             "has_measure": int(self.measure_instructions is not None),
@@ -278,13 +288,12 @@ class NativeCore:
             "rob_limit": -1 if self.rob.limit is None else self.rob.limit,
             "new_head": iq.new_head,
             "fu_limits": [cfg.fu_counts.get(fu, 0) for fu in FU_ORDER],
+            "table": self._stream.table.packed(),
+            "table_base": self._stream.table.base,
             "first_window": first_window,
-            "next_window": self._next_window,
+            "next_window": self._stream.next_window,
             "hook": self._hook,
         }
-
-    def _next_window(self) -> Optional[DecodedTrace]:
-        return self._stream.next_window()
 
     def run(self) -> SimulationStats:
         """Replay the stream in the compiled loop; return the statistics."""
@@ -292,7 +301,7 @@ class NativeCore:
             return self.stats
         first = self._stream.next_window()
         if first is None:
-            first = DecodedTrace()
+            first = empty_columns()
         result = self._module.run(self._params(first))
         stats = self.stats
         for name, value in result.items():

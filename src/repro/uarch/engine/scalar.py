@@ -13,24 +13,26 @@ remains the import-compatible front door).  It is the model the
 compiled native kernel (:mod:`repro.uarch.engine.native`) is held to,
 bit for bit, and the kernel hosts without a C toolchain run.
 
-The core is a **replay engine**: it consumes the committed stream lowered
-into flat, pre-decoded arrays and walks it by index.  Functional
-emulation happens exactly once per (program, budget) in
-:mod:`repro.uarch.trace` (memoised in-process and optionally cached on
-disk), so the per-cycle hot path performs no interpreter dispatch, no
-``DynamicInstruction`` attribute chains and no per-instruction object
-allocation.  The feed is a
-:class:`~repro.uarch.trace.TraceWindowStream` — consecutive
-:class:`~repro.uarch.trace.DecodedTrace` windows consumed forward-only.
-Only the fetch and dispatch stages index trace arrays (issue and later
-stages read timing attributes copied onto the ROB entry at dispatch), so
-the core holds exactly the windows spanning its fetch queue: fetch pulls
-the next window in as it crosses a boundary, dispatch releases a window
-once every entry in it has been consumed, and
-``max_resident_windows`` records the high-water count.  Statistics are
-bit-identical for every window size, including a monolithic single
-window.  Passing a ``DecodedTrace`` (single window) or a plain iterable
-of ``DynamicInstruction`` (lowered on construction) still works.
+The core is a **replay engine**: it walks the committed stream's compact
+columns by index.  Functional emulation happens exactly once per
+(program, budget) in :mod:`repro.uarch.trace` (memoised in-process and
+optionally cached on disk), so the per-cycle hot path performs no
+interpreter dispatch, no ``DynamicInstruction`` attribute chains and no
+per-instruction object allocation.  The feed is a
+:class:`~repro.uarch.trace.TraceWindowStream`: the program's
+:class:`~repro.uarch.trace.StaticTable` plus consecutive
+:class:`~repro.uarch.trace.TraceWindow` column windows consumed
+forward-only.  Fetch resolves each entry's static row from its pc, with
+a bounds check, and carries the row through the fetch queue; dispatch
+reads the row's attributes (issue and later stages read timing
+attributes copied onto the ROB entry at dispatch).  Only fetch and
+dispatch index windows, so the core holds exactly the windows spanning
+its fetch queue: fetch pulls the next window in as it crosses a
+boundary, dispatch releases a window once every entry in it has been
+consumed, and ``max_resident_windows`` records the high-water count.
+Statistics are bit-identical for every window size, including a single
+window.  Passing a plain iterable of ``DynamicInstruction`` (lowered on
+construction) still works.
 
 Deviation from an execute-driven simulator (documented in DESIGN.md): the
 wrong path after a branch misprediction is not fetched; instead the front
@@ -63,7 +65,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Optional, Union
 
-from repro.techniques.base import ResizingPolicy
 from repro.uarch.engine.base import ReplayEngine, register_engine
 from repro.uarch.branch import HybridBranchPredictor
 from repro.uarch.cache import MemoryHierarchy
@@ -75,7 +76,6 @@ from repro.uarch.regfile import RenameUnit
 from repro.uarch.rob import COMPLETED, DISPATCHED, ISSUED, ReorderBuffer, RobEntry
 from repro.uarch.stats import SimulationStats
 from repro.uarch.trace import (
-    DecodedTrace,
     F_BRANCH,
     F_CALL,
     F_CONTROL,
@@ -84,21 +84,18 @@ from repro.uarch.trace import (
     F_NOP,
     F_RET,
     F_STORE,
-    TraceCache,
+    TraceWindow,
     TraceWindowStream,
-    get_trace_span_stream,
-    get_trace_stream,
+    empty_columns,
 )
 
 
 class OutOfOrderCore:
-    """Cycle-level timing model replaying a pre-decoded dynamic stream."""
+    """Cycle-level timing model replaying a trace window stream."""
 
     def __init__(
         self,
-        trace: Union[
-            TraceWindowStream, DecodedTrace, Iterable[DynamicInstruction]
-        ],
+        trace: Union[TraceWindowStream, Iterable[DynamicInstruction]],
         config: Optional[ProcessorConfig] = None,
         policy=None,
         warmup_instructions: int = 0,
@@ -131,25 +128,20 @@ class OutOfOrderCore:
             and warmup_instructions == 0
         )
 
-        if isinstance(trace, TraceWindowStream):
-            stream = trace
-        elif isinstance(trace, DecodedTrace):
-            stream = TraceWindowStream.single(trace)
-        else:
-            stream = TraceWindowStream.single(
-                DecodedTrace.from_dynamic_stream(trace)
-            )
-        self._stream = stream
-        first = stream.next_window()
+        if not isinstance(trace, TraceWindowStream):
+            trace = TraceWindowStream.from_dynamic_stream(trace)
+        self._stream = trace
+        self._table = trace.table
+        first = trace.next_window()
         if first is None:
-            first = DecodedTrace()
+            first = empty_columns()
         # Window state.  Dispatch trails fetch, so the resident windows
         # are exactly [dispatch window .. fetch window]; ``_win_queue``
         # holds those strictly ahead of dispatch, in trace order.  Fetch
         # appends as it crosses a boundary; dispatch pops (releasing the
-        # window it just drained) — peak decoded-trace memory is bounded
-        # by the fetch-queue span, recorded in ``max_resident_windows``.
-        self._win_queue: deque[DecodedTrace] = deque()
+        # window it just drained) — resident trace memory is bounded by
+        # the fetch-queue span, recorded in ``max_resident_windows``.
+        self._win_queue: deque[TraceWindow] = deque()
         self._f_trace = first
         self._f_base = 0
         self._f_limit = first.length
@@ -175,8 +167,9 @@ class OutOfOrderCore:
         self._tag_ready = bytearray([1] * total_tags)
 
         self.cycle = 0
-        # Fetch/decode queue of (trace index, decode-ready cycle) pairs.
-        self._fetch_queue: deque[tuple[int, int]] = deque()
+        # Fetch/decode queue of (trace index, decode-ready cycle, static
+        # table row) triples.
+        self._fetch_queue: deque[tuple[int, int, int]] = deque()
         self._completion_events: dict[int, list] = {}
         self._iq_entry_by_rob: dict[int, IssueQueueEntry] = {}
 
@@ -195,15 +188,10 @@ class OutOfOrderCore:
         self._sample_anchor = 0
         self._sample_dirty = True
 
-        # ``on_cycle_end`` is pure overhead for policies that don't
-        # override it (baseline, nonempty, software); skip the call.
-        self._on_cycle_end = (
-            None
-            if type(policy).on_cycle_end is ResizingPolicy.on_cycle_end
-            else policy.on_cycle_end
-        )
-
         self.policy.on_simulation_start(self)
+        # ``on_cycle_end`` runs only once the clock reaches the cycle the
+        # policy asks to be woken at (None: never).
+        self._wake = self.policy.next_wake_cycle()
 
     # ------------------------------------------------------------------
     # Public API
@@ -242,9 +230,11 @@ class OutOfOrderCore:
         self._fetch()
         if self._warmup_done and self._sample_dirty:
             self._flush_sample()
-        on_cycle_end = self._on_cycle_end
-        if on_cycle_end is not None:
-            on_cycle_end(self)
+        wake = self._wake
+        if wake is not None and self.cycle >= wake:
+            policy = self.policy
+            policy.on_cycle_end(self)
+            self._wake = policy.next_wake_cycle()
         self.cycle += 1
         self.stats.cycles = self.cycle if self._warmup_done else 0
 
@@ -357,10 +347,12 @@ class OutOfOrderCore:
             for iq_entry in self._iq_entry_by_rob.values():
                 iq_entry.ready_cycle -= shift
             self._fetch_queue = deque(
-                (index, ready - shift) for index, ready in self._fetch_queue
+                (index, ready - shift, row)
+                for index, ready, row in self._fetch_queue
             )
             self._fetch_resume_cycle -= shift
         self.policy.on_measurement_start(self, shift)
+        self._wake = self.policy.next_wake_cycle()
 
     # ------------------------------------------------------------------
     # Writeback
@@ -539,15 +531,16 @@ class OutOfOrderCore:
         cycle = self.cycle
         if fetch_queue[0][1] > cycle:
             return
-        trace = self._d_trace
         d_base = self._d_base
         d_limit = self._d_limit
-        flags_arr = trace.flags
-        fu_arr = trace.fu_idx
-        specs = trace.rename_specs
-        iq_tags = trace.iq_tag
-        lat_arr = trace.latency
-        mem_arr = trace.mem_addr
+        mem_arr = self._d_trace.mem
+        table = self._table
+        flags_tab = table.flags
+        fu_tab = table.fu
+        specs = table.rename_specs
+        iq_tags = table.iq_tag
+        hint_values = table.hint_value
+        lat_tab = table.latency
         dispatched = 0
         stalled_on_region = False
         stalled_on_physical = False
@@ -593,27 +586,21 @@ class OutOfOrderCore:
         int_free_count = int_file.free_count
         int_allocated = int_file.allocated
         while dispatched < width and fetch_queue:
-            index, decode_ready = fetch_queue[0]
+            index, decode_ready, row = fetch_queue[0]
             if decode_ready > cycle:
                 break
             while index >= d_limit:
                 # Dispatch drained its window: step to the next one fetch
                 # already pulled in, releasing the old window — the
-                # windowed replay's decode-memory bound.
+                # windowed replay's memory bound.
                 trace = self._win_queue.popleft()
                 d_base = d_limit
                 d_limit += trace.length
                 self._d_trace = trace
                 self._d_base = d_base
                 self._d_limit = d_limit
-                flags_arr = trace.flags
-                fu_arr = trace.fu_idx
-                specs = trace.rename_specs
-                iq_tags = trace.iq_tag
-                lat_arr = trace.latency
-                mem_arr = trace.mem_addr
-            rel = index - d_base
-            flags = flags_arr[rel]
+                mem_arr = trace.mem
+            flags = flags_tab[row]
 
             # The paper's special NOOP: stripped in the last decode stage.
             # It consumes a dispatch slot (the source of the NOOP scheme's
@@ -622,10 +609,7 @@ class OutOfOrderCore:
                 if flags & F_HINT:
                     if uses_hints:
                         iq.tail = iq_tail
-                        policy.on_hint(
-                            self,
-                            trace.statics[trace.static_idx[rel]].hint_value,
-                        )
+                        policy.on_hint(self, hint_values[row])
                     if stats is not None:
                         stats.hint_noops_stripped += 1
                 fetch_queue.popleft()
@@ -634,7 +618,7 @@ class OutOfOrderCore:
 
             # Tag-carried hints (Extension/Improved) cost no dispatch slot.
             if uses_hints:
-                tag_value = iq_tags[rel]
+                tag_value = iq_tags[row]
                 if tag_value is not None:
                     iq.tail = iq_tail
                     policy.on_hint(self, tag_value)
@@ -646,7 +630,7 @@ class OutOfOrderCore:
 
             if rob_count >= rob_effective:
                 break
-            int_srcs, fp_srcs, int_dests, fp_dests = specs[rel]
+            int_srcs, fp_srcs, int_dests, fp_dests = specs[row]
             if int_free_count < len(int_dests) or (
                 fp_dests and fp_file.free_count < len(fp_dests)
             ):
@@ -716,8 +700,8 @@ class OutOfOrderCore:
             rob_entry.freed_on_commit = freed
             rob_entry.source_tags = source_tags
             rob_entry.flags = flags
-            rob_entry.latency = lat_arr[rel]
-            rob_entry.mem_addr = mem_arr[rel]
+            rob_entry.latency = lat_tab[row]
+            rob_entry.mem_addr = mem_arr[index - d_base]
             rob_tail = (rob_tail + 1) % rob_capacity
             rob_count += 1
 
@@ -732,7 +716,7 @@ class OutOfOrderCore:
             iq_entry.rob_index = rob_index
             iq_entry.waiting_tags = waiting
             iq_entry.num_source_operands = len(source_tags)
-            iq_entry.fu_class = fu_arr[rel]
+            iq_entry.fu_class = fu_tab[row]
             iq_entry.ready_cycle = ready_cycle
             iq_entry.age = iq_age
             iq_slots[slot] = iq_entry
@@ -800,7 +784,10 @@ class OutOfOrderCore:
         f_limit = self._f_limit
         index = self._trace_pos
         pcs = trace.pc
-        flags_arr = trace.flags
+        table = self._table
+        flags_tab = table.flags
+        base = table.base
+        n_rows = len(flags_tab)
         append = fetch_queue.append
         warm = self._warmup_done
         stats = self.stats
@@ -819,10 +806,12 @@ class OutOfOrderCore:
                 f_base = self._f_base
                 f_limit = self._f_limit
                 pcs = trace.pc
-                flags_arr = trace.flags
-            rel = index - f_base
-            pc = pcs[rel]
-            flags = flags_arr[rel]
+            pc = pcs[index - f_base]
+            offset = pc - base
+            row = offset >> 2
+            if offset & 3 or not 0 <= row < n_rows:
+                table.row(pc)  # raises: no row describes this pc
+            flags = flags_tab[row]
             if flags & F_HINT:
                 hints_fetched += 1
 
@@ -837,7 +826,7 @@ class OutOfOrderCore:
                         stats.l1i_misses += 1
                 if not l1_hit:
                     self._fetch_resume_cycle = cycle + latency
-                    append((index, decode_ready))
+                    append((index, decode_ready, row))
                     fetched += 1
                     # The missed line still delivers this instruction, so it
                     # must run branch prediction like any other: a branch
@@ -848,7 +837,7 @@ class OutOfOrderCore:
                     index += 1
                     break
 
-            append((index, decode_ready))
+            append((index, decode_ready, row))
             fetched += 1
 
             if flags & F_CONTROL and self._handle_control_flow(index, flags):

@@ -9,7 +9,7 @@ issue; occupancy of long-latency operations is captured by their latency.
 The per-cycle bookkeeping is index-based: every :class:`FuClass` has a
 stable ordinal (its position in the enum), and limits/usage/issue counts
 live in flat lists indexed by that ordinal.  The replay core carries the
-ordinal straight from the pre-decoded trace into
+ordinal straight from the program's static table into
 :meth:`FunctionalUnitPool.try_acquire_index`, so the issue loop performs
 no enum hashing; the enum-keyed methods remain for tests and reports.
 """

@@ -1,54 +1,48 @@
-"""Trace pre-decode and replay: flat arrays instead of object streams.
+"""The trace shape both replay kernels share: compact columns plus a static table.
 
 The timing core is trace-driven, and the committed dynamic instruction
 stream is a pure function of (program, instruction budget): no timing
-decision ever feeds back into architectural state.  This module therefore
-runs the functional emulator **once** per (program, budget) and lowers the
-stream into a :class:`DecodedTrace` — parallel flat arrays holding, per
-dynamic instruction, the program counter, the next PC, the branch outcome,
-the effective memory address, and the pre-decoded timing attributes
-(classification flags, execution latency, functional-unit class ordinal,
-issue-queue tag, rename operand specs).  The per-cycle hot path in
-:mod:`repro.uarch.core` then *replays* these arrays by index: no
-interpreter dispatch, no attribute chains through
-``DynamicInstruction.static``, and no per-instruction object allocation
-remain on the timing loop.
+decision ever feeds back into architectural state.  This module runs the
+functional emulator **once** per (program, budget) and keeps only what
+the emulation decided, as four compact columns (:class:`TraceWindow`,
+25 bytes per dynamic instruction): ``pc``, ``next_pc`` and ``mem`` as
+``array('q')`` and ``taken`` as a ``bytearray``.  Everything fixed by
+the static instruction — classification flags, execution latency,
+functional-unit ordinal, issue-queue tag, hint payload and rename
+operand spec — lives once per *program* in a :class:`StaticTable`,
+built from the pcs :class:`~repro.uarch.emulator.ProgramLayout` assigns
+(consecutive 4-byte PCs from
+:data:`~repro.uarch.emulator.CODE_BASE`), so an entry's static row is
+``(pc - CODE_BASE) >> 2``: no per-entry decode, gather or object exists.
+Both kernels read each fetched entry's row through that index with a
+bounds check (a misaligned pc, or one outside the table, raises
+``ValueError``).
+
+Windows are ``memoryview`` slices of the columns, consumed forward-only
+through a :class:`TraceWindowStream` that also carries the table.  The
+replay core releases windows as it retires past them, so at most the
+windows spanning its fetch queue are resident; statistics are
+bit-identical for every window size, including 1.
 
 Three reuse tiers sit in front of the emulator:
 
-1. an **in-process memo** keyed by program identity and budget, so every
-   technique simulated against the same program object shares one
-   emulation (the (benchmark × technique) grid emulates each benchmark
-   once, not once per technique);
-2. an optional **on-disk cache** (:class:`TraceCache`), content-addressed
-   like :mod:`repro.harness.cache`: the key digests the program text, the
-   instruction budget and the emulator's own source bytes, so editing the
-   emulator (or regenerating a workload with different traits) can never
-   resurrect a stale trace.  Only the emulation *results* (pc, next_pc,
-   taken, mem_address) are persisted; the pre-decoded attributes are
-   recomputed from the program on load, which keeps the format small and
-   immune to decode-layer changes;
+1. an **in-process column memo** keyed by (program content digest,
+   budget), so every technique simulated against the same program
+   shares one emulation at every budget (the grid emulates each
+   distinct program once, not once per technique);
+2. an optional **on-disk cache** (:class:`TraceCache`),
+   content-addressed like :mod:`repro.harness.cache`: the key digests
+   the program text, the instruction budget and the emulator's own
+   source bytes, so editing the emulator (or regenerating a workload
+   with different traits) can never resurrect a stale trace.  It stores
+   exactly the columns;
 3. **live emulation** (``live=True`` or the ``REPRO_LIVE_EMULATION``
    environment variable), which bypasses both tiers and re-runs the
-   interpreter — the reference path the equivalence tests compare against.
+   interpreter — the reference path the equivalence tests compare
+   against.
 
-Windowed streaming (:func:`get_trace_stream`) sits on top of the same
-tiers: budgets above the window size are lowered window by window — the
-emulator yields column chunks and each chunk is decoded independently.
-A warm cache reads and validates its compact encoded payload up front
-(25 bytes per instruction; the header's per-window offset table keeps
-windows independently addressable for future partial readers) and then
-decodes it window by window, re-chunked to the requesting run's window
-size — only the expensive decoded form is ever lazy, and only it is
-bounded by the window.  The replay core consumes the resulting
-:class:`TraceWindowStream` forward-only and releases windows as it
-retires past them, so peak decoded-trace memory is bounded by the window
-size (default :data:`~repro.uarch.config.DEFAULT_TRACE_WINDOW_ENTRIES`)
-at any instruction budget.  Statistics are bit-identical for every window
-size, including 1.  The streaming path never memoises *decoded* traces —
-the whole point is not holding them — but it does memoise the compact
-encoded columns (25 bytes per instruction), so a grid still emulates each
-benchmark once per process even without a disk cache.
+An emulated trace streams: the emulator yields one window of columns at
+a time, and each is replayed as it arrives.
 
 Module-level :data:`trace_events` counters record emulations, memo hits
 and disk hits/misses/stores so tests can assert that a warm cache skips
@@ -62,18 +56,23 @@ import functools
 import hashlib
 import json
 import os
+import struct
 import sys
 import warnings
 from collections import OrderedDict
-from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from repro.atomicio import publish_atomically
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode, default_latency, fu_class, is_branch
 from repro.uarch.config import DEFAULT_TRACE_WINDOW_ENTRIES
-from repro.uarch.emulator import DynamicInstruction, FunctionalEmulator, ProgramLayout
+from repro.uarch.emulator import (
+    CODE_BASE,
+    DynamicInstruction,
+    FunctionalEmulator,
+    ProgramLayout,
+)
 from repro.uarch.functional_units import FU_INDEX
 
 #: Bump when the on-disk payload layout changes.  Version 2: windowed
@@ -90,7 +89,7 @@ _ENTRY_BYTES = 25
 #: publication failing) operation this process; one warning each.
 _DEGRADED_STORE_WARNED: set[str] = set()
 
-# Per-instruction classification flags (one byte per dynamic instruction).
+# Per-instruction classification flags (one byte per static instruction).
 F_HINT = 1
 F_NOP = 2
 F_BRANCH = 4
@@ -129,7 +128,7 @@ _OPCODE_DECODE: dict[Opcode, tuple[int, int, int]] = {
 }
 
 #: Counters for tests and reports: how often the emulator actually ran
-#: versus how often a decoded trace was reused.
+#: versus how often an emulated trace was reused.
 trace_events: dict[str, int] = {
     "emulations": 0,
     "memo_hits": 0,
@@ -145,179 +144,225 @@ def reset_trace_events() -> None:
         trace_events[key] = 0
 
 
-def _decode_column_windows(
-    columns: tuple, instr_by_pc: dict, window_size: Optional[int]
-) -> Iterable[DecodedTrace]:
-    """Lazily decode concatenated emulation columns into replay windows.
+# ----------------------------------------------------------------------
+# Columns and windows
+# ----------------------------------------------------------------------
+class TraceWindow(NamedTuple):
+    """Consecutive trace entries as four parallel columns.
 
-    ``columns`` is the compact ``(pcs, next_pcs, mems, taken)`` tuple (25
-    bytes per instruction); only one ``window_size``-sized window exists
-    in decoded form at a time (None or 0: a single window).
-    """
-    pcs, next_pcs, mems, taken = columns
-    length = len(pcs)
-    step = window_size if window_size and window_size > 0 else (length or 1)
-
-    def _decode() -> Iterable[DecodedTrace]:
-        for start in range(0, length, step):
-            stop = min(start + step, length)
-            window_pcs = pcs[start:stop]
-            yield DecodedTrace.from_entries(
-                (instr_by_pc[pc] for pc in window_pcs),
-                window_pcs,
-                next_pcs[start:stop],
-                taken[start:stop],
-                mems[start:stop],
-            )
-
-    return _decode()
-
-
-class DecodedTrace:
-    """The committed dynamic instruction stream as parallel flat arrays.
-
-    Every array has one element per committed dynamic instruction; the
-    sequence number *is* the index.  ``statics`` holds the unique static
-    :class:`~repro.isa.instruction.Instruction` objects (needed only off
-    the hot path: hint payloads and debugging), referenced through
-    ``static_idx``.
-
-    Attributes:
-        length: number of dynamic instructions.
-        pc / next_pc: instruction address and successor address.
-        taken: 1 when a control transfer was taken (bytearray).
-        mem_addr: effective address for loads/stores, 0 otherwise.
-        flags: per-instruction classification bits (``F_*`` constants).
-        latency: base execution latency in cycles (bytearray).
-        fu_idx: functional-unit class ordinal (``FU_ORDER`` index).
-        iq_tag: Extension/Improved issue-queue tag or None.
-        rename_specs: per-instruction shared tuples
-            ``(int_src_idx, fp_src_idx, int_dest_idx, fp_dest_idx)`` of
-            architectural register indices, precomputed per static
-            instruction so rename never touches ``Reg`` objects.
+    The whole trace and each replay window have this one shape: ``pc``,
+    ``next_pc`` and ``mem`` (effective address, 0 for non-memory
+    entries) hold ``int64`` items (an ``array('q')`` or a ``memoryview``
+    of one), ``taken`` one 0/1 byte per entry (a ``bytearray`` or a
+    ``memoryview`` of one).
     """
 
-    __slots__ = (
-        "length",
-        "statics",
-        "static_idx",
-        "pc",
-        "next_pc",
-        "taken",
-        "mem_addr",
-        "flags",
-        "latency",
-        "fu_idx",
-        "iq_tag",
-        "rename_specs",
+    pc: Any
+    next_pc: Any
+    mem: Any
+    taken: Any
+
+    @property
+    def length(self) -> int:
+        return len(self.taken)
+
+
+def empty_columns() -> TraceWindow:
+    """A fresh zero-length set of columns, ready to be extended."""
+    return TraceWindow(
+        array.array("q"), array.array("q"), array.array("q"), bytearray()
     )
 
-    def __init__(self) -> None:
-        self.length = 0
-        self.statics: list[Instruction] = []
-        self.static_idx: list[int] = []
-        self.pc: list[int] = []
-        self.next_pc: list[int] = []
-        self.taken = bytearray()
-        self.mem_addr: list[int] = []
-        self.flags = bytearray()
-        self.latency = bytearray()
-        self.fu_idx = bytearray()
-        self.iq_tag: list[Optional[int]] = []
-        self.rename_specs: list[tuple] = []
+
+def _column_windows(
+    columns: TraceWindow, window_size: Optional[int]
+) -> Iterator[TraceWindow]:
+    """``memoryview`` slices of ``columns``, ``window_size`` entries each
+    (None or 0: one window).  Nothing is copied."""
+    views = [memoryview(column) for column in columns]
+    length = len(views[3])
+    step = window_size if window_size and window_size > 0 else (length or 1)
+    for start in range(0, length, step):
+        stop = start + step
+        yield TraceWindow(*[view[start:stop] for view in views])
+
+
+# ----------------------------------------------------------------------
+# The static table
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=4096)
+def _row(opcode: Opcode, srcs: tuple, dests: tuple, iq_tag, hint_value) -> tuple:
+    """``(flags, latency, fu_ordinal, iq_tag, hint_value, rename_spec)``.
+
+    ``rename_spec`` is ``(int_srcs, fp_srcs, int_dests, fp_dests)``, the
+    architectural register indices rename reads, so the kernels never
+    touch ``Reg`` objects.  Memoised on the static's fields: the grid's
+    44 programs hold about 37k statics but under 800 distinct rows.
+    """
+    flags, latency, fu_ordinal = _OPCODE_DECODE[opcode]
+    return (
+        flags,
+        latency,
+        fu_ordinal,
+        iq_tag,
+        0 if hint_value is None else hint_value,
+        (
+            tuple([reg.index for reg in srcs if not reg.is_fp]),
+            tuple([reg.index for reg in srcs if reg.is_fp]),
+            tuple([reg.index for reg in dests if not reg.is_fp]),
+            tuple([reg.index for reg in dests if reg.is_fp]),
+        ),
+    )
+
+
+def _static_row(instr: Instruction) -> tuple:
+    """The table row of one static instruction (see :func:`_row`)."""
+    return _row(instr.opcode, instr.srcs, instr.dests, instr.iq_tag, instr.hint_value)
+
+
+#: The row of a pc below a table's last static that no static claims.
+_FILLER_ROW = _OPCODE_DECODE[Opcode.NOP] + (None, 0, ((), (), (), ()))
+
+#: One row as the native kernel reads it (``StaticRow`` in ``_native.c``):
+#: iq_tag, hint payload, flags, latency, FU ordinal, a pad byte, the four
+#: rename-spec operand counts, then four register slots per category.
+_NATIVE_ROW = struct.Struct("=qqBBBx4B16B")
+
+#: ``iq_tag`` of an untagged row in the native layout (``IQTAG_NONE``).
+_NATIVE_NO_TAG = -(1 << 63)
+
+
+@functools.lru_cache(maxsize=4096)
+def _native_row(row: tuple) -> bytes:
+    """One table row in the native kernel's byte layout (memoised like
+    :func:`_row`: tables repeat few distinct rows)."""
+    flags, latency, fu_ordinal, iq_tag, hint_value, spec = row
+    counts = []
+    regs = []
+    for category in spec:
+        if len(category) > 4:
+            raise ValueError("native kernel supports at most 4 operands per category")
+        counts.append(len(category))
+        regs.extend(category)
+        regs.extend([0] * (4 - len(category)))
+    return _NATIVE_ROW.pack(
+        _NATIVE_NO_TAG if iq_tag is None else iq_tag,
+        hint_value,
+        flags,
+        latency,
+        fu_ordinal,
+        *counts,
+        *regs,
+    )
+
+
+class StaticTable:
+    """A program's static instructions, pre-decoded, indexed by layout PC.
+
+    Row ``i`` describes the static instruction at ``base + 4 * i``.  Each
+    attribute is one column with a value per row.
+
+    Attributes:
+        base: the pc of row 0, the layout's
+            :data:`~repro.uarch.emulator.CODE_BASE`.
+        flags: classification bits (``F_*`` constants), one byte per row.
+        latency: base execution latency in cycles, one byte per row.
+        fu: functional-unit class ordinal (``FU_ORDER`` index) per row.
+        iq_tag: Extension/Improved issue-queue tag per row, or None.
+        hint_value: hint-NOOP payload per row (0 for rows without one).
+        rename_specs: ``(int_srcs, fp_srcs, int_dests, fp_dests)``
+            architectural register index tuples per row.
+    """
+
+    base = CODE_BASE
+
+    __slots__ = (
+        "flags",
+        "latency",
+        "fu",
+        "iq_tag",
+        "hint_value",
+        "rename_specs",
+        "_rows",
+        "_packed",
+    )
+
+    def __init__(self, rows: Sequence[tuple]):
+        self._rows = rows
+        self._packed: Optional[bytes] = None
+        columns = tuple(zip(*rows)) or ((),) * 6
+        flags, latency, fu, self.iq_tag, self.hint_value, self.rename_specs = columns
+        self.flags = bytes(flags)
+        self.latency = bytes(latency)
+        self.fu = bytes(fu)
+
+    @classmethod
+    def from_statics(cls, statics: Mapping[int, Instruction]) -> "StaticTable":
+        """The table of a pc → static mapping, each static at its pc's row.
+
+        Rows run from the base to the highest pc; a row no static claims
+        holds a plain NOP.  A pc that is misaligned or below the base
+        raises ``ValueError``.
+        """
+        last = max(statics, default=cls.base - 4)
+        rows = [_FILLER_ROW] * ((last - cls.base) // 4 + 1)
+        for pc, instr in statics.items():
+            offset = pc - cls.base
+            if offset < 0 or offset & 3:
+                raise ValueError(f"static pc {pc:#x} has no table row")
+            rows[offset >> 2] = _static_row(instr)
+        return cls(rows)
 
     def __len__(self) -> int:
-        return self.length
+        return len(self.flags)
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _static_decode(instr: Instruction) -> tuple:
-        """Pre-decode one static instruction into hot-path attributes.
+    def row(self, pc: int) -> int:
+        """The row of ``pc``; ``ValueError`` when no row describes it."""
+        offset = pc - self.base
+        row = offset >> 2
+        if offset & 3 or not 0 <= row < len(self.flags):
+            raise ValueError(
+                f"trace pc {pc:#x} names no static instruction (table base "
+                f"{self.base:#x}, {len(self.flags)} rows)"
+            )
+        return row
 
-        Returns ``(flags, latency, fu_ordinal, iq_tag, rename_spec)``.
-        """
-        flags, latency, fu_ordinal = _OPCODE_DECODE[instr.opcode]
-        srcs = instr.srcs
-        dests = instr.dests
-        int_srcs = tuple([reg.index for reg in srcs if not reg.is_fp])
-        fp_srcs = tuple([reg.index for reg in srcs if reg.is_fp])
-        int_dests = tuple([reg.index for reg in dests if not reg.is_fp])
-        fp_dests = tuple([reg.index for reg in dests if reg.is_fp])
-        return (
-            flags,
-            latency,
-            fu_ordinal,
-            instr.iq_tag,
-            (int_srcs, fp_srcs, int_dests, fp_dests),
-        )
+    def pcs(self) -> range:
+        """The pc of every row, in row order."""
+        return range(self.base, self.base + 4 * len(self), 4)
 
-    @classmethod
-    def from_entries(
-        cls,
-        statics_per_entry: Iterable[Instruction],
-        pcs: list[int],
-        next_pcs: list[int],
-        takens: Iterable[int],
-        mem_addrs: list[int],
-    ) -> "DecodedTrace":
-        """Build a trace from per-entry statics plus emulation results."""
-        trace = cls()
-        index_of: dict[int, int] = {}
-        statics = trace.statics
-        static_idx = trace.static_idx
-        idx_append = static_idx.append
-        index_get = index_of.get
-        decoded: list[tuple] = []  # per unique static
-        static_decode = cls._static_decode
-        for instr in statics_per_entry:
-            key = id(instr)
-            sidx = index_get(key)
-            if sidx is None:
-                sidx = len(statics)
-                index_of[key] = sidx
-                statics.append(instr)
-                decoded.append(static_decode(instr))
-            idx_append(sidx)
-        # Scatter the per-static attributes per entry: one itemgetter
-        # gathers a whole column in a single C call.
-        if decoded:
-            flags_by, lat_by, fu_by, tag_by, spec_by = zip(*decoded)
-            if len(static_idx) > 1:
-                gather = itemgetter(*static_idx)
-            else:  # one key: itemgetter would return the bare item
+    def covers(self, pcs) -> bool:
+        """True when every pc in ``pcs`` has a row."""
+        return set(pcs).issubset(self.pcs())
 
-                def gather(column: tuple) -> tuple:
-                    return (column[0],)
+    def packed(self) -> bytes:
+        """The rows as the native kernel's 40-byte ``StaticRow`` records."""
+        if self._packed is None:
+            self._packed = b"".join(map(_native_row, self._rows))
+        return self._packed
 
-            trace.flags = bytearray(gather(flags_by))
-            trace.latency = bytearray(gather(lat_by))
-            trace.fu_idx = bytearray(gather(fu_by))
-            trace.iq_tag = list(gather(tag_by))
-            trace.rename_specs = list(gather(spec_by))
-        trace.pc = list(pcs)
-        trace.next_pc = list(next_pcs)
-        trace.taken = bytearray(map(bool, takens))
-        trace.mem_addr = list(mem_addrs)
-        trace.length = len(trace.pc)
-        return trace
 
-    @classmethod
-    def from_dynamic_stream(
-        cls, dyns: Iterable[DynamicInstruction]
-    ) -> "DecodedTrace":
-        """Lower a :class:`DynamicInstruction` stream into flat arrays."""
-        statics: list[Instruction] = []
-        pcs: list[int] = []
-        next_pcs: list[int] = []
-        takens: list[int] = []
-        mems: list[int] = []
-        for dyn in dyns:
-            statics.append(dyn.static)
-            pcs.append(dyn.pc)
-            next_pcs.append(dyn.next_pc)
-            takens.append(1 if dyn.taken else 0)
-            mems.append(dyn.mem_address if dyn.mem_address is not None else 0)
-        return cls.from_entries(statics, pcs, next_pcs, takens, mems)
+#: Memo of :func:`static_table`, keyed by program content digest.  A
+#: table is a few hundred KiB at most; the grid's cells for one
+#: benchmark touch four distinct programs.
+_TABLE_MEMO_CAPACITY = 16
+_table_memo: "OrderedDict[str, StaticTable]" = OrderedDict()
+
+
+def static_table(program, digest: Optional[str] = None) -> StaticTable:
+    """The :class:`StaticTable` of ``program`` (memoised by content)."""
+    if digest is None:
+        digest = program_digest(program)
+    table = _table_memo.get(digest)
+    if table is not None:
+        _table_memo.move_to_end(digest)
+        return table
+    layout = ProgramLayout.for_program(program)
+    table = StaticTable.from_statics(layout.instruction_at)
+    _table_memo[digest] = table
+    while len(_table_memo) > _TABLE_MEMO_CAPACITY:
+        _table_memo.popitem(last=False)
+    return table
 
 
 # ----------------------------------------------------------------------
@@ -420,7 +465,7 @@ def _fingerprint_from_digest(digest: str, max_instructions: int) -> str:
 
 
 def trace_fingerprint(program, max_instructions: int) -> str:
-    """Content hash identifying one decoded trace (the disk-cache key)."""
+    """Content hash identifying one emulated trace (the disk-cache key)."""
     return _fingerprint_from_digest(program_digest(program), max_instructions)
 
 
@@ -438,11 +483,10 @@ class TraceCache:
     offset into the payload) — so every window is independently
     addressable.  Each window's blob is its raw little-endian ``int64``
     ``pc`` / ``next_pc`` / ``mem_address`` columns followed by one
-    ``taken`` byte per entry (25 bytes per instruction).  Only emulation
-    results are persisted; static instructions are re-resolved from the
-    program's deterministic layout on load and the timing attributes
-    re-decoded per window, so the payload stays compact and decode-layer
-    changes need no format bump.
+    ``taken`` byte per entry (25 bytes per instruction): exactly the
+    :class:`TraceWindow` columns.  Static attributes come from the
+    program's :class:`StaticTable`, never from the file, so the payload
+    stays compact and table changes need no format bump.
 
     Any malformation — a missing or stale-format header, an inconsistent
     window table, a truncated payload, a pc that doesn't resolve in the
@@ -509,16 +553,15 @@ class TraceCache:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def _read_columns(self, fingerprint: str) -> tuple[tuple, Path]:
+    def _read_columns(self, fingerprint: str) -> tuple[TraceWindow, Path]:
         """Parse and fully validate one stored trace.
 
-        Returns ``(columns, path)`` where ``columns`` is the concatenated
-        ``(pcs, next_pcs, mems, taken)`` tuple, raising on any
-        malformation (stale format, inconsistent window table, truncated
-        payload).  The whole payload is read up front — it is compact, 25
-        bytes per instruction — so later per-window decoding can never
-        fail halfway through a replay; readers re-chunk the columns to
-        whatever window size their run requests, so the stored layout
+        Returns ``(columns, path)`` with the concatenated columns,
+        raising on any malformation (stale format, inconsistent window
+        table, truncated payload).  The whole payload is read up front —
+        it is compact, 25 bytes per instruction — so a replay can never
+        fail halfway through on a bad file; readers re-chunk the columns
+        to whatever window size their run requests, so the stored layout
         never dictates replay memory.
         """
         path = self.path_for(fingerprint)
@@ -556,20 +599,21 @@ class TraceCache:
         if swap:
             for arr in (pcs, next_pcs, mems):
                 arr.byteswap()
-        return (pcs, next_pcs, mems, taken), path
+        return TraceWindow(pcs, next_pcs, mems, taken), path
 
-    def _open_validated(self, fingerprint: str, program) -> Optional[tuple]:
+    def _open_validated(
+        self, fingerprint: str, table: StaticTable
+    ) -> Optional[TraceWindow]:
         """Read, validate and pc-resolve a stored trace; None on a miss.
 
-        A stored pc that doesn't resolve to a static instruction of this
-        program means corruption (or a fingerprint collision) and is a
-        miss like any other malformed payload, forcing a clean
-        re-emulation.  Hits refresh the file's mtime (LRU recency).
+        A stored pc without a row in the program's ``table`` means
+        corruption (or a fingerprint collision) and is a miss like any
+        other malformed payload, forcing a clean re-emulation.  Hits
+        refresh the file's mtime (LRU recency).
         """
         try:
             columns, path = self._read_columns(fingerprint)
-            instr_by_pc = _instructions_by_pc(program)
-            if not set(columns[0]) <= instr_by_pc.keys():
+            if not table.covers(columns.pc):
                 raise ValueError("unresolvable pc in stored trace")
         except (FileNotFoundError, OSError):
             # Missing, or unreadable right now: plain miss, leave the
@@ -598,37 +642,12 @@ class TraceCache:
             os.utime(path)  # refresh LRU recency
         except OSError:  # pragma: no cover - concurrent eviction
             pass
-        return columns, instr_by_pc
+        return columns
 
-    def load(self, fingerprint: str, program) -> Optional[DecodedTrace]:
-        """Rebuild the full decoded trace for ``fingerprint``; None on a miss."""
-        opened = self._open_validated(fingerprint, program)
-        if opened is None:
-            return None
-        (pcs, next_pcs, mems, taken), instr_by_pc = opened
-        return DecodedTrace.from_entries(
-            (instr_by_pc[pc] for pc in pcs), pcs, next_pcs, taken, mems
-        )
-
-    def open_windows(
-        self, fingerprint: str, program, window_size: Optional[int] = None
-    ) -> Optional[Iterable[DecodedTrace]]:
-        """A lazy iterator of decoded windows; None on a miss.
-
-        The stored columns are re-chunked to ``window_size`` (None or 0:
-        one window), whatever layout the file was stored with — a trace
-        warmed monolithically or at a different window size still replays
-        under the *requesting* run's memory bound.  Validation happens
-        entirely up front (see :meth:`_read_columns`), so only the
-        expensive decoded form — flags, rename specs, static references —
-        is built lazily, one window at a time, as the replay core
-        consumes the stream.
-        """
-        opened = self._open_validated(fingerprint, program)
-        if opened is None:
-            return None
-        columns, instr_by_pc = opened
-        return _decode_column_windows(columns, instr_by_pc, window_size)
+    def load(self, fingerprint: str, program) -> Optional[TraceWindow]:
+        """The stored columns for ``fingerprint``, validated against
+        ``program``; None on a miss."""
+        return self._open_validated(fingerprint, static_table(program))
 
     # ------------------------------------------------------------------
     # Writing
@@ -640,24 +659,19 @@ class TraceCache:
         return TraceWindowWriter(self, fingerprint, window_size)
 
     def store(
-        self, fingerprint: str, trace: DecodedTrace, window_size: Optional[int] = None
+        self,
+        fingerprint: str,
+        columns: TraceWindow,
+        window_size: Optional[int] = None,
     ) -> Path:
-        """Atomically persist ``trace`` under ``fingerprint``.
+        """Atomically persist ``columns`` under ``fingerprint``.
 
         ``window_size`` splits the payload into independently loadable
         windows; None stores the whole trace as a single window.
         """
         writer = self.open_store(fingerprint, window_size)
-        length = trace.length
-        step = window_size if window_size and window_size > 0 else (length or 1)
-        for start in range(0, length, step):
-            stop = min(start + step, length)
-            writer.add(
-                trace.pc[start:stop],
-                trace.next_pc[start:stop],
-                trace.taken[start:stop],
-                trace.mem_addr[start:stop],
-            )
+        for window in _column_windows(columns, window_size):
+            writer.add(window)
         return writer.commit()
 
     # ------------------------------------------------------------------
@@ -735,12 +749,11 @@ class TraceCache:
 class TraceWindowWriter:
     """Accumulates encoded windows for one atomic :class:`TraceCache` store.
 
-    Window blobs are buffered in their compact encoded form (25 bytes per
-    instruction), so an in-flight store costs megabytes at worst — never
-    the decoded trace's hundreds of bytes per instruction.  Nothing
-    touches the cache directory until :meth:`commit`; abandoning the
-    writer (for example a replay cut short by ``max_cycles``) therefore
-    stores nothing.
+    Window blobs are buffered in their stored form (25 bytes per
+    instruction), so an in-flight store costs megabytes at worst.
+    Nothing touches the cache directory until :meth:`commit`; abandoning
+    the writer (for example a replay cut short by ``max_cycles``)
+    therefore stores nothing.
     """
 
     def __init__(
@@ -752,19 +765,10 @@ class TraceWindowWriter:
         self._blobs: list[bytes] = []
         self._counts: list[int] = []
 
-    def add(self, pcs, next_pcs, takens, mems) -> None:
-        """Append one window's emulation columns (taken may be bools)."""
-        self._blobs.append(
-            b"".join(
-                (
-                    array.array("q", pcs).tobytes(),
-                    array.array("q", next_pcs).tobytes(),
-                    array.array("q", mems).tobytes(),
-                    bytes(map(bool, takens)),
-                )
-            )
-        )
-        self._counts.append(len(pcs))
+    def add(self, window: TraceWindow) -> None:
+        """Append one window's columns, in their stored byte layout."""
+        self._blobs.append(b"".join(window))
+        self._counts.append(window.length)
 
     def commit(self) -> Path:
         """Assemble header + payload and atomically publish the file."""
@@ -815,121 +819,87 @@ class TraceWindowWriter:
         return path
 
 
-def _instructions_by_pc(program) -> dict[int, Instruction]:
-    """Map every static instruction's layout PC back to the instruction.
-
-    The layout is deterministic for a given program, so the PCs stored on
-    disk resolve to the same statics in any process — unlike instruction
-    ``uid``s, which are assigned by a process-local counter.
-    """
-    layout = ProgramLayout.for_program(program)
-    by_uid: dict[int, Instruction] = {}
-    for procedure in program.procedures.values():
-        for block in procedure.blocks:
-            for instr in block.instructions:
-                by_uid[instr.uid] = instr
-    return {pc: by_uid[uid] for uid, pc in layout.instruction_pc.items()}
-
-
 # ----------------------------------------------------------------------
 # Front door
 # ----------------------------------------------------------------------
-def emulate_trace(program, max_instructions: int) -> DecodedTrace:
-    """Run the functional emulator and lower its stream (always live)."""
-    trace_events["emulations"] += 1
-    emulator = FunctionalEmulator(program)
-    statics, pcs, next_pcs, takens, mems = emulator.run_collect(max_instructions)
-    return DecodedTrace.from_entries(
-        statics,
-        pcs,
-        next_pcs,
-        takens,
-        [mem if mem is not None else 0 for mem in mems],
-    )
-
-
-#: In-process memo of decoded traces, keyed by (program content digest,
-#: budget) so in-place program mutation can never resurface a stale
-#: trace.  Bounded: decoded traces are large, and a long-lived grid run
-#: touches many (program, budget) pairs exactly once each after warm-up.
-_MEMO_CAPACITY = 8
-_trace_memo: "OrderedDict[tuple[str, int], DecodedTrace]" = OrderedDict()
-
-#: In-process memo of *encoded* emulation columns for the streaming path,
-#: keyed like :data:`_trace_memo`.  At 25 bytes per instruction it
-#: preserves the decode-memory bound while restoring the
-#: emulate-once-per-benchmark guarantee when budgets exceed the window
-#: and no disk cache is configured (every cell of an uncached grid would
-#: otherwise re-emulate).
+#: In-process memo of emulated columns, keyed by (program content
+#: digest, budget) so in-place program mutation can never resurface a
+#: stale trace.  At 25 bytes per instruction it restores the
+#: emulate-once-per-benchmark guarantee when no disk cache is configured
+#: (every cell of an uncached grid would otherwise re-emulate).
 _COLUMN_MEMO_CAPACITY = 8
-_column_memo: "OrderedDict[tuple[str, int], tuple]" = OrderedDict()
+_column_memo: "OrderedDict[tuple[str, int], TraceWindow]" = OrderedDict()
 
 
-def _memoise_columns(key: tuple, columns: tuple) -> None:
+def _memoise_columns(key: tuple, columns: TraceWindow) -> None:
     _column_memo[key] = columns
     while len(_column_memo) > _COLUMN_MEMO_CAPACITY:
         _column_memo.popitem(last=False)
 
 
 def clear_trace_memo() -> None:
-    """Drop every memoised decoded trace and column set (test isolation)."""
-    _trace_memo.clear()
+    """Drop every memoised column set and static table (test isolation)."""
     _column_memo.clear()
+    _table_memo.clear()
 
 
-def get_decoded_trace(
+def _stored_columns(
+    key: tuple, cache: Optional[TraceCache], table: StaticTable
+) -> Optional[TraceWindow]:
+    """The columns for ``key`` from the memo, else the disk cache (a disk
+    hit is memoised); None when neither holds them."""
+    columns = _column_memo.get(key)
+    if columns is not None:
+        trace_events["memo_hits"] += 1
+        _column_memo.move_to_end(key)
+        return columns
+    if cache is not None:
+        columns = cache._open_validated(_fingerprint_from_digest(*key), table)
+        if columns is not None:
+            _memoise_columns(key, columns)
+    return columns
+
+
+def _emulated_windows(
     program,
     max_instructions: int,
+    window_size: Optional[int],
     cache: Optional[TraceCache] = None,
-    live: Optional[bool] = None,
-) -> DecodedTrace:
-    """The decoded trace for (program, budget), reusing every tier allowed.
+    fingerprint: Optional[str] = None,
+    memo_key: Optional[tuple] = None,
+) -> Iterator[TraceWindow]:
+    """Emulate once, yielding column windows as they are produced.
 
-    Args:
-        program: the IR program to (re)emulate.
-        max_instructions: dynamic instruction budget.
-        cache: optional on-disk :class:`TraceCache`.
-        live: force a fresh emulation, bypassing the memo and the disk
-            cache (the reference path).  Defaults to the
-            ``REPRO_LIVE_EMULATION`` environment variable; an explicit
-            ``False`` overrides the variable.
+    With a cache, each window is buffered as it streams past and the file
+    is committed atomically when the emulation completes; with
+    ``memo_key``, the columns also land in the in-process memo.  An
+    abandoned replay stores and memoises nothing.
     """
-    if live is None:
-        live = bool(os.environ.get("REPRO_LIVE_EMULATION"))
-    if live:
-        return emulate_trace(program, max_instructions)
-    digest = program_digest(program)
-    key = (digest, max_instructions)
-    hit = _trace_memo.get(key)
-    if hit is not None:
-        trace_events["memo_hits"] += 1
-        _trace_memo.move_to_end(key)
-        return hit
-    trace: Optional[DecodedTrace] = None
-    if cache is not None:
-        fingerprint = _fingerprint_from_digest(digest, max_instructions)
-        trace = cache.load(fingerprint, program)
-    if trace is None:
-        trace = emulate_trace(program, max_instructions)
-        if cache is not None:
-            cache.store(fingerprint, trace)
-    _trace_memo[key] = trace
-    while len(_trace_memo) > _MEMO_CAPACITY:
-        _trace_memo.popitem(last=False)
-    return trace
-
-
-# ----------------------------------------------------------------------
-# Column access and entry spans (window sharding)
-# ----------------------------------------------------------------------
-def _columns_from_trace(trace: DecodedTrace) -> tuple:
-    """Re-encode a decoded trace into compact emulation columns."""
-    return (
-        array.array("q", trace.pc),
-        array.array("q", trace.next_pc),
-        array.array("q", trace.mem_addr),
-        bytearray(trace.taken),
+    trace_events["emulations"] += 1
+    writer = (
+        cache.open_store(fingerprint, window_size) if cache is not None else None
     )
+    columns = empty_columns() if memo_key is not None else None
+    emulator = FunctionalEmulator(program)
+    for pcs, next_pcs, takens, mems in emulator.run_collect_windows(
+        max_instructions, window_size
+    ):
+        window = TraceWindow(
+            array.array("q", pcs),
+            array.array("q", next_pcs),
+            array.array("q", [0 if mem is None else mem for mem in mems]),
+            bytearray(map(bool, takens)),
+        )
+        if writer is not None:
+            writer.add(window)
+        if columns is not None:
+            for column, part in zip(columns, window):
+                column.extend(part)
+        yield window
+    if writer is not None:
+        writer.commit()
+    if memo_key is not None:
+        _memoise_columns(memo_key, columns)
 
 
 def get_trace_columns(
@@ -937,71 +907,39 @@ def get_trace_columns(
     max_instructions: int,
     cache: Optional[TraceCache] = None,
     live: Optional[bool] = None,
-) -> tuple:
-    """The compact ``(pcs, next_pcs, mems, taken)`` columns for a trace.
+) -> TraceWindow:
+    """The whole trace's columns for (program, budget).
 
-    Reuses the same tiers as :func:`get_trace_stream` — the in-process
-    column/decoded memos, then the disk cache, then one fresh emulation
-    that populates both — but returns the raw 25-byte-per-instruction
-    columns instead of decoded windows.  This is the substrate of window
-    sharding (:mod:`repro.harness.shard`): a shard slices an arbitrary
-    entry span out of the columns and decodes only that span.
+    Reuses the same tiers as :func:`get_trace_stream` — the column memo,
+    then the disk cache, then one fresh emulation that populates both.
+    This is the substrate of window sharding (:mod:`repro.harness.shard`):
+    a shard replays an arbitrary entry span of the columns.
     """
     if live is None:
         live = bool(os.environ.get("REPRO_LIVE_EMULATION"))
     digest = program_digest(program)
     key = (digest, max_instructions)
-    fingerprint: Optional[str] = None
-    if not live:
-        columns = _column_memo.get(key)
+    if live:
+        cache = None
+    else:
+        columns = _stored_columns(key, cache, static_table(program, digest))
         if columns is not None:
-            trace_events["memo_hits"] += 1
-            _column_memo.move_to_end(key)
             return columns
-        hit = _trace_memo.get(key)
-        if hit is not None:
-            trace_events["memo_hits"] += 1
-            _trace_memo.move_to_end(key)
-            columns = _columns_from_trace(hit)
-            _memoise_columns(key, columns)
-            return columns
-        if cache is not None:
-            fingerprint = _fingerprint_from_digest(digest, max_instructions)
-            opened = cache._open_validated(fingerprint, program)
-            if opened is not None:
-                columns, _ = opened
-                _memoise_columns(key, columns)
-                return columns
-    trace_events["emulations"] += 1
-    window_size = resolve_trace_window(None)
-    writer = None
-    if cache is not None and not live:
-        writer = cache.open_store(fingerprint, window_size or None)
-    pcs_acc = array.array("q")
-    next_acc = array.array("q")
-    mems_acc = array.array("q")
-    taken_acc = bytearray()
-    emulator = FunctionalEmulator(program)
-    for _, pcs, next_pcs, takens, mems in emulator.run_collect_windows(
-        max_instructions, window_size or None
+    fingerprint = (
+        None if cache is None else _fingerprint_from_digest(digest, max_instructions)
+    )
+    columns = empty_columns()
+    for window in _emulated_windows(
+        program, max_instructions, resolve_trace_window(None) or None, cache, fingerprint
     ):
-        mems = [mem if mem is not None else 0 for mem in mems]
-        takens = bytearray(map(bool, takens))
-        if writer is not None:
-            writer.add(pcs, next_pcs, takens, mems)
-        pcs_acc.extend(pcs)
-        next_acc.extend(next_pcs)
-        mems_acc.extend(mems)
-        taken_acc.extend(takens)
-    if writer is not None:
-        writer.commit()
-    columns = (pcs_acc, next_acc, mems_acc, taken_acc)
+        for column, part in zip(columns, window):
+            column.extend(part)
     if not live:
         _memoise_columns(key, columns)
     return columns
 
 
-def commit_mask(program, columns: tuple) -> bytearray:
+def commit_mask(program, columns: TraceWindow) -> bytearray:
     """One byte per trace entry: 1 when the entry allocates a ROB slot.
 
     Hint NOOPs and plain NOPs are stripped in the core's last decode
@@ -1010,12 +948,12 @@ def commit_mask(program, columns: tuple) -> bytearray:
     uses it to translate span boundaries (entry indices) into the
     warm-up and measure-span commit counts the replay core consumes.
     """
-    instr_by_pc = _instructions_by_pc(program)
+    table = static_table(program)
     commits_by_pc = {
-        pc: 0 if (instr.is_hint or instr.opcode is Opcode.NOP) else 1
-        for pc, instr in instr_by_pc.items()
+        pc: 0 if flags & (F_HINT | F_NOP) else 1
+        for pc, flags in zip(table.pcs(), table.flags)
     }
-    return bytearray(map(commits_by_pc.__getitem__, columns[0]))
+    return bytearray(map(commits_by_pc.__getitem__, columns.pc))
 
 
 def get_trace_span_stream(
@@ -1030,19 +968,17 @@ def get_trace_span_stream(
     """A replay-ready window stream over the entry span [first, last).
 
     The full trace's columns come from :func:`get_trace_columns` (memo →
-    disk → one emulation); only the requested span is ever decoded, in
-    ``window_size``-sized windows, so a shard's decode memory is bounded
-    by the window regardless of where in the trace its span lies.
+    disk → one emulation); the span's windows are ``window_size``-entry
+    views of them, so a shard copies nothing wherever its span lies.
     """
-    window_size = resolve_trace_window(window_size)
+    window = resolve_trace_window(window_size) or None
     columns = get_trace_columns(program, max_instructions, cache=cache, live=live)
-    length = len(columns[0])
+    length = columns.length
     first = max(0, min(first_entry, length))
     last = length if last_entry is None else max(first, min(last_entry, length))
-    sliced = tuple(column[first:last] for column in columns)
+    span = TraceWindow(*[memoryview(column)[first:last] for column in columns])
     return TraceWindowStream(
-        _decode_column_windows(sliced, _instructions_by_pc(program), window_size or None),
-        window_size or None,
+        static_table(program), _column_windows(span, window), window
     )
 
 
@@ -1050,32 +986,48 @@ def get_trace_span_stream(
 # Windowed streaming
 # ----------------------------------------------------------------------
 class TraceWindowStream:
-    """Forward-only stream of consecutive :class:`DecodedTrace` windows.
+    """A program's :class:`StaticTable` plus its trace's windows.
 
-    The replay core (:class:`repro.uarch.core.OutOfOrderCore`) pulls the
-    next window as its fetch stage crosses each boundary and releases
-    windows once dispatch has consumed every entry in them; backed by a
-    lazy iterator this bounds peak decoded-trace memory by the window
-    size rather than the instruction budget.
+    The replay kernels take ``table`` once per run and pull consecutive
+    :class:`TraceWindow` windows forward-only as fetch crosses each
+    boundary, releasing each once dispatch has consumed every entry in
+    it; backed by a lazy iterator this bounds resident trace memory by
+    the window size rather than the instruction budget.
     """
 
-    __slots__ = ("window_size", "_iterator", "_exhausted")
+    __slots__ = ("table", "window_size", "_iterator", "_exhausted")
 
     def __init__(
         self,
-        windows: Iterable[DecodedTrace],
+        table: StaticTable,
+        windows: Iterable[TraceWindow],
         window_size: Optional[int] = None,
     ):
+        self.table = table
         self._iterator = iter(windows)
         self.window_size = window_size
         self._exhausted = False
 
     @classmethod
-    def single(cls, trace: DecodedTrace) -> "TraceWindowStream":
-        """Wrap one monolithic decoded trace as a single-window stream."""
-        return cls((trace,), window_size=None)
+    def from_dynamic_stream(
+        cls, dyns: Iterable[DynamicInstruction]
+    ) -> "TraceWindowStream":
+        """One window over a :class:`DynamicInstruction` stream.
 
-    def next_window(self) -> Optional[DecodedTrace]:
+        The table's rows come from the statics the stream executes, at
+        their layout pcs; rows no entry reaches hold a plain NOP.
+        """
+        columns = empty_columns()
+        statics: dict[int, Instruction] = {}
+        for dyn in dyns:
+            statics.setdefault(dyn.pc, dyn.static)
+            columns.pc.append(dyn.pc)
+            columns.next_pc.append(dyn.next_pc)
+            columns.mem.append(dyn.mem_address or 0)
+            columns.taken.append(1 if dyn.taken else 0)
+        return cls(StaticTable.from_statics(statics), (columns,))
+
+    def next_window(self) -> Optional[TraceWindow]:
         """The next consecutive window, or None once the trace ends."""
         if self._exhausted:
             return None
@@ -1086,73 +1038,17 @@ class TraceWindowStream:
 
 
 def resolve_trace_window(window_size: Optional[int] = None) -> int:
-    """The effective window size: argument, else env, else the default.
+    """The effective window size: the argument, else the default.
 
-    ``0`` disables windowing (monolithic decode and replay at any
-    budget); negative values are rejected.  The environment variable
-    ``REPRO_TRACE_WINDOW`` supplies the default when no explicit value is
-    given, falling back to
+    ``0`` disables windowing (one window at any budget); negative values
+    are rejected.  None means
     :data:`~repro.uarch.config.DEFAULT_TRACE_WINDOW_ENTRIES`.
     """
     if window_size is None:
-        env = os.environ.get("REPRO_TRACE_WINDOW")
-        if env:
-            try:
-                window_size = int(env)
-            except ValueError as exc:
-                raise ValueError(
-                    "REPRO_TRACE_WINDOW must be an integer instruction "
-                    f"count, got {env!r}"
-                ) from exc
-        else:
-            window_size = DEFAULT_TRACE_WINDOW_ENTRIES
+        window_size = DEFAULT_TRACE_WINDOW_ENTRIES
     if window_size < 0:
         raise ValueError("trace window must be a non-negative instruction count")
     return window_size
-
-
-def _emulated_windows(
-    program,
-    max_instructions: int,
-    window_size: int,
-    cache: Optional[TraceCache],
-    fingerprint: Optional[str],
-    memo_key: Optional[tuple] = None,
-) -> Iterable[DecodedTrace]:
-    """Emulate once, yielding decoded windows as they are produced.
-
-    With a cache, each window's encoded columns are buffered as they
-    stream past and the file is committed atomically when the emulation
-    completes; with ``memo_key``, the same compact columns also land in
-    the in-process column memo.  An abandoned replay stores and memoises
-    nothing.
-    """
-    trace_events["emulations"] += 1
-    writer = (
-        cache.open_store(fingerprint, window_size) if cache is not None else None
-    )
-    pcs_acc = array.array("q")
-    next_acc = array.array("q")
-    mems_acc = array.array("q")
-    taken_acc = bytearray()
-    emulator = FunctionalEmulator(program)
-    for statics, pcs, next_pcs, takens, mems in emulator.run_collect_windows(
-        max_instructions, window_size
-    ):
-        mems = [mem if mem is not None else 0 for mem in mems]
-        takens = bytearray(map(bool, takens))
-        if writer is not None:
-            writer.add(pcs, next_pcs, takens, mems)
-        if memo_key is not None:
-            pcs_acc.extend(pcs)
-            next_acc.extend(next_pcs)
-            mems_acc.extend(mems)
-            taken_acc.extend(takens)
-        yield DecodedTrace.from_entries(statics, pcs, next_pcs, takens, mems)
-    if writer is not None:
-        writer.commit()
-    if memo_key is not None:
-        _memoise_columns(memo_key, (pcs_acc, next_acc, mems_acc, taken_acc))
 
 
 def get_trace_stream(
@@ -1164,54 +1060,35 @@ def get_trace_stream(
 ) -> TraceWindowStream:
     """A replay-ready window stream for (program, budget).
 
-    Budgets at or below the effective window size — and ``window_size=0``
-    — take the monolithic :func:`get_decoded_trace` path, in-process memo
-    included, wrapped as a single window; nothing changes for small runs.
-    Larger budgets stream, reusing three tiers while only ever holding
-    compact encoded columns plus the replay's own resident windows: the
-    in-process *column* memo (emulate once per (program, budget) even
-    with no disk cache), then the disk cache, then one fresh emulation
-    that populates both.  Replay statistics are bit-identical for every
-    window size.
+    Reuses three tiers while only ever holding compact columns: the
+    in-process column memo (emulate once per (program, budget) even with
+    no disk cache), then the disk cache, then one fresh emulation that
+    populates both and streams its windows as they are produced.
+    ``window_size=0`` replays the whole trace as one window.  Replay
+    statistics are bit-identical for every window size.
     """
     if live is None:
         live = bool(os.environ.get("REPRO_LIVE_EMULATION"))
-    window_size = resolve_trace_window(window_size)
-    if window_size == 0 or max_instructions <= window_size:
-        trace = (
-            emulate_trace(program, max_instructions)
-            if live
-            else get_decoded_trace(program, max_instructions, cache=cache, live=False)
-        )
-        return TraceWindowStream.single(trace)
+    window = resolve_trace_window(window_size) or None
+    digest = program_digest(program)
+    table = static_table(program, digest)
     if live:
         return TraceWindowStream(
-            _emulated_windows(program, max_instructions, window_size, None, None),
-            window_size,
+            table, _emulated_windows(program, max_instructions, window), window
         )
-    digest = program_digest(program)
     key = (digest, max_instructions)
-    columns = _column_memo.get(key)
+    columns = _stored_columns(key, cache, table)
     if columns is not None:
-        trace_events["memo_hits"] += 1
-        _column_memo.move_to_end(key)
-        return TraceWindowStream(
-            _decode_column_windows(columns, _instructions_by_pc(program), window_size),
-            window_size,
-        )
-    fingerprint = _fingerprint_from_digest(digest, max_instructions)
-    if cache is not None:
-        opened = cache._open_validated(fingerprint, program)
-        if opened is not None:
-            stored_columns, instr_by_pc = opened
-            _memoise_columns(key, stored_columns)
-            return TraceWindowStream(
-                _decode_column_windows(stored_columns, instr_by_pc, window_size),
-                window_size,
-            )
+        return TraceWindowStream(table, _column_windows(columns, window), window)
     return TraceWindowStream(
+        table,
         _emulated_windows(
-            program, max_instructions, window_size, cache, fingerprint, key
+            program,
+            max_instructions,
+            window,
+            cache,
+            _fingerprint_from_digest(digest, max_instructions),
+            key,
         ),
-        window_size,
+        window,
     )

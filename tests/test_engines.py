@@ -17,12 +17,18 @@ The contract under test (see :mod:`repro.uarch.engine`):
   toolchain fails with one clear error naming the install extra, not a
   build error from callsite depth, and the kernel source compiles
   warning-free where a toolchain exists.
+* **Failure paths** — a trace pc with no static row, a window source
+  that raises and a policy hook that raises all surface as exceptions
+  under either kernel, and leave nothing behind that changes the next
+  replay.  ``tests/test_native_sanitizer.py`` reruns this module against
+  an AddressSanitizer build of the native kernel.
 """
 
 from __future__ import annotations
 
 import json
 import subprocess
+from array import array
 
 import pytest
 
@@ -33,6 +39,7 @@ from repro.harness.experiment import SOFTWARE_TECHNIQUES, TECHNIQUES, make_polic
 from repro.harness.parallel import SimulationJob
 from repro.harness.shard import ShardJob, ShardSpan, run_sharded
 from repro.isa.opcodes import FuClass
+from repro.techniques import AbellaPolicy, BaselinePolicy, SoftwareDirectedPolicy
 from repro.uarch import available_engines, get_engine, resolve_engine_name, simulate
 from repro.uarch.config import ProcessorConfig
 from repro.uarch.core import simulate_span
@@ -40,6 +47,16 @@ from repro.uarch.engine import base as engine_base
 from repro.uarch.engine import native as native_module
 from repro.uarch.engine.native import NativeUnavailableError
 from repro.uarch.engine.scalar import OutOfOrderCore
+from repro.uarch.trace import (
+    StaticTable,
+    TraceWindow,
+    TraceWindowStream,
+    _column_windows,
+    empty_columns,
+    get_trace_columns,
+    get_trace_stream,
+    static_table,
+)
 from repro.workloads import build_benchmark
 
 #: The native kernel needs a C toolchain; hosts without one skip its
@@ -290,19 +307,200 @@ class TestNativeEquivalence:
             assert _stats_bytes(stitched) == _stats_bytes(sequential), engine
 
     def test_empty_trace_runs(self):
-        from repro.uarch.trace import DecodedTrace
+        def empty():
+            return TraceWindowStream(StaticTable([]), [empty_columns()])
 
-        scalar = get_engine("scalar").run(DecodedTrace())
-        native = get_engine("native").run(DecodedTrace())
+        scalar = get_engine("scalar").run(empty())
+        native = get_engine("native").run(empty())
         assert _stats_bytes(scalar) == _stats_bytes(native)
 
     def test_max_cycles_budget_is_respected(self):
-        from repro.uarch.trace import get_decoded_trace
-
-        trace = get_decoded_trace(_program_for("baseline"), 2_000)
-        scalar = get_engine("scalar").run(trace, max_cycles=123)
-        native = get_engine("native").run(trace, max_cycles=123)
+        program = _program_for("baseline")
+        scalar = get_engine("scalar").run(
+            get_trace_stream(program, 2_000), max_cycles=123
+        )
+        native = get_engine("native").run(
+            get_trace_stream(program, 2_000), max_cycles=123
+        )
         assert _stats_bytes(scalar) == _stats_bytes(native)
+
+
+#: Both kernels; the native one only where it builds.
+KERNELS = ("scalar", pytest.param("native", marks=needs_native))
+
+
+class WindowSourceError(Exception):
+    """Raised by a trace window source partway through a replay."""
+
+
+class PolicyHookError(Exception):
+    """Raised by a policy hook partway through a replay."""
+
+
+def _failing(policy_class, hook: str, calls: int):
+    """A ``policy_class`` whose ``hook`` raises on its ``calls``-th call."""
+
+    class Failing(policy_class):
+        seen = 0
+
+    def failing(self, *args):
+        self.seen += 1
+        if self.seen == calls:
+            raise PolicyHookError(hook)
+        return getattr(policy_class, hook)(self, *args)
+
+    setattr(Failing, hook, failing)
+    return Failing
+
+
+class TestKernelErrorPaths:
+    """Failures mid-replay raise, and the next replay is unaffected."""
+
+    def _replay(self, kernel: str, technique: str = "abella", **kwargs):
+        return _stats_bytes(_run(technique, kernel, 640, **kwargs))
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("where", ("misaligned", "below", "past"))
+    def test_pc_without_a_static_row_raises(self, kernel, where):
+        fresh = self._replay(kernel)
+        program = _program_for("abella")
+        table = static_table(program)
+        columns = get_trace_columns(program, BUDGET)
+        pcs = array("q", columns.pc)
+        pcs[BUDGET // 2] = {
+            "misaligned": pcs[BUDGET // 2] + 2,
+            "below": table.base - 4,
+            "past": table.base + 4 * len(table),
+        }[where]
+        stream = TraceWindowStream(
+            table, _column_windows(TraceWindow(pcs, *columns[1:]), 640), 640
+        )
+        with pytest.raises(ValueError, match="names no static instruction"):
+            get_engine(kernel).run(stream, AbellaPolicy())
+        assert self._replay(kernel) == fresh
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_window_source_error_propagates(self, kernel):
+        fresh = self._replay(kernel)
+        program = _program_for("abella")
+        windows = list(_column_windows(get_trace_columns(program, BUDGET), 640))
+
+        def source():
+            yield from windows[:2]
+            raise WindowSourceError("window source failed")
+
+        stream = TraceWindowStream(static_table(program), source(), 640)
+        with pytest.raises(WindowSourceError):
+            get_engine(kernel).run(stream, AbellaPolicy())
+        assert self._replay(kernel) == fresh
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize(
+        "technique, policy_class, hook",
+        (
+            ("noop", SoftwareDirectedPolicy, "on_hint"),
+            ("abella", AbellaPolicy, "on_cycle_end"),
+            ("abella", AbellaPolicy, "on_measurement_start"),
+        ),
+    )
+    def test_policy_hook_error_propagates(
+        self, kernel, technique, policy_class, hook
+    ):
+        fresh = self._replay(kernel, technique)
+        policy = _failing(policy_class, hook, 3 if hook == "on_hint" else 1)()
+        with pytest.raises(PolicyHookError):
+            get_engine(kernel).run(
+                get_trace_stream(_program_for(technique), BUDGET, 640),
+                policy,
+                warmup_instructions=WARMUP,
+            )
+        assert self._replay(kernel, technique) == fresh
+
+
+class RecordingPolicy(BaselinePolicy):
+    """Baseline behaviour that records the cycle of each ``on_cycle_end``."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls: list[int] = []
+
+    def on_cycle_end(self, core) -> None:
+        self.calls.append(core.cycle)
+
+
+class PeriodicPolicy(RecordingPolicy):
+    """Asks to be woken ``PERIOD`` cycles after its previous wake."""
+
+    PERIOD = 97
+
+    def next_wake_cycle(self) -> int:
+        return (self.calls[-1] if self.calls else 0) + self.PERIOD
+
+
+class SleepingPolicy(BaselinePolicy):
+    """Overrides ``on_cycle_end`` but never asks to be woken."""
+
+    def next_wake_cycle(self):
+        return None
+
+    def on_cycle_end(self, core) -> None:
+        raise AssertionError(f"woken at cycle {core.cycle} without asking")
+
+
+class TestPolicyWake:
+    """Kernels call ``on_cycle_end`` exactly at the cycles a policy asks for."""
+
+    def _replay(self, kernel: str, policy):
+        return get_engine(kernel).run(
+            get_trace_stream(_program_for("baseline"), BUDGET, 640), policy
+        )
+
+    def test_only_abella_asks_to_be_woken(self):
+        for technique in TECHNIQUES:
+            wake = make_policy(technique, _CONFIG).next_wake_cycle()
+            assert (wake is None) == (technique != "abella"), technique
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_an_overridden_cycle_hook_runs_every_cycle(self, kernel):
+        policy = RecordingPolicy()
+        assert policy.next_wake_cycle() == 0
+        stats = self._replay(kernel, policy)
+        assert policy.calls == list(range(stats.cycles))
+        assert _stats_bytes(stats) == _stats_bytes(
+            self._replay(kernel, BaselinePolicy())
+        )
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_cycle_hook_runs_only_at_the_wake_cycles(self, kernel):
+        policy = PeriodicPolicy()
+        stats = self._replay(kernel, policy)
+        period = PeriodicPolicy.PERIOD
+        assert policy.calls == list(range(period, stats.cycles, period))
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_no_wake_cycle_means_no_cycle_hook(self, kernel):
+        stats = self._replay(kernel, SleepingPolicy())
+        assert _stats_bytes(stats) == _stats_bytes(
+            self._replay(kernel, BaselinePolicy())
+        )
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_abella_decides_at_every_wake(self, kernel):
+        class CountingAbella(AbellaPolicy):
+            wakes = 0
+
+            def on_cycle_end(self, core) -> None:
+                self.wakes += 1
+                super().on_cycle_end(core)
+
+        policy = CountingAbella(interval_cycles=256)
+        get_engine(kernel).run(
+            get_trace_stream(_program_for("abella"), BUDGET, 640),
+            policy,
+            warmup_instructions=WARMUP,
+        )
+        assert policy.wakes >= 2
+        assert policy.wakes == len(policy.decisions)
 
 
 class TestFingerprintInvariance:

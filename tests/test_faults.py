@@ -27,6 +27,7 @@ import os
 import subprocess
 import sys
 import time
+from array import array
 
 import pytest
 
@@ -55,7 +56,13 @@ from repro.harness.faults import (
 )
 from repro.harness.queue import WorkQueue, process_claimed_job, spawn_local_workers
 from repro.uarch.stats import SimulationStats
-from repro.uarch.trace import TraceCache, emulate_trace, trace_fingerprint
+from repro.uarch.trace import (
+    TraceCache,
+    TraceWindow,
+    get_trace_columns,
+    static_table,
+    trace_fingerprint,
+)
 from repro.workloads import build_benchmark
 
 TINY_CONFIG = RunConfig(
@@ -353,7 +360,7 @@ class TestTraceCacheQuarantine:
     @pytest.fixture()
     def stored_trace(self, tmp_path):
         program = build_benchmark("gzip")
-        trace = emulate_trace(program, 200)
+        trace = get_trace_columns(program, 200, live=True)
         cache = TraceCache(tmp_path)
         fingerprint = trace_fingerprint(program, 200)
         cache.store(fingerprint, trace)
@@ -379,13 +386,33 @@ class TestTraceCacheQuarantine:
         # The re-store lands cleanly and round-trips.
         writer_stores = cache.stores
         program2 = build_benchmark("gzip")
-        cache.store(fingerprint, emulate_trace(program2, 200))
+        cache.store(fingerprint, get_trace_columns(program2, 200, live=True))
         assert cache.stores == writer_stores + 1
         assert cache.load(fingerprint, program).length == 200
 
+    @pytest.mark.parametrize("where", ["misaligned", "below", "past"])
+    def test_stored_pc_without_a_static_is_quarantined(self, tmp_path, where):
+        """A well-formed file whose pcs do not all name a static of the
+        program is corrupt (or a fingerprint collision): a clean miss."""
+        program = build_benchmark("gzip")
+        table = static_table(program)
+        columns = get_trace_columns(program, 200, live=True)
+        pcs = array("q", columns.pc)
+        pcs[100] = {
+            "misaligned": pcs[100] + 1,
+            "below": table.base - 4,
+            "past": table.base + 4 * len(table),
+        }[where]
+        cache = TraceCache(tmp_path)
+        fingerprint = trace_fingerprint(program, 200)
+        cache.store(fingerprint, TraceWindow(pcs, *columns[1:]))
+        assert cache.load(fingerprint, program) is None
+        assert cache.quarantined == 1
+        assert not cache.path_for(fingerprint).exists()
+
     def test_degraded_store_never_raises(self, tmp_path):
         program = build_benchmark("gzip")
-        trace = emulate_trace(program, 100)
+        trace = get_trace_columns(program, 100, live=True)
         cache = TraceCache(tmp_path / "traces")
         fingerprint = trace_fingerprint(program, 100)
         with installed(

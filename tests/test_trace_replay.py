@@ -3,7 +3,7 @@
 Three families:
 
 * **Equivalence** — the statistics of a run must not depend on how the
-  decoded trace was obtained: live emulation, the in-process memo, or a
+  trace columns were obtained: live emulation, the in-process memo, or a
   round-trip through the on-disk :class:`~repro.uarch.trace.TraceCache`
   must all produce byte-identical :class:`SimulationStats`, across every
   technique policy and structurally different workloads.
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import struct
 
 import pytest
 
@@ -27,13 +28,17 @@ from repro.harness import ParallelSuiteRunner, RunConfig
 from repro.harness.cache import ResultCache, stats_to_dict
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
+from repro.isa.registers import int_reg
 from repro.techniques import (
     AbellaPolicy,
     BaselinePolicy,
     NonEmptyPolicy,
     SoftwareDirectedPolicy,
 )
-from repro.uarch import OutOfOrderCore, TraceCache, simulate
+from repro.uarch import OutOfOrderCore, TraceCache, get_engine, simulate
+from repro.uarch.config import DEFAULT_TRACE_WINDOW_ENTRIES
+from repro.uarch.emulator import CODE_BASE, FunctionalEmulator, ProgramLayout
+from repro.uarch.engine import native as native_module
 from repro.uarch.functional_units import FU_ORDER
 from repro.uarch.trace import (
     F_BRANCH,
@@ -44,12 +49,20 @@ from repro.uarch.trace import (
     F_RET,
     F_STORE,
     TRACE_FORMAT_VERSION,
-    DecodedTrace,
+    StaticTable,
+    TraceWindow,
+    TraceWindowStream,
+    _column_windows,
     clear_trace_memo,
-    get_decoded_trace,
+    commit_mask,
+    empty_columns,
+    get_trace_columns,
+    get_trace_span_stream,
     get_trace_stream,
     program_digest,
     reset_trace_events,
+    resolve_trace_window,
+    static_table,
     trace_events,
     trace_fingerprint,
 )
@@ -155,6 +168,7 @@ class TestWindowedReplay:
         reference = simulate(program, policy(), trace_window=0, **kwargs)
 
         cache_dir = tmp_path / "traces"
+        clear_trace_memo()  # emulate and store, not replay the memo
         stored = simulate(
             program, policy(), trace_window=window, trace_cache=str(cache_dir), **kwargs
         )
@@ -242,8 +256,7 @@ class TestWindowedReplay:
         header = {"format": 1, "length": 0, "byteorder": sys.byteorder}
         path.write_bytes(json.dumps(header).encode() + b"\n")
         assert cache.load(fingerprint, program) is None
-        assert cache.open_windows(fingerprint, program) is None
-        assert cache.misses == 2
+        assert cache.misses == 1
 
     def test_uncached_streaming_grid_emulates_once_per_program(self):
         """Budgets above the window must not regress the emulate-once
@@ -278,6 +291,7 @@ class TestWindowedReplay:
             trace_window=0,  # stored as one monolithic window
             trace_cache=cache,
         )
+        clear_trace_memo()  # the stored file must be consulted
         reset_trace_events()
         stream = get_trace_stream(program, budget, window_size=256, cache=cache)
         first = stream.next_window()
@@ -298,6 +312,7 @@ class TestWindowedReplay:
             program, BaselinePolicy(), max_instructions=2_000, trace_window=0
         )
         # Store windowed, read monolithic.
+        clear_trace_memo()
         simulate(
             program,
             BaselinePolicy(),
@@ -324,7 +339,7 @@ class TestTraceCacheBounding:
 
     def _trace(self):
         clear_trace_memo()
-        return get_decoded_trace(build_benchmark("gzip"), 1_000)
+        return get_trace_columns(build_benchmark("gzip"), 1_000)
 
     def test_byte_cap_evicts_least_recently_used(self, tmp_path):
         import os
@@ -401,7 +416,7 @@ class TestTraceFingerprint:
         program = build_benchmark("gzip")
         cache = TraceCache(tmp_path)
         clear_trace_memo()
-        get_decoded_trace(program, 1_000, cache=cache)
+        get_trace_columns(program, 1_000, cache=cache)
         assert cache.stores == 1
 
         import repro.uarch.trace as trace_module
@@ -411,7 +426,7 @@ class TestTraceFingerprint:
         )
         clear_trace_memo()
         reset_trace_events()
-        get_decoded_trace(program, 1_000, cache=cache)
+        get_trace_columns(program, 1_000, cache=cache)
         # The edited-emulator fingerprint cannot resurrect the old trace.
         assert trace_events["disk_hits"] == 0
         assert trace_events["emulations"] == 1
@@ -439,7 +454,7 @@ class TestTraceFingerprint:
 
 
 def test_static_decode_flags_match_the_instruction_predicates():
-    """The per-opcode decode table agrees with ``Instruction``'s own
+    """The static table's rows agree with ``Instruction``'s own
     classification for every opcode."""
     predicates = (
         (F_HINT, "is_hint"),
@@ -453,13 +468,305 @@ def test_static_decode_flags_match_the_instruction_predicates():
         instr = Instruction(
             opcode, target="b", call_target="f", hint_value=8, iq_tag=16
         )
-        flags, latency, fu_ordinal, iq_tag, _ = DecodedTrace._static_decode(instr)
+        table = StaticTable.from_statics({CODE_BASE: instr})
+        row = table.row(CODE_BASE)
+        flags = table.flags[row]
         for bit, name in predicates:
             assert bool(flags & bit) == getattr(instr, name), (opcode, name)
         assert bool(flags & F_NOP) == (opcode is Opcode.NOP)
-        assert latency == instr.latency
-        assert FU_ORDER[fu_ordinal] is instr.fu_class
-        assert iq_tag == 16
+        assert table.latency[row] == instr.latency
+        assert FU_ORDER[table.fu[row]] is instr.fu_class
+        assert table.iq_tag[row] == 16
+        assert table.hint_value[row] == 8
+
+
+def test_static_table_rows_follow_the_program_layout():
+    """Row ``(pc - CODE_BASE) >> 2`` is the static the emulator lays out
+    at ``pc``, for every static of an instrumented benchmark; any other
+    pc has no row."""
+    program = _program("gzip", "extension")
+    table = static_table(program)
+    layout = ProgramLayout.for_program(program)
+    statics = [
+        instr
+        for procedure in program.procedures.values()
+        for block in procedure.blocks
+        for instr in block.instructions
+    ]
+    assert len(table) == len(statics) == layout.code_size // 4
+    assert list(layout.instruction_at.values()) == statics
+    for instr in statics:
+        assert layout.instruction_at[layout.instruction_pc[instr.uid]] is instr
+        row = table.row(layout.instruction_pc[instr.uid])
+        assert table.iq_tag[row] == instr.iq_tag
+        assert table.rename_specs[row][2] == tuple(
+            reg.index for reg in instr.dests if not reg.is_fp
+        )
+    end = CODE_BASE + layout.code_size
+    for pc in (CODE_BASE - 4, CODE_BASE + 2, end):
+        with pytest.raises(ValueError):
+            table.row(pc)
+    assert table.covers([CODE_BASE, end - 4])
+    assert not table.covers([CODE_BASE, end])
+
+
+def test_static_table_follows_the_pcs_the_layout_assigns():
+    """The table places each static at the pc its layout gives it, so a
+    layout that moves code (here: 64 bytes up) still maps every pc to its
+    own static, with NOP rows below."""
+    program = build_benchmark("gzip")
+    layout = ProgramLayout.for_program(program, base_address=CODE_BASE + 64)
+    table = StaticTable.from_statics(layout.instruction_at)
+    full = static_table(program)
+    assert len(table) == len(full) + 16
+    assert table.flags[:16] == bytes([F_NOP]) * 16
+    for pc in layout.instruction_at:
+        assert table.rename_specs[table.row(pc)] == full.rename_specs[
+            full.row(pc - 64)
+        ]
+        assert table.flags[table.row(pc)] == full.flags[full.row(pc - 64)]
+
+
+#: Both kernels; the native one only where it builds.
+KERNELS = (
+    "scalar",
+    pytest.param(
+        "native",
+        marks=pytest.mark.skipif(
+            not native_module.native_available(),
+            reason="native kernel unavailable",
+        ),
+    ),
+)
+
+
+def _column_bytes(columns) -> tuple[bytes, ...]:
+    return tuple(bytes(column) for column in columns)
+
+
+class TestStaticTable:
+    """The per-program table both kernels index by ``(pc - base) >> 2``."""
+
+    def test_empty_table_has_no_rows(self):
+        table = StaticTable([])
+        assert len(table) == 0
+        assert table.packed() == b""
+        assert table.covers([])
+        with pytest.raises(ValueError, match="names no static instruction"):
+            table.row(CODE_BASE)
+
+    @pytest.mark.parametrize("technique", ("noop", "extension"))
+    def test_packed_rows_follow_the_native_layout(self, technique):
+        """``packed()`` is the C kernel's 40-byte ``StaticRow`` per row:
+        iq_tag, hint payload, flags, latency, FU, a pad byte, four
+        operand counts, then four register slots per category."""
+        table = static_table(_program("gzip", technique))
+        assert any(table.hint_value) or any(
+            tag is not None for tag in table.iq_tag
+        )
+        layout = struct.Struct("=qqBBBx4B16B")
+        packed = table.packed()
+        assert layout.size == 40 and len(packed) == 40 * len(table)
+        for row, record in enumerate(layout.iter_unpack(packed)):
+            iq_tag, hint_value, flags, latency, fu = record[:5]
+            counts, regs = record[5:9], record[9:]
+            expected_tag = table.iq_tag[row]
+            assert iq_tag == (-(1 << 63) if expected_tag is None else expected_tag)
+            assert hint_value == table.hint_value[row]
+            assert (flags, latency, fu) == (
+                table.flags[row],
+                table.latency[row],
+                table.fu[row],
+            )
+            for slot, operands in enumerate(table.rename_specs[row]):
+                assert counts[slot] == len(operands)
+                assert regs[4 * slot : 4 * slot + len(operands)] == operands
+
+    @pytest.mark.parametrize("pc", (CODE_BASE - 4, CODE_BASE + 2))
+    def test_a_static_at_a_pc_without_a_row_is_rejected(self, pc):
+        """Only 4-byte-aligned pcs at or above the base have a row."""
+        with pytest.raises(ValueError, match="has no table row"):
+            StaticTable.from_statics({pc: Instruction(Opcode.NOP)})
+
+    def test_statics_land_at_their_pcs_rows(self):
+        load = Instruction(Opcode.LOAD, dests=[int_reg(1)], srcs=[int_reg(2)])
+        table = StaticTable.from_statics({CODE_BASE + 8: load})
+        assert len(table) == 3
+        assert list(table.pcs()) == [CODE_BASE, CODE_BASE + 4, CODE_BASE + 8]
+        assert table.flags == bytes([F_NOP, F_NOP, F_LOAD])
+        assert table.rename_specs[2] == ((2,), (), (1,), ())
+
+    def test_more_than_four_operands_per_category_cannot_be_packed(self):
+        row = (0, 1, 0, None, 0, ((1, 2, 3, 4, 5), (), (), ()))
+        with pytest.raises(ValueError, match="at most 4 operands"):
+            StaticTable([row]).packed()
+
+    def test_tables_are_memoised_by_program_content(self):
+        clear_trace_memo()
+        first = static_table(build_benchmark("gzip"))
+        # A rebuilt program with the same content shares the table.
+        assert static_table(build_benchmark("gzip")) is first
+        clear_trace_memo()
+        rebuilt = static_table(build_benchmark("gzip"))
+        assert rebuilt is not first
+        assert rebuilt.packed() == first.packed()
+        assert rebuilt.rename_specs == first.rename_specs
+        assert static_table(_program("gzip", "noop")) is not rebuilt
+
+    def test_dynamic_stream_table_fills_unreached_rows_with_nops(self):
+        program = build_benchmark("gzip")
+        dyns = list(FunctionalEmulator(program).run(500))
+        stream = TraceWindowStream.from_dynamic_stream(dyns)
+        table, full = stream.table, static_table(program)
+        reached = {dyn.pc for dyn in dyns}
+        assert len(table) == (max(reached) - CODE_BASE) // 4 + 1
+        assert len(reached) < len(table)
+        for row in range(len(table)):
+            if CODE_BASE + 4 * row in reached:
+                assert table.flags[row] == full.flags[row]
+                assert table.latency[row] == full.latency[row]
+                assert table.fu[row] == full.fu[row]
+                assert table.rename_specs[row] == full.rename_specs[row]
+            else:
+                assert table.flags[row] == F_NOP
+                assert table.rename_specs[row] == ((), (), (), ())
+        assert _column_bytes(stream.next_window()) == _column_bytes(
+            get_trace_columns(program, 500, live=False)
+        )
+        assert stream.next_window() is None
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_dynamic_stream_replays_like_the_column_stream(self, kernel):
+        program = _program("gzip", "extension")
+        engine = get_engine(kernel)
+        kwargs = dict(warmup_instructions=500)
+        from_dyns = engine.run(
+            list(FunctionalEmulator(program).run(2_000)),
+            _policy("extension"),
+            **kwargs,
+        )
+        from_columns = engine.run(
+            get_trace_stream(program, 2_000, window_size=256, live=False),
+            _policy("extension"),
+            **kwargs,
+        )
+        assert _stats_bytes(from_dyns) == _stats_bytes(from_columns)
+
+
+class TestColumnWindows:
+    """Windows are zero-copy views of the columns, consumed forward-only."""
+
+    @pytest.mark.parametrize("window", (1, 7, 0, None))
+    def test_windows_are_views_that_tile_the_columns(self, window):
+        columns = get_trace_columns(build_benchmark("gzip"), 101, live=False)
+        windows = list(_column_windows(columns, window))
+        step = window or columns.length
+        assert [part.length for part in windows[:-1]] == [step] * (len(windows) - 1)
+        assert 0 < windows[-1].length <= step
+        for field, whole in zip(TraceWindow._fields, columns):
+            parts = [getattr(part, field) for part in windows]
+            assert all(isinstance(part, memoryview) for part in parts)
+            assert all(part.obj is whole for part in parts)
+            assert b"".join(part.tobytes() for part in parts) == bytes(whole)
+
+    def test_empty_columns_yield_no_window(self):
+        assert list(_column_windows(empty_columns(), 7)) == []
+        assert list(_column_windows(empty_columns(), None)) == []
+
+    @pytest.mark.parametrize(
+        "first, last",
+        ((0, None), (700, 1_900), (2_400, 10**9), (900, 100)),
+        ids=("whole", "middle", "past-the-end", "inverted"),
+    )
+    def test_span_stream_windows_tile_the_entry_span(self, first, last):
+        program = build_benchmark("gzip")
+        columns = get_trace_columns(program, 2_500, live=False)
+        stream = get_trace_span_stream(
+            program, 2_500, first, last, window_size=256, live=False
+        )
+        assert stream.table is static_table(program)
+        windows = []
+        while (window := stream.next_window()) is not None:
+            assert 0 < window.length <= 256
+            windows.append(window)
+        for field, whole in zip(TraceWindow._fields, columns):
+            joined = b"".join(getattr(part, field).tobytes() for part in windows)
+            assert joined == memoryview(whole)[first:last].tobytes()
+
+    def test_exhausted_stream_never_pulls_its_source_again(self):
+        window = empty_columns()
+
+        class Restarting:
+            """Ends once, then would yield again if asked."""
+
+            pulls = 0
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                self.pulls += 1
+                if self.pulls == 2:
+                    raise StopIteration
+                return window
+
+        source = Restarting()
+        stream = TraceWindowStream(StaticTable([]), source)
+        assert stream.next_window() is window
+        assert stream.next_window() is None
+        assert stream.next_window() is None
+        assert source.pulls == 2
+
+    def test_commit_mask_counts_the_committed_instructions(self):
+        """Hint NOOPs never commit, so an instrumented trace commits fewer
+        instructions than it has entries; the mask says exactly which."""
+        program = _program("gzip", "noop")
+        columns = get_trace_columns(program, 2_000, live=False)
+        mask = commit_mask(program, columns)
+        assert len(mask) == columns.length
+        assert set(mask) == {0, 1}
+        stats = simulate(program, _policy("noop"), max_instructions=2_000)
+        assert sum(mask) == stats.committed_instructions
+
+
+class TestColumnMemo:
+    """One column set per (program, budget) serves every consumer."""
+
+    def test_columns_are_emulated_once_then_memoised(self):
+        program = build_benchmark("gzip")
+        clear_trace_memo()
+        reset_trace_events()
+        first = get_trace_columns(program, 1_000, live=False)
+        assert get_trace_columns(program, 1_000, live=False) is first
+        stream = get_trace_stream(program, 1_000, window_size=0, live=False)
+        assert stream.next_window().pc.obj is first.pc
+        assert trace_events["emulations"] == 1
+        assert trace_events["memo_hits"] == 2
+
+    def test_live_columns_neither_read_nor_fill_the_memo(self):
+        program = build_benchmark("gzip")
+        clear_trace_memo()
+        reset_trace_events()
+        live = get_trace_columns(program, 1_000, live=True)
+        again = get_trace_columns(program, 1_000, live=True)
+        assert trace_events["emulations"] == 2
+        stored = get_trace_columns(program, 1_000, live=False)
+        assert trace_events["emulations"] == 3
+        assert trace_events["memo_hits"] == 0
+        assert _column_bytes(live) == _column_bytes(again) == _column_bytes(stored)
+
+    def test_resolve_trace_window_defaults_and_validates(self):
+        assert resolve_trace_window() == DEFAULT_TRACE_WINDOW_ENTRIES
+        assert resolve_trace_window(0) == 0
+        assert resolve_trace_window(7) == 7
+        with pytest.raises(ValueError, match="non-negative"):
+            resolve_trace_window(-1)
+
+    def test_trace_window_is_not_read_from_the_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE_WINDOW", "7")
+        assert resolve_trace_window() == DEFAULT_TRACE_WINDOW_ENTRIES
+        stream = get_trace_stream(build_benchmark("gzip"), 1_000, live=False)
+        assert stream.window_size == DEFAULT_TRACE_WINDOW_ENTRIES
 
 
 class TestGridReuse:
