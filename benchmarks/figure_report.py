@@ -83,7 +83,8 @@ def print_cache_stats(runner) -> None:
             )
     events = trace_events
     print(
-        f"emulations this process: {events['emulations']} "
+        f"emulations this process: {events['emulations']}, "
+        f"derivations {events['derivations']} "
         f"(memo hits {events['memo_hits']}, disk hits {events['disk_hits']})"
     )
     if runner.workers > 1:

@@ -12,8 +12,9 @@ technique run with the baseline run of the same benchmark and derives:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.core import CompilerConfig, CompilationResult, compile_program
 from repro.power import EnergyParams, PowerReport, build_power_report, power_savings
@@ -70,14 +71,26 @@ class RunConfig:
 
 @dataclass
 class BenchmarkResult:
-    """One (benchmark, technique) simulation plus its power costing."""
+    """One (benchmark, technique) simulation plus its power costing.
+
+    ``compile`` produces the software techniques' compilation (None for
+    the others); it runs on the first read of :attr:`compilation`, so a
+    result served from a cache compiles nothing until someone asks.
+    """
 
     benchmark: str
     technique: str
     stats: SimulationStats
     power: PowerReport
     policy_name: str
-    compilation: Optional[CompilationResult] = None
+    compile: Optional[Callable[[], CompilationResult]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @property
+    def compilation(self) -> Optional[CompilationResult]:
+        """The program's compilation, or None for a hardware technique."""
+        return None if self.compile is None else self.compile()
 
 
 @dataclass
@@ -161,10 +174,10 @@ class SuiteRunner:
 
         config = self.config
         policy = make_policy(technique, config)
-        compilation: Optional[CompilationResult] = None
+        compile_ = None
         if technique in SOFTWARE_TECHNIQUES:
-            compilation = self.compilation(benchmark, technique)
-            program = compilation.instrumented_program
+            compile_ = functools.partial(self.compilation, benchmark, technique)
+            program = compile_().instrumented_program
         else:
             program = build_benchmark(benchmark)
 
@@ -182,7 +195,7 @@ class SuiteRunner:
             stats=stats,
             power=power,
             policy_name=policy.name,
-            compilation=compilation,
+            compile=compile_,
         )
         self._results[key] = result
         return result

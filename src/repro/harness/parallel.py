@@ -39,16 +39,21 @@ Semantics:
   picklable job specs.  The ``REPRO_WORKERS`` environment variable
   supplies the default.
 * **Compilations** are not cached on disk: they are cheap relative to
-  simulation, required in-process anyway for table 2 and the
-  per-result ``compilation`` field, and already memoised per runner.
+  simulation and memoised per runner.  Table 2 asks the runner for
+  them, and a result's ``compilation`` field resolves on first read, so
+  a grid served from the result cache compiles nothing.
 * **Traces** are cached one level below the results: a
   ``traces/`` subdirectory of ``cache_dir`` (override with
-  ``trace_cache_dir``) holds each benchmark's emulated trace columns
-  (:mod:`repro.uarch.trace`), keyed by program content + budget +
-  emulator source and stored in independently loadable windows.  A
-  result-cache miss that only changed the technique or the
-  processor/energy configuration re-times the benchmark without
-  re-emulating it, in-process and across pool workers.  Budgets above
+  ``trace_cache_dir``) holds two traces per benchmark and budget
+  (:mod:`repro.uarch.trace`), stored in independently loadable windows
+  and keyed by the content the emulator reads (hint payloads and tags
+  masked) + budget + emulator source.  The uninstrumented program's
+  trace serves baseline, nonempty, abella and the tagged extension and
+  improved programs; the noop program's trace is derived from it, with
+  no second emulation.  A result-cache miss that only changed the
+  technique or the processor/energy configuration re-times the
+  benchmark without re-emulating it, in-process and across pool
+  workers.  Budgets above
   the trace window (``trace_window``; default ~16k instructions) replay
   window by window with decode memory bounded by the window size.
   Workers return their trace-cache hit/miss/store counter deltas with
@@ -91,6 +96,7 @@ Semantics:
 
 from __future__ import annotations
 
+import functools
 import os
 import subprocess
 from concurrent.futures import ProcessPoolExecutor
@@ -608,12 +614,14 @@ class ParallelSuiteRunner(SuiteRunner):
         """Assemble the full result record from (possibly cached) counters.
 
         Power reports are pure functions of the counters, so they are
-        recomputed on every load rather than persisted.
+        recomputed on every load rather than persisted.  A software
+        technique's compilation resolves on first read, through the
+        runner's memo: a result-cache hit compiles nothing.
         """
         policy = make_policy(job.technique, self.config)
-        compilation = None
+        compile_ = None
         if job.technique in SOFTWARE_TECHNIQUES:
-            compilation = self.compilation(job.benchmark, job.technique)
+            compile_ = functools.partial(self.compilation, job.benchmark, job.technique)
         power = build_power_report(stats, policy, self.config.energy_params)
         return BenchmarkResult(
             benchmark=job.benchmark,
@@ -621,5 +629,5 @@ class ParallelSuiteRunner(SuiteRunner):
             stats=stats,
             power=power,
             policy_name=policy.name,
-            compilation=compilation,
+            compile=compile_,
         )

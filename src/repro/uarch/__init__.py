@@ -19,12 +19,16 @@ and branch outcome, 25 bytes per instruction).  Everything fixed by the
 static instruction (classification flags, latency, functional-unit
 ordinal, issue-queue tag, hint payload, rename operand specs) lives once
 per program in a :class:`~repro.uarch.trace.StaticTable`, built from
-the program's layout and indexed by ``(pc - CODE_BASE) >> 2``.  Both replay kernels read each fetched entry's
-row through that index; nothing is decoded per entry.  Columns are
-memoised in-process and may be cached on disk
-(:class:`~repro.uarch.trace.TraceCache`, content-addressed by program
-text + budget + emulator source digest), so a (benchmark × technique)
-grid emulates each benchmark once, not once per technique.
+the program's layout and indexed by ``(pc - CODE_BASE) >> 2``.  Both
+replay kernels read each fetched entry's row through that index; nothing
+is decoded per entry.  Columns are memoised in-process and may be cached
+on disk (:class:`~repro.uarch.trace.TraceCache`), both keyed by the
+*emulation digest* (program text without hint payloads and tags) +
+budget + emulator source digest.  Hints leave architectural state alone,
+so a (benchmark × technique) grid emulates each benchmark once: the
+tagged ``extension`` and ``improved`` programs share the uninstrumented
+program's trace, and the ``noop`` program's trace is derived from it by
+splicing the hint NOOPs in at their pcs in the hinted layout.
 
 Replay streams ``memoryview`` windows of the columns (default
 :data:`~repro.uarch.config.DEFAULT_TRACE_WINDOW_ENTRIES`, ~16k entries,
@@ -34,7 +38,8 @@ core replays window by window with microarchitectural state carried
 across boundaries — statistics are bit-identical for every window size,
 and a fresh emulation streams its windows as they are produced.
 
-To force live emulation (bypassing the memo and the disk cache) pass
+To force live emulation of the program itself (bypassing the memo, the
+disk cache and the derivation) pass
 ``live_emulation=True`` to :func:`~repro.uarch.core.simulate`, or set the
 ``REPRO_LIVE_EMULATION`` environment variable; the result is statistically
 identical, just slower.  Feeding :class:`OutOfOrderCore` a plain iterable

@@ -81,8 +81,15 @@ class ProgramLayout:
     code_size: int = 0
 
     @classmethod
-    def for_program(cls, program: Program, base_address: int = CODE_BASE) -> "ProgramLayout":
-        """Lay out ``program`` starting at ``base_address``."""
+    def for_program(
+        cls, program: Program, base_address: int = CODE_BASE, hints: bool = True
+    ) -> "ProgramLayout":
+        """Lay out ``program`` starting at ``base_address``.
+
+        ``hints=False`` skips its hint NOOPs, giving the layout of the
+        same program with its hints stripped: the pcs a trace of that
+        program records.
+        """
         layout = cls()
         pc = base_address
         for procedure in program.procedures.values():
@@ -90,6 +97,8 @@ class ProgramLayout:
             for block in procedure.blocks:
                 layout.block_pc[(procedure.name, block.label)] = pc
                 for instruction in block.instructions:
+                    if not hints and instruction.opcode is Opcode.HINT:
+                        continue
                     layout.instruction_pc[instruction.uid] = pc
                     layout.instruction_at[pc] = instruction
                     pc += 4

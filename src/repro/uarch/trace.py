@@ -3,7 +3,7 @@
 The timing core is trace-driven, and the committed dynamic instruction
 stream is a pure function of (program, instruction budget): no timing
 decision ever feeds back into architectural state.  This module runs the
-functional emulator **once** per (program, budget) and keeps only what
+functional emulator **once** per benchmark and budget and keeps only what
 the emulation decided, as four compact columns (:class:`TraceWindow`,
 25 bytes per dynamic instruction): ``pc``, ``next_pc`` and ``mem`` as
 ``array('q')`` and ``taken`` as a ``bytearray``.  Everything fixed by
@@ -24,29 +24,46 @@ replay core releases windows as it retires past them, so at most the
 windows spanning its fetch queue are resident; statistics are
 bit-identical for every window size, including 1.
 
+Hints leave architectural state alone by design, so a benchmark's
+instrumented programs execute the uninstrumented program's stream:
+
+* traces are keyed by the **emulation digest**, the program content
+  without hint payloads and issue-queue tags (:class:`ProgramDigests`),
+  so the tagged ``extension`` and ``improved`` programs share the
+  baseline's trace while their static tables, keyed by the full
+  :func:`program_digest`, still carry the tags to the kernels;
+* a program with hint NOOPs has its trace **derived** from the trace of
+  the same program with its hints stripped (whose emulation digest is
+  the baseline's): each source pc moves to its pc in the hinted layout,
+  and the hints control passes through are spliced in
+  (:func:`_splice_hints`), the budget counting them.
+
 Three reuse tiers sit in front of the emulator:
 
-1. an **in-process column memo** keyed by (program content digest,
-   budget), so every technique simulated against the same program
-   shares one emulation at every budget (the grid emulates each
-   distinct program once, not once per technique);
+1. an **in-process column memo** keyed by (emulation digest, budget),
+   so every technique simulated against one benchmark shares its
+   traces at every budget;
 2. an optional **on-disk cache** (:class:`TraceCache`),
    content-addressed like :mod:`repro.harness.cache`: the key digests
-   the program text, the instruction budget and the emulator's own
-   source bytes, so editing the emulator (or regenerating a workload
-   with different traits) can never resurrect a stale trace.  It stores
-   exactly the columns;
+   the emulation digest, the instruction budget and the source of the
+   emulator and of this module, so editing the emulator or the
+   derivation (or regenerating a workload with different traits) can
+   never resurrect a stale trace.  It stores exactly the columns,
+   derived traces under the hinted program's own key;
 3. **live emulation** (``live=True`` or the ``REPRO_LIVE_EMULATION``
-   environment variable), which bypasses both tiers and re-runs the
-   interpreter — the reference path the equivalence tests compare
-   against.
+   environment variable), which bypasses both tiers, derives nothing
+   and runs the interpreter on the program itself — the reference path
+   the equivalence tests compare against.
 
-An emulated trace streams: the emulator yields one window of columns at
-a time, and each is replayed as it arrives.
+On a miss, a hinted program's trace is derived when either tier holds
+its stripped program's trace, and emulated otherwise.  An emulated trace
+streams: the emulator yields one window of columns at a time, and each
+is replayed as it arrives.  A derivation runs inside the stream's first
+window pull.
 
-Module-level :data:`trace_events` counters record emulations, memo hits
-and disk hits/misses/stores so tests can assert that a warm cache skips
-re-emulation entirely.
+Module-level :data:`trace_events` counters record emulations,
+derivations, memo hits and disk hits/misses/stores so tests can assert
+that a warm cache skips re-emulation entirely.
 """
 
 from __future__ import annotations
@@ -131,6 +148,7 @@ _OPCODE_DECODE: dict[Opcode, tuple[int, int, int]] = {
 #: versus how often an emulated trace was reused.
 trace_events: dict[str, int] = {
     "emulations": 0,
+    "derivations": 0,
     "memo_hits": 0,
     "disk_hits": 0,
     "disk_misses": 0,
@@ -331,10 +349,6 @@ class StaticTable:
         """The pc of every row, in row order."""
         return range(self.base, self.base + 4 * len(self), 4)
 
-    def covers(self, pcs) -> bool:
-        """True when every pc in ``pcs`` has a row."""
-        return set(pcs).issubset(self.pcs())
-
     def packed(self) -> bytes:
         """The rows as the native kernel's 40-byte ``StaticRow`` records."""
         if self._packed is None:
@@ -374,9 +388,10 @@ def _emulator_code_digest() -> str:
 
     The stored arrays are a function of the emulator's semantics — which
     include the ISA definitions (opcodes, register constants, instruction
-    and program structure), not just ``emulator.py`` — and the decode
-    layer defines what the replay core reads back.  Any of them changing
-    must invalidate every persisted trace.
+    and program structure), not just ``emulator.py`` — and this module
+    derives the stored traces of hinted programs and defines what the
+    replay core reads back.  Any of them changing must invalidate every
+    persisted trace.
     """
     from repro.isa import instruction, opcodes, program, registers
     from repro.uarch import emulator as emulator_module
@@ -388,20 +403,43 @@ def _emulator_code_digest() -> str:
     return digest.hexdigest()
 
 
-#: Memo of :func:`program_digest`, keyed by :func:`_program_content`.
+#: Memo of :func:`_program_digests`, keyed by :func:`_program_content`.
 #: Small: an entry holds a copy of the program's content (up to about
 #: 1 MiB, for gcc), and the callers that repeat a digest do so for the
 #: program they just digested.
 _DIGEST_MEMO_CAPACITY = 4
-_digest_memo: "OrderedDict[tuple, str]" = OrderedDict()
+_digest_memo: "OrderedDict[tuple, ProgramDigests]" = OrderedDict()
+
+#: ``Opcode.HINT`` as :func:`_program_content` records an opcode.
+_HINT_OPCODE = Opcode.HINT._value_
+
+
+class ProgramDigests(NamedTuple):
+    """The three content digests of one program.
+
+    Attributes:
+        program: its full static content (:func:`program_digest`); keys
+            the static table, so hint payloads and tags reach the kernels.
+        emulation: the content the emulator reads, that is everything
+            but hint payloads and issue-queue tags; keys the trace.
+            Equal to ``program`` when neither is set.
+        source: the emulation digest of the same program with its hint
+            NOOPs stripped, the trace a hinted trace is derived from;
+            None for a program without hint NOOPs.
+    """
+
+    program: str
+    emulation: str
+    source: Optional[str]
 
 
 def _program_content(program) -> tuple:
-    """Everything the emulator reads from ``program``, as one hashable tuple.
+    """The full static content of ``program``, as one hashable tuple.
 
     Procedure order and names, library flags, block labels, and for every
     instruction the opcode, operand registers, immediate, control
-    targets, hint payload and issue-queue tag, in layout order.
+    targets, hint payload and issue-queue tag, in layout order.  The
+    emulator reads all of it but the last two.
     """
     items: list = [program.entry]
     for procedure in program.procedures.values():
@@ -426,31 +464,71 @@ def _program_content(program) -> tuple:
     return tuple(items)
 
 
-def program_digest(program) -> str:
-    """SHA-256 over the program's full static content, in layout order.
+def _sha256(texts: Iterable[str]) -> str:
+    return hashlib.sha256("".join(texts).encode()).hexdigest()
 
-    The digest covers :func:`_program_content`.  Two programs with
-    identical digests produce identical dynamic streams under identical
-    budgets.
 
-    Memoised on that content, never on object identity: programs may be
+def _content_digests(content: tuple) -> ProgramDigests:
+    """The :class:`ProgramDigests` of one :func:`_program_content` walk.
+
+    Each item is rendered once; the emulation digest re-renders only the
+    instructions that carry a hint payload or a tag, with both None, and
+    the source digest leaves the HINT instructions out of that.
+    """
+    texts = list(map(repr, content))
+    full = _sha256(texts)
+    hints: set[int] = set()
+    masked: dict[int, str] = {}
+    for index, item in enumerate(content):
+        if type(item) is tuple and len(item) == 8:
+            if item[0] == _HINT_OPCODE:
+                hints.add(index)
+            if item[6] is not None or item[7] is not None:
+                masked[index] = repr(item[:6] + (None, None))
+    emulation = full
+    if masked:
+        for index, text in masked.items():
+            texts[index] = text
+        emulation = _sha256(texts)
+    source = None
+    if hints:
+        source = _sha256(
+            [text for index, text in enumerate(texts) if index not in hints]
+        )
+    return ProgramDigests(full, emulation, source)
+
+
+def _program_digests(program) -> ProgramDigests:
+    """The :class:`ProgramDigests` of ``program``.
+
+    Memoised on its content, never on object identity: programs may be
     mutated in place between simulations (``build_benchmark(fresh=True)``
     exists exactly for that), and a mutated program has new content, so
     it misses.  A hit still walks the program, but skips the ``repr``
-    and hashing, which cost about three times as much as the walk.  That
-    matters because every ``simulate`` call takes a digest, and a warm
-    replay under the native kernel takes only a few milliseconds.
+    and hashing.  That matters because every ``simulate`` call takes the
+    digests, and a warm replay under the native kernel takes only a few
+    milliseconds.
     """
     content = _program_content(program)
-    digest = _digest_memo.get(content)
-    if digest is not None:
+    digests = _digest_memo.get(content)
+    if digests is not None:
         _digest_memo.move_to_end(content)
-        return digest
-    digest = hashlib.sha256("".join(map(repr, content)).encode()).hexdigest()
-    _digest_memo[content] = digest
+        return digests
+    digests = _content_digests(content)
+    _digest_memo[content] = digests
     while len(_digest_memo) > _DIGEST_MEMO_CAPACITY:
         _digest_memo.popitem(last=False)
-    return digest
+    return digests
+
+
+def program_digest(program) -> str:
+    """SHA-256 over the program's full static content, in layout order.
+
+    The digest covers :func:`_program_content`, hint payloads and tags
+    included, and keys the program's :class:`StaticTable`.  Traces are
+    keyed by the emulation digest instead (:class:`ProgramDigests`).
+    """
+    return _program_digests(program).program
 
 
 def _fingerprint_from_digest(digest: str, max_instructions: int) -> str:
@@ -465,8 +543,15 @@ def _fingerprint_from_digest(digest: str, max_instructions: int) -> str:
 
 
 def trace_fingerprint(program, max_instructions: int) -> str:
-    """Content hash identifying one emulated trace (the disk-cache key)."""
-    return _fingerprint_from_digest(program_digest(program), max_instructions)
+    """The disk-cache key of ``program``'s trace: the name of the file
+    :func:`get_trace_stream` reads and writes for it.
+
+    It digests the emulation digest, so programs that differ only in hint
+    payloads or tags share one trace file.
+    """
+    return _fingerprint_from_digest(
+        _program_digests(program).emulation, max_instructions
+    )
 
 
 # ----------------------------------------------------------------------
@@ -601,19 +686,19 @@ class TraceCache:
                 arr.byteswap()
         return TraceWindow(pcs, next_pcs, mems, taken), path
 
-    def _open_validated(
-        self, fingerprint: str, table: StaticTable
-    ) -> Optional[TraceWindow]:
+    def _open_validated(self, fingerprint: str, pcs: range) -> Optional[TraceWindow]:
         """Read, validate and pc-resolve a stored trace; None on a miss.
 
-        A stored pc without a row in the program's ``table`` means
-        corruption (or a fingerprint collision) and is a miss like any
-        other malformed payload, forcing a clean re-emulation.  Hits
-        refresh the file's mtime (LRU recency).
+        ``pcs`` are the pcs a trace of the program may hold: its static
+        table's rows, or for a derivation's source every pc of the
+        stripped layout.  A stored pc outside them means corruption (or a
+        fingerprint collision) and is a miss like any other malformed
+        payload, forcing a clean re-emulation.  Hits refresh the file's
+        mtime (LRU recency).
         """
         try:
             columns, path = self._read_columns(fingerprint)
-            if not table.covers(columns.pc):
+            if not set(columns.pc).issubset(pcs):
                 raise ValueError("unresolvable pc in stored trace")
         except (FileNotFoundError, OSError):
             # Missing, or unreadable right now: plain miss, leave the
@@ -647,7 +732,7 @@ class TraceCache:
     def load(self, fingerprint: str, program) -> Optional[TraceWindow]:
         """The stored columns for ``fingerprint``, validated against
         ``program``; None on a miss."""
-        return self._open_validated(fingerprint, static_table(program))
+        return self._open_validated(fingerprint, static_table(program).pcs())
 
     # ------------------------------------------------------------------
     # Writing
@@ -822,12 +907,14 @@ class TraceWindowWriter:
 # ----------------------------------------------------------------------
 # Front door
 # ----------------------------------------------------------------------
-#: In-process memo of emulated columns, keyed by (program content
-#: digest, budget) so in-place program mutation can never resurface a
-#: stale trace.  At 25 bytes per instruction it restores the
-#: emulate-once-per-benchmark guarantee when no disk cache is configured
-#: (every cell of an uncached grid would otherwise re-emulate).
-_COLUMN_MEMO_CAPACITY = 8
+#: In-process memo of trace columns, keyed by (emulation digest, budget)
+#: so in-place program mutation can never resurface a stale trace.  At
+#: 25 bytes per instruction it restores the emulate-once-per-benchmark
+#: guarantee when no disk cache is configured (every cell of an uncached
+#: grid would otherwise re-emulate).  A benchmark's six techniques read
+#: two traces, the uninstrumented program's and the noop program's, so
+#: four entries hold two benchmarks' traces.
+_COLUMN_MEMO_CAPACITY = 4
 _column_memo: "OrderedDict[tuple[str, int], TraceWindow]" = OrderedDict()
 
 
@@ -844,17 +931,18 @@ def clear_trace_memo() -> None:
 
 
 def _stored_columns(
-    key: tuple, cache: Optional[TraceCache], table: StaticTable
+    key: tuple, cache: Optional[TraceCache], pcs: range
 ) -> Optional[TraceWindow]:
-    """The columns for ``key`` from the memo, else the disk cache (a disk
-    hit is memoised); None when neither holds them."""
+    """The columns for ``key`` from the memo, else the disk cache (read
+    back only when every pc lies in ``pcs``; a disk hit is memoised);
+    None when neither holds them."""
     columns = _column_memo.get(key)
     if columns is not None:
         trace_events["memo_hits"] += 1
         _column_memo.move_to_end(key)
         return columns
     if cache is not None:
-        columns = cache._open_validated(_fingerprint_from_digest(*key), table)
+        columns = cache._open_validated(_fingerprint_from_digest(*key), pcs)
         if columns is not None:
             _memoise_columns(key, columns)
     return columns
@@ -902,6 +990,239 @@ def _emulated_windows(
         _memoise_columns(memo_key, columns)
 
 
+class _SplicePlan(NamedTuple):
+    """Where a hinted program's hint NOOPs sit between its other instructions.
+
+    Keys are pcs in the *stripped* layout (the program without its hints),
+    the pcs a source trace records.  A run of hints is a count of
+    consecutive hinted-layout pcs.
+
+    Attributes:
+        source_pcs: every pc of the stripped layout.
+        hinted_pc: stripped pc -> pc in the hinted layout.
+        run_before: the hints between an instruction and the previous
+            non-hint instruction of its procedure (or the procedure's
+            start), which control passes through when it arrives
+            sequentially.
+        block_lead: the hints between the start of a block and its first
+            non-hint instruction, which a taken branch, jump or call to
+            the block passes through.
+        run_after: the hints after the last non-hint instruction of a
+            procedure, which control passes through when it falls off
+            the procedure's end.
+        calls / returns / halts: the stripped pcs of CALL, RET and HALT.
+    """
+
+    source_pcs: range
+    hinted_pc: dict
+    run_before: dict
+    block_lead: dict
+    run_after: dict
+    calls: set
+    returns: set
+    halts: set
+
+
+def _splice_plan(program) -> Optional[_SplicePlan]:
+    """The :class:`_SplicePlan` of ``program``, from its hinted and
+    stripped :class:`~repro.uarch.emulator.ProgramLayout`.
+
+    None when a procedure has no block or a block holds no non-hint
+    instruction.  The stripped program would then have an empty block or
+    procedure, where the emulator records a next pc of 0 without control
+    ending, so its trace does not say which hints control passes through.
+    """
+    hinted = ProgramLayout.for_program(program).instruction_pc
+    stripped_layout = ProgramLayout.for_program(program, hints=False)
+    stripped = stripped_layout.instruction_pc
+    hinted_pc: dict[int, int] = {}
+    run_before: dict[int, int] = {}
+    block_lead: dict[int, int] = {}
+    run_after: dict[int, int] = {}
+    kinds: dict[Opcode, set[int]] = {
+        Opcode.CALL: set(),
+        Opcode.RET: set(),
+        Opcode.HALT: set(),
+    }
+    for procedure in program.procedures.values():
+        if not procedure.blocks:
+            return None
+        run = 0  # hints since the procedure's last non-hint instruction
+        for block in procedure.blocks:
+            run_at_start = run
+            first = True
+            for instr in block.instructions:
+                if instr.opcode is Opcode.HINT:
+                    run += 1
+                    continue
+                pc = stripped[instr.uid]
+                hinted_pc[pc] = hinted[instr.uid]
+                if run:
+                    run_before[pc] = run
+                    if first and run > run_at_start:
+                        block_lead[pc] = run - run_at_start
+                first = False
+                run = 0
+                kind = kinds.get(instr.opcode)
+                if kind is not None:
+                    kind.add(pc)
+            if first:
+                return None
+        if run:
+            run_after[pc] = run
+    return _SplicePlan(
+        range(CODE_BASE, CODE_BASE + stripped_layout.code_size, 4),
+        hinted_pc,
+        run_before,
+        block_lead,
+        run_after,
+        kinds[Opcode.CALL],
+        kinds[Opcode.RET],
+        kinds[Opcode.HALT],
+    )
+
+
+def _returning_call(pcs, index: int, plan: _SplicePlan) -> int:
+    """The pc of the CALL that the RET at entry ``index`` returns to."""
+    depth = 0
+    for position in range(index - 1, -1, -1):
+        pc = pcs[position]
+        if pc in plan.returns:
+            depth += 1
+        elif pc in plan.calls:
+            if not depth:
+                return pc
+            depth -= 1
+    raise ValueError("source trace returns from the entry procedure mid-trace")
+
+
+def _splice_hints(
+    plan: _SplicePlan, source: TraceWindow, max_instructions: int
+) -> TraceWindow:
+    """The hinted program's trace, from its stripped program's ``source``.
+
+    Each source entry moves to its hinted pc.  The entry block's leading
+    hints come first, and after each entry come the hints that control
+    passes through before the next one:
+
+    * the whole run before the next entry when control arrives
+      sequentially (not taken, or a return, which resumes after its call);
+    * only the target block's leading hints after a taken branch, jump or
+      call;
+    * the procedure's trailing hints when control falls off its end (a
+      source next pc of 0), after the last entry or, for a return, after
+      the call it returns to;
+    * nothing after a HALT or a return from the entry procedure.
+
+    ``next_pc`` chains through the inserted hints, and the trace is cut at
+    ``max_instructions`` entries, because hints count against the budget.
+    """
+    pcs, next_pcs, mems, takens = source
+    length = len(takens)
+    if not length:
+        return empty_columns()
+    hinted_pc = plan.hinted_pc
+    run_before = plan.run_before
+    block_lead = plan.block_lead
+    returns = plan.returns
+    last = length - 1
+    last_pc = pcs[last]
+    last_next = next_pcs[last]
+    # The emulator records pc + 4 after a HALT or a return from the entry
+    # procedure; a return from a call resumes after the CALL instead.
+    halted = last_pc in plan.halts or (last_pc in returns and last_next == last_pc + 4)
+    sites = [index for index, target in enumerate(next_pcs) if target in run_before]
+    if halted and sites and sites[-1] == last:
+        sites.pop()
+    runs = []  # (entry index, first hint pc, hint count) per inserted run
+    for index in sites:
+        target = next_pcs[index]
+        if takens[index] and pcs[index] not in returns:
+            count = block_lead.get(target)
+        else:
+            count = run_before[target]
+        if count:
+            runs.append((index, hinted_pc[target] - 4 * count, count))
+    if halted:
+        end = hinted_pc[last_pc] + 4
+    elif last_next:
+        end = hinted_pc[last_next]  # the budget cut the source trace
+    else:
+        anchor = _returning_call(pcs, last, plan) if last_pc in returns else last_pc
+        count = plan.run_after.get(anchor)
+        if count:
+            runs.append((last, hinted_pc[anchor] + 4, count))
+        end = 0
+
+    mapped = array.array("q", list(map(hinted_pc.__getitem__, pcs)))
+    out_pc, out_next, out_mem, out_taken = columns = empty_columns()
+
+    def add_hints(first: int, count: int) -> None:
+        out_pc.extend(range(first, first + 4 * count, 4))
+        out_mem.frombytes(bytes(8 * count))
+        out_taken.extend(bytes(count))
+
+    lead = run_before.get(pcs[0])
+    if lead:
+        add_hints(mapped[0] - 4 * lead, lead)
+    start = 0
+    for index, first, count in runs:
+        out_pc.extend(mapped[start : index + 1])
+        out_mem.extend(mems[start : index + 1])
+        out_taken.extend(takens[start : index + 1])
+        add_hints(first, count)
+        start = index + 1
+        if len(out_taken) > max_instructions:
+            break
+    else:
+        out_pc.extend(mapped[start:])
+        out_mem.extend(mems[start:])
+        out_taken.extend(takens[start:])
+        out_pc.append(end)
+    # Each entry's successor is the next entry's pc (or ``end``).
+    keep = min(len(out_pc) - 1, max_instructions)
+    out_next.extend(out_pc[1 : keep + 1])
+    del out_pc[keep:], out_mem[keep:], out_taken[keep:]
+    return columns
+
+
+def _fresh_windows(
+    program,
+    digests: ProgramDigests,
+    max_instructions: int,
+    window_size: Optional[int],
+    cache: Optional[TraceCache],
+) -> Iterator[TraceWindow]:
+    """The windows of a trace neither tier holds, produced on the first pull.
+
+    A program with hint NOOPs has its trace derived when the memo or the
+    disk cache holds the trace of the program with its hints stripped;
+    otherwise the program is emulated.  Either way the finished columns
+    are memoised under (emulation digest, budget), and stored with a
+    cache, a derived trace under the hinted program's own key.
+    """
+    key = (digests.emulation, max_instructions)
+    fingerprint = None if cache is None else _fingerprint_from_digest(*key)
+    plan = source = None
+    if digests.source is not None:
+        plan = _splice_plan(program)
+    if plan is not None:
+        source = _stored_columns(
+            (digests.source, max_instructions), cache, plan.source_pcs
+        )
+    if source is None:
+        yield from _emulated_windows(
+            program, max_instructions, window_size, cache, fingerprint, key
+        )
+        return
+    trace_events["derivations"] += 1
+    columns = _splice_hints(plan, source, max_instructions)
+    if cache is not None:
+        cache.store(fingerprint, columns, window_size)
+    _memoise_columns(key, columns)
+    yield from _column_windows(columns, window_size)
+
+
 def get_trace_columns(
     program,
     max_instructions: int,
@@ -910,32 +1231,30 @@ def get_trace_columns(
 ) -> TraceWindow:
     """The whole trace's columns for (program, budget).
 
-    Reuses the same tiers as :func:`get_trace_stream` — the column memo,
-    then the disk cache, then one fresh emulation that populates both.
-    This is the substrate of window sharding (:mod:`repro.harness.shard`):
-    a shard replays an arbitrary entry span of the columns.
+    Takes the same path as :func:`get_trace_stream` — the column memo,
+    then the disk cache, then one derivation or emulation that populates
+    both.  This is the substrate of window sharding
+    (:mod:`repro.harness.shard`): a shard replays an arbitrary entry span
+    of the columns.
     """
     if live is None:
         live = bool(os.environ.get("REPRO_LIVE_EMULATION"))
-    digest = program_digest(program)
-    key = (digest, max_instructions)
+    window = resolve_trace_window(None) or None
     if live:
-        cache = None
-    else:
-        columns = _stored_columns(key, cache, static_table(program, digest))
-        if columns is not None:
-            return columns
-    fingerprint = (
-        None if cache is None else _fingerprint_from_digest(digest, max_instructions)
+        columns = empty_columns()
+        for part in _emulated_windows(program, max_instructions, window):
+            for column, values in zip(columns, part):
+                column.extend(values)
+        return columns
+    digests = _program_digests(program)
+    key = (digests.emulation, max_instructions)
+    columns = _stored_columns(
+        key, cache, static_table(program, digests.program).pcs()
     )
-    columns = empty_columns()
-    for window in _emulated_windows(
-        program, max_instructions, resolve_trace_window(None) or None, cache, fingerprint
-    ):
-        for column, part in zip(columns, window):
-            column.extend(part)
-    if not live:
-        _memoise_columns(key, columns)
+    if columns is None:
+        for _ in _fresh_windows(program, digests, max_instructions, window, cache):
+            pass
+        columns = _column_memo[key]
     return columns
 
 
@@ -1061,34 +1380,27 @@ def get_trace_stream(
     """A replay-ready window stream for (program, budget).
 
     Reuses three tiers while only ever holding compact columns: the
-    in-process column memo (emulate once per (program, budget) even with
-    no disk cache), then the disk cache, then one fresh emulation that
-    populates both and streams its windows as they are produced.
+    in-process column memo (one trace per benchmark and budget even with
+    no disk cache), then the disk cache, then one fresh derivation (a
+    program with hint NOOPs whose stripped program's trace either tier
+    holds) or emulation that populates both and streams its windows.
     ``window_size=0`` replays the whole trace as one window.  Replay
     statistics are bit-identical for every window size.
     """
     if live is None:
         live = bool(os.environ.get("REPRO_LIVE_EMULATION"))
     window = resolve_trace_window(window_size) or None
-    digest = program_digest(program)
-    table = static_table(program, digest)
+    digests = _program_digests(program)
+    table = static_table(program, digests.program)
     if live:
         return TraceWindowStream(
             table, _emulated_windows(program, max_instructions, window), window
         )
-    key = (digest, max_instructions)
-    columns = _stored_columns(key, cache, table)
-    if columns is not None:
-        return TraceWindowStream(table, _column_windows(columns, window), window)
-    return TraceWindowStream(
-        table,
-        _emulated_windows(
-            program,
-            max_instructions,
-            window,
-            cache,
-            _fingerprint_from_digest(digest, max_instructions),
-            key,
-        ),
-        window,
+    columns = _stored_columns(
+        (digests.emulation, max_instructions), cache, table.pcs()
     )
+    if columns is None:
+        windows = _fresh_windows(program, digests, max_instructions, window, cache)
+    else:
+        windows = _column_windows(columns, window)
+    return TraceWindowStream(table, windows, window)

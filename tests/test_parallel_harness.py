@@ -78,6 +78,29 @@ class TestDiskCache:
         assert warm.cache.hits == expected_cells
         assert _grid_metrics(warm) == _grid_metrics(cold)
 
+    def test_cached_results_compile_on_first_read(self, tmp_path, monkeypatch):
+        """A result-cache hit compiles nothing; reading a software
+        result's compilation compiles its program once, through the
+        runner's memo."""
+        from repro.harness import experiment
+
+        cold = ParallelSuiteRunner(TINY_CONFIG, workers=1, cache_dir=str(tmp_path))
+        cold.run_suite(techniques=TINY_TECHNIQUES)
+        compiles = []
+        original = experiment.compile_program
+
+        def counting(program, *args, **kwargs):
+            compiles.append(program.name)
+            return original(program, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "compile_program", counting)
+        warm = ParallelSuiteRunner(TINY_CONFIG, workers=1, cache_dir=str(tmp_path))
+        warm.run_suite(techniques=TINY_TECHNIQUES)
+        assert compiles == []
+        noop = warm.result("gzip", "noop")
+        assert noop.compilation is noop.compilation is warm.compilation("gzip", "noop")
+        assert compiles == ["gzip"]
+
     def test_changed_configuration_misses_the_cache(self, tmp_path):
         base_job = SimulationJob("gzip", "baseline", TINY_CONFIG)
         changed = dataclasses.replace(TINY_CONFIG, warmup_instructions=501)

@@ -506,8 +506,8 @@ def test_static_table_rows_follow_the_program_layout():
     for pc in (CODE_BASE - 4, CODE_BASE + 2, end):
         with pytest.raises(ValueError):
             table.row(pc)
-    assert table.covers([CODE_BASE, end - 4])
-    assert not table.covers([CODE_BASE, end])
+    assert {CODE_BASE, end - 4} <= set(table.pcs())
+    assert end not in table.pcs()
 
 
 def test_static_table_follows_the_pcs_the_layout_assigns():
@@ -551,7 +551,7 @@ class TestStaticTable:
         table = StaticTable([])
         assert len(table) == 0
         assert table.packed() == b""
-        assert table.covers([])
+        assert not table.pcs()
         with pytest.raises(ValueError, match="names no static instruction"):
             table.row(CODE_BASE)
 
@@ -788,6 +788,39 @@ class TestGridReuse:
         # baseline and nonempty share each benchmark's uninstrumented
         # program, so two benchmarks cost exactly two emulations.
         assert trace_events["emulations"] == 2
+
+    def test_six_techniques_emulate_once_per_benchmark(self, tmp_path):
+        """The tagged programs share the baseline's trace and the noop
+        trace is derived from it: one emulation and two stored traces per
+        benchmark, and a second runner over the same trace directory
+        neither emulates nor derives."""
+        benchmarks = len(self.CONFIG["benchmarks"])
+        clear_trace_memo()
+        reset_trace_events()
+        first = ParallelSuiteRunner(
+            RunConfig(**self.CONFIG), workers=1, cache_dir=str(tmp_path)
+        )
+        first_results = first.run_suite()
+        assert first.simulations_run == 6 * benchmarks
+        assert trace_events["emulations"] == benchmarks
+        assert trace_events["derivations"] == benchmarks
+        assert first.trace_cache.stores == len(first.trace_cache) == 2 * benchmarks
+
+        for path in first.cache._entry_paths():
+            path.unlink()
+        clear_trace_memo()
+        reset_trace_events()
+        second = ParallelSuiteRunner(
+            RunConfig(**self.CONFIG), workers=1, cache_dir=str(tmp_path)
+        )
+        second_results = second.run_suite()
+        assert second.simulations_run == 6 * benchmarks
+        assert trace_events["emulations"] == trace_events["derivations"] == 0
+        assert second.trace_cache.hits == 2 * benchmarks
+        for key, result in first_results.items():
+            assert _stats_bytes(result.stats) == _stats_bytes(
+                second_results[key].stats
+            )
 
     def test_warm_trace_cache_skips_reemulation_entirely(self, tmp_path):
         clear_trace_memo()
