@@ -59,18 +59,15 @@ def print_cache_stats(runner) -> None:
     if getattr(runner, "backend", "local") == "queue" and runner.cache is not None:
         # Fleet view for queue-backed runs: every worker publishes a
         # host-tagged counters file under queue/workers/ after each
-        # claim batch, so the rollup shows which machines actually
-        # swept, claimed, and completed — not just process totals.
+        # job, so the rollup shows which machines actually claimed and
+        # completed — not just process totals.
         from repro.harness.queue import WorkQueue
 
         fleet = WorkQueue(runner.cache.directory).worker_stats()
         print(
             f"queue fleet: {fleet['workers']} worker(s) on "
-            f"{len(fleet['hosts'])} host(s) — {fleet['claimed']} claims in "
-            f"{fleet['claim_batches']} batches "
-            f"(mean {fleet['mean_batch_size']}), "
-            f"{fleet['jobs_done']} done / {fleet['jobs_failed']} failed, "
-            f"{fleet['gc_sweeps']} gc sweeps"
+            f"{len(fleet['hosts'])} host(s) — {fleet['claimed']} claims, "
+            f"{fleet['jobs_done']} done / {fleet['jobs_failed']} failed"
         )
         for host in sorted(fleet["hosts"]):
             per_host = fleet["hosts"][host]
@@ -78,8 +75,7 @@ def print_cache_stats(runner) -> None:
                 f"  host {host or '<untagged>'}: {per_host['workers']} "
                 f"worker(s) — {per_host['claimed']} claims, "
                 f"{per_host['jobs_done']} done / "
-                f"{per_host['jobs_failed']} failed, "
-                f"{per_host['gc_sweeps']} gc sweeps"
+                f"{per_host['jobs_failed']} failed"
             )
     events = trace_events
     print(
@@ -94,49 +90,6 @@ def print_cache_stats(runner) -> None:
         print(
             f"(note: {runner.workers} workers — emulation/memo counters are "
             f"per-process; the folded trace-cache line above is exact)"
-        )
-
-
-def print_telemetry(cache_dir) -> None:
-    """Print the fleetscope ``--telemetry`` rollup for one cache tree.
-
-    The span store under the shared directory (request traces and the
-    queue latency percentiles derived from completion spans), plus a
-    pointer at the perf-trajectory CLI for the longitudinal view.
-    """
-    from repro.telemetry import spans as tracing
-
-    latency = tracing.queue_latency_summary(cache_dir)
-    print(f"telemetry: {latency['spans']} span(s) under {cache_dir}/telemetry/spans")
-    for stage in ("enqueue_to_claim", "claim_to_done"):
-        summary = latency[stage]
-        if summary is None:
-            print(f"  {stage}: no completion spans recorded")
-        else:
-            print(
-                f"  {stage}: p50 {summary['p50'] * 1000:.1f}ms / "
-                f"p90 {summary['p90'] * 1000:.1f}ms / "
-                f"p99 {summary['p99'] * 1000:.1f}ms "
-                f"over {summary['count']} completion(s)"
-            )
-    traces = {
-        record["trace"]
-        for record in tracing.read_spans(cache_dir)
-        if record.get("trace")
-    }
-    print(f"  distinct traces: {len(traces)}")
-    print("  trend: python -m repro.telemetry.trend (perf-trajectory gate)")
-
-
-def _shard_overlap(value: str):
-    """argparse type for --shard-overlap: 'full' or an entry count."""
-    if value == "full":
-        return "full"
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be 'full' or an integer entry count, got {value!r}"
         )
 
 
@@ -159,24 +112,10 @@ def main(argv: list[str] | None = None) -> None:
         help="print result-cache and trace-cache size/traffic reports",
     )
     parser.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="trace this run (REPRO_TELEMETRY semantics) and print the "
-        "fleetscope rollup: span counts and queue latency percentiles "
-        "(needs --cache-dir)",
-    )
-    parser.add_argument(
         "--max-trace-bytes",
         type=int,
         default=None,
         help="LRU byte cap for the trace cache (default: unbounded)",
-    )
-    parser.add_argument(
-        "--trace-window",
-        type=int,
-        default=None,
-        help="replay window size in trace entries (default: ~16k; 0 "
-        "replays each trace as one window)",
     )
     parser.add_argument("--workers", type=int, default=None, help="pool size")
     # Choices come from the engine registry so new kernels need no edit
@@ -213,20 +152,6 @@ def main(argv: list[str] | None = None) -> None:
         help="heartbeat TTL before a dead worker's job is re-leased (s)",
     )
     parser.add_argument(
-        "--shard-windows",
-        type=int,
-        default=None,
-        help="window-shard every cell: measure spans of N trace windows "
-        "replayed in parallel and stitched",
-    )
-    parser.add_argument(
-        "--shard-overlap",
-        type=_shard_overlap,
-        default="full",
-        help="shard warm-up: 'full' (bit-exact stitching) or an entry "
-        "count (approximate, embarrassingly parallel)",
-    )
-    parser.add_argument(
         "--gc",
         action="store_true",
         help="garbage-collect --cache-dir first (orphaned .tmp-* files, "
@@ -244,18 +169,6 @@ def main(argv: list[str] | None = None) -> None:
 
     from repro.harness import ParallelSuiteRunner, RunConfig, figures
     from repro.harness.reporting import overall_processor_savings
-
-    if args.telemetry:
-        if args.cache_dir is None:
-            parser.error("--telemetry needs --cache-dir (spans live in the tree)")
-        import os
-
-        from repro.telemetry import spans as tracing
-
-        # Export the switch so spawned queue workers self-install too,
-        # then enable in-process for the driver's own spans.
-        os.environ[tracing.ENV_VAR] = "1"
-        tracing.enable(args.cache_dir)
 
     if args.gc:
         from repro.harness.cache import format_gc_summary, gc_cache_tree
@@ -284,12 +197,9 @@ def main(argv: list[str] | None = None) -> None:
         cache_dir=args.cache_dir,
         cache_max_entries=args.cache_max_entries,
         trace_cache_max_bytes=args.max_trace_bytes,
-        trace_window=args.trace_window,
         backend=args.backend,
         queue_workers=args.queue_workers,
         queue_ttl=args.queue_ttl,
-        shard_span_windows=args.shard_windows,
-        shard_overlap=args.shard_overlap,
         engine=args.engine,
     )
     runner.run_suite()
@@ -300,8 +210,6 @@ def main(argv: list[str] | None = None) -> None:
         )
     if args.cache_stats:
         print_cache_stats(runner)
-    if args.telemetry:
-        print_telemetry(runner.cache.directory)
 
     report("Figure 6 - IPC loss, NOOP technique", figures.figure6(runner))
     report("Figure 7 - issue-queue occupancy", figures.figure7(runner))

@@ -148,7 +148,6 @@ class AtomicIoRule(Rule):
         "repro/harness/cache.py",
         "repro/harness/queue.py",
         "repro/harness/parallel.py",
-        "repro/harness/shard.py",
         "repro/uarch/trace.py",
         "repro/telemetry/spans.py",
     )

@@ -54,7 +54,7 @@ class PathSummary:
 
     latency: dict[Reg, int] = field(default_factory=dict)
 
-    def merged_with(self, other: "PathSummary", policy: str) -> "PathSummary":
+    def joined_with(self, other: "PathSummary", policy: str) -> "PathSummary":
         """Merge two predecessor summaries under ``policy`` ("max" or "ready")."""
         if policy == "ready":
             return PathSummary()
@@ -123,7 +123,7 @@ def analyse_dag_region(
         else:
             entry_summary = PathSummary.ready()
             for pred in preds_in_region:
-                entry_summary = entry_summary.merged_with(
+                entry_summary = entry_summary.joined_with(
                     exit_summaries[pred], config.merge_policy
                 )
 

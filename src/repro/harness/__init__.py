@@ -28,13 +28,6 @@ from repro.harness.parallel import ParallelSuiteRunner, SimulationJob
 # worker entry point (``python -m repro.harness.queue``), and an eager
 # package-level import would make runpy execute the module twice in
 # every worker process.  Import it explicitly where needed.
-from repro.harness.shard import (
-    ShardJob,
-    ShardSpan,
-    compare_sharded_to_sequential,
-    plan_shards,
-    run_sharded,
-)
 from repro.harness import figures
 from repro.harness.figures import FigureData
 from repro.harness.reporting import format_table, overall_processor_savings
@@ -50,11 +43,6 @@ __all__ = [
     "simulation_fingerprint",
     "ParallelSuiteRunner",
     "SimulationJob",
-    "ShardJob",
-    "ShardSpan",
-    "compare_sharded_to_sequential",
-    "plan_shards",
-    "run_sharded",
     "figures",
     "FigureData",
     "format_table",

@@ -133,17 +133,8 @@ def simulation_fingerprint(
     max_instructions: int,
     warmup_instructions: int,
     abella_interval: int,
-    sharding: Optional[dict] = None,
 ) -> str:
-    """SHA-256 digest identifying one simulation cell's full input set.
-
-    ``sharding`` describes a window-sharded execution plan
-    (:mod:`repro.harness.shard`): span size, warm-up overlap and slack.
-    A finite overlap makes the stitched statistics an approximation of
-    the sequential run's, so sharded cells must never share a key with
-    unsharded ones — when set, the plan participates in the digest
-    (``None``, the default, leaves existing keys untouched).
-    """
+    """SHA-256 digest identifying one simulation cell's full input set."""
     payload = {
         "format": CACHE_FORMAT_VERSION,
         "code": _code_digest(),
@@ -156,8 +147,6 @@ def simulation_fingerprint(
         "warmup_instructions": warmup_instructions,
         "abella_interval": abella_interval,
     }
-    if sharding is not None:
-        payload["sharding"] = _canonical(sharding)
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

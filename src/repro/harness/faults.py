@@ -512,7 +512,7 @@ class RetryPolicy:
 #: headroom.  Keep that inequality when raising ``fire_limit``.
 DEFAULT_RETRY_POLICY = RetryPolicy(attempts=6)
 
-#: Best-effort writers (worker stats, idle gc) drop after a short
+#: Best-effort writers (worker stats, lease stamps) drop after a short
 #: budget instead of raising — losing one stats file must never kill a
 #: worker mid-fleet.
 BEST_EFFORT_RETRY_POLICY = RetryPolicy(attempts=3, base_delay=0.02, max_delay=0.5)

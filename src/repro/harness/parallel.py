@@ -53,9 +53,8 @@ Semantics:
   no second emulation.  A result-cache miss that only changed the
   technique or the processor/energy configuration re-times the
   benchmark without re-emulating it, in-process and across pool
-  workers.  Budgets above
-  the trace window (``trace_window``; default ~16k instructions) replay
-  window by window with decode memory bounded by the window size.
+  workers.  Budgets above the trace window (~16k instructions) replay
+  window by window with trace memory bounded by the window size.
   Workers return their trace-cache hit/miss/store counter deltas with
   each job result and the runner folds them into its own
   ``trace_cache``, so traffic reports are exact for any worker count.
@@ -83,15 +82,6 @@ Semantics:
   fingerprints, results cached under one kernel are hits under any
   other, and queue completion markers stay idempotent even when a
   re-leased job reruns on a host with a different kernel.
-* **Window sharding** — ``shard_span_windows=N`` splits every cell's
-  budget into measure spans of N trace windows
-  (:mod:`repro.harness.shard`), fans the shards over the chosen backend
-  and stitches the per-shard statistics.  With the default
-  ``shard_overlap="full"`` each shard warms up over the entire
-  preceding trace and the stitched statistics are bit-identical to the
-  sequential run's; a finite overlap (entries) trades a small,
-  validated approximation for genuinely parallel work.  Sharded cells
-  are cached under a fingerprint that includes the sharding plan.
 """
 
 from __future__ import annotations
@@ -102,7 +92,7 @@ import subprocess
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from repro.core import compile_program
 from repro.harness.cache import ResultCache, simulation_fingerprint, stats_from_dict, stats_to_dict
@@ -125,13 +115,11 @@ class SimulationJob:
 
     ``trace_cache_dir`` names the shared on-disk trace cache (see
     :mod:`repro.uarch.trace`), ``trace_cache_max_bytes`` its LRU byte
-    cap, ``trace_window`` the replay window size threaded into
-    the replay core (None: library default), and ``engine`` the replay
-    kernel (:mod:`repro.uarch.engine`; None: the executing host's own
-    resolution, so a heterogeneous fleet runs native wherever it builds
-    and scalar elsewhere).  All four are transport,
-    not identity — replay statistics are bit-identical for every window
-    size, cache setting and engine — so none participates in
+    cap, and ``engine`` the replay kernel (:mod:`repro.uarch.engine`;
+    None: the executing host's own resolution, so a heterogeneous fleet
+    runs native wherever it builds and scalar elsewhere).  All three are
+    transport, not identity — replay statistics are bit-identical for
+    every cache setting and engine — so none participates in
     :meth:`fingerprint`, and a result produced by one kernel is a cache
     hit for every other.
     """
@@ -140,7 +128,6 @@ class SimulationJob:
     technique: str
     config: RunConfig
     trace_cache_dir: Optional[str] = None
-    trace_window: Optional[int] = None
     trace_cache_max_bytes: Optional[int] = None
     engine: Optional[str] = None
     # Queue-backend retry budget (None: the queue's default).  Like the
@@ -200,7 +187,6 @@ def run_simulation_job(job: SimulationJob, program=None, trace_cache=None) -> di
         max_instructions=config.max_instructions,
         warmup_instructions=config.warmup_instructions,
         trace_cache=local_cache,
-        trace_window=job.trace_window,
         engine=job.engine,
     )
     payload: dict = {"stats": stats_to_dict(stats)}
@@ -212,21 +198,6 @@ def run_simulation_job(job: SimulationJob, program=None, trace_cache=None) -> di
             "evictions": local_cache.evictions,
         }
     return payload
-
-
-def execute_job(job) -> dict:
-    """Pool-worker dispatcher over the two picklable job shapes.
-
-    ``pool.map`` needs one top-level callable; grids fan out
-    :class:`SimulationJob` cells, window-sharded grids fan out
-    :class:`~repro.harness.shard.ShardJob` spans, and both return the
-    same ``{"stats": ..., "trace_cache": ...}`` payload contract.
-    """
-    if isinstance(job, SimulationJob):
-        return run_simulation_job(job)
-    from repro.harness.shard import run_shard_job
-
-    return run_shard_job(job)
 
 
 class ParallelSuiteRunner(SuiteRunner):
@@ -251,16 +222,12 @@ class ParallelSuiteRunner(SuiteRunner):
         cache_max_entries: Optional[int] = None,
         trace_cache_dir: Optional[str] = None,
         trace_cache_max_bytes: Optional[int] = None,
-        trace_window: Optional[int] = None,
         backend: str = "local",
         queue_workers: int = 0,
         queue_ttl: float = 60.0,
         queue_poll: float = 0.2,
         queue_assist: bool = True,
         queue_timeout: Optional[float] = 600.0,
-        shard_span_windows: Optional[int] = None,
-        shard_overlap: Union[str, int] = "full",
-        shard_slack: Optional[int] = None,
         engine: Optional[str] = None,
     ):
         super().__init__(config)
@@ -292,18 +259,6 @@ class ParallelSuiteRunner(SuiteRunner):
         self.queue_poll = queue_poll
         self.queue_assist = queue_assist
         self.queue_timeout = queue_timeout
-        # Window sharding: resolved to an entry-count plan that also
-        # participates in sharded cells' cache fingerprints.
-        if shard_span_windows is not None:
-            from repro.harness.shard import DEFAULT_SHARD_SLACK, shard_span_entries
-
-            self._sharding: Optional[dict] = {
-                "span_entries": shard_span_entries(shard_span_windows, trace_window),
-                "overlap": shard_overlap,
-                "slack": DEFAULT_SHARD_SLACK if shard_slack is None else shard_slack,
-            }
-        else:
-            self._sharding = None
         self.cache = (
             ResultCache(cache_dir, max_entries=cache_max_entries)
             if cache_dir is not None
@@ -323,7 +278,6 @@ class ParallelSuiteRunner(SuiteRunner):
             if trace_cache_dir is not None
             else None
         )
-        self.trace_window = trace_window
         self.simulations_run = 0
 
     # ------------------------------------------------------------------
@@ -333,7 +287,6 @@ class ParallelSuiteRunner(SuiteRunner):
             technique,
             self.config,
             trace_cache_dir=self.trace_cache_dir,
-            trace_window=self.trace_window,
             trace_cache_max_bytes=self.trace_cache_max_bytes,
             engine=self.engine,
         )
@@ -378,7 +331,7 @@ class ParallelSuiteRunner(SuiteRunner):
 
         Returns the results in deterministic grid order (benchmarks outer,
         techniques inner) regardless of worker completion order — on the
-        local pool, on the shared work queue, sharded or not.
+        local pool or on the shared work queue.
         """
         grid = self.grid(techniques, benchmarks)
         pending: list[SimulationJob] = []
@@ -412,84 +365,24 @@ class ParallelSuiteRunner(SuiteRunner):
     # ------------------------------------------------------------------
     def _execute_pending(self, pending: list[SimulationJob]) -> list[SimulationStats]:
         """Simulate the uncached cells, in order, over the active backend."""
-        if self._sharding is not None:
-            return self._execute_pending_sharded(pending)
-        payloads = self._execute_jobs(pending)
+        if self.backend == "queue":
+            payloads = self._execute_jobs_queue(pending)
+        elif self.workers == 1:
+            payloads = [self._execute_in_process(job) for job in pending]
+        else:
+            with ProcessPoolExecutor(max_workers=self.workers) as pool:
+                payloads = list(pool.map(run_simulation_job, pending))
         stats_list = []
         for payload in payloads:
             self._fold_trace_counters(payload)
             stats_list.append(stats_from_dict(payload["stats"]))
         return stats_list
 
-    def _execute_pending_sharded(
-        self, pending: list[SimulationJob]
-    ) -> list[SimulationStats]:
-        """Fan every cell's measure spans over the backend and stitch.
-
-        Planning happens here, once per cell: the plan needs the trace's
-        commit mask, whose emulation lands in the shared trace cache so
-        the shard executors (pool workers or queue workers on other
-        hosts) replay it instead of re-emulating.
-        """
-        from repro.harness.shard import ShardJob, plan_shards, stitch_payloads
-
-        sharding = self._sharding
-        shard_jobs: list[ShardJob] = []
-        groups: list[tuple[int, int]] = []
-        for job in pending:
-            spans = plan_shards(
-                self._program_for(job),
-                job.config.max_instructions,
-                job.config.warmup_instructions,
-                sharding["span_entries"],
-                overlap=sharding["overlap"],
-                slack=sharding["slack"],
-                cache=self.trace_cache,
-            )
-            start = len(shard_jobs)
-            cell_fingerprint = self._fingerprint(job)
-            for span in spans:
-                shard_jobs.append(
-                    ShardJob(
-                        job.benchmark,
-                        job.technique,
-                        job.config,
-                        span,
-                        cell_fingerprint=cell_fingerprint,
-                        trace_cache_dir=self.trace_cache_dir,
-                        trace_window=self.trace_window,
-                        trace_cache_max_bytes=self.trace_cache_max_bytes,
-                        engine=self.engine,
-                    )
-                )
-            groups.append((start, len(spans)))
-        payloads = self._execute_jobs(shard_jobs)
-        for payload in payloads:
-            self._fold_trace_counters(payload)
-        return [
-            stitch_payloads(payloads[start : start + count])
-            for start, count in groups
-        ]
-
-    def _execute_jobs(self, jobs: list) -> list[dict]:
-        """Run a list of (simulation or shard) jobs; payloads in order."""
-        if self.backend == "queue":
-            return self._execute_jobs_queue(jobs)
-        if self.workers == 1:
-            return [self._execute_in_process(job) for job in jobs]
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            return list(pool.map(execute_job, jobs))
-
-    def _execute_in_process(self, job) -> dict:
+    def _execute_in_process(self, job: SimulationJob) -> dict:
         """One job in this process, reusing the runner's memos and cache."""
-        program = self._program_for(job)
-        if isinstance(job, SimulationJob):
-            return run_simulation_job(job, program, self.trace_cache)
-        from repro.harness.shard import run_shard_job
+        return run_simulation_job(job, self._program_for(job), self.trace_cache)
 
-        return run_shard_job(job, program, self.trace_cache)
-
-    def _execute_jobs_queue(self, jobs: list) -> list[dict]:
+    def _execute_jobs_queue(self, jobs: list[SimulationJob]) -> list[dict]:
         """Publish jobs to the shared work queue and await their markers.
 
         Spawns ``queue_workers`` local worker subprocesses for the
@@ -573,38 +466,21 @@ class ParallelSuiteRunner(SuiteRunner):
         )
 
     # ------------------------------------------------------------------
-    def _program_for(self, job):
+    def _program_for(self, job: SimulationJob):
         """The job's program, via the runner's compilation memo in-process."""
         if job.technique in SOFTWARE_TECHNIQUES:
             return self.compilation(job.benchmark, job.technique).instrumented_program
         return build_benchmark(job.benchmark)
 
-    def _fingerprint(self, job: SimulationJob) -> str:
-        """The cell's cache key; sharded runs key on the plan as well."""
-        if self._sharding is None:
-            return job.fingerprint()
-        config = job.config
-        return simulation_fingerprint(
-            ALL_TRAITS[job.benchmark],
-            job.technique,
-            config.compiler_config,
-            config.processor_config,
-            config.energy_params,
-            config.max_instructions,
-            config.warmup_instructions,
-            config.abella_interval,
-            sharding=self._sharding,
-        )
-
     def _cached_stats(self, job: SimulationJob) -> Optional[SimulationStats]:
         if self.cache is None:
             return None
-        return self.cache.load(self._fingerprint(job))
+        return self.cache.load(job.fingerprint())
 
     def _store(self, job: SimulationJob, stats: SimulationStats) -> None:
         if self.cache is not None:
             self.cache.store(
-                self._fingerprint(job),
+                job.fingerprint(),
                 stats,
                 benchmark=job.benchmark,
                 technique=job.technique,

@@ -20,18 +20,18 @@ All queue state lives under ``<cache_dir>/queue/``::
       poison/<fingerprint>.json    jobs set aside with a recorded reason:
                                    undecodable envelopes, or jobs that
                                    exhausted their retry budget
-      workers/<worker_id>.json     per-worker claim-batch/gc counters,
-                                   republished after every batch so
+      workers/<worker_id>.json     per-worker claim/job counters,
+                                   republished after every job so
                                    ``--status`` sees the whole fleet
 
 * **Envelope** — every job file is a one-object JSON envelope:
-  ``{"format": 1, "kind": "simulation"|"shard", "fingerprint": ...,
+  ``{"format": 1, "kind": "simulation", "fingerprint": ...,
   "benchmark": ..., "technique": ..., "attempts": 0, "max_attempts": 3,
   "job": <base64 pickle>}``.  The human-readable fields make the queue
   greppable; the pickled job is the exact
-  :class:`~repro.harness.parallel.SimulationJob` /
-  :class:`~repro.harness.shard.ShardJob` the process pool already
-  ships between processes.  ``attempts`` counts execution failures so
+  :class:`~repro.harness.parallel.SimulationJob` the process pool
+  already ships between processes, and an envelope of any other kind
+  is poisoned at decode.  ``attempts`` counts execution failures so
   far; ``max_attempts`` is the job's retry budget (jobs may carry their
   own ``max_attempts`` attribute, else :data:`DEFAULT_MAX_ATTEMPTS`).
   Two transport-only stamps ride the envelope: they never enter the
@@ -53,11 +53,8 @@ All queue state lives under ``<cache_dir>/queue/``::
   file, exactly one rename succeeds and the losers see
   ``FileNotFoundError`` and move on.  The winner rewrites the lease with
   its worker id (atomic replace) and then **heartbeats** it by touching
-  the file's mtime while the simulation runs.  Claims are **batched**:
-  one pending-directory listing (the expensive metadata operation on
-  NFS) backs up to ``--claim-batch`` renames, and the whole batch
-  heartbeats while its jobs execute sequentially (default 1 —
-  worthwhile only when pending jobs vastly outnumber workers).
+  the file's mtime while the simulation runs.  One pending-directory
+  listing yields at most one claim.
 * **Crash recovery** — anyone (other workers, the runner) may call
   :meth:`WorkQueue.requeue_expired`: a lease whose mtime is older than
   the TTL is pushed back with ``os.rename(leases/f, pending/f)`` —
@@ -96,15 +93,12 @@ stays exact for any number of workers on any number of hosts.
 Run a worker with::
 
     PYTHONPATH=src python -m repro.harness.queue <cache_dir> \\
-        [--ttl 60] [--poll 0.2] [--max-jobs N] [--drain] [--status] \\
-        [--claim-batch K] [--gc-interval 900]
+        [--ttl 60] [--poll 0.2] [--drain] [--status]
 
-``--drain`` exits once the queue has stayed empty for a grace period;
-the default is to serve forever (a daemon on each grid host).  Idle
-workers double as cache janitors: every ``--gc-interval`` seconds
-(jittered per worker so a fleet sharing one NFS directory doesn't sweep
-in lockstep) an idle worker runs the offline ``cache gc`` sweep —
-orphaned temp files and expired completion markers — between polls.
+``--drain`` exits once the queue has stayed empty for
+:data:`DRAIN_GRACE` seconds; the default is to serve forever (a daemon
+on each grid host).  ``python -m repro.harness.cache gc`` is the
+janitor for orphaned temp files and expired completion markers.
 """
 
 from __future__ import annotations
@@ -132,7 +126,7 @@ from repro.harness.faults import (
     BEST_EFFORT_RETRY_POLICY,
     DEFAULT_RETRY_POLICY,
 )
-from repro.harness.parallel import SimulationJob, execute_job
+from repro.harness.parallel import run_simulation_job
 from repro.telemetry import spans as tracing
 from repro.telemetry.metrics import MetricsRegistry, counter_property
 from repro.uarch.engine import resolve_engine_name
@@ -145,6 +139,9 @@ QUEUE_FORMAT_VERSION = 1
 #: its own ``max_attempts``: total executions allowed before a failing
 #: job escalates to ``poison/`` with its last traceback recorded.
 DEFAULT_MAX_ATTEMPTS = 3
+
+#: Seconds a ``--drain`` worker waits on an idle queue before exiting.
+DRAIN_GRACE = 1.0
 
 
 def _default_worker_id() -> str:
@@ -186,7 +183,6 @@ class ClaimedJob:
     """A leased job: the decoded work item plus its lease bookkeeping."""
 
     fingerprint: str
-    kind: str
     job: object
     envelope: dict
     lease_path: Path
@@ -199,8 +195,8 @@ class WorkQueue:
         cache_dir: the shared cache directory (results at the top level,
             ``traces/`` below it, ``queue/`` for this module's state).
         ttl: seconds without a heartbeat before a lease counts as dead.
-        enqueued / claimed / completed / requeued / claim_batches: this
-            process's traffic counters (for tests and status reports).
+        enqueued / claimed / completed / requeued / retried / poisoned:
+            this process's traffic counters (for tests and status reports).
             Backed by the ``metrics`` registry
             (:class:`repro.telemetry.metrics.MetricsRegistry`) so one
             ``metrics.snapshot()`` renders them all; the attribute API
@@ -215,7 +211,6 @@ class WorkQueue:
     requeued = counter_property("requeued")
     retried = counter_property("retried")
     poisoned = counter_property("poisoned")
-    claim_batches = counter_property("claim_batches")
 
     def __init__(self, cache_dir: str | os.PathLike, ttl: float = 60.0):
         if ttl <= 0:
@@ -243,9 +238,7 @@ class WorkQueue:
         # counters pre-register so a snapshot taken before any traffic
         # still shows every series at zero.  ``retried``/``poisoned``
         # count failure-path traffic (jobs pushed back to pending after
-        # a raised execution; jobs escalated to poison/); together with
-        # ``claimed``, ``claim_batches`` (listings that yielded at
-        # least one lease) gives the realised claim batch size.
+        # a raised execution; jobs escalated to poison/).
         self.metrics = MetricsRegistry("queue")
         for name in (
             "enqueued",
@@ -254,7 +247,6 @@ class WorkQueue:
             "requeued",
             "retried",
             "poisoned",
-            "claim_batches",
         ):
             self.metrics.counter(name)
 
@@ -276,22 +268,19 @@ class WorkQueue:
     # ------------------------------------------------------------------
     # Producer side
     # ------------------------------------------------------------------
-    def enqueue(self, job, kind: Optional[str] = None) -> str:
-        """Publish ``job`` for any worker to claim; idempotent.
+    def enqueue(self, job) -> str:
+        """Publish a :class:`~repro.harness.parallel.SimulationJob` for
+        any worker to claim; idempotent.
 
-        ``job`` must expose ``fingerprint()`` and pickle cleanly (both
-        :class:`SimulationJob` and :class:`~repro.harness.shard.ShardJob`
-        do).  A fingerprint that is already pending, leased or
-        successfully completed is left untouched, so re-running a driver
-        against a half-served queue never duplicates work.  Failure
+        A fingerprint that is already pending, leased or successfully
+        completed is left untouched, so re-running a driver against a
+        half-served queue never duplicates work.  Failure
         residue is retryable, not terminal: an error marker or a poison
         record for the fingerprint is consumed here (deleted) and the
         job queued afresh with a fresh ``attempts`` counter — otherwise
         one bad spell (disk full, OOM, a since-fixed bug) would poison
         its fingerprint forever.
         """
-        if kind is None:
-            kind = "simulation" if isinstance(job, SimulationJob) else "shard"
         fingerprint = job.fingerprint()
         marker = self.done_marker(fingerprint)
         if marker is not None:
@@ -314,10 +303,10 @@ class WorkQueue:
         max_attempts = getattr(job, "max_attempts", None) or DEFAULT_MAX_ATTEMPTS
         envelope = {
             "format": QUEUE_FORMAT_VERSION,
-            "kind": kind,
+            "kind": "simulation",
             "fingerprint": fingerprint,
-            "benchmark": getattr(job, "benchmark", ""),
-            "technique": getattr(job, "technique", ""),
+            "benchmark": job.benchmark,
+            "technique": job.technique,
             "attempts": 0,
             "max_attempts": int(max_attempts),
             "enqueued_at": time.time(),
@@ -349,38 +338,18 @@ class WorkQueue:
     # Worker side
     # ------------------------------------------------------------------
     def claim(self, worker_id: Optional[str] = None) -> Optional[ClaimedJob]:
-        """Atomically lease one pending job; None when nothing is claimable."""
-        claims = self.claim_batch(worker_id, limit=1)
-        return claims[0] if claims else None
+        """Atomically lease one pending job; None when nothing is claimable.
 
-    def claim_batch(
-        self, worker_id: Optional[str] = None, limit: int = 1
-    ) -> list[ClaimedJob]:
-        """Lease up to ``limit`` pending jobs from one directory listing.
-
-        A large grid served over NFS pays one ``listdir`` (the expensive
-        metadata operation) per claim attempt; batching amortises that
-        single scan over up to ``limit`` atomic renames, cutting
-        per-job filesystem round-trips by the batch size.  Candidates
-        are shuffled, so a fleet of workers scanning the same directory
-        mostly avoids colliding on one file; the rename makes any
-        remaining collision safe (one winner per file).
-
-        Callers executing a batch sequentially must keep every held
-        lease heartbeating while earlier jobs run
-        (:func:`process_claimed_jobs` does), or the later leases expire
-        and get re-leased — harmless (completions are idempotent) but
-        wasteful.
+        One ``listdir`` (the expensive metadata operation on NFS) backs
+        the claim.  Candidates are shuffled, so a fleet of workers
+        scanning the same directory mostly avoids colliding on one file;
+        the rename makes any remaining collision safe (one winner per
+        file), and a loser moves on to the next candidate.
         """
-        if limit < 1:
-            raise ValueError("claim batch limit must be a positive integer")
         worker_id = worker_id or _default_worker_id()
-        claims: list[ClaimedJob] = []
         names = _protocol_names(self.pending_dir)
         random.shuffle(names)
         for name in names:
-            if len(claims) >= limit:
-                break
             pending = self.pending_dir / name
             lease = self.leases_dir / name
             try:
@@ -409,10 +378,8 @@ class WorkQueue:
                     )
             if claimed is not None:
                 self.claimed += 1
-                claims.append(claimed)
-        if claims:
-            self.claim_batches += 1
-        return claims
+                return claimed
+        return None
 
     def _decode_lease(self, lease: Path, worker_id: str) -> Optional[ClaimedJob]:
         """Decode a freshly won lease, poisoning undecodable envelopes."""
@@ -422,7 +389,7 @@ class WorkQueue:
                 raise ValueError("foreign queue envelope format")
             fingerprint = envelope["fingerprint"]
             kind = envelope["kind"]
-            if kind not in ("simulation", "shard"):
+            if kind != "simulation":
                 raise ValueError(f"unknown queue job kind {kind!r}")
             job = pickle.loads(base64.b64decode(envelope["job"]))
         # Unpickling a foreign envelope can raise arbitrary types; any decode
@@ -451,7 +418,6 @@ class WorkQueue:
         )
         return ClaimedJob(
             fingerprint=fingerprint,
-            kind=kind,
             job=job,
             envelope=envelope,
             lease_path=lease,
@@ -581,7 +547,6 @@ class WorkQueue:
         marker = {
             "format": QUEUE_FORMAT_VERSION,
             "fingerprint": claimed.fingerprint,
-            "kind": claimed.kind,
             "benchmark": claimed.envelope.get("benchmark", ""),
             "technique": claimed.envelope.get("technique", ""),
             "worker": worker_id,
@@ -791,20 +756,11 @@ class WorkQueue:
             "oldest_lease_age": oldest,
             "youngest_lease_age": youngest,
             "ttl": self.ttl,
-            # Jobs leased by this WorkQueue object, the listings that
-            # produced them, and the realised batch size those imply.
-            "claims_this_process": {
-                "claimed": self.claimed,
-                "claim_batches": self.claim_batches,
-                "mean_batch_size": (
-                    round(self.claimed / self.claim_batches, 2)
-                    if self.claim_batches
-                    else 0.0
-                ),
-            },
-            # Fleet-wide claim-batch/gc stats, aggregated from the
+            # Jobs leased by this WorkQueue object.
+            "claims_this_process": {"claimed": self.claimed},
+            # Fleet-wide claim/job stats, aggregated from the
             # queue/workers/ files each worker publishes after every
-            # batch — this is what a `--status` query from another
+            # job — this is what a `--status` query from another
             # process or host actually observes.
             "workers": self.worker_stats(),
             # Span-derived latency percentiles (enqueue→claim backlog
@@ -826,62 +782,41 @@ class WorkQueue:
         Malformed or foreign files are skipped, never crashed on; stale
         files from dead workers linger until ``cache gc`` expires them,
         so the totals describe recent fleet activity, not a live roster.
+        Keys this aggregation does not read (such as the claim-batch and
+        gc counters older workers published) are ignored.
         """
-        totals = {
-            "workers": 0,
-            "claimed": 0,
-            "claim_batches": 0,
-            "jobs_done": 0,
-            "jobs_failed": 0,
-            "gc_sweeps": 0,
-        }
+        totals = {"workers": 0, "claimed": 0, "jobs_done": 0, "jobs_failed": 0}
         # Per-host rollup of the same counters: stats files are tagged
         # with the publishing worker's hostname, so a fleet spread over
-        # NFS decomposes into which *machines* are sweeping and
-        # claiming, not just process-level totals.  Files from before
-        # the host tag aggregate under "" (unknown host).
+        # NFS decomposes into which *machines* are claiming, not just
+        # process-level totals.  Files from before the host tag
+        # aggregate under "" (unknown host).
         hosts: dict[str, dict] = {}
         for name in _protocol_names(self.workers_dir):
             try:
                 payload = json.loads(
                     (self.workers_dir / name).read_text(encoding="utf-8")
                 )
-                if payload.get("format") != QUEUE_FORMAT_VERSION:
+                if (
+                    not isinstance(payload, dict)
+                    or payload.get("format") != QUEUE_FORMAT_VERSION
+                ):
                     continue
-                claimed = int(payload.get("claimed", 0))
-                batches = int(payload.get("claim_batches", 0))
-                jobs_done = int(payload.get("jobs_done", 0))
-                jobs_failed = int(payload.get("jobs_failed", 0))
-                gc_sweeps = int(payload.get("gc_sweeps", 0))
+                counts = {
+                    "claimed": int(payload.get("claimed", 0)),
+                    "jobs_done": int(payload.get("jobs_done", 0)),
+                    "jobs_failed": int(payload.get("jobs_failed", 0)),
+                }
                 host = str(payload.get("host", ""))
             except (OSError, ValueError, TypeError, json.JSONDecodeError):
                 continue
-            totals["workers"] += 1
-            totals["claimed"] += claimed
-            totals["claim_batches"] += batches
-            totals["jobs_done"] += jobs_done
-            totals["jobs_failed"] += jobs_failed
-            totals["gc_sweeps"] += gc_sweeps
             per_host = hosts.setdefault(
-                host,
-                {
-                    "workers": 0,
-                    "claimed": 0,
-                    "jobs_done": 0,
-                    "jobs_failed": 0,
-                    "gc_sweeps": 0,
-                },
+                host, {"workers": 0, "claimed": 0, "jobs_done": 0, "jobs_failed": 0}
             )
-            per_host["workers"] += 1
-            per_host["claimed"] += claimed
-            per_host["jobs_done"] += jobs_done
-            per_host["jobs_failed"] += jobs_failed
-            per_host["gc_sweeps"] += gc_sweeps
-        totals["mean_batch_size"] = (
-            round(totals["claimed"] / totals["claim_batches"], 2)
-            if totals["claim_batches"]
-            else 0.0
-        )
+            for rollup in (totals, per_host):
+                rollup["workers"] += 1
+                for key, value in counts.items():
+                    rollup[key] += value
         totals["hosts"] = hosts
         return totals
 
@@ -903,12 +838,12 @@ class WorkQueue:
 def execute_queue_job(claimed: ClaimedJob) -> dict:
     """Run one claimed job and return its payload dict.
 
-    Job-shape dispatch lives in
-    :func:`repro.harness.parallel.execute_job` — the same dispatcher the
-    process pool uses — so the queue path can never diverge from the
-    pool path; unknown envelope kinds were already poisoned at decode.
+    It runs :func:`repro.harness.parallel.run_simulation_job`, as the
+    process pool does, so the queue path can never diverge from the
+    pool path; envelopes of any other kind were already poisoned at
+    decode.
     """
-    return execute_job(claimed.job)
+    return run_simulation_job(claimed.job)
 
 
 def _execute_and_complete(
@@ -952,13 +887,12 @@ def _execute_and_complete(
         queue.fail(claimed, traceback.format_exc(), worker_id)
         return False
     try:
-        if claimed.kind == "simulation":
-            ResultCache(queue.cache_dir).store(
-                claimed.fingerprint,
-                stats_from_dict(payload["stats"]),
-                benchmark=claimed.envelope.get("benchmark", ""),
-                technique=claimed.envelope.get("technique", ""),
-            )
+        ResultCache(queue.cache_dir).store(
+            claimed.fingerprint,
+            stats_from_dict(payload["stats"]),
+            benchmark=claimed.envelope.get("benchmark", ""),
+            technique=claimed.envelope.get("technique", ""),
+        )
         queue.complete(claimed, payload, worker_id)
     except OSError:
         # Even the retried marker publication gave up (persistent
@@ -972,59 +906,32 @@ def _execute_and_complete(
     return True
 
 
-def process_claimed_jobs(
-    queue: WorkQueue, claims: list[ClaimedJob], worker_id: str
-) -> tuple[int, int]:
-    """Execute a batch of claimed jobs under one shared heartbeat.
+def process_claimed_job(
+    queue: WorkQueue, claimed: ClaimedJob, worker_id: str
+) -> bool:
+    """Execute, publish and complete one claimed job under a heartbeat.
 
-    A background thread heartbeats **every lease still held by the
-    batch** while jobs execute sequentially (simulations take
-    arbitrarily long; the TTL should not have to) — without this, the
-    later jobs of a claim batch would expire and be re-leased elsewhere
-    while the first one runs.  A single lost lease never stops the
-    beater: completions are idempotent, so the worst case of a reclaim
-    is duplicated work, not a wrong result.
-
-    Returns ``(succeeded, failed)``.
+    A background thread touches the lease every quarter TTL while the
+    job runs (simulations take arbitrarily long; the TTL should not
+    have to), so no sweeper re-leases a job that is still executing.  A
+    lost lease never stops the beater: completions are idempotent, so
+    the worst case of a reclaim is duplicated work, not a wrong result.
+    Returns True when the job succeeded.
     """
     stop = threading.Event()
-    lock = threading.Lock()
-    held = list(claims)
     interval = max(0.05, queue.ttl / 4.0)
 
     def _beat() -> None:
         while not stop.wait(interval):
-            with lock:
-                current = list(held)
-            for claim in current:
-                queue.heartbeat(claim)
+            queue.heartbeat(claimed)
 
     beater = threading.Thread(target=_beat, daemon=True)
     beater.start()
-    succeeded = failed = 0
     try:
-        for claimed in claims:
-            if _execute_and_complete(queue, claimed, worker_id):
-                succeeded += 1
-            else:
-                failed += 1
-            with lock:
-                held.remove(claimed)
+        return _execute_and_complete(queue, claimed, worker_id)
     finally:
         stop.set()
         beater.join()
-    return succeeded, failed
-
-
-def process_claimed_job(
-    queue: WorkQueue, claimed: ClaimedJob, worker_id: str
-) -> bool:
-    """Execute, publish and complete one claimed job (heartbeated).
-
-    The single-job entry the driver's assist path uses; a batch of one.
-    """
-    succeeded, _ = process_claimed_jobs(queue, [claimed], worker_id)
-    return succeeded == 1
 
 
 # ----------------------------------------------------------------------
@@ -1111,64 +1018,34 @@ class QueueWorker:
     """The claim/execute/complete loop one worker process runs.
 
     Attributes:
-        claim_batch: jobs leased per directory listing (single scan, up
-            to this many renames); the whole batch heartbeats while its
-            jobs execute sequentially.  Default 1: batching amortises
-            the listing only when pending jobs vastly outnumber
-            workers — on a small grid a worker hoarding a batch
-            serialises jobs its idle peers could have run (measured
-            ~75% wall-clock regression on the 6-cell queue-grid bench
-            at batch 4), so larger batches are opt-in for large grids.
-        gc_interval: idle-time ``cache gc`` sweep period in seconds
-            (None/0 disables).  The actual period is jittered so a fleet
-            of workers sharing one NFS cache directory doesn't sweep it
-            in lockstep, and the first sweep lands at a random fraction
-            of the period to desynchronise hosts started together.
-        gc_sweeps: sweeps this worker has run (tests, exit summary).
+        worker_id: identity stamped on leases, markers and the stats
+            file (default: host name, pid and a random suffix).
+        jobs_done / jobs_failed: jobs this worker executed, by outcome.
     """
-
-    #: Upper jitter fraction applied to each worker's gc period.
-    GC_JITTER = 0.25
 
     def __init__(
         self,
         queue: WorkQueue,
         worker_id: Optional[str] = None,
         poll_interval: float = 0.2,
-        max_jobs: Optional[int] = None,
         drain: bool = False,
-        drain_grace: float = 1.0,
-        claim_batch: int = 1,
-        gc_interval: Optional[float] = None,
     ):
-        if claim_batch < 1:
-            raise ValueError("claim_batch must be a positive integer")
         self.queue = queue
         self.worker_id = worker_id or _default_worker_id()
         self.poll_interval = poll_interval
-        self.max_jobs = max_jobs
         self.drain = drain
-        self.drain_grace = drain_grace
-        self.claim_batch = claim_batch
-        self.gc_interval = gc_interval or None
         self.jobs_done = 0
         self.jobs_failed = 0
-        self.gc_sweeps = 0
-        self._next_gc = (
-            time.time() + self.gc_interval * random.uniform(0.1, 1.0 + self.GC_JITTER)
-            if self.gc_interval
-            else None
-        )
 
     def _publish_stats(self) -> None:
         """Publish this worker's counters to ``queue/workers/<id>.json``.
 
-        The claim/gc counters live in process memory, so a ``--status``
+        The claim/job counters live in process memory, so a ``--status``
         query from another process (or host) could never see them;
-        publishing them into the queue directory after every batch makes
-        claim-batch efficiency fleet-observable.  Stale files from dead
-        workers expire via ``cache gc`` like consumed completion
-        markers.  Best-effort: a stats write must never fail a worker.
+        publishing them into the queue directory after every job makes
+        them fleet-observable.  Stale files from dead workers expire via
+        ``cache gc`` like consumed completion markers.  Best-effort: a
+        stats write must never fail a worker.
         """
         queue = self.queue
         payload = {
@@ -1176,19 +1053,18 @@ class QueueWorker:
             "worker": self.worker_id,
             "host": socket.gethostname(),
             "claimed": queue.claimed,
-            "claim_batches": queue.claim_batches,
             "jobs_done": self.jobs_done,
             "jobs_failed": self.jobs_failed,
-            "gc_sweeps": self.gc_sweeps,
             "updated_at": time.time(),
         }
-        # The id is operator-supplied (--worker-id) and becomes a file
-        # name: strip path separators and friends so an id like
-        # "rack1/host7" publishes instead of silently failing — or
-        # worse, escaping into a sibling protocol directory.  When the
-        # rewrite changed anything, a short digest of the raw id keeps
-        # distinct ids from clobbering one stats file ("rack1/host7"
-        # vs "rack1 host7" would otherwise collide on rack1-host7).
+        # The id becomes a file name, and the default embeds the host
+        # name, which comes from outside the program: strip path
+        # separators and friends so an id like "rack1/host7" publishes
+        # instead of silently failing — or worse, escaping into a
+        # sibling protocol directory.  When the rewrite changed
+        # anything, a short digest of the raw id keeps distinct ids from
+        # clobbering one stats file ("rack1/host7" vs "rack1 host7"
+        # would otherwise collide on rack1-host7).
         safe_id = (
             re.sub(r"[^A-Za-z0-9._-]", "-", self.worker_id).lstrip(".")
             or "worker"
@@ -1209,62 +1085,29 @@ class QueueWorker:
             on_exhausted="drop",
         )
 
-    def _maybe_gc(self, now: float) -> None:
-        """Run an idle-time cache gc sweep when the jittered period lapses.
-
-        Reuses the offline ``python -m repro.harness.cache gc`` internals
-        (orphaned ``.tmp-*`` writer files, expired completion markers;
-        live protocol files are never touched).  A sweep failure must
-        never kill a worker — the cache directory may be shared with
-        hosts mid-eviction.
-        """
-        if self._next_gc is None or now < self._next_gc:
-            return
-        from repro.harness.cache import gc_cache_tree
-
-        def _sweep() -> None:
-            gc_cache_tree(self.queue.cache_dir)
-            self.gc_sweeps += 1
-            self._publish_stats()
-
-        # Drop-after-budget: the sweep is opportunistic janitor work —
-        # a directory mid-eviction on another host retries briefly,
-        # then waits for the next jittered period.
-        BEST_EFFORT_RETRY_POLICY.call(
-            _sweep, key=f"gc/{self.worker_id}", on_exhausted="drop"
-        )
-        self._next_gc = now + self.gc_interval * random.uniform(
-            1.0, 1.0 + self.GC_JITTER
-        )
-
     def run(self) -> int:
         """Serve the queue; returns the number of jobs executed."""
         queue = self.queue
         idle_since: Optional[float] = None
         while True:
-            if self.max_jobs is not None and self.jobs_done >= self.max_jobs:
-                break
             queue.requeue_expired()
-            limit = self.claim_batch
-            if self.max_jobs is not None:
-                limit = min(limit, self.max_jobs - self.jobs_done)
-            claims = queue.claim_batch(self.worker_id, limit=limit)
-            if not claims:
+            claimed = queue.claim(self.worker_id)
+            if claimed is None:
                 now = time.time()
                 if self.drain and queue.is_idle():
                     if idle_since is None:
                         idle_since = now
-                    elif now - idle_since >= self.drain_grace:
+                    elif now - idle_since >= DRAIN_GRACE:
                         break
                 else:
                     idle_since = None
-                self._maybe_gc(now)
                 faults.sleep(self.poll_interval)
                 continue
             idle_since = None
-            succeeded, failed = process_claimed_jobs(queue, claims, self.worker_id)
-            self.jobs_done += succeeded
-            self.jobs_failed += failed
+            if process_claimed_job(queue, claimed, self.worker_id):
+                self.jobs_done += 1
+            else:
+                self.jobs_failed += 1
             self._publish_stats()
         return self.jobs_done
 
@@ -1278,8 +1121,6 @@ def spawn_local_workers(
     ttl: float = 60.0,
     poll_interval: float = 0.2,
     drain: bool = False,
-    claim_batch: Optional[int] = None,
-    gc_interval: Optional[float] = None,
 ):
     """Start ``count`` worker subprocesses against ``cache_dir``.
 
@@ -1309,13 +1150,6 @@ def spawn_local_workers(
     ]
     if drain:
         command.append("--drain")
-    if claim_batch is not None:
-        command.extend(["--claim-batch", str(claim_batch)])
-    # None must mean what it means on QueueWorker — no janitor sweeps —
-    # so pass an explicit 0 rather than inheriting the CLI's 900s
-    # daemon default; these spawned workers are ephemeral batch hands,
-    # not long-lived hosts.
-    command.extend(["--gc-interval", str(gc_interval if gc_interval else 0)])
     return [subprocess.Popen(command, env=env) for _ in range(count)]
 
 
@@ -1324,7 +1158,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         description="Work-queue worker over a shared simulation cache directory"
     )
     parser.add_argument("cache_dir", help="shared cache directory (holds queue/)")
-    parser.add_argument("--worker-id", default=None, help="identity stamped on leases")
     parser.add_argument(
         "--ttl", type=float, default=60.0, help="heartbeat TTL before re-lease (s)"
     )
@@ -1332,42 +1165,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--poll", type=float, default=0.2, help="idle polling interval (s)"
     )
     parser.add_argument(
-        "--max-jobs", type=int, default=None, help="exit after N jobs (default: serve)"
-    )
-    parser.add_argument(
         "--drain",
         action="store_true",
-        help="exit once the queue stays empty for the grace period",
-    )
-    parser.add_argument(
-        "--drain-grace",
-        type=float,
-        default=1.0,
-        help="idle seconds before --drain exits",
-    )
-    parser.add_argument(
-        "--claim-batch",
-        type=int,
-        default=1,
-        help="jobs leased per pending-directory listing (single scan, up "
-        "to N renames; the batch heartbeats while executing).  Raise on "
-        "large grids where pending jobs vastly outnumber workers; a "
-        "batch a small grid can't fill just serialises jobs idle peers "
-        "could have run",
-    )
-    parser.add_argument(
-        "--gc-interval",
-        type=float,
-        default=900.0,
-        help="idle-time cache gc sweep period in seconds, jittered per "
-        "worker so shared caches aren't swept in lockstep (0 disables)",
+        help=f"exit once the queue stays empty for {DRAIN_GRACE:g} s",
     )
     parser.add_argument(
         "--status",
         action="store_true",
         help="print queue status as JSON and exit; the 'workers' section "
-        "aggregates the claim-batch and gc counters every worker "
-        "publishes into queue/workers/",
+        "aggregates the claim and job counters every worker publishes "
+        "into queue/workers/",
     )
     args = parser.parse_args(argv)
 
@@ -1382,21 +1189,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.status:
         print(json.dumps(queue.status(), indent=2))
         return 0
-    worker = QueueWorker(
-        queue,
-        worker_id=args.worker_id,
-        poll_interval=args.poll,
-        max_jobs=args.max_jobs,
-        drain=args.drain,
-        drain_grace=args.drain_grace,
-        claim_batch=args.claim_batch,
-        gc_interval=args.gc_interval,
-    )
+    worker = QueueWorker(queue, poll_interval=args.poll, drain=args.drain)
     done = worker.run()
     print(
         f"worker {worker.worker_id}: {done} job(s) executed, "
-        f"{worker.jobs_failed} failed, {queue.claimed} claim(s) over "
-        f"{queue.claim_batches} listing(s), {worker.gc_sweeps} gc sweep(s)"
+        f"{worker.jobs_failed} failed, {queue.claimed} claim(s)"
     )
     return 0
 

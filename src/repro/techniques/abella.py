@@ -80,8 +80,7 @@ class AbellaPolicy(ResizingPolicy):
         # core's *architectural* commit count, which never resets, so it
         # needs no rebase — the hardware heuristic observes the machine,
         # not the measurement infrastructure, and behaves identically
-        # wherever the warm-up boundary happens to fall (which is what
-        # makes window-sharded replay of this policy exact).
+        # wherever the warm-up boundary happens to fall.
         self._interval_start_cycle -= cycle_shift
 
     def next_wake_cycle(self) -> int:

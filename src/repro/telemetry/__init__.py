@@ -7,9 +7,9 @@ The observability plane for the distributed harness (docs/observability.md):
   the queue envelope under one request id, published atomically to
   ``<cache_dir>/telemetry/spans/<host>-<pid>.jsonl``.  No-op by default
   (one is-None check); opt in with ``REPRO_TELEMETRY=1``.
-* :mod:`repro.telemetry.metrics` — the counters/gauges/histograms
-  registry behind ``cache_stats()`` and the queue counters, both
-  sharing one ``snapshot()`` shape.
+* :mod:`repro.telemetry.metrics` — the counter registry behind
+  ``cache_stats()`` and the queue counters, both sharing one
+  ``snapshot()`` shape.
 * :mod:`repro.telemetry.trend` — ``python -m repro.telemetry.trend``
   gates the ``BENCH_trace.json`` perf trajectory with a MAD-based
   noise band.
@@ -21,8 +21,6 @@ reprolint ``telemetry-purity`` rule forbids it under ``repro/uarch/``
 
 from repro.telemetry.metrics import (
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     counter_property,
     percentile,
@@ -49,8 +47,6 @@ from repro.telemetry.spans import (
 
 __all__ = [
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "counter_property",
     "percentile",

@@ -1,16 +1,13 @@
-"""Fleet metrics plane: counters, gauges, and histograms with one shape.
+"""Fleet metrics plane: named counters with one snapshot shape.
 
 Every long-lived harness object (the result cache, the work queue)
 used to keep its own hand-rolled dict of integer counters and expose it
 through a bespoke ``*_stats()`` method.  This module replaces those dicts with a single
-:class:`MetricsRegistry` per object: counters and gauges are named
-metrics created on first use, and every registry renders through the
-same ``snapshot()`` shape::
+:class:`MetricsRegistry` per object: counters are named metrics
+created on first use, and every registry renders through the same
+``snapshot()`` shape::
 
-    {"counters": {name: int, ...},
-     "gauges": {name: float | None, ...},
-     "histograms": {name: {"count", "min", "max", "mean",
-                           "p50", "p90", "p99"}, ...}}
+    {"namespace": str, "counters": {name: int, ...}}
 
 The existing public stats dicts (``cache_stats()``,
 ``WorkQueue.status()``) keep their key layout — they are now *views*
@@ -19,20 +16,13 @@ counters as plain attributes (``cache.hits += deltas["hits"]``) keep
 working through the :class:`counter_property` descriptor.
 
 Nothing here touches the simulation hot path: incrementing a counter is
-an integer add on a plain attribute, and histograms retain a bounded
-window of observations so memory cannot grow with run length.
+an integer add on a plain attribute.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
 from typing import Iterable
-
-# Observations retained per histogram.  Percentiles are computed over
-# this sliding window, which is plenty for the second-scale latencies
-# the harness records and keeps a long-lived worker's memory bounded.
-HISTOGRAM_WINDOW = 1024
 
 
 def percentile(values: Iterable[float], fraction: float) -> float | None:
@@ -56,7 +46,6 @@ def percentile(values: Iterable[float], fraction: float) -> float | None:
 class Counter:
     """A monotonically *intended* integer counter (resettable for tests)."""
 
-    kind = "counter"
     __slots__ = ("name", "value")
 
     def __init__(self, name: str) -> None:
@@ -68,116 +57,29 @@ class Counter:
         return self.value
 
 
-class Gauge:
-    """A point-in-time value; ``None`` until first set."""
-
-    kind = "gauge"
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: float | None = None
-
-    def set(self, value: float | None) -> None:
-        self.value = value
-
-
-class Histogram:
-    """A bounded window of observations summarised by percentiles."""
-
-    kind = "histogram"
-    __slots__ = ("name", "_window", "count", "_lock")
-
-    def __init__(self, name: str, window: int = HISTOGRAM_WINDOW) -> None:
-        self.name = name
-        self._window: deque[float] = deque(maxlen=window)
-        self.count = 0  # total ever observed, not just the window
-        self._lock = threading.Lock()
-
-    def observe(self, value: float) -> None:
-        with self._lock:
-            self.count += 1
-            self._window.append(float(value))
-
-    def summary(self) -> dict:
-        with self._lock:
-            window = list(self._window)
-        if not window:
-            return {
-                "count": self.count,
-                "min": None,
-                "max": None,
-                "mean": None,
-                "p50": None,
-                "p90": None,
-                "p99": None,
-            }
-        return {
-            "count": self.count,
-            "min": min(window),
-            "max": max(window),
-            "mean": sum(window) / len(window),
-            "p50": percentile(window, 0.50),
-            "p90": percentile(window, 0.90),
-            "p99": percentile(window, 0.99),
-        }
-
-
 class MetricsRegistry:
-    """Named counters/gauges/histograms with one ``snapshot()`` shape."""
+    """Named counters with one ``snapshot()`` shape."""
 
     def __init__(self, namespace: str = "") -> None:
         self.namespace = namespace
-        self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        self._metrics: dict[str, Counter] = {}
         self._lock = threading.Lock()
 
-    def _get(self, name: str, factory):
+    def counter(self, name: str) -> Counter:
         metric = self._metrics.get(name)
         if metric is None:
             with self._lock:
                 metric = self._metrics.get(name)
                 if metric is None:
-                    metric = self._metrics[name] = factory(name)
-        if not isinstance(metric, factory):
-            raise TypeError(
-                f"metric {name!r} already registered as {metric.kind}"
-            )
+                    metric = self._metrics[name] = Counter(name)
         return metric
 
-    def counter(self, name: str) -> Counter:
-        return self._get(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._get(name, Histogram)
-
     def counters(self) -> dict[str, int]:
-        """The counter subset as a plain dict (legacy stats views)."""
-        return {
-            name: metric.value
-            for name, metric in sorted(self._metrics.items())
-            if isinstance(metric, Counter)
-        }
+        """The counters as a plain dict (legacy stats views)."""
+        return {name: metric.value for name, metric in sorted(self._metrics.items())}
 
     def snapshot(self) -> dict:
-        counters: dict[str, int] = {}
-        gauges: dict[str, float | None] = {}
-        histograms: dict[str, dict] = {}
-        for name, metric in sorted(self._metrics.items()):
-            if isinstance(metric, Counter):
-                counters[name] = metric.value
-            elif isinstance(metric, Gauge):
-                gauges[name] = metric.value
-            else:
-                histograms[name] = metric.summary()
-        return {
-            "namespace": self.namespace,
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
-        }
+        return {"namespace": self.namespace, "counters": self.counters()}
 
 
 class counter_property:

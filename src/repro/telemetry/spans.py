@@ -99,16 +99,16 @@ class _TraceScope:
         return False
 
 
-def trace_scope(trace: str | None = None) -> _TraceScope:
-    """Enter a trace context; mints a fresh id when *trace* is None.
+def trace_scope() -> _TraceScope:
+    """Enter a trace context under a freshly minted id.
 
     Spans recorded inside the block inherit the id unless they pass an
     explicit ``trace=`` (workers do, from the claimed envelope).
     """
-    return _TraceScope(trace if trace is not None else new_trace_id())
+    return _TraceScope(new_trace_id())
 
 
-def maybe_trace_scope(trace: str | None = None):
+def maybe_trace_scope():
     """Like :func:`trace_scope`, but a shared no-op while disabled.
 
     The producer-side entry point: with tracing off, no context is
@@ -117,7 +117,7 @@ def maybe_trace_scope(trace: str | None = None):
     """
     if _recorder is None:
         return _NOOP_SPAN
-    return trace_scope(trace)
+    return trace_scope()
 
 
 class _NoopSpan:

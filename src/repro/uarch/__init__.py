@@ -67,18 +67,17 @@ Main entry points:
 
 from repro.uarch.config import DEFAULT_TRACE_WINDOW_ENTRIES, ProcessorConfig
 from repro.uarch.emulator import DynamicInstruction, EmulationLimitExceeded, FunctionalEmulator
-from repro.uarch.stats import SimulationStats, merge_stats
+from repro.uarch.stats import SimulationStats
 from repro.uarch.trace import (
     StaticTable,
     TraceCache,
     TraceWindow,
     TraceWindowStream,
     get_trace_columns,
-    get_trace_span_stream,
     get_trace_stream,
     trace_events,
 )
-from repro.uarch.core import OutOfOrderCore, simulate, simulate_span
+from repro.uarch.core import OutOfOrderCore, simulate
 from repro.uarch.engine import (
     ReplayEngine,
     ScalarEngine,
@@ -94,18 +93,15 @@ __all__ = [
     "EmulationLimitExceeded",
     "FunctionalEmulator",
     "SimulationStats",
-    "merge_stats",
     "StaticTable",
     "TraceCache",
     "TraceWindow",
     "TraceWindowStream",
     "get_trace_columns",
-    "get_trace_span_stream",
     "get_trace_stream",
     "trace_events",
     "OutOfOrderCore",
     "simulate",
-    "simulate_span",
     "ReplayEngine",
     "ScalarEngine",
     "available_engines",

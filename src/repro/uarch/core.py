@@ -7,19 +7,13 @@ The per-cycle timing loop lives behind the
 existing imports keep working) and the compiled native kernel
 (:class:`~repro.uarch.engine.native.NativeCore`).  This module wires
 a kernel together with the trace tiers of :mod:`repro.uarch.trace` and a
-resizing policy:
-
-* :func:`simulate` — emulate ``program`` once (memo/disk tiers apply)
-  and replay it to the end of its budget;
-* :func:`simulate_span` — replay one entry span of a trace, freezing
-  statistics at the commit of the N-th measured instruction (the
-  window-shard entry point of :mod:`repro.harness.shard`).
-
-Both take ``engine=`` (``"scalar"`` | ``"native"``; default: the
-``REPRO_REPLAY_KERNEL`` environment variable, else ``native`` where it
-builds, else ``scalar``).  Engine statistics are bit-identical, so the
-choice is transport — like the trace window size or the worker count —
-and never affects results or cache fingerprints.
+resizing policy: :func:`simulate` emulates ``program`` once (memo/disk tiers apply) and
+replays it to the end of its budget.  It takes ``engine=`` (``"scalar"``
+| ``"native"``; default: the ``REPRO_REPLAY_KERNEL`` environment
+variable, else ``native`` where it builds, else ``scalar``).  Engine
+statistics are bit-identical, so the choice is transport — like the
+trace window size or the worker count — and never affects results or
+cache fingerprints.
 """
 
 from __future__ import annotations
@@ -29,9 +23,9 @@ from typing import Optional
 from repro.uarch.config import ProcessorConfig
 from repro.uarch.engine import OutOfOrderCore, get_engine
 from repro.uarch.stats import SimulationStats
-from repro.uarch.trace import TraceCache, get_trace_span_stream, get_trace_stream
+from repro.uarch.trace import TraceCache, get_trace_stream
 
-__all__ = ["OutOfOrderCore", "simulate", "simulate_span"]
+__all__ = ["OutOfOrderCore", "simulate"]
 
 
 def simulate(
@@ -93,60 +87,5 @@ def simulate(
         policy,
         config=config,
         warmup_instructions=warmup_instructions,
-        max_cycles=max_cycles,
-    )
-
-
-def simulate_span(
-    program,
-    policy=None,
-    config: Optional[ProcessorConfig] = None,
-    *,
-    max_instructions: int,
-    first_entry: int = 0,
-    last_entry: Optional[int] = None,
-    warmup_commits: int = 0,
-    measure_commits: Optional[int] = None,
-    trace_cache=None,
-    trace_window: Optional[int] = None,
-    max_cycles: Optional[int] = None,
-    live_emulation: Optional[bool] = None,
-    engine: Optional[str] = None,
-) -> SimulationStats:
-    """Replay one entry span of a trace, measuring part of it.
-
-    The measure-span entry point behind window sharding
-    (:mod:`repro.harness.shard`).  The selected engine replays the
-    dynamic trace entries ``[first_entry, last_entry)`` of the (program,
-    ``max_instructions``) trace; the first ``warmup_commits`` committed
-    instructions are warm-up (statistics reset when they retire, exactly
-    like ``simulate``'s ``warmup_instructions``), and with
-    ``measure_commits`` set, statistics freeze at the commit of the
-    N-th measured instruction while younger entries of the span — the
-    shard's *slack* — are still in flight keeping the pipeline fed, so
-    the boundary cycle is timed exactly as in an unsharded run.
-
-    A sharded run stitches per-span statistics with
-    :func:`repro.uarch.stats.merge_stats`; when every shard warms up
-    over the full preceding trace, the stitched statistics are
-    bit-identical to one sequential replay — under either engine.
-    """
-    if trace_cache is not None and not isinstance(trace_cache, TraceCache):
-        trace_cache = TraceCache(trace_cache)
-    stream = get_trace_span_stream(
-        program,
-        max_instructions,
-        first_entry,
-        last_entry,
-        window_size=trace_window,
-        cache=trace_cache,
-        live=live_emulation,
-    )
-    return get_engine(engine).run_span(
-        stream,
-        policy,
-        config=config,
-        warmup_commits=warmup_commits,
-        measure_commits=measure_commits,
         max_cycles=max_cycles,
     )

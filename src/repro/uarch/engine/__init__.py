@@ -2,9 +2,7 @@
 
 The simulator separates *what* a cycle does from *how* a kernel executes
 it: :class:`~repro.uarch.engine.base.ReplayEngine` is the contract
-(``run`` over a trace window stream, plus the ``run_span``
-freeze-at-commit entry window sharding stitches), and two kernels
-implement it —
+(``run`` over a trace window stream), and two kernels implement it —
 
 * :class:`~repro.uarch.engine.scalar.ScalarEngine` (``"scalar"``): the
   pure-Python reference loop, behaviour frozen;

@@ -8,8 +8,7 @@
  * over the next window of trace columns, read in place.
  *
  * Bit-identity contract: statistics must be byte-identical to the scalar
- * kernel for every (trace, policy, config, warm-up, measure-span)
- * combination.  Every stage below mirrors the scalar stage line by line;
+ * kernel for every (trace, policy, config, warm-up) combination.  Every stage below mirrors the scalar stage line by line;
  * a semantic change there must be mirrored here (tests/test_engines.py
  * enforces the equivalence).
  *
@@ -452,8 +451,8 @@ typedef struct {
     int64_t cmp_full_per_broadcast;
     int F_HINT, F_NOP, F_BRANCH, F_CALL, F_RET, F_LOAD, F_STORE, F_CONTROL;
     int uses_hints, iq_bank_gating, rf_bank_gating;
-    int has_measure, has_max_cycles;
-    int64_t warmup_instructions, measure_limit, max_cycles;
+    int has_max_cycles;
+    int64_t warmup_instructions, max_cycles;
     /* The policy's next wake cycle in the reported clock: on_cycle_end
      * runs at the end of a cycle once abs_cycle - base reaches it. */
     int64_t wake;
@@ -521,7 +520,7 @@ typedef struct {
 
     /* Time & measurement. */
     int64_t abs_cycle, base;
-    int warm, measure_frozen;
+    int warm;
     int64_t committed_total;
 
     /* Event-driven sampling. */
@@ -744,17 +743,8 @@ static int commit_stage(Machine *m) {
         if (m->warm) {
             m->st.committed_instructions++;
             m->st.committed_micro_ops++;
-            if (m->has_measure &&
-                m->st.committed_instructions >= m->measure_limit) {
-                m->measure_frozen = 1;
-                break;
-            }
         } else if (m->committed_total >= m->warmup_instructions) {
             if (end_warmup(m)) return -1;
-            if (m->has_measure && m->measure_limit <= 0) {
-                m->measure_frozen = 1;
-                break;
-            }
         }
         if (committed >= width || count == 0) break;
         if (m->rob_state[head] != 2) break;
@@ -1238,15 +1228,8 @@ static int fetch_stage(Machine *m) {
 /* ------------------------------------------------------------------ */
 
 static int step(Machine *m) {
-    if (m->measure_frozen) return 0;
     memset(m->fu_used, 0, (size_t)m->n_fu * sizeof(int64_t));
     if (commit_stage(m)) return -1;
-    if (m->measure_frozen) {
-        /* The measure span ended at a commit earlier in this cycle:
-         * stop before the cycle counter advances (the rest of the cycle
-         * belongs to the next shard's measurement). */
-        return 0;
-    }
     writeback(m);
     if (issue_stage(m)) return -1;
     if (dispatch_stage(m)) return -1;
@@ -1262,7 +1245,6 @@ static int step(Machine *m) {
 static int run_machine(Machine *m) {
     while (!(m->trace_exhausted && m->fq_n == 0 && m->rob_count == 0)) {
         if (step(m)) return -1;
-        if (m->measure_frozen) break;
         if (m->has_max_cycles && (m->abs_cycle - m->base) >= m->max_cycles)
             break;
     }
@@ -1437,9 +1419,6 @@ static Machine *build_machine(PyObject *params) {
     GET("warmup_instructions", m->warmup_instructions);
     GET("max_cycles", m->max_cycles);
     m->has_max_cycles = m->max_cycles >= 0;
-    GET("has_measure", m->has_measure);
-    GET("measure_limit", m->measure_limit);
-    GET("initially_frozen", m->measure_frozen);
     GET("global_limit", m->iq_global_limit);
     GET("max_new_range", m->iq_max_new_range);
     GET("rob_limit", m->rob_limit);

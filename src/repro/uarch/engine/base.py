@@ -6,9 +6,9 @@ it consumes a trace window stream
 and produces :class:`~repro.uarch.stats.SimulationStats`.  The contract
 deliberately separates *what* a cycle does (the machine semantics, fixed
 by the paper's table 1 and section 3) from *how* a kernel executes it, so
-the execution harness — the process pool, the distributed work queue, the
-window-shard stitcher — can run each job on whichever kernel its host
-resolves without any caller noticing.
+the execution harness — the process pool, the distributed work queue —
+can run each job on whichever kernel its host resolves without any
+caller noticing.
 
 Two invariants every engine must uphold:
 
@@ -43,10 +43,8 @@ ENGINE_ENV_VAR = "REPRO_REPLAY_KERNEL"
 class ReplayEngine(abc.ABC):
     """One execution kernel for the per-cycle replay loop.
 
-    Subclasses implement :meth:`build_core` — everything else (the plain
-    run, the freeze-at-commit measure span the shard stitcher needs) is
-    defined once here in terms of it, so the two entry points can never
-    disagree about how a kernel is constructed.
+    Subclasses implement :meth:`build_core`; :meth:`run` is defined once
+    here in terms of it.
     """
 
     #: Registry key and the name reported by tools (``--engine`` values).
@@ -72,7 +70,6 @@ class ReplayEngine(abc.ABC):
         policy=None,
         warmup_instructions: int = 0,
         max_cycles: Optional[int] = None,
-        measure_instructions: Optional[int] = None,
     ):
         """Construct this kernel's core over ``trace`` (a window stream
         or a dynamic-instruction iterable — whatever the scalar core
@@ -94,28 +91,6 @@ class ReplayEngine(abc.ABC):
             policy=policy,
             warmup_instructions=warmup_instructions,
             max_cycles=max_cycles,
-        )
-        return core.run()
-
-    def run_span(
-        self,
-        trace,
-        policy=None,
-        *,
-        config=None,
-        warmup_commits: int = 0,
-        measure_commits: Optional[int] = None,
-        max_cycles: Optional[int] = None,
-    ) -> SimulationStats:
-        """Replay a measure span, freezing statistics at the commit of the
-        N-th measured instruction (the window-shard stitcher's entry)."""
-        core = self.build_core(
-            trace,
-            config=config,
-            policy=policy,
-            warmup_instructions=warmup_commits,
-            max_cycles=max_cycles,
-            measure_instructions=measure_commits,
         )
         return core.run()
 

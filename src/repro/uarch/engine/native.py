@@ -32,9 +32,9 @@ that are inherently Python-facing:
 Bit-identity is the contract, not a goal: the equivalence suite
 (``tests/test_engines.py``) asserts byte-identical statistics against
 the scalar kernel for all six techniques at every window size including
-1, across warm-up boundaries and ``simulate_span`` freezes.  Because of
-that, the engine never enters cache fingerprints — a grid cached under
-``scalar`` is a pure hit under ``native``.
+1 and across warm-up boundaries.  Because of that, the engine never
+enters cache fingerprints — a grid cached under ``scalar`` is a pure hit
+under ``native``.
 
 The C toolchain is optional (the ``native`` install extra): this module
 imports with or without it.  An unpinned run on a host without a
@@ -147,7 +147,6 @@ class NativeCore:
         policy=None,
         warmup_instructions: int = 0,
         max_cycles: Optional[int] = None,
-        measure_instructions: Optional[int] = None,
     ):
         # Fail at construction, not mid-run: a missing toolchain surfaces
         # as the named error before any simulation state exists.
@@ -161,7 +160,6 @@ class NativeCore:
         self.policy = policy
         self.warmup_instructions = warmup_instructions
         self.max_cycles = max_cycles
-        self.measure_instructions = measure_instructions
 
         if not isinstance(trace, TraceWindowStream):
             trace = TraceWindowStream.from_dynamic_stream(trace)
@@ -176,13 +174,6 @@ class NativeCore:
         self.max_resident_windows = 1
         self.stats = SimulationStats(
             iq_banks_total=cfg.iq_banks, rf_banks_total=cfg.int_regfile_banks
-        )
-
-        # Same zero-length-span semantics as the scalar core.
-        self._initially_frozen = (
-            measure_instructions is not None
-            and measure_instructions <= 0
-            and warmup_instructions == 0
         )
 
         self.policy.on_simulation_start(self)
@@ -278,11 +269,6 @@ class NativeCore:
             "wake": self._wake,
             "warmup_instructions": self.warmup_instructions,
             "max_cycles": -1 if self.max_cycles is None else self.max_cycles,
-            "has_measure": int(self.measure_instructions is not None),
-            "measure_limit": (
-                0 if self.measure_instructions is None else self.measure_instructions
-            ),
-            "initially_frozen": int(self._initially_frozen),
             "global_limit": -1 if iq.global_limit is None else iq.global_limit,
             "max_new_range": -1 if iq.max_new_range is None else iq.max_new_range,
             "rob_limit": -1 if self.rob.limit is None else self.rob.limit,
@@ -330,7 +316,6 @@ class NativeEngine(ReplayEngine):
         policy=None,
         warmup_instructions: int = 0,
         max_cycles: Optional[int] = None,
-        measure_instructions: Optional[int] = None,
     ) -> NativeCore:
         return NativeCore(
             trace,
@@ -338,5 +323,4 @@ class NativeEngine(ReplayEngine):
             policy=policy,
             warmup_instructions=warmup_instructions,
             max_cycles=max_cycles,
-            measure_instructions=measure_instructions,
         )

@@ -100,7 +100,6 @@ class OutOfOrderCore:
         policy=None,
         warmup_instructions: int = 0,
         max_cycles: Optional[int] = None,
-        measure_instructions: Optional[int] = None,
     ):
         self.config = config or ProcessorConfig.hpca2005()
         self.config.validate()
@@ -111,22 +110,6 @@ class OutOfOrderCore:
         self.policy = policy
         self.warmup_instructions = warmup_instructions
         self.max_cycles = max_cycles
-        # Measure-span support (window sharding): with
-        # ``measure_instructions`` set, statistics freeze at the commit
-        # of the N-th *measured* instruction — the simulation stops at
-        # exactly the point where the next shard's measurement begins
-        # (its warm-up flip happens at the same commit, in the same
-        # stage order), so per-shard statistics partition a sequential
-        # run's without double counting.  None: run to the trace's end.
-        self.measure_instructions = measure_instructions
-        # A zero-length measure span contributes nothing: it freezes at
-        # the warm-up flip itself, before counting any commit or event
-        # (the flip-equivalent point where the next span starts counting).
-        self._measure_frozen = (
-            measure_instructions is not None
-            and measure_instructions <= 0
-            and warmup_instructions == 0
-        )
 
         if not isinstance(trace, TraceWindowStream):
             trace = TraceWindowStream.from_dynamic_stream(trace)
@@ -202,8 +185,6 @@ class OutOfOrderCore:
         step = self.step
         while not self._finished():
             step()
-            if self._measure_frozen:
-                break
             if safety_limit is not None and self.cycle >= safety_limit:
                 break
         self._finalize_sample()
@@ -211,19 +192,9 @@ class OutOfOrderCore:
 
     def step(self) -> None:
         """Advance the machine by one cycle (back-to-front stage order)."""
-        if self._measure_frozen:
-            return
         fus = self.fus
         fus._used[:] = fus._zeros  # inlined FunctionalUnitPool.new_cycle
         self._commit()
-        if self._measure_frozen:
-            # The measure span ended at a commit earlier in this cycle.
-            # The remaining stages of the cycle belong to the *next*
-            # shard's measurement (its warm-up flips during commit too,
-            # so it counts this cycle's writeback/issue/dispatch/fetch
-            # events), and the cycle itself is likewise the next shard's:
-            # stop before the cycle counter advances.
-            return
         self._writeback()
         self._issue()
         self._dispatch()
@@ -270,7 +241,6 @@ class OutOfOrderCore:
         int_bank_counts = int_file.bank_counts
         committed = 0
         width = self.config.commit_width
-        measure_limit = self.measure_instructions
         while True:
             head = (head + 1) % capacity
             count -= 1
@@ -292,22 +262,8 @@ class OutOfOrderCore:
                 stats = self.stats
                 stats.committed_instructions += 1
                 stats.committed_micro_ops += 1
-                if (
-                    measure_limit is not None
-                    and stats.committed_instructions >= measure_limit
-                ):
-                    # Freeze mid-commit: later commits in this cycle (and
-                    # the rest of the cycle's stages) belong to the next
-                    # measure span, mirroring the warm-up flip exactly.
-                    self._measure_frozen = True
-                    break
             elif self._committed_total >= self.warmup_instructions:
                 self._end_warmup()
-                if measure_limit is not None and measure_limit <= 0:
-                    # Zero-length span: freeze at the flip, measuring
-                    # nothing — the next span counts from this very point.
-                    self._measure_frozen = True
-                    break
             if committed >= width or count == 0:
                 break
             entry = entries[head]
@@ -965,7 +921,6 @@ class ScalarEngine(ReplayEngine):
         policy=None,
         warmup_instructions: int = 0,
         max_cycles: Optional[int] = None,
-        measure_instructions: Optional[int] = None,
     ) -> OutOfOrderCore:
         return OutOfOrderCore(
             trace,
@@ -973,5 +928,4 @@ class ScalarEngine(ReplayEngine):
             policy=policy,
             warmup_instructions=warmup_instructions,
             max_cycles=max_cycles,
-            measure_instructions=measure_instructions,
         )

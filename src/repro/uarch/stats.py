@@ -8,9 +8,7 @@ parameters (used by the calibration tests and the ablation benches).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Sequence
 
 
 @dataclass
@@ -143,10 +141,6 @@ class SimulationStats:
             return 0.0
         return self.l1d_misses / self.l1d_accesses
 
-    def merged_with(self, other: "SimulationStats") -> "SimulationStats":
-        """This run's counters plus ``other``'s (see :func:`merge_stats`)."""
-        return merge_stats((self, other))
-
     def summary(self) -> dict[str, float]:
         """Compact dictionary of the headline metrics (for reports/tests)."""
         return {
@@ -160,40 +154,3 @@ class SimulationStats:
             "l1d_miss_rate": self.l1d_miss_rate,
             "avg_inflight": self.avg_inflight,
         }
-
-
-def merge_stats(parts: Sequence[SimulationStats]) -> SimulationStats:
-    """Stitch the statistics of consecutive measure spans into one run.
-
-    Every raw counter is a sum over the measured region, so stitching is
-    counter-wise addition; the derived properties (IPC, occupancy
-    averages, bank-off fractions) then fall out of the merged sums.  The
-    two configuration constants (``iq_banks_total``/``rf_banks_total``)
-    must agree across parts — they describe the machine, not the run.
-    ``extra`` entries are summed key-wise.
-
-    Used by window sharding (:mod:`repro.harness.shard`): when shard
-    spans partition a sequential run's measured region and each shard
-    warms up over the full preceding trace, the merged statistics are
-    bit-identical to the sequential run's.
-    """
-    parts = list(parts)
-    if not parts:
-        raise ValueError("merge_stats needs at least one part")
-    first = parts[0]
-    merged = SimulationStats(
-        iq_banks_total=first.iq_banks_total, rf_banks_total=first.rf_banks_total
-    )
-    skip = {"iq_banks_total", "rf_banks_total", "extra"}
-    names = [f.name for f in dataclasses.fields(SimulationStats) if f.name not in skip]
-    for part in parts:
-        if (
-            part.iq_banks_total != first.iq_banks_total
-            or part.rf_banks_total != first.rf_banks_total
-        ):
-            raise ValueError("cannot merge statistics from different machines")
-        for name in names:
-            setattr(merged, name, getattr(merged, name) + getattr(part, name))
-        for key, value in part.extra.items():
-            merged.extra[key] = merged.extra.get(key, 0) + value
-    return merged

@@ -1233,9 +1233,7 @@ def get_trace_columns(
 
     Takes the same path as :func:`get_trace_stream` — the column memo,
     then the disk cache, then one derivation or emulation that populates
-    both.  This is the substrate of window sharding
-    (:mod:`repro.harness.shard`): a shard replays an arbitrary entry span
-    of the columns.
+    both.
     """
     if live is None:
         live = bool(os.environ.get("REPRO_LIVE_EMULATION"))
@@ -1256,49 +1254,6 @@ def get_trace_columns(
             pass
         columns = _column_memo[key]
     return columns
-
-
-def commit_mask(program, columns: TraceWindow) -> bytearray:
-    """One byte per trace entry: 1 when the entry allocates a ROB slot.
-
-    Hint NOOPs and plain NOPs are stripped in the core's last decode
-    stage and never commit, so the committed-instruction count over an
-    entry span is the sum of this mask over the span.  Window sharding
-    uses it to translate span boundaries (entry indices) into the
-    warm-up and measure-span commit counts the replay core consumes.
-    """
-    table = static_table(program)
-    commits_by_pc = {
-        pc: 0 if flags & (F_HINT | F_NOP) else 1
-        for pc, flags in zip(table.pcs(), table.flags)
-    }
-    return bytearray(map(commits_by_pc.__getitem__, columns.pc))
-
-
-def get_trace_span_stream(
-    program,
-    max_instructions: int,
-    first_entry: int = 0,
-    last_entry: Optional[int] = None,
-    window_size: Optional[int] = None,
-    cache: Optional[TraceCache] = None,
-    live: Optional[bool] = None,
-) -> "TraceWindowStream":
-    """A replay-ready window stream over the entry span [first, last).
-
-    The full trace's columns come from :func:`get_trace_columns` (memo →
-    disk → one emulation); the span's windows are ``window_size``-entry
-    views of them, so a shard copies nothing wherever its span lies.
-    """
-    window = resolve_trace_window(window_size) or None
-    columns = get_trace_columns(program, max_instructions, cache=cache, live=live)
-    length = columns.length
-    first = max(0, min(first_entry, length))
-    last = length if last_entry is None else max(first, min(last_entry, length))
-    span = TraceWindow(*[memoryview(column)[first:last] for column in columns])
-    return TraceWindowStream(
-        static_table(program), _column_windows(span, window), window
-    )
 
 
 # ----------------------------------------------------------------------

@@ -275,7 +275,7 @@ def test_queue_transitions_resolves_helper_calls():
 
 def test_queue_transitions_out_of_scope_elsewhere():
     elsewhere = "import os\n\ndef f(a, b):\n    os.rename(a, b)\n"
-    assert lint_snippet(elsewhere, "repro/harness/shard.py").findings == []
+    assert lint_snippet(elsewhere, "repro/harness/cache.py").findings == []
 
 
 # ----------------------------------------------------------------------

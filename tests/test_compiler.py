@@ -116,9 +116,9 @@ class TestDagAnalysis:
     def test_path_summary_merging(self):
         a = PathSummary(latency={r(1): 3})
         b = PathSummary(latency={r(1): 5, r(2): 1})
-        merged = a.merged_with(b, "max")
+        merged = a.joined_with(b, "max")
         assert merged.latency[r(1)] == 5 and merged.latency[r(2)] == 1
-        assert a.merged_with(b, "ready").latency == {}
+        assert a.joined_with(b, "ready").latency == {}
 
 
 class TestLoopAnalysis:

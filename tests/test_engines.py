@@ -7,9 +7,10 @@ The contract under test (see :mod:`repro.uarch.engine`):
   else the scalar reference.
 * **Bit-identity** — the native kernel's statistics are byte-identical
   to the scalar reference for all six techniques, at every trace window
-  size including 1, across warm-up boundaries, and through the
-  freeze-at-commit measure-span entry the shard stitcher uses — on the
-  table-1 machine and on two machines two and four times as wide.
+  size including 1 and across warm-up boundaries — on the table-1
+  machine and on two machines two and four times as wide — and on every
+  benchmark of the extended suite, down to the cell files the runner
+  stores.
 * **Fingerprint neutrality** — the engine never changes result-cache
   keys: a grid simulated under one kernel is a pure cache hit under the
   other.
@@ -37,12 +38,10 @@ from repro.harness import ParallelSuiteRunner, RunConfig
 from repro.harness.cache import stats_to_dict
 from repro.harness.experiment import SOFTWARE_TECHNIQUES, TECHNIQUES, make_policy
 from repro.harness.parallel import SimulationJob
-from repro.harness.shard import ShardJob, ShardSpan, run_sharded
 from repro.isa.opcodes import FuClass
 from repro.techniques import AbellaPolicy, BaselinePolicy, SoftwareDirectedPolicy
 from repro.uarch import available_engines, get_engine, resolve_engine_name, simulate
 from repro.uarch.config import ProcessorConfig
-from repro.uarch.core import simulate_span
 from repro.uarch.engine import base as engine_base
 from repro.uarch.engine import native as native_module
 from repro.uarch.engine.native import NativeUnavailableError
@@ -57,7 +56,7 @@ from repro.uarch.trace import (
     get_trace_stream,
     static_table,
 )
-from repro.workloads import build_benchmark
+from repro.workloads import ALL_BENCHMARKS, build_benchmark
 
 #: The native kernel needs a C toolchain; hosts without one skip its
 #: equivalence matrix but still run the availability-guard tests.
@@ -134,6 +133,20 @@ def _program_for(technique: str):
     return program
 
 
+def _technique_programs(benchmark: str) -> dict[str, object]:
+    """Each technique's program for ``benchmark``: the instrumented
+    build for the software techniques, the plain program otherwise."""
+    plain = build_benchmark(benchmark)
+    return {
+        technique: compile_program(
+            plain, _CONFIG.compiler_config, mode=technique
+        ).instrumented_program
+        if technique in SOFTWARE_TECHNIQUES
+        else plain
+        for technique in TECHNIQUES
+    }
+
+
 def _stats_bytes(stats) -> bytes:
     return json.dumps(stats_to_dict(stats), sort_keys=True).encode()
 
@@ -148,23 +161,6 @@ def _run(
         max_instructions=BUDGET,
         warmup_instructions=warmup,
         trace_window=window,
-        engine=engine,
-    )
-
-
-def _span(technique: str, engine: str, config=None):
-    """The freeze-at-commit entry (``simulate_span``) the shard stitcher
-    depends on: statistics frozen mid-commit."""
-    return simulate_span(
-        _program_for(technique),
-        make_policy(technique, _CONFIG),
-        config,
-        max_instructions=BUDGET,
-        first_entry=0,
-        last_entry=2_000,
-        warmup_commits=300,
-        measure_commits=700,
-        trace_window=512,
         engine=engine,
     )
 
@@ -253,13 +249,6 @@ class TestEngineEquivalence:
             native = _run("abella", "native", 640, warmup=warmup, config=config)
             assert _stats_bytes(scalar) == _stats_bytes(native), name
 
-    @pytest.mark.parametrize("technique", ("baseline", "abella", "improved"))
-    def test_measure_span_freeze_is_bit_identical(self, technique):
-        for name, config in WIDE_CONFIGS.items():
-            scalar = _span(technique, "scalar", config)
-            native = _span(technique, "native", config)
-            assert _stats_bytes(scalar) == _stats_bytes(native), name
-
 
 @needs_native
 class TestNativeEquivalence:
@@ -284,27 +273,25 @@ class TestNativeEquivalence:
         native = _run("abella", "native", 640, warmup=warmup)
         assert _stats_bytes(scalar) == _stats_bytes(native)
 
-    @pytest.mark.parametrize("technique", ("baseline", "abella", "improved"))
-    def test_measure_span_freeze_is_bit_identical(self, technique):
-        scalar = _span(technique, "scalar")
-        native = _span(technique, "native")
-        assert _stats_bytes(scalar) == _stats_bytes(native)
-
-    def test_native_shard_stitch_matches_sequential(self):
-        """``merge_stats`` over full-overlap shards is bit-identical to
-        one sequential run, whichever kernel replays the shards."""
-        sequential = _run("abella", "native", 640)
-        for engine in ("scalar", "native"):
-            stitched = run_sharded(
-                BENCHMARK,
-                "abella",
-                _CONFIG,
-                span_entries=800,
-                overlap="full",
-                trace_window=640,
-                engine=engine,
+    # Not ``benchmark``: that name is the pytest-benchmark fixture's.
+    @pytest.mark.parametrize("workload", ALL_BENCHMARKS)
+    def test_bit_identical_on_every_benchmark(self, workload):
+        """Beyond gzip: every benchmark's instruction mix (FP streams,
+        branch storms, pointer chasing, phase changes) replays to the
+        same bytes under both kernels, for all six techniques."""
+        for technique, program in _technique_programs(workload).items():
+            scalar, native = (
+                simulate(
+                    program,
+                    make_policy(technique, _CONFIG),
+                    max_instructions=BUDGET,
+                    warmup_instructions=WARMUP,
+                    trace_window=640,
+                    engine=engine,
+                )
+                for engine in ("scalar", "native")
             )
-            assert _stats_bytes(stitched) == _stats_bytes(sequential), engine
+            assert _stats_bytes(scalar) == _stats_bytes(native), technique
 
     def test_empty_trace_runs(self):
         def empty():
@@ -513,29 +500,6 @@ class TestFingerprintInvariance:
         ]
         assert len({job.fingerprint() for job in jobs}) == 1
 
-    def test_shard_job_fingerprint_ignores_the_engine(self):
-        span = ShardSpan(
-            index=0,
-            start=0,
-            stop=1_000,
-            warm_start=0,
-            feed_stop=1_500,
-            warmup_commits=0,
-            measure_commits=800,
-        )
-        jobs = [
-            ShardJob(
-                BENCHMARK,
-                "baseline",
-                _CONFIG,
-                span,
-                cell_fingerprint="cell",
-                engine=engine,
-            )
-            for engine in (None, "scalar", "native")
-        ]
-        assert len({job.fingerprint() for job in jobs}) == 1
-
     def _cached_then_replayed(self, tmp_path, first_engine, second_engine):
         """Cache a two-cell grid under one kernel, re-run it under the
         other, and return the second runner's simulation count."""
@@ -553,6 +517,28 @@ class TestFingerprintInvariance:
         results = second.run_suite(techniques=("baseline", "abella"))
         assert set(results) == {(BENCHMARK, "baseline"), (BENCHMARK, "abella")}
         return second.simulations_run
+
+    @needs_native
+    def test_cells_simulated_under_either_kernel_are_byte_identical(self, tmp_path):
+        """The runner's one replay path (``SimulationJob`` → ``simulate``
+        → ``ReplayEngine.run``) stores the same cell files, name and
+        bytes, whichever kernel ran the six techniques."""
+        config = RunConfig(
+            max_instructions=1_500, warmup_instructions=200, benchmarks=(BENCHMARK,)
+        )
+        cells = {}
+        for engine in ("scalar", "native"):
+            cache_dir = tmp_path / engine
+            runner = ParallelSuiteRunner(
+                config, workers=1, cache_dir=str(cache_dir), engine=engine
+            )
+            runner.run_suite(techniques=TECHNIQUES)
+            assert runner.simulations_run == len(TECHNIQUES)
+            cells[engine] = {
+                path.name: path.read_bytes() for path in cache_dir.glob("*.json")
+            }
+        assert len(cells["scalar"]) == len(TECHNIQUES)
+        assert cells["scalar"] == cells["native"]
 
     @needs_native
     def test_grid_cached_under_scalar_is_pure_hit_under_native(self, tmp_path):

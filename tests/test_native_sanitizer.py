@@ -5,13 +5,13 @@ pointers, so an indexing slip is a silent out-of-bounds read in an
 optimised build.  This gate builds ``_native.c`` with
 ``-O1 -g -fsanitize=address,undefined -fno-sanitize-recover=all`` into a
 temporary directory, then runs ``tests/test_engines.py`` (the
-equivalence matrix and the kernel's failure paths) and
-``tests/test_shard.py`` in a child interpreter with both sanitizer
-runtimes preloaded.  A ``-c`` bootstrap swaps the kernel's compiler for
-the instrumented one before pytest starts, so the child needs no extra
-pytest option or environment variable.  Any invalid access, leak-free
-use-after-free or undefined behaviour aborts the child and fails the
-gate.  Skipped where the compiler ships no sanitizer runtime.
+equivalence matrix and the kernel's failure paths) in a child
+interpreter with both sanitizer runtimes preloaded.  A ``-c`` bootstrap
+swaps the kernel's compiler for the instrumented one before pytest
+starts, so the child needs no extra pytest option or environment
+variable.  Any invalid access, leak-free use-after-free or undefined
+behaviour aborts the child and fails the gate.  Skipped where the
+compiler ships no sanitizer runtime.
 
 The compiler-flags seam the gate relies on is pinned here too: flags
 reach the compile command, and they enter the artefact digest, so the
@@ -37,7 +37,7 @@ SANITIZER_FLAGS = (
     "-fno-sanitize-recover=all",
 )
 
-SANITIZED_MODULES = ("tests/test_engines.py", "tests/test_shard.py")
+SANITIZED_MODULES = ("tests/test_engines.py",)
 
 #: Run in the child: install the instrumented compiler (build directory
 #: and flags from argv), then hand the remaining argv to pytest.

@@ -10,14 +10,19 @@ directory is bit-identical to the local backend.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import os
+import pickle
+import threading
 import time
 
 import pytest
 
 from repro.harness import ParallelSuiteRunner, RunConfig, SimulationJob, faults
+from repro.harness import queue as queue_module
+from repro.harness.cache import ResultCache, gc_cache_tree
 from repro.harness.queue import (
     DEFAULT_MAX_ATTEMPTS,
     QueueWorker,
@@ -37,6 +42,43 @@ TINY_TECHNIQUES = ("baseline", "noop")
 
 def _job(benchmark="gzip", technique="baseline", config=TINY_CONFIG, **kwargs):
     return SimulationJob(benchmark, technique, config, **kwargs)
+
+
+@pytest.fixture()
+def short_drain(monkeypatch):
+    """Let ``--drain`` workers exit 0.05 s after the queue goes idle."""
+    monkeypatch.setattr(queue_module, "DRAIN_GRACE", 0.05)
+
+
+def _without(field):
+    def damage(envelope):
+        del envelope[field]
+        return envelope
+
+    return damage
+
+
+def _with(field, value):
+    def damage(envelope):
+        envelope[field] = value
+        return envelope
+
+    return damage
+
+
+#: Ways a pending envelope can be one the decoder must refuse, each a
+#: function from the envelope ``enqueue`` wrote to the damaged JSON value.
+ENVELOPE_DAMAGE = {
+    "no-format": _without("format"),
+    "format-2": _with("format", 2),
+    "no-kind": _without("kind"),
+    "no-job": _without("job"),
+    "job-not-base64": _with("job", "%%%"),
+    "job-not-a-pickle": _with(
+        "job", base64.b64encode(b"not a pickle").decode("ascii")
+    ),
+    "not-an-object": lambda envelope: [envelope],
+}
 
 
 class TestProtocol:
@@ -82,6 +124,147 @@ class TestProtocol:
         assert queue.claim("w1") is None
         assert queue.status()["poisoned"] == 1
         assert queue.status()["pending"] == 0
+
+    @pytest.mark.parametrize("kind", ("shard", "Simulation", None))
+    def test_envelope_of_another_kind_is_poisoned_not_executed(
+        self, tmp_path, monkeypatch, kind
+    ):
+        """Simulation is the only job kind: a pending envelope of any
+        other kind (the first is one an older driver wrote) is set aside
+        with a reason naming the kind, even when its pickled job
+        decodes."""
+        executed = []
+        monkeypatch.setattr(
+            queue_module, "run_simulation_job", lambda job: executed.append(job)
+        )
+        queue = WorkQueue(tmp_path, ttl=30)
+        job = _job()
+        fingerprint = job.fingerprint()
+        queue.pending_path(fingerprint).write_text(
+            json.dumps(
+                {
+                    "format": 1,
+                    "kind": kind,
+                    "fingerprint": fingerprint,
+                    "benchmark": job.benchmark,
+                    "technique": job.technique,
+                    "attempts": 0,
+                    "max_attempts": 3,
+                    "job": base64.b64encode(pickle.dumps(job)).decode("ascii"),
+                }
+            )
+        )
+        assert queue.claim("w1") is None
+        assert executed == []
+        assert queue.done_marker(fingerprint) is None
+        assert ResultCache(tmp_path).load(fingerprint) is None
+        status = queue.status()
+        assert (status["pending"], status["leased"], status["poisoned"]) == (0, 0, 1)
+        [poison] = status["poison"]
+        assert poison["fingerprint"] == fingerprint
+        assert repr(kind) in poison["reason"]
+
+    def test_enqueued_envelope_is_a_format_1_simulation(self, tmp_path):
+        """The wire format workers on other hosts decode: one JSON
+        object, ``format`` 1, ``kind`` "simulation", and the job itself
+        pickled under ``job``."""
+        queue = WorkQueue(tmp_path, ttl=30)
+        job = _job(technique="noop")
+        fingerprint = queue.enqueue(job)
+        envelope = json.loads(queue.pending_path(fingerprint).read_text())
+        assert envelope["format"] == 1
+        assert envelope["kind"] == "simulation"
+        assert envelope["fingerprint"] == fingerprint
+        assert (envelope["benchmark"], envelope["technique"]) == ("gzip", "noop")
+        assert (envelope["attempts"], envelope["max_attempts"]) == (
+            0,
+            DEFAULT_MAX_ATTEMPTS,
+        )
+        decoded = pickle.loads(base64.b64decode(envelope["job"]))
+        assert decoded.fingerprint() == fingerprint
+
+    @pytest.mark.parametrize("damage", sorted(ENVELOPE_DAMAGE))
+    def test_undecodable_envelope_is_poisoned_not_executed(
+        self, tmp_path, monkeypatch, short_drain, damage
+    ):
+        """A worker that meets an envelope it cannot decode sets it aside
+        with the decode error and keeps serving: it neither crashes nor
+        runs a job it could not vouch for."""
+        executed = []
+        monkeypatch.setattr(
+            queue_module, "run_simulation_job", lambda job: executed.append(job)
+        )
+        queue = WorkQueue(tmp_path, ttl=30)
+        fingerprint = queue.enqueue(_job())
+        pending = queue.pending_path(fingerprint)
+        envelope = json.loads(pending.read_text())
+        pending.write_text(json.dumps(ENVELOPE_DAMAGE[damage](envelope)))
+
+        worker = QueueWorker(queue, worker_id="w1", poll_interval=0.01, drain=True)
+        assert worker.run() == 0
+        assert executed == []
+        assert queue.done_marker(fingerprint) is None
+        status = queue.status()
+        assert (status["pending"], status["leased"], status["poisoned"]) == (0, 0, 1)
+        [poison] = status["poison"]
+        assert poison["fingerprint"] == fingerprint
+        assert poison["reason"].startswith("undecodable envelope")
+
+    def test_status_counts_this_process_claims(self, tmp_path):
+        queue = WorkQueue(tmp_path, ttl=30)
+        queue.enqueue(_job())
+        queue.enqueue(_job(technique="noop"))
+        assert queue.claim("w1") is not None
+        assert queue.status()["claims_this_process"] == {"claimed": 1}
+
+    @pytest.mark.parametrize("state", ("pending", "leased"))
+    def test_gc_never_touches_live_protocol_files(self, tmp_path, state):
+        """A pending job or a held lease must survive a sweep even when
+        its file is old — it is live protocol state, not garbage; only
+        the TTL sweep may take a lease back."""
+        queue = WorkQueue(tmp_path, ttl=30)
+        path = queue.pending_path(queue.enqueue(_job()))
+        if state == "leased":
+            path = queue.claim("w1").lease_path
+        stale = time.time() - 14 * 24 * 3600
+        os.utime(path, (stale, stale))
+        gc_cache_tree(tmp_path)
+        assert path.exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        ("{truncated", "[1, 2]", '{"format": 2, "payload": {}}'),
+        ids=("truncated", "list", "format-2"),
+    )
+    def test_torn_or_foreign_done_marker_is_not_a_completion(
+        self, tmp_path, content
+    ):
+        queue = WorkQueue(tmp_path, ttl=30)
+        fingerprint = _job().fingerprint()
+        queue.done_path(fingerprint).write_text(content)
+        assert queue.done_marker(fingerprint) is None
+        assert queue.enqueue(_job()) == fingerprint
+        assert queue.pending_path(fingerprint).exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        ("{truncated", "[1, 2]", '{"format": 1}'),
+        ids=("truncated", "list", "no-reason"),
+    )
+    def test_poison_file_without_a_record_reads_as_unrecorded(
+        self, tmp_path, content
+    ):
+        """A poison file moved verbatim (its record never published)
+        still explains itself in ``--status``, as "unrecorded"."""
+        queue = WorkQueue(tmp_path, ttl=30)
+        fingerprint = "e" * 64
+        queue.poison_path(fingerprint).write_text(content)
+        assert queue.poison_record(fingerprint) == {
+            "fingerprint": fingerprint,
+            "poison_reason": "unrecorded",
+        }
+        [poison] = queue.status()["poison"]
+        assert (poison["fingerprint"], poison["reason"]) == (fingerprint, "unrecorded")
 
     def test_fresh_lease_is_not_requeued(self, tmp_path):
         queue = WorkQueue(tmp_path, ttl=30)
@@ -348,13 +531,11 @@ class TestQueueBackendSmoke:
 
 
 class TestWorkerLoop:
-    def test_drain_worker_serves_and_exits(self, tmp_path):
+    def test_drain_worker_serves_and_exits(self, tmp_path, short_drain):
         queue = WorkQueue(tmp_path, ttl=30)
         for technique in TINY_TECHNIQUES:
             queue.enqueue(_job(technique=technique))
-        worker = QueueWorker(
-            queue, worker_id="w1", poll_interval=0.05, drain=True, drain_grace=0.1
-        )
+        worker = QueueWorker(queue, worker_id="w1", poll_interval=0.05, drain=True)
         executed = worker.run()
         assert executed == len(TINY_TECHNIQUES)
         assert queue.is_idle()
@@ -362,83 +543,19 @@ class TestWorkerLoop:
             marker = queue.done_marker(_job(technique=technique).fingerprint())
             assert marker is not None and marker["payload"]["stats"]["cycles"] > 0
         # Results were published through the shared ResultCache too.
-        from repro.harness.cache import ResultCache
-
         cache = ResultCache(tmp_path)
         for technique in TINY_TECHNIQUES:
             assert cache.load(_job(technique=technique).fingerprint()) is not None
 
-    def test_max_jobs_bounds_the_loop(self, tmp_path):
-        queue = WorkQueue(tmp_path, ttl=30)
-        for technique in TINY_TECHNIQUES:
-            queue.enqueue(_job(technique=technique))
-        worker = QueueWorker(queue, poll_interval=0.05, max_jobs=1)
-        assert worker.run() == 1
-        assert queue.status()["pending"] == 1
-
-
-class TestBatchedClaims:
-    """One pending-directory listing backs up to k atomic renames."""
-
-    def _enqueue_grid(self, queue, count=5):
-        jobs = [
-            _job(config=dataclasses.replace(TINY_CONFIG, max_instructions=1_000 + index))
-            for index in range(count)
-        ]
-        return [queue.enqueue(job) for job in jobs]
-
-    def test_claim_batch_leases_up_to_the_limit(self, tmp_path):
-        queue = WorkQueue(tmp_path, ttl=30)
-        self._enqueue_grid(queue, count=5)
-        claims = queue.claim_batch("w1", limit=3)
-        assert len(claims) == 3
-        assert queue.status()["pending"] == 2
-        assert queue.status()["leased"] == 3
-        for claimed in claims:
-            assert claimed.lease_path.exists()
-        # The remainder drains with one more listing; over-asking is fine.
-        rest = queue.claim_batch("w1", limit=10)
-        assert len(rest) == 2
-        assert queue.claim_batch("w1", limit=10) == []
-
-    def test_status_reports_claim_batch_stats(self, tmp_path):
-        queue = WorkQueue(tmp_path, ttl=30)
-        self._enqueue_grid(queue, count=4)
-        queue.claim_batch("w1", limit=4)
-        claims = queue.status()["claims_this_process"]
-        assert claims["claimed"] == 4
-        assert claims["claim_batches"] == 1
-        assert claims["mean_batch_size"] == 4.0
-
-    def test_single_claim_is_a_batch_of_one(self, tmp_path):
-        queue = WorkQueue(tmp_path, ttl=30)
-        self._enqueue_grid(queue, count=2)
-        assert queue.claim("w1") is not None
-        claims = queue.status()["claims_this_process"]
-        assert claims == {
-            "claimed": 1,
-            "claim_batches": 1,
-            "mean_batch_size": 1.0,
-        }
-
-    def test_claim_batch_rejects_a_nonpositive_limit(self, tmp_path):
-        with pytest.raises(ValueError):
-            WorkQueue(tmp_path, ttl=30).claim_batch("w1", limit=0)
-
-    def test_batch_heartbeats_every_held_lease(self, tmp_path, monkeypatch):
-        """While job 1 of a batch runs past the TTL, the leases of the
-        jobs queued behind it must keep heartbeating — otherwise a
-        sweeper re-leases them and the batch's round-trip saving turns
-        into duplicated work."""
-        import threading
-
-        from repro.harness import queue as queue_module
-
+    def test_a_job_running_past_the_ttl_keeps_its_lease(self, tmp_path, monkeypatch):
+        """While a claimed job runs longer than the TTL, its lease must
+        keep heartbeating — otherwise a sweeper re-leases it and another
+        worker runs it again."""
         ttl = 0.6
         queue = WorkQueue(tmp_path, ttl=ttl)
-        self._enqueue_grid(queue, count=2)
-        claims = queue.claim_batch("w1", limit=2)
-        assert len(claims) == 2
+        queue.enqueue(_job())
+        claimed = queue.claim("w1")
+        assert claimed is not None
 
         def _slow_job(claimed):
             time.sleep(ttl * 1.5)  # longer than the TTL; beats are TTL/4
@@ -446,8 +563,7 @@ class TestBatchedClaims:
 
         monkeypatch.setattr(queue_module, "execute_queue_job", _slow_job)
         worker = threading.Thread(
-            target=queue_module.process_claimed_jobs,
-            args=(queue, claims, "w1"),
+            target=process_claimed_job, args=(queue, claimed, "w1")
         )
         worker.start()
         try:
@@ -456,88 +572,46 @@ class TestBatchedClaims:
                 swept.extend(queue.requeue_expired())
                 time.sleep(0.05)
         finally:
-            worker.join()
-        assert swept == []  # heartbeats kept every held lease fresh
-        for claimed in claims:
-            marker = queue.done_marker(claimed.fingerprint)
-            assert marker is not None and "error" not in marker
+            worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert swept == []  # the heartbeat kept the lease fresh
+        marker = queue.done_marker(claimed.fingerprint)
+        assert marker is not None and "error" not in marker
 
 
-class TestIdleGcSweeps:
-    """Idle workers double as cache janitors on a jittered period."""
+class TestWorkerCli:
+    """``python -m repro.harness.queue``: the worker and ``--status``."""
 
-    def _plant_garbage(self, queue) -> tuple:
-        """An orphaned temp file and an expired completion marker."""
-        from repro.atomicio import TMP_PREFIX
-        from repro.harness.cache import (
-            DEFAULT_DONE_MARKER_MAX_AGE_SECONDS,
-            DEFAULT_TMP_MAX_AGE_SECONDS,
-        )
-
-        orphan = queue.cache_dir / (TMP_PREFIX + "dead-writer")
-        orphan.write_text("{}")
-        stale = time.time() - DEFAULT_TMP_MAX_AGE_SECONDS - 60
-        os.utime(orphan, (stale, stale))
-        marker = queue.done_dir / ("b" * 64 + ".json")
-        marker.write_text("{}")
-        expired = time.time() - DEFAULT_DONE_MARKER_MAX_AGE_SECONDS - 60
-        os.utime(marker, (expired, expired))
-        return orphan, marker
-
-    def test_idle_worker_sweeps_on_the_jittered_interval(self, tmp_path):
+    def test_status_prints_the_queue_report(self, tmp_path, capsys):
         queue = WorkQueue(tmp_path, ttl=30)
-        orphan, marker = self._plant_garbage(queue)
-        worker = QueueWorker(
-            queue,
-            worker_id="janitor",
-            poll_interval=0.01,
-            drain=True,
-            drain_grace=0.3,
-            gc_interval=0.02,
-        )
-        assert worker.run() == 0  # empty queue: pure idle
-        assert worker.gc_sweeps >= 1
-        assert not orphan.exists()
-        assert not marker.exists()
+        queue.enqueue(_job())
+        assert queue_module.main([str(tmp_path), "--status"]) == 0
+        status = json.loads(capsys.readouterr().out)
+        assert (status["pending"], status["leased"], status["poisoned"]) == (1, 0, 0)
+        assert status["workers"]["workers"] == 0
+        assert queue.status()["pending"] == 1  # reporting claims nothing
 
-    def test_gc_disabled_leaves_garbage_alone(self, tmp_path):
+    def test_drain_worker_serves_the_queue_and_exits(
+        self, tmp_path, capsys, short_drain
+    ):
         queue = WorkQueue(tmp_path, ttl=30)
-        orphan, marker = self._plant_garbage(queue)
-        worker = QueueWorker(
-            queue,
-            worker_id="lazy",
-            poll_interval=0.01,
-            drain=True,
-            drain_grace=0.05,
-            gc_interval=None,
+        for technique in TINY_TECHNIQUES:
+            queue.enqueue(_job(technique=technique))
+        assert queue_module.main([str(tmp_path), "--poll", "0.01", "--drain"]) == 0
+        assert capsys.readouterr().out.rstrip().endswith(
+            f"{len(TINY_TECHNIQUES)} job(s) executed, 0 failed, "
+            f"{len(TINY_TECHNIQUES)} claim(s)"
         )
-        worker.run()
-        assert worker.gc_sweeps == 0
-        assert orphan.exists() and marker.exists()
-
-    def test_gc_never_touches_live_protocol_files(self, tmp_path):
-        """A pending job must survive a sweep even when its file is old
-        — it is live protocol state, not garbage."""
-        queue = WorkQueue(tmp_path, ttl=30)
-        fingerprint = queue.enqueue(_job())
-        stale = time.time() - 14 * 24 * 3600
-        os.utime(queue.pending_path(fingerprint), (stale, stale))
-        worker = QueueWorker(
-            queue,
-            worker_id="janitor",
-            poll_interval=0.01,
-            max_jobs=0,
-            gc_interval=0.0001,
-        )
-        worker._maybe_gc(time.time() + 1)
-        assert worker.gc_sweeps == 1
-        assert queue.pending_path(fingerprint).exists()
+        assert queue.is_idle()
+        assert queue.worker_stats()["jobs_done"] == len(TINY_TECHNIQUES)
 
 
 class TestWorkerStatsPublication:
-    """Claim-batch stats must be observable from *other* processes."""
+    """Worker claim/job stats must be observable from *other* processes."""
 
-    def test_worker_publishes_counters_into_the_queue_directory(self, tmp_path):
+    def test_worker_publishes_counters_into_the_queue_directory(
+        self, tmp_path, short_drain
+    ):
         queue = WorkQueue(tmp_path, ttl=30)
         for index in range(2):
             queue.enqueue(
@@ -548,19 +622,13 @@ class TestWorkerStatsPublication:
                 )
             )
         worker = QueueWorker(
-            queue,
-            worker_id="stats-w1",
-            poll_interval=0.01,
-            drain=True,
-            drain_grace=0.05,
-            claim_batch=2,
+            queue, worker_id="stats-w1", poll_interval=0.01, drain=True
         )
         assert worker.run() == 2
         stats_file = queue.workers_dir / "stats-w1.json"
         assert stats_file.exists()
         payload = json.loads(stats_file.read_text())
         assert payload["claimed"] == 2
-        assert payload["claim_batches"] == 1
         assert payload["jobs_done"] == 2
 
         # A *fresh* WorkQueue (the --status CLI, another host) sees the
@@ -570,8 +638,7 @@ class TestWorkerStatsPublication:
         assert status["claims_this_process"]["claimed"] == 0
         assert status["workers"]["workers"] == 1
         assert status["workers"]["claimed"] == 2
-        assert status["workers"]["claim_batches"] == 1
-        assert status["workers"]["mean_batch_size"] == 2.0
+        assert status["workers"]["jobs_done"] == 2
 
     def test_malformed_worker_stats_are_skipped(self, tmp_path):
         queue = WorkQueue(tmp_path, ttl=30)
@@ -579,11 +646,23 @@ class TestWorkerStatsPublication:
         (queue.workers_dir / "foreign.json").write_text('{"format": 99}')
         assert queue.worker_stats()["workers"] == 0
 
+    @pytest.mark.parametrize(
+        "payload",
+        ("[1, 2]", '"text"', "3", "null", "true"),
+        ids=("list", "string", "number", "null", "bool"),
+    )
+    def test_worker_stats_that_are_not_objects_are_skipped(self, tmp_path, payload):
+        """Valid JSON that is not an object is as foreign as broken JSON:
+        skipped, and ``--status`` still reports the rest of the fleet."""
+        queue = WorkQueue(tmp_path, ttl=30)
+        (queue.workers_dir / "odd.json").write_text(payload)
+        (queue.workers_dir / "good.json").write_text('{"format": 1, "claimed": 2}')
+        stats = queue.worker_stats()
+        assert (stats["workers"], stats["claimed"]) == (1, 2)
+        assert queue.status()["workers"] == stats
+
     def test_stale_worker_stats_expire_via_gc(self, tmp_path):
-        from repro.harness.cache import (
-            DEFAULT_DONE_MARKER_MAX_AGE_SECONDS,
-            gc_cache_tree,
-        )
+        from repro.harness.cache import DEFAULT_DONE_MARKER_MAX_AGE_SECONDS
 
         queue = WorkQueue(tmp_path, ttl=30)
         dead = queue.workers_dir / "dead-host.json"
@@ -639,6 +718,8 @@ class TestHostStats:
         assert payload["host"] == socket_module.gethostname()
 
     def test_worker_stats_aggregates_per_host(self, tmp_path):
+        # The files carry the claim-batch and gc keys older workers
+        # published; aggregation ignores them.
         queue = WorkQueue(tmp_path, ttl=30)
         for host, claimed, done in (
             ("alpha", 3, 2),
@@ -668,7 +749,6 @@ class TestHostStats:
             "claimed": 4,
             "jobs_done": 3,
             "jobs_failed": 0,
-            "gc_sweeps": 0,
         }
         assert stats["hosts"]["beta"]["workers"] == 1
         # Pre-host-tag files aggregate under the unknown-host bucket.

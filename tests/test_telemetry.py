@@ -21,8 +21,6 @@ from repro.harness.cache import ResultCache, simulation_fingerprint
 from repro.harness.queue import WorkQueue
 from repro.telemetry import (
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     counter_property,
     percentile,
@@ -66,38 +64,13 @@ class TestMetricsRegistry:
         assert registry.counter("enqueued").value == 3
         assert registry.counters() == {"enqueued": 3}
 
-    def test_gauges_are_none_until_set(self):
-        registry = MetricsRegistry()
-        assert registry.gauge("inflight").value is None
-        registry.gauge("inflight").set(4)
-        assert registry.gauge("inflight").value == 4
-
-    def test_histogram_summary_and_bounded_window(self):
-        histogram = Histogram("latency", window=8)
-        for value in range(100):
-            histogram.observe(float(value))
-        summary = histogram.summary()
-        assert summary["count"] == 100  # total ever observed
-        assert summary["min"] == 92.0  # but the window is bounded
-        assert summary["max"] == 99.0
-        assert summary["p50"] == pytest.approx(95.5)
-
     def test_snapshot_has_one_shape(self):
         registry = MetricsRegistry("svc")
         registry.counter("requests").increment()
-        registry.gauge("connections").set(2)
-        registry.histogram("wait").observe(0.5)
-        snapshot = registry.snapshot()
-        assert snapshot["namespace"] == "svc"
-        assert snapshot["counters"] == {"requests": 1}
-        assert snapshot["gauges"] == {"connections": 2}
-        assert snapshot["histograms"]["wait"]["count"] == 1
-
-    def test_kind_clash_is_a_type_error(self):
-        registry = MetricsRegistry()
-        registry.counter("n")
-        with pytest.raises(TypeError, match="already registered"):
-            registry.gauge("n")
+        assert registry.snapshot() == {
+            "namespace": "svc",
+            "counters": {"requests": 1},
+        }
 
     def test_counter_property_reads_and_writes_like_an_int(self):
         class Holder:
@@ -119,8 +92,6 @@ class TestMetricsRegistry:
 
     def test_metric_kinds_expose_names(self):
         assert Counter("a").name == "a"
-        assert Gauge("b").name == "b"
-        assert Histogram("c").name == "c"
 
 
 # ----------------------------------------------------------------------
@@ -161,6 +132,22 @@ class TestSpans:
     def test_maybe_trace_scope_is_noop_while_disabled(self):
         with tracing.maybe_trace_scope():
             assert tracing.current_trace() is None  # no residue possible
+
+    def test_nested_scopes_mint_fresh_ids_and_restore_the_outer(self, tmp_path):
+        """Every scope mints its own id; leaving an inner scope hands
+        later spans back to the outer one."""
+        tracing.enable(tmp_path)
+        with tracing.trace_scope() as outer:
+            with tracing.trace_scope() as inner:
+                with tracing.span("inner"):
+                    pass
+            with tracing.span("outer"):
+                pass
+        assert inner != outer
+        records = {record["site"]: record for record in tracing.read_spans(tmp_path)}
+        assert records["inner"]["trace"] == inner
+        assert records["outer"]["trace"] == outer
+        assert tracing.current_trace() is None
 
     def test_late_trace_delivery_via_set(self, tmp_path):
         # A claim span learns the trace id from the envelope it decodes
@@ -243,12 +230,12 @@ class TestQueueTelemetry:
     def test_producer_trace_rides_the_envelope(self, tmp_path):
         tracing.enable(tmp_path)
         queue = WorkQueue(tmp_path, ttl=30)
-        with tracing.trace_scope("req-42"):
+        with tracing.trace_scope() as trace:
             fingerprint = queue.enqueue(_job())
         envelope = json.loads(
             queue.pending_path(fingerprint).read_text(encoding="utf-8")
         )
-        assert envelope["trace"] == "req-42"
+        assert envelope["trace"] == trace
 
     def test_queue_counters_live_in_a_registry(self, tmp_path):
         queue = WorkQueue(tmp_path, ttl=30)

@@ -31,7 +31,7 @@ from repro.uarch.trace import (
     trace_events,
     trace_fingerprint,
 )
-from repro.workloads import SPECINT_BENCHMARKS, build_benchmark
+from repro.workloads import EXTENDED_BENCHMARKS, SPECINT_BENCHMARKS, build_benchmark
 from repro.workloads.generator import SyntheticProgramGenerator
 from repro.workloads.traits import BenchmarkTraits
 
@@ -114,6 +114,26 @@ def test_front_door_columns_equal_live_emulation(name, tmp_path):
     assert trace_events["emulations"] == 0
     assert trace_events["derivations"] == 1
     assert trace_events["disk_hits"] == 1
+
+
+@pytest.mark.parametrize("name", EXTENDED_BENCHMARKS)
+def test_extended_suite_columns_equal_live_emulation(name, tmp_path):
+    """The extended suite's columns, served from the memo and read back
+    from disk, equal live emulation of every mode's program.  Whether a
+    mode's trace is derived or emulated is not pinned here: phaseflip
+    has an empty block, so its ``noop`` trace is emulated."""
+    base = build_benchmark(name)
+    programs = {mode: _compiled(base, mode) for mode in MODES}
+    live = {mode: _live(program, FIGURE_TEST_BUDGET) for mode, program in programs.items()}
+    cache = TraceCache(tmp_path)
+    for source in ("memo", "disk"):
+        clear_trace_memo()
+        get_trace_columns(base, FIGURE_TEST_BUDGET, cache=cache, live=False)
+        for mode, program in programs.items():
+            columns = get_trace_columns(
+                program, FIGURE_TEST_BUDGET, cache=cache, live=False
+            )
+            assert _column_bytes(columns) == live[mode], (source, mode)
 
 
 def test_tagged_programs_share_the_baseline_trace_file():

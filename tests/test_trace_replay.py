@@ -54,10 +54,8 @@ from repro.uarch.trace import (
     TraceWindowStream,
     _column_windows,
     clear_trace_memo,
-    commit_mask,
     empty_columns,
     get_trace_columns,
-    get_trace_span_stream,
     get_trace_stream,
     program_digest,
     reset_trace_events,
@@ -673,26 +671,6 @@ class TestColumnWindows:
         assert list(_column_windows(empty_columns(), 7)) == []
         assert list(_column_windows(empty_columns(), None)) == []
 
-    @pytest.mark.parametrize(
-        "first, last",
-        ((0, None), (700, 1_900), (2_400, 10**9), (900, 100)),
-        ids=("whole", "middle", "past-the-end", "inverted"),
-    )
-    def test_span_stream_windows_tile_the_entry_span(self, first, last):
-        program = build_benchmark("gzip")
-        columns = get_trace_columns(program, 2_500, live=False)
-        stream = get_trace_span_stream(
-            program, 2_500, first, last, window_size=256, live=False
-        )
-        assert stream.table is static_table(program)
-        windows = []
-        while (window := stream.next_window()) is not None:
-            assert 0 < window.length <= 256
-            windows.append(window)
-        for field, whole in zip(TraceWindow._fields, columns):
-            joined = b"".join(getattr(part, field).tobytes() for part in windows)
-            assert joined == memoryview(whole)[first:last].tobytes()
-
     def test_exhausted_stream_never_pulls_its_source_again(self):
         window = empty_columns()
 
@@ -716,17 +694,6 @@ class TestColumnWindows:
         assert stream.next_window() is None
         assert stream.next_window() is None
         assert source.pulls == 2
-
-    def test_commit_mask_counts_the_committed_instructions(self):
-        """Hint NOOPs never commit, so an instrumented trace commits fewer
-        instructions than it has entries; the mask says exactly which."""
-        program = _program("gzip", "noop")
-        columns = get_trace_columns(program, 2_000, live=False)
-        mask = commit_mask(program, columns)
-        assert len(mask) == columns.length
-        assert set(mask) == {0, 1}
-        stats = simulate(program, _policy("noop"), max_instructions=2_000)
-        assert sum(mask) == stats.committed_instructions
 
 
 class TestColumnMemo:
