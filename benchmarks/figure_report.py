@@ -83,13 +83,18 @@ def print_cache_stats(runner) -> None:
         f"derivations {events['derivations']} "
         f"(memo hits {events['memo_hits']}, disk hits {events['disk_hits']})"
     )
+    print(
+        f"compiles this runner: {runner.compile_count}, "
+        f"analyses {runner.analysis_count}"
+    )
     if runner.workers > 1:
         # Unlike the folded trace-cache counters above, the module-level
-        # trace_events live in each worker process; emulation/memo work
-        # done in the pool is invisible here.
+        # trace_events live in each worker process, and pool workers
+        # compile their own programs; that work is invisible here.
         print(
-            f"(note: {runner.workers} workers — emulation/memo counters are "
-            f"per-process; the folded trace-cache line above is exact)"
+            f"(note: {runner.workers} workers — emulation/memo and compile "
+            f"counters are per-process; the folded trace-cache line above "
+            f"is exact)"
         )
 
 

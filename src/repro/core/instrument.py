@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from repro.core.config import CompilerConfig
 from repro.core.dag_analysis import BlockRequirement
 from repro.isa.encoding import make_hint_noop, tag_instruction
-from repro.isa.program import BasicBlock, Program
+from repro.isa.program import BasicBlock, Procedure, Program
 
 
 #: Encoding modes accepted by :func:`instrument_program`.
@@ -126,6 +126,35 @@ def _emit_at_block_end(
     return True
 
 
+def _structural_copy(program: Program) -> Program:
+    """A copy of ``program`` sharing no mutable object with it.
+
+    Programs, procedures and blocks are new containers and every
+    instruction is a shallow copy.  What the copies still share is
+    immutable: operand tuples of frozen registers, strings and ints.
+    Instructions keep their ``uid``, so the copy's instructions map to
+    the original's in :class:`~repro.uarch.emulator.ProgramLayout`.
+    """
+    return Program(
+        name=program.name,
+        procedures={
+            name: Procedure(
+                name=procedure.name,
+                blocks=[
+                    BasicBlock(
+                        label=block.label,
+                        instructions=[copy.copy(instr) for instr in block.instructions],
+                    )
+                    for block in procedure.blocks
+                ],
+                is_library=procedure.is_library,
+            )
+            for name, procedure in program.procedures.items()
+        },
+        entry=program.entry,
+    )
+
+
 def instrument_program(
     program: Program,
     requirements: dict[tuple[str, str], BlockRequirement],
@@ -134,6 +163,10 @@ def instrument_program(
     preheader_hints: dict[tuple[str, str], int] | None = None,
 ) -> tuple[Program, InstrumentationStats]:
     """Return an instrumented copy of ``program`` plus emission statistics.
+
+    The copy is structural (:func:`_structural_copy`): new containers and
+    instructions, so emission inserts and tags without touching
+    ``program``, and two copies of one program share nothing mutable.
 
     Args:
         program: the original program; never modified.
@@ -150,7 +183,7 @@ def instrument_program(
     if mode not in ALL_MODES:
         raise ValueError(f"unknown instrumentation mode {mode!r}")
 
-    instrumented = copy.deepcopy(program)
+    instrumented = _structural_copy(program)
     stats = InstrumentationStats()
     use_tags = mode in TAG_MODES
     preheader_hints = dict(preheader_hints or {})

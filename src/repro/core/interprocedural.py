@@ -26,11 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.cfg.graph import build_cfg
-from repro.cfg.natural_loops import find_natural_loops
+from repro.cfg.natural_loops import NaturalLoop
 from repro.core.config import CompilerConfig
 from repro.core.dag_analysis import BlockRequirement, analyse_block
-from repro.core.loop_analysis import LoopRequirement
 from repro.isa.program import Program
 
 
@@ -76,16 +74,23 @@ class InterproceduralSummary:
         return counts
 
 
-def summarise_call_sites(program: Program, config: CompilerConfig) -> InterproceduralSummary:
-    """Collect call sites, hot procedures and callee entry-block requirements."""
+def summarise_call_sites(
+    program: Program,
+    config: CompilerConfig,
+    loops: dict[str, list[NaturalLoop]],
+) -> InterproceduralSummary:
+    """Collect call sites, hot procedures and callee entry-block requirements.
+
+    ``loops`` maps each analysable procedure's name to its natural loops,
+    innermost first, as the analysis found them
+    (:attr:`~repro.core.pipeline.ProgramAnalysis.loops_by_procedure`).
+    """
     summary = InterproceduralSummary()
 
     for procedure in program.analysable_procedures():
-        cfg = build_cfg(procedure)
-        loops = find_natural_loops(cfg)
         # Innermost-first ordering lets the first match win.
         block_to_loop: dict[str, str] = {}
-        for loop in loops:
+        for loop in loops[procedure.name]:
             for label in loop.body:
                 block_to_loop.setdefault(label, loop.header)
         for block in procedure.blocks:
@@ -135,7 +140,7 @@ def apply_interprocedural_refinement(
     program: Program,
     requirements: dict[tuple[str, str], BlockRequirement],
     config: CompilerConfig,
-    loop_requirements: Optional[list[LoopRequirement]] = None,
+    loops: dict[str, list[NaturalLoop]],
 ) -> dict[tuple[str, str], BlockRequirement]:
     """Enlarge requirements around hot call sites (both caller and callee side).
 
@@ -143,16 +148,16 @@ def apply_interprocedural_refinement(
         program: the analysed program.
         requirements: per-(procedure, block) requirements from the intra-
             procedural analysis; a refined copy is returned, the input is
-            left untouched.
+            left untouched.  A loop containing a hot call site is refined
+            through its header's entry.
         config: compiler configuration.
-        loop_requirements: loop analysis results; when provided, loops that
-            contain hot call sites are also refined in place through their
-            header entry in ``requirements``.
+        loops: each procedure's natural loops, as
+            :func:`summarise_call_sites` takes them.
 
     Returns:
         A new requirements mapping with refined values.
     """
-    summary = summarise_call_sites(program, config)
+    summary = summarise_call_sites(program, config, loops)
     refined = dict(requirements)
 
     caller_pressure: dict[str, int] = {}

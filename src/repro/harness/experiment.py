@@ -16,7 +16,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from repro.core import CompilerConfig, CompilationResult, compile_program
+from repro.core import CompilerConfig, CompilationResult, ProgramAnalysis, compile_program
 from repro.power import EnergyParams, PowerReport, build_power_report, power_savings
 from repro.techniques import (
     AbellaPolicy,
@@ -128,12 +128,29 @@ def make_policy(technique: str, config: RunConfig):
 
 
 class SuiteRunner:
-    """Lazily runs and caches (benchmark, technique) simulations."""
+    """Lazily runs and caches (benchmark, technique) simulations.
+
+    Compilations are memoised per (benchmark, mode), and a benchmark is
+    analysed once: its first compile's analysis serves the other modes.
+    ``compile_count`` and ``analysis_count`` report how many of each
+    this runner has run.
+    """
 
     def __init__(self, config: Optional[RunConfig] = None):
         self.config = config or RunConfig()
         self._results: dict[tuple[str, str], BenchmarkResult] = {}
         self._compilations: dict[tuple[str, str], CompilationResult] = {}
+        self._analyses: dict[str, ProgramAnalysis] = {}
+
+    @property
+    def compile_count(self) -> int:
+        """Compiles this runner has run (one per benchmark and mode)."""
+        return len(self._compilations)
+
+    @property
+    def analysis_count(self) -> int:
+        """Analyses this runner has run (one per benchmark)."""
+        return len(self._analyses)
 
     # ------------------------------------------------------------------
     def grid(
@@ -157,13 +174,21 @@ class SuiteRunner:
         ]
 
     def compilation(self, benchmark: str, mode: str) -> CompilationResult:
-        """Compile ``benchmark`` with hint encoding ``mode`` (cached)."""
+        """Compile ``benchmark`` with hint encoding ``mode`` (cached).
+
+        The benchmark's first compile analyses it; later modes reuse
+        that analysis.
+        """
         key = (benchmark, mode)
         if key not in self._compilations:
-            program = build_benchmark(benchmark)
-            self._compilations[key] = compile_program(
-                program, self.config.compiler_config, mode=mode
+            result = compile_program(
+                build_benchmark(benchmark),
+                self.config.compiler_config,
+                mode=mode,
+                analysis=self._analyses.get(benchmark),
             )
+            self._analyses[benchmark] = result.analysis
+            self._compilations[key] = result
         return self._compilations[key]
 
     def result(self, benchmark: str, technique: str) -> BenchmarkResult:

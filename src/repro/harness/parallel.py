@@ -39,9 +39,12 @@ Semantics:
   picklable job specs.  The ``REPRO_WORKERS`` environment variable
   supplies the default.
 * **Compilations** are not cached on disk: they are cheap relative to
-  simulation and memoised per runner.  Table 2 asks the runner for
-  them, and a result's ``compilation`` field resolves on first read, so
-  a grid served from the result cache compiles nothing.
+  simulation and memoised per runner, and the runner analyses each
+  benchmark once, sharing that analysis between its three hint modes
+  (a cold in-process grid: 33 compiles, 11 analyses).  Table 2 asks the
+  runner for them, and a result's ``compilation`` field resolves on
+  first read, so a grid served from the result cache compiles nothing.
+  Pool and queue workers compile each job's program afresh.
 * **Traces** are cached one level below the results: a
   ``traces/`` subdirectory of ``cache_dir`` (override with
   ``trace_cache_dir``) holds two traces per benchmark and budget

@@ -211,6 +211,14 @@ class Instruction:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Instruction #{self.uid} {self}>"
 
+    def __copy__(self) -> "Instruction":
+        # The same shallow copy, uid included, as copy.copy's generic
+        # reduce-and-reconstruct path, at a third of its cost: the
+        # instrumenter copies every instruction of every program it emits.
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        return clone
+
     # ------------------------------------------------------------------
     # Construction helpers used by the workload generator and tests
     # ------------------------------------------------------------------

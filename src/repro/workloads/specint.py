@@ -51,8 +51,9 @@ def build_benchmark(name: str, fresh: bool = False) -> Program:
         name: one of :data:`SPECINT_BENCHMARKS`.
         fresh: when True a brand-new program object is generated instead of
             the cached one.  Use this when the caller will mutate the
-            program (e.g. instrument it in place); the normal compile path
-            copies before instrumenting, so the cache is safe to share.
+            program.  The compiler never does: it emits hints into a copy
+            (:func:`repro.core.compile_program`), so compiles share the
+            cached program safely.
     """
     if name not in ALL_TRAITS:
         raise KeyError(

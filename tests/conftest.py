@@ -14,6 +14,7 @@ from repro.harness import RunConfig, SuiteRunner
 from repro.isa import Instruction, Opcode, Program
 from repro.isa.registers import int_reg
 from repro.workloads import build_benchmark
+from repro.workloads.traits import BenchmarkTraits
 
 
 def make_counted_loop_program(trips: int = 10, body_adds: int = 4) -> Program:
@@ -64,6 +65,26 @@ def make_call_program() -> Program:
     done.append(Instruction.halt())
     program.validate()
     return program
+
+
+def synthetic_traits(seed: int, loops: int, dags: int, calls: int) -> BenchmarkTraits:
+    """Traits of a small generated program with the given kernel counts;
+    hypothesis properties draw ``seed`` and the counts."""
+    return BenchmarkTraits(
+        name="derived",
+        seed=seed,
+        outer_trips=2,
+        num_loop_kernels=loops,
+        num_dag_kernels=dags,
+        num_call_kernels=calls,
+        loop_body_size=(3, 6),
+        loop_trip_count=(2, 4),
+        dag_diamonds=(1, 2),
+        dag_block_size=(2, 4),
+        leaf_size=(2, 4),
+        call_in_loop_prob=0.5,
+        library_call_prob=0.5,
+    )
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import CompilerConfig, compile_program
+from repro.core import CompilerConfig, compile_program, pipeline
 from repro.core.dag_analysis import PathSummary, analyse_block, analyse_dag_region
 from repro.core.instrument import ALL_MODES, instrument_program
 from repro.core.interprocedural import (
@@ -16,6 +16,7 @@ from repro.core.pipeline import analyse_program, compute_preheader_hints
 from repro.core.pseudo_queue import PseudoIssueQueue
 from repro.core.report import compare_compile_times, measure_baseline_compile
 from repro.cfg import build_cfg, find_dag_regions, find_natural_loops
+from repro.harness import RunConfig, SuiteRunner
 from repro.isa import Instruction, Opcode
 from repro.isa.opcodes import FuClass
 from repro.isa.registers import int_reg as r
@@ -199,6 +200,36 @@ class TestInstrumentation:
         assert counted_loop_program.num_instructions == before
         assert counted_loop_program.count_opcode(Opcode.HINT) == 0
 
+        # Every mode of two benchmarks through one runner, which shares
+        # one analysis per benchmark: the source keeps its content, and
+        # no program shares a mutable part with the source or another's.
+        names = ("gzip", "gcc")
+        runner = SuiteRunner(RunConfig(benchmarks=names))
+        for name in names:
+            source = build_benchmark(name)
+            source_digest = program_digest(source)
+            programs = {
+                mode: runner.compilation(name, mode).instrumented_program
+                for mode in ALL_MODES
+            }
+            assert program_digest(build_benchmark(name)) == source_digest
+            seen = _mutable_parts(source)
+            for mode, program in programs.items():
+                parts = _mutable_parts(program)
+                assert not parts & seen, (name, mode)
+                seen |= parts
+
+            improved_digest = program_digest(programs["improved"])
+            tagged = next(
+                instr
+                for procedure in programs["extension"].procedures.values()
+                for instr in procedure.instructions()
+                if instr.iq_tag is not None
+            )
+            tagged.iq_tag += 1
+            assert program_digest(programs["improved"]) == improved_digest
+            assert program_digest(build_benchmark(name)) == source_digest
+
     def test_loop_hint_is_in_preheader_not_header(self, counted_loop_program):
         result = compile_program(counted_loop_program, CompilerConfig(), mode="noop")
         instrumented_main = result.instrumented_program.procedures["main"]
@@ -235,14 +266,26 @@ class TestInstrumentation:
         assert emitted > 0
 
 
+def _mutable_parts(program) -> set[int]:
+    """``id`` of every mutable object ``program`` is made of: itself, its
+    procedures, blocks, their lists, and the instructions."""
+    parts = {id(program), id(program.procedures)}
+    for procedure in program.procedures.values():
+        parts |= {id(procedure), id(procedure.blocks)}
+        for block in procedure.blocks:
+            parts |= {id(block), id(block.instructions)}
+            parts.update(map(id, block.instructions))
+    return parts
+
+
 class TestPipeline:
     def test_analysis_covers_all_analysable_procedures(self, gzip_program):
-        requirements, loops, proc_stats = analyse_program(gzip_program, CompilerConfig())
-        analysed_procs = {key[0] for key in requirements}
+        analysis = analyse_program(gzip_program, CompilerConfig())
+        analysed_procs = {key[0] for key in analysis.block_requirements}
         expected = {p.name for p in gzip_program.analysable_procedures()}
         assert analysed_procs == expected
-        assert len(proc_stats) == len(expected)
-        assert loops  # synthetic benchmarks always contain loops
+        assert len(analysis.procedures) == len(expected)
+        assert analysis.loop_requirements  # synthetic benchmarks always contain loops
 
     def test_preheader_hints_reference_real_blocks(self, gzip_compiled):
         program = gzip_compiled.program
@@ -269,8 +312,14 @@ class TestPipeline:
 
 
 class TestInterprocedural:
+    @staticmethod
+    def _summary(program):
+        config = CompilerConfig()
+        loops = analyse_program(program, config).loops_by_procedure
+        return summarise_call_sites(program, config, loops)
+
     def test_call_sites_found(self, call_program):
-        summary = summarise_call_sites(call_program, CompilerConfig())
+        summary = self._summary(call_program)
         callees = {site.callee for site in summary.call_sites}
         assert callees == {"leaf", "libfn"}
         leaf_sites = [s for s in summary.call_sites if s.callee == "leaf"]
@@ -278,15 +327,16 @@ class TestInterprocedural:
         assert leaf_sites[0].loop_header == "loop"
 
     def test_library_callee_never_hot(self, call_program):
-        summary = summarise_call_sites(call_program, CompilerConfig())
+        summary = self._summary(call_program)
         assert "libfn" not in summary.hot_procedures
         assert "leaf" in summary.hot_procedures
 
     def test_refinement_enlarges_call_site_requirements(self, call_program):
         config = CompilerConfig()
-        requirements, loop_requirements, _ = analyse_program(call_program, config)
+        analysis = analyse_program(call_program, config)
+        requirements = analysis.block_requirements
         refined = apply_interprocedural_refinement(
-            call_program, requirements, config, loop_requirements
+            call_program, requirements, config, analysis.loops_by_procedure
         )
         key = ("main", "loop")
         assert refined[key].entries >= requirements[key].entries
@@ -354,3 +404,44 @@ class TestGoldenHints:
             compiled = compile_program(program, CompilerConfig(), mode=mode)
             digest = program_digest(compiled.instrumented_program)
             assert digest == GOLDEN_INSTRUMENTED_DIGESTS[(name, mode)], mode
+
+
+class TestSharedAnalysis:
+    """A runner analyses each benchmark once, whichever mode comes first,
+    and every mode's program is what a fresh compile emits."""
+
+    BENCHMARKS = ("gzip", "gcc", "mcf")
+
+    @pytest.mark.parametrize(
+        "order", [ALL_MODES, ALL_MODES[::-1]], ids=["noop-first", "improved-first"]
+    )
+    def test_runner_analyses_each_benchmark_once(self, order, monkeypatch):
+        analysed = []
+        analyse = pipeline.analyse_program
+
+        def counted(program, config):
+            analysed.append(program.name)
+            return analyse(program, config)
+
+        monkeypatch.setattr(pipeline, "analyse_program", counted)
+        runner = SuiteRunner(RunConfig(benchmarks=self.BENCHMARKS))
+        for name in self.BENCHMARKS:
+            for mode in order:
+                compiled = runner.compilation(name, mode)
+                digest = program_digest(compiled.instrumented_program)
+                assert digest == GOLDEN_INSTRUMENTED_DIGESTS[(name, mode)], (name, mode)
+        assert sorted(analysed) == sorted(self.BENCHMARKS)
+        assert (runner.compile_count, runner.analysis_count) == (9, 3)
+
+    def test_analysis_of_another_program_or_config_is_rejected(self, gzip_program):
+        config = CompilerConfig()
+        analysis = analyse_program(gzip_program, config)
+        with pytest.raises(ValueError):
+            compile_program(build_benchmark("mcf"), config, analysis=analysis)
+        with pytest.raises(ValueError):
+            compile_program(build_benchmark("gzip", fresh=True), config, analysis=analysis)
+        with pytest.raises(ValueError):
+            compile_program(gzip_program, CompilerConfig(sizing_margin=2.0), analysis=analysis)
+        # An equal config is the same input, whichever object carries it.
+        shared = compile_program(gzip_program, CompilerConfig(), analysis=analysis)
+        assert shared.analysis is analysis

@@ -131,6 +131,16 @@ class TestFiguresAndTables:
         assert all(row.limited_seconds > 0 for row in result.table.rows)
         assert "benchmark" in result.to_text()
 
+    def test_table2_counts_the_analysis_a_mode_shared(self):
+        """A mode compiled on another mode's analysis reports that
+        analysis's time too, so the row does not depend on compile order."""
+        runner = SuiteRunner(RunConfig(benchmarks=("gcc",)))
+        improved = runner.compilation("gcc", "improved")
+        noop = runner.compilation("gcc", "noop")
+        assert noop.analysis is improved.analysis
+        row = table2(runner).table.row_for("gcc")
+        assert row.limited_seconds >= improved.analysis.seconds
+
     def test_overall_processor_savings_positive(self, tiny_runner):
         value = overall_processor_savings(tiny_runner, technique="noop")
         assert 0 < value < 22 + 11

@@ -9,7 +9,8 @@ from math import gcd
 from hypothesis import given, settings, strategies as st
 
 from repro.cfg import build_ddg
-from repro.core import CompilerConfig
+from repro.core import CompilerConfig, analyse_program, compile_program
+from repro.core.instrument import ALL_MODES
 from repro.core.loop_analysis import (
     _recurrence_initiation_interval,
     _recurrence_nodes,
@@ -22,8 +23,10 @@ from repro.isa.opcodes import FuClass
 from repro.isa.registers import int_reg
 from repro.uarch.issue_queue import BankedIssueQueue
 from repro.uarch.regfile import PhysicalRegisterFile
+from repro.uarch.trace import program_digest
 from repro.workloads.generator import SyntheticProgramGenerator
 from repro.workloads.traits import BenchmarkTraits
+from tests.conftest import synthetic_traits
 
 
 # ---------------------------------------------------------------------------
@@ -265,3 +268,28 @@ def test_generator_always_produces_valid_programs(seed, loops, dags, calls, ilp,
     program = SyntheticProgramGenerator(traits).build()
     program.validate()
     assert "main" in program.procedures
+
+
+# ---------------------------------------------------------------------------
+# Compiler: a compile on a shared analysis equals a fresh compile
+# ---------------------------------------------------------------------------
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    shape=st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 2)),
+    modes=st.lists(st.sampled_from(ALL_MODES), min_size=1, max_size=6),
+)
+@settings(max_examples=40, deadline=None)
+def test_compiles_sharing_an_analysis_equal_fresh_compiles(seed, shape, modes):
+    """Whatever modes compiled on one analysis before, in whatever order,
+    the next compile on it emits what a fresh compile emits."""
+    program = SyntheticProgramGenerator(synthetic_traits(seed, *shape)).build()
+    config = CompilerConfig()
+    analysis = analyse_program(program, config)
+    for mode in modes:
+        shared = compile_program(program, config, mode=mode, analysis=analysis)
+        fresh = compile_program(program, config, mode=mode)
+        assert program_digest(shared.instrumented_program) == program_digest(
+            fresh.instrumented_program
+        ), mode
+        assert shared.block_requirements == fresh.block_requirements, mode
+        assert shared.preheader_hints == fresh.preheader_hints, mode

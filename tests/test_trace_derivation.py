@@ -33,7 +33,7 @@ from repro.uarch.trace import (
 )
 from repro.workloads import EXTENDED_BENCHMARKS, SPECINT_BENCHMARKS, build_benchmark
 from repro.workloads.generator import SyntheticProgramGenerator
-from repro.workloads.traits import BenchmarkTraits
+from tests.conftest import synthetic_traits
 
 #: The instruction budget the figure tests simulate.
 FIGURE_TEST_BUDGET = 20_000
@@ -312,24 +312,6 @@ _SITES = (
 )
 
 
-def _traits(seed: int, loops: int, dags: int, calls: int) -> BenchmarkTraits:
-    return BenchmarkTraits(
-        name="derived",
-        seed=seed,
-        outer_trips=2,
-        num_loop_kernels=loops,
-        num_dag_kernels=dags,
-        num_call_kernels=calls,
-        loop_body_size=(3, 6),
-        loop_trip_count=(2, 4),
-        dag_diamonds=(1, 2),
-        dag_block_size=(2, 4),
-        leaf_size=(2, 4),
-        call_in_loop_prob=0.5,
-        library_call_prob=0.5,
-    )
-
-
 def _end_main(program: Program, ending: str) -> None:
     """End ``main`` with HALT, a RET from the entry procedure, or by
     falling off its last block."""
@@ -395,7 +377,7 @@ def _insert_hints(program: Program, sites) -> int:
 )
 @settings(max_examples=60, deadline=None)
 def test_derived_columns_equal_live_emulation(seed, shape, ending, sites, budget):
-    base = SyntheticProgramGenerator(_traits(seed, *shape)).build()
+    base = SyntheticProgramGenerator(synthetic_traits(seed, *shape)).build()
     _end_main(base, ending)
     hinted = copy.deepcopy(base)
     assume(_insert_hints(hinted, sites))
