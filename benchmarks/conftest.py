@@ -34,6 +34,13 @@ CACHE_DIR = Path(__file__).parent / ".figure-cache"
 
 
 @pytest.fixture(scope="session")
+def record_trend(request) -> bool:
+    """True under ``pytest --record-trend``: the perf benches then append
+    their samples to ``BENCH_trace.json`` (see ``test_perf_simulator``)."""
+    return request.config.getoption("--record-trend")
+
+
+@pytest.fixture(scope="session")
 def runner(suite_workers) -> ParallelSuiteRunner:
     runner = ParallelSuiteRunner(
         RunConfig(max_instructions=100_000, warmup_instructions=20_000),

@@ -9,10 +9,10 @@ overhead honest: leases and markers are filesystem round-trips, so a
 grid of seconds-long simulations should spend almost all of its wall
 clock simulating, not coordinating.
 
-Each run appends a ``"kind": "queue_grid"`` entry to
-``BENCH_trace.json`` next to the per-cycle throughput history, so later
-PRs can track the backend's overhead trajectory alongside the hot
-path's.
+Each run gates a ``"kind": "queue_grid"`` sample against the history
+in ``BENCH_trace.json``, next to the per-cycle throughput history, and
+``pytest --record-trend`` appends it, so later PRs can track the
+backend's overhead trajectory alongside the hot path's.
 
 The run is parametrised over the chaoskit injection state.  Only
 ``"disabled"`` is measured: the fault hooks ship on every filesystem
@@ -32,9 +32,7 @@ import pytest
 from repro.harness import ParallelSuiteRunner, RunConfig
 from repro.harness.faults import active_injector
 
-from repro.telemetry import trend
-
-from test_perf_simulator import TRAJECTORY_FILE, _record_trajectory
+from test_perf_simulator import gate_sample
 
 GRID_CONFIG = RunConfig(
     benchmarks=("gzip", "mcf"),
@@ -46,7 +44,7 @@ QUEUE_WORKERS = 2
 
 
 @pytest.mark.parametrize("injection", ["disabled"])
-def test_queue_grid_wall_clock(benchmark, tmp_path, injection):
+def test_queue_grid_wall_clock(benchmark, tmp_path, injection, record_trend):
     # The hooks must be dormant: the floor below is only meaningful as a
     # zero-overhead guarantee if nothing is injecting during the run.
     assert active_injector() is None, "fault injector active in a perf run"
@@ -81,18 +79,16 @@ def test_queue_grid_wall_clock(benchmark, tmp_path, injection):
     benchmark.extra_info["injection"] = injection
     benchmark.extra_info["queue_seconds"] = round(queue_elapsed, 2)
     benchmark.extra_info["local_seconds"] = round(local_elapsed, 2)
-    _record_trajectory(
-        {
-            "timestamp": time.time(),
-            "kind": "queue_grid",
-            "cells": cells,
-            "max_instructions": GRID_CONFIG.max_instructions,
-            "queue_workers": QUEUE_WORKERS,
-            "injection": injection,
-            "queue_seconds": round(queue_elapsed, 2),
-            "local_seconds": round(local_elapsed, 2),
-        }
-    )
+    entry = {
+        "timestamp": time.time(),
+        "kind": "queue_grid",
+        "cells": cells,
+        "max_instructions": GRID_CONFIG.max_instructions,
+        "queue_workers": QUEUE_WORKERS,
+        "injection": injection,
+        "queue_seconds": round(queue_elapsed, 2),
+        "local_seconds": round(local_elapsed, 2),
+    }
     print(
         f"\n  {cells}-cell grid: {queue_elapsed:.1f}s over the queue with "
         f"{QUEUE_WORKERS} workers vs {local_elapsed:.1f}s locally in-process"
@@ -103,13 +99,6 @@ def test_queue_grid_wall_clock(benchmark, tmp_path, injection):
     # forcing a TTL wait) trips this long before it hurts real grids.
     assert queue_elapsed < max(30.0, 10.0 * local_elapsed)
 
-    # Perf-trajectory gate (PR 9): the wall clock just recorded must sit
-    # inside the MAD noise band of the queue grid's own history.
-    evaluation = trend.gate_series("queue_grid/seconds", TRAJECTORY_FILE)
-    assert evaluation is None or evaluation["regressed"] is not True, (
-        f"perf trajectory regression on queue_grid/seconds: "
-        f"latest {evaluation['latest']:,.2f}s vs median "
-        f"{evaluation['median']:,.2f}s "
-        f"(tolerance {evaluation['tolerance']:,.2f}); see "
-        f"python -m repro.telemetry.trend"
-    )
+    # Perf-trajectory gate: the fresh wall clock must sit inside
+    # the MAD noise band of the queue grid's committed history.
+    gate_sample(entry, ("queue_grid/seconds",), record_trend)

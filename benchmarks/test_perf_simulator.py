@@ -44,9 +44,11 @@ Reference points on the development machine (1-core container):
 The assertions below are loose floors (about half the measured cold
 rate per kernel) so the bench fails only on a genuine hot-path
 regression, not on machine noise.  The scalar floor stays at the
-≥29k cycles/s the earlier PRs established.  Each run appends both
-rates for each engine to ``BENCH_trace.json`` next to this file,
-giving later PRs a machine-readable perf history.
+≥29k cycles/s the earlier PRs established.  Each run also gates both
+rates against the history committed in ``BENCH_trace.json`` next to
+this file, holding the fresh sample in memory; only ``pytest
+--record-trend`` appends it to the file, so a plain test run leaves the
+tree clean.
 """
 
 from __future__ import annotations
@@ -95,16 +97,37 @@ TRAJECTORY_LIMIT = 200
 TRAJECTORY_FORMAT = 1
 
 
-def _record_trajectory(entry: dict) -> None:
-    """Append ``entry`` to the BENCH_trace.json perf history (bounded).
+def gate_sample(entry: dict, series_keys, record: bool) -> None:
+    """Gate a fresh trajectory ``entry`` on each of ``series_keys``.
 
-    Every entry is stamped with the schema ``format``, the recording
+    The entry is stamped with the schema ``format``, the recording
     ``host`` and (unless the caller set one) the engine label, so a
-    trajectory merged across machines stays attributable.
+    trajectory merged across machines stays attributable.  It is gated
+    against the committed history in memory, with the trend module's
+    band, and appended to the file only when ``record`` is set
+    (``pytest --record-trend``).
     """
     entry.setdefault("format", TRAJECTORY_FORMAT)
     entry.setdefault("host", socket.gethostname())
     entry.setdefault("engine", resolve_engine_name(None))
+    evaluations = {
+        key: trend.gate_series(key, TRAJECTORY_FILE, sample=entry)
+        for key in series_keys
+    }
+    if record:
+        _record_trajectory(entry)
+    for key, evaluation in evaluations.items():
+        assert evaluation is None or evaluation["regressed"] is not True, (
+            f"perf trajectory regression on {key}: "
+            f"latest {evaluation['latest']:,.2f} vs median "
+            f"{evaluation['median']:,.2f} "
+            f"(tolerance {evaluation['tolerance']:,.2f}); see "
+            f"python -m repro.telemetry.trend"
+        )
+
+
+def _record_trajectory(entry: dict) -> None:
+    """Append ``entry`` to the BENCH_trace.json perf history (bounded)."""
     history: list[dict] = []
     try:
         history = json.loads(TRAJECTORY_FILE.read_text(encoding="utf-8"))
@@ -138,7 +161,7 @@ def _timed_simulate(engine: str, **kwargs) -> tuple[int, float]:
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_simulator_cycle_throughput(benchmark, tmp_path, engine):
+def test_simulator_cycle_throughput(benchmark, tmp_path, engine, record_trend):
     # Warm the generator and module state so the bench isolates the
     # emulate+decode+replay pipeline, and spin the CPU up to steady state
     # (the container throttles hard from idle).
@@ -187,17 +210,15 @@ def test_simulator_cycle_throughput(benchmark, tmp_path, engine):
     benchmark.extra_info["speedup_vs_pr1_cold"] = round(
         cold_rate / PR1_REFERENCE_CYCLES_PER_SECOND, 2
     )
-    _record_trajectory(
-        {
-            "timestamp": time.time(),
-            "engine": engine,
-            "max_instructions": MAX_INSTRUCTIONS,
-            "trace_window": TRACE_WINDOW,
-            "cycles": cycles,
-            "cycles_per_second_cold": round(cold_rate),
-            "cycles_per_second_warm": round(warm_rate),
-        }
-    )
+    entry = {
+        "timestamp": time.time(),
+        "engine": engine,
+        "max_instructions": MAX_INSTRUCTIONS,
+        "trace_window": TRACE_WINDOW,
+        "cycles": cycles,
+        "cycles_per_second_cold": round(cold_rate),
+        "cycles_per_second_warm": round(warm_rate),
+    }
     print(
         f"\n  [{engine}] simulated {cycles} cycles at {cold_rate:,.0f}/s cold "
         f"(trace cache+emulation) and {warm_rate:,.0f}/s warm (replay only); "
@@ -209,14 +230,8 @@ def test_simulator_cycle_throughput(benchmark, tmp_path, engine):
     assert warm_rate > floor
 
     # Perf-trajectory gate (PR 9): beyond the absolute floors above, the
-    # sample just recorded must sit inside the MAD noise band of this
-    # engine's own history.  A too-short history gates as None, not fail.
-    for series_key in (f"engine/{engine}/cold", f"engine/{engine}/warm"):
-        evaluation = trend.gate_series(series_key, TRAJECTORY_FILE)
-        assert evaluation is None or evaluation["regressed"] is not True, (
-            f"perf trajectory regression on {series_key}: "
-            f"latest {evaluation['latest']:,.1f} vs median "
-            f"{evaluation['median']:,.1f} "
-            f"(tolerance {evaluation['tolerance']:,.1f}); see "
-            f"python -m repro.telemetry.trend"
-        )
+    # fresh sample must sit inside the MAD noise band of this engine's
+    # committed history.  A too-short history gates as None, not fail.
+    gate_sample(
+        entry, (f"engine/{engine}/cold", f"engine/{engine}/warm"), record_trend
+    )

@@ -19,6 +19,11 @@ this option (that invariance is itself under test in
 ``tests/test_engines.py``).  Selecting a kernel whose toolchain is
 absent on this host (``--engine native`` without a C compiler) skips the
 session cleanly rather than erroring.
+
+Adds the ``--record-trend`` switch: the perf benches gate each fresh
+sample against the history committed in ``benchmarks/BENCH_trace.json``
+in memory, and append it to that file only under this switch, so a
+plain test run leaves the tree clean.
 """
 
 from __future__ import annotations
@@ -87,6 +92,15 @@ def pytest_addoption(parser) -> None:
         "(env: REPRO_REPLAY_KERNEL; unset means the library default, "
         "native where it builds, else scalar); statistics are "
         "bit-identical between kernels",
+    )
+
+    parser.addoption(
+        "--record-trend",
+        action="store_true",
+        default=False,
+        help="append each perf bench's sample to benchmarks/BENCH_trace.json; "
+        "without it the sample is gated against the committed history in "
+        "memory and the file is left untouched",
     )
 
     parser.addoption(

@@ -4,7 +4,9 @@ Every figure in the paper is a (benchmark × technique) grid of mutually
 independent simulations, which makes the evaluation embarrassingly
 parallel: this module fans the grid out over a process pool and backs it
 with the content-addressed disk cache of :mod:`repro.harness.cache` so a
-cell is never simulated twice — not within a run, and not across runs.
+cell is simulated at most once across runs, and replays are shared per
+timing class within a run: cells whose programs and policies replay
+identically (the baseline and nonEmpty) share one replay.
 
 Usage::
 
@@ -36,15 +38,25 @@ Semantics:
 * **Workers** — ``workers=1`` runs every job in-process (no pool, no
   pickling), which tier-1 tests use to exercise this path
   deterministically; ``workers>1`` uses a ``ProcessPoolExecutor`` with
-  picklable job specs.  The ``REPRO_WORKERS`` environment variable
-  supplies the default.
+  picklable job specs, one task per benchmark, so one worker builds a
+  benchmark's traces once and its later jobs read them from its memo.
+  The ``REPRO_WORKERS`` environment variable supplies the default.
+* **Replays per timing class** — the kernels read a policy only through
+  its timing flags and hooks
+  (:meth:`~repro.techniques.base.ResizingPolicy.timing_class`), so the
+  local backends run one replay per (benchmark, program, timing class)
+  and hand each cell its own copy of the statistics: 55 replays for
+  the 66-cell grid.  Each cell is still stored and costed on its own,
+  and ``simulations_run`` counts cells.  The queue backend runs one job
+  per cell.
 * **Compilations** are not cached on disk: they are cheap relative to
   simulation and memoised per runner, and the runner analyses each
   benchmark once, sharing that analysis between its three hint modes
   (a cold in-process grid: 33 compiles, 11 analyses).  Table 2 asks the
   runner for them, and a result's ``compilation`` field resolves on
   first read, so a grid served from the result cache compiles nothing.
-  Pool and queue workers compile each job's program afresh.
+  A pool task shares one analysis across its benchmark's modes; queue
+  workers compile each job's program afresh.
 * **Traces** are cached one level below the results: a
   ``traces/`` subdirectory of ``cache_dir`` (override with
   ``trace_cache_dir``) holds two traces per benchmark and budget
@@ -201,6 +213,26 @@ def run_simulation_job(job: SimulationJob, program=None, trace_cache=None) -> di
             "evictions": local_cache.evictions,
         }
     return payload
+
+
+def run_benchmark_jobs(jobs: list[SimulationJob]) -> list[dict]:
+    """Execute one benchmark's jobs in order: one pool task.
+
+    Nothing claims a trace build in flight across processes, so two
+    workers starting cells of one benchmark at once would both build its
+    traces.  One worker per benchmark builds each trace once; its later
+    jobs read the process memo.  The hint modes share one compiler
+    analysis, as in-process.
+    """
+    compiler = SuiteRunner(jobs[0].config)
+    return [run_simulation_job(job, _job_program(compiler, job)) for job in jobs]
+
+
+def _job_program(runner: SuiteRunner, job: SimulationJob):
+    """The job's program, through ``runner``'s compilation memo."""
+    if job.technique in SOFTWARE_TECHNIQUES:
+        return runner.compilation(job.benchmark, job.technique).instrumented_program
+    return build_benchmark(job.benchmark)
 
 
 class ParallelSuiteRunner(SuiteRunner):
@@ -367,23 +399,62 @@ class ParallelSuiteRunner(SuiteRunner):
     # Execution backends
     # ------------------------------------------------------------------
     def _execute_pending(self, pending: list[SimulationJob]) -> list[SimulationStats]:
-        """Simulate the uncached cells, in order, over the active backend."""
+        """Simulate the uncached cells, in order, over the active backend.
+
+        Jobs with equal :meth:`_replay_key` share the first one's replay,
+        and every cell still gets its own statistics object.
+        """
+        owners: dict = {}
+        replay_of = [
+            owners.setdefault(self._replay_key(job, index), index)
+            for index, job in enumerate(pending)
+        ]
+        replays = [index for index, owner in enumerate(replay_of) if owner == index]
+        jobs = [pending[index] for index in replays]
         if self.backend == "queue":
-            payloads = self._execute_jobs_queue(pending)
+            payloads = self._execute_jobs_queue(jobs)
         elif self.workers == 1:
-            payloads = [self._execute_in_process(job) for job in pending]
+            payloads = [self._execute_in_process(job) for job in jobs]
         else:
-            with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                payloads = list(pool.map(run_simulation_job, pending))
-        stats_list = []
+            payloads = self._execute_pool(jobs)
         for payload in payloads:
             self._fold_trace_counters(payload)
-            stats_list.append(stats_from_dict(payload["stats"]))
-        return stats_list
+        payload_of = dict(zip(replays, payloads))
+        return [stats_from_dict(payload_of[owner]["stats"]) for owner in replay_of]
+
+    def _replay_key(self, job: SimulationJob, index: int):
+        """Jobs with equal keys replay identically: same benchmark, same
+        program, and a policy of the same timing class.  A policy with no
+        timing class keys by its position, so it never shares, and so
+        does every job of the queue backend, which runs one job per
+        cell."""
+        timing = None
+        if self.backend != "queue":
+            timing = make_policy(job.technique, self.config).timing_class()
+        if timing is None:
+            return index
+        program = job.technique if job.technique in SOFTWARE_TECHNIQUES else None
+        return (job.benchmark, program, timing)
+
+    def _execute_pool(self, jobs: list[SimulationJob]) -> list[dict]:
+        """The jobs over the process pool, one task per benchmark."""
+        tasks: dict[str, list[int]] = {}
+        for index, job in enumerate(jobs):
+            tasks.setdefault(job.benchmark, []).append(index)
+        payloads: list = [None] * len(jobs)
+        with ProcessPoolExecutor(max_workers=self.workers) as pool:
+            results = pool.map(
+                run_benchmark_jobs,
+                [[jobs[index] for index in indices] for indices in tasks.values()],
+            )
+            for indices, task_payloads in zip(tasks.values(), results):
+                for index, payload in zip(indices, task_payloads):
+                    payloads[index] = payload
+        return payloads
 
     def _execute_in_process(self, job: SimulationJob) -> dict:
         """One job in this process, reusing the runner's memos and cache."""
-        return run_simulation_job(job, self._program_for(job), self.trace_cache)
+        return run_simulation_job(job, _job_program(self, job), self.trace_cache)
 
     def _execute_jobs_queue(self, jobs: list[SimulationJob]) -> list[dict]:
         """Publish jobs to the shared work queue and await their markers.
@@ -469,12 +540,6 @@ class ParallelSuiteRunner(SuiteRunner):
         )
 
     # ------------------------------------------------------------------
-    def _program_for(self, job: SimulationJob):
-        """The job's program, via the runner's compilation memo in-process."""
-        if job.technique in SOFTWARE_TECHNIQUES:
-            return self.compilation(job.benchmark, job.technique).instrumented_program
-        return build_benchmark(job.benchmark)
-
     def _cached_stats(self, job: SimulationJob) -> Optional[SimulationStats]:
         if self.cache is None:
             return None

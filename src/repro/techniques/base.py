@@ -5,12 +5,24 @@ from __future__ import annotations
 import abc
 from typing import Optional
 
+#: The hooks the replay kernels call.  A policy overriding none of them
+#: is read by the kernels only through its three timing flags.
+KERNEL_HOOKS: tuple[str, ...] = (
+    "on_simulation_start",
+    "on_measurement_start",
+    "on_hint",
+    "on_cycle_end",
+    "next_wake_cycle",
+)
+
 
 class ResizingPolicy(abc.ABC):
     """Base class for issue-queue management policies.
 
     Subclasses override the class attributes to declare their gating
-    behaviour and the hooks to react to hints and cycle boundaries.
+    behaviour and the hooks to react to hints and cycle boundaries.  A
+    subclass that overrides no hook is a pure timing class
+    (:meth:`timing_class`) and may share its replay with its peers.
 
     Attributes:
         name: short identifier used by the harness and reports.
@@ -63,6 +75,24 @@ class ResizingPolicy(abc.ABC):
         if type(self).on_cycle_end is ResizingPolicy.on_cycle_end:
             return None
         return 0
+
+    def timing_class(self) -> Optional[tuple[bool, bool, bool]]:
+        """What the replay kernels read of this policy, or None.
+
+        The kernels read a policy through ``uses_hints``,
+        ``iq_bank_gating``, ``rf_bank_gating`` and the hooks of
+        :data:`KERNEL_HOOKS`; ``wakeup_gating`` is read only by the power
+        model.  So two policies that override no hook and return the same
+        class here replay identically on the same program, machine and
+        budgets, and the harness runs one replay for both (the baseline
+        and nonEmpty share one).  A policy that overrides any hook, on
+        its class or on the instance, returns None and never shares.
+        """
+        cls = type(self)
+        for hook in KERNEL_HOOKS:
+            if hook in vars(self) or getattr(cls, hook) is not getattr(ResizingPolicy, hook):
+                return None
+        return (bool(self.uses_hints), bool(self.iq_bank_gating), bool(self.rf_bank_gating))
 
     def describe(self) -> dict:
         """Summary of the policy's static properties (for reports)."""

@@ -5,6 +5,13 @@ queue "if only non-empty instructions are woken": the queue keeps its full
 size and timing behaviour (so IPC is identical to the baseline), but the
 wakeup CAM no longer precharges empty or already-ready operand slots.
 No banks are turned off, so it provides no static savings.
+
+Its replay is the baseline's: it overrides no hook and shares the
+baseline's timing flags, so :meth:`~repro.techniques.base.ResizingPolicy.timing_class`
+puts both in one class and the harness replays the pair once, costing
+each cell's power under its own gating.  The kernels count both
+``iq_cmp_full`` and ``iq_cmp_gated`` on every replay, and the power
+model picks one by ``wakeup_gating``.
 """
 
 from __future__ import annotations

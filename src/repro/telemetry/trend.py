@@ -35,10 +35,12 @@ regresses when its latest sample falls below ``median - tolerance``
 with fewer than ``--min-samples`` historical points are reported but
 never gated.
 
-The perf benches call :func:`gate_series` right after appending their
-entry, so a regression fails the bench that introduced it; the CLI is
-for operators and CI, and ``--report`` writes the full evaluation as
-JSON next to the human-readable table.
+The perf benches call :func:`gate_series` with their fresh sample,
+which joins the committed history in memory only, so a regression fails
+the bench that introduced it and a plain test run leaves the file
+untouched; ``pytest --record-trend`` appends the sample as well.  The
+CLI is for operators and CI, and ``--report`` writes the full
+evaluation as JSON next to the human-readable table.
 """
 
 from __future__ import annotations
@@ -189,17 +191,22 @@ def trend_report(
 def gate_series(
     series_key: str,
     path=DEFAULT_TRAJECTORY,
+    sample: dict | None = None,
     **band_kwargs,
 ) -> dict | None:
     """Bench-facing gate: evaluate one series of the on-disk trajectory.
 
-    Called by the perf benches immediately after ``_record_trajectory``
-    appends their sample, so ``latest`` is the run being gated.  Returns
-    the evaluation dict, or None when the series does not exist yet.
+    ``sample``, a fresh trajectory entry, is gated as the latest point
+    after the recorded history, in memory: the file is only read.
+    Without it the file's own last entry is the one gated.  Returns the
+    evaluation dict, or None when the series does not exist yet.
     Callers assert ``evaluation["regressed"] is not True`` — an
     ungateable (too-short) history must pass, not fail.
     """
-    series = split_series(load_history(path))
+    history = load_history(path)
+    if sample is not None:
+        history.append(sample)
+    series = split_series(history)
     bucket = series.get(series_key)
     if bucket is None:
         return None

@@ -53,10 +53,6 @@ _FDIV = Opcode.FDIV
 CODE_BASE = 0x1000
 
 
-class EmulationError(Exception):
-    """Raised when a program cannot be executed (bad targets, empty blocks...)."""
-
-
 class EmulationLimitExceeded(Exception):
     """Raised when the call-depth safety limit is exceeded."""
 
@@ -559,16 +555,20 @@ class FunctionalEmulator:
 
     # ------------------------------------------------------------------
     def _position_pc(self, proc_name: str, block_index: int, instr_index: int) -> int:
-        """PC of the instruction at the given position (best effort at block ends)."""
+        """PC of the instruction executed next from the given position.
+
+        A position past a block's end, or in an empty block, continues at
+        the first instruction of the next non-empty block, as execution
+        does; 0 when the procedure ends first.
+        """
         procedure = self.program.procedures.get(proc_name)
-        if procedure is None or block_index >= len(procedure.blocks):
+        if procedure is None:
             return 0
-        block = procedure.blocks[block_index]
-        if instr_index < len(block.instructions):
-            return self.layout.instruction_pc[block.instructions[instr_index].uid]
-        # Falling off the block: the next block's first instruction.
-        if block_index + 1 < len(procedure.blocks):
-            nxt = procedure.blocks[block_index + 1]
-            if nxt.instructions:
-                return self.layout.instruction_pc[nxt.instructions[0].uid]
+        blocks = procedure.blocks
+        while block_index < len(blocks):
+            instructions = blocks[block_index].instructions
+            if instr_index < len(instructions):
+                return self.layout.instruction_pc[instructions[instr_index].uid]
+            block_index += 1
+            instr_index = 0
         return 0

@@ -39,6 +39,27 @@ static inline int64_t mod_ll(int64_t a, int64_t b) {
     return r;
 }
 
+/* Cache and predictor indexing divides by a geometry fixed per run.  A
+ * power-of-two divisor (table 1 has only those) is a shift or a mask,
+ * which equal Python's floor division and modulo for every sign; any
+ * other divisor takes the exact division path above.  `mask` is n - 1
+ * for a power of two n, else -1; `shift` is log2 n, else -1. */
+static inline int64_t pow2_mask(int64_t n) {
+    return (n > 0 && !(n & (n - 1))) ? n - 1 : -1;
+}
+
+static inline int pow2_shift(int64_t n) {
+    return pow2_mask(n) >= 0 ? __builtin_ctzll((unsigned long long)n) : -1;
+}
+
+static inline int64_t index_mod(int64_t a, int64_t n, int64_t mask) {
+    return mask >= 0 ? (a & mask) : mod_ll(a, n);
+}
+
+static inline int64_t index_div(int64_t a, int64_t n, int shift) {
+    return shift >= 0 ? (a >> shift) : floordiv_ll(a, n);
+}
+
 #define IQTAG_NONE INT64_MIN
 #define LINE_NONE INT64_MIN
 
@@ -92,17 +113,20 @@ typedef struct {
 /* ------------------------------------------------------------------ */
 
 typedef struct {
-    int64_t sets;
+    int64_t sets, set_mask;
     int64_t assoc;
     int64_t line_bytes;
+    int line_shift;
     int64_t *lines;  /* sets * (assoc + 1), MRU at index 0 */
     int32_t *count;
 } Cache;
 
 static int cache_init(Cache *c, int64_t sets, int64_t assoc, int64_t line_bytes) {
     c->sets = sets;
+    c->set_mask = pow2_mask(sets);
     c->assoc = assoc;
     c->line_bytes = line_bytes;
+    c->line_shift = pow2_shift(line_bytes);
     c->lines = (int64_t *)malloc((size_t)(sets * (assoc + 1)) * sizeof(int64_t));
     c->count = (int32_t *)calloc((size_t)sets, sizeof(int32_t));
     return (c->lines && c->count) ? 0 : -1;
@@ -113,11 +137,15 @@ static void cache_free(Cache *c) {
     free(c->count);
 }
 
+static inline int64_t cache_line(const Cache *c, int64_t addr) {
+    return index_div(addr, c->line_bytes, c->line_shift);
+}
+
 /* SetAssociativeCache.access: hit -> move-to-front only when not
  * already at the front; miss -> insert at front, trim past assoc. */
 static int cache_access(Cache *c, int64_t addr) {
-    int64_t line = floordiv_ll(addr, c->line_bytes);
-    int64_t si = mod_ll(line, c->sets);
+    int64_t line = cache_line(c, addr);
+    int64_t si = index_mod(line, c->sets, c->set_mask);
     int64_t *row = c->lines + si * (c->assoc + 1);
     int32_t n = c->count[si];
     for (int32_t i = 0; i < n; i++) {
@@ -142,9 +170,10 @@ static int cache_access(Cache *c, int64_t addr) {
 
 typedef struct {
     int64_t gshare_n, bimodal_n, selector_n;
+    int64_t gshare_mask, bimodal_mask, selector_mask;
     uint8_t *gshare, *bimodal, *selector;
     int64_t history, hist_mask;
-    int64_t btb_sets, btb_assoc;
+    int64_t btb_sets, btb_mask, btb_assoc;
     int64_t *btb_tag, *btb_tgt;  /* btb_sets * btb_assoc, MRU at 0 */
     int32_t *btb_len;
     int64_t ras_entries;
@@ -158,6 +187,9 @@ static int pred_init(Pred *p, int64_t gn, int64_t bn, int64_t sn,
     p->gshare_n = gn;
     p->bimodal_n = bn;
     p->selector_n = sn;
+    p->gshare_mask = pow2_mask(gn);
+    p->bimodal_mask = pow2_mask(bn);
+    p->selector_mask = pow2_mask(sn);
     p->gshare = (uint8_t *)malloc((size_t)gn);
     p->bimodal = (uint8_t *)malloc((size_t)bn);
     p->selector = (uint8_t *)malloc((size_t)sn);
@@ -168,6 +200,7 @@ static int pred_init(Pred *p, int64_t gn, int64_t bn, int64_t sn,
     p->history = 0;
     p->hist_mask = (1LL << hist_bits) - 1;
     p->btb_sets = btb_sets;
+    p->btb_mask = pow2_mask(btb_sets);
     p->btb_assoc = btb_assoc;
     p->btb_tag = (int64_t *)malloc((size_t)(btb_sets * btb_assoc) * sizeof(int64_t));
     p->btb_tgt = (int64_t *)malloc((size_t)(btb_sets * btb_assoc) * sizeof(int64_t));
@@ -196,7 +229,7 @@ static inline uint8_t cupd(uint8_t counter, int taken) {
 }
 
 static void btb_insert(Pred *p, int64_t pc, int64_t target) {
-    int64_t set = mod_ll(pc, p->btb_sets);
+    int64_t set = index_mod(pc, p->btb_sets, p->btb_mask);
     int64_t *tags = p->btb_tag + set * p->btb_assoc;
     int64_t *tgts = p->btb_tgt + set * p->btb_assoc;
     int32_t n = p->btb_len[set];
@@ -218,15 +251,15 @@ static void btb_insert(Pred *p, int64_t pc, int64_t target) {
 
 /* HybridBranchPredictor.predict_and_update: returns `correct`. */
 static int pred_branch(Pred *p, int64_t pc, int taken, int64_t target) {
-    int64_t gi = mod_ll(pc ^ p->history, p->gshare_n);
-    int64_t bi = mod_ll(pc, p->bimodal_n);
-    int64_t si = mod_ll(pc, p->selector_n);
+    int64_t gi = index_mod(pc ^ p->history, p->gshare_n, p->gshare_mask);
+    int64_t bi = index_mod(pc, p->bimodal_n, p->bimodal_mask);
+    int64_t si = index_mod(pc, p->selector_n, p->selector_mask);
     int g = p->gshare[gi] >= 2;
     int b = p->bimodal[bi] >= 2;
     int pred = (p->selector[si] >= 2) ? g : b;
     int btb_hit = 1;
     if (taken) {
-        int64_t set = mod_ll(pc, p->btb_sets);
+        int64_t set = index_mod(pc, p->btb_sets, p->btb_mask);
         int64_t *tags = p->btb_tag + set * p->btb_assoc;
         int64_t *tgts = p->btb_tgt + set * p->btb_assoc;
         int32_t n = p->btb_len[set];
@@ -265,10 +298,11 @@ static int ras_predict(Pred *p, int64_t actual_return_pc) {
 /* ------------------------------------------------------------------ */
 
 typedef struct {
-    int32_t nphys, narch, bank_size, nbanks, nwords;
+    int32_t nphys, narch, nbanks, nwords;
     uint64_t *mask;
     int32_t *rename_map;
     int64_t free_count, allocated;
+    int32_t *bank_of;  /* physical register -> bank */
     int32_t *bank_counts;
     int64_t active_banks;
 } RegFile;
@@ -276,18 +310,19 @@ typedef struct {
 static int rf_init(RegFile *f, int32_t nphys, int32_t narch, int32_t bank_size) {
     f->nphys = nphys;
     f->narch = narch;
-    f->bank_size = bank_size;
     f->nbanks = (nphys + bank_size - 1) / bank_size;
     f->nwords = (nphys + 63) / 64;
     f->mask = (uint64_t *)calloc((size_t)f->nwords, sizeof(uint64_t));
     f->rename_map = (int32_t *)malloc((size_t)narch * sizeof(int32_t));
+    f->bank_of = (int32_t *)malloc((size_t)(nphys ? nphys : 1) * sizeof(int32_t));
     f->bank_counts = (int32_t *)calloc((size_t)f->nbanks, sizeof(int32_t));
-    if (!f->mask || !f->rename_map || !f->bank_counts) return -1;
+    if (!f->mask || !f->rename_map || !f->bank_of || !f->bank_counts) return -1;
+    for (int32_t i = 0; i < nphys; i++) f->bank_of[i] = i / bank_size;
     for (int32_t i = narch; i < nphys; i++)
         f->mask[i >> 6] |= 1ULL << (i & 63);
     for (int32_t i = 0; i < narch; i++) {
         f->rename_map[i] = i;
-        f->bank_counts[i / bank_size]++;
+        f->bank_counts[f->bank_of[i]]++;
     }
     f->free_count = nphys - narch;
     f->allocated = narch;
@@ -300,25 +335,23 @@ static int rf_init(RegFile *f, int32_t nphys, int32_t narch, int32_t bank_size) 
 static void rf_free_struct(RegFile *f) {
     free(f->mask);
     free(f->rename_map);
+    free(f->bank_of);
     free(f->bank_counts);
 }
 
-/* PhysicalRegisterFile.allocate: lowest free register first. */
+/* PhysicalRegisterFile.allocate: lowest free register first (callers
+ * check free_count, so a set bit exists). */
 static inline void rf_alloc(RegFile *f, int arch, int32_t *out_new, int32_t *out_prev) {
     int32_t wi = 0;
     while (f->mask[wi] == 0) wi++;
     uint64_t w = f->mask[wi];
-    uint64_t lowest = w & (~w + 1);
-    f->mask[wi] = w ^ lowest;
-    int bit = 0;
-    while (!((lowest >> bit) & 1)) bit++;
-    int32_t np = wi * 64 + bit;
+    f->mask[wi] = w & (w - 1);
+    int32_t np = wi * 64 + __builtin_ctzll(w);
     *out_prev = f->rename_map[arch];
     f->rename_map[arch] = np;
     f->allocated++;
     f->free_count--;
-    int bank = np / f->bank_size;
-    if (f->bank_counts[bank]++ == 0) f->active_banks++;
+    if (f->bank_counts[f->bank_of[np]]++ == 0) f->active_banks++;
     *out_new = np;
 }
 
@@ -326,8 +359,7 @@ static inline void rf_release(RegFile *f, int32_t phys) {
     f->mask[phys >> 6] |= 1ULL << (phys & 63);
     f->allocated--;
     f->free_count++;
-    int bank = phys / f->bank_size;
-    if (--f->bank_counts[bank] == 0) f->active_banks--;
+    if (--f->bank_counts[f->bank_of[phys]] == 0) f->active_banks--;
 }
 
 /* ------------------------------------------------------------------ */
@@ -445,7 +477,6 @@ typedef struct {
     int64_t rob_cap;
     int64_t iq_cap, iq_bank_size, iq_num_banks;
     int32_t int_phys, fp_offset;
-    int64_t l1i_line_bytes;
     int64_t l1i_hit_lat, l1i_l2, l1i_mem;
     int64_t l1d_hit_lat, l1d_l2, l1d_mem;
     int64_t cmp_full_per_broadcast;
@@ -479,6 +510,7 @@ typedef struct {
     int32_t *iq_wait;  /* iq_cap * 8 */
     int64_t iq_head, iq_tail, iq_new_head, iq_count, iq_span;
     int64_t iq_next_age, iq_waiting, iq_active_banks;
+    int32_t *iq_bank_of;  /* slot -> bank */
     int32_t *iq_bank_counts;
     int64_t iq_global_limit, iq_max_new_range;  /* -1 = None */
 
@@ -619,7 +651,10 @@ static void iq_advance(Machine *m) {
         return;
     }
     int64_t nh = m->iq_new_head;
-    if (mod_ll(nh - head, cap) > span) nh = head;
+    /* Ring distance: both pointers lie in [0, cap). */
+    int64_t ahead = nh - head;
+    if (ahead < 0) ahead += cap;
+    if (ahead > span) nh = head;
     int64_t tail = m->iq_tail;
     while (nh != tail && !m->iq_valid[nh]) {
         nh++;
@@ -878,8 +913,7 @@ static int issue_stage(Machine *m) {
          * operands to deduct). */
         m->iq_valid[slot] = 0;
         m->iq_count--;
-        int64_t bank = slot / m->iq_bank_size;
-        if (--m->iq_bank_counts[bank] == 0) m->iq_active_banks--;
+        if (--m->iq_bank_counts[m->iq_bank_of[slot]] == 0) m->iq_active_banks--;
         if (!m->iq_valid[m->iq_head] || !m->iq_valid[m->iq_new_head])
             iq_advance(m);
         m->rob_state[ri] = 1;
@@ -995,10 +1029,13 @@ static int dispatch_stage(Machine *m) {
             stalled_region = 1;
             break;
         }
-        if (m->iq_max_new_range >= 0 && m->iq_span &&
-            mod_ll(m->iq_tail - m->iq_new_head, m->iq_cap) >= m->iq_max_new_range) {
-            stalled_region = 1;
-            break;
+        if (m->iq_max_new_range >= 0 && m->iq_span) {
+            int64_t region = m->iq_tail - m->iq_new_head;
+            if (region < 0) region += m->iq_cap;
+            if (region >= m->iq_max_new_range) {
+                stalled_region = 1;
+                break;
+            }
         }
 
         fq_pop(m);
@@ -1071,8 +1108,7 @@ static int dispatch_stage(Machine *m) {
         m->iq_tail = m->iq_tail + 1 == m->iq_cap ? 0 : m->iq_tail + 1;
         m->iq_count++;
         m->iq_span++;
-        int64_t bank = slot / m->iq_bank_size;
-        if (m->iq_bank_counts[bank]++ == 0) m->iq_active_banks++;
+        if (m->iq_bank_counts[m->iq_bank_of[slot]]++ == 0) m->iq_active_banks++;
         if (nw) {
             m->iq_waiting += nw;
             for (int i = 0; i < nw; i++)
@@ -1178,7 +1214,7 @@ static int fetch_stage(Machine *m) {
         if (flags & m->F_HINT) hints_fetched++;
 
         /* Instruction-cache access per new line. */
-        int64_t line = floordiv_ll(pc, m->l1i_line_bytes);
+        int64_t line = cache_line(&m->l1i, pc);
         if (line != last_line) {
             last_line = line;
             int l1_hit = cache_access(&m->l1i, pc);
@@ -1273,6 +1309,7 @@ static void free_machine(Machine *m) {
     free(m->iq_fu);
     free(m->iq_nwait);
     free(m->iq_wait);
+    free(m->iq_bank_of);
     free(m->iq_bank_counts);
     free(m->rob_dyn);
     free(m->rob_state);
@@ -1372,7 +1409,6 @@ static Machine *build_machine(PyObject *params) {
     GET("l1i_line", line);
     GET("l1i_hit", hit);
     if (cache_init(&m->l1i, sets, assoc, line)) goto fail_mem;
-    m->l1i_line_bytes = line;
     m->l1i_hit_lat = hit;
     GET("l1d_sets", sets);
     GET("l1d_assoc", assoc);
@@ -1461,10 +1497,14 @@ static Machine *build_machine(PyObject *params) {
     m->iq_fu = (uint8_t *)malloc((size_t)m->iq_cap);
     m->iq_nwait = (uint8_t *)malloc((size_t)m->iq_cap);
     m->iq_wait = (int32_t *)malloc((size_t)m->iq_cap * 8 * sizeof(int32_t));
+    m->iq_bank_of = (int32_t *)malloc((size_t)m->iq_cap * sizeof(int32_t));
     m->iq_bank_counts = (int32_t *)calloc((size_t)m->iq_num_banks, sizeof(int32_t));
     if (!m->iq_valid || !m->iq_rob || !m->iq_ready_cycle || !m->iq_age_arr ||
-        !m->iq_fu || !m->iq_nwait || !m->iq_wait || !m->iq_bank_counts)
+        !m->iq_fu || !m->iq_nwait || !m->iq_wait || !m->iq_bank_of ||
+        !m->iq_bank_counts)
         goto fail_mem;
+    for (int64_t slot = 0; slot < m->iq_cap; slot++)
+        m->iq_bank_of[slot] = (int32_t)(slot / m->iq_bank_size);
 
     /* ROB. */
     m->rob_dyn = (int64_t *)malloc((size_t)m->rob_cap * sizeof(int64_t));

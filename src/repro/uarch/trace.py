@@ -1027,10 +1027,13 @@ def _splice_plan(program) -> Optional[_SplicePlan]:
     """The :class:`_SplicePlan` of ``program``, from its hinted and
     stripped :class:`~repro.uarch.emulator.ProgramLayout`.
 
-    None when a procedure has no block or a block holds no non-hint
-    instruction.  The stripped program would then have an empty block or
-    procedure, where the emulator records a next pc of 0 without control
-    ending, so its trace does not say which hints control passes through.
+    None when a procedure has no block or a block holds hints but no
+    other instruction.  Stripping would empty that block, and a branch to
+    it and a branch to the block after it would record the same target
+    in the stripped trace, though only the first passes its hints.  A
+    block that is empty in both layouts passes no hints, and the emulator
+    records the next instruction executed past it, so it is spliced
+    across.
     """
     hinted = ProgramLayout.for_program(program).instruction_pc
     stripped_layout = ProgramLayout.for_program(program, hints=False)
@@ -1066,7 +1069,7 @@ def _splice_plan(program) -> Optional[_SplicePlan]:
                 kind = kinds.get(instr.opcode)
                 if kind is not None:
                     kind.add(pc)
-            if first:
+            if first and run > run_at_start:
                 return None
         if run:
             run_after[pc] = run

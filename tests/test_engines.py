@@ -8,9 +8,10 @@ The contract under test (see :mod:`repro.uarch.engine`):
 * **Bit-identity** — the native kernel's statistics are byte-identical
   to the scalar reference for all six techniques, at every trace window
   size including 1 and across warm-up boundaries — on the table-1
-  machine and on two machines two and four times as wide — and on every
-  benchmark of the extended suite, down to the cell files the runner
-  stores.
+  machine, on two machines two and four times as wide and on one with
+  no power-of-two cache, predictor or issue-queue geometry — and on
+  every benchmark of the extended suite, down to the cell files the
+  runner stores.
 * **Fingerprint neutrality** — the engine never changes result-cache
   keys: a grid simulated under one kernel is a pure cache hit under the
   other.
@@ -41,7 +42,7 @@ from repro.harness.parallel import SimulationJob
 from repro.isa.opcodes import FuClass
 from repro.techniques import AbellaPolicy, BaselinePolicy, SoftwareDirectedPolicy
 from repro.uarch import available_engines, get_engine, resolve_engine_name, simulate
-from repro.uarch.config import ProcessorConfig
+from repro.uarch.config import BranchPredictorConfig, CacheConfig, ProcessorConfig
 from repro.uarch.engine import base as engine_base
 from repro.uarch.engine import native as native_module
 from repro.uarch.engine.native import NativeUnavailableError
@@ -108,11 +109,34 @@ def _wide_config(
     )
 
 
-#: Machines wider than table 1: more wakeups per cycle, more queue
-#: banks and deeper rename pressure than the paper's machine exercises.
+#: Table 1 with no power-of-two geometry where the native kernel would
+#: otherwise index by shift and mask: a partial last issue-queue bank, a
+#: 3-way L1D of 682 sets, 48-byte L2 lines and predictor tables of
+#: 1536 and 768 entries (a 4-way BTB of 384 sets).
+NON_POWER_OF_TWO_CONFIG = ProcessorConfig(
+    iq_entries=84,
+    iq_bank_size=8,
+    int_phys_regs=120,
+    fp_phys_regs=120,
+    regfile_bank_size=8,
+    l1d=CacheConfig("l1d", 64 * 1024, 3, 32, 2),
+    l2=CacheConfig("l2", 512 * 1024, 8, 48, 10),
+    branch=BranchPredictorConfig(
+        gshare_entries=1536,
+        bimodal_entries=1536,
+        selector_entries=768,
+        btb_entries=1536,
+        btb_assoc=4,
+    ),
+)
+
+#: Machines beyond table 1: two wider ones (more wakeups per cycle, more
+#: queue banks and deeper rename pressure than the paper's machine
+#: exercises) and one whose geometry takes the kernel's division paths.
 WIDE_CONFIGS = {
     "iq256-w16": _wide_config(16, 256, 32, 2),
     "iq512-w32": _wide_config(32, 512, 64, 4),
+    "iq84-non-power-of-two": NON_POWER_OF_TWO_CONFIG,
 }
 
 
@@ -230,8 +254,8 @@ class TestEngineSelection:
 
 @needs_native
 class TestEngineEquivalence:
-    """Scalar vs native bit-identity on the wide machines: every test
-    runs on both ``WIDE_CONFIGS``, beyond the table-1 matrix of
+    """Scalar vs native bit-identity beyond table 1: every test runs on
+    each of ``WIDE_CONFIGS``, beyond the table-1 matrix of
     :class:`TestNativeEquivalence`."""
 
     @pytest.mark.parametrize("technique", TECHNIQUES)

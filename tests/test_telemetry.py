@@ -418,6 +418,24 @@ class TestTrendGate:
         path.write_text("[]", encoding="utf-8")
         assert trend.gate_series("engine/scalar/cold", path) is None
 
+    def test_a_fresh_sample_is_gated_in_memory(self, tmp_path):
+        """The bench's sample is the latest point of its series, and the
+        trajectory file is only read."""
+        path = tmp_path / "BENCH_trace.json"
+        entries = [
+            {"engine": "scalar", "cycles_per_second_cold": value}
+            for value in self.FLAT
+        ]
+        path.write_text(json.dumps(entries), encoding="utf-8")
+        before = path.read_bytes()
+        for value, regressed in ((20.0, True), (99.0, False)):
+            sample = {"engine": "scalar", "cycles_per_second_cold": value}
+            evaluation = trend.gate_series("engine/scalar/cold", path, sample=sample)
+            assert evaluation["latest"] == value
+            assert evaluation["samples"] == len(self.FLAT) + 1
+            assert evaluation["regressed"] is regressed
+        assert path.read_bytes() == before
+
     def test_cli_fails_on_regression_and_writes_the_report(self, tmp_path):
         trajectory = tmp_path / "BENCH_trace.json"
         entries = [

@@ -119,21 +119,24 @@ def test_front_door_columns_equal_live_emulation(name, tmp_path):
 @pytest.mark.parametrize("name", EXTENDED_BENCHMARKS)
 def test_extended_suite_columns_equal_live_emulation(name, tmp_path):
     """The extended suite's columns, served from the memo and read back
-    from disk, equal live emulation of every mode's program.  Whether a
-    mode's trace is derived or emulated is not pinned here: phaseflip
-    has an empty block, so its ``noop`` trace is emulated."""
+    from disk, equal live emulation of every mode's program, and each
+    benchmark is emulated once: its ``noop`` trace is derived, phaseflip's
+    across the empty block of its ``main`` too."""
     base = build_benchmark(name)
     programs = {mode: _compiled(base, mode) for mode in MODES}
     live = {mode: _live(program, FIGURE_TEST_BUDGET) for mode, program in programs.items()}
     cache = TraceCache(tmp_path)
     for source in ("memo", "disk"):
         clear_trace_memo()
+        reset_trace_events()
         get_trace_columns(base, FIGURE_TEST_BUDGET, cache=cache, live=False)
         for mode, program in programs.items():
             columns = get_trace_columns(
                 program, FIGURE_TEST_BUDGET, cache=cache, live=False
             )
             assert _column_bytes(columns) == live[mode], (source, mode)
+        built = (trace_events["emulations"], trace_events["derivations"])
+        assert built == ((1, 1) if source == "memo" else (0, 0)), source
 
 
 def test_tagged_programs_share_the_baseline_trace_file():
@@ -236,6 +239,20 @@ EDGE_CASES = {
             ("unreached", [_hint(), _add(), Instruction.halt()]),
         ],
     ),
+    "empty-blocks-entered-by-fall-through-branch-call-and-return": _program(
+        main=[
+            ("entry", [Instruction.load_imm(R1, 2), _hint()]),
+            ("empty", []),
+            (
+                "loop",
+                [_hint(), Instruction.alu(Opcode.SUB, R1, [R1], imm=1), Instruction.call("f")],
+            ),
+            ("returned-past", []),
+            ("latch", [Instruction.branch_nez(R1, "empty")]),
+            ("done", [_hint(), Instruction.halt()]),
+        ],
+        f=[("first-empty", []), ("body", [_hint(), _add(), Instruction.ret()]), ("tail", [])],
+    ),
     "loop-entered-by-fall-through-and-by-a-taken-branch": _program(
         main=[
             ("entry", [Instruction.load_imm(R1, 3), _hint()]),
@@ -260,10 +277,10 @@ def test_edge_case_derives_the_emulated_trace(case):
 
 
 def test_a_block_of_only_hints_is_emulated_not_derived():
-    """Stripping would leave that block empty, and the emulator records a
-    next pc of 0 past an empty block although control continues, so the
-    stripped trace cannot place the hints: the hinted program is
-    emulated instead."""
+    """Stripping would leave that block empty, so a branch to it and a
+    branch to the block after it would record the same target in the
+    stripped trace, and only the first passes its hints: the hinted
+    program is emulated instead."""
     program = _program(
         main=[
             ("entry", [Instruction.load_imm(R1, 0)]),
