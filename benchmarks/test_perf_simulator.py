@@ -18,7 +18,11 @@ engine:
   the cold rounds, so the measured time is the replay kernel alone,
   reading ``memoryview`` windows of the memoised columns in place: no
   per-window decode remains on this path (the steady state of a grid
-  run).
+  run);
+* **warm noop** — the same warm replay of gzip's NOOP-instrumented
+  program under the software policy, so the hint path (hints applied
+  in the native kernel, ``on_hint`` in the scalar one) has a series of
+  its own.
 
 Reference points on the development machine (1-core container):
 
@@ -61,7 +65,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.techniques import BaselinePolicy
+from repro.core import CompilerConfig, compile_program
+from repro.techniques import BaselinePolicy, SoftwareDirectedPolicy
 from repro.telemetry import trend
 from repro.uarch import simulate
 from repro.uarch.engine import native_available, resolve_engine_name
@@ -141,15 +146,17 @@ def _record_trajectory(entry: dict) -> None:
     )
 
 
-def _timed_simulate(engine: str, **kwargs) -> tuple[int, float]:
-    program = build_benchmark("gzip")
+def _timed_simulate(
+    engine: str, program=None, policy=None, **kwargs
+) -> tuple[int, float]:
+    program = program or build_benchmark("gzip")
     gc.collect()
     gc.disable()
     try:
         start = time.perf_counter()
         stats = simulate(
             program,
-            BaselinePolicy(),
+            policy or BaselinePolicy(),
             max_instructions=MAX_INSTRUCTIONS,
             engine=engine,
             **kwargs,
@@ -203,6 +210,19 @@ def test_simulator_cycle_throughput(benchmark, tmp_path, engine, record_trend):
         warm_rates.append(warm_cycles / warm_elapsed)
     warm_rate = max(warm_rates)
 
+    # The hint path, warm: gzip's NOOP program under the software policy.
+    noop = compile_program(
+        build_benchmark("gzip"), CompilerConfig(), mode="noop"
+    ).instrumented_program
+    _timed_simulate(engine, noop, SoftwareDirectedPolicy("noop"))
+    noop_rates = []
+    for _ in range(5):
+        noop_cycles, noop_elapsed = _timed_simulate(
+            engine, noop, SoftwareDirectedPolicy("noop")
+        )
+        noop_rates.append(noop_cycles / noop_elapsed)
+    noop_rate = max(noop_rates)
+
     benchmark.extra_info["engine"] = engine
     benchmark.extra_info["cycles_simulated"] = cycles
     benchmark.extra_info["cycles_per_second"] = round(cold_rate)
@@ -218,20 +238,25 @@ def test_simulator_cycle_throughput(benchmark, tmp_path, engine, record_trend):
         "cycles": cycles,
         "cycles_per_second_cold": round(cold_rate),
         "cycles_per_second_warm": round(warm_rate),
+        "cycles_per_second_warm_noop": round(noop_rate),
     }
     print(
         f"\n  [{engine}] simulated {cycles} cycles at {cold_rate:,.0f}/s cold "
-        f"(trace cache+emulation) and {warm_rate:,.0f}/s warm (replay only); "
+        f"(trace cache+emulation), {warm_rate:,.0f}/s warm (replay only) and "
+        f"{noop_rate:,.0f}/s warm on the noop program; "
         f"{cold_rate / PR1_REFERENCE_CYCLES_PER_SECOND:.2f}x the PR 1 reference"
     )
     floor = MIN_CYCLES_PER_SECOND[engine]
     assert cycles > 0
     assert cold_rate > floor
     assert warm_rate > floor
+    assert noop_rate > floor
 
     # Perf-trajectory gate (PR 9): beyond the absolute floors above, the
     # fresh sample must sit inside the MAD noise band of this engine's
     # committed history.  A too-short history gates as None, not fail.
     gate_sample(
-        entry, (f"engine/{engine}/cold", f"engine/{engine}/warm"), record_trend
+        entry,
+        (f"engine/{engine}/cold", f"engine/{engine}/warm", f"engine/{engine}/warm_noop"),
+        record_trend,
     )

@@ -11,10 +11,19 @@ each simulated cycle the oldest not-yet-issued instruction and the youngest
 issuing instruction are identified and the distance between them (inclusive)
 is the number of issue-queue entries that cycle needs.  The block's
 requirement is the maximum over all cycles.
+
+It is event-driven rather than a rescan of the whole sequence every cycle:
+an instruction is released once its last same-iteration predecessor
+issues, becomes ready at the later of its entry latency and its
+predecessors' writebacks, and the ready instructions are selected oldest
+first; cycles in which nothing is ready are skipped, each recording a need
+of zero.  ``tests/test_properties.py`` keeps the rescanning scheduler as
+the oracle and checks every field of the result against it.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -85,37 +94,88 @@ class PseudoIssueQueue:
 
         if ddg is None or len(ddg.instructions) != len(work):
             ddg = build_ddg(work, include_loop_carried=False)
-        entry_latency = dict(entry_latency or {})
 
         config = self.config
+        width = config.issue_width
+        fu_counts = config.fu_counts
         count = len(work)
+        latency = [config.instruction_latency(instr) for instr in work]
+        fus = [instr.fu_class for instr in work]
+        fu_limit = [fu_counts.get(fu, width) for fu in fus]
+        # Generous upper bound: every instruction serialised at max latency.
+        cycle_limit = sum(latency) + count + 16
+
+        # An instruction waits for its unissued same-iteration
+        # predecessors, then for ``ready_at``: the later of its operands'
+        # entry latencies and its predecessors' writebacks.
+        waiting = [0] * count
+        successors: list[list[int]] = [[] for _ in range(count)]
+        ready_at = [0] * count
+        for index, edges in ddg.preds.items():
+            for edge in edges:
+                if edge.distance == 0:
+                    waiting[index] += 1
+                    successors[edge.src].append(index)
+        if entry_latency:
+            for index, instr in enumerate(work):
+                ready_at[index] = max([0] + [entry_latency.get(reg, 0) for reg in instr.srcs])
+        # Released instructions, as (ready cycle, index), and the ready
+        # ones by index: oldest first.
+        released = [(ready_at[index], index) for index in range(count) if not waiting[index]]
+        heapq.heapify(released)
+        ready: list[int] = []
+
         issue_cycle = [-1] * count
         writeback_cycle = [0] * count
-        issued = [False] * count
-        remaining = count
-
         per_cycle_need: list[int] = []
         entries_needed = 0
+        oldest = 0
+        remaining = count
         cycle = 0
-        # Generous upper bound: every instruction serialised at max latency.
-        cycle_limit = sum(config.instruction_latency(instr) for instr in work) + count + 16
-
         while remaining and cycle <= cycle_limit:
-            oldest_remaining = next(i for i in range(count) if not issued[i])
-            ready = self._ready_instructions(
-                work, ddg, entry_latency, issued, writeback_cycle, cycle
-            )
-            selected = self._select(work, ready)
+            while released and released[0][0] <= cycle:
+                heapq.heappush(ready, heapq.heappop(released)[1])
+            if not ready:
+                idle_until = cycle_limit + 1
+                if released:
+                    idle_until = min(released[0][0], idle_until)
+                per_cycle_need.extend([0] * (idle_until - cycle))
+                cycle = idle_until
+                continue
+            selected: list[int] = []
+            blocked: list[int] = []
+            fu_used: dict[FuClass, int] = {}
+            while ready and len(selected) < width:
+                index = heapq.heappop(ready)
+                fu = fus[index]
+                used = fu_used.get(fu, 0)
+                if used >= fu_limit[index]:
+                    blocked.append(index)
+                    continue
+                fu_used[fu] = used + 1
+                selected.append(index)
+            for index in blocked:
+                heapq.heappush(ready, index)
             if selected:
-                youngest = max(selected)
-                need = youngest - oldest_remaining + 1
+                need = selected[-1] - oldest + 1
                 per_cycle_need.append(need)
-                entries_needed = max(entries_needed, need)
+                if need > entries_needed:
+                    entries_needed = need
                 for index in selected:
-                    issued[index] = True
                     issue_cycle[index] = cycle
-                    writeback_cycle[index] = cycle + config.instruction_latency(work[index])
-                    remaining -= 1
+                    done = writeback_cycle[index] = cycle + latency[index]
+                    # A successor is ready no earlier than the next cycle.
+                    if done <= cycle:
+                        done = cycle + 1
+                    for successor in successors[index]:
+                        if ready_at[successor] < done:
+                            ready_at[successor] = done
+                        waiting[successor] -= 1
+                        if not waiting[successor]:
+                            heapq.heappush(released, (ready_at[successor], successor))
+                remaining -= len(selected)
+                while oldest < count and issue_cycle[oldest] >= 0:
+                    oldest += 1
             else:
                 per_cycle_need.append(0)
             cycle += 1
@@ -130,51 +190,6 @@ class PseudoIssueQueue:
             per_cycle_need=per_cycle_need,
             exit_latency=exit_latency,
         )
-
-    # ------------------------------------------------------------------
-    def _ready_instructions(
-        self,
-        work: list[Instruction],
-        ddg: DataDependenceGraph,
-        entry_latency: dict[Reg, int],
-        issued: list[bool],
-        writeback_cycle: list[int],
-        cycle: int,
-    ) -> list[int]:
-        """Indices of unissued instructions whose dependences are satisfied."""
-        ready: list[int] = []
-        for index, instr in enumerate(work):
-            if issued[index]:
-                continue
-            # Values defined before the region must have arrived.
-            if any(entry_latency.get(reg, 0) > cycle for reg in instr.srcs):
-                continue
-            ok = True
-            for edge in ddg.preds[index]:
-                if edge.distance != 0:
-                    continue
-                if not issued[edge.src] or writeback_cycle[edge.src] > cycle:
-                    ok = False
-                    break
-            if ok:
-                ready.append(index)
-        return ready
-
-    def _select(self, work: list[Instruction], ready: list[int]) -> list[int]:
-        """Apply issue-width and functional-unit constraints, oldest first."""
-        config = self.config
-        selected: list[int] = []
-        fu_used: dict[FuClass, int] = {}
-        for index in ready:
-            if len(selected) >= config.issue_width:
-                break
-            fu = work[index].fu_class
-            limit = config.fu_counts.get(fu, config.issue_width)
-            if fu_used.get(fu, 0) >= limit:
-                continue
-            fu_used[fu] = fu_used.get(fu, 0) + 1
-            selected.append(index)
-        return selected
 
     def _exit_latency(
         self,

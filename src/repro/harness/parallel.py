@@ -151,18 +151,26 @@ class SimulationJob:
     max_attempts: Optional[int] = None
 
     def fingerprint(self) -> str:
-        """Content hash of the job's full input set (see :mod:`.cache`)."""
-        config = self.config
-        return simulation_fingerprint(
-            ALL_TRAITS[self.benchmark],
-            self.technique,
-            config.compiler_config,
-            config.processor_config,
-            config.energy_params,
-            config.max_instructions,
-            config.warmup_instructions,
-            config.abella_interval,
-        )
+        """Content hash of the job's full input set (see :mod:`.cache`).
+
+        Computed on first use and kept on the job, so looking a cell up
+        and storing it digest its inputs once; a job's identity fields
+        are not changed once it exists.
+        """
+        fingerprint = self.__dict__.get("_fingerprint")
+        if fingerprint is None:
+            config = self.config
+            fingerprint = self._fingerprint = simulation_fingerprint(
+                ALL_TRAITS[self.benchmark],
+                self.technique,
+                config.compiler_config,
+                config.processor_config,
+                config.energy_params,
+                config.max_instructions,
+                config.warmup_instructions,
+                config.abella_interval,
+            )
+        return fingerprint
 
 
 def run_simulation_job(job: SimulationJob, program=None, trace_cache=None) -> dict:

@@ -13,6 +13,7 @@ KERNEL_HOOKS: tuple[str, ...] = (
     "on_hint",
     "on_cycle_end",
     "next_wake_cycle",
+    "hint_floor",
 )
 
 
@@ -22,7 +23,10 @@ class ResizingPolicy(abc.ABC):
     Subclasses override the class attributes to declare their gating
     behaviour and the hooks to react to hints and cycle boundaries.  A
     subclass that overrides no hook is a pure timing class
-    (:meth:`timing_class`) and may share its replay with its peers.
+    (:meth:`timing_class`) and may share its replay with its peers.  One
+    whose hint response is the paper's stock rule reports its floor
+    (:meth:`hint_floor`), and the native kernel then applies the rule
+    without calling ``on_hint``.
 
     Attributes:
         name: short identifier used by the harness and reports.
@@ -58,7 +62,9 @@ class ResizingPolicy(abc.ABC):
         """
 
     def on_hint(self, core, value: int) -> None:
-        """Called when a hint NOOP is stripped or a tagged instruction dispatches."""
+        """Called when a hint NOOP is stripped or a tagged instruction
+        dispatches (by the native kernel only when :meth:`hint_floor` is
+        None)."""
 
     def on_cycle_end(self, core) -> None:
         """Called at the end of a cycle the policy asked to be woken at."""
@@ -93,6 +99,19 @@ class ResizingPolicy(abc.ABC):
             if hook in vars(self) or getattr(cls, hook) is not getattr(ResizingPolicy, hook):
                 return None
         return (bool(self.uses_hints), bool(self.iq_bank_gating), bool(self.rf_bank_gating))
+
+    def hint_floor(self) -> Optional[int]:
+        """The floor of the stock hint rule, if this policy follows it.
+
+        The stock response to a hint of value ``v`` is the paper's
+        dispatch rule (section 3): ``new_head`` moves to the tail and
+        ``max_new_range`` becomes ``max(1, max(floor, v))``.  A policy
+        whose ``on_hint`` is exactly that returns its floor, which the
+        native kernel reads when a run starts and then applies the rule
+        itself instead of calling ``on_hint``.  Every other policy
+        returns None and has ``on_hint`` called at each hint.
+        """
+        return None
 
     def describe(self) -> dict:
         """Summary of the policy's static properties (for reports)."""

@@ -11,9 +11,20 @@ policy; they differ only in how the program was instrumented (NOOP
 insertion versus tagging, and whether the inter-procedural refinement was
 applied), which is a property of the compiled program, not of the hardware
 policy.
+
+Its ``on_hint`` is the stock hint rule
+(:meth:`~repro.techniques.base.ResizingPolicy.hint_floor`), so the native
+kernel applies it in C and only reports back how many hints it applied
+and the last one; the scalar kernel, and the native kernel under a
+subclass that overrides ``on_hint``, call ``on_hint`` itself.  Either
+way ``hints_applied`` and ``last_hint_value`` read the same after a run.
+The policy still overrides a kernel hook, so it has no timing class and
+never shares a replay.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from repro.techniques.base import ResizingPolicy
 
@@ -47,3 +58,10 @@ class SoftwareDirectedPolicy(ResizingPolicy):
         core.iq.start_new_region(entries)
         self.hints_applied += 1
         self.last_hint_value = entries
+
+    def hint_floor(self) -> Optional[int]:
+        """``min_region_entries``, unless ``on_hint`` is overridden on the
+        class or the instance."""
+        if "on_hint" in vars(self) or type(self).on_hint is not SoftwareDirectedPolicy.on_hint:
+            return None
+        return self.min_region_entries

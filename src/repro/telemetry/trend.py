@@ -13,6 +13,9 @@ parses the history, splits it into per-series samples —
   simulator throughput in cycles/second (higher is better; entries
   older than the PR 5 engine split carry no ``engine`` field and are
   attributed to ``scalar``, the only kernel that existed then);
+* ``engine/<name>/warm_noop``: the same warm throughput on gzip's
+  NOOP-instrumented program, the hint path (entries from before it
+  was measured carry none);
 * ``queue_grid/seconds``: 6-cell grid wall-clock through the queue
   (lower is better) —
 
@@ -107,6 +110,11 @@ def split_series(history: list[dict]) -> dict[str, dict]:
             _append(
                 f"engine/{engine}/warm",
                 entry.get("cycles_per_second_warm"),
+                "higher",
+            )
+            _append(
+                f"engine/{engine}/warm_noop",
+                entry.get("cycles_per_second_warm_noop"),
                 "higher",
             )
     return series

@@ -4,8 +4,10 @@
  * The whole machine — fetch queue, rename, issue queue, ROB, caches,
  * branch predictor, event-driven sampling — lives in flat C arrays; the
  * only Python crossings on the hot path are the policy hook (absent for
- * the baseline/nonempty policies) and the per-window callback that hands
- * over the next window of trace columns, read in place.
+ * the baseline/nonempty policies, and for hints under the stock software
+ * policy, whose rule the kernel applies itself) and the per-window
+ * callback that hands over the next window of trace columns, read in
+ * place.
  *
  * Bit-identity contract: statistics must be byte-identical to the scalar
  * kernel for every (trace, policy, config, warm-up) combination.  Every stage below mirrors the scalar stage line by line;
@@ -482,6 +484,12 @@ typedef struct {
     int64_t cmp_full_per_broadcast;
     int F_HINT, F_NOP, F_BRANCH, F_CALL, F_RET, F_LOAD, F_STORE, F_CONTROL;
     int uses_hints, iq_bank_gating, rf_bank_gating;
+    /* The stock hint rule (ResizingPolicy.hint_floor): when set, a hint
+     * of value v applies new_head <- tail and max_new_range <-
+     * max(1, max(hint_floor, v)) here instead of calling the hook. */
+    int stock_hints;
+    int64_t hint_floor;
+    int64_t hints_applied, last_hint_value;
     int has_max_cycles;
     int64_t warmup_instructions, max_cycles;
     /* The policy's next wake cycle in the reported clock: on_cycle_end
@@ -679,15 +687,17 @@ static inline int64_t static_row(const Machine *m, int64_t pc) {
 }
 
 /* Policy hook crossing.  kind: 0 = on_hint, 1 = on_cycle_end,
- * 2 = on_measurement_start.  The Python side syncs the view objects,
- * dispatches to the policy, and returns the five policy-owned values
- * (new_head, max_new_range, global_limit, rob_limit, with -1 encoding
- * None, and the next wake cycle). */
+ * 2 = on_measurement_start.  The Python side syncs the view objects
+ * (tail, new_head and max_new_range, which the stock hint rule moves
+ * without a crossing), dispatches to the policy, and returns the five
+ * policy-owned values (new_head, max_new_range, global_limit,
+ * rob_limit, with -1 encoding None, and the next wake cycle). */
 static int call_hook(Machine *m, int kind, int64_t arg) {
     PyObject *res = PyObject_CallFunction(
-        m->hook, "iLLLLL", kind, (long long)arg,
+        m->hook, "iLLLLLL", kind, (long long)arg,
         (long long)(m->abs_cycle - m->base), (long long)m->committed_total,
-        (long long)m->iq_tail, (long long)m->iq_new_head);
+        (long long)m->iq_tail, (long long)m->iq_new_head,
+        (long long)m->iq_max_new_range);
     if (!res) return -1;
     long long vals[5];
     int ok = PyTuple_Check(res) && PyTuple_GET_SIZE(res) == 5;
@@ -712,6 +722,18 @@ static int call_hook(Machine *m, int kind, int64_t arg) {
     m->iq_global_limit = vals[2];
     m->rob_limit = vals[3];
     m->wake = vals[4];
+    return 0;
+}
+
+/* A hint at dispatch: the stock rule, counted for the policy (warm-up
+ * included, as on_hint counts), or the policy's own on_hint. */
+static inline int apply_hint(Machine *m, int64_t value) {
+    if (!m->stock_hints) return call_hook(m, 0, value);
+    int64_t entries = value > m->hint_floor ? value : m->hint_floor;
+    m->iq_new_head = m->iq_tail;
+    m->iq_max_new_range = entries > 1 ? entries : 1;
+    m->last_hint_value = entries;
+    m->hints_applied++;
     return 0;
 }
 
@@ -995,7 +1017,7 @@ static int dispatch_stage(Machine *m) {
         if (flags & hint_nop) {
             if (flags & m->F_HINT) {
                 if (uses_hints) {
-                    if (call_hook(m, 0, row->hint_value)) return -1;
+                    if (apply_hint(m, row->hint_value)) return -1;
                 }
                 if (warm) m->st.hint_noops_stripped++;
             }
@@ -1008,7 +1030,7 @@ static int dispatch_stage(Machine *m) {
         if (uses_hints) {
             int64_t tag_value = row->iq_tag;
             if (tag_value != IQTAG_NONE) {
-                if (call_hook(m, 0, tag_value)) return -1;
+                if (apply_hint(m, tag_value)) return -1;
                 if (warm) m->st.tagged_instructions_seen++;
             }
         }
@@ -1451,6 +1473,8 @@ static Machine *build_machine(PyObject *params) {
     GET("uses_hints", m->uses_hints);
     GET("iq_bank_gating", m->iq_bank_gating);
     GET("rf_bank_gating", m->rf_bank_gating);
+    GET("stock_hints", m->stock_hints);
+    GET("hint_floor", m->hint_floor);
     GET("wake", m->wake);
     GET("warmup_instructions", m->warmup_instructions);
     GET("max_cycles", m->max_cycles);
@@ -1666,6 +1690,8 @@ static PyObject *native_run(PyObject *self, PyObject *args) {
     rc |= set_ll(out, "cycles", m->warm ? m->abs_cycle - m->base : 0);
     rc |= set_ll(out, "max_resident_windows", m->max_resident);
     rc |= set_ll(out, "structural_stalls", m->structural_stalls);
+    rc |= set_ll(out, "hints_applied", m->hints_applied);
+    rc |= set_ll(out, "last_hint_value", m->last_hint_value);
     free_machine(m);
     if (rc) {
         Py_DECREF(out);

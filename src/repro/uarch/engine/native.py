@@ -27,7 +27,10 @@ that are inherently Python-facing:
   :class:`~repro.uarch.rob.ReorderBuffer` views, so policy code (and its
   clamping semantics) runs unmodified; the resulting limits and the next
   wake cycle flow back into the C loop through the callback's return
-  value.
+  value.  The one exception is the stock hint rule: a policy reporting a
+  :meth:`~repro.techniques.base.ResizingPolicy.hint_floor` has its hints
+  applied in C, and :meth:`NativeCore.run` credits the policy with the
+  count and the last value afterwards.
 
 Bit-identity is the contract, not a goal: the equivalence suite
 (``tests/test_engines.py``) asserts byte-identical statistics against
@@ -185,18 +188,20 @@ class NativeCore:
         return _NO_WAKE if wake is None else wake
 
     # ------------------------------------------------------------------
-    def _hook(self, kind, arg, cycle, committed, iq_tail, iq_new_head):
+    def _hook(self, kind, arg, cycle, committed, iq_tail, iq_new_head, max_new_range):
         """Policy dispatch from the C loop (see ``call_hook`` in _native.c).
 
-        Synchronises the facade, runs the policy event, and returns the
-        four limits the C loop needs back, ``None`` encoded as -1, and
-        the policy's next wake cycle.
+        Synchronises the facade (the region fields too, which the
+        kernel's stock hint rule moves without a crossing), runs the
+        policy event, and returns the four limits the C loop needs back,
+        ``None`` encoded as -1, and the policy's next wake cycle.
         """
         self.cycle = cycle
         self._committed_total = committed
         iq = self.iq
         iq.tail = iq_tail
         iq.new_head = iq_new_head
+        iq.max_new_range = None if max_new_range < 0 else max_new_range
         if kind == 0:
             self.policy.on_hint(self, arg)
         else:
@@ -220,6 +225,7 @@ class NativeCore:
         cfg = self.config
         branch = cfg.branch
         iq = self.iq
+        floor = self.policy.hint_floor()
         return {
             "fetch_width": cfg.fetch_width,
             "dispatch_width": cfg.dispatch_width,
@@ -266,6 +272,8 @@ class NativeCore:
             "uses_hints": int(self.policy.uses_hints),
             "iq_bank_gating": int(self.policy.iq_bank_gating),
             "rf_bank_gating": int(self.policy.rf_bank_gating),
+            "stock_hints": int(floor is not None),
+            "hint_floor": floor or 0,
             "wake": self._wake,
             "warmup_instructions": self.warmup_instructions,
             "max_cycles": -1 if self.max_cycles is None else self.max_cycles,
@@ -289,12 +297,16 @@ class NativeCore:
         if first is None:
             first = empty_columns()
         result = self._module.run(self._params(first))
+        self.max_resident_windows = result.pop("max_resident_windows")
+        del result["structural_stalls"]
+        hints = result.pop("hints_applied")
+        last_hint = result.pop("last_hint_value")
+        if hints:
+            self.policy.hints_applied += hints
+            self.policy.last_hint_value = last_hint
         stats = self.stats
         for name, value in result.items():
-            if name == "max_resident_windows":
-                self.max_resident_windows = value
-            elif name != "structural_stalls":
-                setattr(stats, name, value)
+            setattr(stats, name, value)
         self._finished = True
         return stats
 

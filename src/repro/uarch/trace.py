@@ -10,10 +10,12 @@ the emulation decided, as four compact columns (:class:`TraceWindow`,
 the static instruction — classification flags, execution latency,
 functional-unit ordinal, issue-queue tag, hint payload and rename
 operand spec — lives once per *program* in a :class:`StaticTable`,
-built from the pcs :class:`~repro.uarch.emulator.ProgramLayout` assigns
-(consecutive 4-byte PCs from
+one row per static in the order :class:`~repro.uarch.emulator.ProgramLayout`
+assigns their pcs (consecutive 4-byte PCs from
 :data:`~repro.uarch.emulator.CODE_BASE`), so an entry's static row is
 ``(pc - CODE_BASE) >> 2``: no per-entry decode, gather or object exists.
+A program's table and its content digests come from one walk of it
+(:func:`_program_record`).
 Both kernels read each fetched entry's row through that index with a
 bounds check (a misaligned pc, or one outside the table, raises
 ``ValueError``).
@@ -72,6 +74,7 @@ import array
 import functools
 import hashlib
 import json
+import marshal
 import os
 import struct
 import sys
@@ -138,10 +141,11 @@ def _opcode_decode(opcode: Opcode) -> tuple[int, int, int]:
     return flags, default_latency(opcode), FU_INDEX[fu_class(opcode)]
 
 
-#: :func:`_opcode_decode` for every opcode, so decoding a static costs one
+#: :func:`_opcode_decode` for every opcode, keyed by its value (as
+#: :func:`_program_content` records it), so decoding a static costs one
 #: lookup rather than a dozen property calls that each hash an enum.
-_OPCODE_DECODE: dict[Opcode, tuple[int, int, int]] = {
-    opcode: _opcode_decode(opcode) for opcode in Opcode
+_OPCODE_DECODE: dict[str, tuple[int, int, int]] = {
+    opcode._value_: _opcode_decode(opcode) for opcode in Opcode
 }
 
 #: Counters for tests and reports: how often the emulator actually ran
@@ -209,13 +213,16 @@ def _column_windows(
 # The static table
 # ----------------------------------------------------------------------
 @functools.lru_cache(maxsize=4096)
-def _row(opcode: Opcode, srcs: tuple, dests: tuple, iq_tag, hint_value) -> tuple:
+def _row(opcode: str, srcs: tuple, dests: tuple, iq_tag, hint_value) -> tuple:
     """``(flags, latency, fu_ordinal, iq_tag, hint_value, rename_spec)``.
 
+    Takes the fields of a static's :func:`_instruction_item`: the
+    opcode's value and ``(index, is_fp)`` operand pairs.
     ``rename_spec`` is ``(int_srcs, fp_srcs, int_dests, fp_dests)``, the
     architectural register indices rename reads, so the kernels never
-    touch ``Reg`` objects.  Memoised on the static's fields: the grid's
-    44 programs hold about 37k statics but under 800 distinct rows.
+    touch ``Reg`` objects.  Memoised on those plain values, whose hashes
+    run no Python code: the grid's 44 programs hold about 37k statics
+    but under 800 distinct rows.
     """
     flags, latency, fu_ordinal = _OPCODE_DECODE[opcode]
     return (
@@ -225,21 +232,33 @@ def _row(opcode: Opcode, srcs: tuple, dests: tuple, iq_tag, hint_value) -> tuple
         iq_tag,
         0 if hint_value is None else hint_value,
         (
-            tuple([reg.index for reg in srcs if not reg.is_fp]),
-            tuple([reg.index for reg in srcs if reg.is_fp]),
-            tuple([reg.index for reg in dests if not reg.is_fp]),
-            tuple([reg.index for reg in dests if reg.is_fp]),
+            tuple([index for index, is_fp in srcs if not is_fp]),
+            tuple([index for index, is_fp in srcs if is_fp]),
+            tuple([index for index, is_fp in dests if not is_fp]),
+            tuple([index for index, is_fp in dests if is_fp]),
         ),
     )
 
 
-def _static_row(instr: Instruction) -> tuple:
-    """The table row of one static instruction (see :func:`_row`)."""
-    return _row(instr.opcode, instr.srcs, instr.dests, instr.iq_tag, instr.hint_value)
+def _instruction_item(instr: Instruction) -> tuple:
+    """One static instruction as :func:`_program_content` records it:
+    the opcode's value, the destination and source ``(index, is_fp)``
+    pairs, the immediate, both control targets, the hint payload and the
+    issue-queue tag."""
+    return (
+        instr.opcode._value_,
+        tuple([(reg.index, reg.is_fp) for reg in instr.dests]),
+        tuple([(reg.index, reg.is_fp) for reg in instr.srcs]),
+        instr.imm,
+        instr.target,
+        instr.call_target,
+        instr.hint_value,
+        instr.iq_tag,
+    )
 
 
 #: The row of a pc below a table's last static that no static claims.
-_FILLER_ROW = _OPCODE_DECODE[Opcode.NOP] + (None, 0, ((), (), (), ()))
+_FILLER_ROW = _OPCODE_DECODE[Opcode.NOP._value_] + (None, 0, ((), (), (), ()))
 
 #: One row as the native kernel reads it (``StaticRow`` in ``_native.c``):
 #: iq_tag, hint payload, flags, latency, FU ordinal, a pad byte, the four
@@ -328,7 +347,8 @@ class StaticTable:
             offset = pc - cls.base
             if offset < 0 or offset & 3:
                 raise ValueError(f"static pc {pc:#x} has no table row")
-            rows[offset >> 2] = _static_row(instr)
+            opcode, dests, srcs, _, _, _, hint_value, iq_tag = _instruction_item(instr)
+            rows[offset >> 2] = _row(opcode, srcs, dests, iq_tag, hint_value)
         return cls(rows)
 
     def __len__(self) -> int:
@@ -356,27 +376,10 @@ class StaticTable:
         return self._packed
 
 
-#: Memo of :func:`static_table`, keyed by program content digest.  A
-#: table is a few hundred KiB at most; the grid's cells for one
-#: benchmark touch four distinct programs.
-_TABLE_MEMO_CAPACITY = 16
-_table_memo: "OrderedDict[str, StaticTable]" = OrderedDict()
-
-
-def static_table(program, digest: Optional[str] = None) -> StaticTable:
-    """The :class:`StaticTable` of ``program`` (memoised by content)."""
-    if digest is None:
-        digest = program_digest(program)
-    table = _table_memo.get(digest)
-    if table is not None:
-        _table_memo.move_to_end(digest)
-        return table
-    layout = ProgramLayout.for_program(program)
-    table = StaticTable.from_statics(layout.instruction_at)
-    _table_memo[digest] = table
-    while len(_table_memo) > _TABLE_MEMO_CAPACITY:
-        _table_memo.popitem(last=False)
-    return table
+def static_table(program) -> StaticTable:
+    """The :class:`StaticTable` of ``program`` (memoised by content, see
+    :func:`_program_record`)."""
+    return _program_record(program)[1]
 
 
 # ----------------------------------------------------------------------
@@ -403,12 +406,12 @@ def _emulator_code_digest() -> str:
     return digest.hexdigest()
 
 
-#: Memo of :func:`_program_digests`, keyed by :func:`_program_content`.
+#: Memo of :func:`_program_record`, keyed by :func:`_program_content`.
 #: Small: an entry holds a copy of the program's content (up to about
-#: 1 MiB, for gcc), and the callers that repeat a digest do so for the
-#: program they just digested.
-_DIGEST_MEMO_CAPACITY = 4
-_digest_memo: "OrderedDict[tuple, ProgramDigests]" = OrderedDict()
+#: 1 MiB, for gcc) and its table, and a benchmark's cells take turns
+#: over four distinct programs.
+_PROGRAM_MEMO_CAPACITY = 4
+_program_memo: "OrderedDict[tuple, tuple[ProgramDigests, StaticTable]]" = OrderedDict()
 
 #: ``Opcode.HINT`` as :func:`_program_content` records an opcode.
 _HINT_OPCODE = Opcode.HINT._value_
@@ -418,8 +421,8 @@ class ProgramDigests(NamedTuple):
     """The three content digests of one program.
 
     Attributes:
-        program: its full static content (:func:`program_digest`); keys
-            the static table, so hint payloads and tags reach the kernels.
+        program: its full static content (:func:`program_digest`), hint
+            payloads and tags included.
         emulation: the content the emulator reads, that is everything
             but hint payloads and issue-queue tags; keys the trace.
             Equal to ``program`` when neither is set.
@@ -436,99 +439,95 @@ class ProgramDigests(NamedTuple):
 def _program_content(program) -> tuple:
     """The full static content of ``program``, as one hashable tuple.
 
-    Procedure order and names, library flags, block labels, and for every
-    instruction the opcode, operand registers, immediate, control
-    targets, hint payload and issue-queue tag, in layout order.  The
-    emulator reads all of it but the last two.
+    Procedure order and names, library flags, block labels, and every
+    instruction's :func:`_instruction_item`, in layout order.  The
+    emulator reads all of it but hint payloads and issue-queue tags.
     """
     items: list = [program.entry]
     for procedure in program.procedures.values():
         items.append((procedure.name, procedure.is_library))
         for block in procedure.blocks:
             items.append(block.label)
-            items.extend(
-                [
-                    (
-                        instr.opcode._value_,
-                        tuple([(r.index, r.is_fp) for r in instr.dests]),
-                        tuple([(r.index, r.is_fp) for r in instr.srcs]),
-                        instr.imm,
-                        instr.target,
-                        instr.call_target,
-                        instr.hint_value,
-                        instr.iq_tag,
-                    )
-                    for instr in block.instructions
-                ]
-            )
+            items.extend(map(_instruction_item, block.instructions))
     return tuple(items)
 
 
-def _sha256(texts: Iterable[str]) -> str:
-    return hashlib.sha256("".join(texts).encode()).hexdigest()
+def _sha256(content: tuple) -> str:
+    """SHA-256 over ``content``'s marshal encoding.
 
-
-def _content_digests(content: tuple) -> ProgramDigests:
-    """The :class:`ProgramDigests` of one :func:`_program_content` walk.
-
-    Each item is rendered once; the emulation digest re-renders only the
-    instructions that carry a hint payload or a tag, with both None, and
-    the source digest leaves the HINT instructions out of that.
+    Format 2 writes no back-references and no interning flags, so equal
+    content always encodes to equal bytes.  A Python release that changed
+    the format could only cause trace-cache misses, never a wrong hit.
     """
-    texts = list(map(repr, content))
-    full = _sha256(texts)
+    return hashlib.sha256(marshal.dumps(content, 2)).hexdigest()
+
+
+def _content_record(content: tuple) -> tuple[ProgramDigests, StaticTable]:
+    """The digests and static table of one :func:`_program_content` walk.
+
+    Content order is layout order, so table row ``i`` is the ``i``-th
+    instruction item.  The emulation digest masks the hint payload and
+    tag of the instructions that carry either, and the source digest
+    leaves the HINT instructions out of that.
+    """
+    rows = []
     hints: set[int] = set()
-    masked: dict[int, str] = {}
+    masked: dict[int, tuple] = {}
     for index, item in enumerate(content):
         if type(item) is tuple and len(item) == 8:
-            if item[0] == _HINT_OPCODE:
+            opcode, dests, srcs, _, _, _, hint_value, iq_tag = item
+            rows.append(_row(opcode, srcs, dests, iq_tag, hint_value))
+            if opcode == _HINT_OPCODE:
                 hints.add(index)
-            if item[6] is not None or item[7] is not None:
-                masked[index] = repr(item[:6] + (None, None))
-    emulation = full
+            if hint_value is not None or iq_tag is not None:
+                masked[index] = item[:6] + (None, None)
+    full = emulation = _sha256(content)
+    emulated = content
     if masked:
-        for index, text in masked.items():
-            texts[index] = text
-        emulation = _sha256(texts)
+        items = list(content)
+        for index, item in masked.items():
+            items[index] = item
+        emulated = tuple(items)
+        emulation = _sha256(emulated)
     source = None
     if hints:
         source = _sha256(
-            [text for index, text in enumerate(texts) if index not in hints]
+            tuple([item for index, item in enumerate(emulated) if index not in hints])
         )
-    return ProgramDigests(full, emulation, source)
+    return ProgramDigests(full, emulation, source), StaticTable(rows)
 
 
-def _program_digests(program) -> ProgramDigests:
-    """The :class:`ProgramDigests` of ``program``.
+def _program_record(program) -> tuple[ProgramDigests, StaticTable]:
+    """The :class:`ProgramDigests` and :class:`StaticTable` of ``program``.
 
     Memoised on its content, never on object identity: programs may be
     mutated in place between simulations (``build_benchmark(fresh=True)``
     exists exactly for that), and a mutated program has new content, so
-    it misses.  A hit still walks the program, but skips the ``repr``
-    and hashing.  That matters because every ``simulate`` call takes the
-    digests, and a warm replay under the native kernel takes only a few
-    milliseconds.
+    it misses.  A hit still walks the program once, but skips the
+    hashing and the table.  That matters because every ``simulate`` call
+    takes both, and a warm replay under the native kernel takes only a
+    few milliseconds.
     """
     content = _program_content(program)
-    digests = _digest_memo.get(content)
-    if digests is not None:
-        _digest_memo.move_to_end(content)
-        return digests
-    digests = _content_digests(content)
-    _digest_memo[content] = digests
-    while len(_digest_memo) > _DIGEST_MEMO_CAPACITY:
-        _digest_memo.popitem(last=False)
-    return digests
+    record = _program_memo.get(content)
+    if record is not None:
+        _program_memo.move_to_end(content)
+        return record
+    record = _content_record(content)
+    _program_memo[content] = record
+    while len(_program_memo) > _PROGRAM_MEMO_CAPACITY:
+        _program_memo.popitem(last=False)
+    return record
 
 
 def program_digest(program) -> str:
     """SHA-256 over the program's full static content, in layout order.
 
     The digest covers :func:`_program_content`, hint payloads and tags
-    included, and keys the program's :class:`StaticTable`.  Traces are
-    keyed by the emulation digest instead (:class:`ProgramDigests`).
+    included.  Traces are keyed by the emulation digest instead
+    (:class:`ProgramDigests`).
     """
-    return _program_digests(program).program
+    return _program_record(program)[0].program
 
 
 def _fingerprint_from_digest(digest: str, max_instructions: int) -> str:
@@ -550,7 +549,7 @@ def trace_fingerprint(program, max_instructions: int) -> str:
     payloads or tags share one trace file.
     """
     return _fingerprint_from_digest(
-        _program_digests(program).emulation, max_instructions
+        _program_record(program)[0].emulation, max_instructions
     )
 
 
@@ -925,9 +924,10 @@ def _memoise_columns(key: tuple, columns: TraceWindow) -> None:
 
 
 def clear_trace_memo() -> None:
-    """Drop every memoised column set and static table (test isolation)."""
+    """Drop every memoised column set, static table and digest (test
+    isolation)."""
     _column_memo.clear()
-    _table_memo.clear()
+    _program_memo.clear()
 
 
 def _stored_columns(
@@ -1247,11 +1247,9 @@ def get_trace_columns(
             for column, values in zip(columns, part):
                 column.extend(values)
         return columns
-    digests = _program_digests(program)
+    digests, table = _program_record(program)
     key = (digests.emulation, max_instructions)
-    columns = _stored_columns(
-        key, cache, static_table(program, digests.program).pcs()
-    )
+    columns = _stored_columns(key, cache, table.pcs())
     if columns is None:
         for _ in _fresh_windows(program, digests, max_instructions, window, cache):
             pass
@@ -1348,8 +1346,7 @@ def get_trace_stream(
     if live is None:
         live = bool(os.environ.get("REPRO_LIVE_EMULATION"))
     window = resolve_trace_window(window_size) or None
-    digests = _program_digests(program)
-    table = static_table(program, digests.program)
+    digests, table = _program_record(program)
     if live:
         return TraceWindowStream(
             table, _emulated_windows(program, max_instructions, window), window

@@ -19,6 +19,10 @@ The contract under test (see :mod:`repro.uarch.engine`):
   toolchain fails with one clear error naming the install extra, not a
   build error from callsite depth, and the kernel source compiles
   warning-free where a toolchain exists.
+* **The kernel's hint rule** — the native kernel applies the stock
+  software policy's hint rule in C; it replays exactly as the policy's
+  own ``on_hint`` does through the hook, floors that bind included, and
+  the hooks that still run see the region it applied.
 * **Failure paths** — a trace pc with no static row, a window source
   that raises and a policy hook that raises all surface as exceptions
   under either kernel, and leave nothing behind that changes the next
@@ -57,7 +61,7 @@ from repro.uarch.trace import (
     get_trace_stream,
     static_table,
 )
-from repro.workloads import ALL_BENCHMARKS, build_benchmark
+from repro.workloads import ALL_BENCHMARKS, SPECINT_BENCHMARKS, build_benchmark
 
 #: The native kernel needs a C toolchain; hosts without one skip its
 #: equivalence matrix but still run the availability-guard tests.
@@ -334,6 +338,122 @@ class TestNativeEquivalence:
             get_trace_stream(program, 2_000), max_cycles=123
         )
         assert _stats_bytes(scalar) == _stats_bytes(native)
+
+
+class HookedSoftwarePolicy(SoftwareDirectedPolicy):
+    """The stock software policy behind an ``on_hint`` that only defers to
+    it: the override makes the native kernel call the hook at every hint
+    instead of applying the stock rule itself."""
+
+    def on_hint(self, core, value: int) -> None:
+        super().on_hint(core, value)
+
+
+class RegionReadingPolicy(SoftwareDirectedPolicy):
+    """The stock software policy recording the issue queue's region at
+    each warm-up flip and each cycle end.  Its ``on_hint`` is the stock
+    one, so the native kernel applies the hints the hooks then read."""
+
+    def __init__(self, variant: str = "noop"):
+        super().__init__(variant)
+        self.seen: list[tuple] = []
+
+    def _record(self, core) -> None:
+        self.seen.append((core.cycle, core.iq.new_head, core.iq.max_new_range))
+
+
+class MeasurementStartReader(RegionReadingPolicy):
+    def on_measurement_start(self, core, cycle_shift: int) -> None:
+        self._record(core)
+
+
+class CycleEndReader(RegionReadingPolicy):
+    def on_cycle_end(self, core) -> None:
+        self._record(core)
+
+
+def _hint_replay(program, policy, engine: str):
+    """``(stats bytes, hints_applied, last_hint_value)`` of one replay."""
+    stats = simulate(
+        program,
+        policy,
+        max_instructions=BUDGET,
+        warmup_instructions=WARMUP,
+        trace_window=640,
+        engine=engine,
+    )
+    return _stats_bytes(stats), policy.hints_applied, policy.last_hint_value
+
+
+@needs_native
+class TestKernelHintRule:
+    """The native kernel's stock hint rule against the policy's own
+    ``on_hint``: through the hook, and in the scalar reference."""
+
+    def test_only_the_stock_on_hint_reports_a_floor(self):
+        assert SoftwareDirectedPolicy(min_region_entries=24).hint_floor() == 24
+        assert HookedSoftwarePolicy().hint_floor() is None
+        assert RegionReadingPolicy().hint_floor() == 2
+        instance = SoftwareDirectedPolicy()
+        instance.on_hint = instance.on_hint
+        assert instance.hint_floor() is None
+        for technique in ("baseline", "nonempty", "abella"):
+            assert make_policy(technique, _CONFIG).hint_floor() is None
+
+    @pytest.mark.parametrize("workload", SPECINT_BENCHMARKS)
+    def test_kernel_rule_replays_like_the_hook(self, workload):
+        """A subclass deferring to the stock ``on_hint`` forces the hook;
+        the native kernel's rule replays to the same bytes and leaves the
+        same hint counters, as does the scalar reference."""
+        programs = _technique_programs(workload)
+        for technique in SOFTWARE_TECHNIQUES:
+            program = programs[technique]
+            stock = _hint_replay(program, make_policy(technique, _CONFIG), "native")
+            hooked = _hint_replay(program, HookedSoftwarePolicy(technique), "native")
+            scalar = _hint_replay(program, make_policy(technique, _CONFIG), "scalar")
+            assert stock[1] > 0, technique
+            assert stock == hooked == scalar, technique
+
+    @pytest.mark.parametrize("floor", (40, 64))
+    @pytest.mark.parametrize("technique", SOFTWARE_TECHNIQUES)
+    def test_binding_floors_are_bit_identical(self, technique, floor):
+        """``min_region_entries`` high enough to raise gcc's hints where
+        their regions fill (a floor of 24 moves no replay of the suite at
+        this budget): the C clamp equals the Python one, and the floor
+        moves the replay."""
+        program = compile_program(
+            build_benchmark("gcc"), _CONFIG.compiler_config, mode=technique
+        ).instrumented_program
+        scalar = _hint_replay(
+            program, SoftwareDirectedPolicy(technique, min_region_entries=floor), "scalar"
+        )
+        native = _hint_replay(
+            program, SoftwareDirectedPolicy(technique, min_region_entries=floor), "native"
+        )
+        assert native == scalar
+        assert native[2] >= floor
+        unfloored = _hint_replay(program, SoftwareDirectedPolicy(technique), "native")
+        assert unfloored[0] != native[0]
+
+    @pytest.mark.parametrize("policy_class", (MeasurementStartReader, CycleEndReader))
+    @pytest.mark.parametrize("technique", ("noop", "extension"))
+    def test_hooks_read_the_region_the_kernel_applied(self, policy_class, technique):
+        """A policy overriding only ``on_measurement_start`` or
+        ``on_cycle_end`` reads the same ``new_head`` and
+        ``max_new_range`` under both kernels, and writing its facade back
+        changes nothing."""
+        seen = {}
+        replays = {}
+        for engine in ("scalar", "native"):
+            policy = policy_class(technique)
+            replays[engine] = _hint_replay(_program_for(technique), policy, engine)
+            seen[engine] = policy.seen
+        assert seen["native"] == seen["scalar"]
+        assert any(limit is not None for _, _, limit in seen["native"])
+        assert replays["native"] == replays["scalar"]
+        assert replays["native"] == _hint_replay(
+            _program_for(technique), SoftwareDirectedPolicy(technique), "native"
+        )
 
 
 #: Both kernels; the native one only where it builds.

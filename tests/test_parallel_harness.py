@@ -22,6 +22,7 @@ from repro.harness.cache import (
     stats_from_dict,
     stats_to_dict,
 )
+from repro.harness import parallel as parallel_module
 from repro.harness.parallel import run_simulation_job
 from repro.uarch import SimulationStats, TraceCache
 from repro.uarch.trace import clear_trace_memo
@@ -110,6 +111,21 @@ class TestDiskCache:
         assert base_job.fingerprint() == SimulationJob(
             "gzip", "baseline", TINY_CONFIG
         ).fingerprint()
+
+    def test_each_cell_is_fingerprinted_once(self, tmp_path, monkeypatch):
+        """Looking an uncached cell up and storing it digest its inputs
+        once between them."""
+        techniques = []
+        fingerprint = parallel_module.simulation_fingerprint
+
+        def counted(*args):
+            techniques.append(args[1])
+            return fingerprint(*args)
+
+        monkeypatch.setattr(parallel_module, "simulation_fingerprint", counted)
+        runner = ParallelSuiteRunner(TINY_CONFIG, workers=1, cache_dir=str(tmp_path))
+        runner.run_suite(techniques=TINY_TECHNIQUES)
+        assert sorted(techniques) == sorted(TINY_TECHNIQUES * len(TINY_CONFIG.benchmarks))
 
     def test_different_techniques_use_different_keys(self):
         keys = {

@@ -16,11 +16,11 @@ from repro.core.loop_analysis import (
     _recurrence_nodes,
     analyse_loop_body,
 )
-from repro.core.pseudo_queue import PseudoIssueQueue
+from repro.core.pseudo_queue import PseudoIssueQueue, ScheduleResult
 from repro.isa import Instruction, Opcode
 from repro.isa.encoding import HINT_MAX_VALUE, decode_hint_payload, encode_hint_payload
 from repro.isa.opcodes import FuClass
-from repro.isa.registers import int_reg
+from repro.isa.registers import fp_reg, int_reg
 from repro.uarch.issue_queue import BankedIssueQueue
 from repro.uarch.regfile import PhysicalRegisterFile
 from repro.uarch.trace import program_digest
@@ -106,6 +106,164 @@ def test_pseudo_queue_requirement_bounds(instructions):
     ddg = build_ddg(occupying)
     for edge in ddg.intra_edges():
         assert schedule.issue_cycle[edge.dst] > schedule.issue_cycle[edge.src] - 1
+
+
+def _reference_schedule(config, instructions, entry_latency=None) -> ScheduleResult:
+    """The rescanning pseudo-queue scheduler, kept as the oracle for the
+    event-driven one: every cycle it scans for the oldest unissued
+    instruction, rechecks every unissued instruction's operands
+    (:func:`_reference_ready`) and selects oldest first
+    (:func:`_reference_select`)."""
+    work = [instr for instr in instructions if instr.occupies_iq]
+    if not work:
+        return ScheduleResult(
+            entries_needed=0, issue_cycle=[], writeback_cycle=[], schedule_length=0
+        )
+    ddg = build_ddg(work, include_loop_carried=False)
+    entry_latency = dict(entry_latency or {})
+    count = len(work)
+    issue_cycle = [-1] * count
+    writeback_cycle = [0] * count
+    issued = [False] * count
+    remaining = count
+    per_cycle_need: list[int] = []
+    entries_needed = 0
+    cycle = 0
+    cycle_limit = sum(config.instruction_latency(instr) for instr in work) + count + 16
+    while remaining and cycle <= cycle_limit:
+        oldest_remaining = next(i for i in range(count) if not issued[i])
+        ready = _reference_ready(work, ddg, entry_latency, issued, writeback_cycle, cycle)
+        selected = _reference_select(config, work, ready)
+        if selected:
+            need = max(selected) - oldest_remaining + 1
+            per_cycle_need.append(need)
+            entries_needed = max(entries_needed, need)
+            for index in selected:
+                issued[index] = True
+                issue_cycle[index] = cycle
+                writeback_cycle[index] = cycle + config.instruction_latency(work[index])
+                remaining -= 1
+        else:
+            per_cycle_need.append(0)
+        cycle += 1
+    exit_latency = {}
+    for index, instr in enumerate(work):
+        for reg in instr.dests:
+            exit_latency[reg] = max(0, writeback_cycle[index] - cycle)
+    return ScheduleResult(
+        entries_needed=entries_needed,
+        issue_cycle=issue_cycle,
+        writeback_cycle=writeback_cycle,
+        schedule_length=cycle,
+        per_cycle_need=per_cycle_need,
+        exit_latency=exit_latency,
+    )
+
+
+def _reference_ready(work, ddg, entry_latency, issued, writeback_cycle, cycle):
+    """Indices of unissued instructions whose dependences are satisfied."""
+    ready = []
+    for index, instr in enumerate(work):
+        if issued[index]:
+            continue
+        if any(entry_latency.get(reg, 0) > cycle for reg in instr.srcs):
+            continue
+        ok = True
+        for edge in ddg.preds[index]:
+            if edge.distance != 0:
+                continue
+            if not issued[edge.src] or writeback_cycle[edge.src] > cycle:
+                ok = False
+                break
+        if ok:
+            ready.append(index)
+    return ready
+
+
+def _reference_select(config, work, ready):
+    """Apply issue-width and functional-unit constraints, oldest first."""
+    selected = []
+    fu_used = {}
+    for index in ready:
+        if len(selected) >= config.issue_width:
+            break
+        fu = work[index].fu_class
+        limit = config.fu_counts.get(fu, config.issue_width)
+        if fu_used.get(fu, 0) >= limit:
+            continue
+        fu_used[fu] = fu_used.get(fu, 0) + 1
+        selected.append(index)
+    return selected
+
+
+@st.composite
+def scheduler_blocks(draw):
+    """A random block for the pseudo queue: integer ALU, multiply and
+    divide, FP, loads and stores over small register pools (so registers
+    are reused), with HINT and NOP filler."""
+    length = draw(st.integers(min_value=0, max_value=24))
+    int_regs = st.integers(min_value=0, max_value=6).map(int_reg)
+    fp_regs = st.integers(min_value=0, max_value=4).map(fp_reg)
+    block = []
+    for _ in range(length):
+        kind = draw(st.sampled_from(("alu", "mul", "fp", "load", "store", "hint", "nop")))
+        if kind == "alu":
+            opcode = draw(st.sampled_from([Opcode.ADD, Opcode.SUB, Opcode.XOR, Opcode.SHL]))
+            srcs = draw(st.lists(int_regs, min_size=1, max_size=2))
+            block.append(Instruction.alu(opcode, draw(int_regs), srcs))
+        elif kind == "mul":
+            opcode = draw(st.sampled_from([Opcode.MUL, Opcode.DIV]))
+            block.append(Instruction.alu(opcode, draw(int_regs), [draw(int_regs)]))
+        elif kind == "fp":
+            opcode = draw(st.sampled_from([Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV]))
+            srcs = draw(st.lists(fp_regs, min_size=1, max_size=2))
+            block.append(Instruction.alu(opcode, draw(fp_regs), srcs))
+        elif kind == "load":
+            block.append(Instruction.load(draw(int_regs), draw(int_regs), 8))
+        elif kind == "store":
+            block.append(Instruction.store(draw(int_regs), draw(int_regs), 8))
+        elif kind == "hint":
+            block.append(Instruction.hint(draw(st.integers(1, 64))))
+        else:
+            block.append(Instruction(Opcode.NOP))
+    return block
+
+
+@given(
+    block=scheduler_blocks(),
+    entry_latency=st.dictionaries(
+        st.one_of(
+            st.integers(min_value=0, max_value=6).map(int_reg),
+            st.integers(min_value=0, max_value=4).map(fp_reg),
+        ),
+        st.one_of(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=400)),
+        max_size=4,
+    ),
+    issue_width=st.integers(min_value=1, max_value=8),
+    fu_counts=st.dictionaries(
+        st.sampled_from(list(FuClass)), st.integers(min_value=0, max_value=4)
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_event_driven_schedule_equals_the_rescanning_reference(
+    block, entry_latency, issue_width, fu_counts
+):
+    """Every field of the event-driven pseudo queue's result equals the
+    rescanning scheduler's, for any block, entry latencies (some past the
+    cycle limit), issue width and FU counts (some zero, some classes
+    absent and so bounded by the width)."""
+    config = CompilerConfig(issue_width=issue_width, fu_counts=fu_counts)
+    result = PseudoIssueQueue(config).schedule(block, entry_latency=entry_latency)
+    reference = _reference_schedule(config, block, entry_latency)
+    for name in (
+        "entries_needed",
+        "issue_cycle",
+        "writeback_cycle",
+        "schedule_length",
+        "per_cycle_need",
+        "exit_latency",
+    ):
+        assert getattr(result, name) == getattr(reference, name), name
 
 
 @given(instruction_sequences(max_length=14))

@@ -40,6 +40,7 @@ from repro.uarch.config import DEFAULT_TRACE_WINDOW_ENTRIES
 from repro.uarch.emulator import CODE_BASE, FunctionalEmulator, ProgramLayout
 from repro.uarch.engine import native as native_module
 from repro.uarch.functional_units import FU_ORDER
+from repro.uarch import trace as trace_module
 from repro.uarch.trace import (
     F_BRANCH,
     F_CALL,
@@ -610,6 +611,54 @@ class TestStaticTable:
         assert rebuilt.packed() == first.packed()
         assert rebuilt.rename_specs == first.rename_specs
         assert static_table(_program("gzip", "noop")) is not rebuilt
+
+    @pytest.mark.parametrize("technique", ("baseline", "noop", "extension"))
+    def test_each_simulate_walks_its_program_once(self, monkeypatch, technique):
+        """Cold (digests and table missing, the trace emulated or, for
+        noop, derived from the plain program's) or warm, one ``simulate``
+        call walks its program exactly once."""
+        walks = []
+        walk = trace_module._program_content
+
+        def counted(program):
+            walks.append(program)
+            return walk(program)
+
+        monkeypatch.setattr(trace_module, "_program_content", counted)
+        program = _program("gzip", technique)
+        clear_trace_memo()
+        if technique == "noop":
+            simulate(build_benchmark("gzip"), BaselinePolicy(), max_instructions=1_000)
+        reset_trace_events()
+        for _ in ("cold", "warm"):
+            walks.clear()
+            simulate(program, _policy(technique), max_instructions=1_000)
+            assert walks == [program]
+        assert trace_events["derivations"] == (technique == "noop")
+
+    def test_a_table_miss_does_not_lay_the_program_out(self, monkeypatch):
+        """The table comes from the digests' walk: its rows equal the
+        layout's statics, and no :class:`ProgramLayout` is built."""
+        program = _program("gzip", "extension")
+        laid_out = StaticTable.from_statics(ProgramLayout.for_program(program).instruction_at)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a static-table miss laid the program out")
+
+        clear_trace_memo()
+        monkeypatch.setattr(ProgramLayout, "for_program", refuse)
+        table = static_table(program)
+        assert table.packed() == laid_out.packed()
+        assert table.iq_tag == laid_out.iq_tag
+        assert table.rename_specs == laid_out.rename_specs
+
+    def test_clearing_the_memo_drops_every_table(self):
+        program = build_benchmark("gzip")
+        first = static_table(program)
+        program_digest(program)
+        clear_trace_memo()
+        assert not trace_module._program_memo
+        assert static_table(program) is not first
 
     def test_dynamic_stream_table_fills_unreached_rows_with_nops(self):
         program = build_benchmark("gzip")
