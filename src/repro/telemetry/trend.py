@@ -17,7 +17,9 @@ parses the history, splits it into per-series samples —
   NOOP-instrumented program, the hint path (entries from before it
   was measured carry none);
 * ``queue_grid/seconds``: 6-cell grid wall-clock through the queue
-  (lower is better) —
+  (lower is better);
+* ``emulator/kinstr_per_s``: functional emulation of gcc in thousands
+  of instructions per CPU second (higher is better) —
 
 and gates the **latest** sample of each series against the median of
 its history with a robust noise band.
@@ -100,6 +102,8 @@ def split_series(history: list[dict]) -> dict[str, dict]:
         kind = entry.get("kind")
         if kind == "queue_grid":
             _append("queue_grid/seconds", entry.get("queue_seconds"), "lower")
+        elif kind == "emulator":
+            _append("emulator/kinstr_per_s", entry.get("kinstr_per_s"), "higher")
         elif "cycles_per_second_cold" in entry:
             engine = entry.get("engine", "scalar")
             _append(

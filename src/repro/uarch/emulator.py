@@ -7,6 +7,16 @@ with everything the timing model needs (program counter, branch outcome and
 target, effective memory address).  This mirrors how SimpleScalar's
 functional core feeds its timing core.
 
+Execution is by compiled *segments*.  A segment is a run of one block from
+an entry point up to and including its first control instruction (BEQZ,
+BNEZ, JUMP, CALL, RET or HALT), or to the block's end when it holds none.
+On first entry, the segment's straight-line part becomes one generated
+Python function whose statements are the interpreter's expressions with
+register indices, immediates and the ``int()``/``float()`` conversions
+resolved when it is generated; it returns the segment's memory column.
+The emulation loop executes the control instruction itself and extends
+each trace column once per segment.
+
 Determinism matters for reproducibility: uninitialised memory reads return a
 value derived from the address by a fixed hash, so every run of a given
 program produces exactly the same trace.
@@ -14,8 +24,13 @@ program produces exactly the same trace.
 
 from __future__ import annotations
 
+import array
+import bisect
+import builtins
+import math
+import sys
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
@@ -26,31 +41,14 @@ from repro.isa.registers import NUM_ARCH_REGS, NUM_FP_ARCH_REGS, ZERO_REG
 _VALUE_MASK = (1 << 63) - 1
 _UNINIT_HASH_MULTIPLIER = 2654435761
 
-# The ALU dispatch in ``run_collect_windows`` compares against these
-# module-level aliases: on CPython 3.11 every ``Opcode.ADD``-style lookup
-# goes through the enum metaclass and costs several times a global read,
-# once per comparison in the chain.
-_ADD = Opcode.ADD
-_LI = Opcode.LI
-_SUB = Opcode.SUB
-_MOV = Opcode.MOV
-_CMP_LT = Opcode.CMP_LT
-_CMP_EQ = Opcode.CMP_EQ
-_AND = Opcode.AND
-_OR = Opcode.OR
-_XOR = Opcode.XOR
-_SHL = Opcode.SHL
-_SHR = Opcode.SHR
-_MUL = Opcode.MUL
-_DIV = Opcode.DIV
-_FADD = Opcode.FADD
-_FSUB = Opcode.FSUB
-_FMUL = Opcode.FMUL
-_FDIV = Opcode.FDIV
-
 
 #: Address of a program's first instruction.
 CODE_BASE = 0x1000
+
+#: The trace columns ``(pcs, next_pcs, takens, mems)``: ``array('q')``
+#: pcs, next pcs and effective addresses (0 off memory operations), and
+#: one 0/1 byte per entry of branch outcomes.
+Columns = tuple[array.array, array.array, bytearray, array.array]
 
 
 class EmulationLimitExceeded(Exception):
@@ -139,74 +137,221 @@ class DynamicInstruction:
         return self.static.is_hint
 
 
-# Pre-compiled execution-spec kinds (first element of each spec tuple).
-_K_ALU = 0
-_K_BRANCH = 1
-_K_LOAD = 2
-_K_STORE = 3
-_K_NOOP = 4
-_K_CALL = 5
-_K_RET = 6
-_K_JUMP = 7
-_K_HALT = 8
+# ----------------------------------------------------------------------
+# Segment compilation
+# ----------------------------------------------------------------------
+# How a segment ends, that is what the emulation loop does after its
+# straight-line part.  A segment that falls off its block's end, or ends
+# in JUMP or HALT, has one static outcome.
+_STATIC = 0
+_BRANCH = 1
+_CALL = 2
+_RET = 3
+
+#: Marks an operand that is not a compile-time constant.
+_COMPUTED = object()
 
 
-def _reg_spec(reg) -> tuple[int, bool]:
-    return (reg.index, reg.is_fp)
+class _Segment(NamedTuple):
+    """One compiled run, in the order the emulation loop unpacks it.
 
-
-def _compile_instruction(instr: Instruction, block_index: dict[str, int]) -> tuple:
-    """Lower one static instruction into an interpreter execution spec.
-
-    The spec front-loads everything the main loop would otherwise fetch
-    per dynamic execution: operand register indices and files, immediates,
-    and branch/jump targets resolved to block indices.
+    ``takens``, ``resume`` (the pc executed next; 0 ends the emulation)
+    and ``last_next`` (the next pc recorded for the segment's last entry)
+    describe its static outcome: the fall-through of a block or of a
+    branch not taken, a jump, a call, a halt, a RET from the entry
+    procedure.  They differ only where the emulation ends: after HALT or
+    that RET the last entry records the pc that follows it.  ``detail``
+    holds what the loop needs for the other outcomes: for a branch
+    ``(register file, index, is BNEZ, taken takens, target pc)``, for a
+    call ``(return pc, caller name)``.
     """
-    opcode = instr.opcode
-    if opcode is Opcode.HALT:
-        return (_K_HALT,)
-    if opcode is Opcode.CALL:
-        return (_K_CALL, instr.call_target)
-    if opcode is Opcode.RET:
-        return (_K_RET,)
-    if opcode is Opcode.JUMP:
-        return (_K_JUMP, block_index[instr.target])
-    if opcode is Opcode.BEQZ or opcode is Opcode.BNEZ:
-        return (
-            _K_BRANCH,
-            opcode is Opcode.BNEZ,
-            _reg_spec(instr.srcs[0]),
-            block_index[instr.target],
-        )
-    if opcode is Opcode.LOAD:
-        return (
-            _K_LOAD,
-            _reg_spec(instr.srcs[0]),
-            instr.imm,
-            _reg_spec(instr.dests[0]),
-        )
-    if opcode is Opcode.STORE:
-        return (
-            _K_STORE,
-            _reg_spec(instr.srcs[0]),
-            instr.imm,
-            _reg_spec(instr.srcs[1]),
-        )
-    if opcode is Opcode.NOP or opcode is Opcode.HINT:
-        return (_K_NOOP,)
-    srcs = instr.srcs
-    return (
-        _K_ALU,
-        opcode,
-        _reg_spec(srcs[0]) if srcs else None,
-        _reg_spec(srcs[1]) if len(srcs) > 1 else None,
-        _reg_spec(instr.dests[0]) if instr.dests else None,
-        instr.imm,
+
+    run: Callable
+    length: int
+    pcs: array.array
+    takens: bytes
+    resume: int
+    last_next: int
+    kind: int
+    detail: Optional[tuple]
+
+
+def _compile_run(instructions: Sequence[Instruction], control: bool, name: str) -> Callable:
+    """One generated function executing ``instructions`` (none of them
+    control instructions) on ``(regs, fregs, memory)``.
+
+    Each statement is the interpreter's expression for its instruction,
+    with register indices in place and every ``int()``/``float()`` whose
+    operand type is known dropped or, for an immediate, folded into a
+    constant.  A conversion that raises is left to run time, so it
+    raises at its own instruction.  The function returns the run's
+    memory column: the effective address of each load and store, 0 for
+    every other entry, plus a 0 for the control instruction that
+    follows when ``control`` is set.
+    """
+    lines: list[str] = []
+    column: list[str] = []
+    constants: dict[str, object] = {}
+
+    def constant(value) -> str:
+        # A literal compiles faster than a default argument; other values
+        # (an int too long to print, a non-finite float) become defaults.
+        if type(value) is int or (type(value) is float and math.isfinite(value)):
+            try:
+                return f"({value!r})"
+            except ValueError:
+                pass
+        key = f"k{len(constants)}"
+        constants[key] = value
+        return key
+
+    def convert(operand: tuple, kind: type) -> str:
+        expr, known, value = operand
+        if known is kind:
+            return expr
+        if value is not _COMPUTED:
+            try:
+                return constant(kind(value))
+            except (OverflowError, ValueError, TypeError):
+                pass
+        return f"{kind.__name__}({expr})"
+
+    def register(reg) -> tuple:
+        if reg.is_fp:
+            return (f"fregs[{reg.index}]", float, _COMPUTED)
+        return (f"regs[{reg.index}]", int, _COMPUTED)
+
+    def immediate(value) -> tuple:
+        known = type(value) if type(value) in (int, float) else None
+        return (constant(value), known, value)
+
+    for slot, instruction in enumerate(instructions):
+        opcode = instruction.opcode
+        srcs = instruction.srcs
+        dest = instruction.dests[0] if instruction.dests else None
+        if opcode is Opcode.LOAD or opcode is Opcode.STORE:
+            address = f"m{slot}"
+            lines.append(
+                f"{address} = ({convert(register(srcs[0]), int)} + "
+                f"{constant(instruction.imm)}) & {_VALUE_MASK}"
+            )
+            column.append(address)
+            if opcode is Opcode.STORE:
+                value = convert(register(srcs[1]), int)
+                lines.append(f"memory[{address}] = ({value}) & {_VALUE_MASK}")
+                continue
+            loaded = (
+                f"memory.get({address}, "
+                f"({address} * {_UNINIT_HASH_MULTIPLIER}) & 0xFFFF)"
+            )
+            if dest.is_fp:
+                lines.append(f"fregs[{dest.index}] = float({loaded})")
+            elif dest.index != ZERO_REG:
+                lines.append(f"regs[{dest.index}] = {loaded} & {_VALUE_MASK}")
+            continue
+        column.append("0")
+        if opcode is Opcode.NOP or opcode is Opcode.HINT:
+            continue
+
+        a = register(srcs[0]) if srcs else ("0", int, 0)
+        b = register(srcs[1]) if len(srcs) > 1 else immediate(instruction.imm)
+        if opcode is Opcode.LI:
+            result = immediate(instruction.imm)
+        elif opcode is Opcode.MOV:
+            result = a
+        elif opcode is Opcode.ADD or opcode is Opcode.SUB:
+            sign = "+" if opcode is Opcode.ADD else "-"
+            if a[1] is int and b[1] is int:
+                known = int
+            elif a[1] in (int, float) and b[1] in (int, float):
+                known = float
+            else:
+                known = None
+            result = (f"{a[0]} {sign} {b[0]}", known, _COMPUTED)
+        elif opcode is Opcode.CMP_LT or opcode is Opcode.CMP_EQ:
+            relation = "<" if opcode is Opcode.CMP_LT else "=="
+            result = (f"(1 if {a[0]} {relation} {b[0]} else 0)", int, _COMPUTED)
+        elif opcode in _INT_OPERATORS:
+            left, right = convert(a, int), convert(b, int)
+            if opcode is Opcode.SHL or opcode is Opcode.SHR:
+                right = f"({right} & 31)"
+            expr = f"{left} {_INT_OPERATORS[opcode]} {right}"
+            result = (expr, int, _COMPUTED)
+        elif opcode is Opcode.DIV:
+            left, right = convert(a, int), convert(b, int)
+            expr = f"({left} // {right} if {right} != 0 else 0)"
+            result = (expr, int, _COMPUTED)
+        elif opcode in _FLOAT_OPERATORS:
+            left, right = convert(a, float), convert(b, float)
+            expr = f"{left} {_FLOAT_OPERATORS[opcode]} {right}"
+            result = (expr, float, _COMPUTED)
+        elif opcode is Opcode.FDIV:
+            left, right = convert(a, float), convert(b, float)
+            expr = f"({left} / {right} if {right} != 0.0 else 0.0)"
+            result = (expr, float, _COMPUTED)
+        else:  # pragma: no cover - every non-control opcode is handled above
+            raise ValueError(f"cannot emulate {opcode}")
+
+        if dest is None or (not dest.is_fp and dest.index == ZERO_REG):
+            # The result is discarded, but computing it may still raise.
+            lines.append(result[0])
+        elif dest.is_fp:
+            lines.append(f"fregs[{dest.index}] = {convert(result, float)}")
+        else:
+            lines.append(f"regs[{dest.index}] = ({convert(result, int)}) & {_VALUE_MASK}")
+
+    if control:
+        column.append("0")
+    if not lines:
+        # Nothing but hints and NOPs: no code to compile.
+        zeros = (0,) * len(column)
+        return lambda regs, fregs, memory: zeros
+    defaults = "".join(f", {key}={key}" for key in constants)
+    source = "".join(
+        [f"def run(regs, fregs, memory{defaults}):\n"]
+        + [f"    {line}\n" for line in lines]
+        + [f"    return ({', '.join(column)},)\n"]
     )
+    # Defined in a throwaway local namespace, so the functions share one
+    # globals dict and nothing refers back to them: their code is freed
+    # with the emulator that compiled them.
+    namespace = dict(constants)
+    exec(compile(source, name, "exec"), _SEGMENT_GLOBALS, namespace)
+    return namespace["run"]
+
+
+#: The globals of every generated function: the builtins ``int`` and
+#: ``float`` are all their code looks up.
+_SEGMENT_GLOBALS = {"__builtins__": builtins}
+
+_INT_OPERATORS = {
+    Opcode.AND: "&",
+    Opcode.OR: "|",
+    Opcode.XOR: "^",
+    Opcode.SHL: "<<",
+    Opcode.SHR: ">>",
+    Opcode.MUL: "*",
+}
+_FLOAT_OPERATORS = {Opcode.FADD: "+", Opcode.FSUB: "-", Opcode.FMUL: "*"}
+
+
+def _window(pcs: array.array, takens: bytearray, mems: list, size: int, following: int) -> Columns:
+    """The first ``size`` entries as trace columns, cut off the front of
+    the buffers.
+
+    An entry's next pc is the pc of the entry after it, which is
+    ``following`` for the last one when the buffers hold no more.
+    """
+    next_pcs = pcs[1 : size + 1]
+    if len(next_pcs) < size:
+        next_pcs.append(following)
+    window = (pcs[:size], next_pcs, takens[:size], array.array("q", mems[:size]))
+    del pcs[:size], takens[:size], mems[:size]
+    return window
 
 
 class FunctionalEmulator:
-    """Architectural interpreter for IR programs."""
+    """Architectural emulator for IR programs (see the module docstring)."""
 
     #: Base address of the data segment (separated from code addresses).
     DATA_BASE = 0x100000
@@ -226,36 +371,16 @@ class FunctionalEmulator:
         self.memory: dict[int, int] = {}
         self.instructions_executed = 0
 
-        # label -> block index per procedure, so branch resolution is a
-        # dict lookup instead of a linear scan of the block list.
-        self._block_index: dict[str, dict[str, int]] = {
-            name: {block.label: i for i, block in enumerate(proc.blocks)}
-            for name, proc in program.procedures.items()
-        }
-        # Per-procedure list of per-block [(pc, spec), ...] pairs, so the
-        # main loop never consults the uid -> pc map and dispatches on a
-        # pre-compiled small-int execution spec instead of opcode enums
-        # and ``Reg`` attribute chains; built lazily on first entry into
-        # each procedure.
-        self._proc_cache: dict[str, list[list[tuple]]] = {}
-
-    def _blocks_for(self, proc_name: str) -> list[list[tuple]]:
-        cached = self._proc_cache.get(proc_name)
-        if cached is None:
-            instruction_pc = self.layout.instruction_pc
-            block_index = self._block_index[proc_name]
-            cached = [
-                [
-                    (
-                        instruction_pc[instr.uid],
-                        _compile_instruction(instr, block_index),
-                    )
-                    for instr in block.instructions
-                ]
-                for block in self.program.procedures[proc_name].blocks
-            ]
-            self._proc_cache[proc_name] = cached
-        return cached
+        # Code is laid out contiguously: a procedure spans [start, end),
+        # and a straight-line run ends where the next block starts.
+        layout = self.layout
+        self._procedure_names = list(layout.procedure_pc)
+        self._procedure_starts = list(layout.procedure_pc.values())
+        ends = self._procedure_starts[1:] + [CODE_BASE + layout.code_size]
+        self._procedure_end = dict(zip(self._procedure_names, ends))
+        self._block_starts = frozenset(layout.block_pc.values())
+        # Entry pc -> compiled segment, filled on first entry.
+        self._segments: dict[int, _Segment] = {}
 
     # ------------------------------------------------------------------
     # Memory helpers
@@ -272,303 +397,214 @@ class FunctionalEmulator:
         self.memory[address & _VALUE_MASK] = value & _VALUE_MASK
 
     # ------------------------------------------------------------------
-    # Register helpers
-    # ------------------------------------------------------------------
-    def _read_reg(self, reg) -> int | float:
-        if reg.is_fp:
-            return self.fp_registers[reg.index]
-        if reg.index == ZERO_REG:
-            return 0
-        return self.registers[reg.index]
-
-    def _write_reg(self, reg, value) -> None:
-        if reg.is_fp:
-            self.fp_registers[reg.index] = float(value)
-            return
-        if reg.index == ZERO_REG:
-            return
-        self.registers[reg.index] = int(value) & _VALUE_MASK
-
-    # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
     def run(self, max_instructions: int = 1_000_000) -> Iterator[DynamicInstruction]:
         """Execute from the program entry; yield committed dynamic instructions.
 
-        Execution stops at ``HALT``, when the entry procedure returns, or
-        after ``max_instructions`` dynamic instructions.  The whole stream
-        is produced by :meth:`run_collect` (bounded by
-        ``max_instructions``) and then wrapped in
+        Execution stops at ``HALT``, when the entry procedure returns,
+        when control falls off the end of any procedure (the entry or
+        one it called), or after ``max_instructions`` dynamic
+        instructions.  The whole stream is produced by
+        :meth:`run_collect` and then wrapped in
         :class:`DynamicInstruction` objects, each pc resolved to its
-        static instruction through the layout.
+        static instruction through the layout: ``taken`` is a ``bool``,
+        and ``mem_address`` is the effective address of a load or store
+        (an address of 0 included) and None for every other instruction.
         """
         pcs, next_pcs, takens, mems = self.run_collect(max_instructions)
         instruction_at = self.layout.instruction_at
-        for seq in range(len(pcs)):
+        for seq, pc in enumerate(pcs):
+            static = instruction_at[pc]
             yield DynamicInstruction(
-                static=instruction_at[pcs[seq]],
+                static=static,
                 seq=seq,
-                pc=pcs[seq],
+                pc=pc,
                 next_pc=next_pcs[seq],
-                taken=takens[seq],
-                mem_address=mems[seq],
+                taken=bool(takens[seq]),
+                mem_address=mems[seq] if static.is_memory else None,
             )
 
-    def run_collect(
-        self, max_instructions: int = 1_000_000
-    ) -> tuple[list[int], list[int], list[bool], list[Optional[int]]]:
-        """Execute and return ``(pcs, next_pcs, takens, mems)``.
+    def run_collect(self, max_instructions: int = 1_000_000) -> Columns:
+        """Execute and return the whole stream as one set of columns,
+        ``(pcs, next_pcs, takens, mems)`` (see :data:`Columns`).
 
         The column-oriented form feeds :mod:`repro.uarch.trace` directly,
         avoiding one :class:`DynamicInstruction` allocation per committed
         instruction; a pc names its static instruction through
         ``layout.instruction_at``.
         """
-        pcs: list[int] = []
-        next_pcs: list[int] = []
-        takens: list[bool] = []
-        mems: list[Optional[int]] = []
-        for chunk in self.run_collect_windows(max_instructions, None):
-            if not pcs:
-                pcs, next_pcs, takens, mems = chunk
-            else:  # pragma: no cover - window_size=None yields one chunk
-                pcs.extend(chunk[0])
-                next_pcs.extend(chunk[1])
-                takens.extend(chunk[2])
-                mems.extend(chunk[3])
-        return pcs, next_pcs, takens, mems
+        columns: Columns = (array.array("q"), array.array("q"), bytearray(), array.array("q"))
+        for columns in self.run_collect_windows(max_instructions, None):
+            pass
+        return columns
 
     def run_collect_windows(
         self, max_instructions: int = 1_000_000, window_size: Optional[int] = None
-    ) -> Iterator[tuple[list[int], list[int], list[bool], list[Optional[int]]]]:
+    ) -> Iterator[Columns]:
         """Execute, yielding ``(pcs, next_pcs, takens, mems)`` chunks.
 
         Every yielded chunk except possibly the last holds exactly
         ``window_size`` committed instructions; ``window_size=None`` (or
         ``<= 0``) yields the whole stream as one chunk.  Chunks are
         produced in commit order and the architectural state advances
-        eagerly, so consuming lazily bounds the peak size of the column
-        lists by the window size instead of the instruction budget — this
-        is the decode-memory bound behind windowed trace replay
+        eagerly, so consuming lazily bounds the peak size of the columns
+        by the window size instead of the instruction budget — this is
+        the decode-memory bound behind windowed trace replay
         (:mod:`repro.uarch.trace`).
+
+        Each step executes one segment: its compiled straight-line part,
+        then its control instruction.  When the budget ends inside a
+        segment, only the instructions before the cut run, through a
+        function compiled for that prefix.  A CALL past
+        ``max_call_depth`` raises :class:`EmulationLimitExceeded` once
+        the windows completed before it have been yielded.
 
         ``instructions_executed`` is only accurate once the generator is
         exhausted (an abandoned generator stops mid-stream).
         """
-        program = self.program
         regs = self.registers
         fregs = self.fp_registers
         memory = self.memory
+        segments = self._segments
         max_call_depth = self.max_call_depth
+        window_limit = window_size if window_size and window_size > 0 else sys.maxsize
 
-        window_limit = window_size if window_size and window_size > 0 else None
-
-        pcs: list[int] = []
-        next_pcs: list[int] = []
-        takens: list[bool] = []
-        mems: list[Optional[int]] = []
-        pcs_append = pcs.append
-        next_pcs_append = next_pcs.append
-        takens_append = takens.append
-        mems_append = mems.append
-
-        # The current position is (procedure name, block index, instruction
-        # index) held in plain locals; ``blocks`` holds the procedure's
-        # pre-zipped [(pc, spec), ...] lists and ``instrs`` the
-        # current block's, refreshed whenever control flow moves.
-        proc_name = program.entry
-        blocks = self._blocks_for(proc_name)
-        block_idx = 0
-        instr_idx = 0
-        instrs = blocks[0] if blocks else []
-        call_stack: list[tuple[str, int, int]] = []
+        # The window being filled.  An entry's next pc is the pc of the
+        # entry after it, so only the last entry's is kept, in last_next.
+        pcs = array.array("q")
+        takens = bytearray()
+        mems: list[int] = []
+        pcs_extend = pcs.extend
+        takens_extend = takens.extend
+        mems_extend = mems.extend
+        call_stack: list[int] = []
         seq = 0
+        pc = self._entry_pc(self.program.entry)
 
-        while seq < max_instructions:
-            if instr_idx >= len(instrs):
-                # Fall off the end of a block: continue with the next block.
-                block_idx += 1
-                instr_idx = 0
-                if block_idx >= len(blocks):
-                    break
-                instrs = blocks[block_idx]
-                continue
-
-            pc, spec = instrs[instr_idx]
-            taken = False
-            mem_address: Optional[int] = None
-            halt = False
-            # Default successor: the next instruction of this block.
-            next_proc = proc_name
-            next_block = block_idx
-            next_instr = instr_idx + 1
-
-            kind = spec[0]
-            if kind == _K_ALU:
-                _, opcode, a_spec, b_spec, dest_spec, imm = spec
-                if a_spec is None:
-                    a = 0
-                else:
-                    a_idx, a_fp = a_spec
-                    a = fregs[a_idx] if a_fp else regs[a_idx]
-                if b_spec is None:
-                    b = imm
-                else:
-                    b_idx, b_fp = b_spec
-                    b = fregs[b_idx] if b_fp else regs[b_idx]
-                if opcode is _ADD:
-                    result = a + b
-                elif opcode is _LI:
-                    result = imm
-                elif opcode is _SUB:
-                    result = a - b
-                elif opcode is _MOV:
-                    result = a
-                elif opcode is _CMP_LT:
-                    result = 1 if a < b else 0
-                elif opcode is _CMP_EQ:
-                    result = 1 if a == b else 0
-                elif opcode is _AND:
-                    result = int(a) & int(b)
-                elif opcode is _OR:
-                    result = int(a) | int(b)
-                elif opcode is _XOR:
-                    result = int(a) ^ int(b)
-                elif opcode is _SHL:
-                    result = int(a) << (int(b) & 31)
-                elif opcode is _SHR:
-                    result = int(a) >> (int(b) & 31)
-                elif opcode is _MUL:
-                    result = int(a) * int(b)
-                elif opcode is _DIV:
-                    result = int(a) // int(b) if int(b) != 0 else 0
-                elif opcode is _FADD:
-                    result = float(a) + float(b)
-                elif opcode is _FSUB:
-                    result = float(a) - float(b)
-                elif opcode is _FMUL:
-                    result = float(a) * float(b)
-                elif opcode is _FDIV:
-                    result = float(a) / float(b) if float(b) != 0.0 else 0.0
-                else:  # pragma: no cover - defensive
-                    result = 0
-                if dest_spec is not None:
-                    d_idx, d_fp = dest_spec
-                    if d_fp:
-                        fregs[d_idx] = float(result)
-                    elif d_idx != ZERO_REG:
-                        regs[d_idx] = int(result) & _VALUE_MASK
-            elif kind == _K_BRANCH:
-                _, is_bnez, (s_idx, s_fp), target_block = spec
-                value = fregs[s_idx] if s_fp else regs[s_idx]
-                taken = (value != 0) if is_bnez else (value == 0)
-                if taken:
-                    next_block = target_block
-                    next_instr = 0
-            elif kind == _K_LOAD:
-                _, (b_idx, b_fp), imm, (d_idx, d_fp) = spec
-                base = fregs[b_idx] if b_fp else regs[b_idx]
-                mem_address = (int(base) + imm) & _VALUE_MASK
-                # Inlined read_memory + destination write.
-                value = memory.get(mem_address)
-                if value is None:
-                    value = (mem_address * _UNINIT_HASH_MULTIPLIER) & 0xFFFF
-                if d_fp:
-                    fregs[d_idx] = float(value)
-                elif d_idx != ZERO_REG:
-                    regs[d_idx] = value & _VALUE_MASK
-            elif kind == _K_STORE:
-                _, (b_idx, b_fp), imm, (v_idx, v_fp) = spec
-                base = fregs[b_idx] if b_fp else regs[b_idx]
-                mem_address = (int(base) + imm) & _VALUE_MASK
-                value = fregs[v_idx] if v_fp else regs[v_idx]
-                memory[mem_address] = int(value) & _VALUE_MASK
-            elif kind == _K_CALL:
+        while pc and seq < max_instructions:
+            segment = segments.get(pc)
+            if segment is None:
+                segment = self._compile_segment(pc)
+            run, length, seg_pcs, seg_takens, resume, last_next, kind, detail = segment
+            if seq + length > max_instructions:
+                # The budget ends before the control instruction: run the
+                # prefix it allows, and stop.
+                length = max_instructions - seq
+                run = self._run_function(pc, length, False)
+                last_next = seg_pcs[length]
+                seg_pcs = seg_pcs[:length]
+                seg_takens = bytes(length)
+                resume = 0
+                kind = _STATIC
+            addresses = run(regs, fregs, memory)
+            if kind == _BRANCH:
+                file, index, bnez, taken_takens, target = detail
+                value = file[index]
+                if (value != 0) if bnez else (value == 0):
+                    seg_takens = taken_takens
+                    resume = last_next = target
+            elif kind == _CALL:
                 if len(call_stack) >= max_call_depth:
+                    # The CALL never commits; the entries before it do.
+                    pcs_extend(seg_pcs[:-1])
+                    takens_extend(seg_takens[:-1])
+                    mems_extend(addresses[:-1])
+                    while len(pcs) >= window_limit:
+                        yield _window(pcs, takens, mems, window_limit, seg_pcs[-1])
                     raise EmulationLimitExceeded(
-                        f"call depth exceeded {max_call_depth} in {proc_name}"
+                        f"call depth exceeded {max_call_depth} in {detail[1]}"
                     )
-                call_stack.append((proc_name, block_idx, next_instr))
-                next_proc = spec[1]
-                next_block = 0
-                next_instr = 0
-                taken = True
-            elif kind == _K_RET:
-                taken = True
-                if call_stack:
-                    next_proc, next_block, next_instr = call_stack.pop()
-                else:
-                    halt = True
-            elif kind == _K_JUMP:
-                taken = True
-                next_block = spec[1]
-                next_instr = 0
-            elif kind == _K_HALT:
-                halt = True
-            # _K_NOOP: no architectural effect.
-
-            if halt:
-                next_pc = pc + 4
-            elif (
-                next_proc is proc_name
-                and next_block == block_idx
-                and next_instr == instr_idx + 1
-                and next_instr < len(instrs)
-            ):
-                # Straight-line successor: layout PCs are consecutive.
-                next_pc = pc + 4
-            else:
-                next_pc = self._position_pc(next_proc, next_block, next_instr)
-
-            pcs_append(pc)
-            next_pcs_append(next_pc)
-            takens_append(taken)
-            mems_append(mem_address)
-            seq += 1
-            if window_limit is not None and len(pcs) >= window_limit:
-                yield (pcs, next_pcs, takens, mems)
-                pcs = []
-                next_pcs = []
-                takens = []
-                mems = []
-                pcs_append = pcs.append
-                next_pcs_append = next_pcs.append
-                takens_append = takens.append
-                mems_append = mems.append
-            if halt:
-                break
-            if next_proc is not proc_name:
-                proc_name = next_proc
-                blocks = self._blocks_for(proc_name)
-                block_idx = next_block
-                instr_idx = next_instr
-                instrs = blocks[block_idx] if block_idx < len(blocks) else []
-            elif next_block != block_idx:
-                block_idx = next_block
-                instr_idx = next_instr
-                instrs = blocks[block_idx] if block_idx < len(blocks) else []
-            else:
-                instr_idx = next_instr
+                call_stack.append(detail[0])
+            elif kind == _RET and call_stack:
+                resume = last_next = call_stack.pop()
+            pcs_extend(seg_pcs)
+            takens_extend(seg_takens)
+            mems_extend(addresses)
+            seq += length
+            pc = resume
+            while len(pcs) >= window_limit:
+                yield _window(pcs, takens, mems, window_limit, last_next)
         self.instructions_executed = seq
         if pcs:
-            yield (pcs, next_pcs, takens, mems)
+            yield _window(pcs, takens, mems, len(pcs), last_next)
 
     # ------------------------------------------------------------------
-    def _position_pc(self, proc_name: str, block_index: int, instr_index: int) -> int:
-        """PC of the instruction executed next from the given position.
+    def _compile_segment(self, pc: int) -> _Segment:
+        """Compile the segment entered at ``pc`` and remember it."""
+        layout = self.layout
+        name = self._procedure_names[bisect.bisect_right(self._procedure_starts, pc) - 1]
+        end = self._procedure_end[name]
+        following = pc
+        while True:
+            control = layout.instruction_at[following]
+            following += 4
+            if control.is_control:
+                break
+            if following in self._block_starts or following == end:
+                control = None
+                break
+        length = (following - pc) // 4
 
-        A position past a block's end, or in an empty block, continues at
-        the first instruction of the next non-empty block, as execution
-        does; 0 when the procedure ends first.
-        """
-        procedure = self.program.procedures.get(proc_name)
-        if procedure is None:
-            return 0
-        blocks = procedure.blocks
-        while block_index < len(blocks):
-            instructions = blocks[block_index].instructions
-            if instr_index < len(instructions):
-                return self.layout.instruction_pc[instructions[instr_index].uid]
-            block_index += 1
-            instr_index = 0
-        return 0
+        def within(target: int) -> int:
+            # Execution falls off the procedure's end at ``end``.
+            return target if target < end else 0
+
+        kind = _STATIC
+        taken = False
+        detail = None
+        opcode = control.opcode if control is not None else None
+        if control is None:
+            resume = last_next = within(following)
+        elif opcode is Opcode.BEQZ or opcode is Opcode.BNEZ:
+            kind = _BRANCH
+            resume = last_next = within(following)
+            source = control.srcs[0]
+            detail = (
+                self.fp_registers if source.is_fp else self.registers,
+                source.index,
+                opcode is Opcode.BNEZ,
+                bytes(length - 1) + b"\x01",
+                within(layout.block_pc[(name, control.target)]),
+            )
+        elif opcode is Opcode.JUMP:
+            taken = True
+            resume = last_next = within(layout.block_pc[(name, control.target)])
+        elif opcode is Opcode.CALL:
+            kind = _CALL
+            taken = True
+            resume = last_next = self._entry_pc(control.call_target)
+            detail = (within(following), name)
+        elif opcode is Opcode.RET:
+            kind = _RET
+            taken = True
+            resume, last_next = 0, following
+        else:  # HALT
+            resume, last_next = 0, following
+        segment = _Segment(
+            self._run_function(pc, length - (control is not None), control is not None),
+            length,
+            array.array("q", range(pc, following, 4)),
+            bytes(length - 1) + bytes([taken]),
+            resume,
+            last_next,
+            kind,
+            detail,
+        )
+        self._segments[pc] = segment
+        return segment
+
+    def _run_function(self, pc: int, count: int, control: bool) -> Callable:
+        """The compiled straight-line run of the ``count`` instructions
+        from ``pc`` (see :func:`_compile_run`)."""
+        instruction_at = self.layout.instruction_at
+        return _compile_run(
+            [instruction_at[at] for at in range(pc, pc + 4 * count, 4)],
+            control,
+            f"<segment at {pc:#x}>",
+        )
+
+    def _entry_pc(self, procedure: str) -> int:
+        """The pc of ``procedure``'s first instruction; 0 when it has none."""
+        start = self.layout.procedure_pc[procedure]
+        return start if start < self._procedure_end[procedure] else 0

@@ -54,8 +54,8 @@ Three reuse tiers sit in front of the emulator:
    derived traces under the hinted program's own key;
 3. **live emulation** (``live=True`` or the ``REPRO_LIVE_EMULATION``
    environment variable), which bypasses both tiers, derives nothing
-   and runs the interpreter on the program itself — the reference path
-   the equivalence tests compare against.
+   and emulates the program itself — the reference path the
+   equivalence tests compare against.
 
 On a miss, a hinted program's trace is derived when either tier holds
 its stripped program's trace, and emulated otherwise.  An emulated trace
@@ -972,12 +972,7 @@ def _emulated_windows(
     for pcs, next_pcs, takens, mems in emulator.run_collect_windows(
         max_instructions, window_size
     ):
-        window = TraceWindow(
-            array.array("q", pcs),
-            array.array("q", next_pcs),
-            array.array("q", [0 if mem is None else mem for mem in mems]),
-            bytearray(map(bool, takens)),
-        )
+        window = TraceWindow(pcs, next_pcs, mems, takens)
         if writer is not None:
             writer.add(window)
         if columns is not None:

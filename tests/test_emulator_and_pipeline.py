@@ -59,6 +59,24 @@ class TestFunctionalEmulator:
         loads = [d for d in trace if d.is_load]
         assert stores[0].mem_address == loads[0].mem_address == 0x200008
 
+    def test_run_reports_addresses_only_for_memory_ops_and_bool_outcomes(self):
+        """``mem_address`` is None off memory operations and an int on
+        them, an address of 0 included; ``taken`` is a ``bool``."""
+        program = Program(name="contract")
+        main = program.new_procedure("main")
+        entry = main.add_block("entry")
+        entry.append(Instruction.load(int_reg(1), int_reg(0), 0))
+        entry.append(Instruction.store(int_reg(1), int_reg(0), 8))
+        entry.append(Instruction.alu(Opcode.ADD, int_reg(2), [int_reg(1)], imm=1))
+        entry.append(Instruction.branch_nez(int_reg(2), "done"))
+        main.add_block("skipped").append(Instruction(opcode=Opcode.NOP))
+        main.add_block("done").append(Instruction.halt())
+        trace = list(FunctionalEmulator(program).run())
+        assert [d.mem_address for d in trace] == [0, 8, None, None, None]
+        assert [type(d.mem_address) for d in trace[:2]] == [int, int]
+        assert [d.taken for d in trace] == [False, False, False, True, False]
+        assert {type(d.taken) for d in trace} == {bool}
+
     def test_uninitialised_memory_is_deterministic(self):
         program = make_counted_loop_program()
         a = FunctionalEmulator(program)

@@ -405,6 +405,7 @@ class TestTrendGate:
             {"cycles_per_second_cold": 50_000, "cycles_per_second_warm": 60_000},
             {"engine": "native", "cycles_per_second_cold": 300_000},
             {"kind": "queue_grid", "queue_seconds": 1.5},
+            {"kind": "emulator", "kinstr_per_s": 2_100.0},
             {"malformed": True},
         ]
         series = trend.split_series(history)
@@ -412,6 +413,10 @@ class TestTrendGate:
         assert series["engine/scalar/warm"]["direction"] == "higher"
         assert series["engine/native/cold"]["values"] == [300_000.0]
         assert series["queue_grid/seconds"]["direction"] == "lower"
+        assert series["emulator/kinstr_per_s"] == {
+            "values": [2_100.0],
+            "direction": "higher",
+        }
 
     def test_gate_series_returns_none_for_unknown_series(self, tmp_path):
         path = tmp_path / "BENCH_trace.json"
