@@ -51,7 +51,7 @@ def print_cache_stats(runner) -> None:
         # worker count.
         print(
             f"trace cache: {stats['traces']} traces "
-            f"({stats['total_bytes'] / 1024:.1f} KiB, cap {cap}) — "
+            f"({stats['total_bytes'] / 2**20:.1f} MiB, cap {cap}) — "
             f"{stats['hits']} hits / {stats['misses']} misses / "
             f"{stats['stores']} stores / {stats['evictions']} evictions "
             f"[{stats['directory']}]"
@@ -79,8 +79,7 @@ def print_cache_stats(runner) -> None:
             )
     events = trace_events
     print(
-        f"emulations this process: {events['emulations']}, "
-        f"derivations {events['derivations']} "
+        f"emulations this process: {events['emulations']} "
         f"(memo hits {events['memo_hits']}, disk hits {events['disk_hits']})"
     )
     print(

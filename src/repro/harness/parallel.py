@@ -59,13 +59,13 @@ Semantics:
   workers compile each job's program afresh.
 * **Traces** are cached one level below the results: a
   ``traces/`` subdirectory of ``cache_dir`` (override with
-  ``trace_cache_dir``) holds two traces per benchmark and budget
+  ``trace_cache_dir``) holds one trace per benchmark and budget
   (:mod:`repro.uarch.trace`), stored in independently loadable windows
   and keyed by the content the emulator reads (hint payloads and tags
-  masked) + budget + emulator source.  The uninstrumented program's
-  trace serves baseline, nonempty, abella and the tagged extension and
-  improved programs; the noop program's trace is derived from it, with
-  no second emulation.  A result-cache miss that only changed the
+  masked, hint NOOPs stripped) + budget + emulator source.  The
+  uninstrumented program's trace serves all six techniques: the noop
+  program replays it with a hint map that the kernels expand at fetch,
+  with no second emulation.  A result-cache miss that only changed the
   technique or the processor/energy configuration re-times the
   benchmark without re-emulating it, in-process and across pool
   workers.  Budgets above the trace window (~16k instructions) replay

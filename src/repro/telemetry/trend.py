@@ -16,6 +16,9 @@ parses the history, splits it into per-series samples —
 * ``engine/<name>/warm_noop``: the same warm throughput on gzip's
   NOOP-instrumented program, the hint path (entries from before it
   was measured carry none);
+* ``engine/<name>/warm_gcc_noop``: warm throughput in cycles per CPU
+  second on gcc's NOOP-instrumented program, the program densest in
+  hints (``hint_path`` entries);
 * ``queue_grid/seconds``: 6-cell grid wall-clock through the queue
   (lower is better);
 * ``emulator/kinstr_per_s``: functional emulation of gcc in thousands
@@ -104,6 +107,12 @@ def split_series(history: list[dict]) -> dict[str, dict]:
             _append("queue_grid/seconds", entry.get("queue_seconds"), "lower")
         elif kind == "emulator":
             _append("emulator/kinstr_per_s", entry.get("kinstr_per_s"), "higher")
+        elif kind == "hint_path":
+            _append(
+                f"engine/{entry.get('engine', 'scalar')}/warm_gcc_noop",
+                entry.get("cycles_per_second"),
+                "higher",
+            )
         elif "cycles_per_second_cold" in entry:
             engine = entry.get("engine", "scalar")
             _append(

@@ -25,10 +25,11 @@ is decoded per entry.  Columns are memoised in-process and may be cached
 on disk (:class:`~repro.uarch.trace.TraceCache`), both keyed by the
 *emulation digest* (program text without hint payloads and tags) +
 budget + emulator source digest.  Hints leave architectural state alone,
-so a (benchmark × technique) grid emulates each benchmark once: the
-tagged ``extension`` and ``improved`` programs share the uninstrumented
-program's trace, and the ``noop`` program's trace is derived from it by
-splicing the hint NOOPs in at their pcs in the hinted layout.
+so a (benchmark × technique) grid emulates each benchmark once and
+every program replays the uninstrumented program's trace: the tagged
+``extension`` and ``improved`` programs through their own tables, and
+the ``noop`` program with a :class:`~repro.uarch.trace.HintMap`, whose
+hint NOOPs both kernels expand at fetch.
 
 Replay streams ``memoryview`` windows of the columns (default
 :data:`~repro.uarch.config.DEFAULT_TRACE_WINDOW_ENTRIES`, ~16k entries,
@@ -38,8 +39,8 @@ core replays window by window with microarchitectural state carried
 across boundaries — statistics are bit-identical for every window size,
 and a fresh emulation streams its windows as they are produced.
 
-To force live emulation of the program itself (bypassing the memo, the
-disk cache and the derivation) pass
+To force live emulation of the program itself, hints included
+(bypassing the memo, the disk cache and the hint map) pass
 ``live_emulation=True`` to :func:`~repro.uarch.core.simulate`, or set the
 ``REPRO_LIVE_EMULATION`` environment variable; the result is statistically
 identical, just slower.  Feeding :class:`OutOfOrderCore` a plain iterable

@@ -359,10 +359,12 @@ class FunctionalEmulator:
     #: Default stack pointer value.
     STACK_BASE = 0x7F0000
 
-    def __init__(self, program: Program, max_call_depth: int = 256):
+    def __init__(self, program: Program, max_call_depth: int = 256, hints: bool = True):
         program.validate()
         self.program = program
-        self.layout = ProgramLayout.for_program(program)
+        # ``hints=False`` emulates the program with its hint NOOPs
+        # stripped: they never enter its layout, so no segment holds one.
+        self.layout = ProgramLayout.for_program(program, hints=hints)
         self.max_call_depth = max_call_depth
 
         self.registers = [0] * NUM_ARCH_REGS

@@ -7,7 +7,8 @@
  * the baseline/nonempty policies, and for hints under the stock software
  * policy, whose rule the kernel applies itself) and the per-window
  * callback that hands over the next window of trace columns, read in
- * place.
+ * place.  A program with hint NOOPs replays its stripped program's trace
+ * with a hint-run map, and fetch expands the hints (fetch_expanding).
  *
  * Bit-identity contract: statistics must be byte-identical to the scalar
  * kernel for every (trace, policy, config, warm-up) combination.  Every stage below mirrors the scalar stage line by line;
@@ -381,6 +382,16 @@ typedef struct {
 
 _Static_assert(sizeof(StaticRow) == 40, "StaticRow must match trace._NATIVE_ROW");
 
+/* One entry of a hint-run map (HintRuns.packed in repro/uarch/trace.py),
+ * found for a stripped-trace entry at index (pc - table_base) >> 2: the
+ * entry's own table row, and the hints before it on sequential arrival
+ * and after a taken transfer, the table rows just below its own. */
+typedef struct {
+    int64_t row, sequential, taken;
+} HintRun;
+
+_Static_assert(sizeof(HintRun) == 24, "HintRun must match HintRuns.packed");
+
 /* A window of trace columns, read in place through the buffer protocol
  * (the views pin the Python buffers until the window is released). */
 typedef struct Window {
@@ -499,6 +510,17 @@ typedef struct {
     /* The static table (an owned, validated copy). */
     StaticRow *rows;
     int64_t n_rows, table_base;
+
+    /* The hint-run map (an owned, validated copy; NULL without one), its
+     * tail run and budget, and the expansion's fetch state: hints left
+     * before the entry at trace_pos or in the tail (-1: its run is not
+     * known yet), the own row of the next one and of that entry, whether
+     * the entry before it was a taken transfer other than a return,
+     * whether the tail has started, and the entries fetched. */
+    HintRun *hmap;
+    int64_t n_hmap, tail_row, tail_count, budget;
+    int64_t pending, hint_row, entry_row, fetched_total;
+    int after_taken, in_tail;
 
     /* Components. */
     Cache l1i, l1d, l2;
@@ -671,18 +693,20 @@ static void iq_advance(Machine *m) {
     m->iq_new_head = nh;
 }
 
-/* The table row of `pc`, or -1 with ValueError set: a pc that is
- * misaligned or outside the table is never read out of bounds.  The
- * offset is unsigned, so a pc below the base wraps past every row. */
-static inline int64_t static_row(const Machine *m, int64_t pc) {
+/* The row of `pc` in a layout of `n` rows from table_base (the table's,
+ * or the stripped layout's for a hint map), or -1 with ValueError set: a
+ * pc that is misaligned or outside the layout is never read out of
+ * bounds.  The offset is unsigned, so a pc below the base wraps past
+ * every row. */
+static inline int64_t layout_row(const Machine *m, int64_t pc, int64_t n,
+                                 const char *layout) {
     uint64_t offset = (uint64_t)pc - (uint64_t)m->table_base;
-    if (!(offset & 3) && (offset >> 2) < (uint64_t)m->n_rows)
-        return (int64_t)(offset >> 2);
+    if (!(offset & 3) && (offset >> 2) < (uint64_t)n) return (int64_t)(offset >> 2);
     PyErr_Format(PyExc_ValueError,
-                 "trace pc %#llx names no static instruction (table base %#llx, "
+                 "trace pc %#llx names no static instruction (%s base %#llx, "
                  "%lld rows)",
-                 (unsigned long long)pc, (unsigned long long)m->table_base,
-                 (long long)m->n_rows);
+                 (unsigned long long)pc, layout, (unsigned long long)m->table_base,
+                 (long long)n);
     return -1;
 }
 
@@ -1184,25 +1208,50 @@ static int advance_fetch_window(Machine *m) {
     }
 }
 
-/* Returns 1 when the transfer mispredicted (fetch must stop). */
-static int handle_control(Machine *m, Window *w, int64_t rel, int flags,
-                          int64_t index) {
+/* Branch prediction for the entry at trace position `index`, with its
+ * pc, outcome and next pc.  Returns 1 when the transfer mispredicted
+ * (fetch must stop). */
+static int handle_control(Machine *m, int flags, int64_t pc, int taken,
+                          int64_t next_pc, int64_t index) {
     int mispredicted = 0;
     if (flags & m->F_BRANCH) {
         if (m->warm) m->st.branches++;
-        int correct = pred_branch(&m->pred, w->pc[rel], w->taken[rel] != 0,
-                                  w->next_pc[rel]);
+        int correct = pred_branch(&m->pred, pc, taken != 0, next_pc);
         mispredicted = !correct;
         if (mispredicted && m->warm) m->st.branch_mispredicts++;
     } else if (flags & m->F_CALL) {
-        ras_push(&m->pred, w->pc[rel] + 4);
+        ras_push(&m->pred, pc + 4);
     } else if (flags & m->F_RET) {
-        int correct = ras_predict(&m->pred, w->next_pc[rel]);
+        int correct = ras_predict(&m->pred, next_pc);
         mispredicted = !correct;
         if (mispredicted && m->warm) m->st.ras_mispredicts++;
     }
     if (mispredicted) m->blocked_seq = index;
     return mispredicted;
+}
+
+/* Instruction-cache access when fetch reaches a new line of `pc`.
+ * Returns 1 on an L1I miss, which holds fetch until the line arrives. */
+static inline int fetch_line(Machine *m, int64_t pc, int64_t cycle,
+                             int64_t *last_line) {
+    int64_t line = cache_line(&m->l1i, pc);
+    if (line == *last_line) return 0;
+    *last_line = line;
+    int l1_hit = cache_access(&m->l1i, pc);
+    int64_t latency;
+    if (l1_hit) {
+        latency = m->l1i_hit_lat;
+    } else {
+        int l2_hit = cache_access(&m->l2, pc);
+        latency = l2_hit ? m->l1i_l2 : m->l1i_mem;
+    }
+    if (m->warm) {
+        m->st.l1i_accesses++;
+        if (!l1_hit) m->st.l1i_misses++;
+    }
+    if (l1_hit) return 0;
+    m->fetch_resume = cycle + latency;
+    return 1;
 }
 
 static int fetch_stage(Machine *m) {
@@ -1230,47 +1279,142 @@ static int fetch_stage(Machine *m) {
         }
         int64_t rel = index - m->f_base;
         int64_t pc = w->pc[rel];
-        int64_t row = static_row(m, pc);
+        int64_t row = layout_row(m, pc, m->n_rows, "table");
         if (row < 0) return -1;
         int flags = m->rows[row].flags;
         if (flags & m->F_HINT) hints_fetched++;
 
-        /* Instruction-cache access per new line. */
-        int64_t line = cache_line(&m->l1i, pc);
-        if (line != last_line) {
-            last_line = line;
-            int l1_hit = cache_access(&m->l1i, pc);
-            int64_t latency;
-            if (l1_hit) {
-                latency = m->l1i_hit_lat;
-            } else {
-                int l2_hit = cache_access(&m->l2, pc);
-                latency = l2_hit ? m->l1i_l2 : m->l1i_mem;
-            }
-            if (warm) {
-                m->st.l1i_accesses++;
-                if (!l1_hit) m->st.l1i_misses++;
-            }
-            if (!l1_hit) {
-                m->fetch_resume = cycle + latency;
-                fq_push(m, index, decode_ready, (int32_t)row);
-                fetched++;
-                /* The missed line still delivers this instruction: run
-                 * branch prediction (it can block fetch past the miss). */
-                if (flags & m->F_CONTROL)
-                    handle_control(m, w, rel, flags, index);
-                index++;
-                break;
-            }
-        }
-
+        int missed = fetch_line(m, pc, cycle, &last_line);
         fq_push(m, index, decode_ready, (int32_t)row);
         fetched++;
-        if ((flags & m->F_CONTROL) && handle_control(m, w, rel, flags, index)) {
-            index++;
-            break; /* mispredicted: stop fetching this cycle */
-        }
+        /* A missed line still delivers this instruction: run branch
+         * prediction (it can block fetch past the miss). */
+        int mispredicted =
+            (flags & m->F_CONTROL) &&
+            handle_control(m, flags, pc, w->taken[rel], w->next_pc[rel], index);
         index++;
+        if (missed || mispredicted) break; /* stop fetching this cycle */
+    }
+    m->trace_pos = index;
+    m->last_fetch_line = last_line;
+    if (warm && fetched) {
+        m->st.fetched_instructions += fetched;
+        m->st.hint_noops_fetched += hints_fetched;
+    }
+    return 0;
+}
+
+/* The own-layout next pc of a branch or return at own pc `pc` (the first
+ * hint fetched after it, else the next entry's pc) into *out; -1 with
+ * ValueError set when its stripped next pc has no map entry. */
+static int hinted_next_pc(const Machine *m, int64_t stripped_pc,
+                          int64_t stripped_next, int taken, int flags,
+                          int64_t pc, int64_t *out) {
+    if (!stripped_next) {
+        /* The trace ends: the tail run, if any, follows. */
+        *out = m->tail_count ? m->table_base + 4 * m->tail_row : 0;
+        return 0;
+    }
+    if ((flags & m->F_RET) && stripped_next == stripped_pc + 4) {
+        *out = pc + 4; /* a return from the entry procedure ends the trace */
+        return 0;
+    }
+    int64_t r = layout_row(m, stripped_next, m->n_hmap, "stripped layout");
+    if (r < 0) return -1;
+    const HintRun *run = &m->hmap[r];
+    int64_t count = (taken && !(flags & m->F_RET)) ? run->taken : run->sequential;
+    *out = m->table_base + 4 * (run->row - count);
+    return 0;
+}
+
+/* fetch_stage for a stream with a hint-run map.  Entry by entry through
+ * the stripped trace, fetch takes the entry's hint run first (its taken
+ * run after a taken transfer other than a return, else its sequential
+ * run), then the entry at its own row; after the last entry comes the
+ * tail run, and no entry is fetched past the budget.  A hint's queue
+ * position is the entry it precedes (the last entry for the tail),
+ * whose window fetch already holds.  Mirrors the scalar kernel's
+ * _fetch_expanding. */
+static int fetch_expanding(Machine *m) {
+    if (m->trace_exhausted) return 0;
+    if (m->blocked_seq >= 0) return 0;
+    int64_t cycle = m->abs_cycle;
+    if (cycle < m->fetch_resume) return 0;
+    if (m->fq_n >= m->fq_cap) return 0;
+    Window *w = m->f_win;
+    int64_t index = m->trace_pos;
+    int warm = m->warm;
+    int64_t decode_ready = cycle + m->decode_latency;
+    int width = m->fetch_width;
+    int64_t last_line = m->last_fetch_line;
+    int64_t fetched = 0, hints_fetched = 0;
+    while (fetched < width && m->fq_n < m->fq_cap) {
+        if (m->fetched_total >= m->budget) {
+            m->trace_exhausted = 1;
+            break;
+        }
+        if (m->pending < 0) {
+            /* First visit to the entry at `index`: find its run. */
+            if (index >= m->f_limit) {
+                int got = advance_fetch_window(m);
+                if (got < 0) return -1;
+                if (got) {
+                    w = m->f_win;
+                } else {
+                    m->in_tail = 1;
+                    m->pending = m->tail_count;
+                    m->hint_row = m->tail_row;
+                }
+            }
+            if (!m->in_tail) {
+                int64_t r = layout_row(m, w->pc[index - m->f_base], m->n_hmap,
+                                       "stripped layout");
+                if (r < 0) return -1;
+                const HintRun *run = &m->hmap[r];
+                m->entry_row = run->row;
+                m->pending = m->after_taken ? run->taken : run->sequential;
+                m->hint_row = run->row - m->pending;
+            }
+        }
+        int entry = m->pending == 0;
+        int64_t row, position;
+        if (entry) {
+            if (m->in_tail) {
+                m->trace_exhausted = 1;
+                break;
+            }
+            row = m->entry_row;
+            position = index;
+            m->pending = -1;
+        } else {
+            row = m->hint_row++;
+            m->pending--;
+            position = m->in_tail ? index - 1 : index;
+        }
+        m->fetched_total++;
+        int64_t pc = m->table_base + 4 * row;
+        int flags = m->rows[row].flags;
+        if (flags & m->F_HINT) hints_fetched++;
+
+        int missed = fetch_line(m, pc, cycle, &last_line);
+        fq_push(m, position, decode_ready, (int32_t)row);
+        fetched++;
+        int mispredicted = 0;
+        if (entry) {
+            int64_t rel = index - m->f_base;
+            int taken = w->taken[rel];
+            if (flags & m->F_CONTROL) {
+                int64_t next_pc = 0;
+                if ((flags & (m->F_BRANCH | m->F_RET)) &&
+                    hinted_next_pc(m, w->pc[rel], w->next_pc[rel], taken, flags,
+                                   pc, &next_pc))
+                    return -1;
+                mispredicted = handle_control(m, flags, pc, taken, next_pc, index);
+            }
+            m->after_taken = taken && !(flags & m->F_RET);
+            index++;
+        }
+        if (missed || mispredicted) break; /* stop fetching this cycle */
     }
     m->trace_pos = index;
     m->last_fetch_line = last_line;
@@ -1291,7 +1435,7 @@ static int step(Machine *m) {
     writeback(m);
     if (issue_stage(m)) return -1;
     if (dispatch_stage(m)) return -1;
-    if (fetch_stage(m)) return -1;
+    if (m->hmap ? fetch_expanding(m) : fetch_stage(m)) return -1;
     if (m->warm && m->sample_dirty) flush_sample(m);
     if (m->abs_cycle - m->base >= m->wake) {
         if (call_hook(m, 1, 0)) return -1;
@@ -1359,6 +1503,7 @@ static void free_machine(Machine *m) {
     free(m->fq_ready);
     free(m->fq_row);
     free(m->rows);
+    free(m->hmap);
     {
         Window *w = m->d_win;
         while (w) {
@@ -1618,6 +1763,79 @@ static Machine *build_machine(PyObject *params) {
                          (long long)r);
             goto fail;
         }
+    }
+
+    /* The hint-run map: copied once per run, and every entry validated
+     * so fetch can index the table through it unchecked.  An entry's own
+     * row lies in the table, and each run it names (and the tail run)
+     * lies in the table and holds only F_HINT rows, counted through a
+     * prefix sum of them. */
+    {
+        PyObject *hmap = PyDict_GetItemString(params, "hint_map");
+        if (!hmap) {
+            PyErr_SetString(PyExc_KeyError, "native params missing hint_map");
+            goto fail;
+        }
+        if (hmap != Py_None) {
+            GET("hint_tail_row", m->tail_row);
+            GET("hint_tail_count", m->tail_count);
+            GET("hint_budget", m->budget);
+            Py_buffer view;
+            if (PyObject_GetBuffer(hmap, &view, PyBUF_SIMPLE) < 0) goto fail;
+            if (view.len % (Py_ssize_t)sizeof(HintRun)) {
+                PyBuffer_Release(&view);
+                PyErr_SetString(PyExc_ValueError,
+                                "hint map must be whole 24-byte entries");
+                goto fail;
+            }
+            m->n_hmap = view.len / (Py_ssize_t)sizeof(HintRun);
+            m->hmap = (HintRun *)malloc((size_t)(m->n_hmap ? m->n_hmap : 1) *
+                                        sizeof(HintRun));
+            int64_t *hints_below = (int64_t *)malloc((size_t)(m->n_rows + 1) *
+                                                     sizeof(int64_t));
+            if (!m->hmap || !hints_below) {
+                PyBuffer_Release(&view);
+                free(hints_below);
+                goto fail_mem;
+            }
+            if (view.len) memcpy(m->hmap, view.buf, (size_t)view.len);
+            PyBuffer_Release(&view);
+            hints_below[0] = 0;
+            for (int64_t r = 0; r < m->n_rows; r++)
+                hints_below[r + 1] = hints_below[r] + ((m->rows[r].flags & m->F_HINT) != 0);
+            /* Every bound is checked before the arithmetic it guards, so
+             * no value a caller passes can overflow it. */
+#define ALL_HINTS(first, count) \
+    (hints_below[(first) + (count)] - hints_below[first] == (count))
+            int64_t bad = -1;
+            for (int64_t e = 0; e < m->n_hmap && bad < 0; e++) {
+                const HintRun *run = &m->hmap[e];
+                if (run->row < 0 || run->row >= m->n_rows || run->sequential < 0 ||
+                    run->sequential > run->row || run->taken < 0 ||
+                    run->taken > run->row ||
+                    !ALL_HINTS(run->row - run->sequential, run->sequential) ||
+                    !ALL_HINTS(run->row - run->taken, run->taken))
+                    bad = e;
+            }
+            int tail_ok = m->tail_row >= 0 && m->tail_row <= m->n_rows &&
+                          m->tail_count >= 0 &&
+                          m->tail_count <= m->n_rows - m->tail_row &&
+                          ALL_HINTS(m->tail_row, m->tail_count) && m->budget >= 0;
+#undef ALL_HINTS
+            free(hints_below);
+            if (bad >= 0) {
+                PyErr_Format(PyExc_ValueError,
+                             "hint map entry %lld is out of range for its table",
+                             (long long)bad);
+                goto fail;
+            }
+            if (!tail_ok) {
+                PyErr_SetString(PyExc_ValueError,
+                                "hint map tail or budget is out of range for its table");
+                goto fail;
+            }
+        }
+        m->pending = -1;
     }
 
     /* Front-end state. */

@@ -15,7 +15,10 @@ that are inherently Python-facing:
   window's ``memoryview`` columns through the buffer protocol without
   copying them.  Fetch looks up each entry's static row with a bounds
   check: a pc that is misaligned or outside the table raises
-  ``ValueError`` and is never read out of bounds.  The windowed
+  ``ValueError`` and is never read out of bounds.  A stream's
+  :class:`~repro.uarch.trace.HintMap` is copied once per run too, every
+  entry checked against the table, and fetch expands its hints as the
+  scalar kernel does.  The windowed
   replay's memory bound (and ``max_resident_windows`` semantics) are
   those of the scalar kernel exactly.
 * **Policies stay Python.**  The kernel calls back on exactly the events
@@ -66,6 +69,7 @@ from repro.uarch.trace import (
     F_NOP,
     F_RET,
     F_STORE,
+    HintMap,
     TraceWindow,
     TraceWindowStream,
     empty_columns,
@@ -130,6 +134,19 @@ def load_native_module():
                 "or select the scalar engine"
             )
     return _MODULE
+
+
+def _hint_params(hints: Optional[HintMap]) -> dict:
+    """The stream's hint map as the C loop reads it (``hint_map`` None
+    when the stream has none)."""
+    if hints is None:
+        return {"hint_map": None}
+    return {
+        "hint_map": hints.runs.packed(),
+        "hint_tail_row": hints.tail_row,
+        "hint_tail_count": hints.tail_count,
+        "hint_budget": hints.budget,
+    }
 
 
 class NativeCore:
@@ -284,6 +301,7 @@ class NativeCore:
             "fu_limits": [cfg.fu_counts.get(fu, 0) for fu in FU_ORDER],
             "table": self._stream.table.packed(),
             "table_base": self._stream.table.base,
+            **_hint_params(self._stream.hints),
             "first_window": first_window,
             "next_window": self._stream.next_window,
             "hook": self._hook,

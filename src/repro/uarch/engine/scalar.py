@@ -31,7 +31,11 @@ its fetch queue: fetch pulls the next window in as it crosses a
 boundary, dispatch releases a window once every entry in it has been
 consumed, and ``max_resident_windows`` records the high-water count.
 Statistics are bit-identical for every window size, including a single
-window.  Passing a plain iterable of ``DynamicInstruction`` (lowered on
+window.  A stream with a :class:`~repro.uarch.trace.HintMap` (a program
+with hint NOOPs replaying its stripped program's trace) is fetched by
+:meth:`OutOfOrderCore._fetch_expanding`, which fetches each entry's hint
+run before it, the tail run after the last entry, and nothing past the
+budget.  Passing a plain iterable of ``DynamicInstruction`` (lowered on
 construction) still works.
 
 Deviation from an execute-driven simulator (documented in DESIGN.md): the
@@ -63,6 +67,7 @@ not against the object-based component API.
 from __future__ import annotations
 
 from collections import deque
+from itertools import accumulate
 from typing import Iterable, Optional, Union
 
 from repro.uarch.engine.base import ReplayEngine, register_engine
@@ -84,10 +89,47 @@ from repro.uarch.trace import (
     F_NOP,
     F_RET,
     F_STORE,
+    HintMap,
     TraceWindow,
     TraceWindowStream,
     empty_columns,
 )
+
+#: 1 for a flags byte with ``F_HINT`` set, else 0 (``bytes.translate``).
+_HINT_ROWS = bytes(1 if value & F_HINT else 0 for value in range(256))
+
+
+def check_hint_map(hints: HintMap, flags: bytes) -> None:
+    """Raise ``ValueError`` unless every row ``hints`` names lies in the
+    table whose flags column is ``flags``, and every run it names holds
+    only ``F_HINT`` rows, as the native kernel checks when it builds its
+    machine."""
+    runs = hints.runs
+    n_rows = len(flags)
+    # hint_rows[i]: the F_HINT rows below row i.
+    hint_rows = [0, *accumulate(flags.translate(_HINT_ROWS))]
+
+    def is_run(first: int, count: int) -> bool:
+        return (
+            0 <= first
+            and 0 <= count
+            and first + count <= n_rows
+            and hint_rows[first + count] - hint_rows[first] == count
+        )
+
+    if not len(runs.rows) == len(runs.sequential) == len(runs.taken):
+        raise ValueError("hint map columns differ in length")
+    for entry, (row, sequential, taken) in enumerate(
+        zip(runs.rows, runs.sequential, runs.taken)
+    ):
+        if not (
+            0 <= row < n_rows
+            and is_run(row - sequential, sequential)
+            and is_run(row - taken, taken)
+        ):
+            raise ValueError(f"hint map entry {entry} is out of range for its table")
+    if not is_run(hints.tail_row, hints.tail_count) or hints.budget < 0:
+        raise ValueError("hint map tail or budget is out of range for its table")
 
 
 class OutOfOrderCore:
@@ -134,6 +176,22 @@ class OutOfOrderCore:
         self.max_resident_windows = 1
         self._trace_pos = 0
         self._trace_exhausted = False
+        # Hint expansion (streams with a map): hints left to fetch before
+        # the entry at ``_trace_pos`` or in the tail (-1: its run is not
+        # known yet), the own row of the next one and of that entry,
+        # whether the entry before it was a taken transfer other than a
+        # return, whether the tail has started, and entries fetched.
+        self._hints = trace.hints
+        self._fetch_stage = self._fetch
+        if self._hints is not None:
+            check_hint_map(self._hints, self._table.flags)
+            self._fetch_stage = self._fetch_expanding
+        self._pending = -1
+        self._hint_row = 0
+        self._entry_row = 0
+        self._after_taken = False
+        self._in_tail = False
+        self._fetched_total = 0
 
         cfg = self.config
         self.stats = SimulationStats(
@@ -198,7 +256,7 @@ class OutOfOrderCore:
         self._writeback()
         self._issue()
         self._dispatch()
-        self._fetch()
+        self._fetch_stage()
         if self._warmup_done and self._sample_dirty:
             self._flush_sample()
         wake = self._wake
@@ -762,7 +820,8 @@ class OutOfOrderCore:
                 f_base = self._f_base
                 f_limit = self._f_limit
                 pcs = trace.pc
-            pc = pcs[index - f_base]
+            rel = index - f_base
+            pc = pcs[rel]
             offset = pc - base
             row = offset >> 2
             if offset & 3 or not 0 <= row < n_rows:
@@ -771,40 +830,193 @@ class OutOfOrderCore:
             if flags & F_HINT:
                 hints_fetched += 1
 
-            # Instruction-cache access per new line.
+            missed = False
             line = pc // line_bytes
             if line != last_line:
                 last_line = line
-                latency, l1_hit, _ = self.memory.instruction_fetch_fast(pc)
-                if warm:
-                    stats.l1i_accesses += 1
-                    if not l1_hit:
-                        stats.l1i_misses += 1
-                if not l1_hit:
-                    self._fetch_resume_cycle = cycle + latency
-                    append((index, decode_ready, row))
-                    fetched += 1
-                    # The missed line still delivers this instruction, so it
-                    # must run branch prediction like any other: a branch
-                    # fetched on a missed line can mispredict and block the
-                    # front end past the miss itself.
-                    if flags & F_CONTROL:
-                        self._handle_control_flow(index, flags)
-                    index += 1
-                    break
-
+                missed = self._fetch_line(pc, cycle)
             append((index, decode_ready, row))
             fetched += 1
-
-            if flags & F_CONTROL and self._handle_control_flow(index, flags):
-                index += 1
-                break  # mispredicted: stop fetching this cycle
+            # A missed line still delivers this instruction, so it must
+            # run branch prediction like any other: a branch fetched on a
+            # missed line can mispredict and block the front end past the
+            # miss itself.
+            mispredicted = flags & F_CONTROL and self._handle_control_flow(
+                index, flags, pc, trace.taken[rel], trace.next_pc[rel]
+            )
             index += 1
+            if missed or mispredicted:
+                break  # stop fetching this cycle
         self._trace_pos = index
         self._last_fetch_line = last_line
         if warm and fetched:
             stats.fetched_instructions += fetched
             stats.hint_noops_fetched += hints_fetched
+
+    def _fetch_expanding(self) -> None:
+        """:meth:`_fetch` for a stream with a hint map.
+
+        Entry by entry through the stripped trace, fetch takes the
+        entry's hint run first (its taken run after a taken transfer
+        other than a return, else its sequential run), then the entry at
+        its own row; after the last entry comes the tail run, and no
+        entry is fetched past the budget.  A hint's queue position is
+        the entry it precedes (the last entry for the tail), whose window
+        fetch already holds.
+        """
+        if self._trace_exhausted:
+            return
+        if self._fetch_blocked_on_seq is not None:
+            return
+        cycle = self.cycle
+        if cycle < self._fetch_resume_cycle:
+            return
+
+        config = self.config
+        fetch_queue = self._fetch_queue
+        queue_cap = config.fetch_queue_entries
+        if len(fetch_queue) >= queue_cap:
+            return
+        hints = self._hints
+        runs = hints.runs
+        own_rows = runs.rows
+        budget = hints.budget
+        trace = self._f_trace
+        f_base = self._f_base
+        index = self._trace_pos
+        pending = self._pending
+        hint_row = self._hint_row
+        entry_row = self._entry_row
+        total = self._fetched_total
+        table = self._table
+        flags_tab = table.flags
+        base = table.base
+        append = fetch_queue.append
+        warm = self._warmup_done
+        stats = self.stats
+        line_bytes = config.l1i.line_bytes
+        decode_ready = cycle + config.decode_latency
+        width = config.fetch_width
+        last_line = self._last_fetch_line
+        fetched = 0
+        hints_fetched = 0
+        while fetched < width and len(fetch_queue) < queue_cap:
+            if total >= budget:
+                self._trace_exhausted = True
+                break
+            if pending < 0:
+                # First visit to the entry at ``index``: find its run.
+                if index >= self._f_limit:
+                    if self._advance_fetch_window():
+                        trace = self._f_trace
+                        f_base = self._f_base
+                    else:
+                        self._in_tail = True
+                        pending = hints.tail_count
+                        hint_row = hints.tail_row
+                if not self._in_tail:
+                    stripped = self._stripped_row(trace.pc[index - f_base])
+                    entry_row = own_rows[stripped]
+                    pending = (runs.taken if self._after_taken else runs.sequential)[
+                        stripped
+                    ]
+                    hint_row = entry_row - pending
+            entry = not pending
+            if entry:
+                if self._in_tail:
+                    self._trace_exhausted = True
+                    break
+                row = entry_row
+                position = index
+                pending = -1
+            else:
+                row = hint_row
+                hint_row += 1
+                pending -= 1
+                position = index - 1 if self._in_tail else index
+            total += 1
+            pc = base + 4 * row
+            flags = flags_tab[row]
+            if flags & F_HINT:
+                hints_fetched += 1
+
+            missed = mispredicted = False
+            line = pc // line_bytes
+            if line != last_line:
+                last_line = line
+                missed = self._fetch_line(pc, cycle)
+            append((position, decode_ready, row))
+            fetched += 1
+            if entry:
+                rel = index - f_base
+                taken = trace.taken[rel]
+                if flags & F_CONTROL:
+                    next_pc = 0
+                    if flags & (F_BRANCH | F_RET):
+                        next_pc = self._hinted_next_pc(
+                            trace.pc[rel], trace.next_pc[rel], taken, flags, pc
+                        )
+                    mispredicted = self._handle_control_flow(
+                        index, flags, pc, taken, next_pc
+                    )
+                self._after_taken = bool(taken) and not flags & F_RET
+                index += 1
+            if missed or mispredicted:
+                break  # stop fetching this cycle
+        self._trace_pos = index
+        self._pending = pending
+        self._hint_row = hint_row
+        self._entry_row = entry_row
+        self._fetched_total = total
+        self._last_fetch_line = last_line
+        if warm and fetched:
+            stats.fetched_instructions += fetched
+            stats.hint_noops_fetched += hints_fetched
+
+    def _fetch_line(self, pc: int, cycle: int) -> bool:
+        """Instruction-cache access when fetch reaches a new line of
+        ``pc``; True on an L1I miss, which holds fetch until the line
+        arrives."""
+        latency, l1_hit, _ = self.memory.instruction_fetch_fast(pc)
+        if self._warmup_done:
+            stats = self.stats
+            stats.l1i_accesses += 1
+            if not l1_hit:
+                stats.l1i_misses += 1
+        if l1_hit:
+            return False
+        self._fetch_resume_cycle = cycle + latency
+        return True
+
+    def _stripped_row(self, pc: int) -> int:
+        """The stripped-layout row of ``pc``; ``ValueError`` when the hint
+        map has none."""
+        offset = pc - self._table.base
+        row = offset >> 2
+        rows = len(self._hints.runs.rows)
+        if offset & 3 or not 0 <= row < rows:
+            raise ValueError(
+                f"trace pc {pc:#x} names no static instruction (stripped layout "
+                f"base {self._table.base:#x}, {rows} rows)"
+            )
+        return row
+
+    def _hinted_next_pc(
+        self, stripped_pc: int, stripped_next: int, taken: int, flags: int, pc: int
+    ) -> int:
+        """The own-layout next pc of a branch or return at own pc ``pc``:
+        the first hint fetched after it, else the next entry's pc."""
+        hints = self._hints
+        base = self._table.base
+        if not stripped_next:
+            # The trace ends: the tail run, if any, follows.
+            return base + 4 * hints.tail_row if hints.tail_count else 0
+        if flags & F_RET and stripped_next == stripped_pc + 4:
+            return pc + 4  # a return from the entry procedure ends the trace
+        runs = hints.runs
+        row = self._stripped_row(stripped_next)
+        count = (runs.taken if taken and not flags & F_RET else runs.sequential)[row]
+        return base + 4 * (runs.rows[row] - count)
 
     def _advance_fetch_window(self) -> bool:
         """Pull the next trace window in behind fetch; False at trace end."""
@@ -822,29 +1034,26 @@ class OutOfOrderCore:
         self._f_limit += window.length
         return True
 
-    def _handle_control_flow(self, index: int, flags: int) -> bool:
-        """Run branch prediction for the instruction at ``index``.
+    def _handle_control_flow(
+        self, index: int, flags: int, pc: int, taken: int, next_pc: int
+    ) -> bool:
+        """Run branch prediction for the instruction at ``index``, the
+        global trace position, with its pc, outcome and next pc.
 
         Returns True if fetch must stop (the transfer mispredicted).
-        ``index`` is the global trace position; it always lies in the
-        current fetch window (control flow is resolved at fetch).
         """
-        trace = self._f_trace
-        rel = index - self._f_base
         mispredicted = False
         if flags & F_BRANCH:
             if self._warmup_done:
                 self.stats.branches += 1
-            outcome = self.predictor.predict_and_update(
-                trace.pc[rel], trace.taken[rel] != 0, trace.next_pc[rel]
-            )
+            outcome = self.predictor.predict_and_update(pc, taken != 0, next_pc)
             mispredicted = not outcome.correct
             if mispredicted and self._warmup_done:
                 self.stats.branch_mispredicts += 1
         elif flags & F_CALL:
-            self.predictor.push_return_address(trace.pc[rel] + 4)
+            self.predictor.push_return_address(pc + 4)
         elif flags & F_RET:
-            correct = self.predictor.predict_return(trace.next_pc[rel])
+            correct = self.predictor.predict_return(next_pc)
             mispredicted = not correct
             if mispredicted and self._warmup_done:
                 self.stats.ras_mispredicts += 1

@@ -26,46 +26,45 @@ replay core releases windows as it retires past them, so at most the
 windows spanning its fetch queue are resident; statistics are
 bit-identical for every window size, including 1.
 
-Hints leave architectural state alone by design, so a benchmark's
-instrumented programs execute the uninstrumented program's stream:
+Hints leave architectural state alone by design, so every program of a
+benchmark replays **one trace**, the uninstrumented program's:
 
 * traces are keyed by the **emulation digest**, the program content
   without hint payloads and issue-queue tags (:class:`ProgramDigests`),
   so the tagged ``extension`` and ``improved`` programs share the
   baseline's trace while their static tables, keyed by the full
   :func:`program_digest`, still carry the tags to the kernels;
-* a program with hint NOOPs has its trace **derived** from the trace of
-  the same program with its hints stripped (whose emulation digest is
-  the baseline's): each source pc moves to its pc in the hinted layout,
-  and the hints control passes through are spliced in
-  (:func:`_splice_hints`), the budget counting them.
+* a program with hint NOOPs replays the trace of the same program with
+  its hints stripped (whose emulation digest is the baseline's), and
+  its stream carries a :class:`HintMap` next to its own-layout table:
+  for each stripped row, its own row and the runs of hints before it.
+  Both kernels expand those hints at fetch, the budget counting them,
+  so no hinted trace is ever built.
 
 Three reuse tiers sit in front of the emulator:
 
 1. an **in-process column memo** keyed by (emulation digest, budget),
    so every technique simulated against one benchmark shares its
-   traces at every budget;
+   trace at every budget;
 2. an optional **on-disk cache** (:class:`TraceCache`),
    content-addressed like :mod:`repro.harness.cache`: the key digests
    the emulation digest, the instruction budget and the source of the
    emulator and of this module, so editing the emulator or the
-   derivation (or regenerating a workload with different traits) can
-   never resurrect a stale trace.  It stores exactly the columns,
-   derived traces under the hinted program's own key;
+   trace layer (or regenerating a workload with different traits) can
+   never resurrect a stale trace.  It stores exactly the columns;
 3. **live emulation** (``live=True`` or the ``REPRO_LIVE_EMULATION``
-   environment variable), which bypasses both tiers, derives nothing
-   and emulates the program itself — the reference path the
-   equivalence tests compare against.
+   environment variable), which bypasses both tiers and emulates the
+   program itself, hints included, with no map — the reference path
+   the equivalence tests compare against.
 
-On a miss, a hinted program's trace is derived when either tier holds
-its stripped program's trace, and emulated otherwise.  An emulated trace
-streams: the emulator yields one window of columns at a time, and each
-is replayed as it arrives.  A derivation runs inside the stream's first
-window pull.
+An emulated trace streams: the emulator yields one window of columns at
+a time, and each is replayed as it arrives.  A hinted program's map
+needs the trace's last entry, so on a miss its stripped program is
+emulated whole before the replay starts.
 
-Module-level :data:`trace_events` counters record emulations,
-derivations, memo hits and disk hits/misses/stores so tests can assert
-that a warm cache skips re-emulation entirely.
+Module-level :data:`trace_events` counters record emulations, memo hits
+and disk hits/misses/stores so tests can assert that a warm cache skips
+re-emulation entirely.
 """
 
 from __future__ import annotations
@@ -87,12 +86,7 @@ from repro.atomicio import publish_atomically
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode, default_latency, fu_class, is_branch
 from repro.uarch.config import DEFAULT_TRACE_WINDOW_ENTRIES
-from repro.uarch.emulator import (
-    CODE_BASE,
-    DynamicInstruction,
-    FunctionalEmulator,
-    ProgramLayout,
-)
+from repro.uarch.emulator import CODE_BASE, DynamicInstruction, FunctionalEmulator
 from repro.uarch.functional_units import FU_INDEX
 
 #: Bump when the on-disk payload layout changes.  Version 2: windowed
@@ -152,7 +146,6 @@ _OPCODE_DECODE: dict[str, tuple[int, int, int]] = {
 #: versus how often an emulated trace was reused.
 trace_events: dict[str, int] = {
     "emulations": 0,
-    "derivations": 0,
     "memo_hits": 0,
     "disk_hits": 0,
     "disk_misses": 0,
@@ -382,6 +375,113 @@ def static_table(program) -> StaticTable:
     return _program_record(program)[1]
 
 
+class HintRuns:
+    """Where a program's hint NOOPs sit between its other instructions.
+
+    A program with hint NOOPs replays the trace of the same program with
+    its hints stripped.  Its runs have one entry per row of that
+    *stripped* layout, in row order, in three ``array('q')`` columns.
+
+    Attributes:
+        rows: the entry's row in the program's own layout, that is in
+            its :class:`StaticTable`.
+        sequential: the hints right before it that control passes
+            through when it arrives sequentially: after an entry not
+            taken, or after a return, which resumes past its call.  The
+            run reaches back to the procedure's previous non-hint
+            instruction (or its start), across block boundaries.
+        taken: the hints that a taken branch, jump or call to its block
+            passes through: those at the start of its block.
+        trailing: stripped row -> the hints after it, for the last
+            non-hint instruction of a procedure that ends in hints.
+    """
+
+    __slots__ = ("rows", "sequential", "taken", "trailing", "_packed")
+
+    def __init__(self, rows, sequential, taken, trailing: Optional[dict] = None):
+        self.rows = array.array("q", rows)
+        self.sequential = array.array("q", sequential)
+        self.taken = array.array("q", taken)
+        self.trailing = trailing or {}
+        self._packed: Optional[bytes] = None
+
+    def pcs(self) -> range:
+        """The pcs a stripped trace may hold, one per entry."""
+        return range(CODE_BASE, CODE_BASE + 4 * len(self.rows), 4)
+
+    def packed(self) -> bytes:
+        """The entries as the native kernel's ``HintRun`` records: own row,
+        sequential count, taken count, each a native ``int64``."""
+        if self._packed is None:
+            packed = array.array("q", bytes(24 * len(self.rows)))
+            packed[0::3] = self.rows
+            packed[1::3] = self.sequential
+            packed[2::3] = self.taken
+            self._packed = packed.tobytes()
+        return self._packed
+
+    def hint_map(self, flags: bytes, columns: TraceWindow, budget: int) -> "HintMap":
+        """The map of a replay of ``columns``, this program's stripped
+        trace, at ``budget``: these runs plus the tail run.
+
+        Hints follow the last entry only when control falls off the end
+        of its procedure: when the trace ends on a next pc of 0 after an
+        entry that was not taken, or after a return to a call that ends
+        its procedure.  ``flags`` is the own-layout table's column.
+        """
+        length = len(columns.taken)
+        if not length or columns.next_pc[length - 1]:
+            return HintMap(self, 0, 0, budget)
+        anchor = (columns.pc[length - 1] - CODE_BASE) >> 2
+        if flags[self.rows[anchor]] & F_RET:
+            anchor = self._returning_call(flags, columns.pc, length - 1)
+        elif columns.taken[length - 1]:
+            return HintMap(self, 0, 0, budget)
+        count = self.trailing.get(anchor, 0)
+        return HintMap(self, self.rows[anchor] + 1 if count else 0, count, budget)
+
+    def _returning_call(self, flags: bytes, pcs, index: int) -> int:
+        """The stripped row of the CALL that the RET at entry ``index``
+        returns to."""
+        rows = self.rows
+        depth = 0
+        for position in range(index - 1, -1, -1):
+            row = (pcs[position] - CODE_BASE) >> 2
+            flag = flags[rows[row]]
+            if flag & F_RET:
+                depth += 1
+            elif flag & F_CALL:
+                if not depth:
+                    return row
+                depth -= 1
+        raise ValueError("trace returns from the entry procedure mid-trace")
+
+
+class HintMap(NamedTuple):
+    """How a kernel expands a stream's hint NOOPs at fetch.
+
+    Fetch goes entry by entry through the stripped trace.  Before each
+    entry it fetches the hints of the entry's ``sequential`` run, or of
+    its ``taken`` run when the entry before it was a taken branch, jump
+    or call (not a return): the own rows just below the entry's own row.
+    After the last entry it fetches the tail run, and it stops after
+    ``budget`` entries, hints included.  The result is the program's own
+    emulation, entry for entry.
+
+    Attributes:
+        runs: the program's :class:`HintRuns`.
+        tail_row / tail_count: the hints after the last entry, own rows
+            ``tail_row`` up to ``tail_row + tail_count``; none when the
+            count is 0.
+        budget: the most entries a replay fetches.
+    """
+
+    runs: HintRuns
+    tail_row: int
+    tail_count: int
+    budget: int
+
+
 # ----------------------------------------------------------------------
 # Content addressing
 # ----------------------------------------------------------------------
@@ -392,9 +492,8 @@ def _emulator_code_digest() -> str:
     The stored arrays are a function of the emulator's semantics — which
     include the ISA definitions (opcodes, register constants, instruction
     and program structure), not just ``emulator.py`` — and this module
-    derives the stored traces of hinted programs and defines what the
-    replay core reads back.  Any of them changing must invalidate every
-    persisted trace.
+    defines the digest that keys them and what the replay core reads
+    back.  Any of them changing must invalidate every persisted trace.
     """
     from repro.isa import instruction, opcodes, program, registers
     from repro.uarch import emulator as emulator_module
@@ -411,7 +510,7 @@ def _emulator_code_digest() -> str:
 #: 1 MiB, for gcc) and its table, and a benchmark's cells take turns
 #: over four distinct programs.
 _PROGRAM_MEMO_CAPACITY = 4
-_program_memo: "OrderedDict[tuple, tuple[ProgramDigests, StaticTable]]" = OrderedDict()
+_program_memo: "OrderedDict[tuple, ProgramRecord]" = OrderedDict()
 
 #: ``Opcode.HINT`` as :func:`_program_content` records an opcode.
 _HINT_OPCODE = Opcode.HINT._value_
@@ -424,16 +523,21 @@ class ProgramDigests(NamedTuple):
         program: its full static content (:func:`program_digest`), hint
             payloads and tags included.
         emulation: the content the emulator reads, that is everything
-            but hint payloads and issue-queue tags; keys the trace.
-            Equal to ``program`` when neither is set.
+            but hint payloads and issue-queue tags.  Equal to
+            ``program`` when neither is set.
         source: the emulation digest of the same program with its hint
-            NOOPs stripped, the trace a hinted trace is derived from;
-            None for a program without hint NOOPs.
+            NOOPs stripped, the trace a program with :class:`HintRuns`
+            replays; None for a program that replays its own emulation.
     """
 
     program: str
     emulation: str
     source: Optional[str]
+
+    @property
+    def trace(self) -> str:
+        """The digest that keys the trace the program replays."""
+        return self.source or self.emulation
 
 
 def _program_content(program) -> tuple:
@@ -462,8 +566,64 @@ def _sha256(content: tuple) -> str:
     return hashlib.sha256(marshal.dumps(content, 2)).hexdigest()
 
 
-def _content_record(content: tuple) -> tuple[ProgramDigests, StaticTable]:
-    """The digests and static table of one :func:`_program_content` walk.
+#: One :func:`_program_record`: the program's digests, its table and,
+#: for a program that replays its stripped program's trace, its runs.
+ProgramRecord = tuple[ProgramDigests, StaticTable, Optional[HintRuns]]
+
+
+def _hint_runs(content: tuple) -> Optional[HintRuns]:
+    """The :class:`HintRuns` of one :func:`_program_content` walk.
+
+    None when a procedure has no block or a block holds hints but no
+    other instruction, and the program then replays its own emulation.
+    Stripping would empty that block, and a branch to it and a branch to
+    the block after it would record the same target in the stripped
+    trace, though only the first passes its hints.  A block that is
+    empty in both layouts passes no hints, and the emulator records the
+    next instruction executed past it, so runs reach across it.
+    """
+    rows: list[int] = []
+    sequential: list[int] = []
+    taken: list[int] = []
+    trailing: dict[int, int] = {}
+    own = -1  # own-layout row of the current instruction
+    run = 0  # hints since the procedure's last non-hint instruction
+    start = 0  # ``run`` where the current block starts
+    first = False  # the current block has had no non-hint instruction
+    blocks = -1  # blocks of the current procedure (-1: none started)
+    for item in content[1:] + (None,):
+        if type(item) is tuple and len(item) == 8:
+            own += 1
+            if item[0] == _HINT_OPCODE:
+                run += 1
+                continue
+            rows.append(own)
+            sequential.append(run)
+            taken.append(run - start if first else 0)
+            run = 0
+            first = False
+            continue
+        if first and run > start:
+            return None  # the block just ended holds only hints
+        if type(item) is str:  # a block label
+            blocks += 1
+            start = run
+            first = True
+            continue
+        # A procedure starts, or the content ends: close the procedure.
+        if not blocks:
+            return None
+        if run:
+            trailing[len(rows) - 1] = run
+        run = 0
+        blocks = 0
+        first = False
+    return HintRuns(rows, sequential, taken, trailing)
+
+
+def _content_record(content: tuple) -> ProgramRecord:
+    """The digests, static table and hint runs of one
+    :func:`_program_content` walk.
 
     Content order is layout order, so table row ``i`` is the ``i``-th
     instruction item.  The emulation digest masks the hint payload and
@@ -489,16 +649,19 @@ def _content_record(content: tuple) -> tuple[ProgramDigests, StaticTable]:
             items[index] = item
         emulated = tuple(items)
         emulation = _sha256(emulated)
-    source = None
+    source = runs = None
     if hints:
+        runs = _hint_runs(content)
+    if runs is not None:
         source = _sha256(
             tuple([item for index, item in enumerate(emulated) if index not in hints])
         )
-    return ProgramDigests(full, emulation, source), StaticTable(rows)
+    return ProgramDigests(full, emulation, source), StaticTable(rows), runs
 
 
-def _program_record(program) -> tuple[ProgramDigests, StaticTable]:
-    """The :class:`ProgramDigests` and :class:`StaticTable` of ``program``.
+def _program_record(program) -> ProgramRecord:
+    """The :class:`ProgramDigests`, :class:`StaticTable` and
+    :class:`HintRuns` of ``program``.
 
     Memoised on its content, never on object identity: programs may be
     mutated in place between simulations (``build_benchmark(fresh=True)``
@@ -524,10 +687,17 @@ def program_digest(program) -> str:
     """SHA-256 over the program's full static content, in layout order.
 
     The digest covers :func:`_program_content`, hint payloads and tags
-    included.  Traces are keyed by the emulation digest instead
-    (:class:`ProgramDigests`).
+    included.  Traces are keyed by :attr:`ProgramDigests.trace`
+    instead.
     """
     return _program_record(program)[0].program
+
+
+def _trace_pcs(record: ProgramRecord) -> range:
+    """The pcs the trace a program replays may hold: its stripped
+    layout's for a program with :class:`HintRuns`, else its table's."""
+    _, table, runs = record
+    return table.pcs() if runs is None else runs.pcs()
 
 
 def _fingerprint_from_digest(digest: str, max_instructions: int) -> str:
@@ -545,12 +715,10 @@ def trace_fingerprint(program, max_instructions: int) -> str:
     """The disk-cache key of ``program``'s trace: the name of the file
     :func:`get_trace_stream` reads and writes for it.
 
-    It digests the emulation digest, so programs that differ only in hint
-    payloads or tags share one trace file.
+    It digests :attr:`ProgramDigests.trace`, so programs that differ
+    only in hint NOOPs, hint payloads or tags share one trace file.
     """
-    return _fingerprint_from_digest(
-        _program_record(program)[0].emulation, max_instructions
-    )
+    return _fingerprint_from_digest(_program_record(program)[0].trace, max_instructions)
 
 
 # ----------------------------------------------------------------------
@@ -688,12 +856,12 @@ class TraceCache:
     def _open_validated(self, fingerprint: str, pcs: range) -> Optional[TraceWindow]:
         """Read, validate and pc-resolve a stored trace; None on a miss.
 
-        ``pcs`` are the pcs a trace of the program may hold: its static
-        table's rows, or for a derivation's source every pc of the
-        stripped layout.  A stored pc outside them means corruption (or a
-        fingerprint collision) and is a miss like any other malformed
-        payload, forcing a clean re-emulation.  Hits refresh the file's
-        mtime (LRU recency).
+        ``pcs`` are the pcs the trace may hold (:func:`_trace_pcs`): the
+        rows of the program's static table, or for a program with
+        :class:`HintRuns` every pc of its stripped layout.  A stored pc
+        outside them means corruption (or a fingerprint collision) and
+        is a miss like any other malformed payload, forcing a clean
+        re-emulation.  Hits refresh the file's mtime (LRU recency).
         """
         try:
             columns, path = self._read_columns(fingerprint)
@@ -729,9 +897,9 @@ class TraceCache:
         return columns
 
     def load(self, fingerprint: str, program) -> Optional[TraceWindow]:
-        """The stored columns for ``fingerprint``, validated against
-        ``program``; None on a miss."""
-        return self._open_validated(fingerprint, static_table(program).pcs())
+        """The stored columns for ``fingerprint``, validated against the
+        layout of the trace ``program`` replays; None on a miss."""
+        return self._open_validated(fingerprint, _trace_pcs(_program_record(program)))
 
     # ------------------------------------------------------------------
     # Writing
@@ -906,13 +1074,13 @@ class TraceWindowWriter:
 # ----------------------------------------------------------------------
 # Front door
 # ----------------------------------------------------------------------
-#: In-process memo of trace columns, keyed by (emulation digest, budget)
-#: so in-place program mutation can never resurface a stale trace.  At
-#: 25 bytes per instruction it restores the emulate-once-per-benchmark
+#: In-process memo of trace columns, keyed by (trace digest, budget) so
+#: in-place program mutation can never resurface a stale trace.  At 25
+#: bytes per instruction it restores the emulate-once-per-benchmark
 #: guarantee when no disk cache is configured (every cell of an uncached
 #: grid would otherwise re-emulate).  A benchmark's six techniques read
-#: two traces, the uninstrumented program's and the noop program's, so
-#: four entries hold two benchmarks' traces.
+#: one trace, the uninstrumented program's, so four entries hold four
+#: benchmarks' traces.
 _COLUMN_MEMO_CAPACITY = 4
 _column_memo: "OrderedDict[tuple[str, int], TraceWindow]" = OrderedDict()
 
@@ -953,22 +1121,24 @@ def _emulated_windows(
     max_instructions: int,
     window_size: Optional[int],
     cache: Optional[TraceCache] = None,
-    fingerprint: Optional[str] = None,
     memo_key: Optional[tuple] = None,
+    hints: bool = True,
 ) -> Iterator[TraceWindow]:
     """Emulate once, yielding column windows as they are produced.
 
-    With a cache, each window is buffered as it streams past and the file
-    is committed atomically when the emulation completes; with
-    ``memo_key``, the columns also land in the in-process memo.  An
-    abandoned replay stores and memoises nothing.
+    With a ``memo_key``, the columns land in the in-process memo under
+    it, and with a cache too, each window is buffered as it streams past
+    and the file is committed atomically, under the key's fingerprint,
+    when the emulation completes.  An abandoned replay stores and
+    memoises nothing.  ``hints=False`` emulates the program with its
+    hint NOOPs stripped.
     """
     trace_events["emulations"] += 1
-    writer = (
-        cache.open_store(fingerprint, window_size) if cache is not None else None
-    )
+    writer = None
+    if cache is not None and memo_key is not None:
+        writer = cache.open_store(_fingerprint_from_digest(*memo_key), window_size)
     columns = empty_columns() if memo_key is not None else None
-    emulator = FunctionalEmulator(program)
+    emulator = FunctionalEmulator(program, hints=hints)
     for pcs, next_pcs, takens, mems in emulator.run_collect_windows(
         max_instructions, window_size
     ):
@@ -985,240 +1155,34 @@ def _emulated_windows(
         _memoise_columns(memo_key, columns)
 
 
-class _SplicePlan(NamedTuple):
-    """Where a hinted program's hint NOOPs sit between its other instructions.
-
-    Keys are pcs in the *stripped* layout (the program without its hints),
-    the pcs a source trace records.  A run of hints is a count of
-    consecutive hinted-layout pcs.
-
-    Attributes:
-        source_pcs: every pc of the stripped layout.
-        hinted_pc: stripped pc -> pc in the hinted layout.
-        run_before: the hints between an instruction and the previous
-            non-hint instruction of its procedure (or the procedure's
-            start), which control passes through when it arrives
-            sequentially.
-        block_lead: the hints between the start of a block and its first
-            non-hint instruction, which a taken branch, jump or call to
-            the block passes through.
-        run_after: the hints after the last non-hint instruction of a
-            procedure, which control passes through when it falls off
-            the procedure's end.
-        calls / returns / halts: the stripped pcs of CALL, RET and HALT.
-    """
-
-    source_pcs: range
-    hinted_pc: dict
-    run_before: dict
-    block_lead: dict
-    run_after: dict
-    calls: set
-    returns: set
-    halts: set
-
-
-def _splice_plan(program) -> Optional[_SplicePlan]:
-    """The :class:`_SplicePlan` of ``program``, from its hinted and
-    stripped :class:`~repro.uarch.emulator.ProgramLayout`.
-
-    None when a procedure has no block or a block holds hints but no
-    other instruction.  Stripping would empty that block, and a branch to
-    it and a branch to the block after it would record the same target
-    in the stripped trace, though only the first passes its hints.  A
-    block that is empty in both layouts passes no hints, and the emulator
-    records the next instruction executed past it, so it is spliced
-    across.
-    """
-    hinted = ProgramLayout.for_program(program).instruction_pc
-    stripped_layout = ProgramLayout.for_program(program, hints=False)
-    stripped = stripped_layout.instruction_pc
-    hinted_pc: dict[int, int] = {}
-    run_before: dict[int, int] = {}
-    block_lead: dict[int, int] = {}
-    run_after: dict[int, int] = {}
-    kinds: dict[Opcode, set[int]] = {
-        Opcode.CALL: set(),
-        Opcode.RET: set(),
-        Opcode.HALT: set(),
-    }
-    for procedure in program.procedures.values():
-        if not procedure.blocks:
-            return None
-        run = 0  # hints since the procedure's last non-hint instruction
-        for block in procedure.blocks:
-            run_at_start = run
-            first = True
-            for instr in block.instructions:
-                if instr.opcode is Opcode.HINT:
-                    run += 1
-                    continue
-                pc = stripped[instr.uid]
-                hinted_pc[pc] = hinted[instr.uid]
-                if run:
-                    run_before[pc] = run
-                    if first and run > run_at_start:
-                        block_lead[pc] = run - run_at_start
-                first = False
-                run = 0
-                kind = kinds.get(instr.opcode)
-                if kind is not None:
-                    kind.add(pc)
-            if first and run > run_at_start:
-                return None
-        if run:
-            run_after[pc] = run
-    return _SplicePlan(
-        range(CODE_BASE, CODE_BASE + stripped_layout.code_size, 4),
-        hinted_pc,
-        run_before,
-        block_lead,
-        run_after,
-        kinds[Opcode.CALL],
-        kinds[Opcode.RET],
-        kinds[Opcode.HALT],
-    )
-
-
-def _returning_call(pcs, index: int, plan: _SplicePlan) -> int:
-    """The pc of the CALL that the RET at entry ``index`` returns to."""
-    depth = 0
-    for position in range(index - 1, -1, -1):
-        pc = pcs[position]
-        if pc in plan.returns:
-            depth += 1
-        elif pc in plan.calls:
-            if not depth:
-                return pc
-            depth -= 1
-    raise ValueError("source trace returns from the entry procedure mid-trace")
-
-
-def _splice_hints(
-    plan: _SplicePlan, source: TraceWindow, max_instructions: int
-) -> TraceWindow:
-    """The hinted program's trace, from its stripped program's ``source``.
-
-    Each source entry moves to its hinted pc.  The entry block's leading
-    hints come first, and after each entry come the hints that control
-    passes through before the next one:
-
-    * the whole run before the next entry when control arrives
-      sequentially (not taken, or a return, which resumes after its call);
-    * only the target block's leading hints after a taken branch, jump or
-      call;
-    * the procedure's trailing hints when control falls off its end (a
-      source next pc of 0), after the last entry or, for a return, after
-      the call it returns to;
-    * nothing after a HALT or a return from the entry procedure.
-
-    ``next_pc`` chains through the inserted hints, and the trace is cut at
-    ``max_instructions`` entries, because hints count against the budget.
-    """
-    pcs, next_pcs, mems, takens = source
-    length = len(takens)
-    if not length:
-        return empty_columns()
-    hinted_pc = plan.hinted_pc
-    run_before = plan.run_before
-    block_lead = plan.block_lead
-    returns = plan.returns
-    last = length - 1
-    last_pc = pcs[last]
-    last_next = next_pcs[last]
-    # The emulator records pc + 4 after a HALT or a return from the entry
-    # procedure; a return from a call resumes after the CALL instead.
-    halted = last_pc in plan.halts or (last_pc in returns and last_next == last_pc + 4)
-    sites = [index for index, target in enumerate(next_pcs) if target in run_before]
-    if halted and sites and sites[-1] == last:
-        sites.pop()
-    runs = []  # (entry index, first hint pc, hint count) per inserted run
-    for index in sites:
-        target = next_pcs[index]
-        if takens[index] and pcs[index] not in returns:
-            count = block_lead.get(target)
-        else:
-            count = run_before[target]
-        if count:
-            runs.append((index, hinted_pc[target] - 4 * count, count))
-    if halted:
-        end = hinted_pc[last_pc] + 4
-    elif last_next:
-        end = hinted_pc[last_next]  # the budget cut the source trace
-    else:
-        anchor = _returning_call(pcs, last, plan) if last_pc in returns else last_pc
-        count = plan.run_after.get(anchor)
-        if count:
-            runs.append((last, hinted_pc[anchor] + 4, count))
-        end = 0
-
-    mapped = array.array("q", list(map(hinted_pc.__getitem__, pcs)))
-    out_pc, out_next, out_mem, out_taken = columns = empty_columns()
-
-    def add_hints(first: int, count: int) -> None:
-        out_pc.extend(range(first, first + 4 * count, 4))
-        out_mem.frombytes(bytes(8 * count))
-        out_taken.extend(bytes(count))
-
-    lead = run_before.get(pcs[0])
-    if lead:
-        add_hints(mapped[0] - 4 * lead, lead)
-    start = 0
-    for index, first, count in runs:
-        out_pc.extend(mapped[start : index + 1])
-        out_mem.extend(mems[start : index + 1])
-        out_taken.extend(takens[start : index + 1])
-        add_hints(first, count)
-        start = index + 1
-        if len(out_taken) > max_instructions:
-            break
-    else:
-        out_pc.extend(mapped[start:])
-        out_mem.extend(mems[start:])
-        out_taken.extend(takens[start:])
-        out_pc.append(end)
-    # Each entry's successor is the next entry's pc (or ``end``).
-    keep = min(len(out_pc) - 1, max_instructions)
-    out_next.extend(out_pc[1 : keep + 1])
-    del out_pc[keep:], out_mem[keep:], out_taken[keep:]
-    return columns
-
-
-def _fresh_windows(
+def _replayed_windows(
     program,
-    digests: ProgramDigests,
+    record: ProgramRecord,
     max_instructions: int,
     window_size: Optional[int],
     cache: Optional[TraceCache],
-) -> Iterator[TraceWindow]:
-    """The windows of a trace neither tier holds, produced on the first pull.
+) -> tuple[Iterable[TraceWindow], Optional[HintMap]]:
+    """The windows of the trace ``program`` replays, and its hint map.
 
-    A program with hint NOOPs has its trace derived when the memo or the
-    disk cache holds the trace of the program with its hints stripped;
-    otherwise the program is emulated.  Either way the finished columns
-    are memoised under (emulation digest, budget), and stored with a
-    cache, a derived trace under the hinted program's own key.
+    The column memo, then the disk cache, then one emulation that fills
+    both.  A program with :class:`HintRuns` replays its stripped
+    program's trace, emulated whole on a miss, since its map needs the
+    last entry; any other program's emulation streams.
     """
-    key = (digests.emulation, max_instructions)
-    fingerprint = None if cache is None else _fingerprint_from_digest(*key)
-    plan = source = None
-    if digests.source is not None:
-        plan = _splice_plan(program)
-    if plan is not None:
-        source = _stored_columns(
-            (digests.source, max_instructions), cache, plan.source_pcs
+    digests, table, runs = record
+    key = (digests.trace, max_instructions)
+    columns = _stored_columns(key, cache, _trace_pcs(record))
+    if columns is None:
+        windows = _emulated_windows(
+            program, max_instructions, window_size, cache, key, hints=runs is None
         )
-    if source is None:
-        yield from _emulated_windows(
-            program, max_instructions, window_size, cache, fingerprint, key
-        )
-        return
-    trace_events["derivations"] += 1
-    columns = _splice_hints(plan, source, max_instructions)
-    if cache is not None:
-        cache.store(fingerprint, columns, window_size)
-    _memoise_columns(key, columns)
-    yield from _column_windows(columns, window_size)
+        if runs is None:
+            return windows, None
+        for _ in windows:
+            pass
+        columns = _column_memo[key]
+    hints = None if runs is None else runs.hint_map(table.flags, columns, max_instructions)
+    return _column_windows(columns, window_size), hints
 
 
 def get_trace_columns(
@@ -1229,9 +1193,10 @@ def get_trace_columns(
 ) -> TraceWindow:
     """The whole trace's columns for (program, budget).
 
-    Takes the same path as :func:`get_trace_stream` — the column memo,
-    then the disk cache, then one derivation or emulation that populates
-    both.
+    Takes the same path as :func:`get_trace_stream`, so for a program
+    with :class:`HintRuns` these are its stripped program's columns, the
+    trace its stream replays.  ``live`` emulates the program itself,
+    hints included.
     """
     if live is None:
         live = bool(os.environ.get("REPRO_LIVE_EMULATION"))
@@ -1242,14 +1207,10 @@ def get_trace_columns(
             for column, values in zip(columns, part):
                 column.extend(values)
         return columns
-    digests, table = _program_record(program)
-    key = (digests.emulation, max_instructions)
-    columns = _stored_columns(key, cache, table.pcs())
-    if columns is None:
-        for _ in _fresh_windows(program, digests, max_instructions, window, cache):
-            pass
-        columns = _column_memo[key]
-    return columns
+    record = _program_record(program)
+    for _ in _replayed_windows(program, record, max_instructions, window, cache)[0]:
+        pass
+    return _column_memo[(record[0].trace, max_instructions)]
 
 
 # ----------------------------------------------------------------------
@@ -1262,20 +1223,25 @@ class TraceWindowStream:
     :class:`TraceWindow` windows forward-only as fetch crosses each
     boundary, releasing each once dispatch has consumed every entry in
     it; backed by a lazy iterator this bounds resident trace memory by
-    the window size rather than the instruction budget.
+    the window size rather than the instruction budget.  A stream of a
+    program with :class:`HintRuns` carries ``hints``, the
+    :class:`HintMap` by which the kernels expand its stripped trace at
+    fetch; None for every other stream.
     """
 
-    __slots__ = ("table", "window_size", "_iterator", "_exhausted")
+    __slots__ = ("table", "window_size", "hints", "_iterator", "_exhausted")
 
     def __init__(
         self,
         table: StaticTable,
         windows: Iterable[TraceWindow],
         window_size: Optional[int] = None,
+        hints: Optional[HintMap] = None,
     ):
         self.table = table
         self._iterator = iter(windows)
         self.window_size = window_size
+        self.hints = hints
         self._exhausted = False
 
     @classmethod
@@ -1332,25 +1298,21 @@ def get_trace_stream(
 
     Reuses three tiers while only ever holding compact columns: the
     in-process column memo (one trace per benchmark and budget even with
-    no disk cache), then the disk cache, then one fresh derivation (a
-    program with hint NOOPs whose stripped program's trace either tier
-    holds) or emulation that populates both and streams its windows.
+    no disk cache), then the disk cache, then one emulation that
+    populates both (:func:`_replayed_windows`).  A program with hint
+    NOOPs gets its stripped program's trace and a :class:`HintMap`;
+    ``live`` emulates the program itself, hints included, with no map.
     ``window_size=0`` replays the whole trace as one window.  Replay
     statistics are bit-identical for every window size.
     """
     if live is None:
         live = bool(os.environ.get("REPRO_LIVE_EMULATION"))
     window = resolve_trace_window(window_size) or None
-    digests, table = _program_record(program)
+    record = _program_record(program)
+    table = record[1]
     if live:
         return TraceWindowStream(
             table, _emulated_windows(program, max_instructions, window), window
         )
-    columns = _stored_columns(
-        (digests.emulation, max_instructions), cache, table.pcs()
-    )
-    if columns is None:
-        windows = _fresh_windows(program, digests, max_instructions, window, cache)
-    else:
-        windows = _column_windows(columns, window)
-    return TraceWindowStream(table, windows, window)
+    windows, hints = _replayed_windows(program, record, max_instructions, window, cache)
+    return TraceWindowStream(table, windows, window, hints)

@@ -27,7 +27,7 @@ from repro.uarch.emulator import (
     _VALUE_MASK,
     _UNINIT_HASH_MULTIPLIER,
 )
-from repro.uarch.trace import trace_fingerprint
+from repro.uarch.trace import _program_record
 from repro.workloads import ALL_BENCHMARKS, build_benchmark
 from tests.test_trace_derivation import EDGE_CASES
 
@@ -380,16 +380,16 @@ def test_benchmark_programs_emulate_like_the_interpreter(name):
     the trace cache's window, and at small budgets with windows of 1 and
     1,000 entries, whose cuts fall inside segments.
 
-    The interpreter reads only what the trace fingerprint digests, so
-    programs sharing a fingerprint (the tagged ones share the
-    baseline's) are held to one interpreter run.
+    The interpreter reads only what the emulation digest covers, so
+    programs sharing one (the tagged ones share the baseline's) are held
+    to one interpreter run.
     """
     interpreted: dict = {}
     for mode in MODES:
         program = _program(name, mode)
-        fingerprint = trace_fingerprint(program, 0)
+        digest = _program_record(program)[0].emulation
         for budget, window in ((120_000, 16_384), (701, 1), (2_500, 1_000), (1, None), (0, None)):
-            key = (fingerprint, budget, window)
+            key = (digest, budget, window)
             interpreted[key], actual = _assert_equivalent(
                 program, budget, window, interpreted.get(key)
             )

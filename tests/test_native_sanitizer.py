@@ -5,7 +5,10 @@ pointers, so an indexing slip is a silent out-of-bounds read in an
 optimised build.  This gate builds ``_native.c`` with
 ``-O1 -g -fsanitize=address,undefined -fno-sanitize-recover=all`` into a
 temporary directory, then runs ``tests/test_engines.py`` (the
-equivalence matrix and the kernel's failure paths) in a child
+equivalence matrix and the kernel's failure paths) and the hint
+expansion tests of ``tests/test_hint_expansion.py`` (every benchmark's
+noop program at windows down to 1, so hint runs cross window
+boundaries; the edge cases; the maps the kernel refuses) in a child
 interpreter with both sanitizer runtimes preloaded.  A ``-c`` bootstrap
 swaps the kernel's compiler for the instrumented one before pytest
 starts, so the child needs no extra pytest option or environment
@@ -37,7 +40,13 @@ SANITIZER_FLAGS = (
     "-fno-sanitize-recover=all",
 )
 
-SANITIZED_MODULES = ("tests/test_engines.py",)
+SANITIZED_TESTS = (
+    "tests/test_engines.py",
+    "tests/test_hint_expansion.py::test_native_expansion_replays_like_live_emulation",
+    "tests/test_hint_expansion.py::test_edge_cases_replay_like_live_emulation",
+    "tests/test_hint_expansion.py::test_a_bad_map_is_refused",
+    "tests/test_hint_expansion.py::test_a_trace_pc_without_a_map_entry_raises",
+)
 
 #: Run in the child: install the instrumented compiler (build directory
 #: and flags from argv), then hand the remaining argv to pytest.
@@ -105,7 +114,7 @@ def test_native_kernel_is_clean_under_asan_and_ubsan(tmp_path, request):
             "-s",
             "-p",
             "no:cacheprovider",
-            *SANITIZED_MODULES,
+            *SANITIZED_TESTS,
         ],
         cwd=str(request.config.rootpath),
         env=env,

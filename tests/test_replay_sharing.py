@@ -189,15 +189,15 @@ def test_a_cold_grid_replays_once_per_timing_class(tmp_path, replay_calls):
 
 def test_the_pool_builds_each_trace_once(tmp_path):
     """Each benchmark's jobs run as one pool task, so two workers never
-    build one trace: two traces per benchmark, each missed and stored
-    once, and cells byte-identical to the in-process run."""
+    build one trace: one trace per benchmark, missed and stored once,
+    and cells byte-identical to the in-process run."""
     cells = {}
     for workers in (2, 1):
         clear_trace_memo()
         directory = tmp_path / f"workers-{workers}"
         runner = ParallelSuiteRunner(GRID, workers=workers, cache_dir=str(directory))
         runner.run_suite()
-        traces = 2 * len(GRID.benchmarks)
+        traces = len(GRID.benchmarks)
         assert (runner.trace_cache.misses, runner.trace_cache.stores) == (traces, traces)
         cells[workers] = _cells(directory)
     assert len(cells[1]) == 12

@@ -418,6 +418,23 @@ class TestTrendGate:
             "direction": "higher",
         }
 
+    def test_split_series_reads_hint_path_entries(self):
+        """The gcc noop bench's entries form one series per engine, apart
+        from the gzip ``warm_noop`` series."""
+        history = [
+            {"kind": "hint_path", "engine": "native", "cycles_per_second": 2_300_000},
+            {"kind": "hint_path", "engine": "scalar", "cycles_per_second": 94_000},
+            {"kind": "hint_path", "engine": "native", "cycles_per_second": 2_250_000},
+            {"engine": "native", "cycles_per_second_cold": 1, "cycles_per_second_warm_noop": 3},
+        ]
+        series = trend.split_series(history)
+        assert series["engine/native/warm_gcc_noop"] == {
+            "values": [2_300_000.0, 2_250_000.0],
+            "direction": "higher",
+        }
+        assert series["engine/scalar/warm_gcc_noop"]["values"] == [94_000.0]
+        assert series["engine/native/warm_noop"]["values"] == [3.0]
+
     def test_gate_series_returns_none_for_unknown_series(self, tmp_path):
         path = tmp_path / "BENCH_trace.json"
         path.write_text("[]", encoding="utf-8")

@@ -430,10 +430,13 @@ class TestTraceFingerprint:
         assert trace_events["disk_hits"] == 0
         assert trace_events["emulations"] == 1
 
-    def test_instrumented_programs_have_distinct_fingerprints(self):
+    def test_hinted_programs_share_the_plain_trace_fingerprint(self):
+        """A noop program replays its plain program's trace, so it shares
+        that trace's file, while its table digest stays its own."""
         plain = build_benchmark("gzip")
         hinted = _program("gzip", "noop")
-        assert trace_fingerprint(plain, 1_000) != trace_fingerprint(hinted, 1_000)
+        assert trace_fingerprint(plain, 1_000) == trace_fingerprint(hinted, 1_000)
+        assert program_digest(plain) != program_digest(hinted)
 
     def test_memoised_digest_follows_in_place_edits(self):
         """The digest memo keys on content: every edit a compiler pass can
@@ -615,8 +618,8 @@ class TestStaticTable:
     @pytest.mark.parametrize("technique", ("baseline", "noop", "extension"))
     def test_each_simulate_walks_its_program_once(self, monkeypatch, technique):
         """Cold (digests and table missing, the trace emulated or, for
-        noop, derived from the plain program's) or warm, one ``simulate``
-        call walks its program exactly once."""
+        noop, the plain program's from the memo) or warm, one
+        ``simulate`` call walks its program exactly once."""
         walks = []
         walk = trace_module._program_content
 
@@ -634,7 +637,7 @@ class TestStaticTable:
             walks.clear()
             simulate(program, _policy(technique), max_instructions=1_000)
             assert walks == [program]
-        assert trace_events["derivations"] == (technique == "noop")
+        assert trace_events["emulations"] == (technique != "noop")
 
     def test_a_table_miss_does_not_lay_the_program_out(self, monkeypatch):
         """The table comes from the digests' walk: its rows equal the
@@ -806,10 +809,10 @@ class TestGridReuse:
         assert trace_events["emulations"] == 2
 
     def test_six_techniques_emulate_once_per_benchmark(self, tmp_path):
-        """The tagged programs share the baseline's trace and the noop
-        trace is derived from it: one emulation and two stored traces per
-        benchmark, and a second runner over the same trace directory
-        neither emulates nor derives."""
+        """Every program of a benchmark replays the baseline's trace (the
+        noop program with its hint map): one emulation and one stored
+        trace per benchmark, and a second runner over the same trace
+        directory reads each once and emulates nothing."""
         benchmarks = len(self.CONFIG["benchmarks"])
         clear_trace_memo()
         reset_trace_events()
@@ -819,8 +822,7 @@ class TestGridReuse:
         first_results = first.run_suite()
         assert first.simulations_run == 6 * benchmarks
         assert trace_events["emulations"] == benchmarks
-        assert trace_events["derivations"] == benchmarks
-        assert first.trace_cache.stores == len(first.trace_cache) == 2 * benchmarks
+        assert first.trace_cache.stores == len(first.trace_cache) == benchmarks
 
         for path in first.cache._entry_paths():
             path.unlink()
@@ -831,8 +833,8 @@ class TestGridReuse:
         )
         second_results = second.run_suite()
         assert second.simulations_run == 6 * benchmarks
-        assert trace_events["emulations"] == trace_events["derivations"] == 0
-        assert second.trace_cache.hits == 2 * benchmarks
+        assert trace_events["emulations"] == 0
+        assert second.trace_cache.hits == benchmarks
         for key, result in first_results.items():
             assert _stats_bytes(result.stats) == _stats_bytes(
                 second_results[key].stats
