@@ -56,27 +56,6 @@ def print_cache_stats(runner) -> None:
             f"{stats['stores']} stores / {stats['evictions']} evictions "
             f"[{stats['directory']}]"
         )
-    if getattr(runner, "backend", "local") == "queue" and runner.cache is not None:
-        # Fleet view for queue-backed runs: every worker publishes a
-        # host-tagged counters file under queue/workers/ after each
-        # job, so the rollup shows which machines actually claimed and
-        # completed — not just process totals.
-        from repro.harness.queue import WorkQueue
-
-        fleet = WorkQueue(runner.cache.directory).worker_stats()
-        print(
-            f"queue fleet: {fleet['workers']} worker(s) on "
-            f"{len(fleet['hosts'])} host(s) — {fleet['claimed']} claims, "
-            f"{fleet['jobs_done']} done / {fleet['jobs_failed']} failed"
-        )
-        for host in sorted(fleet["hosts"]):
-            per_host = fleet["hosts"][host]
-            print(
-                f"  host {host or '<untagged>'}: {per_host['workers']} "
-                f"worker(s) — {per_host['claimed']} claims, "
-                f"{per_host['jobs_done']} done / "
-                f"{per_host['jobs_failed']} failed"
-            )
     events = trace_events
     print(
         f"emulations this process: {events['emulations']} "
@@ -136,26 +115,6 @@ def main(argv: list[str] | None = None) -> None:
         "cached results are shared",
     )
     parser.add_argument(
-        "--backend",
-        choices=("local", "queue"),
-        default="local",
-        help="execution backend: in-process/pool, or the shared-directory "
-        "work queue any number of hosts can serve (needs --cache-dir)",
-    )
-    parser.add_argument(
-        "--queue-workers",
-        type=int,
-        default=0,
-        help="local worker subprocesses to spawn for a --backend queue run "
-        "(remote hosts join with: python -m repro.harness.queue <cache-dir>)",
-    )
-    parser.add_argument(
-        "--queue-ttl",
-        type=float,
-        default=60.0,
-        help="heartbeat TTL before a dead worker's job is re-leased (s)",
-    )
-    parser.add_argument(
         "--gc",
         action="store_true",
         help="garbage-collect --cache-dir first (orphaned .tmp-* files, "
@@ -201,9 +160,6 @@ def main(argv: list[str] | None = None) -> None:
         cache_dir=args.cache_dir,
         cache_max_entries=args.cache_max_entries,
         trace_cache_max_bytes=args.max_trace_bytes,
-        backend=args.backend,
-        queue_workers=args.queue_workers,
-        queue_ttl=args.queue_ttl,
         engine=args.engine,
     )
     runner.run_suite()

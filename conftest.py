@@ -13,7 +13,7 @@ else scalar) pinning the replay kernel every simulation in the session
 runs under.  It is
 exported back into ``REPRO_REPLAY_KERNEL`` at configure time so the
 whole stack — direct ``simulate`` calls, suite runners, pool workers and
-queue worker subprocesses — inherits one kernel; replay statistics are
+the subprocesses tests spawn — inherits one kernel; replay statistics are
 bit-identical between kernels, so tier-1 results must not change with
 this option (that invariance is itself under test in
 ``tests/test_engines.py``).  Selecting a kernel whose toolchain is
@@ -69,21 +69,6 @@ def pytest_addoption(parser) -> None:
         "(python -m repro.analysis src/) in tests/test_analysis.py",
     )
 
-    # Opt-out for the fleetscope telemetry tests (tests/test_telemetry.py
-    # and the span assertions elsewhere), mirroring --no-lint.
-    # Default ON: tracing is no-op-by-default on the hot path, so the
-    # telemetry tests enable it explicitly per test; --no-telemetry skips
-    # those tests and force-disables tracing for the whole session (for
-    # bisecting perf noise or running on a box where the span store's
-    # extra file IO is unwanted).
-    parser.addoption(
-        "--no-telemetry",
-        action="store_true",
-        default=False,
-        help="skip telemetry-marked tests and force-disable span tracing "
-        "for the session (REPRO_TELEMETRY=0)",
-    )
-
     parser.addoption(
         "--engine",
         choices=engines,
@@ -111,55 +96,29 @@ def pytest_addoption(parser) -> None:
         "name (light, heavy) or a spec like "
         "'seed=3,rate=0.2,fire_limit=1,sleep_scale=0.1' "
         "(see repro.harness.faults.FaultPlan.from_spec).  Installs the "
-        "deterministic injector in-process and exports REPRO_FAULT_PLAN "
-        "so spawned queue workers inherit the same schedule.  Simulation "
-        "results stay bit-identical under chaos (the gate in "
-        "tests/test_faults.py), but visibility-sensitive unit tests may "
-        "legitimately diverge — see docs/fault-model.md for scoping "
-        "plans with sites=",
+        "deterministic injector in-process; pool workers inherit it by "
+        "fork.  Simulation results stay bit-identical under chaos (the "
+        "gate in tests/test_faults.py), but visibility-sensitive unit "
+        "tests may legitimately diverge — see docs/fault-model.md for "
+        "scoping plans with sites=",
     )
 
 
 def pytest_configure(config) -> None:
-    config.addinivalue_line(
-        "markers",
-        "telemetry: test exercises the fleetscope span/metrics "
-        "plane (deselected by --no-telemetry)",
-    )
-    if config.getoption("--no-telemetry"):
-        # Environment, not a fixture, for the same subprocess reason as
-        # --engine: "0" pins install_from_env() to disabled in spawned
-        # queue workers too.
-        os.environ["REPRO_TELEMETRY"] = "0"
-        from repro.telemetry import spans as tracing
-
-        tracing.disable()
     engine = config.getoption("--engine")
     if engine:
         # Environment, not a fixture: the kernel must reach code that
         # never sees pytest — library-default simulate() calls, process
-        # pools, and the queue worker subprocesses tests spawn.
+        # pools, and the subprocesses tests spawn.
         os.environ["REPRO_REPLAY_KERNEL"] = engine
     fault_spec = config.getoption("--faults")
     if fault_spec:
-        # Same environment-not-fixture reasoning as --engine: worker
-        # subprocesses self-install from REPRO_FAULT_PLAN at startup.
         from repro.harness.faults import FaultInjector, FaultPlan, install
 
-        plan = FaultPlan.from_spec(fault_spec)
-        os.environ["REPRO_FAULT_PLAN"] = plan.to_spec()
-        install(FaultInjector(plan))
+        install(FaultInjector(FaultPlan.from_spec(fault_spec)))
 
 
 def pytest_collection_modifyitems(config, items) -> None:
-    if config.getoption("--no-telemetry"):
-        skip_marker = pytest.mark.skip(
-            reason="--no-telemetry: telemetry plane opted out"
-        )
-        for item in items:
-            if "telemetry" in item.keywords:
-                item.add_marker(skip_marker)
-
     # ``--engine`` with a registered-but-unavailable kernel (native
     # without a C toolchain) skips the session
     # cleanly instead of erroring out of every simulation — mirroring how

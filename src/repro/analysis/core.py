@@ -1,7 +1,7 @@
 """The reprolint framework: rules, findings, suppressions, file walking.
 
 Every correctness property this reproduction stands on — bit-identical
-replay engines, crash-safe atomic-rename queue transitions, engine-free
+replay engines, crash-safe atomic publication, engine-free
 cache fingerprints — is prose in ROADMAP.md and a handful of runtime
 assertions in the test suite.  This module turns those contracts into
 statically checked invariants: each :class:`Rule` walks a file's AST and

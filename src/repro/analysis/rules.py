@@ -5,8 +5,7 @@ Each rule encodes one invariant the reproduction's correctness rests on
 the contracts themselves).  Rules are scoped by path where the contract
 is scoped by layer: determinism binds the replay core under
 ``repro/uarch/``, the atomic-IO discipline binds the modules that write
-the shared cache tree, the transition table binds the queue module, and
-the rest bind the whole package.
+the shared cache tree, and the rest bind the whole package.
 """
 
 from __future__ import annotations
@@ -123,7 +122,7 @@ class DeterminismRule(Rule):
 # ----------------------------------------------------------------------
 @register_rule
 class AtomicIoRule(Rule):
-    """Cache/queue-tree modules must publish files via ``repro.atomicio``.
+    """Cache-tree modules must publish files via ``repro.atomicio``.
 
     The gc sweeper identifies killed-writer debris purely by the
     ``.tmp-*`` prefix plus age, and readers rely on never observing a
@@ -138,7 +137,7 @@ class AtomicIoRule(Rule):
 
     rule_id = "atomic-io"
     contract = (
-        "modules writing the shared cache/queue tree must publish through "
+        "modules writing the shared cache tree must publish through "
         "repro.atomicio (temp file + os.replace), never raw write-mode IO"
     )
 
@@ -146,10 +145,8 @@ class AtomicIoRule(Rule):
     #: writers of that tree must be added here to come under the rule.
     SCOPED_MODULES = (
         "repro/harness/cache.py",
-        "repro/harness/queue.py",
         "repro/harness/parallel.py",
         "repro/uarch/trace.py",
-        "repro/telemetry/spans.py",
     )
 
     WRITE_MODE_CHARS = set("wax+")
@@ -209,131 +206,7 @@ class AtomicIoRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# 3. queue-transitions — only documented state edges in the work queue
-# ----------------------------------------------------------------------
-@register_rule
-class QueueTransitionRule(Rule):
-    """``os.rename``/``os.replace`` in queue.py must match the protocol table.
-
-    The queue's crash-safety argument (ROADMAP.md, "Queue file
-    protocol") enumerates exactly three atomic-rename edges between
-    protocol directories — claim (pending→leases), requeue/release
-    (leases→pending) and poison (leases→poison); completion markers and
-    enqueued envelopes are *published* (``repro.atomicio``), never
-    renamed between states.  Any rename call site whose endpoints
-    classify to a different edge — or that this rule cannot classify at
-    all — is an undocumented state transition and fails the build until
-    the protocol table (and its crash-recovery reasoning) is updated.
-    """
-
-    rule_id = "queue-transitions"
-    contract = (
-        "os.rename/os.replace in repro/harness/queue.py may only realise the "
-        "documented protocol edges: pending→leases, leases→pending, "
-        "leases→poison"
-    )
-
-    ALLOWED = frozenset(
-        {("pending", "leases"), ("leases", "pending"), ("leases", "poison")}
-    )
-
-    #: Substring → protocol state.  Matching is on the *leftmost* path
-    #: operand (the directory), so ``self.pending_dir /
-    #: claimed.lease_path.name`` classifies as pending.
-    STATE_TOKENS = (
-        ("pending", "pending"),
-        ("lease", "leases"),
-        ("poison", "poison"),
-        ("done", "done"),
-        ("worker", "workers"),
-        ("tmp", "tmp"),
-    )
-
-    def applies_to(self, posix_path: str) -> bool:
-        return posix_path.endswith("repro/harness/queue.py")
-
-    def check(self, tree: ast.AST, path: str) -> Iterable[Finding]:
-        for function in _walk_functions(tree):
-            assignments = self._local_assignments(function)
-            for node in ast.walk(function):
-                if not isinstance(node, ast.Call):
-                    continue
-                if _call_name(node.func) not in ("rename", "replace"):
-                    continue
-                if len(node.args) < 2:
-                    continue
-                source = self._classify(node.args[0], assignments)
-                dest = self._classify(node.args[1], assignments)
-                if source is None or dest is None:
-                    yield self.finding(
-                        node,
-                        path,
-                        "rename endpoints cannot be classified against the "
-                        "queue protocol directories; name the operands after "
-                        "their protocol state (pending/leases/done/poison) "
-                        "or document the new edge",
-                    )
-                elif (source, dest) not in self.ALLOWED:
-                    allowed = ", ".join(
-                        f"{a}→{b}" for a, b in sorted(self.ALLOWED)
-                    )
-                    yield self.finding(
-                        node,
-                        path,
-                        f"undocumented queue state transition "
-                        f"{source}→{dest}; the protocol table allows "
-                        f"only {allowed}",
-                    )
-
-    def _local_assignments(self, function: ast.AST) -> dict[str, ast.AST]:
-        """Single-target ``name = expr`` assignments in ``function``."""
-        assignments: dict[str, ast.AST] = {}
-        for node in ast.walk(function):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name):
-                    assignments[target.id] = node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                if isinstance(node.target, ast.Name):
-                    assignments[node.target.id] = node.value
-        return assignments
-
-    def _classify(
-        self,
-        node: ast.AST,
-        assignments: dict[str, ast.AST],
-        depth: int = 0,
-    ) -> Optional[str]:
-        if depth > 8:
-            return None
-        if isinstance(node, ast.BinOp):
-            # ``dir / name`` path joins: the directory (the protocol
-            # state) is the leftmost operand.
-            return self._classify(node.left, assignments, depth + 1)
-        if isinstance(node, ast.Name):
-            if node.id in assignments:
-                state = self._classify(assignments[node.id], assignments, depth + 1)
-                if state is not None:
-                    return state
-            return self._token_state(node.id)
-        if isinstance(node, ast.Attribute):
-            state = self._token_state(node.attr)
-            if state is not None:
-                return state
-            return self._classify(node.value, assignments, depth + 1)
-        if isinstance(node, ast.Call):
-            # ``self.pending_path(f)``-style helpers: classify the callee.
-            return self._classify(node.func, assignments, depth + 1)
-        return None
-
-    def _token_state(self, name: str) -> Optional[str]:
-        lowered = name.lower()
-        states = {state for token, state in self.STATE_TOKENS if token in lowered}
-        return next(iter(states)) if len(states) == 1 else None
-
-
-# ----------------------------------------------------------------------
-# 4. fingerprint-purity — engine identity never enters cache keys
+# 3. fingerprint-purity — engine identity never enters cache keys
 # ----------------------------------------------------------------------
 @register_rule
 class FingerprintPurityRule(Rule):
@@ -435,17 +308,17 @@ class FingerprintPurityRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# 5. exception-hygiene — broad handlers need a re-raise or a pragma
+# 4. exception-hygiene — broad handlers need a re-raise or a pragma
 # ----------------------------------------------------------------------
 @register_rule
 class ExceptionHygieneRule(Rule):
     """``except Exception``/``except:`` must re-raise or carry a pragma.
 
-    A broad handler that swallows is where torn queue protocol state,
-    half-folded cache counters and silently wrong figures go to hide.
+    A broad handler that swallows is where torn cache state,
+    half-folded counters and silently wrong figures go to hide.
     Handlers that re-raise (``repro.atomicio``'s cleanup-then-``raise``)
     are fine; genuinely unbounded exception surfaces (unpickling foreign
-    envelopes, executing user job code) stay broad with a justified
+    payloads, executing user code) stay broad with a justified
     ``# repro: allow[exception-hygiene] <reason>`` pragma on the
     ``except`` line; everything else narrows to the exception types the
     body actually expects.
@@ -489,7 +362,7 @@ class ExceptionHygieneRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# 6. optional-deps — optional backends stay in their home modules
+# 5. optional-deps — optional backends stay in their home modules
 # ----------------------------------------------------------------------
 @register_rule
 class OptionalDependencyRule(Rule):
@@ -603,7 +476,7 @@ class OptionalDependencyRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# 7. retry-discipline — waiting is centralised, injection stays out of
+# 6. retry-discipline — waiting is centralised, injection stays out of
 #    the replay core
 # ----------------------------------------------------------------------
 @register_rule
@@ -679,13 +552,13 @@ class RetryDisciplineRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# 8. telemetry-purity — observability never shapes simulation identity
+# 7. telemetry-purity — observability never shapes simulation identity
 # ----------------------------------------------------------------------
 @register_rule
 class TelemetryPurityRule(Rule):
     """Telemetry stays off the replay hot path and out of cache keys.
 
-    The fleetscope layer (:mod:`repro.telemetry`) is an observer: spans,
+    The telemetry package (:mod:`repro.telemetry`) is an observer: spans,
     metric counters and throughput measurements describe a run, they
     must never *change* one.  Two halves enforce that.  First,
     ``repro/uarch/`` — the replay kernels' inner loops — may not import
@@ -716,7 +589,7 @@ class TelemetryPurityRule(Rule):
         for node in ast.walk(tree):
             if in_uarch and isinstance(node, (ast.Import, ast.ImportFrom)):
                 # import repro.telemetry / from repro.telemetry import
-                # spans / from repro.telemetry.spans import span all count.
+                # trend / from repro.telemetry.trend import ... all count.
                 module_names = [alias.name for alias in node.names]
                 if isinstance(node, ast.ImportFrom):
                     module_names.append(node.module or "")

@@ -1,9 +1,8 @@
-"""Atomic file publication shared by the caches and the work queue.
+"""Atomic file publication shared by the result and trace caches.
 
 Every on-disk artefact in this project — result-cache cells
-(:mod:`repro.harness.cache`), decoded-trace files
-(:mod:`repro.uarch.trace`) and work-queue protocol files
-(:mod:`repro.harness.queue`) — is published the same way: write a
+(:mod:`repro.harness.cache`) and decoded-trace files
+(:mod:`repro.uarch.trace`) — is published the same way: write a
 ``.tmp-*`` temp file in the *destination* directory, then ``os.replace``
 it over the final name.  Readers therefore never observe a torn file,
 concurrent writers of the same name resolve to last-writer-wins, and a

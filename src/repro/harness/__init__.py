@@ -23,11 +23,6 @@ from repro.harness.experiment import (
 )
 from repro.harness.cache import ResultCache, collect_garbage, simulation_fingerprint
 from repro.harness.parallel import ParallelSuiteRunner, SimulationJob
-
-# NOTE: repro.harness.queue is deliberately not imported here — it is a
-# worker entry point (``python -m repro.harness.queue``), and an eager
-# package-level import would make runpy execute the module twice in
-# every worker process.  Import it explicitly where needed.
 from repro.harness import figures
 from repro.harness.figures import FigureData
 from repro.harness.reporting import format_table, overall_processor_savings

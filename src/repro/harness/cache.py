@@ -28,7 +28,7 @@ Degradation policy (chaoskit): the cache is an accelerator, never a
 single point of failure.  A corrupt entry (truncated file, foreign
 payload, bad counter mapping) is **quarantined** — moved aside to
 ``quarantine/<fingerprint>.json`` where it stays visible for post-mortem
-until ``cache gc`` expires it on the consumed-done-marker age bound —
+until ``cache gc`` expires it after :data:`QUARANTINE_MAX_AGE_SECONDS` —
 and the load reports a clean miss.  A store that keeps failing after the
 shared retry policy (read-only directory, disk full) falls back to an
 **in-memory** entry with a warn-once per directory: the process keeps
@@ -43,7 +43,8 @@ The module doubles as the cache-maintenance CLI for shared directories::
 ``gc`` sweeps orphaned ``.tmp-*`` writer files (left by processes killed
 mid-store — the online pruners deliberately skip them because a live
 writer may still own one), enforces the LRU caps offline over the result
-directory and its ``traces/`` subdirectory, and prints a summary.
+directory and its ``traces/`` subdirectory, expires aged-out
+quarantine entries, and prints a summary.
 """
 
 from __future__ import annotations
@@ -60,14 +61,18 @@ from pathlib import Path
 from typing import Any, Optional
 
 from repro.atomicio import TMP_PREFIX, publish_atomically
-from repro.telemetry.metrics import MetricsRegistry, counter_property
 from repro.harness import faults
 from repro.uarch.stats import SimulationStats
 
 #: Subdirectory (of a cache directory) holding quarantined corrupt
-#: entries: visible for post-mortem, swept by ``cache gc`` on the same
-#: age bound as consumed queue completion markers.
+#: entries: visible for post-mortem, swept by ``cache gc`` once older
+#: than :data:`QUARANTINE_MAX_AGE_SECONDS`.
 QUARANTINE_DIR_NAME = "quarantine"
+
+#: Quarantined entries older than this are expired by ``cache gc``: a
+#: week is long enough to post-mortem a bad disk episode, and bounded so
+#: one cannot grow the tree forever.
+QUARANTINE_MAX_AGE_SECONDS = 7 * 24 * 3600.0
 
 #: Directories that have already warned about degraded (in-memory)
 #: operation this process; one warning per directory, not per store.
@@ -179,19 +184,7 @@ class ResultCache:
         quarantined / memory_stores: degradation counters — corrupt
             entries moved aside, and stores that fell back to process
             memory because the directory stopped accepting writes.
-
-    The counters read and write as plain int attributes (the runner
-    folds worker deltas in with ``+=``) but live in the ``metrics``
-    registry (:class:`repro.telemetry.metrics.MetricsRegistry`), the
-    same snapshot shape every other fleet component reports through.
     """
-
-    hits = counter_property("hits")
-    misses = counter_property("misses")
-    stores = counter_property("stores")
-    evictions = counter_property("evictions")
-    quarantined = counter_property("quarantined")
-    memory_stores = counter_property("memory_stores")
 
     def __init__(
         self, directory: str | os.PathLike, max_entries: Optional[int] = None
@@ -200,16 +193,12 @@ class ResultCache:
             raise ValueError("max_entries must be a positive integer or None")
         self.directory = Path(directory)
         self.max_entries = max_entries
-        self.metrics = MetricsRegistry("result_cache")
-        for name in (
-            "hits",
-            "misses",
-            "stores",
-            "evictions",
-            "quarantined",
-            "memory_stores",
-        ):
-            self.metrics.counter(name)
+        self.hits = 0
+        self.misses = 0
+        self.stores = 0
+        self.evictions = 0
+        self.quarantined = 0
+        self.memory_stores = 0
         # Degraded-mode fallback: entries that could not be persisted
         # (read-only or full directory) live here for this process's
         # lifetime so cache semantics survive the outage.
@@ -425,8 +414,8 @@ def collect_garbage(
        behind only when the writing process died between ``mkstemp`` and
        ``os.replace``; the age guard keeps in-flight stores safe.
     2. **entry age** — with ``entry_max_age_seconds``, entries whose
-       mtime is older are deleted (used for consumed queue completion
-       markers, which otherwise accumulate forever).
+       mtime is older are deleted (used for quarantined entries, which
+       otherwise accumulate forever).
     3. **entry cap** — with ``max_entries``, least-recently-used entries
        (file mtime; hits re-touch) beyond the cap are deleted.
     4. **byte cap** — with ``max_bytes``, least-recently-used entries
@@ -500,37 +489,20 @@ def collect_garbage(
     return summary
 
 
-#: Consumed completion markers older than this are swept by gc.  A week
-#: comfortably outlives any driver that might still want to fold one,
-#: while bounding ``queue/done`` growth (fingerprints embed the code
-#: digest, so every source change strands one marker per grid cell).
-DEFAULT_DONE_MARKER_MAX_AGE_SECONDS = 7 * 24 * 3600.0
-
-
 def gc_cache_tree(
     cache_dir: str | os.PathLike,
     max_entries: Optional[int] = None,
     max_bytes: Optional[int] = None,
     max_trace_bytes: Optional[int] = None,
     tmp_max_age_seconds: float = DEFAULT_TMP_MAX_AGE_SECONDS,
-    done_marker_max_age_seconds: Optional[float] = DEFAULT_DONE_MARKER_MAX_AGE_SECONDS,
     now: Optional[float] = None,
 ) -> list[dict]:
-    """Garbage-collect a shared cache directory and its satellites.
+    """Garbage-collect a shared cache directory and its trace cache.
 
-    Covers the result cache at the top level, the trace cache in
-    ``traces/``, and the work queue's subdirectories.  Live queue
-    protocol files — pending jobs and leases — are never touched (only
-    their orphaned ``.tmp-*`` writer files are); completion markers in
-    ``queue/done`` are swept once older than
-    ``done_marker_max_age_seconds`` (pass None to keep them all), since
-    every driver folds its markers within one run and stale ones only
-    duplicate what the result cache already stores.  Quarantined corrupt
-    entries (``quarantine/`` and ``traces/quarantine/``) expire on the
-    same age bound: long enough to post-mortem, bounded so one bad disk
-    episode cannot grow the tree forever.  Stale telemetry span files
-    (``telemetry/spans/*.jsonl``, one per traced process) expire on the
-    marker bound too.
+    Covers the result cache at the top level and the trace cache in
+    ``traces/``.  Quarantined corrupt entries (``quarantine/`` and
+    ``traces/quarantine/``) expire once older than
+    :data:`QUARANTINE_MAX_AGE_SECONDS`.
     """
     cache_dir = Path(cache_dir)
     summaries = [
@@ -559,47 +531,11 @@ def gc_cache_tree(
                 collect_garbage(
                     quarantine_dir,
                     pattern,
-                    entry_max_age_seconds=done_marker_max_age_seconds,
+                    entry_max_age_seconds=QUARANTINE_MAX_AGE_SECONDS,
                     tmp_max_age_seconds=tmp_max_age_seconds,
                     now=now,
                 )
             )
-    for sub in ("pending", "leases", "done", "poison", "workers"):
-        queue_dir = cache_dir / "queue" / sub
-        if queue_dir.is_dir():
-            expire = (
-                done_marker_max_age_seconds
-                if sub in ("done", "poison", "workers")
-                else None
-            )
-            summaries.append(
-                collect_garbage(
-                    queue_dir,
-                    # pending/leases: temp sweep only — live protocol
-                    # state.  done/poison: consumed markers expire by
-                    # age; workers: per-worker stats files from hosts
-                    # that stopped publishing expire the same way.
-                    pattern="*.json" if expire is not None else None,
-                    entry_max_age_seconds=expire,
-                    tmp_max_age_seconds=tmp_max_age_seconds,
-                    now=now,
-                )
-            )
-    # Telemetry span files (telemetry/spans/<host>-<pid>.jsonl): pure
-    # observability residue from traced runs, swept on the same age
-    # bound as consumed completion markers so a fleet that traces
-    # continuously cannot grow the directory forever.
-    spans_dir = cache_dir / "telemetry" / "spans"
-    if spans_dir.is_dir():
-        summaries.append(
-            collect_garbage(
-                spans_dir,
-                pattern="*.jsonl",
-                entry_max_age_seconds=done_marker_max_age_seconds,
-                tmp_max_age_seconds=tmp_max_age_seconds,
-                now=now,
-            )
-        )
     return summaries
 
 
@@ -637,12 +573,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         default=DEFAULT_TMP_MAX_AGE_SECONDS,
         help="minimum age (s) before a .tmp-* writer file counts as orphaned",
     )
-    gc.add_argument(
-        "--done-age",
-        type=float,
-        default=DEFAULT_DONE_MARKER_MAX_AGE_SECONDS,
-        help="age (s) after which consumed queue completion markers are swept",
-    )
     args = parser.parse_args(argv)
     summaries = gc_cache_tree(
         args.cache_dir,
@@ -650,7 +580,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         max_bytes=args.max_bytes,
         max_trace_bytes=args.max_trace_bytes,
         tmp_max_age_seconds=args.tmp_age,
-        done_marker_max_age_seconds=args.done_age,
     )
     print(format_gc_summary(summaries))
     return 0

@@ -1,24 +1,21 @@
 """chaoskit: deterministic fault injection and the unified retry policy.
 
-The queue/cache substrate's crash-safety claims — atomic rename leases,
-TTL re-lease, idempotent completions, the orphaned-``.tmp-*`` gc
-contract — are only as strong as the faults they have been exercised
-against.  This module makes those faults *injectable, seeded and
-deterministic*, so the chaos soak gate (``tests/test_faults.py``) can
-replay the same failure schedule on every run and assert that results
-stay bit-identical to a fault-free run.
+The cache substrate's crash-safety claims — atomic publication,
+quarantine of corrupt entries, the orphaned-``.tmp-*`` gc contract —
+are only as strong as the faults they have been exercised against.
+This module makes those faults *injectable, seeded and deterministic*,
+so the chaos soak gate (``tests/test_faults.py``) can replay the same
+failure schedule on every run and assert that results stay
+bit-identical to a fault-free run.
 
 Three pieces:
 
 * :class:`FaultPlan` — an immutable, serialisable description of a
   fault schedule: a seed, a base firing rate, a per-(site, key) fire
-  budget, an optional site whitelist, a sleep scale (chaos runs
-  compress retry backoff to keep soaks fast) and an explicit
-  ``worker_death`` opt-in (``os._exit`` faults, for real worker
-  subprocesses only).  Plans round-trip through a compact
-  ``key=value,...`` spec or JSON via :meth:`FaultPlan.from_spec` /
-  :meth:`FaultPlan.to_spec`, which is also the ``REPRO_FAULT_PLAN``
-  environment encoding worker subprocesses inherit.
+  budget, an optional site whitelist and a sleep scale (chaos runs
+  compress retry backoff to keep soaks fast).  Plans round-trip
+  through a compact ``key=value,...`` spec or JSON via
+  :meth:`FaultPlan.from_spec` / :meth:`FaultPlan.to_spec`.
 * :class:`FaultInjector` — the deterministic engine.  Every decision is
   a pure function of ``(seed, site, key, occurrence_index)`` via
   SHA-256, so a given plan fires the same faults at the same call
@@ -26,7 +23,7 @@ Three pieces:
   every operation eventually succeeds (liveness under chaos).
 * :class:`RetryPolicy` — the single transient-error handler for the
   harness layer: bounded attempts, exponential backoff, seeded jitter.
-  All backoff (and polling) sleeps in the package go through
+  All backoff sleeps in the package go through
   :func:`sleep` below — the ``retry-discipline`` reprolint rule flags
   ``time.sleep`` anywhere else under ``src/`` so waiting stays
   centralised, seedable and chaos-scalable.
@@ -36,9 +33,8 @@ Hook points and the no-op contract
 
 The hooks live at the filesystem touchpoints of
 :func:`repro.atomicio.publish_atomically` (EIO/ENOSPC on write, torn
-temp files, crash before/after ``os.replace``), ``WorkQueue`` (delayed
-directory visibility, heartbeat stalls, mid-job worker death) and
-``ResultCache`` (read errors).  Every hook is a module-level function
+temp files, crash before/after ``os.replace``) and ``ResultCache``
+(read errors).  Every hook is a module-level function
 that returns immediately while no injector is installed — one ``is
 None`` test, no allocation — so the production hot path pays nothing.
 :mod:`repro.atomicio` cannot import this module (it sits below the
@@ -51,10 +47,10 @@ bit-identical timing kernels.  ``TraceCache`` stores still come under
 chaos because they publish through :mod:`repro.atomicio`; trace *reads*
 are exercised by hand-corrupting files in the quarantine tests instead.
 
-Activation: ``REPRO_FAULT_PLAN=<spec>`` in the environment (workers
-call :func:`install_from_env` at startup and inherit the driver's
-plan), ``pytest --faults <spec|preset>`` for a whole test session, or
-:func:`installed` as a context manager in tests.
+Activation: ``pytest --faults <spec|preset>`` for a whole test
+session, or :func:`installed` as a context manager in tests.  Pool
+workers are forked, so they inherit whatever injector the parent
+process had installed.
 """
 
 from __future__ import annotations
@@ -65,17 +61,8 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
-
-#: Environment variable carrying the active plan's spec; worker
-#: subprocesses inherit it from the driver (``spawn_local_workers``
-#: copies the environment) and self-install at startup.
-FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
-
-#: Exit code of an injected worker death, distinct from real failures
-#: so tests can tell "chaoskit killed it" from "it crashed".
-WORKER_DEATH_EXIT_CODE = 47
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional, TypeVar
 
 #: The fault sites the injector knows.  Site ids are stable — plans
 #: whitelist by these names and the fault-model doc catalogues them.
@@ -85,9 +72,6 @@ FAULT_SITES = (
     "atomicio.crash-before-replace",  # writer dies with a full temp file
     "atomicio.crash-after-replace",   # writer dies after publishing
     "cache.load",                     # read error on a result-cache cell
-    "queue.listing",                  # directory entry temporarily invisible
-    "queue.heartbeat",                # a heartbeat silently misses its beat
-    "queue.worker-death",             # os._exit mid-job (plan opt-in only)
 )
 
 #: Named plans for ``pytest --faults light`` style invocations.  Both
@@ -138,16 +122,12 @@ class FaultPlan:
             all four ``atomicio.*`` sites with a shared key, so a
             retried writer can see up to ``4 * fire_limit`` consecutive
             failures; keep that product below
-            ``DEFAULT_RETRY_POLICY.attempts`` (and ``fire_limit`` below
-            job ``max_attempts``) or chaos runs may legitimately fail
-            publications and poison jobs.
+            ``DEFAULT_RETRY_POLICY.attempts`` or chaos runs may
+            legitimately fail publications.
         sites: site-id whitelist; empty means every site is eligible.
         sleep_scale: multiplier applied by :func:`sleep` to every
-            backoff/poll sleep — soaks run with a near-zero scale so
+            backoff sleep — soaks run with a near-zero scale so
             injected retries don't stretch wall-clock.
-        worker_death: allow ``queue.worker-death`` to ``os._exit`` the
-            process.  Off by default and never enabled implicitly: a
-            driver running assist jobs in-process must not kill itself.
     """
 
     seed: int = 0
@@ -155,7 +135,6 @@ class FaultPlan:
     fire_limit: int = 1
     sites: tuple[str, ...] = ()
     sleep_scale: float = 1.0
-    worker_death: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rate <= 1.0:
@@ -170,7 +149,7 @@ class FaultPlan:
             raise ValueError(f"unknown fault site(s) {unknown}; known: {known}")
 
     # ------------------------------------------------------------------
-    # Spec round-trip (CLI flag, environment variable)
+    # Spec round-trip (the pytest --faults flag)
     # ------------------------------------------------------------------
     @classmethod
     def from_spec(cls, spec: str) -> "FaultPlan":
@@ -178,7 +157,7 @@ class FaultPlan:
 
         The compact form writes sites as a ``|``-separated list::
 
-            seed=3,rate=0.25,fire_limit=2,sites=queue.listing|atomicio.write
+            seed=3,rate=0.25,fire_limit=2,sites=cache.load|atomicio.write
         """
         text = spec.strip()
         if not text:
@@ -206,8 +185,6 @@ class FaultPlan:
                 payload[key] = int(value)
             elif key in ("rate", "sleep_scale"):
                 payload[key] = float(value)
-            elif key == "worker_death":
-                payload[key] = value.lower() in ("1", "true", "yes", "on")
             elif key == "sites":
                 payload[key] = tuple(s for s in value.split("|") if s)
             else:
@@ -215,7 +192,7 @@ class FaultPlan:
         return cls(**payload)
 
     def to_spec(self) -> str:
-        """The compact ``key=value,...`` encoding (``REPRO_FAULT_PLAN``)."""
+        """The compact ``key=value,...`` encoding :meth:`from_spec` reads."""
         parts = [
             f"seed={self.seed}",
             f"rate={self.rate}",
@@ -224,8 +201,6 @@ class FaultPlan:
         ]
         if self.sites:
             parts.append("sites=" + "|".join(self.sites))
-        if self.worker_death:
-            parts.append("worker_death=true")
         return ",".join(parts)
 
 
@@ -237,9 +212,8 @@ class FaultInjector:
     fired there, and ``SHA-256(seed|site|key|n)`` falls below the rate
     threshold.  No live RNG, no clock — a plan's schedule is a function
     of the call sequence alone, which is what lets the soak gate demand
-    bit-identical results.  A lock guards the occurrence counters (the
-    heartbeat thread shares the injector with the worker loop); the
-    counters are the only mutable state.
+    bit-identical results.  A lock guards the occurrence counters, the
+    only mutable state.
     """
 
     def __init__(self, plan: FaultPlan):
@@ -304,32 +278,6 @@ class FaultInjector:
             errno.EIO, f"injected writer death at {site}", key
         )
 
-    def filter_names(self, site: str, scope: str, names: list[str]) -> list[str]:
-        """Hide directory entries (NFS-style delayed visibility).
-
-        Each hidden (entry, occurrence) consumes one fire from the
-        entry's budget, so every file becomes visible after at most
-        ``fire_limit`` listings — stale listings delay progress, never
-        prevent it.
-        """
-        return [
-            name for name in names if not self.decide(site, f"{scope}/{name}")
-        ]
-
-    def stall(self, site: str, key: str) -> bool:
-        """True when this heartbeat should silently miss its beat."""
-        return self.decide(site, key)
-
-    def maybe_die(self, key: str) -> None:
-        """``os._exit`` the process mid-job when the plan allows death.
-
-        Only fires when the plan explicitly opted in — a driver serving
-        assist jobs in-process shares the address space with the test
-        run and must never be collateral.
-        """
-        if self.plan.worker_death and self.decide("queue.worker-death", key):
-            os._exit(WORKER_DEATH_EXIT_CODE)
-
 
 # ----------------------------------------------------------------------
 # Module-level installation and the zero-overhead hook functions
@@ -358,20 +306,6 @@ def active_injector() -> Optional[FaultInjector]:
     return _INJECTOR
 
 
-def install_from_env() -> Optional[FaultInjector]:
-    """Install a plan from ``REPRO_FAULT_PLAN``; None when unset.
-
-    Worker entry points call this at startup so a driver's chaos plan
-    follows its spawned fleet.
-    """
-    spec = os.environ.get(FAULT_PLAN_ENV, "").strip()
-    if not spec:
-        return None
-    injector = FaultInjector(FaultPlan.from_spec(spec))
-    install(injector)
-    return injector
-
-
 class installed:
     """Context manager: run a block under ``plan``, restore on exit."""
 
@@ -387,20 +321,6 @@ class installed:
         install(self._previous)
 
 
-def maybe_filter_names(site: str, scope: str, names: list[str]) -> list[str]:
-    """Directory-listing hook: a no-op unless an injector is installed."""
-    if _INJECTOR is None:
-        return names
-    return _INJECTOR.filter_names(site, scope, names)
-
-
-def maybe_stall(site: str, key: str = "") -> bool:
-    """Heartbeat-stall hook: False (never stall) in production."""
-    if _INJECTOR is None:
-        return False
-    return _INJECTOR.stall(site, key)
-
-
 def maybe_fire(site: str, key: str = "") -> None:
     """Raise an injected transient error at ``site``; no-op by default."""
     if _INJECTOR is None:
@@ -411,22 +331,13 @@ def maybe_fire(site: str, key: str = "") -> None:
         )
 
 
-def maybe_die(key: str = "") -> None:
-    """Worker-death hook: a no-op unless a death-enabled plan is live."""
-    if _INJECTOR is not None:
-        _INJECTOR.maybe_die(key)
-
-
 def sleep(seconds: float) -> None:
     """The package's single ``time.sleep`` seam.
 
-    Every poll and backoff wait routes through here (the
-    ``retry-discipline`` reprolint rule enforces it): the workers' idle
-    polls, the runner's marker wait
-    (:func:`repro.harness.queue.wait_for_markers`) and every
-    ``RetryPolicy`` backoff.  Waiting is therefore centralised, and an
-    active chaos plan compresses it via ``sleep_scale`` to keep fault
-    soaks fast.
+    Every backoff wait routes through here (the ``retry-discipline``
+    reprolint rule enforces it), every ``RetryPolicy`` backoff included.
+    Waiting is therefore centralised, and an active chaos plan
+    compresses it via ``sleep_scale`` to keep fault soaks fast.
     """
     injector = _INJECTOR
     if injector is not None:
@@ -451,12 +362,8 @@ class RetryPolicy:
     deterministic jitter in ``[0, jitter]`` derived from ``(seed,
     key, attempt)`` — seeded like everything else in this module, so
     two processes retrying the same key desynchronise *reproducibly*
-    rather than thundering in lockstep.
-
-    ``call`` either re-raises the last error (``on_exhausted="raise"``)
-    or swallows it and returns ``default`` (``on_exhausted="drop"``,
-    for best-effort writers like worker stats that must never kill
-    their process).
+    rather than thundering in lockstep.  ``call`` re-raises the last
+    error once the attempts are spent.
     """
 
     attempts: int = 4
@@ -485,34 +392,20 @@ class RetryPolicy:
         operation: Callable[[], T],
         retry_on: tuple[type[BaseException], ...] = (OSError,),
         key: str = "",
-        on_exhausted: str = "raise",
-        default: Optional[T] = None,
-    ) -> Optional[T]:
+    ) -> T:
         """Run ``operation`` under this policy; see class docstring."""
-        if on_exhausted not in ("raise", "drop"):
-            raise ValueError("on_exhausted must be 'raise' or 'drop'")
-        waits = self.delays(key)
-        for attempt in range(self.attempts):
+        for wait in self.delays(key):
             try:
                 return operation()
             except retry_on:
-                if attempt + 1 >= self.attempts:
-                    if on_exhausted == "drop":
-                        return default
-                    raise
-                sleep(next(waits))
-        return default  # pragma: no cover - loop always returns/raises
+                sleep(wait)
+        return operation()
 
 
-#: The harness-wide default for protocol/cache publications.  Six
+#: The harness-wide default for cache publications.  Six
 #: attempts with sub-second backoff rides out transient ENOSPC/EIO —
 #: and every ``fire_limit=1`` fault plan: one publication traverses all
 #: four ``atomicio.*`` sites with a shared key, so its worst case is
 #: ``4 * fire_limit`` consecutive failures, which 6 attempts beats with
 #: headroom.  Keep that inequality when raising ``fire_limit``.
 DEFAULT_RETRY_POLICY = RetryPolicy(attempts=6)
-
-#: Best-effort writers (worker stats, lease stamps) drop after a short
-#: budget instead of raising — losing one stats file must never kill a
-#: worker mid-fleet.
-BEST_EFFORT_RETRY_POLICY = RetryPolicy(attempts=3, base_delay=0.02, max_delay=0.5)

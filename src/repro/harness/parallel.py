@@ -44,19 +44,17 @@ Semantics:
 * **Replays per timing class** — the kernels read a policy only through
   its timing flags and hooks
   (:meth:`~repro.techniques.base.ResizingPolicy.timing_class`), so the
-  local backends run one replay per (benchmark, program, timing class)
-  and hand each cell its own copy of the statistics: 55 replays for
-  the 66-cell grid.  Each cell is still stored and costed on its own,
-  and ``simulations_run`` counts cells.  The queue backend runs one job
-  per cell.
+  runner runs one replay per (benchmark, program, timing class) and
+  hands each cell its own copy of the statistics: 55 replays for the
+  66-cell grid.  Each cell is still stored and costed on its own, and
+  ``simulations_run`` counts cells.
 * **Compilations** are not cached on disk: they are cheap relative to
   simulation and memoised per runner, and the runner analyses each
   benchmark once, sharing that analysis between its three hint modes
   (a cold in-process grid: 33 compiles, 11 analyses).  Table 2 asks the
   runner for them, and a result's ``compilation`` field resolves on
   first read, so a grid served from the result cache compiles nothing.
-  A pool task shares one analysis across its benchmark's modes; queue
-  workers compile each job's program afresh.
+  A pool task shares one analysis across its benchmark's modes.
 * **Traces** are cached one level below the results: a
   ``traces/`` subdirectory of ``cache_dir`` (override with
   ``trace_cache_dir``) holds one trace per benchmark and budget
@@ -77,33 +75,20 @@ Semantics:
   ``trace_cache_max_bytes`` to cap the trace directory; stores prune
   least-recently-used entries (hits refresh recency via file mtimes, so
   the bounds hold across processes sharing the directory).
-* **Backends** — ``backend="local"`` (the default) runs uncached cells
-  in-process or over a ``ProcessPoolExecutor``; ``backend="queue"``
-  publishes them to the file-backed work queue inside the shared cache
-  directory (:mod:`repro.harness.queue`) so any number of worker
-  processes — this host or others sharing the directory — lease,
-  heartbeat and complete them.  The runner blocks on completion
-  markers, re-leases jobs whose worker stopped heartbeating, folds each
-  marker's trace-cache counter deltas, and (``queue_assist``, on by
-  default) pitches in on unclaimed jobs itself so a queue with no
-  external workers still drains.  Results are bit-identical between
-  backends for any worker count.
 * **Replay engines** — ``engine="scalar"|"native"`` pins the replay
   kernel (:mod:`repro.uarch.engine`) every job runs under; None (the
-  default) lets each executing host resolve its own: its
+  default) lets each executing process resolve its own: its
   ``REPRO_REPLAY_KERNEL``, else native where it builds, else scalar.
   Statistics are bit-identical between kernels, so the engine is
   transport like the worker count: it never participates in cache
-  fingerprints, results cached under one kernel are hits under any
-  other, and queue completion markers stay idempotent even when a
-  re-leased job reruns on a host with a different kernel.
+  fingerprints, and results cached under one kernel are hits under any
+  other.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-import subprocess
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -131,8 +116,7 @@ class SimulationJob:
     ``trace_cache_dir`` names the shared on-disk trace cache (see
     :mod:`repro.uarch.trace`), ``trace_cache_max_bytes`` its LRU byte
     cap, and ``engine`` the replay kernel (:mod:`repro.uarch.engine`;
-    None: the executing host's own resolution, so a heterogeneous fleet
-    runs native wherever it builds and scalar elsewhere).  All three are
+    None: the executing process's own resolution).  All three are
     transport, not identity — replay statistics are bit-identical for
     every cache setting and engine — so none participates in
     :meth:`fingerprint`, and a result produced by one kernel is a cache
@@ -145,10 +129,6 @@ class SimulationJob:
     trace_cache_dir: Optional[str] = None
     trace_cache_max_bytes: Optional[int] = None
     engine: Optional[str] = None
-    # Queue-backend retry budget (None: the queue's default).  Like the
-    # transport fields above it never participates in fingerprint():
-    # how often a job may be retried doesn't change what it computes.
-    max_attempts: Optional[int] = None
 
     def fingerprint(self) -> str:
         """Content hash of the job's full input set (see :mod:`.cache`).
@@ -250,11 +230,11 @@ class ParallelSuiteRunner(SuiteRunner):
         workers: process-pool size (1 means run jobs in-process).
         cache: the :class:`ResultCache`, or None when running uncached.
         simulations_run: cells actually simulated by this runner.
-        backend: ``"local"`` (in-process / process pool) or ``"queue"``
-            (the shared-directory work queue of
-            :mod:`repro.harness.queue`).
         engine: replay kernel jobs are pinned to (None: each executing
-            host resolves its own, see :mod:`repro.uarch.engine`).
+            process resolves its own, see :mod:`repro.uarch.engine`).
+
+    ``backend`` accepts only ``"local"``, the one execution path; the
+    keyword stays so existing callers that name it keep working.
     """
 
     def __init__(
@@ -266,14 +246,14 @@ class ParallelSuiteRunner(SuiteRunner):
         trace_cache_dir: Optional[str] = None,
         trace_cache_max_bytes: Optional[int] = None,
         backend: str = "local",
-        queue_workers: int = 0,
-        queue_ttl: float = 60.0,
-        queue_poll: float = 0.2,
-        queue_assist: bool = True,
-        queue_timeout: Optional[float] = 600.0,
         engine: Optional[str] = None,
     ):
         super().__init__(config)
+        if backend != "local":
+            raise ValueError(
+                f"backend must be 'local', got {backend!r}: the work-queue "
+                "backend was retired"
+            )
         if engine is not None:
             # Fail at construction, not inside a worker: statistics are
             # engine-invariant but a typo should not surface as a grid
@@ -286,22 +266,7 @@ class ParallelSuiteRunner(SuiteRunner):
             workers = int(os.environ.get("REPRO_WORKERS") or 0) or os.cpu_count() or 1
         if workers < 1:
             raise ValueError("workers must be a positive integer")
-        if backend not in ("local", "queue"):
-            raise ValueError(f"backend must be 'local' or 'queue', got {backend!r}")
-        if backend == "queue" and cache_dir is None:
-            raise ValueError(
-                "backend='queue' needs cache_dir: the queue lives inside the "
-                "shared cache directory the workers mount"
-            )
-        if queue_workers < 0:
-            raise ValueError("queue_workers must be a non-negative integer")
         self.workers = workers
-        self.backend = backend
-        self.queue_workers = queue_workers
-        self.queue_ttl = queue_ttl
-        self.queue_poll = queue_poll
-        self.queue_assist = queue_assist
-        self.queue_timeout = queue_timeout
         self.cache = (
             ResultCache(cache_dir, max_entries=cache_max_entries)
             if cache_dir is not None
@@ -370,11 +335,10 @@ class ParallelSuiteRunner(SuiteRunner):
         techniques: Iterable[str] = TECHNIQUES,
         benchmarks: Optional[Iterable[str]] = None,
     ) -> dict[tuple[str, str], BenchmarkResult]:
-        """Populate the whole grid, fanning uncached cells over the backend.
+        """Populate the whole grid, fanning uncached cells over the pool.
 
         Returns the results in deterministic grid order (benchmarks outer,
-        techniques inner) regardless of worker completion order — on the
-        local pool or on the shared work queue.
+        techniques inner) regardless of worker completion order.
         """
         grid = self.grid(techniques, benchmarks)
         pending: list[SimulationJob] = []
@@ -404,10 +368,10 @@ class ParallelSuiteRunner(SuiteRunner):
         return {key: self._results[key] for key in grid}
 
     # ------------------------------------------------------------------
-    # Execution backends
+    # Execution
     # ------------------------------------------------------------------
     def _execute_pending(self, pending: list[SimulationJob]) -> list[SimulationStats]:
-        """Simulate the uncached cells, in order, over the active backend.
+        """Simulate the uncached cells, in order, in-process or over the pool.
 
         Jobs with equal :meth:`_replay_key` share the first one's replay,
         and every cell still gets its own statistics object.
@@ -419,9 +383,7 @@ class ParallelSuiteRunner(SuiteRunner):
         ]
         replays = [index for index, owner in enumerate(replay_of) if owner == index]
         jobs = [pending[index] for index in replays]
-        if self.backend == "queue":
-            payloads = self._execute_jobs_queue(jobs)
-        elif self.workers == 1:
+        if self.workers == 1:
             payloads = [self._execute_in_process(job) for job in jobs]
         else:
             payloads = self._execute_pool(jobs)
@@ -433,12 +395,8 @@ class ParallelSuiteRunner(SuiteRunner):
     def _replay_key(self, job: SimulationJob, index: int):
         """Jobs with equal keys replay identically: same benchmark, same
         program, and a policy of the same timing class.  A policy with no
-        timing class keys by its position, so it never shares, and so
-        does every job of the queue backend, which runs one job per
-        cell."""
-        timing = None
-        if self.backend != "queue":
-            timing = make_policy(job.technique, self.config).timing_class()
+        timing class keys by its position, so it never shares."""
+        timing = make_policy(job.technique, self.config).timing_class()
         if timing is None:
             return index
         program = job.technique if job.technique in SOFTWARE_TECHNIQUES else None
@@ -463,89 +421,6 @@ class ParallelSuiteRunner(SuiteRunner):
     def _execute_in_process(self, job: SimulationJob) -> dict:
         """One job in this process, reusing the runner's memos and cache."""
         return run_simulation_job(job, _job_program(self, job), self.trace_cache)
-
-    def _execute_jobs_queue(self, jobs: list[SimulationJob]) -> list[dict]:
-        """Publish jobs to the shared work queue and await their markers.
-
-        Spawns ``queue_workers`` local worker subprocesses for the
-        duration of the batch (external workers on other hosts join by
-        simply running ``python -m repro.harness.queue <cache_dir>``),
-        re-leases jobs whose heartbeat lapsed, and — with
-        ``queue_assist`` — claims unassigned jobs itself between polls
-        so progress never depends on anyone else being alive.
-        """
-        from repro.harness.queue import WorkQueue, spawn_local_workers
-        from repro.telemetry import spans as tracing
-
-        # The driver is the trace root: with REPRO_TELEMETRY=1 it mints
-        # one request id here, every enqueue stamps it into the job
-        # envelope, and the claiming workers' spans carry it onward —
-        # one connected driver→enqueue→claim→replay→complete trace per
-        # batch.  Disabled (the default), both calls are no-ops and the
-        # envelopes carry no trace key at all.
-        tracing.install_from_env(self.cache.directory)
-        queue = WorkQueue(self.cache.directory, ttl=self.queue_ttl)
-        with tracing.maybe_trace_scope():
-            with tracing.span(
-                "driver.grid",
-                cells=len(jobs),
-                backend="queue",
-                queue_workers=self.queue_workers,
-            ):
-                fingerprints = [queue.enqueue(job) for job in jobs]
-                procs = (
-                    spawn_local_workers(
-                        self.cache.directory,
-                        self.queue_workers,
-                        ttl=self.queue_ttl,
-                        poll_interval=self.queue_poll,
-                    )
-                    if self.queue_workers
-                    else []
-                )
-                try:
-                    markers = self._await_markers(queue, fingerprints)
-                finally:
-                    for proc in procs:
-                        proc.terminate()
-                    for proc in procs:
-                        try:
-                            proc.wait(timeout=10)
-                        except subprocess.TimeoutExpired:  # pragma: no cover - stuck worker
-                            proc.kill()
-        payloads = []
-        for job, fingerprint in zip(jobs, fingerprints):
-            marker = markers[fingerprint]
-            if marker.get("error") or marker.get("payload") is None:
-                raise RuntimeError(
-                    f"queue job {marker.get('benchmark')}/{marker.get('technique')} "
-                    f"failed on worker {marker.get('worker')!r}:\n{marker.get('error')}"
-                )
-            payloads.append(marker["payload"])
-        return payloads
-
-    def _await_markers(self, queue, fingerprints: list[str]) -> dict[str, dict]:
-        """Await the batch's completion markers (see :func:`wait_for_markers`).
-
-        The scan cadence adapts between ``queue_poll/4`` and
-        ``queue_poll*4`` with queue activity.  ``queue_timeout`` bounds
-        *stall* (it re-arms on every marker, heartbeat and assisted job,
-        so slow-but-live fleets never trip it), a job escalated to
-        ``poison/`` fails the batch immediately with the recorded
-        reason, and ``queue_assist`` claims unassigned jobs between
-        scans so progress never depends on anyone else being alive.
-        """
-        from repro.harness.queue import wait_for_markers
-
-        poll_floor = max(0.01, self.queue_poll / 4.0)
-        return wait_for_markers(
-            queue,
-            fingerprints,
-            poll_floor=poll_floor,
-            poll_ceiling=max(self.queue_poll * 4.0, poll_floor),
-            assist=self.queue_assist,
-            stall_timeout=self.queue_timeout,
-        )
 
     # ------------------------------------------------------------------
     def _cached_stats(self, job: SimulationJob) -> Optional[SimulationStats]:

@@ -19,8 +19,6 @@ parses the history, splits it into per-series samples —
 * ``engine/<name>/warm_gcc_noop``: warm throughput in cycles per CPU
   second on gcc's NOOP-instrumented program, the program densest in
   hints (``hint_path`` entries);
-* ``queue_grid/seconds``: 6-cell grid wall-clock through the queue
-  (lower is better);
 * ``emulator/kinstr_per_s``: functional emulation of gcc in thousands
   of instructions per CPU second (higher is better) —
 
@@ -91,7 +89,7 @@ def split_series(history: list[dict]) -> dict[str, dict]:
     entry order.  ``direction`` is ``"higher"`` (throughput: bigger is
     better) or ``"lower"`` (wall-clock seconds).  Unstamped pre-PR 9
     entries parse fine: throughput entries default to engine
-    ``scalar``, and grid entries are classified by their ``kind``.
+    ``scalar``, and the other entries are classified by their ``kind``.
     """
     series: dict[str, dict] = {}
 
@@ -103,9 +101,7 @@ def split_series(history: list[dict]) -> dict[str, dict]:
 
     for entry in history:
         kind = entry.get("kind")
-        if kind == "queue_grid":
-            _append("queue_grid/seconds", entry.get("queue_seconds"), "lower")
-        elif kind == "emulator":
+        if kind == "emulator":
             _append("emulator/kinstr_per_s", entry.get("kinstr_per_s"), "higher")
         elif kind == "hint_path":
             _append(

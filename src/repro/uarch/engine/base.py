@@ -6,9 +6,9 @@ it consumes a trace window stream
 and produces :class:`~repro.uarch.stats.SimulationStats`.  The contract
 deliberately separates *what* a cycle does (the machine semantics, fixed
 by the paper's table 1 and section 3) from *how* a kernel executes it, so
-the execution harness — the process pool, the distributed work queue —
-can run each job on whichever kernel its host resolves without any
-caller noticing.
+the execution harness — in-process or over the process pool — can run
+each job on whichever kernel its process resolves without any caller
+noticing.
 
 Two invariants every engine must uphold:
 
@@ -25,7 +25,7 @@ Two invariants every engine must uphold:
 Selection: :func:`get_engine` resolves an explicit name, else the
 ``REPRO_REPLAY_KERNEL`` environment variable, else ``"native"`` when this
 host can build it, else ``"scalar"``.  Every executing process applies
-the rule for itself, so a mixed fleet picks per host.
+the rule for itself.
 """
 
 from __future__ import annotations

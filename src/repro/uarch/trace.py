@@ -746,7 +746,7 @@ class TraceCache:
     never partially trusted.  A *corrupt* file (one that was read
     successfully but failed validation) is additionally moved aside to
     ``quarantine/`` inside the cache directory — visible for
-    post-mortem, swept by ``cache gc`` on the consumed-marker age bound,
+    post-mortem, swept by ``cache gc`` once a week old,
     and out of the way so the re-store lands cleanly; a file that merely
     failed to *read* (EIO, permissions) is left in place, since it may
     be intact and the fault transient.  A store whose publication fails
@@ -819,6 +819,8 @@ class TraceCache:
         path = self.path_for(fingerprint)
         with open(path, "rb") as handle:
             header = json.loads(handle.readline())
+            if not isinstance(header, dict):
+                raise ValueError("trace header is not an object")
             if header.get("format") != TRACE_FORMAT_VERSION:
                 raise ValueError("stale trace format")
             length = header["length"]

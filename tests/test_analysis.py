@@ -9,8 +9,8 @@ tests) with ``--no-lint``.
 
 Rules scope themselves by file path, so fixtures opt into a rule by
 living under a matching relative path (``tmp/repro/uarch/mod.py``
-for determinism, ``tmp/repro/harness/queue.py`` for the transition
-table, and so on).
+for determinism, ``tmp/repro/harness/cache.py`` for atomic IO, and so
+on).
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ def test_registry_ships_at_least_six_rules_with_unique_ids():
     assert {
         "determinism",
         "atomic-io",
-        "queue-transitions",
         "fingerprint-purity",
         "exception-hygiene",
         "optional-deps",
@@ -170,7 +169,7 @@ def test_atomic_io_fires_on_write_text_and_inline_json_dump():
             path.write_text(payload)
             json.dump(payload, open(path, "w"))
         """,
-        "repro/harness/queue.py",
+        "repro/harness/parallel.py",
     )
     # write_text, json.dump-into-open, and the inline write-mode open.
     assert len(result.findings) == 3
@@ -207,79 +206,7 @@ def test_atomic_io_fires_on_dynamic_mode():
 
 
 # ----------------------------------------------------------------------
-# Rule 3: queue-transitions (scoped to repro/harness/queue.py)
-# ----------------------------------------------------------------------
-QUEUE_FIXTURE_PATH = "repro/harness/queue.py"
-
-
-def test_queue_transitions_silent_on_documented_edges():
-    documented = """
-    import os
-
-    class Q:
-        def claim(self, name):
-            pending = self.pending_dir / name
-            lease = self.leases_dir / name
-            os.rename(pending, lease)
-
-        def release(self, claimed):
-            os.rename(claimed.lease_path, self.pending_dir / claimed.lease_path.name)
-
-        def poison(self, lease):
-            os.replace(lease, self.poison_dir / lease.name)
-
-        def requeue(self, name):
-            lease = self.leases_dir / name
-            os.rename(lease, self.pending_dir / name)
-    """
-    assert lint_snippet(documented, QUEUE_FIXTURE_PATH).findings == []
-
-
-def test_queue_transitions_catch_synthetic_undocumented_edge():
-    # A done→pending rename is not in the protocol table: completion
-    # markers are consumed, never requeued by rename.
-    undocumented = """
-    import os
-
-    class Q:
-        def resurrect(self, name):
-            os.rename(self.done_dir / name, self.pending_dir / name)
-    """
-    (finding,) = lint_snippet(undocumented, QUEUE_FIXTURE_PATH).findings
-    assert finding.rule_id == "queue-transitions"
-    assert "done" in finding.message and "pending" in finding.message
-
-
-def test_queue_transitions_fires_on_unclassifiable_endpoints():
-    opaque = """
-    import os
-
-    def shuffle(a, b):
-        os.rename(a, b)
-    """
-    (finding,) = lint_snippet(opaque, QUEUE_FIXTURE_PATH).findings
-    assert finding.rule_id == "queue-transitions"
-    assert "cannot be classified" in finding.message
-
-
-def test_queue_transitions_resolves_helper_calls():
-    via_helpers = """
-    import os
-
-    class Q:
-        def claim(self, f):
-            os.rename(self.pending_path(f), self.lease_path(f))
-    """
-    assert lint_snippet(via_helpers, QUEUE_FIXTURE_PATH).findings == []
-
-
-def test_queue_transitions_out_of_scope_elsewhere():
-    elsewhere = "import os\n\ndef f(a, b):\n    os.rename(a, b)\n"
-    assert lint_snippet(elsewhere, "repro/harness/cache.py").findings == []
-
-
-# ----------------------------------------------------------------------
-# Rule 4: fingerprint-purity (whole tree)
+# Rule 3: fingerprint-purity (whole tree)
 # ----------------------------------------------------------------------
 def test_fingerprint_purity_fires_on_engine_in_fingerprint_payload():
     impure = """
@@ -320,7 +247,7 @@ def test_fingerprint_purity_silent_on_pure_construction():
 
 
 # ----------------------------------------------------------------------
-# Rule 5: exception-hygiene (whole tree)
+# Rule 4: exception-hygiene (whole tree)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "clause", ["except Exception:", "except BaseException:", "except:"]
@@ -364,7 +291,7 @@ def test_exception_hygiene_suppressible_with_justified_pragma():
 
 
 # ----------------------------------------------------------------------
-# Rule 6: optional-deps (whole tree)
+# Rule 5: optional-deps (whole tree)
 # ----------------------------------------------------------------------
 def test_optional_deps_fires_on_unguarded_top_level_numpy():
     result = lint_snippet("import numpy as np\n", "repro/harness/mod.py")
@@ -446,7 +373,7 @@ def test_optional_deps_silent_for_compiled_backend_in_its_home_modules():
 
 
 # ----------------------------------------------------------------------
-# Rule 7: retry-discipline (sleep ownership + uarch isolation)
+# Rule 6: retry-discipline (sleep ownership + uarch isolation)
 # ----------------------------------------------------------------------
 def test_retry_discipline_fires_on_time_sleep_outside_faults():
     snippet = """
@@ -455,7 +382,7 @@ def test_retry_discipline_fires_on_time_sleep_outside_faults():
     def poll():
         time.sleep(0.2)
     """
-    result = lint_snippet(snippet, "repro/harness/queue.py")
+    result = lint_snippet(snippet, "repro/harness/cache.py")
     assert rule_ids(result.findings) == {"retry-discipline"}
 
 
@@ -509,12 +436,12 @@ def test_retry_discipline_faults_import_allowed_outside_uarch():
 
 
 # ----------------------------------------------------------------------
-# Rule 8: telemetry-purity (observability stays out of uarch and keys)
+# Rule 7: telemetry-purity (observability stays out of uarch and keys)
 # ----------------------------------------------------------------------
 def test_telemetry_purity_fires_on_telemetry_import_under_uarch():
     for line in (
-        "from repro.telemetry import spans\n",
-        "from repro.telemetry.spans import span\n",
+        "from repro.telemetry import trend\n",
+        "from repro.telemetry.trend import gate_series\n",
         "import repro.telemetry\n",
         "from repro import telemetry\n",
     ):
@@ -523,8 +450,8 @@ def test_telemetry_purity_fires_on_telemetry_import_under_uarch():
 
 
 def test_telemetry_purity_import_allowed_outside_uarch():
-    line = "from repro.telemetry import spans as tracing\n"
-    assert lint_snippet(line, "repro/harness/queue.py").findings == []
+    line = "from repro.telemetry import trend\n"
+    assert lint_snippet(line, "repro/harness/parallel.py").findings == []
 
 
 def test_telemetry_purity_fires_on_telemetry_values_in_fingerprints():
@@ -540,7 +467,7 @@ def test_telemetry_purity_fires_on_telemetry_values_in_fingerprints():
         payload = {"benchmark": job.benchmark, "trace_id": job.trace_id}
         return digest(payload)
     """
-    result = lint_snippet(trace_key, "repro/harness/queue.py")
+    result = lint_snippet(trace_key, "repro/harness/parallel.py")
     assert "telemetry-purity" in rule_ids(result.findings)
 
 
@@ -556,7 +483,7 @@ def test_telemetry_purity_silent_on_clean_fingerprints_and_elsewhere():
     def publish_stats(self):
         return {"probes": self.probes, "telemetry": True}
     """
-    assert lint_snippet(elsewhere, "repro/harness/queue.py").findings == []
+    assert lint_snippet(elsewhere, "repro/harness/parallel.py").findings == []
 
 
 # ----------------------------------------------------------------------

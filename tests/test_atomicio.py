@@ -1,6 +1,6 @@
 """Crash-path coverage for :mod:`repro.atomicio`.
 
-The orphan contract every cache and the queue rely on: a writer killed
+The orphan contract both caches rely on: a writer killed
 mid-store leaves only a ``.tmp-*`` temp file — never a partial final
 file, and never clobbered old content — and the offline ``cache gc``
 sweep removes that debris by age while leaving fresh in-flight temp
@@ -21,7 +21,9 @@ import pytest
 
 import repro
 from repro.atomicio import TMP_PREFIX, publish_atomically
-from repro.harness.cache import collect_garbage, gc_cache_tree
+from repro.harness.cache import ResultCache, collect_garbage, gc_cache_tree
+from repro.uarch.trace import TraceCache, trace_fingerprint
+from repro.workloads import build_benchmark
 
 KILLED_WRITER_SCRIPT = """
 import os, signal, sys
@@ -36,14 +38,45 @@ publish_atomically(sys.argv[1], write)
 """
 
 
+#: A cache store (``result`` or ``trace``, into the directory given)
+#: whose process is SIGKILLed at the publication hook right before the
+#: rename, with its temp file complete.
+KILLED_CACHE_STORE_SCRIPT = """
+import os, signal, sys
+import repro.atomicio as atomicio
+from repro.harness.cache import ResultCache
+from repro.uarch import SimulationStats
+from repro.uarch.trace import TraceCache, get_trace_columns, trace_fingerprint
+from repro.workloads import build_benchmark
+
+def die(site, key, temp_path=None):
+    if site == "atomicio.crash-before-replace":
+        os.kill(os.getpid(), signal.SIGKILL)
+
+kind, directory = sys.argv[1], sys.argv[2]
+program = build_benchmark("gzip")
+columns = get_trace_columns(program, 200, live=True)
+atomicio._fault_hook = die
+if kind == "result":
+    ResultCache(directory).store("a" * 64, SimulationStats(cycles=42))
+else:
+    TraceCache(directory).store(trace_fingerprint(program, 200), columns)
+"""
+
+
 def run_killed_writer(destination: Path) -> subprocess.CompletedProcess:
     """Run a subprocess that dies via SIGKILL mid-``publish_atomically``."""
+    return run_killed(KILLED_WRITER_SCRIPT, str(destination))
+
+
+def run_killed(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a subprocess that must die by SIGKILL."""
     src_root = str(Path(next(iter(repro.__path__))).parent)
     env = dict(os.environ)
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = src_root + (os.pathsep + existing if existing else "")
     process = subprocess.run(
-        [sys.executable, "-c", KILLED_WRITER_SCRIPT, str(destination)],
+        [sys.executable, "-c", script, *args],
         env=env,
         capture_output=True,
         text=True,
@@ -104,6 +137,30 @@ def test_gc_cache_tree_sweeps_killed_writers_across_the_tree(tmp_path):
     assert tmp_orphans(tmp_path / "traces") == []
 
 
+@pytest.mark.parametrize("kind", ["result", "trace"])
+def test_killed_cache_store_leaves_only_a_sweepable_orphan(tmp_path, kind):
+    """Both cache writers keep the orphan contract: a store killed just
+    before its rename publishes nothing, the next load is a plain miss
+    with nothing to quarantine, and ``cache gc`` sweeps the debris."""
+    directory = tmp_path if kind == "result" else tmp_path / "traces"
+    run_killed(KILLED_CACHE_STORE_SCRIPT, kind, str(directory))
+    (orphan,) = tmp_orphans(directory)
+    assert orphan.stat().st_size > 0  # complete, and still debris
+
+    if kind == "result":
+        cache = ResultCache(directory)
+        assert cache.load("a" * 64) is None
+    else:
+        cache = TraceCache(directory)
+        program = build_benchmark("gzip")
+        assert cache.load(trace_fingerprint(program, 200), program) is None
+    assert len(cache) == 0
+    assert (cache.misses, cache.quarantined) == (1, 0)
+
+    gc_cache_tree(tmp_path, tmp_max_age_seconds=0.0)
+    assert tmp_orphans(directory) == []
+
+
 def test_publish_failure_cleans_temp_and_reraises(tmp_path):
     destination = tmp_path / "cell.json"
 
@@ -124,78 +181,3 @@ def test_publish_replaces_existing_content_atomically(tmp_path):
     assert destination.read_text(encoding="utf-8") == "two"
     assert tmp_orphans(tmp_path) == []
 
-
-# ----------------------------------------------------------------------
-# The span writer (PR 9) lives under the same discipline
-# ----------------------------------------------------------------------
-KILLED_SPAN_WRITER_SCRIPT = """
-import os, signal, sys
-from repro.telemetry import spans
-
-_real_publish = spans.publish_atomically
-
-def dying_publish(destination, write):
-    def write_then_die(handle):
-        write(handle)
-        handle.flush()
-        os.kill(os.getpid(), signal.SIGKILL)
-    _real_publish(destination, write_then_die)
-
-# Die inside the recorder's publish call, after the payload is written
-# to the temp file but before the rename commits it.
-spans.enable(sys.argv[1])
-spans.publish_atomically = dying_publish
-with spans.span("queue.enqueue", trace="t1", fingerprint="f1"):
-    pass
-"""
-
-
-def test_killed_span_writer_leaves_only_a_sweepable_tmp_orphan(tmp_path):
-    """A worker SIGKILLed mid-span-publish obeys the orphan contract.
-
-    The span recorder is a shared-cache-tree writer (it is listed in
-    ``AtomicIoRule.SCOPED_MODULES``), so the same guarantee applies: no
-    torn ``.jsonl`` ever becomes visible, and the debris is a
-    ``.tmp-*`` file that ``cache gc`` sweeps by age.
-    """
-    from repro.telemetry.spans import spans_directory
-
-    src_root = str(Path(next(iter(repro.__path__))).parent)
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src_root + (os.pathsep + existing if existing else "")
-    process = subprocess.run(
-        [sys.executable, "-c", KILLED_SPAN_WRITER_SCRIPT, str(tmp_path)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert process.returncode == -signal.SIGKILL, process.stderr
-
-    spans_dir = spans_directory(tmp_path)
-    # Never a torn final file: the only .jsonl present is the TMP_PREFIX
-    # debris (temp files keep the destination suffix for os.replace).
-    finals = [
-        path
-        for path in spans_dir.glob("*.jsonl")
-        if not path.name.startswith(TMP_PREFIX)
-    ]
-    assert finals == []
-    from repro.telemetry.spans import read_spans
-
-    assert read_spans(tmp_path) == []  # readers skip in-flight debris too
-    (orphan,) = tmp_orphans(spans_dir)
-    assert "queue.enqueue" in orphan.read_text(encoding="utf-8")
-
-    # The sweep that covers consumed markers covers span debris too.
-    summaries = gc_cache_tree(tmp_path, tmp_max_age_seconds=0.0)
-    assert any(s["tmp_removed"] for s in summaries)
-    assert tmp_orphans(spans_dir) == []
-
-
-def test_span_writer_is_scoped_under_the_atomic_io_rule():
-    from repro.analysis.rules import AtomicIoRule
-
-    rule = AtomicIoRule()
-    assert rule.applies_to("src/repro/telemetry/spans.py")

@@ -8,6 +8,10 @@ the serial :class:`SuiteRunner` — identical metrics for any worker count
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
+import os
+import time
+from pathlib import Path
 
 import pytest
 
@@ -18,14 +22,20 @@ from repro.harness import (
     SuiteRunner,
 )
 from repro.harness.cache import (
+    QUARANTINE_DIR_NAME,
+    QUARANTINE_MAX_AGE_SECONDS,
     ResultCache,
+    gc_cache_tree,
     stats_from_dict,
     stats_to_dict,
 )
+from repro.harness.faults import installed
 from repro.harness import parallel as parallel_module
 from repro.harness.parallel import run_simulation_job
 from repro.uarch import SimulationStats, TraceCache
-from repro.uarch.trace import clear_trace_memo
+from repro.uarch.trace import clear_trace_memo, get_trace_columns, trace_fingerprint
+from repro.workloads import build_benchmark
+from test_faults import READ_ONLY_PLAN
 
 
 #: A tiny grid that still crosses hardware-only and software techniques
@@ -36,6 +46,10 @@ TINY_CONFIG = RunConfig(
     warmup_instructions=500,
 )
 TINY_TECHNIQUES = ("baseline", "abella", "noop")
+
+
+def _grid_stats(results) -> dict:
+    return {key: dataclasses.asdict(result.stats) for key, result in results.items()}
 
 
 def _grid_metrics(runner) -> dict:
@@ -146,6 +160,20 @@ class TestDiskCache:
         assert dataclasses.asdict(loaded) == dataclasses.asdict(stats)
         assert cache.stores == 1 and cache.hits == 1
 
+    def test_hits_refresh_recency(self, tmp_path):
+        cache = ResultCache(tmp_path, max_entries=2)
+        for offset, name in ((-100, "a"), (-50, "b")):
+            path = cache.store(name * 64, SimulationStats(cycles=1))
+            os.utime(path, (time.time() + offset, time.time() + offset))
+        # The hit re-touches A, so the next store evicts B instead.
+        assert cache.load("a" * 64) is not None
+        cache.store("c" * 64, SimulationStats(cycles=1))
+        assert {path.name[0] for path in cache._entry_paths()} == {"a", "c"}
+
+    def test_rejects_nonpositive_entry_caps(self, tmp_path):
+        with pytest.raises(ValueError):
+            ResultCache(tmp_path, max_entries=0)
+
     def test_missing_entry_counts_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         assert cache.load("b" * 64) is None
@@ -181,6 +209,134 @@ class TestDiskCache:
             assert cache.load(fingerprint) is None, payload
         assert cache.misses == 7
         assert cache.hits == 0
+
+
+def _counter_deltas(cache, names, action) -> dict:
+    """How far each of ``names`` in ``cache.cache_stats()`` moves over
+    ``action(cache)``, zeros left out."""
+    before = cache.cache_stats()
+    action(cache)
+    after = cache.cache_stats()
+    return {name: after[name] - before[name] for name in names if after[name] != before[name]}
+
+
+def _corrupt(path: Path) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(b"\x00 not a cache entry")
+
+
+class TestResultCacheCounters:
+    """The counters behind ``cache_stats()`` are plain ints, and each
+    event moves exactly the counters it names."""
+
+    COUNTERS = ("hits", "misses", "stores", "evictions", "quarantined", "memory_stores")
+
+    @staticmethod
+    def _store(cache, name="a"):
+        cache.store(name * 64, SimulationStats(cycles=7))
+
+    @staticmethod
+    def _load(cache):
+        cache.load("a" * 64)
+
+    @staticmethod
+    def _store_read_only(cache):
+        with installed(READ_ONLY_PLAN):
+            with pytest.warns(RuntimeWarning, match="in-memory"):
+                TestResultCacheCounters._store(cache)
+
+    @pytest.mark.parametrize("counter", COUNTERS)
+    def test_each_event_moves_only_its_counters(self, tmp_path, counter):
+        # A one-entry cap: every store evicts every other cell.
+        cache = ResultCache(tmp_path / "cells", max_entries=1)
+        setup, action, expected = {
+            "hits": (self._store, self._load, {"hits": 1}),
+            "misses": (lambda cache: None, self._load, {"misses": 1}),
+            "stores": (lambda cache: None, self._store, {"stores": 1}),
+            "evictions": (
+                self._store,
+                lambda cache: self._store(cache, "b"),
+                {"stores": 1, "evictions": 1},
+            ),
+            "quarantined": (
+                lambda cache: _corrupt(cache.path_for("a" * 64)),
+                self._load,
+                {"misses": 1, "quarantined": 1},
+            ),
+            "memory_stores": (
+                lambda cache: None,
+                self._store_read_only,
+                {"stores": 1, "memory_stores": 1},
+            ),
+        }[counter]
+        setup(cache)
+        assert _counter_deltas(cache, self.COUNTERS, action) == expected
+        assert type(getattr(cache, counter)) is int
+
+    def test_cache_stats_keys_are_stable(self, tmp_path):
+        """``--cache-stats`` and gridbench read these keys."""
+        assert set(ResultCache(tmp_path).cache_stats()) == {
+            "directory",
+            "entries",
+            "total_bytes",
+            "max_entries",
+            *self.COUNTERS,
+        }
+
+
+def _stored_trace(budget: int):
+    program = build_benchmark("gzip")
+    return trace_fingerprint(program, budget), get_trace_columns(program, budget, live=True)
+
+
+class TestTraceCacheCounters:
+    """The trace cache's counters follow the same accounting."""
+
+    COUNTERS = ("hits", "misses", "stores", "evictions", "quarantined", "degraded_stores")
+
+    @staticmethod
+    def _store(cache, budget=200):
+        cache.store(*_stored_trace(budget))
+
+    @staticmethod
+    def _load(cache, budget=200):
+        program = build_benchmark("gzip")
+        cache.load(trace_fingerprint(program, budget), program)
+
+    @staticmethod
+    def _store_read_only(cache):
+        with installed(READ_ONLY_PLAN):
+            with pytest.warns(RuntimeWarning, match="re-emulated"):
+                TestTraceCacheCounters._store(cache)
+
+    @pytest.mark.parametrize("counter", COUNTERS)
+    def test_each_event_moves_only_its_counters(self, tmp_path, counter):
+        # A one-byte cap: every store evicts every other trace.
+        cache = TraceCache(tmp_path / "traces", max_bytes=1)
+        fingerprint = _stored_trace(200)[0]
+        setup, action, expected = {
+            "hits": (self._store, self._load, {"hits": 1}),
+            "misses": (lambda cache: None, self._load, {"misses": 1}),
+            "stores": (lambda cache: None, self._store, {"stores": 1}),
+            "evictions": (
+                self._store,
+                lambda cache: self._store(cache, 100),
+                {"stores": 1, "evictions": 1},
+            ),
+            "quarantined": (
+                lambda cache: _corrupt(cache.path_for(fingerprint)),
+                self._load,
+                {"misses": 1, "quarantined": 1},
+            ),
+            "degraded_stores": (
+                lambda cache: None,
+                self._store_read_only,
+                {"degraded_stores": 1},
+            ),
+        }[counter]
+        setup(cache)
+        assert _counter_deltas(cache, self.COUNTERS, action) == expected
+        assert type(getattr(cache, counter)) is int
 
 
 class TestWorkerTraceCounters:
@@ -251,6 +407,48 @@ class TestWorkerValidation:
         runner = ParallelSuiteRunner(TINY_CONFIG)
         assert runner.workers == 3
 
+    # "queue" names the retired work-queue backend: "local" is the only
+    # value left.
+    @pytest.mark.parametrize("backend", ["carrier-pigeon", "queue"])
+    def test_unknown_backend_is_rejected(self, tmp_path, backend):
+        with pytest.raises(ValueError, match="retired"):
+            ParallelSuiteRunner(
+                TINY_CONFIG, workers=1, cache_dir=str(tmp_path), backend=backend
+            )
+
+
+class TestLocalExecution:
+    """One execution path: cells run in-process or over the process pool."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_naming_the_local_backend_changes_nothing(self, workers):
+        """gridbench passes ``backend="local"``; the pool and the
+        in-process path give the same statistics, and the runner keeps no
+        trace of the argument."""
+        named = ParallelSuiteRunner(TINY_CONFIG, workers=workers, backend="local")
+        in_process = ParallelSuiteRunner(TINY_CONFIG, workers=1)
+        assert _grid_stats(named.run_suite(techniques=TINY_TECHNIQUES)) == _grid_stats(
+            in_process.run_suite(techniques=TINY_TECHNIQUES)
+        )
+        assert not hasattr(named, "backend")
+
+    def test_pool_and_in_process_runs_write_identical_cells(self, tmp_path):
+        """One cache directory serves any worker count: both paths write
+        the same cell files, byte for byte."""
+        cells = {}
+        for workers in (1, 2):
+            clear_trace_memo()
+            cache_dir = tmp_path / f"workers-{workers}"
+            runner = ParallelSuiteRunner(TINY_CONFIG, workers=workers, cache_dir=str(cache_dir))
+            runner.run_suite(techniques=TINY_TECHNIQUES)
+            cells[workers] = {path.name: path.read_bytes() for path in cache_dir.glob("*.json")}
+        assert len(cells[1]) == len(TINY_CONFIG.benchmarks) * len(TINY_TECHNIQUES)
+        assert cells[2] == cells[1]
+
+    def test_retired_backend_is_rejected_without_a_cache_dir(self):
+        with pytest.raises(ValueError, match="retired"):
+            ParallelSuiteRunner(TINY_CONFIG, workers=1, backend="queue")
+
 
 class TestCacheGC:
     """Offline maintenance: python -m repro.harness.cache gc <dir>."""
@@ -299,45 +497,127 @@ class TestCacheGC:
         assert summary["entries_removed"] == 2
         assert len(cache) == 1
 
-    def test_gc_tree_covers_traces_and_queue(self, tmp_path):
+    def test_gc_tree_covers_traces_and_quarantine(self, tmp_path):
         import os
         import time
 
-        from repro.harness.cache import gc_cache_tree
+        from repro.harness.cache import QUARANTINE_MAX_AGE_SECONDS, gc_cache_tree
 
         ResultCache(tmp_path).store("a" * 64, SimulationStats(cycles=1))
         traces = tmp_path / "traces"
         traces.mkdir()
         (traces / "t.trace.bin").write_bytes(b"x" * 100)
         (traces / "u.trace.bin").write_bytes(b"y" * 100)
-        queue_pending = tmp_path / "queue" / "pending"
-        queue_pending.mkdir(parents=True)
-        job_file = queue_pending / ("b" * 64 + ".json")
-        job_file.write_text("{}")
-        orphan = queue_pending / ".tmp-dead.json"
-        orphan.write_text("{}")
+        orphan = traces / ".tmp-dead.trace.bin"
+        orphan.write_bytes(b"z")
         stale = time.time() - 7200
         os.utime(orphan, (stale, stale))
 
-        queue_done = tmp_path / "queue" / "done"
-        queue_done.mkdir(parents=True)
-        fresh_marker = queue_done / ("c" * 64 + ".json")
-        fresh_marker.write_text("{}")
-        old_marker = queue_done / ("d" * 64 + ".json")
-        old_marker.write_text("{}")
-        ancient = time.time() - 8 * 24 * 3600
-        os.utime(old_marker, (ancient, ancient))
+        quarantine = tmp_path / "quarantine"
+        quarantine.mkdir()
+        fresh = quarantine / ("c" * 64 + ".json")
+        fresh.write_text("{}")
+        old = quarantine / ("d" * 64 + ".json")
+        old.write_text("{}")
+        expired = time.time() - QUARANTINE_MAX_AGE_SECONDS - 60
+        os.utime(old, (expired, expired))
 
         summaries = gc_cache_tree(tmp_path, max_trace_bytes=100)
         by_dir = {s["directory"]: s for s in summaries}
+        assert by_dir[str(tmp_path)]["entries_removed"] == 0
         assert by_dir[str(traces)]["entries_removed"] == 1
-        assert by_dir[str(queue_pending)]["tmp_removed"] == 1
-        # Live queue protocol files are never gc victims...
-        assert job_file.exists()
-        # ...but consumed completion markers expire by age.
-        assert by_dir[str(queue_done)]["entries_removed"] == 1
-        assert not old_marker.exists()
-        assert fresh_marker.exists()
+        assert by_dir[str(traces)]["tmp_removed"] == 1
+        # Quarantined entries expire by age; fresh evidence stays for
+        # post-mortem.
+        assert by_dir[str(quarantine)]["entries_removed"] == 1
+        assert not old.exists()
+        assert fresh.exists()
+
+    @pytest.mark.parametrize("entry", ["result-cell", "trace-file"])
+    def test_gc_without_caps_keeps_old_live_entries(self, tmp_path, entry):
+        """Age alone never expires a live entry: only the caps evict, and
+        only quarantined entries expire by age."""
+        if entry == "result-cell":
+            path = ResultCache(tmp_path).store("a" * 64, SimulationStats(cycles=1))
+        else:
+            path = tmp_path / "traces" / ("b" * 64 + ".trace.bin")
+            path.parent.mkdir()
+            path.write_bytes(b"x" * 100)
+        ancient = time.time() - 2 * QUARANTINE_MAX_AGE_SECONDS
+        os.utime(path, (ancient, ancient))
+
+        summaries = gc_cache_tree(tmp_path)
+        assert path.exists()
+        assert sum(summary["entries_removed"] for summary in summaries) == 0
+
+    @pytest.mark.parametrize("age", ["inside", "past"])
+    @pytest.mark.parametrize("tree", ["results", "traces"])
+    def test_quarantine_expires_at_the_week_bound(self, tmp_path, tree, age):
+        now = 1_800_000_000.0
+        if tree == "results":
+            directory = tmp_path / QUARANTINE_DIR_NAME
+            entry = directory / ("c" * 64 + ".json")
+        else:
+            directory = tmp_path / "traces" / QUARANTINE_DIR_NAME
+            entry = directory / ("c" * 64 + ".trace.bin")
+        directory.mkdir(parents=True)
+        entry.write_bytes(b"evidence")
+        margin = 60.0 if age == "past" else -60.0
+        mtime = now - QUARANTINE_MAX_AGE_SECONDS - margin
+        os.utime(entry, (mtime, mtime))
+
+        summaries = gc_cache_tree(tmp_path, now=now)
+        removed = {summary["directory"]: summary["entries_removed"] for summary in summaries}
+        assert removed[str(directory)] == (1 if age == "past" else 0)
+        assert entry.exists() == (age == "inside")
+
+    @pytest.mark.parametrize("leftover", ["queue", "telemetry"])
+    def test_directories_left_by_the_retired_queue_are_inert(self, tmp_path, leftover):
+        """A cache directory written before the work queue was retired
+        may hold ``queue/`` or ``telemetry/``: gc leaves them to be deleted
+        by hand, and the runner serves its cells around them."""
+        ParallelSuiteRunner(TINY_CONFIG, workers=1, cache_dir=str(tmp_path)).run_suite(
+            techniques=("baseline",)
+        )
+        files = {
+            "queue": ("pending/a.json", "done/b.json", ".tmp-c.json"),
+            "telemetry": ("spans/host-1.jsonl", "spans/.tmp-host-2.jsonl"),
+        }[leftover]
+        ancient = time.time() - 30 * 24 * 3600
+        for relative in files:
+            path = tmp_path / leftover / relative
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("{}")
+            os.utime(path, (ancient, ancient))
+
+        summaries = gc_cache_tree(tmp_path, tmp_max_age_seconds=0.0)
+        swept = {Path(summary["directory"]) for summary in summaries}
+        assert not any(tmp_path / leftover in (path, *path.parents) for path in swept)
+        assert all((tmp_path / leftover / relative).exists() for relative in files)
+
+        warm = ParallelSuiteRunner(TINY_CONFIG, workers=1, cache_dir=str(tmp_path))
+        warm.run_suite(techniques=("baseline",))
+        assert warm.simulations_run == 0
+
+    def test_gc_cli_tmp_age_sweeps_orphans(self, tmp_path, capsys):
+        from repro.harness.cache import main
+
+        ResultCache(tmp_path).store("a" * 64, SimulationStats(cycles=1))
+        orphan = tmp_path / ".tmp-dead.json"
+        orphan.write_text("{")
+        assert main(["gc", str(tmp_path), "--tmp-age", "0"]) == 0
+        assert "removed 1 orphaned tmp" in capsys.readouterr().out
+        assert not orphan.exists()
+
+    def test_gc_cli_has_no_done_marker_age(self, tmp_path, capsys):
+        """Quarantine expiry is a fixed week; the queue's marker-age
+        option went with it."""
+        from repro.harness.cache import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["gc", str(tmp_path), "--done-age", "60"])
+        assert exit_info.value.code == 2
+        assert "--done-age" in capsys.readouterr().err
 
     def test_gc_cli_prints_a_summary(self, tmp_path, capsys):
         from repro.harness.cache import main
@@ -353,3 +633,33 @@ class TestCacheGC:
         summary = collect_garbage(tmp_path / "missing")
         assert summary["entries_before"] == 0
         assert summary["tmp_removed"] == 0
+
+
+def _figure_report():
+    """``benchmarks/figure_report.py``, imported by path."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "figure_report.py"
+    spec = importlib.util.spec_from_file_location("figure_report", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestFigureReportCli:
+    @pytest.mark.parametrize(
+        "option", ["--backend=queue", "--queue-workers=2", "--queue-ttl=30"]
+    )
+    def test_retired_queue_options_are_rejected(self, option, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            _figure_report().main([option])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_cache_stats_reports_the_two_caches(self, tmp_path, capsys):
+        clear_trace_memo()
+        runner = ParallelSuiteRunner(TINY_CONFIG, workers=1, cache_dir=str(tmp_path))
+        runner.run_suite(techniques=("baseline",))
+        _figure_report().print_cache_stats(runner)
+        out = capsys.readouterr().out
+        assert out.startswith("result cache: 2 entries")
+        assert "\ntrace cache: 2 traces" in out
+        assert "queue" not in out
