@@ -1,4 +1,4 @@
-"""Ablation: issue-queue bank granularity (DESIGN.md design-choice list).
+"""Ablation: issue-queue bank granularity.
 
 Finer banks follow occupancy more closely, so more bank-cycles can be gated
 off for the same resident set; coarser banks are cheaper to control but

@@ -1,7 +1,7 @@
 """Ablation: the compiler's sizing margin (power/performance trade-off).
 
-DESIGN.md calls out the sizing margin as the reproduction's calibration
-constant.  This bench sweeps it on two representative benchmarks and checks
+``CompilerConfig.sizing_margin`` (``repro/core/config.py``) is the
+reproduction's calibration constant.  This bench sweeps it on two representative benchmarks and checks
 the expected monotone behaviour: a larger margin costs less IPC and saves
 less power.
 """

@@ -3,15 +3,14 @@
 This package replaces the MachineSUIF analysis libraries the paper relies
 on: control-flow graph construction, dominator computation, natural-loop
 detection, DAG-region formation (the regions between procedure calls that
-the paper analyses block-by-block) and data-dependence-graph construction
-with instruction latencies.
+the paper analyses block-by-block), and instruction decode with data
+dependences on integer register slots (:mod:`repro.cfg.ddg`).
 """
 
 from repro.cfg.graph import ControlFlowGraph, build_cfg
 from repro.cfg.dominators import compute_dominators, immediate_dominators
 from repro.cfg.natural_loops import NaturalLoop, find_natural_loops
 from repro.cfg.dag_regions import DagRegion, find_dag_regions
-from repro.cfg.ddg import DataDependenceGraph, DependenceEdge, build_ddg
 
 __all__ = [
     "ControlFlowGraph",
@@ -22,7 +21,4 @@ __all__ = [
     "find_natural_loops",
     "DagRegion",
     "find_dag_regions",
-    "DataDependenceGraph",
-    "DependenceEdge",
-    "build_ddg",
 ]

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.natural_loops import NaturalLoop, blocks_in_any_loop
+from repro.isa.opcodes import Opcode
 
 
 @dataclass
@@ -48,7 +49,7 @@ def _ends_in_call(cfg: ControlFlowGraph, label: str) -> bool:
 
 def _contains_call(cfg: ControlFlowGraph, label: str) -> bool:
     """True when any instruction in the block is a procedure call."""
-    return any(instr.is_call for instr in cfg.block(label).instructions)
+    return any(instr.opcode is Opcode.CALL for instr in cfg.block(label).instructions)
 
 
 def find_dag_regions(cfg: ControlFlowGraph, loops: list[NaturalLoop]) -> list[DagRegion]:

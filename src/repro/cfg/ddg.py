@@ -1,205 +1,158 @@
-"""Data-dependence-graph construction.
+"""Instruction decode and data dependences on integer operand slots.
 
 The compiler's DAG analysis (section 4.2) and loop analysis (section 4.3)
-both operate on a data-dependence graph whose edges are labelled with the
-producing instruction's latency.  Nodes are positions (indices) into the
-instruction sequence being analysed, which is either a basic block, a DAG
-region in layout order, or a loop body.
+both schedule over the data dependences of an instruction sequence, which
+is either a basic block, a DAG region in layout order, or a loop body.
+Both read one per-instruction :class:`Decode`: classification flags,
+the latency the compiler assumes, the functional-unit ordinal, and every
+register operand as an integer *slot* (``index + 32 * is_fp``), so the
+analyses index flat arrays and never hash a register or an enum.
 
 Loop-carried register dependences (distance 1) are included when requested:
 if an instruction reads a register with no earlier writer in the current
 iteration, but some instruction in the body writes it, the dependence comes
 from the previous iteration.  Memory dependences are handled conservatively:
 every load or store depends on the nearest preceding store (no alias
-analysis), matching the paper's conservative treatment of memory.
+analysis), matching the paper's conservative treatment of memory.  Register
+0 of the integer file is hard-wired to zero, so it carries no dependence.
+``tests/test_properties.py`` keeps a dependence builder keyed by register
+objects as the oracle for :func:`dependences`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+import functools
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.isa.instruction import Instruction
-from repro.isa.registers import ZERO_REG, Reg
+from repro.isa.opcodes import F_HINT, F_LOAD, F_NOP, F_STORE, OPCODE_DECODE
+from repro.isa.registers import NUM_ARCH_REGS, NUM_FP_ARCH_REGS, Reg, fp_reg, int_reg
+
+#: Slots in use: the integer registers, then the floating-point ones.
+SLOT_COUNT = NUM_ARCH_REGS + NUM_FP_ARCH_REGS
+
+#: The register each slot names.
+SLOT_REGS: tuple[Reg, ...] = tuple(map(int_reg, range(NUM_ARCH_REGS))) + tuple(
+    map(fp_reg, range(NUM_FP_ARCH_REGS))
+)
 
 
-@dataclass(frozen=True)
-class DependenceEdge:
-    """A dependence from producer ``src`` to consumer ``dst``.
+def slot(reg: Reg) -> int:
+    """The integer slot of ``reg``: its index, plus 32 for an FP register."""
+    return reg.index + NUM_ARCH_REGS * reg.is_fp
+
+
+class Decode(NamedTuple):
+    """What the compiler's analyses read of one instruction.
 
     Attributes:
-        src: index of the producing instruction.
-        dst: index of the consuming instruction.
-        latency: cycles after the producer issues before the consumer may issue.
-        distance: iteration distance (0 = same iteration, 1 = previous iteration).
+        flags: the opcode's ``F_*`` classification bits.
+        latency: cycles the compiler assumes before a consumer may issue:
+            the opcode's latency, plus the assumed L1 hit time for a load.
+        fu: functional-unit ordinal (``FU_INDEX``).
+        srcs: every source slot, in operand order.
+        dests: every destination slot, in operand order.
+        reads: the source slots that carry a dependence (no ``r0``).
+        writes: the destination slots that carry a dependence (no ``r0``).
     """
 
-    src: int
-    dst: int
+    flags: int
     latency: int
-    distance: int = 0
+    fu: int
+    srcs: tuple[int, ...]
+    dests: tuple[int, ...]
+    reads: tuple[int, ...]
+    writes: tuple[int, ...]
 
 
-@dataclass
-class DataDependenceGraph:
-    """A dependence graph over an instruction sequence.
+@functools.lru_cache(maxsize=4096)
+def _decode(opcode: str, srcs: tuple, dests: tuple, load_latency: int) -> Decode:
+    """The :class:`Decode` of an opcode's value and operand slots.
 
-    Attributes:
-        instructions: the analysed instruction sequence.
-        edges: every dependence edge.
-        succs: adjacency list of outgoing edges per node.
-        preds: adjacency list of incoming edges per node.
+    Memoised on those plain values, never on an instruction object
+    (programs may be mutated in place); their hashes run no Python code,
+    and the suite's programs repeat few distinct decodes.
     """
-
-    instructions: list[Instruction]
-    edges: list[DependenceEdge] = field(default_factory=list)
-    succs: dict[int, list[DependenceEdge]] = field(default_factory=dict)
-    preds: dict[int, list[DependenceEdge]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for index in range(len(self.instructions)):
-            self.succs.setdefault(index, [])
-            self.preds.setdefault(index, [])
-
-    def add_edge(self, edge: DependenceEdge) -> None:
-        """Insert ``edge`` into the graph."""
-        self.edges.append(edge)
-        self.succs[edge.src].append(edge)
-        self.preds[edge.dst].append(edge)
-
-    def intra_edges(self) -> list[DependenceEdge]:
-        """Edges within one iteration (distance 0)."""
-        return [edge for edge in self.edges if edge.distance == 0]
-
-    def carried_edges(self) -> list[DependenceEdge]:
-        """Loop-carried edges (distance >= 1)."""
-        return [edge for edge in self.edges if edge.distance >= 1]
-
-    def roots(self) -> list[int]:
-        """Nodes with no same-iteration predecessors."""
-        return [
-            index
-            for index in range(len(self.instructions))
-            if not any(edge.distance == 0 for edge in self.preds[index])
-        ]
-
-    def __len__(self) -> int:
-        return len(self.instructions)
+    flags, latency, fu = OPCODE_DECODE[opcode]
+    if flags & F_LOAD:
+        latency += load_latency
+    return Decode(
+        flags,
+        latency,
+        fu,
+        srcs,
+        dests,
+        tuple([index for index in srcs if index]),
+        tuple([index for index in dests if index]),
+    )
 
 
-def _written_regs(instruction: Instruction) -> Iterable[Reg]:
-    """Registers architecturally written by the instruction (excluding r0)."""
-    for reg in instruction.dests:
-        if reg.is_fp or reg.index != ZERO_REG:
-            yield reg
+def decode(instruction: Instruction, load_latency: int = 0) -> Decode:
+    """The :class:`Decode` of ``instruction``, with loads charged
+    ``load_latency`` cycles beyond their own latency."""
+    return _decode(
+        instruction.opcode._value_,
+        tuple([reg.index + NUM_ARCH_REGS * reg.is_fp for reg in instruction.srcs]),
+        tuple([reg.index + NUM_ARCH_REGS * reg.is_fp for reg in instruction.dests]),
+        load_latency,
+    )
 
 
-def _read_regs(instruction: Instruction) -> Iterable[Reg]:
-    """Registers architecturally read by the instruction (excluding r0)."""
-    for reg in instruction.srcs:
-        if reg.is_fp or reg.index != ZERO_REG:
-            yield reg
+#: Flags of the instructions that never occupy an issue-queue entry: hint
+#: NOOPs are stripped at decode (section 3) and plain NOPs squashed.
+_NO_IQ = F_HINT | F_NOP
 
 
-def build_ddg(
-    instructions: Sequence[Instruction],
-    include_loop_carried: bool = False,
-    entry_latency: dict[Reg, int] | None = None,
-) -> DataDependenceGraph:
-    """Build the data-dependence graph of ``instructions``.
+def decode_iq(instructions: Iterable[Instruction], load_latency: int = 0) -> list[Decode]:
+    """The decodes of the instructions that occupy an issue-queue entry,
+    in order."""
+    return [
+        decoded
+        for decoded in (decode(instruction, load_latency) for instruction in instructions)
+        if not decoded.flags & _NO_IQ
+    ]
 
-    Args:
-        instructions: the sequence to analyse, in program order.  Hint NOOPs
-            may be present; they produce and consume nothing so they simply
-            become isolated nodes.
-        include_loop_carried: when True, register and memory dependences
-            that wrap around to the previous iteration are added with
-            ``distance=1`` (used by the loop analysis).
-        entry_latency: optional map from register to the number of cycles
-            after region entry before that register's value is available.
-            This is the conservative path summary the DAG analysis threads
-            from block to block; it is not recorded as graph edges, but the
-            pseudo-issue-queue scheduler consumes it alongside the graph.
 
-    Returns:
-        The dependence graph.  ``entry_latency`` is attached as the
-        ``entry_latency`` attribute for downstream consumers.
+def dependences(work: Sequence[Decode], loop_carried: bool = False) -> list[tuple[int, int, int]]:
+    """Every dependence of ``work`` as ``(producer, consumer, distance)``.
+
+    Within the iteration (distance 0) a consumer depends on the last
+    earlier writer of each register it reads, and a load or store on the
+    last earlier store; an edge repeats when a consumer reads one
+    producer's value twice.  With ``loop_carried``, a read with no earlier
+    writer in the iteration depends on the body's last writer of that
+    register, and a load or store before the body's first store on its
+    last store, at distance 1.
     """
-    instruction_list = list(instructions)
-    ddg = DataDependenceGraph(instructions=instruction_list)
-
-    last_writer: dict[Reg, int] = {}
-    last_store: int | None = None
-
-    for index, instr in enumerate(instruction_list):
-        # Register RAW dependences within the iteration.
-        for reg in _read_regs(instr):
-            writer = last_writer.get(reg)
-            if writer is not None:
-                ddg.add_edge(
-                    DependenceEdge(
-                        src=writer,
-                        dst=index,
-                        latency=instruction_list[writer].latency,
-                        distance=0,
-                    )
-                )
-        # Conservative memory dependences: nearest preceding store.
-        if instr.is_memory and last_store is not None:
-            ddg.add_edge(
-                DependenceEdge(
-                    src=last_store,
-                    dst=index,
-                    latency=instruction_list[last_store].latency,
-                    distance=0,
-                )
-            )
-        for reg in _written_regs(instr):
-            last_writer[reg] = index
-        if instr.is_store:
+    edges: list[tuple[int, int, int]] = []
+    last_writer = [-1] * SLOT_COUNT
+    last_store = -1
+    for index, (flags, _, _, _, _, reads, writes) in enumerate(work):
+        for read in reads:
+            writer = last_writer[read]
+            if writer >= 0:
+                edges.append((writer, index, 0))
+        if flags & (F_LOAD | F_STORE) and last_store >= 0:
+            edges.append((last_store, index, 0))
+        for write in writes:
+            last_writer[write] = index
+        if flags & F_STORE:
             last_store = index
+    if not loop_carried:
+        return edges
 
-    if include_loop_carried:
-        _add_loop_carried_edges(ddg, last_writer, last_store)
-
-    ddg.entry_latency = dict(entry_latency or {})
-    return ddg
-
-
-def _add_loop_carried_edges(
-    ddg: DataDependenceGraph,
-    final_writer: dict[Reg, int],
-    final_store: int | None,
-) -> None:
-    """Add distance-1 edges from the end of one iteration to the start of the next."""
-    instruction_list = ddg.instructions
-    seen_writer: dict[Reg, int] = {}
+    written = [False] * SLOT_COUNT
     seen_store = False
-
-    for index, instr in enumerate(instruction_list):
-        for reg in _read_regs(instr):
-            if reg not in seen_writer and reg in final_writer:
+    for index, (flags, _, _, _, _, reads, writes) in enumerate(work):
+        for read in reads:
+            if not written[read] and last_writer[read] >= 0:
                 # No writer earlier in this iteration: the value comes from
                 # the previous iteration's final writer.
-                writer = final_writer[reg]
-                ddg.add_edge(
-                    DependenceEdge(
-                        src=writer,
-                        dst=index,
-                        latency=instruction_list[writer].latency,
-                        distance=1,
-                    )
-                )
-        if instr.is_memory and not seen_store and final_store is not None:
-            ddg.add_edge(
-                DependenceEdge(
-                    src=final_store,
-                    dst=index,
-                    latency=instruction_list[final_store].latency,
-                    distance=1,
-                )
-            )
-        for reg in _written_regs(instr):
-            seen_writer.setdefault(reg, index)
-        if instr.is_store:
+                edges.append((last_writer[read], index, 1))
+        if flags & (F_LOAD | F_STORE) and not seen_store and last_store >= 0:
+            edges.append((last_store, index, 1))
+        for write in writes:
+            written[write] = True
+        if flags & F_STORE:
             seen_store = True
+    return edges

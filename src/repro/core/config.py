@@ -11,8 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.cfg.ddg import decode
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import FuClass, Opcode
+from repro.isa.opcodes import FU_INDEX, FuClass
+
+#: Functional-unit ordinals by the class's value, so turning
+#: ``fu_counts`` into per-ordinal limits hashes strings, not enums.
+_FU_ORDINAL = {fu._value_: ordinal for fu, ordinal in FU_INDEX.items()}
 
 
 def default_fu_counts() -> dict[FuClass, int]:
@@ -80,12 +85,19 @@ class CompilerConfig:
         """Latency the compiler assumes for ``instruction``.
 
         Loads are assumed to hit in the L1 data cache (section 4.2); every
-        other instruction uses its functional latency.
+        other instruction uses its functional latency.  The analyses read
+        the same value from each instruction's decode
+        (:func:`~repro.cfg.ddg.decode`).
         """
-        latency = instruction.latency
-        if instruction.opcode is Opcode.LOAD:
-            latency += self.assumed_l1_hit_latency
-        return latency
+        return decode(instruction, self.assumed_l1_hit_latency).latency
+
+    def fu_limits(self) -> list[int]:
+        """Units per functional-unit ordinal (``FU_INDEX``): ``fu_counts``,
+        and the issue width for a class it does not name."""
+        limits = [self.issue_width] * len(FU_INDEX)
+        for fu, units in self.fu_counts.items():
+            limits[_FU_ORDINAL[fu._value_]] = units
+        return limits
 
     def clamp_requirement(self, entries: int) -> int:
         """Apply the sizing margin and clamp into the physical range."""

@@ -9,7 +9,8 @@ block starts executing a value produced by a predecessor becomes available.
 Multiple predecessors are merged according to the configured policy
 (conservative maximum by default); blocks with very many predecessors fall
 back to the all-available assumption, reproducing the loss of accuracy the
-paper reports for gcc's complex control flow.
+paper reports for gcc's complex control flow.  Summaries are keyed by
+register slot (:func:`~repro.cfg.ddg.slot`), as the scheduler reads them.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.cfg.dag_regions import DagRegion
+from repro.cfg.ddg import decode_iq
 from repro.cfg.graph import ControlFlowGraph
 from repro.core.config import CompilerConfig
 from repro.core.pseudo_queue import PseudoIssueQueue, ScheduleResult
 from repro.isa.program import BasicBlock
-from repro.isa.registers import Reg
 
 
 @dataclass
@@ -50,15 +51,16 @@ class BlockRequirement:
 
 @dataclass
 class PathSummary:
-    """Conservative summary of register availability at a block boundary."""
+    """Conservative summary of register availability at a block boundary:
+    cycles until each register's value is available, keyed by slot."""
 
-    latency: dict[Reg, int] = field(default_factory=dict)
+    latency: dict[int, int] = field(default_factory=dict)
 
     def joined_with(self, other: "PathSummary", policy: str) -> "PathSummary":
         """Merge two predecessor summaries under ``policy`` ("max" or "ready")."""
         if policy == "ready":
             return PathSummary()
-        merged: dict[Reg, int] = dict(self.latency)
+        merged = dict(self.latency)
         for reg, value in other.latency.items():
             merged[reg] = max(merged.get(reg, 0), value)
         return PathSummary(latency=merged)
@@ -76,10 +78,9 @@ def analyse_block(
     entry_summary: Optional[PathSummary] = None,
 ) -> BlockRequirement:
     """Run the pseudo-issue-queue analysis on a single basic block."""
-    scheduler = PseudoIssueQueue(config)
     summary = entry_summary or PathSummary.ready()
-    schedule = scheduler.schedule(
-        block.non_hint_instructions(), entry_latency=summary.latency
+    schedule, _ = PseudoIssueQueue(config).schedule_decoded(
+        decode_iq(block.instructions, config.assumed_l1_hit_latency), summary.latency
     )
     raw = schedule.entries_needed
     return BlockRequirement(
@@ -107,6 +108,7 @@ def analyse_dag_region(
     first block of a procedure).
     """
     scheduler = PseudoIssueQueue(config)
+    load_latency = config.assumed_l1_hit_latency
     requirements: dict[str, BlockRequirement] = {}
     exit_summaries: dict[str, PathSummary] = {}
     region_blocks = set(region.blocks)
@@ -127,8 +129,8 @@ def analyse_dag_region(
                     exit_summaries[pred], config.merge_policy
                 )
 
-        schedule = scheduler.schedule(
-            block.non_hint_instructions(), entry_latency=entry_summary.latency
+        schedule, exit_latency = scheduler.schedule_decoded(
+            decode_iq(block.instructions, load_latency), entry_summary.latency
         )
         raw = schedule.entries_needed
         requirements[label] = BlockRequirement(
@@ -139,6 +141,6 @@ def analyse_dag_region(
             schedule=schedule,
             source="dag",
         )
-        exit_summaries[label] = PathSummary(latency=dict(schedule.exit_latency))
+        exit_summaries[label] = PathSummary(latency=exit_latency)
 
     return requirements

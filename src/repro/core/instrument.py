@@ -25,12 +25,13 @@ Placement:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from repro.core.config import CompilerConfig
 from repro.core.dag_analysis import BlockRequirement
 from repro.isa.encoding import make_hint_noop, tag_instruction
+from repro.isa.instruction import Instruction
+from repro.isa.opcodes import Opcode
 from repro.isa.program import BasicBlock, Procedure, Program
 
 
@@ -130,11 +131,11 @@ def _structural_copy(program: Program) -> Program:
     """A copy of ``program`` sharing no mutable object with it.
 
     Programs, procedures and blocks are new containers and every
-    instruction is a shallow copy.  What the copies still share is
-    immutable: operand tuples of frozen registers, strings and ints.
-    Instructions keep their ``uid``, so the copy's instructions map to
-    the original's in :class:`~repro.uarch.emulator.ProgramLayout`.
+    instruction is a shallow copy (:meth:`Instruction.clone`, not the
+    ``copy`` module).  What the copies still share is immutable: operand
+    tuples of frozen registers, strings and ints.
     """
+    clone = Instruction.clone
     return Program(
         name=program.name,
         procedures={
@@ -143,7 +144,7 @@ def _structural_copy(program: Program) -> Program:
                 blocks=[
                     BasicBlock(
                         label=block.label,
-                        instructions=[copy.copy(instr) for instr in block.instructions],
+                        instructions=list(map(clone, block.instructions)),
                     )
                     for block in procedure.blocks
                 ],
@@ -187,6 +188,9 @@ def instrument_program(
     stats = InstrumentationStats()
     use_tags = mode in TAG_MODES
     preheader_hints = dict(preheader_hints or {})
+    libraries = {
+        name for name, procedure in program.procedures.items() if procedure.is_library
+    }
 
     block_start_hints: dict[tuple[str, str], int] = {
         key: req.entries
@@ -210,7 +214,7 @@ def instrument_program(
                     emitted += 1
 
             emitted += _instrument_library_calls(
-                instrumented, block, config, use_tags, stats
+                libraries, block, config, use_tags, stats
             )
 
             end_value = preheader_hints.get(key)
@@ -223,34 +227,33 @@ def instrument_program(
 
 
 def _instrument_library_calls(
-    program: Program,
+    libraries: set[str],
     block: BasicBlock,
     config: CompilerConfig,
     use_tags: bool,
     stats: InstrumentationStats,
 ) -> int:
-    """Emit a maximum-size request before every library call in ``block``."""
+    """Emit a maximum-size request before every call in ``block`` to a
+    procedure named in ``libraries``."""
+    instructions = block.instructions
+    calls = [
+        index
+        for index, instr in enumerate(instructions)
+        if instr.opcode is Opcode.CALL and instr.call_target in libraries
+    ]
     emitted = 0
-    index = 0
-    while index < len(block.instructions):
-        instr = block.instructions[index]
-        is_library_call = (
-            instr.is_call
-            and instr.call_target in program.procedures
-            and program.procedures[instr.call_target].is_library
-        )
-        if is_library_call:
-            if use_tags:
-                if instr.iq_tag is None:
-                    tag_instruction(instr, config.max_iq_entries)
-                    stats.instructions_tagged += 1
-                    stats.library_call_hints += 1
-                    emitted += 1
-            else:
-                block.instructions.insert(index, make_hint_noop(config.max_iq_entries))
-                stats.hints_inserted += 1
+    # Back to front, so an inserted hint moves no call still to come.
+    for index in reversed(calls):
+        if use_tags:
+            instr = instructions[index]
+            if instr.iq_tag is None:
+                tag_instruction(instr, config.max_iq_entries)
+                stats.instructions_tagged += 1
                 stats.library_call_hints += 1
                 emitted += 1
-                index += 1  # skip over the hint we just inserted
-        index += 1
+        else:
+            instructions.insert(index, make_hint_noop(config.max_iq_entries))
+            stats.hints_inserted += 1
+            stats.library_call_hints += 1
+            emitted += 1
     return emitted

@@ -29,6 +29,7 @@ from typing import Optional
 from repro.cfg.natural_loops import NaturalLoop
 from repro.core.config import CompilerConfig
 from repro.core.dag_analysis import BlockRequirement, analyse_block
+from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 
 
@@ -95,7 +96,7 @@ def summarise_call_sites(
                 block_to_loop.setdefault(label, loop.header)
         for block in procedure.blocks:
             for instr in block.instructions:
-                if instr.is_call:
+                if instr.opcode is Opcode.CALL:
                     header = block_to_loop.get(block.label)
                     summary.call_sites.append(
                         CallSiteInfo(

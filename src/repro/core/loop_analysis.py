@@ -19,8 +19,9 @@ cycle ratio over the dependence graph with loop-carried edges), solves for
 steady-state issue times by longest-path relaxation, converts them into
 iteration offsets, and applies the entry-count formula of the paper's
 worked example (figure 4: 15 entries for the 6-instruction loop).  All of
-it runs on integers: the interval is an exact ratio ``p / q``, and issue
-times are kept scaled by ``q``.
+it runs on integers: the body is read as instruction decodes and integer
+dependence edges (:mod:`repro.cfg.ddg`), the interval is an exact ratio
+``p / q``, and issue times are kept scaled by ``q``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional, Sequence
 
-from repro.cfg.ddg import DataDependenceGraph, build_ddg
+from repro.cfg.ddg import Decode, decode_iq, dependences
 from repro.core.config import CompilerConfig
 from repro.core.dag_analysis import BlockRequirement
 from repro.core.pseudo_queue import PseudoIssueQueue
@@ -81,7 +82,7 @@ class LoopRequirement:
 Edge = tuple[int, int, int, int]
 
 
-def _recurrence_nodes(ddg: DataDependenceGraph) -> list[int]:
+def _recurrence_nodes(count: int, edges: list[Edge]) -> list[int]:
     """Nodes that participate in some dependence recurrence (the CDS candidates).
 
     Same-iteration edges all point forward in the body, so every cycle
@@ -89,10 +90,9 @@ def _recurrence_nodes(ddg: DataDependenceGraph) -> list[int]:
     exactly when it reaches itself.  Reachability is a transitive closure
     over one bitmask of successors per node (Warshall).
     """
-    count = len(ddg.instructions)
     reach = [0] * count
-    for edge in ddg.edges:
-        reach[edge.src] |= 1 << edge.dst
+    for src, dst, _, _ in edges:
+        reach[src] |= 1 << dst
     for via in range(count):
         bit, through = 1 << via, reach[via]
         for node in range(count):
@@ -170,7 +170,7 @@ def _recurrence_initiation_interval(count: int, edges: list[Edge]) -> tuple[int,
 
 
 def _resource_initiation_interval(
-    ddg: DataDependenceGraph, config: CompilerConfig
+    work: Sequence[Decode], config: CompilerConfig
 ) -> tuple[int, int]:
     """Resource-constrained lower bound on the initiation interval.
 
@@ -179,13 +179,13 @@ def _resource_initiation_interval(
     resources as well as data dependences, section 4).  Returned as a
     ``(p, q)`` pair meaning ``p / q``.
     """
-    work = ddg.instructions
     bound = (len(work), max(1, config.issue_width))
-    usage: dict = {}
-    for instr in work:
-        usage[instr.fu_class] = usage.get(instr.fu_class, 0) + 1
+    limits = config.fu_limits()
+    usage: dict[int, int] = {}
+    for decoded in work:
+        usage[decoded.fu] = usage.get(decoded.fu, 0) + 1
     for fu, count in usage.items():
-        units = config.fu_counts.get(fu, config.issue_width)
+        units = limits[fu]
         if units > 0 and count * bound[1] > bound[0] * units:
             bound = (count, units)
     return bound
@@ -198,7 +198,7 @@ def analyse_loop_body(
     header_label: str = "",
 ) -> LoopRequirement:
     """Analyse a loop whose body is the given instruction sequence."""
-    work = [instr for instr in body_instructions if instr.occupies_iq]
+    work = decode_iq(body_instructions, config.assumed_l1_hit_latency)
     body_size = len(work)
     if body_size == 0:
         return LoopRequirement(
@@ -209,10 +209,11 @@ def analyse_loop_body(
             body_size=0,
         )
 
-    ddg = build_ddg(work, include_loop_carried=True)
-    cds_nodes = _recurrence_nodes(ddg)
-    latency = [config.instruction_latency(instr) for instr in work]
-    edges = [(edge.src, edge.dst, latency[edge.src], edge.distance) for edge in ddg.edges]
+    edges = [
+        (src, dst, work[src].latency, distance)
+        for src, dst, distance in dependences(work, loop_carried=True)
+    ]
+    cds_nodes = _recurrence_nodes(body_size, edges)
     recurrence = (
         _recurrence_initiation_interval(body_size, edges) if cds_nodes else (0, 1)
     )
@@ -236,7 +237,7 @@ def analyse_loop_body(
     # The achievable initiation interval is bounded below by both the
     # critical recurrence and the machine's issue resources.
     p, q = recurrence
-    resource = _resource_initiation_interval(ddg, config)
+    resource = _resource_initiation_interval(work, config)
     if resource[0] * q > p * resource[1]:
         p, q = resource
     times, _ = _longest_paths(body_size, edges, p, q)
@@ -244,7 +245,7 @@ def analyse_loop_body(
     # label // p.
     offsets = [label // p for label in times]
     representative = min(cds_nodes)
-    single_iteration = PseudoIssueQueue(config).schedule(work, ddg=None).entries_needed
+    single_iteration = PseudoIssueQueue(config).schedule_decoded(work)[0].entries_needed
 
     max_offset = max(offsets)
     if max_offset <= 0:
@@ -286,7 +287,7 @@ def analyse_loop(
     """
     instructions: list[Instruction] = []
     for block in blocks:
-        instructions.extend(block.non_hint_instructions())
+        instructions.extend(block.instructions)
     header = header_label or (blocks[0].label if blocks else "")
     return analyse_loop_body(
         instructions, config, procedure_name=procedure_name, header_label=header

@@ -33,6 +33,7 @@ from repro.core.dag_analysis import BlockRequirement, analyse_dag_region
 from repro.core.instrument import ALL_MODES, InstrumentationStats, instrument_program
 from repro.core.interprocedural import apply_interprocedural_refinement
 from repro.core.loop_analysis import LoopRequirement, analyse_loop
+from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 
 
@@ -213,7 +214,10 @@ def compute_postcall_requirements(
                     continue
                 preds = [p for p in cfg.pred(label) if p in loop.body]
                 follows_call = any(
-                    any(instr.is_call for instr in cfg.block(pred).instructions)
+                    any(
+                        instr.opcode is Opcode.CALL
+                        for instr in cfg.block(pred).instructions
+                    )
                     for pred in preds
                 )
                 if follows_call:

@@ -17,8 +17,14 @@ an instruction is released once its last same-iteration predecessor
 issues, becomes ready at the later of its entry latency and its
 predecessors' writebacks, and the ready instructions are selected oldest
 first; cycles in which nothing is ready are skipped, each recording a need
-of zero.  ``tests/test_properties.py`` keeps the rescanning scheduler as
-the oracle and checks every field of the result against it.
+of zero.  It works on the instructions' decodes
+(:func:`~repro.cfg.ddg.decode`): predecessor counts and successor lists
+come from :func:`~repro.cfg.ddg.dependences`, which tracks the last
+writer of each register slot in a flat array, and issue limits from a
+list indexed by functional-unit ordinal.  ``tests/test_properties.py``
+keeps the rescanning scheduler, over the ``Reg``-keyed dependence builder
+the compiler used before, as the oracle and checks every field of the
+result against it.
 """
 
 from __future__ import annotations
@@ -27,10 +33,9 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.cfg.ddg import DataDependenceGraph, build_ddg
+from repro.cfg.ddg import SLOT_REGS, Decode, decode_iq, dependences, slot
 from repro.core.config import CompilerConfig
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import FuClass
 from repro.isa.registers import Reg
 
 
@@ -70,7 +75,7 @@ class PseudoIssueQueue:
     def schedule(
         self,
         instructions: Sequence[Instruction],
-        ddg: Optional[DataDependenceGraph] = None,
+        ddg: object = None,
         entry_latency: Optional[dict[Reg, int]] = None,
     ) -> ScheduleResult:
         """Schedule ``instructions`` and compute the IQ entries they need.
@@ -78,30 +83,46 @@ class PseudoIssueQueue:
         Args:
             instructions: the sequence in program order.  Hint NOOPs are
                 ignored (they never occupy an IQ entry).
-            ddg: a pre-built dependence graph over exactly these
-                instructions; built on demand when omitted.
+            ddg: not read; the dependences always come from the
+                instructions' decodes.  Kept so existing callers work.
             entry_latency: availability delay of registers defined before
                 the sequence starts (the conservative path summary).
         """
-        work = [instr for instr in instructions if instr.occupies_iq]
-        if not work:
-            return ScheduleResult(
-                entries_needed=0,
-                issue_cycle=[],
-                writeback_cycle=[],
-                schedule_length=0,
-            )
+        entry = None
+        if entry_latency:
+            entry = {slot(reg): cycles for reg, cycles in entry_latency.items()}
+        work = decode_iq(instructions, self.config.assumed_l1_hit_latency)
+        return self.schedule_decoded(work, entry)[0]
 
-        if ddg is None or len(ddg.instructions) != len(work):
-            ddg = build_ddg(work, include_loop_carried=False)
+    def schedule_decoded(
+        self, work: Sequence[Decode], entry: Optional[dict[int, int]] = None
+    ) -> tuple[ScheduleResult, dict[int, int]]:
+        """:meth:`schedule` on decodes: the result, and its exit latency
+        keyed by register slot.
+
+        Args:
+            work: the decodes of the IQ-occupying instructions, in
+                program order, with the configured load latency.
+            entry: availability delay of registers defined before the
+                sequence starts, keyed by slot.
+        """
+        if not work:
+            return (
+                ScheduleResult(
+                    entries_needed=0,
+                    issue_cycle=[],
+                    writeback_cycle=[],
+                    schedule_length=0,
+                ),
+                {},
+            )
 
         config = self.config
         width = config.issue_width
-        fu_counts = config.fu_counts
+        limits = config.fu_limits()
         count = len(work)
-        latency = [config.instruction_latency(instr) for instr in work]
-        fus = [instr.fu_class for instr in work]
-        fu_limit = [fu_counts.get(fu, width) for fu in fus]
+        latency = [decoded.latency for decoded in work]
+        fus = [decoded.fu for decoded in work]
         # Generous upper bound: every instruction serialised at max latency.
         cycle_limit = sum(latency) + count + 16
 
@@ -111,14 +132,15 @@ class PseudoIssueQueue:
         waiting = [0] * count
         successors: list[list[int]] = [[] for _ in range(count)]
         ready_at = [0] * count
-        for index, edges in ddg.preds.items():
-            for edge in edges:
-                if edge.distance == 0:
-                    waiting[index] += 1
-                    successors[edge.src].append(index)
-        if entry_latency:
-            for index, instr in enumerate(work):
-                ready_at[index] = max([0] + [entry_latency.get(reg, 0) for reg in instr.srcs])
+        for src, dst, _ in dependences(work):
+            waiting[dst] += 1
+            successors[src].append(dst)
+        if entry:
+            for index, decoded in enumerate(work):
+                for src in decoded.srcs:
+                    cycles = entry.get(src, 0)
+                    if cycles > ready_at[index]:
+                        ready_at[index] = cycles
         # Released instructions, as (ready cycle, index), and the ready
         # ones by index: oldest first.
         released = [(ready_at[index], index) for index in range(count) if not waiting[index]]
@@ -144,15 +166,14 @@ class PseudoIssueQueue:
                 continue
             selected: list[int] = []
             blocked: list[int] = []
-            fu_used: dict[FuClass, int] = {}
+            fu_used = [0] * len(limits)
             while ready and len(selected) < width:
                 index = heapq.heappop(ready)
                 fu = fus[index]
-                used = fu_used.get(fu, 0)
-                if used >= fu_limit[index]:
+                if fu_used[fu] >= limits[fu]:
                     blocked.append(index)
                     continue
-                fu_used[fu] = used + 1
+                fu_used[fu] += 1
                 selected.append(index)
             for index in blocked:
                 heapq.heappush(ready, index)
@@ -180,26 +201,18 @@ class PseudoIssueQueue:
                 per_cycle_need.append(0)
             cycle += 1
 
-        schedule_length = cycle
-        exit_latency = self._exit_latency(work, writeback_cycle, schedule_length)
-        return ScheduleResult(
+        # Each written register's availability relative to block exit,
+        # from its last writer; r0 included, as reads of it are.
+        exit_slots: dict[int, int] = {}
+        for index, decoded in enumerate(work):
+            for dest in decoded.dests:
+                exit_slots[dest] = max(0, writeback_cycle[index] - cycle)
+        result = ScheduleResult(
             entries_needed=entries_needed,
             issue_cycle=issue_cycle,
             writeback_cycle=writeback_cycle,
-            schedule_length=schedule_length,
+            schedule_length=cycle,
             per_cycle_need=per_cycle_need,
-            exit_latency=exit_latency,
+            exit_latency={SLOT_REGS[dest]: cycles for dest, cycles in exit_slots.items()},
         )
-
-    def _exit_latency(
-        self,
-        work: list[Instruction],
-        writeback_cycle: list[int],
-        schedule_length: int,
-    ) -> dict[Reg, int]:
-        """Availability delay of each written register relative to block exit."""
-        exit_latency: dict[Reg, int] = {}
-        for index, instr in enumerate(work):
-            for reg in instr.dests:
-                exit_latency[reg] = max(0, writeback_cycle[index] - schedule_length)
-        return exit_latency
+        return result, exit_slots

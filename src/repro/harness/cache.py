@@ -161,10 +161,22 @@ def stats_to_dict(stats: SimulationStats) -> dict:
     return dataclasses.asdict(stats)
 
 
+#: Every counter :func:`stats_to_dict` writes.
+_STATS_FIELDS = tuple(f.name for f in dataclasses.fields(SimulationStats))
+
+
 def stats_from_dict(payload: dict) -> SimulationStats:
-    """Rebuild a :class:`SimulationStats` from :func:`stats_to_dict` output."""
-    field_names = {f.name for f in dataclasses.fields(SimulationStats)}
-    return SimulationStats(**{k: v for k, v in payload.items() if k in field_names})
+    """Rebuild a :class:`SimulationStats` from :func:`stats_to_dict` output.
+
+    Keys that name no counter are ignored.  A mapping that lacks a counter
+    raises ``ValueError``: :func:`stats_to_dict` writes every one, so it
+    is not such output, and defaulting the gap to zero would pass it off
+    as a measurement.
+    """
+    missing = [name for name in _STATS_FIELDS if name not in payload]
+    if missing:
+        raise ValueError(f"stats payload lacks {len(missing)} counter(s), e.g. {missing[0]!r}")
+    return SimulationStats(**{name: payload[name] for name in _STATS_FIELDS})
 
 
 class ResultCache:
@@ -235,7 +247,8 @@ class ResultCache:
         A malformed payload — valid JSON missing the ``"stats"`` key or
         the ``"format"`` marker every store writes (a foreign or
         truncated-then-rewritten file sharing the directory), or a
-        ``"stats"`` value that isn't a counter mapping — is quarantined
+        ``"stats"`` value that isn't a counter mapping or lacks one of
+        the counters every store writes — is quarantined
         and counts as a miss, forcing a clean re-simulation.  A read
         error (EIO, permissions) is a plain miss: the file may be fine
         and the fault transient, so it is left in place.  Corruption

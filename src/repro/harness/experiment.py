@@ -51,7 +51,8 @@ class RunConfig:
         benchmarks: benchmark names to evaluate.
         max_instructions: dynamic instructions to simulate per run (the
             paper's 100M-instruction samples scaled down for a Python
-            simulator; see DESIGN.md).
+            simulator; ``benchmarks/conftest.py`` gives the figure
+            budget).
         warmup_instructions: committed instructions before measurement
             starts (cache/branch-predictor warm-up).
         compiler_config: compiler analysis parameters.

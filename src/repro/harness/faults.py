@@ -61,7 +61,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterator, Optional, TypeVar
 
 #: The fault sites the injector knows.  Site ids are stable — plans
@@ -168,6 +168,9 @@ class FaultPlan:
             payload = json.loads(text)
             if not isinstance(payload, dict):
                 raise ValueError("fault plan JSON must be an object")
+            unknown = sorted(set(payload) - {field.name for field in fields(cls)})
+            if unknown:
+                raise ValueError(f"unknown fault plan field {unknown[0]!r}")
             if "sites" in payload:
                 payload["sites"] = tuple(payload["sites"])
             return cls(**payload)

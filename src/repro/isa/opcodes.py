@@ -16,6 +16,11 @@ Latencies follow table 1 of the paper:
 * loads: 1 cycle address generation plus the data-cache access time
   (2-cycle L1 hit in table 1), modelled by the memory hierarchy in
   :mod:`repro.uarch.cache`.
+
+:data:`OPCODE_DECODE` gathers what an opcode fixes about an instruction
+(classification flags, latency, functional-unit ordinal) under the
+opcode's value, so the simulator's static table and the compiler's
+decode both read it with one plain-string lookup.
 """
 
 from __future__ import annotations
@@ -99,11 +104,11 @@ _INT_ALU_OPS = frozenset(
     }
 )
 
-_BRANCH_OPS = frozenset({Opcode.BEQZ, Opcode.BNEZ})
-_CONTROL_OPS = frozenset(
-    {Opcode.BEQZ, Opcode.BNEZ, Opcode.JUMP, Opcode.CALL, Opcode.RET, Opcode.HALT}
-)
-_MEMORY_OPS = frozenset({Opcode.LOAD, Opcode.STORE})
+# Tuples, not sets: a membership test then compares members by identity
+# and never calls the Python-level ``Enum.__hash__``.
+_BRANCH_OPS = (Opcode.BEQZ, Opcode.BNEZ)
+_CONTROL_OPS = (Opcode.BEQZ, Opcode.BNEZ, Opcode.JUMP, Opcode.CALL, Opcode.RET, Opcode.HALT)
+_MEMORY_OPS = (Opcode.LOAD, Opcode.STORE)
 
 
 #: Functional-unit class needed by each opcode.
@@ -180,3 +185,48 @@ def default_latency(opcode: Opcode) -> int:
 def fu_class(opcode: Opcode) -> FuClass:
     """Return the functional-unit class ``opcode`` executes on."""
     return OPCODE_FU_CLASS[opcode]
+
+
+#: Ordinal of each functional-unit class, its position in :class:`FuClass`:
+#: the index of the class in flat per-class arrays (the simulator's FU
+#: pool, the native kernel's limits, the compiler's issue limits).
+FU_INDEX: dict[FuClass, int] = {fu: index for index, fu in enumerate(FuClass)}
+
+# Per-opcode classification flags, one bit each.
+F_HINT = 1
+F_NOP = 2
+F_BRANCH = 4
+F_CALL = 8
+F_RET = 16
+F_LOAD = 32
+F_STORE = 64
+#: Any instruction that must consult the branch predictor at fetch.
+F_CONTROL = F_BRANCH | F_CALL | F_RET
+
+
+def _opcode_decode(opcode: Opcode) -> tuple[int, int, int]:
+    """``(flags, latency, fu_ordinal)``: the part of a decode fixed by the opcode."""
+    flags = 0
+    if opcode is Opcode.HINT:
+        flags |= F_HINT
+    if opcode is Opcode.NOP:
+        flags |= F_NOP
+    if is_branch(opcode):
+        flags |= F_BRANCH
+    if opcode is Opcode.CALL:
+        flags |= F_CALL
+    if opcode is Opcode.RET:
+        flags |= F_RET
+    if opcode is Opcode.LOAD:
+        flags |= F_LOAD
+    if opcode is Opcode.STORE:
+        flags |= F_STORE
+    return flags, default_latency(opcode), FU_INDEX[fu_class(opcode)]
+
+
+#: :func:`_opcode_decode` for every opcode, keyed by its value, so
+#: decoding an instruction costs one lookup of a string rather than a
+#: dozen property calls that each hash an enum.
+OPCODE_DECODE: dict[str, tuple[int, int, int]] = {
+    opcode._value_: _opcode_decode(opcode) for opcode in Opcode
+}

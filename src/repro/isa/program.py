@@ -203,11 +203,12 @@ class Program:
             raise ProgramError(f"program {self.name} has no entry procedure {self.entry!r}")
         for proc in self.procedures.values():
             proc.validate()
-            for instr in proc.instructions():
-                if instr.is_call and instr.call_target not in self.procedures:
-                    raise ProgramError(
-                        f"call to unknown procedure {instr.call_target!r} in {proc.name}"
-                    )
+            for block in proc.blocks:
+                for instr in block.instructions:
+                    if instr.opcode is Opcode.CALL and instr.call_target not in self.procedures:
+                        raise ProgramError(
+                            f"call to unknown procedure {instr.call_target!r} in {proc.name}"
+                        )
 
     def count_opcode(self, opcode: Opcode) -> int:
         """Count static occurrences of ``opcode`` across the whole program."""

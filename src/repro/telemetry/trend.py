@@ -13,14 +13,19 @@ parses the history, splits it into per-series samples —
   simulator throughput in cycles/second (higher is better; entries
   older than the PR 5 engine split carry no ``engine`` field and are
   attributed to ``scalar``, the only kernel that existed then);
-* ``engine/<name>/warm_noop``: the same warm throughput on gzip's
-  NOOP-instrumented program, the hint path (entries from before it
-  was measured carry none);
+* ``engine/<name>/warm_noop_ref``: warm throughput on gzip's
+  NOOP-instrumented program, the hint path, in cycles per reference
+  second, from runs of at least 100 ms of CPU scaled by host probes
+  (:mod:`repro.telemetry.hostspeed`; ``noop_path`` entries).  The raw
+  ``cycles_per_second_warm_noop`` samples older throughput entries
+  carry form no series;
 * ``engine/<name>/warm_gcc_noop``: warm throughput in cycles per CPU
   second on gcc's NOOP-instrumented program, the program densest in
   hints (``hint_path`` entries);
 * ``emulator/kinstr_per_s``: functional emulation of gcc in thousands
-  of instructions per CPU second (higher is better) —
+  of instructions per CPU second (higher is better);
+* ``compile/grid_ref_s``: the figure grid's 33 compiles in reference
+  seconds (lower is better) —
 
 and gates the **latest** sample of each series against the median of
 its history with a robust noise band.
@@ -103,6 +108,14 @@ def split_series(history: list[dict]) -> dict[str, dict]:
         kind = entry.get("kind")
         if kind == "emulator":
             _append("emulator/kinstr_per_s", entry.get("kinstr_per_s"), "higher")
+        elif kind == "compile":
+            _append("compile/grid_ref_s", entry.get("ref_s"), "lower")
+        elif kind == "noop_path":
+            _append(
+                f"engine/{entry.get('engine', 'scalar')}/warm_noop_ref",
+                entry.get("cycles_per_ref_second"),
+                "higher",
+            )
         elif kind == "hint_path":
             _append(
                 f"engine/{entry.get('engine', 'scalar')}/warm_gcc_noop",
@@ -119,11 +132,6 @@ def split_series(history: list[dict]) -> dict[str, dict]:
             _append(
                 f"engine/{engine}/warm",
                 entry.get("cycles_per_second_warm"),
-                "higher",
-            )
-            _append(
-                f"engine/{engine}/warm_noop",
-                entry.get("cycles_per_second_warm_noop"),
                 "higher",
             )
     return series

@@ -38,11 +38,11 @@ run before it, the tail run after the last entry, and nothing past the
 budget.  Passing a plain iterable of ``DynamicInstruction`` (lowered on
 construction) still works.
 
-Deviation from an execute-driven simulator (documented in DESIGN.md): the
-wrong path after a branch misprediction is not fetched; instead the front
-end stalls until the mispredicted branch resolves and then pays a redirect
-penalty.  All quantities the paper reports (IPC deltas, queue occupancy,
-wakeup activity, bank usage, register lifetime) are preserved by this
+Deviation from an execute-driven simulator: the wrong path after a branch
+misprediction is not fetched; instead the front end stalls until the
+mispredicted branch resolves and then pays a redirect penalty.  All
+quantities the paper reports (IPC deltas, queue occupancy, wakeup
+activity, bank usage, register lifetime) are preserved by this
 simplification because wrong-path instructions never commit and the stall
 time equals the resolution delay either way.
 

@@ -16,11 +16,10 @@ no enum hashing; the enum-keyed methods remain for tests and reports.
 
 from __future__ import annotations
 
-from repro.isa.opcodes import FuClass
+from repro.isa.opcodes import FU_INDEX, FuClass
 
-#: Stable ordinal assignment for the per-class flat arrays.
+#: The classes in ordinal order (``FU_ORDER[FU_INDEX[fu]] is fu``).
 FU_ORDER: tuple[FuClass, ...] = tuple(FuClass)
-FU_INDEX: dict[FuClass, int] = {fu: i for i, fu in enumerate(FU_ORDER)}
 
 
 class FunctionalUnitPool:

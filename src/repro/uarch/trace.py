@@ -84,10 +84,22 @@ from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional, Seque
 
 from repro.atomicio import publish_atomically
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import Opcode, default_latency, fu_class, is_branch
+# The kernels and tests read the classification flags from here, beside
+# the static table that carries them.
+from repro.isa.opcodes import (
+    F_BRANCH,
+    F_CALL,
+    F_CONTROL,
+    F_HINT,
+    F_LOAD,
+    F_NOP,
+    F_RET,
+    F_STORE,
+    OPCODE_DECODE,
+    Opcode,
+)
 from repro.uarch.config import DEFAULT_TRACE_WINDOW_ENTRIES
 from repro.uarch.emulator import CODE_BASE, DynamicInstruction, FunctionalEmulator
-from repro.uarch.functional_units import FU_INDEX
 
 #: Bump when the on-disk payload layout changes.  Version 2: windowed
 #: payloads — the header carries per-window entry counts and byte offsets
@@ -102,45 +114,6 @@ _ENTRY_BYTES = 25
 #: Trace-cache directories that already warned about degraded (store
 #: publication failing) operation this process; one warning each.
 _DEGRADED_STORE_WARNED: set[str] = set()
-
-# Per-instruction classification flags (one byte per static instruction).
-F_HINT = 1
-F_NOP = 2
-F_BRANCH = 4
-F_CALL = 8
-F_RET = 16
-F_LOAD = 32
-F_STORE = 64
-#: Any instruction that must consult the branch predictor at fetch.
-F_CONTROL = F_BRANCH | F_CALL | F_RET
-
-
-def _opcode_decode(opcode: Opcode) -> tuple[int, int, int]:
-    """``(flags, latency, fu_ordinal)``: the part of a decode fixed by the opcode."""
-    flags = 0
-    if opcode is Opcode.HINT:
-        flags |= F_HINT
-    if opcode is Opcode.NOP:
-        flags |= F_NOP
-    if is_branch(opcode):
-        flags |= F_BRANCH
-    if opcode is Opcode.CALL:
-        flags |= F_CALL
-    if opcode is Opcode.RET:
-        flags |= F_RET
-    if opcode is Opcode.LOAD:
-        flags |= F_LOAD
-    if opcode is Opcode.STORE:
-        flags |= F_STORE
-    return flags, default_latency(opcode), FU_INDEX[fu_class(opcode)]
-
-
-#: :func:`_opcode_decode` for every opcode, keyed by its value (as
-#: :func:`_program_content` records it), so decoding a static costs one
-#: lookup rather than a dozen property calls that each hash an enum.
-_OPCODE_DECODE: dict[str, tuple[int, int, int]] = {
-    opcode._value_: _opcode_decode(opcode) for opcode in Opcode
-}
 
 #: Counters for tests and reports: how often the emulator actually ran
 #: versus how often an emulated trace was reused.
@@ -217,7 +190,7 @@ def _row(opcode: str, srcs: tuple, dests: tuple, iq_tag, hint_value) -> tuple:
     run no Python code: the grid's 44 programs hold about 37k statics
     but under 800 distinct rows.
     """
-    flags, latency, fu_ordinal = _OPCODE_DECODE[opcode]
+    flags, latency, fu_ordinal = OPCODE_DECODE[opcode]
     return (
         flags,
         latency,
@@ -251,7 +224,7 @@ def _instruction_item(instr: Instruction) -> tuple:
 
 
 #: The row of a pc below a table's last static that no static claims.
-_FILLER_ROW = _OPCODE_DECODE[Opcode.NOP._value_] + (None, 0, ((), (), (), ()))
+_FILLER_ROW = OPCODE_DECODE[Opcode.NOP._value_] + (None, 0, ((), (), (), ()))
 
 #: One row as the native kernel reads it (``StaticRow`` in ``_native.c``):
 #: iq_tag, hint payload, flags, latency, FU ordinal, a pad byte, the four

@@ -8,8 +8,8 @@ generator builds an IR program whose structural characteristics -- loop
 body sizes and trip counts, dependence-chain depth and width, memory
 intensity and working-set size, pointer chasing, call density, functional
 unit mix, control-flow complexity -- are chosen to mimic the published
-qualitative behaviour of that benchmark (see DESIGN.md for the
-substitution argument).
+qualitative behaviour of that benchmark (:mod:`repro.workloads.traits`
+says which behaviour each benchmark's traits stand for).
 
 Public API::
 

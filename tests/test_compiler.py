@@ -117,10 +117,11 @@ class TestDagAnalysis:
         assert analysed == expected
 
     def test_path_summary_merging(self):
-        a = PathSummary(latency={r(1): 3})
-        b = PathSummary(latency={r(1): 5, r(2): 1})
+        # Summaries are keyed by register slot: r1 is 1, f2 is 34.
+        a = PathSummary(latency={1: 3})
+        b = PathSummary(latency={1: 5, 34: 1})
         merged = a.joined_with(b, "max")
-        assert merged.latency[r(1)] == 5 and merged.latency[r(2)] == 1
+        assert merged.latency[1] == 5 and merged.latency[34] == 1
         assert a.joined_with(b, "ready").latency == {}
 
 

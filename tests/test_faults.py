@@ -114,13 +114,21 @@ class TestFaultPlan:
 
     @pytest.mark.parametrize(
         "spec",
-        ["  ", "seed", "rate=often", "fire_limit=-1", "sleep_scale=-0.5"],
+        [
+            "  ",
+            "seed",
+            "rate=often",
+            "fire_limit=-1",
+            "sleep_scale=-0.5",
+            '{"seed": 1, "bogus": 2}',
+        ],
         ids=[
             "empty",
             "no-equals",
             "rate-not-a-number",
             "negative-fire-limit",
             "negative-sleep-scale",
+            "json-unknown-field",
         ],
     )
     def test_malformed_spec_is_rejected(self, spec):
@@ -391,6 +399,21 @@ CELL_CORRUPTIONS = {
         {"format": CACHE_FORMAT_VERSION, "stats": ["cycles", 1]}
     ),
     "stats-number": lambda text: _cell({"format": CACHE_FORMAT_VERSION, "stats": 42}),
+    # A mapping that names no counter, or all but one, would load as
+    # zeros where counters are missing.
+    "stats-no-counter": lambda text: _cell(
+        {"format": CACHE_FORMAT_VERSION, "stats": {"note": 1}}
+    ),
+    "stats-one-counter-missing": lambda text: _cell(
+        {
+            "format": CACHE_FORMAT_VERSION,
+            "stats": {
+                key: value
+                for key, value in json.loads(text)["stats"].items()
+                if key != "cycles"
+            },
+        }
+    ),
 }
 
 

@@ -112,6 +112,27 @@ class TestInstruction:
         b = Instruction.alu(Opcode.ADD, int_reg(1), [int_reg(1)])
         assert a.uid != b.uid
 
+    def test_clone_copies_every_field(self):
+        """A clone equals its original field for field (the dataclass
+        ``__eq__`` reads every field, so a field the clone skipped
+        fails here), uid included, and is a separate object."""
+        original = Instruction(
+            opcode=Opcode.BNEZ,
+            dests=(int_reg(3),),
+            srcs=(int_reg(4), fp_reg(2)),
+            imm=9,
+            target="loop",
+            call_target="callee",
+            hint_value=7,
+            iq_tag=12,
+            comment="every field set",
+        )
+        clone = original.clone()
+        assert clone == original and clone.uid == original.uid
+        assert clone is not original
+        clone.iq_tag = 40
+        assert original.iq_tag == 12
+
     def test_str_contains_opcode_and_operands(self):
         instr = Instruction.alu(Opcode.XOR, int_reg(4), [int_reg(5)], imm=3)
         text = str(instr)

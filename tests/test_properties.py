@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cfg import build_ddg
+from repro.cfg.ddg import decode, dependences
 from repro.core import CompilerConfig, analyse_program, compile_program
 from repro.core.instrument import ALL_MODES
 from repro.core.loop_analysis import (
@@ -20,7 +21,7 @@ from repro.core.pseudo_queue import PseudoIssueQueue, ScheduleResult
 from repro.isa import Instruction, Opcode
 from repro.isa.encoding import HINT_MAX_VALUE, decode_hint_payload, encode_hint_payload
 from repro.isa.opcodes import FuClass
-from repro.isa.registers import fp_reg, int_reg
+from repro.isa.registers import ZERO_REG, Reg, fp_reg, int_reg
 from repro.uarch.issue_queue import BankedIssueQueue
 from repro.uarch.regfile import PhysicalRegisterFile
 from repro.uarch.trace import program_digest
@@ -72,23 +73,99 @@ def test_hint_encoding_never_exceeds_payload(value):
 # ---------------------------------------------------------------------------
 # Dependence graphs
 # ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class DependenceEdge:
+    """A dependence from producer ``src`` to consumer ``dst``, ``latency``
+    cycles after the producer issues, ``distance`` iterations apart."""
+
+    src: int
+    dst: int
+    latency: int
+    distance: int = 0
+
+
+@dataclass
+class DataDependenceGraph:
+    """Dependence edges over an instruction sequence, with each node's
+    incoming edges."""
+
+    instructions: list[Instruction]
+    edges: list[DependenceEdge] = field(default_factory=list)
+    preds: dict[int, list[DependenceEdge]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for index in range(len(self.instructions)):
+            self.preds.setdefault(index, [])
+
+    def add_edge(self, src: int, dst: int, distance: int) -> None:
+        edge = DependenceEdge(src, dst, self.instructions[src].latency, distance)
+        self.edges.append(edge)
+        self.preds[dst].append(edge)
+
+    def intra_edges(self) -> list[DependenceEdge]:
+        """Edges within one iteration (distance 0)."""
+        return [edge for edge in self.edges if edge.distance == 0]
+
+
+def _dependence_regs(regs) -> list[Reg]:
+    """The registers of ``regs`` that carry a dependence (not ``r0``)."""
+    return [reg for reg in regs if reg.is_fp or reg.index != ZERO_REG]
+
+
+def build_ddg(instructions, include_loop_carried: bool = False) -> DataDependenceGraph:
+    """The dependence builder the compiler used before it decoded operands
+    into integer slots, kept as the oracle for
+    :func:`repro.cfg.ddg.dependences`: the last writer of each ``Reg`` in a
+    dict, and the nearest preceding store for every load or store (no
+    alias analysis).  With ``include_loop_carried``, a read with no writer
+    earlier in the iteration depends on the body's final writer, and a
+    load or store before the body's first store on its final store, at
+    distance 1."""
+    ddg = DataDependenceGraph(instructions=list(instructions))
+    last_writer: dict[Reg, int] = {}
+    last_store = None
+    for index, instr in enumerate(ddg.instructions):
+        for reg in _dependence_regs(instr.srcs):
+            if reg in last_writer:
+                ddg.add_edge(last_writer[reg], index, 0)
+        if instr.is_memory and last_store is not None:
+            ddg.add_edge(last_store, index, 0)
+        for reg in _dependence_regs(instr.dests):
+            last_writer[reg] = index
+        if instr.is_store:
+            last_store = index
+    if include_loop_carried:
+        seen_writer: set[Reg] = set()
+        seen_store = False
+        for index, instr in enumerate(ddg.instructions):
+            for reg in _dependence_regs(instr.srcs):
+                if reg not in seen_writer and reg in last_writer:
+                    ddg.add_edge(last_writer[reg], index, 1)
+            if instr.is_memory and not seen_store and last_store is not None:
+                ddg.add_edge(last_store, index, 1)
+            seen_writer.update(_dependence_regs(instr.dests))
+            if instr.is_store:
+                seen_store = True
+    return ddg
+
+
 @given(instruction_sequences())
 @settings(max_examples=40, deadline=None)
 def test_ddg_edges_point_forward_within_iteration(instructions):
-    ddg = build_ddg(instructions, include_loop_carried=True)
-    for edge in ddg.edges:
-        assert 0 <= edge.src < len(instructions)
-        assert 0 <= edge.dst < len(instructions)
-        if edge.distance == 0:
-            assert edge.src < edge.dst or edge.src == edge.dst is None
-        assert edge.latency >= 1
+    work = [decode(instruction) for instruction in instructions]
+    for src, dst, distance in dependences(work, loop_carried=True):
+        assert 0 <= src < len(instructions)
+        assert 0 <= dst < len(instructions)
+        if distance == 0:
+            assert src < dst
+        assert work[src].latency >= 1
 
 
 @given(instruction_sequences())
 @settings(max_examples=40, deadline=None)
 def test_ddg_carried_edges_only_when_requested(instructions):
-    plain = build_ddg(instructions, include_loop_carried=False)
-    assert all(edge.distance == 0 for edge in plain.edges)
+    work = [decode(instruction) for instruction in instructions]
+    assert all(distance == 0 for _, _, distance in dependences(work))
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +343,25 @@ def test_event_driven_schedule_equals_the_rescanning_reference(
         assert getattr(result, name) == getattr(reference, name), name
 
 
+@given(
+    instructions=st.one_of(instruction_sequences(), scheduler_blocks()),
+    loop_carried=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_dependences_equal_the_register_keyed_builder(instructions, loop_carried):
+    """The slot-array :func:`dependences` of the instructions' decodes
+    lists the register-keyed builder's edges, in its order, edge for
+    edge, with and without loop-carried edges: r0, FP registers, hint
+    NOOPs and NOPs included, with each edge's producer latency."""
+    work = [decode(instruction) for instruction in instructions]
+    reference = build_ddg(instructions, include_loop_carried=loop_carried)
+    edges = dependences(work, loop_carried)
+    assert edges == [(edge.src, edge.dst, edge.distance) for edge in reference.edges]
+    assert [work[src].latency for src, _, _ in edges] == [
+        edge.latency for edge in reference.edges
+    ]
+
+
 @given(instruction_sequences(max_length=14))
 @settings(max_examples=25, deadline=None)
 def test_loop_requirement_is_clamped_and_monotone_in_margin(instructions):
@@ -331,7 +427,7 @@ def test_recurrence_analysis_matches_brute_force(instructions):
     successors = {node: set() for node in range(count)}
     for edge in ddg.edges:
         successors[edge.src].add(edge.dst)
-    assert _recurrence_nodes(ddg) == [
+    assert _recurrence_nodes(count, edges) == [
         node for node in range(count) if _reaches_itself(successors, node)
     ]
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.telemetry import trend
+from repro.telemetry import hostspeed, trend
 
 
 # ----------------------------------------------------------------------
@@ -77,8 +77,8 @@ class TestTrendGate:
         }
 
     def test_split_series_reads_hint_path_entries(self):
-        """The gcc noop bench's entries form one series per engine, apart
-        from the gzip ``warm_noop`` series."""
+        """The gcc noop bench's entries form one series per engine; the
+        gzip ``warm_noop`` samples of throughput entries form none."""
         history = [
             {"kind": "hint_path", "engine": "native", "cycles_per_second": 2_300_000},
             {"kind": "hint_path", "engine": "scalar", "cycles_per_second": 94_000},
@@ -91,7 +91,20 @@ class TestTrendGate:
             "direction": "higher",
         }
         assert series["engine/scalar/warm_gcc_noop"]["values"] == [94_000.0]
-        assert series["engine/native/warm_noop"]["values"] == [3.0]
+        assert "engine/native/warm_noop" not in series
+
+    def test_split_series_reads_reference_second_entries(self):
+        """Probe-scaled samples form series of their own: the compile
+        bench's reference seconds (lower is better) and the gzip noop
+        bench's cycles per reference second."""
+        history = [
+            {"kind": "compile", "compiles": 33, "analyses": 11, "ref_s": 0.14},
+            {"kind": "noop_path", "engine": "native", "cycles_per_ref_second": 4},
+        ]
+        assert trend.split_series(history) == {
+            "compile/grid_ref_s": {"values": [0.14], "direction": "lower"},
+            "engine/native/warm_noop_ref": {"values": [4.0], "direction": "higher"},
+        }
 
     def test_split_series_ignores_retired_queue_grid_entries(self):
         """``queue_grid`` samples in an older trajectory form no series:
@@ -173,3 +186,27 @@ def test_importing_the_harness_loads_no_telemetry():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+class TestHostSpeed:
+    def test_reference_speed_scales_by_the_mean_of_the_probes(self):
+        reference = hostspeed.PROBE_REFERENCE_S
+        assert hostspeed.at_reference_speed(1.0, reference, reference) == pytest.approx(1.0)
+        # A host running the probe at half speed took twice as long.
+        assert hostspeed.at_reference_speed(2.0, 2 * reference, 2 * reference) == pytest.approx(
+            1.0
+        )
+        assert hostspeed.at_reference_speed(1.0, reference, 3 * reference) == pytest.approx(0.5)
+
+    def test_reference_seconds_repeats_until_the_minimum(self):
+        calls = []
+
+        def run():
+            calls.append(sum(range(20_000)))
+
+        seconds, count = hostspeed.reference_seconds(run, min_seconds=0.02)
+        assert count == len(calls) > 1
+        assert seconds > 0
+        # Without a minimum, one call.
+        assert hostspeed.reference_seconds(run)[1] == 1
+        assert hostspeed.host_probe() > 0
