@@ -13,12 +13,11 @@ with unchanged configuration skip simulation entirely.  Delete that
 directory (or change any configuration input) to force re-simulation.
 
 The instruction budget is 100k instructions (20k warm-up) per cell:
-windowed trace replay (:mod:`repro.uarch.trace`) streams each
-benchmark's pre-decoded stream in ~16k-instruction windows, so decode
-memory no longer grows with the budget and the figure suite runs at a
-meaningfully higher fidelity than the earlier 16k-instruction compromise
-(figure 6's SPECINT noop loss re-anchors against the paper's 2.2% at
-this budget).  A cold grid takes a few minutes of simulation on one
+each benchmark's trace is about 2.4 MiB of compact columns (25 bytes
+per instruction, :mod:`repro.uarch.trace`), replayed whole, so the
+figure suite runs at a meaningfully higher fidelity than the earlier
+16k-instruction compromise (figure 6's SPECINT noop loss re-anchors
+against the paper's 2.2% at this budget).  A cold grid takes a few minutes of simulation on one
 core; re-runs with unchanged configuration load from the cache instead.
 """
 

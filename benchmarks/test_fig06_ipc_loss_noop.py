@@ -11,11 +11,11 @@ def test_figure6_ipc_loss_noop(benchmark, runner):
     # Shape checks: resizing costs some IPC but the machine still works, and
     # mcf (memory bound, pointer chasing) sits well below the suite average
     # (the paper's qualitative claim; exact rank order is sample noise at
-    # these scaled-down instruction budgets).  At the 100k-instruction
-    # budget the windowed-replay suite runs at, the SPECINT noop loss
-    # measures ~1.4% against the paper's 2.2% (it was ~2.4% at the old
-    # 16k budget), so the tolerance band is an order of magnitude tighter
-    # than the pre-window 25% ceiling.
+    # these scaled-down instruction budgets).  At the suite's
+    # 100k-instruction budget the SPECINT noop loss measures ~1.4%
+    # against the paper's 2.2% (it was ~2.4% at the old 16k budget), so
+    # the tolerance band is an order of magnitude tighter than the 25%
+    # ceiling it had at that budget.
     assert 0.0 <= series["SPECINT"] < 8.0
     assert series["mcf"] < series["SPECINT"]
     assert series["abella"] > 0.0

@@ -9,16 +9,13 @@ dispatch, fetch).  Since PR 5 the trajectory is **per replay engine**
 engine:
 
 * **cold** — a fresh in-process trace memo and an empty on-disk trace
-  cache, with the **windowed streaming path on** (the budget is split
-  across several trace windows), so the measured time includes one
-  functional emulation (which writes each window's compact columns
-  itself), building the program's static table, the windowed cache
-  store and the timed window-by-window replay;
+  cache, so the measured time includes one functional emulation (which
+  writes the trace's compact columns itself), building the program's
+  static table, the trace cache store and the timed replay;
 * **warm** — the trace's columns and static table already memoised by
   the cold rounds, so the measured time is the replay kernel alone,
-  reading ``memoryview`` windows of the memoised columns in place: no
-  per-window decode remains on this path (the steady state of a grid
-  run);
+  reading the memoised columns in place: no decode remains on this path
+  (the steady state of a grid run);
 * **warm noop** (``test_noop_path_throughput``) — the same warm
   replay of gzip's NOOP-instrumented program under the software
   policy, so the hint path (hints applied in the native kernel,
@@ -102,9 +99,6 @@ from repro.uarch.trace import clear_trace_memo
 from repro.workloads import SPECINT_BENCHMARKS, build_benchmark
 
 MAX_INSTRUCTIONS = 12_000
-#: Cold runs stream through windows this size (3 windows for the 12k
-#: budget), so the floors below are enforced with windowed replay on.
-TRACE_WINDOW = 4_096
 #: Per-engine floors, ~50% of the cold rate measured on the 1-core dev
 #: container so only a genuine regression (not noise) trips them.  The
 #: scalar floor is the long-standing ≥29k (comfortably above the PR 1
@@ -242,13 +236,11 @@ def test_simulator_cycle_throughput(benchmark, tmp_path, engine, record_trend):
 
     def _cold_run() -> tuple[int, float]:
         # A fresh memo and a fresh cache directory every round: the timed
-        # region covers emulation, the static table, the windowed cache
-        # store and the streaming window-by-window replay.
+        # region covers emulation, the static table, the trace cache
+        # store and the replay.
         clear_trace_memo()
         round_dir = trace_dir / str(len(cold_rates))
-        cycles, elapsed = _timed_simulate(
-            engine, trace_cache=str(round_dir), trace_window=TRACE_WINDOW
-        )
+        cycles, elapsed = _timed_simulate(engine, trace_cache=str(round_dir))
         cold_rates.append(cycles / elapsed)
         cycles_holder.append(cycles)
         return cycles, elapsed
@@ -275,7 +267,6 @@ def test_simulator_cycle_throughput(benchmark, tmp_path, engine, record_trend):
         "timestamp": time.time(),
         "engine": engine,
         "max_instructions": MAX_INSTRUCTIONS,
-        "trace_window": TRACE_WINDOW,
         "cycles": cycles,
         "cycles_per_second_cold": round(cold_rate),
         "cycles_per_second_warm": round(warm_rate),
@@ -342,7 +333,7 @@ def test_emulator_throughput(record_trend):
         gc.disable()
         try:
             start = time.process_time()
-            for _window in emulator.run_collect_windows(EMULATOR_BUDGET, TRACE_WINDOW):
+            for _columns in emulator.run_collect_windows(EMULATOR_BUDGET):
                 pass
             times.append(time.process_time() - start)
         finally:

@@ -45,7 +45,7 @@ class DeterminismRule(Rule):
     """No nondeterminism sources inside ``repro/uarch/``.
 
     The acceptance gate of ``tests/test_engines.py`` is *byte-identical*
-    statistics between replay kernels at every window size; one
+    statistics between replay kernels for every technique; one
     ``time.time()`` sample, ``random`` draw or iteration over an
     unordered set anywhere in the replay core silently voids it.  The
     rule bans importing ``random``/``time``/``datetime`` in the uarch

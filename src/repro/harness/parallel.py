@@ -62,19 +62,17 @@ Semantics:
 * **Traces** are cached one level below the results: a
   ``traces/`` subdirectory of ``cache_dir`` (override with
   ``trace_cache_dir``) holds one trace per benchmark and budget
-  (:mod:`repro.uarch.trace`), stored in independently loadable windows
-  and keyed by the content the emulator reads (hint payloads and tags
-  masked, hint NOOPs stripped) + budget + emulator source.  The
-  uninstrumented program's trace serves all six techniques: the noop
-  program replays it with a hint map that the kernels expand at fetch,
-  with no second emulation.  A result-cache miss that only changed the
-  technique or the processor/energy configuration re-times the
-  benchmark without re-emulating it, in-process and across pool
-  workers.  Budgets above the trace window (~16k instructions) replay
-  window by window with trace memory bounded by the window size.
-  Workers return their trace-cache hit/miss/store counter deltas with
-  each job result and the runner folds them into its own
-  ``trace_cache``, so traffic reports are exact for any worker count.
+  (:mod:`repro.uarch.trace`), stored whole and keyed by the content
+  the emulator reads (hint payloads and tags masked, hint NOOPs
+  stripped) + budget + emulator source.  The uninstrumented program's
+  trace serves all six techniques: the noop program replays it with a
+  hint map that the kernels expand at fetch, with no second emulation.
+  A result-cache miss that only changed the technique or the
+  processor/energy configuration re-times the benchmark without
+  re-emulating it, in-process and across pool workers.  Workers return
+  their trace-cache hit/miss/store counter deltas with each job result
+  and the runner folds them into its own ``trace_cache``, so traffic
+  reports are exact for any worker count.
 * **Bounding** — pass ``cache_max_entries`` to cap the result cache and
   ``trace_cache_max_bytes`` to cap the trace directory; stores prune
   least-recently-used entries (hits refresh recency via file mtimes, so

@@ -10,7 +10,7 @@ otherwise execution falls through to the next block in procedure order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Container, Iterable, Iterator, Optional
 
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
@@ -131,18 +131,25 @@ class Procedure:
         """Total static instruction count."""
         return sum(len(block) for block in self.blocks)
 
-    def validate(self) -> None:
-        """Check structural invariants (branch targets resolve, labels unique)."""
+    def validate(self, procedures: Container[str]) -> None:
+        """Check structural invariants: labels are unique, branch targets
+        resolve and every call names one of the program's ``procedures``.
+        One walk over the instructions checks both."""
         labels = [block.label for block in self.blocks]
         if len(labels) != len(set(labels)):
             raise ProgramError(f"duplicate block labels in procedure {self.name}")
         label_set = set(labels)
+        call = Opcode.CALL
         for block in self.blocks:
             for instr in block.instructions:
                 if instr.target is not None and instr.target not in label_set:
                     raise ProgramError(
                         f"instruction {instr} in {self.name}/{block.label} targets "
                         f"unknown block {instr.target!r}"
+                    )
+                if instr.opcode is call and instr.call_target not in procedures:
+                    raise ProgramError(
+                        f"call to unknown procedure {instr.call_target!r} in {self.name}"
                     )
 
     def __str__(self) -> str:
@@ -202,13 +209,7 @@ class Program:
         if self.entry not in self.procedures:
             raise ProgramError(f"program {self.name} has no entry procedure {self.entry!r}")
         for proc in self.procedures.values():
-            proc.validate()
-            for block in proc.blocks:
-                for instr in block.instructions:
-                    if instr.opcode is Opcode.CALL and instr.call_target not in self.procedures:
-                        raise ProgramError(
-                            f"call to unknown procedure {instr.call_target!r} in {proc.name}"
-                        )
+            proc.validate(self.procedures)
 
     def count_opcode(self, opcode: Opcode) -> int:
         """Count static occurrences of ``opcode`` across the whole program."""

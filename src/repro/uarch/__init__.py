@@ -31,21 +31,18 @@ every program replays the uninstrumented program's trace: the tagged
 the ``noop`` program with a :class:`~repro.uarch.trace.HintMap`, whose
 hint NOOPs both kernels expand at fetch.
 
-Replay streams ``memoryview`` windows of the columns (default
-:data:`~repro.uarch.config.DEFAULT_TRACE_WINDOW_ENTRIES`, ~16k entries,
-through a :class:`~repro.uarch.trace.TraceWindowStream`); the disk cache
-stores them independently addressable under one fingerprint, and the
-core replays window by window with microarchitectural state carried
-across boundaries — statistics are bit-identical for every window size,
-and a fresh emulation streams its windows as they are produced.
+A replay reads the whole trace as one window of columns, handed over
+with the table by a :class:`~repro.uarch.trace.TraceWindowStream`; a
+fresh emulation runs whole, is stored once and memoised as the
+emulator's own columns.
 
 To force live emulation of the program itself, hints included
 (bypassing the memo, the disk cache and the hint map) pass
 ``live_emulation=True`` to :func:`~repro.uarch.core.simulate`, or set the
 ``REPRO_LIVE_EMULATION`` environment variable; the result is statistically
-identical, just slower.  Feeding :class:`OutOfOrderCore` a plain iterable
-of :class:`~repro.uarch.emulator.DynamicInstruction` also still works —
-it is lowered into columns and a table on construction.
+identical, just slower.  A sequence of
+:class:`~repro.uarch.emulator.DynamicInstruction` becomes a stream
+through :meth:`~repro.uarch.trace.TraceWindowStream.from_dynamic_stream`.
 
 Main entry points:
 
@@ -66,7 +63,7 @@ Main entry points:
   trace stream, a replay engine, a policy and the statistics together.
 """
 
-from repro.uarch.config import DEFAULT_TRACE_WINDOW_ENTRIES, ProcessorConfig
+from repro.uarch.config import ProcessorConfig
 from repro.uarch.emulator import DynamicInstruction, EmulationLimitExceeded, FunctionalEmulator
 from repro.uarch.stats import SimulationStats
 from repro.uarch.trace import (
@@ -88,7 +85,6 @@ from repro.uarch.engine import (
 )
 
 __all__ = [
-    "DEFAULT_TRACE_WINDOW_ENTRIES",
     "ProcessorConfig",
     "DynamicInstruction",
     "EmulationLimitExceeded",

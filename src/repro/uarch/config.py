@@ -11,16 +11,6 @@ from dataclasses import dataclass, field
 
 from repro.isa.opcodes import FuClass
 
-#: Default replay window size, in dynamic instructions, for the streaming
-#: replay path (:mod:`repro.uarch.trace`).  Budgets at or below this size
-#: replay as one window; larger budgets replay window by window, so the
-#: trace a replay holds resident is bounded by the window, not the
-#: instruction budget.  A transport/memory knob only: simulation
-#: statistics are bit-identical for every window size (including 1), so it
-#: never participates in cache fingerprints.  Override per run via the
-#: ``trace_window`` arguments.
-DEFAULT_TRACE_WINDOW_ENTRIES = 16_384
-
 
 @dataclass
 class CacheConfig:

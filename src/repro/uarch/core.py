@@ -12,8 +12,7 @@ replays it to the end of its budget.  It takes ``engine=`` (``"scalar"``
 | ``"native"``; default: the ``REPRO_REPLAY_KERNEL`` environment
 variable, else ``native`` where it builds, else ``scalar``).  Engine
 statistics are bit-identical, so the choice is transport — like the
-trace window size or the worker count — and never affects results or
-cache fingerprints.
+worker count — and never affects results or cache fingerprints.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ def simulate(
     max_cycles: Optional[int] = None,
     trace_cache=None,
     live_emulation: Optional[bool] = None,
-    trace_window: Optional[int] = None,
     engine: Optional[str] = None,
 ) -> SimulationStats:
     """Convenience wrapper: emulate ``program`` once and replay it under
@@ -47,9 +45,8 @@ def simulate(
     committed stream's compact columns come from
     :func:`repro.uarch.trace.get_trace_stream` (memoised per process and
     optionally cached on disk), and the selected replay engine replays
-    them window by window against the program's static table, bounding
-    resident trace memory by the window size; statistics are
-    bit-identical for every window size and every engine.
+    them against the program's static table; statistics are
+    bit-identical for every engine.
 
     Args:
         program: an IR :class:`~repro.isa.program.Program`.
@@ -65,8 +62,6 @@ def simulate(
         live_emulation: force a fresh functional emulation, bypassing the
             trace memo and the disk cache (default: the
             ``REPRO_LIVE_EMULATION`` environment variable).
-        trace_window: replay window size in trace entries (None: the
-            library default; 0 replays the whole trace as one window).
         engine: replay kernel name (None: ``REPRO_REPLAY_KERNEL``, else
             ``"native"`` where it builds, else ``"scalar"``).
 
@@ -76,11 +71,7 @@ def simulate(
     if trace_cache is not None and not isinstance(trace_cache, TraceCache):
         trace_cache = TraceCache(trace_cache)
     stream = get_trace_stream(
-        program,
-        max_instructions,
-        window_size=trace_window,
-        cache=trace_cache,
-        live=live_emulation,
+        program, max_instructions, cache=trace_cache, live=live_emulation
     )
     return get_engine(engine).run(
         stream,

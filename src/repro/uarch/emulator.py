@@ -28,7 +28,6 @@ import array
 import bisect
 import builtins
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -185,9 +184,10 @@ def _compile_run(instructions: Sequence[Instruction], control: bool, name: str) 
     operand type is known dropped or, for an immediate, folded into a
     constant.  A conversion that raises is left to run time, so it
     raises at its own instruction.  The function returns the run's
-    memory column: the effective address of each load and store, 0 for
-    every other entry, plus a 0 for the control instruction that
-    follows when ``control`` is set.
+    memory column as a list (which ``array.fromlist`` appends without
+    the per-item iteration ``extend`` pays): the effective address of
+    each load and store, 0 for every other entry, plus a 0 for the
+    control instruction that follows when ``control`` is set.
     """
     lines: list[str] = []
     column: list[str] = []
@@ -304,13 +304,13 @@ def _compile_run(instructions: Sequence[Instruction], control: bool, name: str) 
         column.append("0")
     if not lines:
         # Nothing but hints and NOPs: no code to compile.
-        zeros = (0,) * len(column)
+        zeros = [0] * len(column)
         return lambda regs, fregs, memory: zeros
     defaults = "".join(f", {key}={key}" for key in constants)
     source = "".join(
         [f"def run(regs, fregs, memory{defaults}):\n"]
         + [f"    {line}\n" for line in lines]
-        + [f"    return ({', '.join(column)},)\n"]
+        + [f"    return [{', '.join(column)}]\n"]
     )
     # Defined in a throwaway local namespace, so the functions share one
     # globals dict and nothing refers back to them: their code is freed
@@ -333,21 +333,6 @@ _INT_OPERATORS = {
     Opcode.MUL: "*",
 }
 _FLOAT_OPERATORS = {Opcode.FADD: "+", Opcode.FSUB: "-", Opcode.FMUL: "*"}
-
-
-def _window(pcs: array.array, takens: bytearray, mems: list, size: int, following: int) -> Columns:
-    """The first ``size`` entries as trace columns, cut off the front of
-    the buffers.
-
-    An entry's next pc is the pc of the entry after it, which is
-    ``following`` for the last one when the buffers hold no more.
-    """
-    next_pcs = pcs[1 : size + 1]
-    if len(next_pcs) < size:
-        next_pcs.append(following)
-    window = (pcs[:size], next_pcs, takens[:size], array.array("q", mems[:size]))
-    del pcs[:size], takens[:size], mems[:size]
-    return window
 
 
 class FunctionalEmulator:
@@ -434,54 +419,33 @@ class FunctionalEmulator:
         The column-oriented form feeds :mod:`repro.uarch.trace` directly,
         avoiding one :class:`DynamicInstruction` allocation per committed
         instruction; a pc names its static instruction through
-        ``layout.instruction_at``.
-        """
-        columns: Columns = (array.array("q"), array.array("q"), bytearray(), array.array("q"))
-        for columns in self.run_collect_windows(max_instructions, None):
-            pass
-        return columns
-
-    def run_collect_windows(
-        self, max_instructions: int = 1_000_000, window_size: Optional[int] = None
-    ) -> Iterator[Columns]:
-        """Execute, yielding ``(pcs, next_pcs, takens, mems)`` chunks.
-
-        Every yielded chunk except possibly the last holds exactly
-        ``window_size`` committed instructions; ``window_size=None`` (or
-        ``<= 0``) yields the whole stream as one chunk.  Chunks are
-        produced in commit order and the architectural state advances
-        eagerly, so consuming lazily bounds the peak size of the columns
-        by the window size instead of the instruction budget — this is
-        the decode-memory bound behind windowed trace replay
-        (:mod:`repro.uarch.trace`).
+        ``layout.instruction_at``.  The columns are the buffers the run
+        filled, handed over as they are: only ``next_pcs`` is built at
+        the end, as one copy of ``pcs`` shifted by an entry.
 
         Each step executes one segment: its compiled straight-line part,
         then its control instruction.  When the budget ends inside a
         segment, only the instructions before the cut run, through a
         function compiled for that prefix.  A CALL past
-        ``max_call_depth`` raises :class:`EmulationLimitExceeded` once
-        the windows completed before it have been yielded.
-
-        ``instructions_executed`` is only accurate once the generator is
-        exhausted (an abandoned generator stops mid-stream).
+        ``max_call_depth`` raises :class:`EmulationLimitExceeded`.
         """
         regs = self.registers
         fregs = self.fp_registers
         memory = self.memory
         segments = self._segments
         max_call_depth = self.max_call_depth
-        window_limit = window_size if window_size and window_size > 0 else sys.maxsize
 
-        # The window being filled.  An entry's next pc is the pc of the
-        # entry after it, so only the last entry's is kept, in last_next.
+        # An entry's next pc is the pc of the entry after it, so only the
+        # last entry's is kept, in last_next.
         pcs = array.array("q")
         takens = bytearray()
-        mems: list[int] = []
+        mems = array.array("q")
         pcs_extend = pcs.extend
         takens_extend = takens.extend
-        mems_extend = mems.extend
+        mems_extend = mems.fromlist
         call_stack: list[int] = []
         seq = 0
+        last_next = 0
         pc = self._entry_pc(self.program.entry)
 
         while pc and seq < max_instructions:
@@ -508,12 +472,6 @@ class FunctionalEmulator:
                     resume = last_next = target
             elif kind == _CALL:
                 if len(call_stack) >= max_call_depth:
-                    # The CALL never commits; the entries before it do.
-                    pcs_extend(seg_pcs[:-1])
-                    takens_extend(seg_takens[:-1])
-                    mems_extend(addresses[:-1])
-                    while len(pcs) >= window_limit:
-                        yield _window(pcs, takens, mems, window_limit, seg_pcs[-1])
                     raise EmulationLimitExceeded(
                         f"call depth exceeded {max_call_depth} in {detail[1]}"
                     )
@@ -525,11 +483,16 @@ class FunctionalEmulator:
             mems_extend(addresses)
             seq += length
             pc = resume
-            while len(pcs) >= window_limit:
-                yield _window(pcs, takens, mems, window_limit, last_next)
         self.instructions_executed = seq
+        next_pcs = pcs[1:]
         if pcs:
-            yield _window(pcs, takens, mems, len(pcs), last_next)
+            next_pcs.append(last_next)
+        return pcs, next_pcs, takens, mems
+
+    def run_collect_windows(self, max_instructions: int = 1_000_000) -> Iterator[Columns]:
+        """:meth:`run_collect` as a generator: it yields the whole run's
+        columns once."""
+        yield self.run_collect(max_instructions)
 
     # ------------------------------------------------------------------
     def _compile_segment(self, pc: int) -> _Segment:

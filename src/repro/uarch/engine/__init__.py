@@ -2,7 +2,7 @@
 
 The simulator separates *what* a cycle does from *how* a kernel executes
 it: :class:`~repro.uarch.engine.base.ReplayEngine` is the contract
-(``run`` over a trace window stream), and two kernels implement it —
+(``run`` over a trace stream), and two kernels implement it —
 
 * :class:`~repro.uarch.engine.scalar.ScalarEngine` (``"scalar"``): the
   pure-Python reference loop, behaviour frozen;
@@ -11,8 +11,8 @@ it: :class:`~repro.uarch.engine.base.ReplayEngine` is the contract
   :mod:`repro.uarch.engine.build` and skipped cleanly on hosts without
   a toolchain (:class:`~repro.uarch.engine.native.NativeUnavailableError`).
 
-Statistics are **bit-identical** between kernels for every technique at
-every window size, so the engine choice is pure transport and never
+Statistics are **bit-identical** between kernels for every technique
+and machine, so the engine choice is pure transport and never
 participates in result-cache fingerprints.  An unpinned call runs
 ``native`` where it builds and ``scalar`` elsewhere; ``engine=``,
 ``REPRO_REPLAY_KERNEL``, ``figure_report.py --engine`` and

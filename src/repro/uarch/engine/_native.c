@@ -5,10 +5,10 @@
  * branch predictor, event-driven sampling — lives in flat C arrays; the
  * only Python crossings on the hot path are the policy hook (absent for
  * the baseline/nonempty policies, and for hints under the stock software
- * policy, whose rule the kernel applies itself) and the per-window
- * callback that hands over the next window of trace columns, read in
- * place.  A program with hint NOOPs replays its stripped program's trace
- * with a hint-run map, and fetch expands the hints (fetch_expanding).
+ * policy, whose rule the kernel applies itself).  The trace's one window
+ * of columns is read in place.  A program with hint NOOPs replays its
+ * stripped program's trace with a hint-run map, and fetch expands the
+ * hints (fetch_expanding).
  *
  * Bit-identity contract: statistics must be byte-identical to the scalar
  * kernel for every (trace, policy, config, warm-up) combination.  Every stage below mirrors the scalar stage line by line;
@@ -366,7 +366,7 @@ static inline void rf_release(RegFile *f, int32_t phys) {
 }
 
 /* ------------------------------------------------------------------ */
-/* The static table and the trace windows.                             */
+/* The static table and the trace window.                              */
 /* ------------------------------------------------------------------ */
 
 /* One static instruction's pre-decoded attributes: a row of the
@@ -392,10 +392,10 @@ typedef struct {
 
 _Static_assert(sizeof(HintRun) == 24, "HintRun must match HintRuns.packed");
 
-/* A window of trace columns, read in place through the buffer protocol
- * (the views pin the Python buffers until the window is released). */
-typedef struct Window {
-    struct Window *next;
+/* The trace's one window of columns, read in place through the buffer
+ * protocol (the views pin the Python buffers until the machine is
+ * freed). */
+typedef struct {
     int64_t length;
     const int64_t *pc;
     const int64_t *next_pc;
@@ -571,14 +571,12 @@ typedef struct {
     int64_t fq_head, fq_n;
 
     /* Front end / trace. */
-    Window *d_win, *f_win;
-    int64_t d_base, d_limit, f_base, f_limit;
+    Window *win;
     int64_t trace_pos;
     int trace_exhausted;
     int64_t blocked_seq;  /* -1 = None */
     int64_t fetch_resume;
     int64_t last_fetch_line;  /* LINE_NONE = None */
-    int64_t resident, max_resident;
 
     /* Time & measurement. */
     int64_t abs_cycle, base;
@@ -590,8 +588,7 @@ typedef struct {
     int64_t sample_anchor;
     int sample_dirty;
 
-    /* Python crossings. */
-    PyObject *next_window;
+    /* Python crossing. */
     PyObject *hook;
 
     StatBlock st;
@@ -998,8 +995,7 @@ static int dispatch_stage(Machine *m) {
     if (m->fq_n == 0) return 0;
     int64_t cycle = m->abs_cycle;
     if (m->fq_ready[m->fq_head] > cycle) return 0;
-    Window *w = m->d_win;
-    int64_t d_base = m->d_base, d_limit = m->d_limit;
+    const int64_t *mem = m->win->mem;
     int64_t dispatched = 0;
     int stalled_region = 0, stalled_physical = 0;
     int width = m->dispatch_width;
@@ -1016,24 +1012,6 @@ static int dispatch_stage(Machine *m) {
         int64_t index = m->fq_idx[m->fq_head];
         if (m->fq_ready[m->fq_head] > cycle) break;
         const StaticRow *row = &m->rows[m->fq_row[m->fq_head]];
-        while (index >= d_limit) {
-            /* Dispatch drained its window: step to the next one fetch
-             * already pulled in, releasing the old window. */
-            Window *nw = w->next;
-            if (!nw) {
-                PyErr_SetString(PyExc_RuntimeError,
-                                "native kernel: dispatch ran past the fetch window");
-                return -1;
-            }
-            m->d_win = nw;
-            free_window(w);
-            m->resident--;
-            w = nw;
-            d_base = d_limit;
-            d_limit += w->length;
-            m->d_base = d_base;
-            m->d_limit = d_limit;
-        }
         int flags = row->flags;
 
         /* The paper's special NOOP: consumes a dispatch slot but never
@@ -1124,7 +1102,7 @@ static int dispatch_stage(Machine *m) {
         memcpy(m->rob_src + (int64_t)ri * 8, src_tags, (size_t)n_src * 4);
         m->rob_flags[ri] = (uint8_t)flags;
         m->rob_latency[ri] = row->latency;
-        m->rob_mem[ri] = w->mem[index - d_base];
+        m->rob_mem[ri] = mem[index];
         m->rob_tail = m->rob_tail + 1 == m->rob_cap ? 0 : m->rob_tail + 1;
         m->rob_count++;
 
@@ -1183,31 +1161,6 @@ static int dispatch_stage(Machine *m) {
 /* Fetch.                                                              */
 /* ------------------------------------------------------------------ */
 
-static int advance_fetch_window(Machine *m) {
-    for (;;) {
-        PyObject *win = PyObject_CallNoArgs(m->next_window);
-        if (!win) return -1;
-        if (win == Py_None) {
-            Py_DECREF(win);
-            return 0;
-        }
-        Window *w = lower_window(win);
-        Py_DECREF(win);
-        if (!w) return -1;
-        if (w->length == 0) {
-            free_window(w);
-            continue;
-        }
-        m->f_win->next = w;
-        m->f_win = w;
-        m->resident++;
-        if (m->resident > m->max_resident) m->max_resident = m->resident;
-        m->f_base = m->f_limit;
-        m->f_limit += w->length;
-        return 1;
-    }
-}
-
 /* Branch prediction for the entry at trace position `index`, with its
  * pc, outcome and next pc.  Returns 1 when the transfer mispredicted
  * (fetch must stop). */
@@ -1260,7 +1213,7 @@ static int fetch_stage(Machine *m) {
     int64_t cycle = m->abs_cycle;
     if (cycle < m->fetch_resume) return 0;
     if (m->fq_n >= m->fq_cap) return 0;
-    Window *w = m->f_win;
+    const Window *w = m->win;
     int64_t index = m->trace_pos;
     int warm = m->warm;
     int64_t decode_ready = cycle + m->decode_latency;
@@ -1268,17 +1221,11 @@ static int fetch_stage(Machine *m) {
     int64_t last_line = m->last_fetch_line;
     int64_t fetched = 0, hints_fetched = 0;
     while (fetched < width && m->fq_n < m->fq_cap) {
-        if (index >= m->f_limit) {
-            int got = advance_fetch_window(m);
-            if (got < 0) return -1;
-            if (got == 0) {
-                m->trace_exhausted = 1;
-                break;
-            }
-            w = m->f_win;
+        if (index >= w->length) {
+            m->trace_exhausted = 1;
+            break;
         }
-        int64_t rel = index - m->f_base;
-        int64_t pc = w->pc[rel];
+        int64_t pc = w->pc[index];
         int64_t row = layout_row(m, pc, m->n_rows, "table");
         if (row < 0) return -1;
         int flags = m->rows[row].flags;
@@ -1291,7 +1238,7 @@ static int fetch_stage(Machine *m) {
          * prediction (it can block fetch past the miss). */
         int mispredicted =
             (flags & m->F_CONTROL) &&
-            handle_control(m, flags, pc, w->taken[rel], w->next_pc[rel], index);
+            handle_control(m, flags, pc, w->taken[index], w->next_pc[index], index);
         index++;
         if (missed || mispredicted) break; /* stop fetching this cycle */
     }
@@ -1332,16 +1279,15 @@ static int hinted_next_pc(const Machine *m, int64_t stripped_pc,
  * run after a taken transfer other than a return, else its sequential
  * run), then the entry at its own row; after the last entry comes the
  * tail run, and no entry is fetched past the budget.  A hint's queue
- * position is the entry it precedes (the last entry for the tail),
- * whose window fetch already holds.  Mirrors the scalar kernel's
- * _fetch_expanding. */
+ * position is the entry it precedes (the last entry for the tail).
+ * Mirrors the scalar kernel's _fetch_expanding. */
 static int fetch_expanding(Machine *m) {
     if (m->trace_exhausted) return 0;
     if (m->blocked_seq >= 0) return 0;
     int64_t cycle = m->abs_cycle;
     if (cycle < m->fetch_resume) return 0;
     if (m->fq_n >= m->fq_cap) return 0;
-    Window *w = m->f_win;
+    const Window *w = m->win;
     int64_t index = m->trace_pos;
     int warm = m->warm;
     int64_t decode_ready = cycle + m->decode_latency;
@@ -1355,20 +1301,13 @@ static int fetch_expanding(Machine *m) {
         }
         if (m->pending < 0) {
             /* First visit to the entry at `index`: find its run. */
-            if (index >= m->f_limit) {
-                int got = advance_fetch_window(m);
-                if (got < 0) return -1;
-                if (got) {
-                    w = m->f_win;
-                } else {
-                    m->in_tail = 1;
-                    m->pending = m->tail_count;
-                    m->hint_row = m->tail_row;
-                }
+            if (index >= w->length) {
+                m->in_tail = 1;
+                m->pending = m->tail_count;
+                m->hint_row = m->tail_row;
             }
             if (!m->in_tail) {
-                int64_t r = layout_row(m, w->pc[index - m->f_base], m->n_hmap,
-                                       "stripped layout");
+                int64_t r = layout_row(m, w->pc[index], m->n_hmap, "stripped layout");
                 if (r < 0) return -1;
                 const HintRun *run = &m->hmap[r];
                 m->entry_row = run->row;
@@ -1401,12 +1340,11 @@ static int fetch_expanding(Machine *m) {
         fetched++;
         int mispredicted = 0;
         if (entry) {
-            int64_t rel = index - m->f_base;
-            int taken = w->taken[rel];
+            int taken = w->taken[index];
             if (flags & m->F_CONTROL) {
                 int64_t next_pc = 0;
                 if ((flags & (m->F_BRANCH | m->F_RET)) &&
-                    hinted_next_pc(m, w->pc[rel], w->next_pc[rel], taken, flags,
+                    hinted_next_pc(m, w->pc[index], w->next_pc[index], taken, flags,
                                    pc, &next_pc))
                     return -1;
                 mispredicted = handle_control(m, flags, pc, taken, next_pc, index);
@@ -1504,15 +1442,7 @@ static void free_machine(Machine *m) {
     free(m->fq_row);
     free(m->rows);
     free(m->hmap);
-    {
-        Window *w = m->d_win;
-        while (w) {
-            Window *next = w->next;
-            free_window(w);
-            w = next;
-        }
-    }
-    Py_XDECREF(m->next_window);
+    free_window(m->win);
     Py_XDECREF(m->hook);
     free(m);
 }
@@ -1843,24 +1773,17 @@ static Machine *build_machine(PyObject *params) {
     m->last_fetch_line = LINE_NONE;
     m->sample_dirty = 1;
 
-    /* First window + callables. */
+    /* The trace window + the policy hook. */
     {
-        PyObject *first = PyDict_GetItemString(params, "first_window");
-        PyObject *nw = PyDict_GetItemString(params, "next_window");
+        PyObject *window = PyDict_GetItemString(params, "window");
         PyObject *hook = PyDict_GetItemString(params, "hook");
-        if (!first || !nw || !hook) {
-            PyErr_SetString(PyExc_KeyError,
-                            "native params missing first_window/next_window/hook");
+        if (!window || !hook) {
+            PyErr_SetString(PyExc_KeyError, "native params missing window/hook");
             goto fail;
         }
-        m->next_window = Py_NewRef(nw);
         m->hook = Py_NewRef(hook);
-        Window *w = lower_window(first);
-        if (!w) goto fail;
-        m->d_win = m->f_win = w;
-        m->d_limit = m->f_limit = w->length;
-        m->resident = 1;
-        m->max_resident = 1;
+        m->win = lower_window(window);
+        if (!m->win) goto fail;
     }
     (void)v;
     return m;
@@ -1906,7 +1829,6 @@ static PyObject *native_run(PyObject *self, PyObject *args) {
     STAT_FIELDS(X)
 #undef X
     rc |= set_ll(out, "cycles", m->warm ? m->abs_cycle - m->base : 0);
-    rc |= set_ll(out, "max_resident_windows", m->max_resident);
     rc |= set_ll(out, "structural_stalls", m->structural_stalls);
     rc |= set_ll(out, "hints_applied", m->hints_applied);
     rc |= set_ll(out, "last_hint_value", m->last_hint_value);
@@ -1920,7 +1842,7 @@ static PyObject *native_run(PyObject *self, PyObject *args) {
 
 static PyMethodDef native_methods[] = {
     {"run", native_run, METH_VARARGS,
-     "Replay a trace window stream; returns the statistics dict."},
+     "Replay a trace stream; returns the statistics dict."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,7 +1,7 @@
 """The replay-engine contract and registry.
 
 A **replay engine** is one implementation of the per-cycle timing loop:
-it consumes a trace window stream
+it consumes a trace stream
 (:class:`~repro.uarch.trace.TraceWindowStream`) under a resizing policy
 and produces :class:`~repro.uarch.stats.SimulationStats`.  The contract
 deliberately separates *what* a cycle does (the machine semantics, fixed
@@ -16,11 +16,11 @@ Two invariants every engine must uphold:
   config, warm-up, budget).  Engines are alternative executions of the
   same machine, never alternative machines: the equivalence suite
   (``tests/test_engines.py``) asserts byte-identical counters between
-  kernels for every technique at every window size, including 1.
+  kernels for every technique, across warm-up boundaries and machines.
 * **Fingerprint neutrality** — because outputs are bit-identical, the
   engine name must never participate in result-cache fingerprints
   (:func:`repro.harness.cache.simulation_fingerprint`).  An engine is
-  transport, like the trace window size or the worker count.
+  transport, like the worker count.
 
 Selection: :func:`get_engine` resolves an explicit name, else the
 ``REPRO_REPLAY_KERNEL`` environment variable, else ``"native"`` when this
@@ -71,9 +71,8 @@ class ReplayEngine(abc.ABC):
         warmup_instructions: int = 0,
         max_cycles: Optional[int] = None,
     ):
-        """Construct this kernel's core over ``trace`` (a window stream
-        or a dynamic-instruction iterable — whatever the scalar core
-        accepts)."""
+        """Construct this kernel's core over ``trace``, a
+        :class:`~repro.uarch.trace.TraceWindowStream`."""
 
     def run(
         self,

@@ -10,17 +10,14 @@ that are inherently Python-facing:
 
 * **The trace is read in place.**  The kernel copies the program's
   :class:`~repro.uarch.trace.StaticTable` once per run (its packed
-  40-byte rows) and pulls each :class:`~repro.uarch.trace.TraceWindow`
-  through a callback as fetch crosses a window boundary, reading the
-  window's ``memoryview`` columns through the buffer protocol without
-  copying them.  Fetch looks up each entry's static row with a bounds
-  check: a pc that is misaligned or outside the table raises
-  ``ValueError`` and is never read out of bounds.  A stream's
-  :class:`~repro.uarch.trace.HintMap` is copied once per run too, every
-  entry checked against the table, and fetch expands its hints as the
-  scalar kernel does.  The windowed
-  replay's memory bound (and ``max_resident_windows`` semantics) are
-  those of the scalar kernel exactly.
+  40-byte rows) and reads the stream's one
+  :class:`~repro.uarch.trace.TraceWindow` through the buffer protocol,
+  its columns checked for type, alignment and length but never copied.
+  Fetch looks up each entry's static row with a bounds check: a pc that
+  is misaligned or outside the table raises ``ValueError`` and is never
+  read out of bounds.  A stream's :class:`~repro.uarch.trace.HintMap`
+  is copied once per run too, every entry checked against the table,
+  and fetch expands its hints as the scalar kernel does.
 * **Policies stay Python.**  The kernel calls back on exactly the events
   the scalar core exposes — ``on_hint`` at dispatch, ``on_cycle_end`` at
   the cycles the policy's ``next_wake_cycle`` names,
@@ -37,8 +34,8 @@ that are inherently Python-facing:
 
 Bit-identity is the contract, not a goal: the equivalence suite
 (``tests/test_engines.py``) asserts byte-identical statistics against
-the scalar kernel for all six techniques at every window size including
-1 and across warm-up boundaries.  Because of that, the engine never
+the scalar kernel for all six techniques and across warm-up
+boundaries.  Because of that, the engine never
 enters cache fingerprints — a grid cached under ``scalar`` is a pure hit
 under ``native``.
 
@@ -162,7 +159,7 @@ class NativeCore:
 
     def __init__(
         self,
-        trace,
+        trace: TraceWindowStream,
         config: Optional[ProcessorConfig] = None,
         policy=None,
         warmup_instructions: int = 0,
@@ -181,8 +178,6 @@ class NativeCore:
         self.warmup_instructions = warmup_instructions
         self.max_cycles = max_cycles
 
-        if not isinstance(trace, TraceWindowStream):
-            trace = TraceWindowStream.from_dynamic_stream(trace)
         self._stream = trace
 
         cfg = self.config
@@ -191,7 +186,6 @@ class NativeCore:
         self.rob = ReorderBuffer(cfg.rob_entries)
         self.cycle = 0
         self._committed_total = 0
-        self.max_resident_windows = 1
         self.stats = SimulationStats(
             iq_banks_total=cfg.iq_banks, rf_banks_total=cfg.int_regfile_banks
         )
@@ -238,7 +232,7 @@ class NativeCore:
             self._wake,
         )
 
-    def _params(self, first_window: TraceWindow) -> dict:
+    def _params(self, window: TraceWindow) -> dict:
         cfg = self.config
         branch = cfg.branch
         iq = self.iq
@@ -302,8 +296,7 @@ class NativeCore:
             "table": self._stream.table.packed(),
             "table_base": self._stream.table.base,
             **_hint_params(self._stream.hints),
-            "first_window": first_window,
-            "next_window": self._stream.next_window,
+            "window": window,
             "hook": self._hook,
         }
 
@@ -311,11 +304,10 @@ class NativeCore:
         """Replay the stream in the compiled loop; return the statistics."""
         if self._finished:
             return self.stats
-        first = self._stream.next_window()
-        if first is None:
-            first = empty_columns()
-        result = self._module.run(self._params(first))
-        self.max_resident_windows = result.pop("max_resident_windows")
+        window = self._stream.next_window()
+        if window is None:
+            window = empty_columns()
+        result = self._module.run(self._params(window))
         del result["structural_stalls"]
         hints = result.pop("hints_applied")
         last_hint = result.pop("last_hint_value")

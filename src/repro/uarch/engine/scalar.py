@@ -20,23 +20,17 @@ optionally cached on disk), so the per-cycle hot path performs no
 interpreter dispatch, no ``DynamicInstruction`` attribute chains and no
 per-instruction object allocation.  The feed is a
 :class:`~repro.uarch.trace.TraceWindowStream`: the program's
-:class:`~repro.uarch.trace.StaticTable` plus consecutive
-:class:`~repro.uarch.trace.TraceWindow` column windows consumed
-forward-only.  Fetch resolves each entry's static row from its pc, with
-a bounds check, and carries the row through the fetch queue; dispatch
+:class:`~repro.uarch.trace.StaticTable` plus the trace's one
+:class:`~repro.uarch.trace.TraceWindow` of columns, indexed by trace
+position.  Fetch resolves each entry's static row from its pc, with a
+bounds check, and carries the row through the fetch queue; dispatch
 reads the row's attributes (issue and later stages read timing
-attributes copied onto the ROB entry at dispatch).  Only fetch and
-dispatch index windows, so the core holds exactly the windows spanning
-its fetch queue: fetch pulls the next window in as it crosses a
-boundary, dispatch releases a window once every entry in it has been
-consumed, and ``max_resident_windows`` records the high-water count.
-Statistics are bit-identical for every window size, including a single
-window.  A stream with a :class:`~repro.uarch.trace.HintMap` (a program
-with hint NOOPs replaying its stripped program's trace) is fetched by
+attributes copied onto the ROB entry at dispatch).  A stream with a
+:class:`~repro.uarch.trace.HintMap` (a program with hint NOOPs
+replaying its stripped program's trace) is fetched by
 :meth:`OutOfOrderCore._fetch_expanding`, which fetches each entry's hint
 run before it, the tail run after the last entry, and nothing past the
-budget.  Passing a plain iterable of ``DynamicInstruction`` (lowered on
-construction) still works.
+budget.
 
 Deviation from an execute-driven simulator: the wrong path after a branch
 misprediction is not fetched; instead the front end stalls until the
@@ -68,13 +62,12 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import accumulate
-from typing import Iterable, Optional, Union
+from typing import Optional
 
 from repro.uarch.engine.base import ReplayEngine, register_engine
 from repro.uarch.branch import HybridBranchPredictor
 from repro.uarch.cache import MemoryHierarchy
 from repro.uarch.config import ProcessorConfig
-from repro.uarch.emulator import DynamicInstruction
 from repro.uarch.functional_units import FunctionalUnitPool
 from repro.uarch.issue_queue import BankedIssueQueue, IssueQueueEntry
 from repro.uarch.regfile import RenameUnit
@@ -90,7 +83,6 @@ from repro.uarch.trace import (
     F_RET,
     F_STORE,
     HintMap,
-    TraceWindow,
     TraceWindowStream,
     empty_columns,
 )
@@ -133,11 +125,11 @@ def check_hint_map(hints: HintMap, flags: bytes) -> None:
 
 
 class OutOfOrderCore:
-    """Cycle-level timing model replaying a trace window stream."""
+    """Cycle-level timing model replaying a trace stream."""
 
     def __init__(
         self,
-        trace: Union[TraceWindowStream, Iterable[DynamicInstruction]],
+        trace: TraceWindowStream,
         config: Optional[ProcessorConfig] = None,
         policy=None,
         warmup_instructions: int = 0,
@@ -153,27 +145,12 @@ class OutOfOrderCore:
         self.warmup_instructions = warmup_instructions
         self.max_cycles = max_cycles
 
-        if not isinstance(trace, TraceWindowStream):
-            trace = TraceWindowStream.from_dynamic_stream(trace)
-        self._stream = trace
         self._table = trace.table
-        first = trace.next_window()
-        if first is None:
-            first = empty_columns()
-        # Window state.  Dispatch trails fetch, so the resident windows
-        # are exactly [dispatch window .. fetch window]; ``_win_queue``
-        # holds those strictly ahead of dispatch, in trace order.  Fetch
-        # appends as it crosses a boundary; dispatch pops (releasing the
-        # window it just drained) — resident trace memory is bounded by
-        # the fetch-queue span, recorded in ``max_resident_windows``.
-        self._win_queue: deque[TraceWindow] = deque()
-        self._f_trace = first
-        self._f_base = 0
-        self._f_limit = first.length
-        self._d_trace = first
-        self._d_base = 0
-        self._d_limit = first.length
-        self.max_resident_windows = 1
+        window = trace.next_window()
+        if window is None:
+            window = empty_columns()
+        self._trace = window
+        self._trace_length = window.length
         self._trace_pos = 0
         self._trace_exhausted = False
         # Hint expansion (streams with a map): hints left to fetch before
@@ -492,8 +469,8 @@ class OutOfOrderCore:
                 if tag < int_phys:
                     rf_reads += 1
             # Timing attributes were copied onto the ROB entry at
-            # dispatch, so issue never indexes the (possibly released)
-            # trace window.
+            # dispatch, so issue reads them there instead of resolving
+            # the entry's row and indexing the table and trace again.
             flags = rob_entry.flags
             if flags & (F_LOAD | F_STORE):
                 latency = self._memory_latency(
@@ -545,9 +522,7 @@ class OutOfOrderCore:
         cycle = self.cycle
         if fetch_queue[0][1] > cycle:
             return
-        d_base = self._d_base
-        d_limit = self._d_limit
-        mem_arr = self._d_trace.mem
+        mem_arr = self._trace.mem
         table = self._table
         flags_tab = table.flags
         fu_tab = table.fu
@@ -603,17 +578,6 @@ class OutOfOrderCore:
             index, decode_ready, row = fetch_queue[0]
             if decode_ready > cycle:
                 break
-            while index >= d_limit:
-                # Dispatch drained its window: step to the next one fetch
-                # already pulled in, releasing the old window — the
-                # windowed replay's memory bound.
-                trace = self._win_queue.popleft()
-                d_base = d_limit
-                d_limit += trace.length
-                self._d_trace = trace
-                self._d_base = d_base
-                self._d_limit = d_limit
-                mem_arr = trace.mem
             flags = flags_tab[row]
 
             # The paper's special NOOP: stripped in the last decode stage.
@@ -715,7 +679,7 @@ class OutOfOrderCore:
             rob_entry.source_tags = source_tags
             rob_entry.flags = flags
             rob_entry.latency = lat_tab[row]
-            rob_entry.mem_addr = mem_arr[index - d_base]
+            rob_entry.mem_addr = mem_arr[index]
             rob_tail = (rob_tail + 1) % rob_capacity
             rob_count += 1
 
@@ -793,9 +757,8 @@ class OutOfOrderCore:
         queue_cap = config.fetch_queue_entries
         if len(fetch_queue) >= queue_cap:
             return
-        trace = self._f_trace
-        f_base = self._f_base
-        f_limit = self._f_limit
+        trace = self._trace
+        length = self._trace_length
         index = self._trace_pos
         pcs = trace.pc
         table = self._table
@@ -812,16 +775,10 @@ class OutOfOrderCore:
         fetched = 0
         hints_fetched = 0
         while fetched < width and len(fetch_queue) < queue_cap:
-            if index >= f_limit:
-                if not self._advance_fetch_window():
-                    self._trace_exhausted = True
-                    break
-                trace = self._f_trace
-                f_base = self._f_base
-                f_limit = self._f_limit
-                pcs = trace.pc
-            rel = index - f_base
-            pc = pcs[rel]
+            if index >= length:
+                self._trace_exhausted = True
+                break
+            pc = pcs[index]
             offset = pc - base
             row = offset >> 2
             if offset & 3 or not 0 <= row < n_rows:
@@ -842,7 +799,7 @@ class OutOfOrderCore:
             # missed line can mispredict and block the front end past the
             # miss itself.
             mispredicted = flags & F_CONTROL and self._handle_control_flow(
-                index, flags, pc, trace.taken[rel], trace.next_pc[rel]
+                index, flags, pc, trace.taken[index], trace.next_pc[index]
             )
             index += 1
             if missed or mispredicted:
@@ -861,8 +818,7 @@ class OutOfOrderCore:
         other than a return, else its sequential run), then the entry at
         its own row; after the last entry comes the tail run, and no
         entry is fetched past the budget.  A hint's queue position is
-        the entry it precedes (the last entry for the tail), whose window
-        fetch already holds.
+        the entry it precedes (the last entry for the tail).
         """
         if self._trace_exhausted:
             return
@@ -881,8 +837,7 @@ class OutOfOrderCore:
         runs = hints.runs
         own_rows = runs.rows
         budget = hints.budget
-        trace = self._f_trace
-        f_base = self._f_base
+        trace = self._trace
         index = self._trace_pos
         pending = self._pending
         hint_row = self._hint_row
@@ -906,16 +861,12 @@ class OutOfOrderCore:
                 break
             if pending < 0:
                 # First visit to the entry at ``index``: find its run.
-                if index >= self._f_limit:
-                    if self._advance_fetch_window():
-                        trace = self._f_trace
-                        f_base = self._f_base
-                    else:
-                        self._in_tail = True
-                        pending = hints.tail_count
-                        hint_row = hints.tail_row
+                if index >= self._trace_length:
+                    self._in_tail = True
+                    pending = hints.tail_count
+                    hint_row = hints.tail_row
                 if not self._in_tail:
-                    stripped = self._stripped_row(trace.pc[index - f_base])
+                    stripped = self._stripped_row(trace.pc[index])
                     entry_row = own_rows[stripped]
                     pending = (runs.taken if self._after_taken else runs.sequential)[
                         stripped
@@ -948,13 +899,12 @@ class OutOfOrderCore:
             append((position, decode_ready, row))
             fetched += 1
             if entry:
-                rel = index - f_base
-                taken = trace.taken[rel]
+                taken = trace.taken[index]
                 if flags & F_CONTROL:
                     next_pc = 0
                     if flags & (F_BRANCH | F_RET):
                         next_pc = self._hinted_next_pc(
-                            trace.pc[rel], trace.next_pc[rel], taken, flags, pc
+                            trace.pc[index], trace.next_pc[index], taken, flags, pc
                         )
                     mispredicted = self._handle_control_flow(
                         index, flags, pc, taken, next_pc
@@ -1017,22 +967,6 @@ class OutOfOrderCore:
         row = self._stripped_row(stripped_next)
         count = (runs.taken if taken and not flags & F_RET else runs.sequential)[row]
         return base + 4 * (runs.rows[row] - count)
-
-    def _advance_fetch_window(self) -> bool:
-        """Pull the next trace window in behind fetch; False at trace end."""
-        window = self._stream.next_window()
-        while window is not None and window.length == 0:
-            window = self._stream.next_window()
-        if window is None:
-            return False
-        self._win_queue.append(window)
-        resident = len(self._win_queue) + 1
-        if resident > self.max_resident_windows:
-            self.max_resident_windows = resident
-        self._f_trace = window
-        self._f_base = self._f_limit
-        self._f_limit += window.length
-        return True
 
     def _handle_control_flow(
         self, index: int, flags: int, pc: int, taken: int, next_pc: int

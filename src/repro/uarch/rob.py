@@ -39,10 +39,10 @@ class RobEntry:
         source_tags: physical registers read (for register-file accounting).
         completion_cycle: cycle at which execution finished.
         flags / latency / mem_addr: the instruction's pre-decoded timing
-            attributes, copied from the trace window at dispatch so later
-            stages (issue, execute) never index the trace — which lets the
-            windowed replay core release a trace window as soon as every
-            entry in it has been dispatched.
+            attributes, copied from its static row and trace entry at
+            dispatch, so later stages (issue, execute) read them off the
+            entry they hold instead of resolving its row and indexing the
+            table and the trace again.
     """
 
     __slots__ = (

@@ -20,11 +20,10 @@ Both kernels read each fetched entry's row through that index with a
 bounds check (a misaligned pc, or one outside the table, raises
 ``ValueError``).
 
-Windows are ``memoryview`` slices of the columns, consumed forward-only
-through a :class:`TraceWindowStream` that also carries the table.  The
-replay core releases windows as it retires past them, so at most the
-windows spanning its fetch queue are resident; statistics are
-bit-identical for every window size, including 1.
+A replay reads the whole trace as one window of columns, handed over
+by a :class:`TraceWindowStream` that also carries the table: about
+2.4 MiB at the figure grid's 100k instructions, the size of the columns
+the memo and the disk cache hold anyway.
 
 Hints leave architectural state alone by design, so every program of a
 benchmark replays **one trace**, the uninstrumented program's:
@@ -57,10 +56,9 @@ Three reuse tiers sit in front of the emulator:
    program itself, hints included, with no map — the reference path
    the equivalence tests compare against.
 
-An emulated trace streams: the emulator yields one window of columns at
-a time, and each is replayed as it arrives.  A hinted program's map
-needs the trace's last entry, so on a miss its stripped program is
-emulated whole before the replay starts.
+On a miss the program is emulated whole before its replay starts (a
+hinted program's map needs the trace's last entry anyway), the file is
+stored once, and the memo keeps the emulator's own columns.
 
 Module-level :data:`trace_events` counters record emulations, memo hits
 and disk hits/misses/stores so tests can assert that a warm cache skips
@@ -80,7 +78,7 @@ import sys
 import warnings
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from repro.atomicio import publish_atomically
 from repro.isa.instruction import Instruction
@@ -98,17 +96,16 @@ from repro.isa.opcodes import (
     OPCODE_DECODE,
     Opcode,
 )
-from repro.uarch.config import DEFAULT_TRACE_WINDOW_ENTRIES
 from repro.uarch.emulator import CODE_BASE, DynamicInstruction, FunctionalEmulator
 
-#: Bump when the on-disk payload layout changes.  Version 2: windowed
-#: payloads — the header carries per-window entry counts and byte offsets
-#: so windows load independently; version-1 files (monolithic, no window
-#: table) are treated as misses and re-emulated.
-TRACE_FORMAT_VERSION = 2
+#: Bump when the on-disk payload layout changes.  Version 3: one header
+#: of ``format``, ``length`` and ``byteorder``, then the four columns
+#: whole.  Older files (version 1, monolithic; version 2, with a
+#: per-window table) are misses and are re-emulated.
+TRACE_FORMAT_VERSION = 3
 
-#: Bytes per stored dynamic instruction: three little-endian ``int64``
-#: columns (pc, next_pc, mem_address) plus one taken byte.
+#: Bytes per stored dynamic instruction: three ``int64`` columns (pc,
+#: next_pc, mem_address) plus one taken byte.
 _ENTRY_BYTES = 25
 
 #: Trace-cache directories that already warned about degraded (store
@@ -133,16 +130,16 @@ def reset_trace_events() -> None:
 
 
 # ----------------------------------------------------------------------
-# Columns and windows
+# Columns
 # ----------------------------------------------------------------------
 class TraceWindow(NamedTuple):
-    """Consecutive trace entries as four parallel columns.
+    """A trace's entries as four parallel columns, the one window a
+    replay reads.
 
-    The whole trace and each replay window have this one shape: ``pc``,
-    ``next_pc`` and ``mem`` (effective address, 0 for non-memory
-    entries) hold ``int64`` items (an ``array('q')`` or a ``memoryview``
-    of one), ``taken`` one 0/1 byte per entry (a ``bytearray`` or a
-    ``memoryview`` of one).
+    ``pc``, ``next_pc`` and ``mem`` (effective address, 0 for
+    non-memory entries) hold ``int64`` items (an ``array('q')``, or any
+    buffer of them the kernels accept), ``taken`` one 0/1 byte per
+    entry (a ``bytearray``).
     """
 
     pc: Any
@@ -160,19 +157,6 @@ def empty_columns() -> TraceWindow:
     return TraceWindow(
         array.array("q"), array.array("q"), array.array("q"), bytearray()
     )
-
-
-def _column_windows(
-    columns: TraceWindow, window_size: Optional[int]
-) -> Iterator[TraceWindow]:
-    """``memoryview`` slices of ``columns``, ``window_size`` entries each
-    (None or 0: one window).  Nothing is copied."""
-    views = [memoryview(column) for column in columns]
-    length = len(views[3])
-    step = window_size if window_size and window_size > 0 else (length or 1)
-    for start in range(0, length, step):
-        stop = start + step
-        yield TraceWindow(*[view[start:stop] for view in views])
 
 
 # ----------------------------------------------------------------------
@@ -698,24 +682,23 @@ def trace_fingerprint(program, max_instructions: int) -> str:
 # On-disk cache
 # ----------------------------------------------------------------------
 class TraceCache:
-    """Windowed, content-addressed binary cache of emulation results.
+    """Content-addressed binary cache of emulation results.
 
-    On-disk layout (format 2): one file per trace, named
+    On-disk layout (format 3): one file per trace, named
     ``<fingerprint>.trace.bin``, holding a one-line JSON header followed
-    by a binary payload.  The header records the total entry count, the
-    window size the trace was stored with, and two parallel lists —
-    ``windows`` (entries per window) and ``offsets`` (each window's byte
-    offset into the payload) — so every window is independently
-    addressable.  Each window's blob is its raw little-endian ``int64``
-    ``pc`` / ``next_pc`` / ``mem_address`` columns followed by one
-    ``taken`` byte per entry (25 bytes per instruction): exactly the
-    :class:`TraceWindow` columns.  Static attributes come from the
-    program's :class:`StaticTable`, never from the file, so the payload
-    stays compact and table changes need no format bump.
+    by a binary payload.  The header records the ``format``, the entry
+    count ``length`` and the writer's ``byteorder``.  The payload is the
+    four :class:`TraceWindow` columns whole, in the writer's byte order:
+    the ``int64`` ``pc``, ``next_pc`` and ``mem`` columns, then one
+    ``taken`` byte per entry (25 bytes per instruction).  Static
+    attributes come from the program's :class:`StaticTable`, never from
+    the file, so the payload stays compact and table changes need no
+    format bump.
 
-    Any malformation — a missing or stale-format header, an inconsistent
-    window table, a truncated payload, a pc that doesn't resolve in the
-    program — is a clean miss: the trace is re-emulated and re-stored,
+    Any malformation — a missing or stale-format header, a ``length``
+    that is not a non-negative integer, a truncated or overlong payload,
+    a pc that doesn't resolve in the program — is a clean miss: the
+    trace is re-emulated and re-stored,
     never partially trusted.  A *corrupt* file (one that was read
     successfully but failed validation) is additionally moved aside to
     ``quarantine/`` inside the cache directory — visible for
@@ -781,52 +764,35 @@ class TraceCache:
     def _read_columns(self, fingerprint: str) -> tuple[TraceWindow, Path]:
         """Parse and fully validate one stored trace.
 
-        Returns ``(columns, path)`` with the concatenated columns,
-        raising on any malformation (stale format, inconsistent window
-        table, truncated payload).  The whole payload is read up front —
-        it is compact, 25 bytes per instruction — so a replay can never
-        fail halfway through on a bad file; readers re-chunk the columns
-        to whatever window size their run requests, so the stored layout
-        never dictates replay memory.
+        Returns ``(columns, path)``, raising ``ValueError`` (or the
+        ``KeyError``, ``UnicodeDecodeError`` or JSON error of a broken
+        header) on any malformation.  The whole payload is read up
+        front — it is compact, 25 bytes per instruction — so a replay
+        can never fail halfway through on a bad file.
         """
         path = self.path_for(fingerprint)
         with open(path, "rb") as handle:
             header = json.loads(handle.readline())
-            if not isinstance(header, dict):
-                raise ValueError("trace header is not an object")
-            if header.get("format") != TRACE_FORMAT_VERSION:
-                raise ValueError("stale trace format")
-            length = header["length"]
-            counts = header["windows"]
-            offsets = header["offsets"]
-            payload = handle.read()
-        if not isinstance(counts, list) or not isinstance(offsets, list):
-            raise ValueError("malformed window table")
-        if len(counts) != len(offsets) or sum(counts) != length:
-            raise ValueError("inconsistent window table")
+            payload = memoryview(handle.read())
+        if not isinstance(header, dict):
+            raise ValueError("trace header is not an object")
+        if header.get("format") != TRACE_FORMAT_VERSION:
+            raise ValueError("stale trace format")
+        length = header["length"]
+        if type(length) is not int or length < 0:
+            raise ValueError("trace length is not a non-negative integer")
         if len(payload) != _ENTRY_BYTES * length:
-            raise ValueError("truncated trace payload")
+            raise ValueError("trace payload does not hold its length")
         swap = header["byteorder"] != sys.byteorder
-        pcs = array.array("q")
-        next_pcs = array.array("q")
-        mems = array.array("q")
-        taken = bytearray()
-        expected_offset = 0
-        for count, offset in zip(counts, offsets):
-            if count < 0 or offset != expected_offset:
-                raise ValueError("inconsistent window table")
-            expected_offset += _ENTRY_BYTES * count
-            word_bytes = 8 * count
-            pcs.frombytes(payload[offset : offset + word_bytes])
-            next_pcs.frombytes(payload[offset + word_bytes : offset + 2 * word_bytes])
-            mems.frombytes(payload[offset + 2 * word_bytes : offset + 3 * word_bytes])
-            taken.extend(
-                payload[offset + 3 * word_bytes : offset + 3 * word_bytes + count]
-            )
-        if swap:
-            for arr in (pcs, next_pcs, mems):
-                arr.byteswap()
-        return TraceWindow(pcs, next_pcs, mems, taken), path
+        words = 8 * length
+        columns = []
+        for index in range(3):
+            column = array.array("q")
+            column.frombytes(payload[index * words : (index + 1) * words])
+            if swap:
+                column.byteswap()
+            columns.append(column)
+        return TraceWindow(*columns, bytearray(payload[3 * words :])), path
 
     def _open_validated(self, fingerprint: str, pcs: range) -> Optional[TraceWindow]:
         """Read, validate and pc-resolve a stored trace; None on a miss.
@@ -879,27 +845,9 @@ class TraceCache:
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    def open_store(
-        self, fingerprint: str, window_size: Optional[int] = None
-    ) -> "TraceWindowWriter":
-        """A writer that accumulates windows and commits one atomic file."""
-        return TraceWindowWriter(self, fingerprint, window_size)
-
-    def store(
-        self,
-        fingerprint: str,
-        columns: TraceWindow,
-        window_size: Optional[int] = None,
-    ) -> Path:
-        """Atomically persist ``columns`` under ``fingerprint``.
-
-        ``window_size`` splits the payload into independently loadable
-        windows; None stores the whole trace as a single window.
-        """
-        writer = self.open_store(fingerprint, window_size)
-        for window in _column_windows(columns, window_size):
-            writer.add(window)
-        return writer.commit()
+    def store(self, fingerprint: str, columns: TraceWindow) -> Path:
+        """Atomically persist ``columns`` under ``fingerprint``."""
+        return TraceWindowWriter(self, fingerprint, columns).commit()
 
     # ------------------------------------------------------------------
     # Bounding and reporting
@@ -974,51 +922,31 @@ class TraceCache:
 
 
 class TraceWindowWriter:
-    """Accumulates encoded windows for one atomic :class:`TraceCache` store.
+    """One atomic :class:`TraceCache` store of a trace's columns.
 
-    Window blobs are buffered in their stored form (25 bytes per
-    instruction), so an in-flight store costs megabytes at worst.
-    Nothing touches the cache directory until :meth:`commit`; abandoning
-    the writer (for example a replay cut short by ``max_cycles``)
-    therefore stores nothing.
+    Nothing touches the cache directory until :meth:`commit`, which
+    writes the header and then each column straight from its buffer.
     """
 
-    def __init__(
-        self, cache: TraceCache, fingerprint: str, window_size: Optional[int]
-    ):
+    def __init__(self, cache: TraceCache, fingerprint: str, columns: TraceWindow):
         self._cache = cache
         self._fingerprint = fingerprint
-        self._window_size = window_size
-        self._blobs: list[bytes] = []
-        self._counts: list[int] = []
-
-    def add(self, window: TraceWindow) -> None:
-        """Append one window's columns, in their stored byte layout."""
-        self._blobs.append(b"".join(window))
-        self._counts.append(window.length)
+        self._columns = columns
 
     def commit(self) -> Path:
-        """Assemble header + payload and atomically publish the file."""
+        """Write header + columns and atomically publish the file."""
         cache = self._cache
-        offsets: list[int] = []
-        offset = 0
-        for count in self._counts:
-            offsets.append(offset)
-            offset += _ENTRY_BYTES * count
         header = {
             "format": TRACE_FORMAT_VERSION,
-            "length": sum(self._counts),
-            "window_size": self._window_size,
+            "length": self._columns.length,
             "byteorder": sys.byteorder,
-            "windows": self._counts,
-            "offsets": offsets,
         }
 
         def _write(handle) -> None:
             handle.write(json.dumps(header, separators=(",", ":")).encode())
             handle.write(b"\n")
-            for blob in self._blobs:
-                handle.write(blob)
+            for column in self._columns:
+                handle.write(column)
 
         path = cache.path_for(self._fingerprint)
         try:
@@ -1091,73 +1019,38 @@ def _stored_columns(
     return columns
 
 
-def _emulated_windows(
-    program,
-    max_instructions: int,
-    window_size: Optional[int],
-    cache: Optional[TraceCache] = None,
-    memo_key: Optional[tuple] = None,
-    hints: bool = True,
-) -> Iterator[TraceWindow]:
-    """Emulate once, yielding column windows as they are produced.
+def _emulated_columns(program, max_instructions: int, hints: bool = True) -> TraceWindow:
+    """Emulate ``program`` whole and return the emulator's own columns.
 
-    With a ``memo_key``, the columns land in the in-process memo under
-    it, and with a cache too, each window is buffered as it streams past
-    and the file is committed atomically, under the key's fingerprint,
-    when the emulation completes.  An abandoned replay stores and
-    memoises nothing.  ``hints=False`` emulates the program with its
-    hint NOOPs stripped.
+    ``hints=False`` emulates the program with its hint NOOPs stripped.
     """
     trace_events["emulations"] += 1
-    writer = None
-    if cache is not None and memo_key is not None:
-        writer = cache.open_store(_fingerprint_from_digest(*memo_key), window_size)
-    columns = empty_columns() if memo_key is not None else None
     emulator = FunctionalEmulator(program, hints=hints)
-    for pcs, next_pcs, takens, mems in emulator.run_collect_windows(
-        max_instructions, window_size
-    ):
-        window = TraceWindow(pcs, next_pcs, mems, takens)
-        if writer is not None:
-            writer.add(window)
-        if columns is not None:
-            for column, part in zip(columns, window):
-                column.extend(part)
-        yield window
-    if writer is not None:
-        writer.commit()
-    if memo_key is not None:
-        _memoise_columns(memo_key, columns)
+    pcs, next_pcs, takens, mems = emulator.run_collect(max_instructions)
+    return TraceWindow(pcs, next_pcs, mems, takens)
 
 
-def _replayed_windows(
+def _replayed_columns(
     program,
     record: ProgramRecord,
     max_instructions: int,
-    window_size: Optional[int],
     cache: Optional[TraceCache],
-) -> tuple[Iterable[TraceWindow], Optional[HintMap]]:
-    """The windows of the trace ``program`` replays, and its hint map.
+) -> TraceWindow:
+    """The columns of the trace ``program`` replays.
 
-    The column memo, then the disk cache, then one emulation that fills
-    both.  A program with :class:`HintRuns` replays its stripped
-    program's trace, emulated whole on a miss, since its map needs the
-    last entry; any other program's emulation streams.
+    The column memo, then the disk cache, then one emulation, which is
+    stored once under the trace's fingerprint and memoised.  A program
+    with :class:`HintRuns` replays its stripped program's trace.
     """
-    digests, table, runs = record
+    digests, _, runs = record
     key = (digests.trace, max_instructions)
     columns = _stored_columns(key, cache, _trace_pcs(record))
     if columns is None:
-        windows = _emulated_windows(
-            program, max_instructions, window_size, cache, key, hints=runs is None
-        )
-        if runs is None:
-            return windows, None
-        for _ in windows:
-            pass
-        columns = _column_memo[key]
-    hints = None if runs is None else runs.hint_map(table.flags, columns, max_instructions)
-    return _column_windows(columns, window_size), hints
+        columns = _emulated_columns(program, max_instructions, hints=runs is None)
+        if cache is not None:
+            cache.store(_fingerprint_from_digest(*key), columns)
+        _memoise_columns(key, columns)
+    return columns
 
 
 def get_trace_columns(
@@ -1175,55 +1068,41 @@ def get_trace_columns(
     """
     if live is None:
         live = bool(os.environ.get("REPRO_LIVE_EMULATION"))
-    window = resolve_trace_window(None) or None
     if live:
-        columns = empty_columns()
-        for part in _emulated_windows(program, max_instructions, window):
-            for column, values in zip(columns, part):
-                column.extend(values)
-        return columns
-    record = _program_record(program)
-    for _ in _replayed_windows(program, record, max_instructions, window, cache)[0]:
-        pass
-    return _column_memo[(record[0].trace, max_instructions)]
+        return _emulated_columns(program, max_instructions)
+    return _replayed_columns(program, _program_record(program), max_instructions, cache)
 
 
 # ----------------------------------------------------------------------
-# Windowed streaming
+# Streams
 # ----------------------------------------------------------------------
 class TraceWindowStream:
-    """A program's :class:`StaticTable` plus its trace's windows.
+    """A program's :class:`StaticTable` plus its trace's one window.
 
-    The replay kernels take ``table`` once per run and pull consecutive
-    :class:`TraceWindow` windows forward-only as fetch crosses each
-    boundary, releasing each once dispatch has consumed every entry in
-    it; backed by a lazy iterator this bounds resident trace memory by
-    the window size rather than the instruction budget.  A stream of a
-    program with :class:`HintRuns` carries ``hints``, the
-    :class:`HintMap` by which the kernels expand its stripped trace at
-    fetch; None for every other stream.
+    A replay kernel takes ``table`` and pulls the window through
+    :meth:`next_window` once per run.  A stream of a program with
+    :class:`HintRuns` carries ``hints``, the :class:`HintMap` by which
+    the kernels expand its stripped trace at fetch; None for every
+    other stream.
     """
 
-    __slots__ = ("table", "window_size", "hints", "_iterator", "_exhausted")
+    __slots__ = ("table", "hints", "_window")
 
     def __init__(
         self,
         table: StaticTable,
-        windows: Iterable[TraceWindow],
-        window_size: Optional[int] = None,
+        window: TraceWindow,
         hints: Optional[HintMap] = None,
     ):
         self.table = table
-        self._iterator = iter(windows)
-        self.window_size = window_size
+        self._window = window
         self.hints = hints
-        self._exhausted = False
 
     @classmethod
     def from_dynamic_stream(
         cls, dyns: Iterable[DynamicInstruction]
     ) -> "TraceWindowStream":
-        """One window over a :class:`DynamicInstruction` stream.
+        """The stream of a :class:`DynamicInstruction` sequence.
 
         The table's rows come from the statics the stream executes, at
         their layout pcs; rows no entry reaches hold a plain NOP.
@@ -1236,58 +1115,35 @@ class TraceWindowStream:
             columns.next_pc.append(dyn.next_pc)
             columns.mem.append(dyn.mem_address or 0)
             columns.taken.append(1 if dyn.taken else 0)
-        return cls(StaticTable.from_statics(statics), (columns,))
+        return cls(StaticTable.from_statics(statics), columns)
 
     def next_window(self) -> Optional[TraceWindow]:
-        """The next consecutive window, or None once the trace ends."""
-        if self._exhausted:
-            return None
-        window = next(self._iterator, None)
-        if window is None:
-            self._exhausted = True
+        """The trace's window the first time, then None."""
+        window, self._window = self._window, None
         return window
-
-
-def resolve_trace_window(window_size: Optional[int] = None) -> int:
-    """The effective window size: the argument, else the default.
-
-    ``0`` disables windowing (one window at any budget); negative values
-    are rejected.  None means
-    :data:`~repro.uarch.config.DEFAULT_TRACE_WINDOW_ENTRIES`.
-    """
-    if window_size is None:
-        window_size = DEFAULT_TRACE_WINDOW_ENTRIES
-    if window_size < 0:
-        raise ValueError("trace window must be a non-negative instruction count")
-    return window_size
 
 
 def get_trace_stream(
     program,
     max_instructions: int,
-    window_size: Optional[int] = None,
     cache: Optional[TraceCache] = None,
     live: Optional[bool] = None,
 ) -> TraceWindowStream:
-    """A replay-ready window stream for (program, budget).
+    """A replay-ready stream for (program, budget).
 
     Reuses three tiers while only ever holding compact columns: the
     in-process column memo (one trace per benchmark and budget even with
     no disk cache), then the disk cache, then one emulation that
-    populates both (:func:`_replayed_windows`).  A program with hint
+    populates both (:func:`_replayed_columns`).  A program with hint
     NOOPs gets its stripped program's trace and a :class:`HintMap`;
     ``live`` emulates the program itself, hints included, with no map.
-    ``window_size=0`` replays the whole trace as one window.  Replay
-    statistics are bit-identical for every window size.
     """
     if live is None:
         live = bool(os.environ.get("REPRO_LIVE_EMULATION"))
-    window = resolve_trace_window(window_size) or None
     record = _program_record(program)
-    table = record[1]
+    _, table, runs = record
     if live:
-        return TraceWindowStream(
-            table, _emulated_windows(program, max_instructions, window), window
-        )
-    windows, hints = _replayed_windows(program, record, max_instructions, window, cache)
-    return TraceWindowStream(table, windows, window, hints)
+        return TraceWindowStream(table, _emulated_columns(program, max_instructions))
+    columns = _replayed_columns(program, record, max_instructions, cache)
+    hints = None if runs is None else runs.hint_map(table.flags, columns, max_instructions)
+    return TraceWindowStream(table, columns, hints)

@@ -19,6 +19,7 @@ from repro.uarch import ProcessorConfig, simulate
 from repro.uarch.config import CacheConfig
 from repro.uarch.core import OutOfOrderCore
 from repro.uarch.emulator import FunctionalEmulator
+from repro.uarch.trace import TraceWindowStream
 from repro.workloads import build_benchmark
 
 
@@ -82,7 +83,7 @@ class TestBranchPredictionUnderIcacheMiss:
 
         config = ProcessorConfig.hpca2005()
         config.l1i = CacheConfig("l1i", 512, 1, 32, 1)
-        core = OutOfOrderCore(iter(trace), config=config)
+        core = OutOfOrderCore(TraceWindowStream.from_dynamic_stream(trace), config=config)
         stats = core.run()
         assert stats.l1i_misses > 100  # the scenario actually misses
         assert stats.branches == expected_branches
@@ -94,7 +95,7 @@ class TestBranchPredictionUnderIcacheMiss:
         config = ProcessorConfig.hpca2005()
         config.l1i = CacheConfig("l1i", 512, 1, 32, 1)
         trace = FunctionalEmulator(program).run(max_instructions=3_000)
-        core = OutOfOrderCore(trace, config=config)
+        core = OutOfOrderCore(TraceWindowStream.from_dynamic_stream(trace), config=config)
         stats = core.run()
         assert stats.branch_mispredicts > 0
 
@@ -103,7 +104,9 @@ class TestIntegerRegfileEventCounts:
     def _run(self, warmup: int = 0) -> OutOfOrderCore:
         program = build_benchmark("fpstream")  # guarantees FP destinations
         trace = FunctionalEmulator(program).run(max_instructions=4_000)
-        core = OutOfOrderCore(trace, warmup_instructions=warmup)
+        core = OutOfOrderCore(
+            TraceWindowStream.from_dynamic_stream(trace), warmup_instructions=warmup
+        )
         core.run()
         return core
 
@@ -116,7 +119,7 @@ class TestIntegerRegfileEventCounts:
         all_dests = sum(len(dyn.static.dests) for dyn in trace)
         assert int_dests < all_dests  # FP traffic is present
 
-        core = OutOfOrderCore(iter(trace))
+        core = OutOfOrderCore(TraceWindowStream.from_dynamic_stream(trace))
         stats = core.run()
         assert stats.rf_writes == int_dests
         assert stats.rf_writes == core.rename.int_file.writes

@@ -2,9 +2,9 @@
 
 :class:`ReferenceEmulator` is the per-instruction interpreter loop the
 emulator ran before it compiled segments, kept here as the oracle.  Every
-test runs one program on both and requires the same trace columns in the
-same windows, the same instruction count and the same final registers
-and memory, or the same exception.
+test runs one program on both and requires the same trace columns, the
+same instruction count and the same final registers and memory, or the
+same exception.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def _compile_instruction(instr: Instruction, block_index: dict[str, int]) -> tup
 
 class ReferenceEmulator(FunctionalEmulator):
     """The emulator with its per-instruction interpreter loop: one
-    dispatch per dynamic instruction, one append per column, chunks of
+    dispatch per dynamic instruction, one append per column, and
     ``(pcs, next_pcs, takens, mems)`` lists with ``bool`` takens and
     ``None`` mems off memory operations."""
 
@@ -125,12 +125,11 @@ class ReferenceEmulator(FunctionalEmulator):
             instr_index = 0
         return 0
 
-    def run_collect_windows(self, max_instructions=1_000_000, window_size=None):
+    def run_collect(self, max_instructions=1_000_000):
         regs = self.registers
         fregs = self.fp_registers
         memory = self.memory
         max_call_depth = self.max_call_depth
-        window_limit = window_size if window_size and window_size > 0 else None
         pcs: list = []
         next_pcs: list = []
         takens: list = []
@@ -280,9 +279,6 @@ class ReferenceEmulator(FunctionalEmulator):
             takens.append(taken)
             mems.append(mem_address)
             seq += 1
-            if window_limit is not None and len(pcs) >= window_limit:
-                yield (pcs, next_pcs, takens, mems)
-                pcs, next_pcs, takens, mems = [], [], [], []
             if halt:
                 break
             if next_proc is not proc_name:
@@ -298,15 +294,14 @@ class ReferenceEmulator(FunctionalEmulator):
             else:
                 instr_idx = next_instr
         self.instructions_executed = seq
-        if pcs:
-            yield (pcs, next_pcs, takens, mems)
+        return pcs, next_pcs, takens, mems
 
 
 # ----------------------------------------------------------------------
 # Comparing the two
 # ----------------------------------------------------------------------
-def _reference_chunk(chunk) -> tuple[bytes, ...]:
-    pcs, next_pcs, takens, mems = chunk
+def _reference_columns(columns) -> tuple[bytes, ...]:
+    pcs, next_pcs, takens, mems = columns
     return (
         array.array("q", pcs).tobytes(),
         array.array("q", next_pcs).tobytes(),
@@ -315,27 +310,25 @@ def _reference_chunk(chunk) -> tuple[bytes, ...]:
     )
 
 
-def _chunk(chunk) -> tuple[bytes, ...]:
-    pcs, next_pcs, takens, mems = chunk
+def _columns(columns) -> tuple[bytes, ...]:
+    pcs, next_pcs, takens, mems = columns
     assert (pcs.typecode, next_pcs.typecode, mems.typecode) == ("q", "q", "q")
     assert type(takens) is bytearray
     assert len(pcs) == len(next_pcs) == len(takens) == len(mems)
     return (pcs.tobytes(), next_pcs.tobytes(), bytes(takens), mems.tobytes())
 
 
-def _outcome(emulator_class, program, budget, window, **kwargs) -> dict:
-    """Everything one emulation decided: the chunks streamed (as bytes),
-    then either the final state or the exception raised."""
+def _outcome(emulator_class, program, budget, **kwargs) -> dict:
+    """Everything one emulation decided: the columns (as bytes) and the
+    final state, or the exception raised."""
     emulator = emulator_class(program, **kwargs)
-    normalise = _reference_chunk if emulator_class is ReferenceEmulator else _chunk
-    chunks = []
+    normalise = _reference_columns if emulator_class is ReferenceEmulator else _columns
     try:
-        for chunk in emulator.run_collect_windows(budget, window):
-            chunks.append(normalise(chunk))
+        columns = normalise(emulator.run_collect(budget))
     except (EmulationLimitExceeded, ArithmeticError, TypeError, ValueError) as error:
-        return {"chunks": chunks, "raised": type(error), "message": str(error)}
+        return {"raised": type(error), "message": str(error)}
     return {
-        "chunks": chunks,
+        "columns": columns,
         "raised": None,
         "executed": emulator.instructions_executed,
         "registers": emulator.registers,
@@ -344,12 +337,12 @@ def _outcome(emulator_class, program, budget, window, **kwargs) -> dict:
     }
 
 
-def _assert_equivalent(program, budget, window, expected=None, **kwargs) -> tuple[dict, dict]:
+def _assert_equivalent(program, budget, expected=None, **kwargs) -> tuple[dict, dict]:
     """Run ``program`` on the emulator and hold it to the interpreter's
     outcome: ``expected``, else a fresh interpreter run.  Returns both."""
     if expected is None:
-        expected = _outcome(ReferenceEmulator, program, budget, window, **kwargs)
-    actual = _outcome(FunctionalEmulator, program, budget, window, **kwargs)
+        expected = _outcome(ReferenceEmulator, program, budget, **kwargs)
+    actual = _outcome(FunctionalEmulator, program, budget, **kwargs)
     if expected["raised"] is EmulationLimitExceeded or expected["raised"] is None:
         # Named, not introspected: a diff of two 120k-entry columns
         # would take pytest minutes to render.
@@ -357,8 +350,8 @@ def _assert_equivalent(program, budget, window, expected=None, **kwargs) -> tupl
         if differing:
             pytest.fail(f"{differing} differ from the interpreter's", pytrace=False)
     else:
-        # An instruction raising inside a segment ends it before the
-        # windows it completed are yielded; the exception is the same.
+        # An instruction raising inside a segment raises from the
+        # segment's compiled function: the exception is the same.
         assert actual["raised"] is expected["raised"]
     return expected, actual
 
@@ -376,9 +369,8 @@ def _program(name: str, mode: str) -> Program:
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", ALL_BENCHMARKS)
 def test_benchmark_programs_emulate_like_the_interpreter(name):
-    """Every benchmark's four programs at the figure grid's budget, with
-    the trace cache's window, and at small budgets with windows of 1 and
-    1,000 entries, whose cuts fall inside segments.
+    """Every benchmark's four programs at the figure grid's budget and at
+    small budgets, whose cuts fall inside segments.
 
     The interpreter reads only what the emulation digest covers, so
     programs sharing one (the tagged ones share the baseline's) are held
@@ -388,24 +380,26 @@ def test_benchmark_programs_emulate_like_the_interpreter(name):
     for mode in MODES:
         program = _program(name, mode)
         digest = _program_record(program)[0].emulation
-        for budget, window in ((120_000, 16_384), (701, 1), (2_500, 1_000), (1, None), (0, None)):
-            key = (digest, budget, window)
-            interpreted[key], actual = _assert_equivalent(
-                program, budget, window, interpreted.get(key)
-            )
-            sizes = [len(chunk[0]) // 8 for chunk in actual["chunks"]]
-            assert set(sizes[:-1]) <= {window}, (mode, budget)
+        for budget in (120_000, 701, 2_500, 1, 0):
+            key = (digest, budget)
+            interpreted[key], _ = _assert_equivalent(program, budget, interpreted.get(key))
     assert len(interpreted) == 2 * 5
 
 
 @pytest.mark.parametrize("case", sorted(EDGE_CASES))
 def test_edge_cases_emulate_like_the_interpreter(case):
     """Hints at procedure ends, returns mid-block and from ``main``, empty
-    blocks on every kind of entry: every budget and window."""
+    blocks on every kind of entry: every budget."""
     program = EDGE_CASES[case]
     for budget in range(0, 40):
-        for window in (None, 1, 3):
-            _assert_equivalent(program, budget, window)
+        _assert_equivalent(program, budget)
+
+
+def test_the_generator_form_yields_the_whole_run_once():
+    program = _program("gzip", "noop")
+    whole = _columns(FunctionalEmulator(program).run_collect(2_500))
+    yielded = [_columns(c) for c in FunctionalEmulator(program).run_collect_windows(2_500)]
+    assert yielded == [whole]
 
 
 # ----------------------------------------------------------------------
@@ -434,18 +428,26 @@ def _recursive_program() -> Program:
     return program
 
 
-@pytest.mark.parametrize("window", [None, 1, 5])
-def test_call_depth_limit_raises_at_the_same_instruction(window):
+@pytest.mark.parametrize("entry", ["run_collect", "run_collect_windows", "run"])
+def test_call_depth_limit_raises_at_the_same_instruction(entry):
     """With a limit of 4, the fourth CALL inside ``f`` raises, as the
-    14th instruction.  Every window the 13 instructions before it
-    completed has been yielded, as the interpreter yields them, and the
-    message names the caller."""
+    14th instruction, as the interpreter's does, and the message names
+    the caller.  Each way of running the emulator raises it before
+    handing over any of the 13 instructions before it: the columns, the
+    generator's one yield and the dynamic instructions all come from
+    the whole run."""
     program = _recursive_program()
-    _, outcome = _assert_equivalent(program, 1_000, window, max_call_depth=4)
+    _, outcome = _assert_equivalent(program, 1_000, max_call_depth=4)
     assert outcome["raised"] is EmulationLimitExceeded
     assert outcome["message"] == "call depth exceeded 4 in f"
-    streamed = sum(len(chunk[0]) // 8 for chunk in outcome["chunks"])
-    assert streamed == (0 if window is None else 13 - 13 % window)
+    emulator = FunctionalEmulator(program, max_call_depth=4)
+    handed_over = []
+    with pytest.raises(EmulationLimitExceeded, match="^call depth exceeded 4 in f$"):
+        if entry == "run_collect":
+            handed_over.append(emulator.run_collect(1_000))
+        else:
+            handed_over.extend(getattr(emulator, entry)(1_000))
+    assert handed_over == []
 
 
 @pytest.mark.parametrize("budget", [12, 13])
@@ -454,11 +456,11 @@ def test_a_budget_ending_before_the_failing_call_returns_normally(budget):
     the instruction before it and one of 12 cuts its segment earlier.
     Neither may run past the budget into the CALL."""
     program = _recursive_program()
-    _, outcome = _assert_equivalent(program, budget, None, max_call_depth=4)
+    _, outcome = _assert_equivalent(program, budget, max_call_depth=4)
     assert outcome["raised"] is None
     assert outcome["executed"] == budget
     with pytest.raises(EmulationLimitExceeded):
-        list(FunctionalEmulator(program, max_call_depth=4).run_collect_windows(14))
+        FunctionalEmulator(program, max_call_depth=4).run_collect(14)
 
 
 # ----------------------------------------------------------------------
@@ -539,12 +541,7 @@ def _programs(draw) -> Program:
     return program
 
 
-@given(
-    program=_programs(),
-    budget=st.integers(0, 300),
-    window=st.sampled_from([None, 1, 4, 64]),
-    depth=st.integers(0, 3),
-)
+@given(program=_programs(), budget=st.integers(0, 300), depth=st.integers(0, 3))
 @settings(max_examples=400, deadline=None)
-def test_random_programs_emulate_like_the_interpreter(program, budget, window, depth):
-    _assert_equivalent(program, budget, window, max_call_depth=depth)
+def test_random_programs_emulate_like_the_interpreter(program, budget, depth):
+    _assert_equivalent(program, budget, max_call_depth=depth)

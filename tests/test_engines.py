@@ -6,12 +6,12 @@ The contract under test (see :mod:`repro.uarch.engine`):
   ``REPRO_REPLAY_KERNEL``; otherwise the native kernel where it builds,
   else the scalar reference.
 * **Bit-identity** — the native kernel's statistics are byte-identical
-  to the scalar reference for all six techniques, at every trace window
-  size including 1 and across warm-up boundaries — on the table-1
-  machine, on two machines two and four times as wide and on one with
-  no power-of-two cache, predictor or issue-queue geometry — and on
-  every benchmark of the extended suite, down to the cell files the
-  runner stores.
+  to the scalar reference for all six techniques, whether the trace
+  comes from the memo, from a trace file or from live emulation, and
+  across warm-up boundaries — on the table-1 machine, on two machines
+  two and four times as wide and on one with no power-of-two cache,
+  predictor or issue-queue geometry — and on every benchmark of the
+  extended suite, down to the cell files the runner stores.
 * **Fingerprint neutrality** — the engine never changes result-cache
   keys: a grid simulated under one kernel is a pure cache hit under the
   other.
@@ -53,13 +53,16 @@ from repro.uarch.engine.native import NativeUnavailableError
 from repro.uarch.engine.scalar import OutOfOrderCore
 from repro.uarch.trace import (
     StaticTable,
+    TraceCache,
     TraceWindow,
     TraceWindowStream,
-    _column_windows,
+    clear_trace_memo,
     empty_columns,
     get_trace_columns,
     get_trace_stream,
+    reset_trace_events,
     static_table,
+    trace_events,
 )
 from repro.workloads import ALL_BENCHMARKS, SPECINT_BENCHMARKS, build_benchmark
 
@@ -179,18 +182,52 @@ def _stats_bytes(stats) -> bytes:
     return json.dumps(stats_to_dict(stats), sort_keys=True).encode()
 
 
+#: Where a replay's trace comes from: the in-process memo (emulated
+#: once; a hinted program replays its stripped program's trace with a
+#: ``HintMap``), a trace file read back from disk, or live emulation of
+#: the program itself, hint NOOPs included.
+SOURCES = ("memo", "disk", "live")
+
+
 def _run(
-    technique: str, engine: str, window: int, warmup: int = WARMUP, config=None
+    technique: str,
+    engine: str,
+    warmup: int = WARMUP,
+    config=None,
+    source: str = "memo",
+    cache=None,
 ):
-    return simulate(
-        _program_for(technique),
+    """Replay ``technique``'s program with its trace from ``source``;
+    a ``"disk"`` replay reads the file ``cache`` holds."""
+    program = _program_for(technique)
+    if source == "disk":
+        clear_trace_memo()
+        get_trace_columns(program, BUDGET, cache=cache, live=False)  # stored once
+        clear_trace_memo()  # the replay reads the file, not the memo
+        reset_trace_events()
+    stats = simulate(
+        program,
         make_policy(technique, _CONFIG),
         config=config,
         max_instructions=BUDGET,
         warmup_instructions=warmup,
-        trace_window=window,
+        trace_cache=cache if source == "disk" else None,
+        live_emulation=source == "live",
         engine=engine,
     )
+    if source == "disk":
+        assert (trace_events["disk_hits"], trace_events["emulations"]) == (1, 0)
+    return stats
+
+
+def _empty_stream() -> TraceWindowStream:
+    return TraceWindowStream(StaticTable([]), empty_columns())
+
+
+@pytest.fixture(scope="module")
+def trace_cache(tmp_path_factory) -> TraceCache:
+    """The trace files this module's ``"disk"`` replays read."""
+    return TraceCache(tmp_path_factory.mktemp("traces"))
 
 
 @pytest.fixture()
@@ -253,7 +290,7 @@ class TestEngineSelection:
 
     def test_engine_instances_are_shared(self):
         assert get_engine("scalar") is get_engine("scalar")
-        assert get_engine("scalar").build_core([]) .__class__ is OutOfOrderCore
+        assert get_engine("scalar").build_core(_empty_stream()).__class__ is OutOfOrderCore
 
 
 @needs_native
@@ -263,18 +300,20 @@ class TestEngineEquivalence:
     :class:`TestNativeEquivalence`."""
 
     @pytest.mark.parametrize("technique", TECHNIQUES)
-    @pytest.mark.parametrize("window", (1, 7, 4096))
-    def test_bit_identical_across_techniques_and_windows(self, technique, window):
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_bit_identical_across_techniques(self, technique, source, trace_cache):
         for name, config in WIDE_CONFIGS.items():
-            scalar = _run(technique, "scalar", window, config=config)
-            native = _run(technique, "native", window, config=config)
+            scalar, native = (
+                _run(technique, kernel, config=config, source=source, cache=trace_cache)
+                for kernel in ("scalar", "native")
+            )
             assert _stats_bytes(scalar) == _stats_bytes(native), name
 
     @pytest.mark.parametrize("warmup", (0, 1, WARMUP, BUDGET // 2))
     def test_bit_identical_across_warmup_boundaries(self, warmup):
         for name, config in WIDE_CONFIGS.items():
-            scalar = _run("abella", "scalar", 640, warmup=warmup, config=config)
-            native = _run("abella", "native", 640, warmup=warmup, config=config)
+            scalar = _run("abella", "scalar", warmup=warmup, config=config)
+            native = _run("abella", "native", warmup=warmup, config=config)
             assert _stats_bytes(scalar) == _stats_bytes(native), name
 
 
@@ -284,12 +323,15 @@ class TestNativeEquivalence:
     machine, plus the C loop's own boundary cases."""
 
     @pytest.mark.parametrize("technique", TECHNIQUES)
-    @pytest.mark.parametrize("window", (1, 7, 4096))
-    def test_bit_identical_across_techniques_and_windows(self, technique, window):
-        """All six techniques × window sizes {1, 7, 4096} (4096 exceeds
-        the budget, covering the monolithic single-window path)."""
-        scalar = _run(technique, "scalar", window)
-        native = _run(technique, "native", window)
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_bit_identical_across_techniques(self, technique, source, trace_cache):
+        """All six techniques × the three trace sources: the native
+        kernel reads the emulator's buffers, the columns decoded from a
+        trace file and a live trace with its hint NOOPs in place."""
+        scalar, native = (
+            _run(technique, kernel, source=source, cache=trace_cache)
+            for kernel in ("scalar", "native")
+        )
         assert _stats_bytes(scalar) == _stats_bytes(native)
 
     @pytest.mark.parametrize("warmup", (0, 1, WARMUP, BUDGET // 2))
@@ -297,8 +339,8 @@ class TestNativeEquivalence:
         """The C kernel replaces the scalar rebase walk with an absolute
         clock and a base flip; every reported cycle and every in-flight
         event must still agree wherever the boundary falls."""
-        scalar = _run("abella", "scalar", 640, warmup=warmup)
-        native = _run("abella", "native", 640, warmup=warmup)
+        scalar = _run("abella", "scalar", warmup=warmup)
+        native = _run("abella", "native", warmup=warmup)
         assert _stats_bytes(scalar) == _stats_bytes(native)
 
     # Not ``benchmark``: that name is the pytest-benchmark fixture's.
@@ -314,7 +356,6 @@ class TestNativeEquivalence:
                     make_policy(technique, _CONFIG),
                     max_instructions=BUDGET,
                     warmup_instructions=WARMUP,
-                    trace_window=640,
                     engine=engine,
                 )
                 for engine in ("scalar", "native")
@@ -322,12 +363,20 @@ class TestNativeEquivalence:
             assert _stats_bytes(scalar) == _stats_bytes(native), technique
 
     def test_empty_trace_runs(self):
-        def empty():
-            return TraceWindowStream(StaticTable([]), [empty_columns()])
-
-        scalar = get_engine("scalar").run(empty())
-        native = get_engine("native").run(empty())
+        scalar = get_engine("scalar").run(_empty_stream())
+        native = get_engine("native").run(_empty_stream())
         assert _stats_bytes(scalar) == _stats_bytes(native)
+
+    def test_a_drained_stream_replays_as_an_empty_trace(self):
+        """A stream whose one window was already handed out gives each
+        kernel nothing to fetch: both replay it as the empty trace."""
+        empty = _stats_bytes(get_engine("scalar").run(_empty_stream(), AbellaPolicy()))
+        for kernel in ("scalar", "native"):
+            stream = get_trace_stream(_program_for("abella"), BUDGET)
+            assert stream.next_window().length == BUDGET
+            drained = get_engine(kernel).run(stream, AbellaPolicy())
+            assert drained.committed_instructions == 0, kernel
+            assert _stats_bytes(drained) == empty, kernel
 
     def test_max_cycles_budget_is_respected(self):
         program = _program_for("baseline")
@@ -379,7 +428,6 @@ def _hint_replay(program, policy, engine: str):
         policy,
         max_instructions=BUDGET,
         warmup_instructions=WARMUP,
-        trace_window=640,
         engine=engine,
     )
     return _stats_bytes(stats), policy.hints_applied, policy.last_hint_value
@@ -461,7 +509,7 @@ KERNELS = ("scalar", pytest.param("native", marks=needs_native))
 
 
 class WindowSourceError(Exception):
-    """Raised by a trace window source partway through a replay."""
+    """Raised by a stream's window source as a kernel pulls the window."""
 
 
 class PolicyHookError(Exception):
@@ -485,10 +533,10 @@ def _failing(policy_class, hook: str, calls: int):
 
 
 class TestKernelErrorPaths:
-    """Failures mid-replay raise, and the next replay is unaffected."""
+    """Failures in a replay raise, and the next replay is unaffected."""
 
     def _replay(self, kernel: str, technique: str = "abella", **kwargs):
-        return _stats_bytes(_run(technique, kernel, 640, **kwargs))
+        return _stats_bytes(_run(technique, kernel, **kwargs))
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("where", ("misaligned", "below", "past"))
@@ -503,9 +551,7 @@ class TestKernelErrorPaths:
             "below": table.base - 4,
             "past": table.base + 4 * len(table),
         }[where]
-        stream = TraceWindowStream(
-            table, _column_windows(TraceWindow(pcs, *columns[1:]), 640), 640
-        )
+        stream = TraceWindowStream(table, TraceWindow(pcs, *columns[1:]))
         with pytest.raises(ValueError, match="names no static instruction"):
             get_engine(kernel).run(stream, AbellaPolicy())
         assert self._replay(kernel) == fresh
@@ -514,13 +560,12 @@ class TestKernelErrorPaths:
     def test_window_source_error_propagates(self, kernel):
         fresh = self._replay(kernel)
         program = _program_for("abella")
-        windows = list(_column_windows(get_trace_columns(program, BUDGET), 640))
 
-        def source():
-            yield from windows[:2]
-            raise WindowSourceError("window source failed")
+        class FailingStream(TraceWindowStream):
+            def next_window(self):
+                raise WindowSourceError("window source failed")
 
-        stream = TraceWindowStream(static_table(program), source(), 640)
+        stream = FailingStream(static_table(program), get_trace_columns(program, BUDGET))
         with pytest.raises(WindowSourceError):
             get_engine(kernel).run(stream, AbellaPolicy())
         assert self._replay(kernel) == fresh
@@ -541,7 +586,7 @@ class TestKernelErrorPaths:
         policy = _failing(policy_class, hook, 3 if hook == "on_hint" else 1)()
         with pytest.raises(PolicyHookError):
             get_engine(kernel).run(
-                get_trace_stream(_program_for(technique), BUDGET, 640),
+                get_trace_stream(_program_for(technique), BUDGET),
                 policy,
                 warmup_instructions=WARMUP,
             )
@@ -583,7 +628,7 @@ class TestPolicyWake:
 
     def _replay(self, kernel: str, policy):
         return get_engine(kernel).run(
-            get_trace_stream(_program_for("baseline"), BUDGET, 640), policy
+            get_trace_stream(_program_for("baseline"), BUDGET), policy
         )
 
     def test_only_abella_asks_to_be_woken(self):
@@ -626,7 +671,7 @@ class TestPolicyWake:
 
         policy = CountingAbella(interval_cycles=256)
         get_engine(kernel).run(
-            get_trace_stream(_program_for("abella"), BUDGET, 640),
+            get_trace_stream(_program_for("abella"), BUDGET),
             policy,
             warmup_instructions=WARMUP,
         )
@@ -703,7 +748,7 @@ class TestNativeAvailabilityGuard:
     def test_missing_toolchain_raises_a_clear_error(self, no_toolchain):
         assert not native_module.native_available()
         with pytest.raises(NativeUnavailableError) as excinfo:
-            get_engine("native").build_core([])
+            get_engine("native").build_core(_empty_stream())
         message = str(excinfo.value)
         assert "native" in message  # names the install extra
         assert "scalar" in message  # and the fallback kernel

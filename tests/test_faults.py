@@ -507,7 +507,7 @@ def _replace_trace_header(line: bytes):
 
 
 #: Malformed trace files by class, each a function of the stored file's
-#: bytes (one 200-entry window: ``windows == [200]``, ``offsets == [0]``).
+#: bytes (a 200-entry trace: ``length == 200``).
 TRACE_CORRUPTIONS = {
     "truncated": lambda blob: blob[: len(blob) // 2],
     "bad-magic": _replace_trace_header(b'{"format": -1}'),
@@ -517,16 +517,10 @@ TRACE_CORRUPTIONS = {
     "header-not-utf8": _replace_trace_header(b"\x80\x81"),
     "no-length": _edit_trace_header(lambda header: header.pop("length")),
     "no-byteorder": _edit_trace_header(lambda header: header.pop("byteorder")),
-    "window-table-not-lists": _edit_trace_header(
-        lambda header: header.update(windows=200)
-    ),
-    "window-count-mismatch": _edit_trace_header(
-        lambda header: header.update(windows=[100, 100])
-    ),
-    "negative-window": _edit_trace_header(
-        lambda header: header.update(windows=[250, -50], offsets=[0, 250 * 25])
-    ),
-    "misplaced-offset": _edit_trace_header(lambda header: header.update(offsets=[8])),
+    "length-a-string": _edit_trace_header(lambda header: header.update(length="200")),
+    "length-a-float": _edit_trace_header(lambda header: header.update(length=200.0)),
+    "length-true": _edit_trace_header(lambda header: header.update(length=True)),
+    "negative-length": _edit_trace_header(lambda header: header.update(length=-200)),
     "trailing-bytes": lambda blob: blob + bytes(25),
 }
 
@@ -559,6 +553,19 @@ class TestTraceCacheQuarantine:
         cache.store(fingerprint, get_trace_columns(program2, 200, live=True))
         assert cache.stores == writer_stores + 1
         assert cache.load(fingerprint, program).length == 200
+
+    @pytest.mark.parametrize(
+        "corruption",
+        ["length-a-string", "length-a-float", "length-true", "negative-length"],
+    )
+    def test_a_malformed_length_fails_its_own_check(self, stored_trace, corruption):
+        """The reader turns a ``length`` that is not a non-negative int
+        away by checking it, before any arithmetic could misread it."""
+        cache, fingerprint, _ = stored_trace
+        path = cache.path_for(fingerprint)
+        path.write_bytes(TRACE_CORRUPTIONS[corruption](path.read_bytes()))
+        with pytest.raises(ValueError, match="trace length is not a non-negative integer"):
+            cache._read_columns(fingerprint)
 
     @pytest.mark.parametrize("where", ["misaligned", "below", "past"])
     def test_stored_pc_without_a_static_is_quarantined(self, tmp_path, where):

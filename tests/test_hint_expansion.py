@@ -4,10 +4,9 @@ A program with hint NOOPs replays its stripped program's trace with a
 :class:`~repro.uarch.trace.HintMap`, whose hints the kernels fetch
 before each entry, after the last one and up to the budget.  Replaying
 that stream must give the statistics of replaying the program's own live
-emulation, byte for byte, under both kernels, at every window size and
-across warm-up; the kernels must pull the stripped trace's windows alike
-(equal ``max_resident_windows``); and both must refuse a map that names
-a row outside the table, or a run holding anything but hints.
+emulation, byte for byte, under both kernels and across warm-up; and
+both must refuse a map that names a row outside the table, or a run
+holding anything but hints.
 ``tests/test_native_sanitizer.py`` reruns the native tests here under
 AddressSanitizer and UndefinedBehaviorSanitizer.
 """
@@ -31,7 +30,7 @@ from repro.uarch.trace import (
     HintRuns,
     TraceWindow,
     TraceWindowStream,
-    _column_windows,
+    empty_columns,
     get_trace_columns,
     get_trace_stream,
 )
@@ -45,7 +44,6 @@ needs_native = pytest.mark.skipif(
 KERNELS = ("scalar", pytest.param("native", marks=needs_native))
 
 BUDGETS = (2_500, 20_000)
-WINDOWS = (1, 7, 16_384)
 WARMUPS = (0, 400)
 
 
@@ -55,23 +53,22 @@ def _noop(name: str):
     ).instrumented_program
 
 
-def _replay(kernel: str, stream, warmup: int = 0) -> tuple[bytes, int]:
+def _replay(kernel: str, stream, warmup: int = 0) -> bytes:
     """The statistics of replaying ``stream`` under the stock software
-    policy, and the most windows the kernel held at once."""
-    core = get_engine(kernel).build_core(
-        stream, policy=SoftwareDirectedPolicy(), warmup_instructions=warmup
+    policy."""
+    stats = get_engine(kernel).run(
+        stream, SoftwareDirectedPolicy(), warmup_instructions=warmup
     )
-    stats = core.run()
-    return json.dumps(stats_to_dict(stats), sort_keys=True).encode(), core.max_resident_windows
+    return json.dumps(stats_to_dict(stats), sort_keys=True).encode()
 
 
 def _live(kernel: str, program, budget: int, warmup: int) -> bytes:
     """The replay of ``program``'s own emulation, hints included."""
-    return _replay(kernel, get_trace_stream(program, budget, live=True), warmup)[0]
+    return _replay(kernel, get_trace_stream(program, budget, live=True), warmup)
 
 
-def _mapped(kernel: str, program, budget: int, window: int, warmup: int):
-    stream = get_trace_stream(program, budget, window_size=window, live=False)
+def _mapped(kernel: str, program, budget: int, warmup: int) -> bytes:
+    stream = get_trace_stream(program, budget, live=False)
     assert stream.hints is not None
     return _replay(kernel, stream, warmup)
 
@@ -86,28 +83,20 @@ def test_native_expansion_replays_like_live_emulation(name):
     for budget in BUDGETS:
         for warmup in WARMUPS:
             live = _live("native", noop, budget, warmup)
-            for window in WINDOWS:
-                stats, _ = _mapped("native", noop, budget, window, warmup)
-                assert stats == live, (budget, warmup, window)
+            assert _mapped("native", noop, budget, warmup) == live, (budget, warmup)
 
 
 @pytest.mark.parametrize("name", ALL_BENCHMARKS)
 def test_scalar_expansion_replays_like_live_emulation(name):
     """The scalar kernel's expansion against the live replay (under the
     native kernel where it builds: the kernels replay live streams
-    alike), pulling the stripped trace's windows as the native kernel
-    does."""
+    alike)."""
     native = native_module.native_available()
     noop = _noop(name)
     for budget in BUDGETS:
         for warmup in WARMUPS:
             live = _live("native" if native else "scalar", noop, budget, warmup)
-            for window in WINDOWS:
-                stats, resident = _mapped("scalar", noop, budget, window, warmup)
-                assert stats == live, (budget, warmup, window)
-                if native:
-                    native_resident = _mapped("native", noop, budget, window, warmup)[1]
-                    assert resident == native_resident, (budget, warmup, window)
+            assert _mapped("scalar", noop, budget, warmup) == live, (budget, warmup)
 
 
 # ----------------------------------------------------------------------
@@ -133,16 +122,13 @@ KERNEL_CASES = {
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
 def test_edge_cases_replay_like_live_emulation(kernel, case):
-    """Every budget from 1 to 39, each window of 1 or the whole trace,
-    with and without a warm-up."""
+    """Every budget from 1 to 39, with and without a warm-up."""
     program = KERNEL_CASES[case]
     for budget in range(1, 40):
         for warmup in (0, 3):
             live = _live(kernel, program, budget, warmup)
-            for window in (1, 0):
-                stream = get_trace_stream(program, budget, window_size=window, live=False)
-                stats, _ = _replay(kernel, stream, warmup)
-                assert stats == live, (budget, warmup, window)
+            stream = get_trace_stream(program, budget, live=False)
+            assert _replay(kernel, stream, warmup) == live, (budget, warmup)
 
 
 # ----------------------------------------------------------------------
@@ -195,12 +181,12 @@ BAD_MAPS = _bad_maps()
 @pytest.mark.parametrize("case", sorted(BAD_MAPS))
 def test_a_bad_map_is_refused(kernel, case):
     noop = _noop("gcc")
-    stream = get_trace_stream(noop, 2_500, window_size=7, live=False)
-    bad = TraceWindowStream(stream.table, [], 7, BAD_MAPS[case])
+    stream = get_trace_stream(noop, 2_500, live=False)
+    bad = TraceWindowStream(stream.table, empty_columns(), BAD_MAPS[case])
     with pytest.raises(ValueError, match="hint map"):
         _replay(kernel, bad)
     # The refusal leaves nothing behind that changes the next replay.
-    assert _replay(kernel, stream) == _mapped(kernel, noop, 2_500, 7, 0)
+    assert _replay(kernel, stream) == _mapped(kernel, noop, 2_500, 0)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -217,8 +203,6 @@ def test_a_trace_pc_without_a_map_entry_raises(kernel, where):
         "misaligned": pcs[1_000] + 2,
     }[where]
     assert pcs[1_000] < good.table.pcs().stop
-    stream = TraceWindowStream(
-        good.table, _column_windows(TraceWindow(pcs, *columns[1:]), 640), 640, good.hints
-    )
+    stream = TraceWindowStream(good.table, TraceWindow(pcs, *columns[1:]), good.hints)
     with pytest.raises(ValueError, match="names no static instruction"):
         _replay(kernel, stream)

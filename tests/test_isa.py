@@ -211,6 +211,34 @@ class TestProgramContainers:
         with pytest.raises(ProgramError):
             program.validate()
 
+    @pytest.mark.parametrize("defect", ("entry", "labels", "branch", "call"))
+    def test_validate_names_the_defect(self, defect):
+        """Each malformation raises its own message, naming the
+        procedure (and block) where it lies, not the entry's."""
+        program = Program(name="bad", entry="main")
+        main = program.new_procedure("main")
+        main.add_block("entry").extend([Instruction.call("helper"), Instruction.halt()])
+        helper = program.new_procedure("helper")
+        body = helper.add_block("body")
+        body.extend([Instruction.alu(Opcode.ADD, int_reg(1), [int_reg(1)]), Instruction.ret()])
+        program.validate()
+        if defect == "entry":
+            program.entry = "start"
+            message = "program bad has no entry procedure 'start'"
+        elif defect == "labels":
+            helper.blocks.append(BasicBlock(label="body"))
+            message = "duplicate block labels in procedure helper"
+        elif defect == "branch":
+            bad = Instruction.branch_nez(int_reg(1), "nowhere")
+            body.instructions.insert(1, bad)
+            message = f"instruction {bad} in helper/body targets unknown block 'nowhere'"
+        else:
+            body.instructions.insert(1, Instruction.call("missing"))
+            message = "call to unknown procedure 'missing' in helper"
+        with pytest.raises(ProgramError) as excinfo:
+            program.validate()
+        assert str(excinfo.value) == message
+
     def test_counting_helpers(self, call_program):
         assert call_program.num_instructions > 0
         assert call_program.num_basic_blocks >= 6

@@ -1,15 +1,15 @@
 """The native kernel under AddressSanitizer and UndefinedBehaviorSanitizer.
 
-The kernel reads trace windows and the static table through raw buffer
-pointers, so an indexing slip is a silent out-of-bounds read in an
-optimised build.  This gate builds ``_native.c`` with
+The kernel reads the trace window and the static table through raw
+buffer pointers, so an indexing slip is a silent out-of-bounds read in
+an optimised build.  This gate builds ``_native.c`` with
 ``-O1 -g -fsanitize=address,undefined -fno-sanitize-recover=all`` into a
 temporary directory, then runs ``tests/test_engines.py`` (the
 equivalence matrix and the kernel's failure paths) and the hint
 expansion tests of ``tests/test_hint_expansion.py`` (every benchmark's
-noop program at windows down to 1, so hint runs cross window
-boundaries; the edge cases; the maps the kernel refuses) in a child
-interpreter with both sanitizer runtimes preloaded.  A ``-c`` bootstrap
+noop program at two budgets; the edge cases at every budget up to 39;
+the maps the kernel refuses) in a child interpreter with both sanitizer
+runtimes preloaded.  A ``-c`` bootstrap
 swaps the kernel's compiler for the instrumented one before pytest
 starts, so the child needs no extra pytest option or environment
 variable.  Any invalid access, leak-free use-after-free or undefined

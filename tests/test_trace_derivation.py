@@ -345,19 +345,10 @@ def _expand(program, columns: TraceWindow, hints: HintMap) -> list[bytes]:
     return _column_bytes((out_pc, out_next, out_mem, out_taken))
 
 
-def _stream_columns(stream) -> TraceWindow:
-    """Every window of ``stream``, joined."""
-    columns = empty_columns()
-    while (window := stream.next_window()) is not None:
-        for column, part in zip(columns, window):
-            column.extend(part)
-    return columns
-
-
 def _fetched(program, budget: int, cache=None) -> list[bytes]:
     """The columns a kernel fetches for ``program`` from the front door."""
     stream = get_trace_stream(program, budget, cache=cache, live=False)
-    columns = _stream_columns(stream)
+    columns = stream.next_window()
     if stream.hints is None:
         return _column_bytes(columns)
     return _expand(program, columns, stream.hints)
@@ -448,7 +439,7 @@ def test_map_rebuilds_the_oracle_splice(name):
     for budget in (1, 3, 777, 2_500, FIGURE_TEST_BUDGET):
         clear_trace_memo()
         stream = get_trace_stream(noop, budget, live=False)
-        source = _stream_columns(stream)
+        source = stream.next_window()
         assert _expand(noop, source, stream.hints) == _column_bytes(
             _splice_hints(plan, source, budget)
         ), budget
@@ -461,8 +452,8 @@ def test_hinted_programs_replay_the_plain_trace_itself():
     noop = _compiled(base, "noop")
     clear_trace_memo()
     plain = get_trace_columns(base, 2_000, live=False)
-    stream = get_trace_stream(noop, 2_000, window_size=0, live=False)
-    assert stream.next_window().pc.obj is plain.pc
+    stream = get_trace_stream(noop, 2_000, live=False)
+    assert stream.next_window().pc is plain.pc
     assert get_trace_columns(noop, 2_000, live=False) is plain
     assert stream.hints.runs is get_trace_stream(noop, 1_000, live=False).hints.runs
 
@@ -692,7 +683,7 @@ def test_a_block_of_only_hints_is_emulated_not_derived():
     get_trace_columns(_stripped(program), 100, live=False)
     stream = get_trace_stream(program, 100, live=False)
     assert stream.hints is None
-    assert _column_bytes(_stream_columns(stream)) == live
+    assert _column_bytes(stream.next_window()) == live
     assert trace_events["emulations"] == 2
     assert trace_fingerprint(program, 100) != trace_fingerprint(_stripped(program), 100)
 

@@ -17,9 +17,11 @@ Three families:
 
 from __future__ import annotations
 
+import array
 import dataclasses
 import json
 import struct
+import sys
 
 import pytest
 
@@ -35,8 +37,7 @@ from repro.techniques import (
     NonEmptyPolicy,
     SoftwareDirectedPolicy,
 )
-from repro.uarch import OutOfOrderCore, TraceCache, get_engine, simulate
-from repro.uarch.config import DEFAULT_TRACE_WINDOW_ENTRIES
+from repro.uarch import TraceCache, get_engine, simulate
 from repro.uarch.emulator import CODE_BASE, FunctionalEmulator, ProgramLayout
 from repro.uarch.engine import native as native_module
 from repro.uarch.functional_units import FU_ORDER
@@ -51,16 +52,12 @@ from repro.uarch.trace import (
     F_STORE,
     TRACE_FORMAT_VERSION,
     StaticTable,
-    TraceWindow,
     TraceWindowStream,
-    _column_windows,
     clear_trace_memo,
-    empty_columns,
     get_trace_columns,
     get_trace_stream,
     program_digest,
     reset_trace_events,
-    resolve_trace_window,
     static_table,
     trace_events,
     trace_fingerprint,
@@ -69,6 +66,7 @@ from repro.workloads import ALL_TRAITS, build_benchmark, generate_program
 
 MAX_INSTRUCTIONS = 3_000
 WORKLOADS = ("gzip", "branchstorm", "fpstream")
+TECHNIQUES = ("baseline", "nonempty", "abella", "noop", "extension", "improved")
 
 
 def _policy(technique: str):
@@ -96,10 +94,7 @@ def _stats_bytes(stats) -> bytes:
 
 class TestReplayEquivalence:
     @pytest.mark.parametrize("workload", WORKLOADS)
-    @pytest.mark.parametrize(
-        "technique",
-        ("baseline", "nonempty", "abella", "noop", "extension", "improved"),
-    )
+    @pytest.mark.parametrize("technique", TECHNIQUES)
     def test_live_memo_and_disk_paths_are_byte_identical(
         self, workload, technique, tmp_path
     ):
@@ -152,98 +147,31 @@ class TestReplayEquivalence:
         assert live.committed_instructions == 2_000
 
 
-class TestWindowedReplay:
-    """Streaming windowed replay: bit-identical stats, bounded memory."""
+class TestTraceFile:
+    """The stored trace: a damaged or older file is a clean miss."""
 
-    @pytest.mark.parametrize("window", (1, 7, 250, 1024))
-    def test_windowed_replay_is_bit_identical(self, window, tmp_path):
-        """Every window size — including 1 and sizes that don't divide
-        the budget — must reproduce the monolithic stats exactly, both
-        when emulating+storing and when streaming back from disk."""
-        program = _program("branchstorm", "improved")
-        policy = lambda: SoftwareDirectedPolicy(variant="improved")  # noqa: E731
-        kwargs = dict(max_instructions=MAX_INSTRUCTIONS, warmup_instructions=500)
-        clear_trace_memo()
-        reference = simulate(program, policy(), trace_window=0, **kwargs)
-
-        cache_dir = tmp_path / "traces"
-        clear_trace_memo()  # emulate and store, not replay the memo
-        stored = simulate(
-            program, policy(), trace_window=window, trace_cache=str(cache_dir), **kwargs
-        )
-        clear_trace_memo()  # force the replay to come back from disk
-        reset_trace_events()
-        replayed = simulate(
-            program, policy(), trace_window=window, trace_cache=str(cache_dir), **kwargs
-        )
-        assert trace_events["emulations"] == 0
-        assert trace_events["disk_hits"] == 1
-        assert _stats_bytes(reference) == _stats_bytes(stored) == _stats_bytes(replayed)
-
-    @pytest.mark.parametrize(
-        "technique",
-        ("baseline", "nonempty", "abella", "noop", "extension", "improved"),
-    )
-    def test_every_technique_matches_monolithic_replay(self, technique):
-        """The window boundary carries every piece of microarchitectural
-        state a policy can observe, so each technique's stats must be
-        unchanged by windowing."""
-        program = _program("gzip", technique)
-        kwargs = dict(max_instructions=MAX_INSTRUCTIONS, warmup_instructions=500)
-        clear_trace_memo()
-        monolithic = simulate(program, _policy(technique), trace_window=0, **kwargs)
-        windowed = simulate(program, _policy(technique), trace_window=640, **kwargs)
-        assert _stats_bytes(monolithic) == _stats_bytes(windowed)
-
-    def test_100k_budget_run_bounds_resident_windows(self):
-        """Acceptance: a 100k-instruction run completes with peak decoded
-        trace memory bounded by the window size — the core never holds
-        more than the two windows spanning its fetch queue — and the
-        stats are bit-identical to a monolithic replay."""
-        program = build_benchmark("gzip")
-        budget = 100_000
-        clear_trace_memo()
-        stream = get_trace_stream(program, budget, window_size=16_384)
-        core = OutOfOrderCore(
-            stream, policy=BaselinePolicy(), warmup_instructions=20_000
-        )
-        windowed = core.run()
-        assert core.max_resident_windows <= 2
-        clear_trace_memo()
-        monolithic = simulate(
-            program,
-            BaselinePolicy(),
-            max_instructions=budget,
-            warmup_instructions=20_000,
-            trace_window=0,
-        )
-        assert _stats_bytes(windowed) == _stats_bytes(monolithic)
-
-    def test_truncated_window_payload_is_a_clean_miss(self, tmp_path):
+    def test_truncated_payload_is_a_clean_miss(self, tmp_path):
         program = build_benchmark("gzip")
         cache = TraceCache(tmp_path)
         clear_trace_memo()
         kwargs = dict(max_instructions=2_000)
-        first = simulate(
-            program, BaselinePolicy(), trace_window=512, trace_cache=cache, **kwargs
-        )
+        first = simulate(program, BaselinePolicy(), trace_cache=cache, **kwargs)
         path = cache.path_for(trace_fingerprint(program, 2_000))
         payload = path.read_bytes()
-        path.write_bytes(payload[:-10])  # chop the last window's tail
+        path.write_bytes(payload[:-10])  # chop the taken column's tail
 
         clear_trace_memo()  # the corrupted file must be consulted, not the memo
         reset_trace_events()
-        again = simulate(
-            program, BaselinePolicy(), trace_window=512, trace_cache=cache, **kwargs
-        )
+        again = simulate(program, BaselinePolicy(), trace_cache=cache, **kwargs)
         assert trace_events["disk_misses"] == 1  # counted, not crashed
         assert trace_events["emulations"] == 1  # re-emulated...
         assert trace_events["disk_stores"] == 1  # ...and re-stored
         assert _stats_bytes(first) == _stats_bytes(again)
 
     def test_old_format_trace_files_are_invalidated(self, tmp_path):
-        """A pre-window (format 1) file has no window table; the format
-        bump turns it into a miss instead of a misread."""
+        """A format-1 file (monolithic, no window table) and a format-2
+        file (a per-window table) planted at the fingerprint's path are
+        clean misses, never misreads: the format bump turns them away."""
         import sys
 
         program = build_benchmark("gzip")
@@ -251,86 +179,58 @@ class TestWindowedReplay:
         fingerprint = trace_fingerprint(program, 1_000)
         path = cache.path_for(fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
-        assert TRACE_FORMAT_VERSION > 1
+        assert TRACE_FORMAT_VERSION > 2
         header = {"format": 1, "length": 0, "byteorder": sys.byteorder}
         path.write_bytes(json.dumps(header).encode() + b"\n")
         assert cache.load(fingerprint, program) is None
         assert cache.misses == 1
 
-    def test_uncached_streaming_grid_emulates_once_per_program(self):
-        """Budgets above the window must not regress the emulate-once
-        guarantee when no disk cache is configured: repeat cells replay
-        from the in-process memo of compact encoded columns."""
-        program = build_benchmark("gzip")
-        kwargs = dict(
-            max_instructions=20_000, warmup_instructions=500, trace_window=8_192
+        columns = get_trace_columns(program, 1_000, live=True)
+        windowed = {
+            "format": 2,
+            "length": columns.length,
+            "window_size": 16_384,
+            "byteorder": sys.byteorder,
+            "windows": [columns.length],
+            "offsets": [0],
+        }
+        path.write_bytes(
+            json.dumps(windowed).encode() + b"\n" + b"".join(map(bytes, columns))
         )
-        clear_trace_memo()
-        reset_trace_events()
-        simulate(program, BaselinePolicy(), **kwargs)
-        second = simulate(program, NonEmptyPolicy(), **kwargs)
-        assert trace_events["emulations"] == 1
-        assert trace_events["memo_hits"] == 1
-        clear_trace_memo()
-        reference = simulate(program, NonEmptyPolicy(), live_emulation=True, **kwargs)
-        assert _stats_bytes(second) == _stats_bytes(reference)
+        assert cache.load(fingerprint, program) is None
+        assert cache.misses == 2
+        assert cache.hits == 0
 
-    def test_stored_layout_never_defeats_the_requested_bound(self, tmp_path):
-        """A cache warmed monolithically (or at any other window size)
-        must be re-chunked to the requesting run's window size — serving
-        the stored layout verbatim would silently unbound decode memory."""
-        program = build_benchmark("gzip")
-        cache = TraceCache(tmp_path)
-        budget = 3_000
-        clear_trace_memo()
-        simulate(
-            program,
-            BaselinePolicy(),
-            max_instructions=budget,
-            trace_window=0,  # stored as one monolithic window
-            trace_cache=cache,
-        )
-        clear_trace_memo()  # the stored file must be consulted
-        reset_trace_events()
-        stream = get_trace_stream(program, budget, window_size=256, cache=cache)
-        first = stream.next_window()
-        assert trace_events["disk_hits"] == 1
-        assert first is not None and first.length == 256
-        stream = get_trace_stream(program, budget, window_size=256, cache=cache)
-        core = OutOfOrderCore(stream, policy=BaselinePolicy())
-        core.run()
-        assert core.max_resident_windows <= 2
 
-    def test_windowed_and_monolithic_stores_interoperate(self, tmp_path):
-        """One fingerprint serves both access patterns: a windowed store
-        loads monolithically and vice versa."""
+    @pytest.mark.parametrize("byteorder", ("little", "big"))
+    def test_either_byte_order_reads_back(self, byteorder, tmp_path):
+        """A file written on a host of either byte order reads back to
+        the same columns: the reader swaps the ``int64`` columns of the
+        other order, and the ``taken`` bytes need no swap."""
         program = build_benchmark("gzip")
+        columns = get_trace_columns(program, 1_000, live=True)
+        words = [array.array("q", column) for column in columns[:3]]
+        if byteorder != sys.byteorder:
+            for column in words:
+                column.byteswap()
+        header = {
+            "format": TRACE_FORMAT_VERSION,
+            "length": columns.length,
+            "byteorder": byteorder,
+        }
         cache = TraceCache(tmp_path)
-        clear_trace_memo()
-        reference = simulate(
-            program, BaselinePolicy(), max_instructions=2_000, trace_window=0
+        fingerprint = trace_fingerprint(program, 1_000)
+        path = cache.path_for(fingerprint)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(
+            json.dumps(header).encode()
+            + b"\n"
+            + b"".join(map(bytes, words))
+            + bytes(columns.taken)
         )
-        # Store windowed, read monolithic.
-        clear_trace_memo()
-        simulate(
-            program,
-            BaselinePolicy(),
-            max_instructions=2_000,
-            trace_window=256,
-            trace_cache=cache,
-        )
-        clear_trace_memo()
-        reset_trace_events()
-        monolithic = simulate(
-            program,
-            BaselinePolicy(),
-            max_instructions=2_000,
-            trace_window=0,
-            trace_cache=cache,
-        )
-        assert trace_events["disk_hits"] == 1
-        assert trace_events["emulations"] == 0
-        assert _stats_bytes(monolithic) == _stats_bytes(reference)
+        loaded = cache.load(fingerprint, program)
+        assert (cache.hits, cache.misses) == (1, 0)
+        assert _column_bytes(loaded) == _column_bytes(columns)
 
 
 class TestTraceCacheBounding:
@@ -686,66 +586,25 @@ class TestStaticTable:
         assert stream.next_window() is None
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_dynamic_stream_replays_like_the_column_stream(self, kernel):
-        program = _program("gzip", "extension")
+    @pytest.mark.parametrize("technique", TECHNIQUES)
+    def test_dynamic_stream_replays_like_the_column_stream(self, technique, kernel):
+        """The lowered stream of a program's own dynamic instructions, hint
+        NOOPs in place, replays like its column stream, which for a
+        hinted program is the stripped trace expanded by its map."""
+        program = _program("gzip", technique)
         engine = get_engine(kernel)
         kwargs = dict(warmup_instructions=500)
         from_dyns = engine.run(
-            list(FunctionalEmulator(program).run(2_000)),
-            _policy("extension"),
+            TraceWindowStream.from_dynamic_stream(FunctionalEmulator(program).run(2_000)),
+            _policy(technique),
             **kwargs,
         )
         from_columns = engine.run(
-            get_trace_stream(program, 2_000, window_size=256, live=False),
-            _policy("extension"),
+            get_trace_stream(program, 2_000, live=False),
+            _policy(technique),
             **kwargs,
         )
         assert _stats_bytes(from_dyns) == _stats_bytes(from_columns)
-
-
-class TestColumnWindows:
-    """Windows are zero-copy views of the columns, consumed forward-only."""
-
-    @pytest.mark.parametrize("window", (1, 7, 0, None))
-    def test_windows_are_views_that_tile_the_columns(self, window):
-        columns = get_trace_columns(build_benchmark("gzip"), 101, live=False)
-        windows = list(_column_windows(columns, window))
-        step = window or columns.length
-        assert [part.length for part in windows[:-1]] == [step] * (len(windows) - 1)
-        assert 0 < windows[-1].length <= step
-        for field, whole in zip(TraceWindow._fields, columns):
-            parts = [getattr(part, field) for part in windows]
-            assert all(isinstance(part, memoryview) for part in parts)
-            assert all(part.obj is whole for part in parts)
-            assert b"".join(part.tobytes() for part in parts) == bytes(whole)
-
-    def test_empty_columns_yield_no_window(self):
-        assert list(_column_windows(empty_columns(), 7)) == []
-        assert list(_column_windows(empty_columns(), None)) == []
-
-    def test_exhausted_stream_never_pulls_its_source_again(self):
-        window = empty_columns()
-
-        class Restarting:
-            """Ends once, then would yield again if asked."""
-
-            pulls = 0
-
-            def __iter__(self):
-                return self
-
-            def __next__(self):
-                self.pulls += 1
-                if self.pulls == 2:
-                    raise StopIteration
-                return window
-
-        source = Restarting()
-        stream = TraceWindowStream(StaticTable([]), source)
-        assert stream.next_window() is window
-        assert stream.next_window() is None
-        assert stream.next_window() is None
-        assert source.pulls == 2
 
 
 class TestColumnMemo:
@@ -757,10 +616,25 @@ class TestColumnMemo:
         reset_trace_events()
         first = get_trace_columns(program, 1_000, live=False)
         assert get_trace_columns(program, 1_000, live=False) is first
-        stream = get_trace_stream(program, 1_000, window_size=0, live=False)
-        assert stream.next_window().pc.obj is first.pc
+        stream = get_trace_stream(program, 1_000, live=False)
+        assert stream.next_window().pc is first.pc
         assert trace_events["emulations"] == 1
         assert trace_events["memo_hits"] == 2
+
+    @pytest.mark.parametrize("budget", (0, 1, 7, 1_000))
+    def test_a_stream_hands_out_the_whole_trace_once(self, budget):
+        """A stream's one window is the memo's own columns, every entry
+        of the budget (none for an empty trace), and a second pull finds
+        the stream drained."""
+        program = build_benchmark("gzip")
+        clear_trace_memo()
+        columns = get_trace_columns(program, budget, live=False)
+        stream = get_trace_stream(program, budget, live=False)
+        window = stream.next_window()
+        assert all(part is whole for part, whole in zip(window, columns))
+        assert window.length == budget
+        assert stream.next_window() is None
+        assert stream.next_window() is None
 
     def test_live_columns_neither_read_nor_fill_the_memo(self):
         program = build_benchmark("gzip")
@@ -774,18 +648,20 @@ class TestColumnMemo:
         assert trace_events["memo_hits"] == 0
         assert _column_bytes(live) == _column_bytes(again) == _column_bytes(stored)
 
-    def test_resolve_trace_window_defaults_and_validates(self):
-        assert resolve_trace_window() == DEFAULT_TRACE_WINDOW_ENTRIES
-        assert resolve_trace_window(0) == 0
-        assert resolve_trace_window(7) == 7
-        with pytest.raises(ValueError, match="non-negative"):
-            resolve_trace_window(-1)
-
-    def test_trace_window_is_not_read_from_the_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_WINDOW", "7")
-        assert resolve_trace_window() == DEFAULT_TRACE_WINDOW_ENTRIES
-        stream = get_trace_stream(build_benchmark("gzip"), 1_000, live=False)
-        assert stream.window_size == DEFAULT_TRACE_WINDOW_ENTRIES
+    def test_uncached_grid_emulates_once_per_program(self):
+        """With no disk cache, repeat cells replay the trace from the
+        in-process memo of compact columns: one emulation per program."""
+        program = build_benchmark("gzip")
+        kwargs = dict(max_instructions=20_000, warmup_instructions=500)
+        clear_trace_memo()
+        reset_trace_events()
+        simulate(program, BaselinePolicy(), **kwargs)
+        second = simulate(program, NonEmptyPolicy(), **kwargs)
+        assert trace_events["emulations"] == 1
+        assert trace_events["memo_hits"] == 1
+        clear_trace_memo()
+        reference = simulate(program, NonEmptyPolicy(), live_emulation=True, **kwargs)
+        assert _stats_bytes(second) == _stats_bytes(reference)
 
 
 class TestGridReuse:
