@@ -188,9 +188,12 @@ def fu_class(opcode: Opcode) -> FuClass:
 
 
 #: Ordinal of each functional-unit class, its position in :class:`FuClass`:
-#: the index of the class in flat per-class arrays (the simulator's FU
-#: pool, the native kernel's limits, the compiler's issue limits).
+#: the index of the class in flat per-class arrays (both replay kernels'
+#: per-cycle unit limits, the compiler's issue limits).
 FU_INDEX: dict[FuClass, int] = {fu: index for index, fu in enumerate(FuClass)}
+
+#: The classes in ordinal order (``FU_ORDER[FU_INDEX[fu]] is fu``).
+FU_ORDER: tuple[FuClass, ...] = tuple(FuClass)
 
 # Per-opcode classification flags, one bit each.
 F_HINT = 1

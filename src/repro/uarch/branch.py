@@ -8,8 +8,6 @@ wrong path itself is not executed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.uarch.config import BranchPredictorConfig
 
 
@@ -18,21 +16,6 @@ def _counter_update(counter: int, taken: bool) -> int:
     if taken:
         return min(3, counter + 1)
     return max(0, counter - 1)
-
-
-@dataclass
-class PredictionOutcome:
-    """Result of one branch prediction.
-
-    Attributes:
-        predicted_taken: the hybrid predictor's direction guess.
-        btb_hit: True when the BTB knew the target.
-        correct: True when direction (and target, for taken branches) were right.
-    """
-
-    predicted_taken: bool
-    btb_hit: bool
-    correct: bool
 
 
 class HybridBranchPredictor:
@@ -51,18 +34,15 @@ class HybridBranchPredictor:
         self._btb: list[list[tuple[int, int]]] = [[] for _ in range(self._btb_sets)]
         self._ras: list[int] = []
 
-        self.lookups = 0
-        self.mispredicts = 0
-
     # ------------------------------------------------------------------
-    def predict_and_update(self, pc: int, taken: bool, target: int) -> PredictionOutcome:
+    def predict_and_update(self, pc: int, taken: bool, target: int) -> bool:
         """Predict the branch at ``pc`` and immediately train on the outcome.
 
         Trace-driven use: the actual outcome is known, so prediction and
-        update happen together.  Returns whether the prediction was correct.
+        update happen together.  Returns whether the prediction was correct:
+        direction, and target for a taken branch.
         """
         cfg = self.config
-        self.lookups += 1
 
         gshare_index = (pc ^ self._history) % cfg.gshare_entries
         bimodal_index = pc % cfg.bimodal_entries
@@ -90,9 +70,7 @@ class HybridBranchPredictor:
         self._history = ((self._history << 1) | int(taken)) & self._history_mask
         if taken:
             self._btb_insert(pc, target)
-        if not correct:
-            self.mispredicts += 1
-        return PredictionOutcome(predicted_taken=predicted_taken, btb_hit=btb_hit, correct=correct)
+        return correct
 
     # ------------------------------------------------------------------
     # Return-address stack
@@ -105,15 +83,9 @@ class HybridBranchPredictor:
 
     def predict_return(self, actual_return_pc: int) -> bool:
         """Pop the RAS and report whether it matched the actual return target."""
-        self.lookups += 1
         if not self._ras:
-            self.mispredicts += 1
             return False
-        predicted = self._ras.pop()
-        correct = predicted == actual_return_pc
-        if not correct:
-            self.mispredicts += 1
-        return correct
+        return self._ras.pop() == actual_return_pc
 
     # ------------------------------------------------------------------
     # BTB helpers

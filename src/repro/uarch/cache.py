@@ -4,11 +4,15 @@ The hierarchy is: 64KB 2-way L1 instruction cache (1-cycle hit), 64KB 4-way
 L1 data cache (2-cycle hit) and a unified 512KB 8-way L2 (10-cycle hit,
 50-cycle miss to memory).  Caches use true LRU within a set, which is cheap
 at these associativities and deterministic for tests.
+
+The scalar kernel's fetch and issue stages read the hierarchy through
+:meth:`MemoryHierarchy.instruction_fetch_fast` and
+:meth:`MemoryHierarchy.data_access_fast`, which return ``(latency,
+l1_hit, l2_hit)``; the stages count accesses and misses into the run's
+statistics themselves.  The native kernel keeps the same caches in C.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.uarch.config import CacheConfig, ProcessorConfig
 
@@ -17,21 +21,13 @@ class SetAssociativeCache:
     """One cache level with LRU replacement."""
 
     def __init__(self, config: CacheConfig):
-        self.config = config
         self.num_sets = config.num_sets
         self._sets: list[list[int]] = [[] for _ in range(self.num_sets)]
         self._line_bytes = config.line_bytes
         self._assoc = config.assoc
-        self.accesses = 0
-        self.misses = 0
-
-    def _locate(self, address: int) -> tuple[int, int]:
-        line = address // self._line_bytes
-        return line % self.num_sets, line
 
     def access(self, address: int) -> bool:
         """Access ``address``; return True on a hit and update LRU state."""
-        self.accesses += 1
         line = address // self._line_bytes
         entry_set = self._sets[line % self.num_sets]
         if line in entry_set:
@@ -39,43 +35,20 @@ class SetAssociativeCache:
                 entry_set.remove(line)
                 entry_set.insert(0, line)
             return True
-        self.misses += 1
         entry_set.insert(0, line)
         if len(entry_set) > self._assoc:
             entry_set.pop()
         return False
-
-    def probe(self, address: int) -> bool:
-        """Check residency without updating LRU or counters."""
-        set_index, line = self._locate(address)
-        return line in self._sets[set_index]
-
-    @property
-    def miss_rate(self) -> float:
-        """Observed miss rate."""
-        if self.accesses == 0:
-            return 0.0
-        return self.misses / self.accesses
-
-
-@dataclass
-class MemoryAccessResult:
-    """Latency and hit/miss breakdown of one memory access."""
-
-    latency: int
-    l1_hit: bool
-    l2_hit: bool
 
 
 class MemoryHierarchy:
     """L1 instruction, L1 data and unified L2 caches plus main memory."""
 
     def __init__(self, config: ProcessorConfig):
-        self.config = config
         self.l1i = SetAssociativeCache(config.l1i)
         self.l1d = SetAssociativeCache(config.l1d)
         self.l2 = SetAssociativeCache(config.l2)
-        # Precomputed latency tiers for the tuple-returning fast paths.
+        # Precomputed latency tiers for the tuple-returning accesses.
         self._l1i_hit = config.l1i.hit_latency
         self._l1i_l2 = config.l1i.hit_latency + config.l2.hit_latency
         self._l1i_mem = self._l1i_l2 + config.l2_miss_latency
@@ -83,16 +56,8 @@ class MemoryHierarchy:
         self._l1d_l2 = config.l1d.hit_latency + config.l2.hit_latency
         self._l1d_mem = self._l1d_l2 + config.l2_miss_latency
 
-    def instruction_fetch(self, address: int) -> MemoryAccessResult:
-        """Fetch the line containing ``address``; return its latency."""
-        return self._access(self.l1i, address)
-
-    def data_access(self, address: int) -> MemoryAccessResult:
-        """Load/store access to ``address``; return its latency."""
-        return self._access(self.l1d, address)
-
     def instruction_fetch_fast(self, address: int) -> tuple[int, bool, bool]:
-        """``(latency, l1_hit, l2_hit)`` without a result-object allocation."""
+        """Fetch the line containing ``address``: ``(latency, l1_hit, l2_hit)``."""
         if self.l1i.access(address):
             return (self._l1i_hit, True, True)
         if self.l2.access(address):
@@ -100,22 +65,9 @@ class MemoryHierarchy:
         return (self._l1i_mem, False, False)
 
     def data_access_fast(self, address: int) -> tuple[int, bool, bool]:
-        """``(latency, l1_hit, l2_hit)`` without a result-object allocation."""
+        """Load/store access to ``address``: ``(latency, l1_hit, l2_hit)``."""
         if self.l1d.access(address):
             return (self._l1d_hit, True, True)
         if self.l2.access(address):
             return (self._l1d_l2, False, True)
         return (self._l1d_mem, False, False)
-
-    def _access(self, l1: SetAssociativeCache, address: int) -> MemoryAccessResult:
-        if l1.access(address):
-            return MemoryAccessResult(latency=l1.config.hit_latency, l1_hit=True, l2_hit=True)
-        if self.l2.access(address):
-            latency = l1.config.hit_latency + self.l2.config.hit_latency
-            return MemoryAccessResult(latency=latency, l1_hit=False, l2_hit=True)
-        latency = (
-            l1.config.hit_latency
-            + self.l2.config.hit_latency
-            + self.config.l2_miss_latency
-        )
-        return MemoryAccessResult(latency=latency, l1_hit=False, l2_hit=False)

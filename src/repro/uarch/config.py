@@ -60,7 +60,6 @@ class ProcessorConfig:
 
     # Widths.
     fetch_width: int = 8
-    decode_width: int = 8
     dispatch_width: int = 8
     issue_width: int = 8
     commit_width: int = 8

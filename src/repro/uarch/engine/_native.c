@@ -283,7 +283,10 @@ static int pred_branch(Pred *p, int64_t pc, int taken, int64_t target) {
     return correct;
 }
 
+/* Push, dropping the oldest entry at capacity, as the scalar kernel
+ * does: a stack of no entries stays empty. */
 static void ras_push(Pred *p, int64_t return_pc) {
+    if (p->ras_entries <= 0) return;
     if (p->ras_n == p->ras_entries) {
         memmove(p->ras, p->ras + 1, (size_t)(p->ras_n - 1) * sizeof(int64_t));
         p->ras_n--;
@@ -527,8 +530,7 @@ typedef struct {
     Pred pred;
     RegFile rf_int, rf_fp;
     int n_fu;
-    int64_t *fu_limits, *fu_used, *fu_issues;
-    int64_t structural_stalls;
+    int64_t *fu_limits, *fu_used;
 
     /* Issue queue. */
     uint8_t *iq_valid;
@@ -926,7 +928,7 @@ static int issue_stage(Machine *m) {
     int64_t cycle = m->abs_cycle;
     int width = m->issue_width;
     int32_t int_phys = m->int_phys;
-    int64_t fu_stalls = 0, rf_reads = 0;
+    int64_t rf_reads = 0;
     int64_t n = m->ready_n, w = 0;
     int mem_flags = m->F_LOAD | m->F_STORE;
     for (int64_t r = 0; r < n; r++) {
@@ -945,15 +947,13 @@ static int issue_stage(Machine *m) {
         }
         int fu = m->iq_fu[slot];
         if (m->fu_used[fu] >= m->fu_limits[fu]) {
-            fu_stalls++;
             m->ready[w++] = e;
             continue;
         }
         m->fu_used[fu]++;
-        m->fu_issues[fu]++;
         int32_t ri = m->iq_rob[slot];
-        /* Inlined BankedIssueQueue.remove (entry is ready: no waiting
-         * operands to deduct). */
+        /* Remove the entry, leaving a hole, as the scalar _issue does
+         * (entry is ready: no waiting operands to deduct). */
         m->iq_valid[slot] = 0;
         m->iq_count--;
         if (--m->iq_bank_counts[m->iq_bank_of[slot]] == 0) m->iq_active_banks--;
@@ -975,7 +975,6 @@ static int issue_stage(Machine *m) {
         if (ring_append(m, finish, ri)) return -1;
     }
     m->ready_n = w;
-    if (fu_stalls) m->structural_stalls += fu_stalls;
     if (issued) {
         m->sample_dirty = 1;
         if (m->warm) {
@@ -1044,7 +1043,8 @@ static int dispatch_stage(Machine *m) {
         if (m->rf_int.free_count < n_id ||
             (n_fd && m->rf_fp.free_count < n_fd))
             break;
-        /* Inlined BankedIssueQueue.can_dispatch. */
+        /* Issue-queue admission, as the scalar _dispatch checks it: the
+         * physical span, the global limit, then the region (figure 2). */
         if (m->iq_span >= m->iq_cap) {
             stalled_physical = 1;
             break;
@@ -1090,7 +1090,7 @@ static int dispatch_stage(Machine *m) {
             n_dest++;
         }
 
-        /* Inlined ReorderBuffer.allocate. */
+        /* Allocate the ROB tail entry, as the scalar _dispatch does. */
         int32_t ri = (int32_t)m->rob_tail;
         m->rob_dyn[ri] = index;
         m->rob_state[ri] = 0;
@@ -1106,8 +1106,9 @@ static int dispatch_stage(Machine *m) {
         m->rob_tail = m->rob_tail + 1 == m->rob_cap ? 0 : m->rob_tail + 1;
         m->rob_count++;
 
-        /* Inlined BankedIssueQueue.allocate.  Waiting tags deduplicate
-         * (the scalar kernel builds a set), first occurrence kept. */
+        /* Allocate the issue-queue tail slot, as the scalar _dispatch
+         * does.  Waiting tags deduplicate (the scalar kernel builds a
+         * set), first occurrence kept. */
         int32_t slot = (int32_t)m->iq_tail;
         int32_t *wt = m->iq_wait + (int64_t)slot * 8;
         int nw = 0;
@@ -1405,7 +1406,6 @@ static void free_machine(Machine *m) {
     rf_free_struct(&m->rf_fp);
     free(m->fu_limits);
     free(m->fu_used);
-    free(m->fu_issues);
     free(m->iq_valid);
     free(m->iq_rob);
     free(m->iq_ready_cycle);
@@ -1572,8 +1572,7 @@ static Machine *build_machine(PyObject *params) {
         m->n_fu = (int)PySequence_Fast_GET_SIZE(fast);
         m->fu_limits = (int64_t *)malloc((size_t)m->n_fu * sizeof(int64_t));
         m->fu_used = (int64_t *)calloc((size_t)m->n_fu, sizeof(int64_t));
-        m->fu_issues = (int64_t *)calloc((size_t)m->n_fu, sizeof(int64_t));
-        if (!m->fu_limits || !m->fu_used || !m->fu_issues) {
+        if (!m->fu_limits || !m->fu_used) {
             Py_DECREF(fast);
             goto fail_mem;
         }
@@ -1829,7 +1828,6 @@ static PyObject *native_run(PyObject *self, PyObject *args) {
     STAT_FIELDS(X)
 #undef X
     rc |= set_ll(out, "cycles", m->warm ? m->abs_cycle - m->base : 0);
-    rc |= set_ll(out, "structural_stalls", m->structural_stalls);
     rc |= set_ll(out, "hints_applied", m->hints_applied);
     rc |= set_ll(out, "last_hint_value", m->last_hint_value);
     free_machine(m);

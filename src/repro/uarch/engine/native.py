@@ -51,12 +51,12 @@ from __future__ import annotations
 import os
 from typing import Optional
 
+from repro.isa.opcodes import FU_ORDER
 from repro.uarch.config import ProcessorConfig
 from repro.uarch.engine.base import ReplayEngine, register_engine
 from repro.uarch.engine.build import ExtensionCompiler
 from repro.uarch.issue_queue import BankedIssueQueue
 from repro.uarch.rob import ReorderBuffer
-from repro.uarch.functional_units import FU_ORDER
 from repro.uarch.stats import SimulationStats
 from repro.uarch.trace import (
     F_BRANCH,
@@ -308,7 +308,6 @@ class NativeCore:
         if window is None:
             window = empty_columns()
         result = self._module.run(self._params(window))
-        del result["structural_stalls"]
         hints = result.pop("hints_applied")
         last_hint = result.pop("last_hint_value")
         if hints:

@@ -48,14 +48,17 @@ folds ``value × elapsed_cycles`` into the sums at those boundaries (and
 once at the end of the run) instead of re-reading every structure every
 cycle.  End-of-run statistics are identical to per-cycle sampling.
 
-Maintenance note: the stage loops hand-inline the bodies of
-``BankedIssueQueue.allocate/remove/broadcast/can_dispatch``,
-``PhysicalRegisterFile.allocate/release``, ``ReorderBuffer.allocate`` /
-``pop_completed`` and ``FunctionalUnitPool.try_acquire_index`` (each
-marked with an ``# Inlined ...`` comment).  A semantic change to any of
-those component methods must be mirrored here — the equivalence tests in
-``tests/test_trace_replay.py`` compare replay paths against each other,
-not against the object-based component API.
+The stage methods (:meth:`OutOfOrderCore._commit`, ``_writeback``,
+``_issue``, ``_dispatch`` and the two fetch stages) are the one Python
+definition of the machine: they update the state of the
+:mod:`~repro.uarch.issue_queue`, :mod:`~repro.uarch.rob` and
+:mod:`~repro.uarch.regfile` structures in place, and ``_native.c``
+mirrors them stage for stage.  ``tests/test_engines.py`` steps them
+through figure 2's transitions, the queue and ROB limits, wakeup,
+ordering and the register and unit rules, holds the two kernels to
+each other on those streams and on random machines, and
+``tests/test_properties.py`` checks the structures' invariants after
+every cycle.
 """
 
 from __future__ import annotations
@@ -64,13 +67,13 @@ from collections import deque
 from itertools import accumulate
 from typing import Optional
 
+from repro.isa.opcodes import FU_ORDER
 from repro.uarch.engine.base import ReplayEngine, register_engine
 from repro.uarch.branch import HybridBranchPredictor
 from repro.uarch.cache import MemoryHierarchy
 from repro.uarch.config import ProcessorConfig
-from repro.uarch.functional_units import FunctionalUnitPool
 from repro.uarch.issue_queue import BankedIssueQueue, IssueQueueEntry
-from repro.uarch.regfile import RenameUnit
+from repro.uarch.regfile import PhysicalRegisterFile
 from repro.uarch.rob import COMPLETED, DISPATCHED, ISSUED, ReorderBuffer, RobEntry
 from repro.uarch.stats import SimulationStats
 from repro.uarch.trace import (
@@ -176,8 +179,14 @@ class OutOfOrderCore:
         )
         self.iq = BankedIssueQueue(cfg.iq_entries, cfg.iq_bank_size)
         self.rob = ReorderBuffer(cfg.rob_entries)
-        self.rename = RenameUnit(cfg.int_phys_regs, cfg.fp_phys_regs, cfg.regfile_bank_size)
-        self.fus = FunctionalUnitPool(cfg.fu_counts)
+        # Rename: 32 integer and 16 FP architectural registers.
+        self.int_file = PhysicalRegisterFile(cfg.int_phys_regs, 32, cfg.regfile_bank_size)
+        self.fp_file = PhysicalRegisterFile(cfg.fp_phys_regs, 16, cfg.regfile_bank_size)
+        # Functional units, per FU_ORDER ordinal: how many instructions
+        # each class may begin per cycle, and how many began this cycle.
+        self._fu_limits = [cfg.fu_counts.get(fu, 0) for fu in FU_ORDER]
+        self._fu_used = [0] * len(FU_ORDER)
+        self._fu_zeros = [0] * len(FU_ORDER)
         self.memory = MemoryHierarchy(cfg)
         self.predictor = HybridBranchPredictor(cfg.branch)
 
@@ -227,8 +236,7 @@ class OutOfOrderCore:
 
     def step(self) -> None:
         """Advance the machine by one cycle (back-to-front stage order)."""
-        fus = self.fus
-        fus._used[:] = fus._zeros  # inlined FunctionalUnitPool.new_cycle
+        self._fu_used[:] = self._fu_zeros  # every unit is free again
         self._commit()
         self._writeback()
         self._issue()
@@ -256,8 +264,8 @@ class OutOfOrderCore:
     # Commit
     # ------------------------------------------------------------------
     def _commit(self) -> None:
-        # Inlined ReorderBuffer.pop_completed: this loop runs every cycle
-        # and retires up to commit_width instructions.
+        # Retire up to commit_width completed entries, in order, from
+        # the ROB head.
         rob = self.rob
         count = rob.count
         if count == 0:
@@ -268,9 +276,8 @@ class OutOfOrderCore:
         if entry is None or entry.state != COMPLETED:
             return
         capacity = rob.capacity
-        rename = self.rename
-        int_file = rename.int_file
-        fp_file = rename.fp_file
+        int_file = self.int_file
+        fp_file = self.fp_file
         fp_offset = int_file.num_physical
         int_bank_size = int_file.bank_size
         int_bank_counts = int_file.bank_counts
@@ -280,7 +287,9 @@ class OutOfOrderCore:
             head = (head + 1) % capacity
             count -= 1
             for tag in entry.freed_on_commit:
-                # Inlined RenameUnit.release (integer registers dominate).
+                # Release the previous mappings: FP tags sit above the
+                # integer file; integer registers (which dominate) are
+                # released inline, as PhysicalRegisterFile.release does.
                 if tag >= fp_offset:
                     fp_file.release(tag - fp_offset)
                 else:
@@ -364,9 +373,7 @@ class OutOfOrderCore:
         cmp_gated = 0
         rf_writes = 0
         for entry in finishing:
-            # Inlined ReorderBuffer.mark_completed.
             entry.state = COMPLETED
-            entry.completion_cycle = cycle
             for tag in entry.dest_tags:
                 if tag < int_phys:
                     rf_writes += 1
@@ -376,7 +383,9 @@ class OutOfOrderCore:
                 # operands at the instant of this broadcast, so it must be
                 # sampled before each wakeup, not once per writeback group.
                 cmp_gated += iq.waiting_operand_count
-                # Inlined BankedIssueQueue.broadcast.
+                # Wakeup: the entries still resident and waiting on the
+                # tag lose one waiting operand; the last one makes them
+                # ready for select.
                 consumers = iq_consumers.pop(tag, None)
                 if consumers:
                     for waiter in consumers:
@@ -399,7 +408,6 @@ class OutOfOrderCore:
                 )
         self._sample_dirty = True
         if self._warmup_done and broadcasts:
-            self.rename.int_file.record_writes(rf_writes)
             stats = self.stats
             stats.rf_writes += rf_writes
             stats.iq_broadcasts += broadcasts
@@ -417,11 +425,8 @@ class OutOfOrderCore:
         cycle = self.cycle
         width = self.config.issue_width
         int_phys = self.config.int_phys_regs
-        fus = self.fus
-        fu_used = fus._used
-        fu_limits = fus._limits
-        fu_issues = fus._issues
-        fu_stalls = 0
+        fu_used = self._fu_used
+        fu_limits = self._fu_limits
         iq = self.iq
         iq_slots = iq.slots
         iq_bank_size = iq.bank_size
@@ -437,19 +442,18 @@ class OutOfOrderCore:
             entry = ready_map[age]
             if entry.ready_cycle > cycle:
                 continue
-            # Inlined FunctionalUnitPool.try_acquire_index (hot: once per
-            # ready entry per cycle).
+            # Each unit class begins at most its unit count of
+            # instructions per cycle; a ready entry whose class is spent
+            # waits, and younger entries may still issue.
             fu = entry.fu_class
             used = fu_used[fu]
             if used >= fu_limits[fu]:
-                fu_stalls += 1
                 continue
             fu_used[fu] = used + 1
-            fu_issues[fu] += 1
             rob_index = entry.rob_index
             rob_entry = rob_entries[rob_index]
-            # Inlined BankedIssueQueue.remove: the entry is ready, so it
-            # holds no waiting operands to deduct.
+            # Remove the entry, leaving a hole (the queue does not
+            # collapse); it is ready, so it holds no waiting operands.
             slot = entry.slot
             iq_slots[slot] = None
             iq.count -= 1
@@ -484,12 +488,9 @@ class OutOfOrderCore:
                 completion_events[finish] = [rob_entry]
             else:
                 events.append(rob_entry)
-        if fu_stalls:
-            fus.structural_stalls += fu_stalls
         if issued:
             self._sample_dirty = True
             if self._warmup_done:
-                self.rename.int_file.record_reads(rf_reads)
                 stats = self.stats
                 stats.issued_instructions += issued
                 stats.iq_issue_reads += issued
@@ -538,9 +539,8 @@ class OutOfOrderCore:
         uses_hints = policy.uses_hints
         tag_ready = self._tag_ready
         stats = self.stats if self._warmup_done else None
-        rename = self.rename
-        int_file = rename.int_file
-        fp_file = rename.fp_file
+        int_file = self.int_file
+        fp_file = self.fp_file
         int_map = int_file.rename_map
         fp_allocate = fp_file.allocate
         fp_offset = int_file.num_physical
@@ -613,8 +613,9 @@ class OutOfOrderCore:
                 fp_dests and fp_file.free_count < len(fp_dests)
             ):
                 break
-            # Inlined BankedIssueQueue.can_dispatch (hot: once per
-            # dispatched instruction).
+            # Issue-queue admission: the physical span, the global
+            # limit (abella, fixed limits), then the current region's
+            # extent from new_head to the tail (figure 2).
             if iq_span >= iq_capacity:
                 stalled_on_physical = True
                 break
@@ -664,8 +665,8 @@ class OutOfOrderCore:
                 freed.append(previous + fp_offset)
                 tag_ready[new_phys + fp_offset] = 0
 
-            # Inlined ReorderBuffer.allocate (pooled entries; the checks
-            # above already guaranteed space).
+            # Allocate the ROB tail entry (pooled; the checks above
+            # guaranteed space).
             rob_entry = rob_entries[rob_tail]
             if rob_entry is None:
                 rob_entry = RobEntry(index=rob_tail)
@@ -673,7 +674,6 @@ class OutOfOrderCore:
             rob_index = rob_tail
             rob_entry.dyn = index
             rob_entry.state = DISPATCHED
-            rob_entry.completion_cycle = 0
             rob_entry.dest_tags = dest_tags
             rob_entry.freed_on_commit = freed
             rob_entry.source_tags = source_tags
@@ -683,8 +683,9 @@ class OutOfOrderCore:
             rob_tail = (rob_tail + 1) % rob_capacity
             rob_count += 1
 
-            # Inlined BankedIssueQueue.allocate (pooled entries; dispatch
-            # admission was checked above).
+            # Allocate the issue-queue tail slot (pooled entries;
+            # admission was checked above).  An entry with no waiting
+            # operand is ready for select at once.
             waiting = {tag for tag in source_tags if not tag_ready[tag]}
             slot = iq_tail
             iq_entry = iq_pool[slot]
@@ -693,7 +694,6 @@ class OutOfOrderCore:
                 iq_pool[slot] = iq_entry
             iq_entry.rob_index = rob_index
             iq_entry.waiting_tags = waiting
-            iq_entry.num_source_operands = len(source_tags)
             iq_entry.fu_class = fu_tab[row]
             iq_entry.ready_cycle = ready_cycle
             iq_entry.age = iq_age
@@ -980,8 +980,7 @@ class OutOfOrderCore:
         if flags & F_BRANCH:
             if self._warmup_done:
                 self.stats.branches += 1
-            outcome = self.predictor.predict_and_update(pc, taken != 0, next_pc)
-            mispredicted = not outcome.correct
+            mispredicted = not self.predictor.predict_and_update(pc, taken != 0, next_pc)
             if mispredicted and self._warmup_done:
                 self.stats.branch_mispredicts += 1
         elif flags & F_CALL:
@@ -1019,7 +1018,7 @@ class OutOfOrderCore:
             stats.rf_live_regs_sum += snap[4] * pending
             stats.rf_inflight_sum += snap[5] * pending
         iq = self.iq
-        int_file = self.rename.int_file
+        int_file = self.int_file
         policy = self.policy
         self._sample_snapshot = (
             iq.count,

@@ -14,6 +14,17 @@ This models the paper's issue queue (section 3.1):
   When the entry ``new_head`` points at issues, the pointer slides towards
   the tail (figure 2), freeing dispatch slots for the region.
 
+:class:`BankedIssueQueue` holds the queue's state and the three
+operations a policy or both kernels share: :meth:`start_new_region` and
+:meth:`set_global_limit` (the control a resizing policy applies, with
+its clamping) and :meth:`_advance_pointers` (the head and ``new_head``
+slide, which the native kernel's ``iq_advance`` mirrors).  Dispatch,
+wakeup, select and removal are defined by the scalar kernel's stage
+methods (:class:`~repro.uarch.engine.scalar.OutOfOrderCore`), which
+update these fields in place, and by the native kernel's stages in
+``_native.c``; ``tests/test_engines.py`` holds the two to each other
+and to figure 2's transitions.
+
 The queue also keeps the power-relevant event counts: waiting (non-ready,
 non-empty) operands for gated wakeup energy, total slots for ungated wakeup
 energy, and per-bank occupancy for static gating.  ``active_banks`` is
@@ -23,8 +34,7 @@ entry) so the per-cycle sampler reads one attribute instead of scanning
 
 Entry objects are pooled per slot: a slot lazily creates one
 :class:`IssueQueueEntry` and reuses it for every instruction that later
-occupies the slot.  ``allocate`` takes ownership of the ``waiting_tags``
-set it is given (no defensive copy) — callers must pass a fresh set.
+occupies the slot.
 """
 
 from __future__ import annotations
@@ -38,11 +48,10 @@ class IssueQueueEntry:
     Attributes:
         rob_index: the owning reorder-buffer entry.
         slot: slot index inside the queue.
-        waiting_tags: physical-register tags still outstanding.
-        num_source_operands: total source operands the entry arrived with.
-        fu_class: functional-unit class needed to issue (the replay core
-            stores the :data:`~repro.uarch.functional_units.FU_INDEX`
-            ordinal here).
+        waiting_tags: physical-register tags still outstanding (a set the
+            entry owns; wakeup discards from it).
+        fu_class: the :data:`~repro.isa.opcodes.FU_INDEX` ordinal of the
+            functional-unit class needed to issue.
         ready_cycle: earliest cycle the entry may issue (used to enforce the
             one-cycle wakeup-to-issue ordering for operands that were ready
             at dispatch time).
@@ -56,34 +65,18 @@ class IssueQueueEntry:
         "rob_index",
         "slot",
         "waiting_tags",
-        "num_source_operands",
         "fu_class",
         "ready_cycle",
         "age",
     )
 
-    def __init__(
-        self,
-        rob_index: int,
-        slot: int,
-        waiting_tags: Optional[set[int]] = None,
-        num_source_operands: int = 0,
-        fu_class: object = None,
-        ready_cycle: int = 0,
-        age: int = 0,
-    ):
+    def __init__(self, rob_index: int, slot: int):
         self.rob_index = rob_index
         self.slot = slot
-        self.waiting_tags = waiting_tags if waiting_tags is not None else set()
-        self.num_source_operands = num_source_operands
-        self.fu_class = fu_class
-        self.ready_cycle = ready_cycle
-        self.age = age
-
-    @property
-    def is_ready(self) -> bool:
-        """True when all source operands have been produced."""
-        return not self.waiting_tags
+        self.waiting_tags: set[int] = set()
+        self.fu_class = 0
+        self.ready_cycle = 0
+        self.age = 0
 
 
 class BankedIssueQueue:
@@ -120,46 +113,12 @@ class BankedIssueQueue:
         self._next_age = 0
 
     # ------------------------------------------------------------------
-    # Geometry helpers
-    # ------------------------------------------------------------------
-    def _distance(self, start: int, end: int) -> int:
-        """Number of slots from ``start`` up to (not including) ``end``."""
-        return (end - start) % self.capacity
-
-    @property
-    def occupancy(self) -> int:
-        """Number of valid entries."""
-        return self.count
-
-    @property
-    def free_physical_slots(self) -> int:
-        """Slots the tail can still advance into before reaching the head."""
-        return self.capacity - self.span
-
-    @property
-    def region_occupancy(self) -> int:
-        """Slots between ``new_head`` and ``tail`` (the current region's extent)."""
-        if self.span == 0:
-            return 0
-        return self._distance(self.new_head, self.tail)
-
-    def enabled_banks(self, bank_gating: bool) -> int:
-        """Number of banks that must be powered this cycle."""
-        if not bank_gating:
-            return self.num_banks
-        return self.active_banks
-
-    # ------------------------------------------------------------------
     # Compiler / policy control
     # ------------------------------------------------------------------
     def start_new_region(self, max_new_range: int) -> None:
         """Begin a new program region: ``new_head`` <- ``tail`` (section 3.2)."""
         self.new_head = self.tail
         self.max_new_range = max(1, max_new_range)
-
-    def clear_region_limit(self) -> None:
-        """Remove any software-imposed region limit."""
-        self.max_new_range = None
 
     def set_global_limit(self, limit: Optional[int]) -> None:
         """Set a hardware-imposed cap on total queue extent (abella-style)."""
@@ -168,115 +127,15 @@ class BankedIssueQueue:
         self.global_limit = limit
 
     # ------------------------------------------------------------------
-    # Dispatch
+    # Issue: the pointer slide after a removal
     # ------------------------------------------------------------------
-    def can_dispatch(self) -> tuple[bool, str]:
-        """Whether one more instruction may be dispatched, and why not if not."""
-        if self.span >= self.capacity:
-            return False, "physical"
-        if self.global_limit is not None and self.span >= self.global_limit:
-            return False, "global_limit"
-        if self.max_new_range is not None and self.region_occupancy >= self.max_new_range:
-            return False, "region_limit"
-        return True, ""
-
-    def allocate(
-        self,
-        rob_index: int,
-        waiting_tags: set[int],
-        num_source_operands: int,
-        fu_class,
-        ready_cycle: int,
-    ) -> IssueQueueEntry:
-        """Insert a new entry at the tail and return it.
-
-        Takes ownership of ``waiting_tags``: the queue mutates the set as
-        broadcasts wake operands.
-        """
-        ok, reason = self.can_dispatch()
-        if not ok:
-            raise RuntimeError(f"allocate called while dispatch blocked ({reason})")
-        slot = self.tail
-        entry = self._pool[slot]
-        if entry is None:
-            entry = IssueQueueEntry(rob_index=rob_index, slot=slot)
-            self._pool[slot] = entry
-        entry.rob_index = rob_index
-        entry.waiting_tags = waiting_tags
-        entry.num_source_operands = num_source_operands
-        entry.fu_class = fu_class
-        entry.ready_cycle = ready_cycle
-        age = self._next_age
-        entry.age = age
-        self._next_age = age + 1
-        self.slots[slot] = entry
-        self.tail = (slot + 1) % self.capacity
-        self.count += 1
-        self.span += 1
-        bank = slot // self.bank_size
-        bank_counts = self.bank_counts
-        if bank_counts[bank] == 0:
-            self.active_banks += 1
-        bank_counts[bank] += 1
-        if waiting_tags:
-            self.waiting_operand_count += len(waiting_tags)
-            consumers = self._consumers
-            for tag in waiting_tags:
-                existing = consumers.get(tag)
-                if existing is None:
-                    consumers[tag] = [entry]
-                else:
-                    existing.append(entry)
-        else:
-            self._ready_by_age[age] = entry
-        return entry
-
-    # ------------------------------------------------------------------
-    # Wakeup / select / remove
-    # ------------------------------------------------------------------
-    def broadcast(self, tag: int) -> int:
-        """Wake every operand waiting on ``tag``; return how many woke up."""
-        woken = 0
-        consumers = self._consumers.pop(tag, None)
-        if not consumers:
-            return 0
-        slots = self.slots
-        ready_by_age = self._ready_by_age
-        for entry in consumers:
-            waiting = entry.waiting_tags
-            if slots[entry.slot] is entry and tag in waiting:
-                waiting.discard(tag)
-                self.waiting_operand_count -= 1
-                woken += 1
-                if not waiting:
-                    ready_by_age[entry.age] = entry
-        return woken
-
-    def ready_entries_in_age_order(self) -> list[IssueQueueEntry]:
-        """Valid, ready entries from oldest (head) to youngest (tail)."""
-        ready = self._ready_by_age
-        if not ready:
-            return []
-        return [ready[age] for age in sorted(ready)]
-
-    def remove(self, entry: IssueQueueEntry) -> None:
-        """Remove an issued entry, leaving a hole, and advance the pointers."""
-        slot = entry.slot
-        if self.slots[slot] is not entry:
-            raise RuntimeError("attempt to remove an entry that is not resident")
-        self.slots[slot] = None
-        self.count -= 1
-        bank = slot // self.bank_size
-        bank_counts = self.bank_counts
-        bank_counts[bank] -= 1
-        if bank_counts[bank] == 0:
-            self.active_banks -= 1
-        self.waiting_operand_count -= len(entry.waiting_tags)
-        self._ready_by_age.pop(entry.age, None)
-        self._advance_pointers()
-
     def _advance_pointers(self) -> None:
-        """Slide ``head`` and ``new_head`` past holes towards the tail."""
+        """Slide ``head`` and ``new_head`` past holes towards the tail.
+
+        The scalar issue stage calls this after a removal that left a
+        hole at ``head`` or ``new_head``; sliding ``new_head`` is what
+        frees a full region's dispatch slots (figure 2).
+        """
         slots = self.slots
         capacity = self.capacity
         head = self.head
@@ -298,17 +157,3 @@ class BankedIssueQueue:
         while new_head != tail and slots[new_head] is None:
             new_head = (new_head + 1) % capacity
         self.new_head = new_head
-
-    # ------------------------------------------------------------------
-    # Power-event sampling
-    # ------------------------------------------------------------------
-    def comparison_counts(self) -> tuple[int, int]:
-        """(ungated, gated) comparator operations for one result broadcast.
-
-        Ungated: every operand slot of the whole queue precharges and
-        compares (``cmp_full_per_broadcast``).  Gated: only non-empty,
-        non-ready operands are compared (Folegnani & González's precharge
-        gating, which the resizing techniques inherit).  The hot path in
-        the core reads the two underlying attributes directly.
-        """
-        return self.cmp_full_per_broadcast, self.waiting_operand_count

@@ -1,4 +1,4 @@
-"""Register renaming and the banked physical register file.
+"""The banked physical register file and its lowest-first free list.
 
 Table 1: 112 integer and 112 floating-point physical registers organised as
 14 banks of 8.  The paper's register-file power saving comes from a side
@@ -7,11 +7,16 @@ physical registers allocated simultaneously, and if allocation is clustered
 (free registers handed out lowest-index-first) whole banks stay empty and
 can be gated off.
 
-The rename machinery here is the standard merged-register-file scheme: each
-dispatched instruction with a destination takes a free physical register;
-the *previous* mapping of that architectural register is released when the
-instruction commits.  The simulator is trace-driven (no wrong-path state),
-so no checkpoint/rollback is required.
+Renaming is the standard merged-register-file scheme: each dispatched
+instruction with a destination takes a free physical register; the
+*previous* mapping of that architectural register is released when the
+instruction commits.  The simulator is trace-driven (no wrong-path
+state), so no checkpoint/rollback is required.  Both kernels rename in
+their dispatch stage.  The scalar kernel's integer allocation and
+release are inlined copies of :meth:`PhysicalRegisterFile.allocate` and
+:meth:`PhysicalRegisterFile.release`, and every FP rename calls them;
+FP tags sit above the integer ones (tag = FP register + integer file
+size).
 
 The free list is a preallocated integer **bitmask** rather than a heap of
 boxed indices: bit *i* set means physical register *i* is free.  Lowest-
@@ -23,27 +28,9 @@ stage's availability check is one attribute read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class OutOfPhysicalRegisters(Exception):
     """Raised when rename needs a register and the free list is empty."""
-
-
-@dataclass
-class RenamedOperands:
-    """Result of renaming one instruction.
-
-    Attributes:
-        source_tags: physical registers read by the instruction.
-        dest_tags: physical registers allocated for its destinations.
-        freed_on_commit: physical registers to release when it commits
-            (the previous mappings of its destination architectural regs).
-    """
-
-    source_tags: list[int]
-    dest_tags: list[int]
-    freed_on_commit: list[int]
 
 
 class PhysicalRegisterFile:
@@ -53,7 +40,6 @@ class PhysicalRegisterFile:
         if num_physical < num_architectural:
             raise ValueError("need at least one physical register per architectural register")
         self.num_physical = num_physical
-        self.num_architectural = num_architectural
         self.bank_size = bank_size
         self.num_banks = (num_physical + bank_size - 1) // bank_size
 
@@ -67,21 +53,6 @@ class PhysicalRegisterFile:
         for phys in range(num_architectural):
             self.bank_counts[phys // bank_size] += 1
         self.active_banks = sum(1 for count in self.bank_counts if count > 0)
-
-        self.reads = 0
-        self.writes = 0
-
-    # ------------------------------------------------------------------
-    def enabled_banks(self, bank_gating: bool) -> int:
-        """Banks that must be powered (all of them without gating)."""
-        if not bank_gating:
-            return self.num_banks
-        return self.active_banks
-
-    # ------------------------------------------------------------------
-    def lookup(self, arch_reg: int) -> int:
-        """Current physical register holding architectural register ``arch_reg``."""
-        return self.rename_map[arch_reg]
 
     def allocate(self, arch_reg: int) -> tuple[int, int]:
         """Allocate a new physical register for ``arch_reg``.
@@ -121,78 +92,3 @@ class PhysicalRegisterFile:
         bank_counts[bank] -= 1
         if bank_counts[bank] == 0:
             self.active_banks -= 1
-
-    def record_reads(self, count: int) -> None:
-        """Account for ``count`` operand reads (at issue)."""
-        self.reads += count
-
-    def record_writes(self, count: int) -> None:
-        """Account for ``count`` result writes (at writeback)."""
-        self.writes += count
-
-
-class RenameUnit:
-    """Renames integer and floating-point operands onto physical registers."""
-
-    def __init__(
-        self,
-        int_physical: int,
-        fp_physical: int,
-        bank_size: int,
-        num_int_arch: int = 32,
-        num_fp_arch: int = 16,
-    ):
-        self.int_file = PhysicalRegisterFile(int_physical, num_int_arch, bank_size)
-        self.fp_file = PhysicalRegisterFile(fp_physical, num_fp_arch, bank_size)
-
-    def _file_for(self, reg) -> PhysicalRegisterFile:
-        return self.fp_file if reg.is_fp else self.int_file
-
-    def can_rename(self, instruction) -> bool:
-        """True when enough free physical registers exist for the destinations."""
-        int_needed = 0
-        fp_needed = 0
-        for reg in instruction.dests:
-            if reg.is_fp:
-                fp_needed += 1
-            else:
-                int_needed += 1
-        return (
-            self.int_file.free_count >= int_needed
-            and self.fp_file.free_count >= fp_needed
-        )
-
-    def rename(self, instruction) -> RenamedOperands:
-        """Rename ``instruction``'s operands; raises if registers run out.
-
-        Source tags are offset so integer and FP tags never collide: FP tags
-        occupy the range above the integer physical registers.  (The replay
-        core renames from pre-decoded operand specs inline in its dispatch
-        stage; this object-based form serves tests and external callers.)
-        """
-        fp_offset = self.int_file.num_physical
-        source_tags: list[int] = []
-        for reg in instruction.srcs:
-            regfile = self._file_for(reg)
-            tag = regfile.lookup(reg.index)
-            source_tags.append(tag + (fp_offset if reg.is_fp else 0))
-
-        dest_tags: list[int] = []
-        freed: list[int] = []
-        for reg in instruction.dests:
-            regfile = self._file_for(reg)
-            new_phys, previous = regfile.allocate(reg.index)
-            offset = fp_offset if reg.is_fp else 0
-            dest_tags.append(new_phys + offset)
-            freed.append(previous + offset)
-        return RenamedOperands(
-            source_tags=source_tags, dest_tags=dest_tags, freed_on_commit=freed
-        )
-
-    def release(self, tag: int) -> None:
-        """Release a physical register identified by its (offset) tag."""
-        fp_offset = self.int_file.num_physical
-        if tag >= fp_offset:
-            self.fp_file.release(tag - fp_offset)
-        else:
-            self.int_file.release(tag)

@@ -26,31 +26,54 @@ The contract under test (see :mod:`repro.uarch.engine`):
 * **Failure paths** — a trace pc with no static row, a window source
   that raises and a policy hook that raises all surface as exceptions
   under either kernel, and leave nothing behind that changes the next
-  replay.  ``tests/test_native_sanitizer.py`` reruns this module against
-  an AddressSanitizer build of the native kernel.
+  replay.
+* **Machine semantics** — the scalar kernel's stage methods are the
+  Python definition of the machine.  Directed streams step them cycle
+  by cycle through figure 2 (a full region stops dispatch until its
+  oldest entry issues), the global, physical and ROB limits, the
+  circular queue's slot reuse and bank gating, wakeup and the gated
+  comparator count, oldest-first select, in-order commit,
+  lowest-first register allocation and the per-class unit limits; each
+  stream also replays to the same statistics under both kernels.
+* **Random machines** — a hypothesis property draws every structural
+  field of ``ProcessorConfig`` and holds the kernels to the same
+  statistics on extended-suite programs under every technique.
+
+``tests/test_native_sanitizer.py`` reruns this module against an
+AddressSanitizer build of the native kernel.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import subprocess
 from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import compile_program
 from repro.harness import ParallelSuiteRunner, RunConfig
 from repro.harness.cache import stats_to_dict
 from repro.harness.experiment import SOFTWARE_TECHNIQUES, TECHNIQUES, make_policy
 from repro.harness.parallel import SimulationJob
+from repro.isa import Instruction, Opcode, Program
 from repro.isa.opcodes import FuClass
-from repro.techniques import AbellaPolicy, BaselinePolicy, SoftwareDirectedPolicy
+from repro.isa.registers import fp_reg, int_reg
+from repro.techniques import (
+    AbellaPolicy,
+    BaselinePolicy,
+    FixedLimitPolicy,
+    SoftwareDirectedPolicy,
+)
 from repro.uarch import available_engines, get_engine, resolve_engine_name, simulate
 from repro.uarch.config import BranchPredictorConfig, CacheConfig, ProcessorConfig
 from repro.uarch.engine import base as engine_base
 from repro.uarch.engine import native as native_module
 from repro.uarch.engine.native import NativeUnavailableError
 from repro.uarch.engine.scalar import OutOfOrderCore
+from repro.uarch.rob import COMPLETED, DISPATCHED, ISSUED
 from repro.uarch.trace import (
     StaticTable,
     TraceCache,
@@ -101,7 +124,6 @@ def _wide_config(
     eighth of the queue, so banked gating stays meaningful."""
     return ProcessorConfig(
         fetch_width=width,
-        decode_width=width,
         dispatch_width=width,
         issue_width=width,
         commit_width=width,
@@ -164,6 +186,7 @@ def _program_for(technique: str):
     return program
 
 
+@functools.lru_cache(maxsize=None)
 def _technique_programs(benchmark: str) -> dict[str, object]:
     """Each technique's program for ``benchmark``: the instrumented
     build for the software techniques, the plain program otherwise."""
@@ -797,3 +820,550 @@ class TestNativeAvailabilityGuard:
             text=True,
         )
         assert result.returncode == 0, result.stderr
+
+
+# ---------------------------------------------------------------------------
+# Machine semantics: directed streams stepped through the scalar stages
+# ---------------------------------------------------------------------------
+
+#: Table 1 with 256-byte instruction-cache lines: a directed program of
+#: up to 64 instructions arrives after one cold miss, so its timing is
+#: set by the back end alone.
+DIRECTED_CONFIG = ProcessorConfig(l1i=CacheConfig("l1i", 64 * 1024, 2, 256, 1))
+
+#: More than any directed program's dynamic length.
+DIRECTED_BUDGET = 1_000
+
+#: Far more cycles than any directed program takes: a kernel that stops
+#: draining fails its test here instead of hanging it.
+DIRECTED_MAX_CYCLES = 20_000
+
+
+def _straight_line(*instructions) -> Program:
+    """``instructions`` then a halt, as the one block of ``main``.  A
+    straight line runs once, so the trace index of each non-hint
+    instruction is its rank among them.  The first instruction arrives
+    alone, on the cold instruction-cache miss, and the rest together."""
+    program = Program(name="directed")
+    block = program.new_procedure("main").add_block("body")
+    for instruction in (*instructions, Instruction.halt()):
+        block.append(instruction)
+    program.validate()
+    return program
+
+
+def _nop() -> Instruction:
+    """A plain NOP: trace index 0 of a program whose next instructions
+    should arrive together; decode strips it."""
+    return Instruction(opcode=Opcode.NOP)
+
+
+def _add(dest: int, src: int, imm: int = 1) -> Instruction:
+    return Instruction.alu(Opcode.ADD, int_reg(dest), [int_reg(src)], imm=imm)
+
+
+def _div(dest: int, src: int) -> Instruction:
+    """A 12-cycle integer divide."""
+    return Instruction.alu(Opcode.DIV, int_reg(dest), [int_reg(src)], imm=3)
+
+
+def _long_load(dest: int = 2) -> tuple[Instruction, Instruction]:
+    """``r1 ← 0x2000; r<dest> ← [r1]``: a cold miss in both cache levels
+    (63 cycles on table 1)."""
+    return (
+        Instruction.load_imm(int_reg(1), 0x2000),
+        Instruction.load(int_reg(dest), int_reg(1)),
+    )
+
+
+def _kernels_agree(program, new_policy, config=DIRECTED_CONFIG):
+    """Replay ``program`` under the scalar kernel and, where it builds,
+    the native one, each with a fresh policy from ``new_policy``;
+    assert equal statistics and return the scalar ones."""
+    kernels = ("scalar", "native") if native_module.native_available() else ("scalar",)
+    runs = [
+        get_engine(kernel).run(
+            get_trace_stream(program, DIRECTED_BUDGET),
+            new_policy(),
+            config=config,
+            max_cycles=DIRECTED_MAX_CYCLES,
+        )
+        for kernel in kernels
+    ]
+    assert runs[0].cycles < DIRECTED_MAX_CYCLES
+    for stats in runs[1:]:
+        assert _stats_bytes(stats) == _stats_bytes(runs[0])
+    return runs[0]
+
+
+def _observe(core) -> dict:
+    """What the stages left behind at the end of a cycle, by trace index:
+    the resident issue-queue entries oldest first and their slots, the
+    current region's, the queue's count of banks holding an entry, each
+    live ROB entry's state and destination tags, the statistics, and
+    the gated comparisons and broadcasts the next cycle's writeback must
+    count, derived from the waiting sets of the resident entries."""
+    iq, rob = core.iq, core.rob
+    window = [iq.slots[(iq.head + k) % iq.capacity] for k in range(iq.span)]
+    region = (iq.tail - iq.new_head) % iq.capacity if iq.span else 0
+    resident = [entry for entry in window if entry is not None]
+    live = [rob.entries[(rob.head + k) % rob.capacity] for k in range(rob.count)]
+    waiting = sum(len(entry.waiting_tags) for entry in resident)
+    gated = broadcasts = 0
+    for finishing in core._completion_events.get(core.cycle, ()):
+        for tag in finishing.dest_tags:
+            broadcasts += 1
+            gated += waiting
+            waiting -= sum(tag in entry.waiting_tags for entry in resident)
+    return {
+        "resident": [rob.entries[entry.rob_index].dyn for entry in resident],
+        "slots": {rob.entries[entry.rob_index].dyn: entry.slot for entry in resident},
+        "region": [
+            rob.entries[entry.rob_index].dyn
+            for entry in window[iq.span - region :]
+            if entry is not None
+        ],
+        "state": {entry.dyn: entry.state for entry in live},
+        "dests": {entry.dyn: tuple(entry.dest_tags) for entry in live},
+        "freed": {entry.dyn: tuple(entry.freed_on_commit) for entry in live},
+        "span": iq.span,
+        "banks": iq.active_banks,
+        "rob": rob.count,
+        "free": (core.int_file._free_mask, core.fp_file._free_mask),
+        "stats": stats_to_dict(core.stats),
+        "next_gated": gated,
+        "next_broadcasts": broadcasts,
+    }
+
+
+def _step(program, policy, config=DIRECTED_CONFIG, budget=DIRECTED_BUDGET):
+    """Step the scalar core through ``program``'s trace with
+    ``OutOfOrderCore.step``; return the core and its observations, the
+    first before any cycle and then one after each."""
+    core = OutOfOrderCore(
+        get_trace_stream(program, budget), config=config, policy=policy
+    )
+    cycles = [_observe(core)]
+    while not core._finished():
+        assert core.cycle < DIRECTED_MAX_CYCLES
+        core.step()
+        cycles.append(_observe(core))
+    core._finalize_sample()
+    return core, cycles
+
+
+def _dispatched(cycles, k: int) -> list[int]:
+    """Trace indices dispatched in cycle ``k`` (observations k-1 → k)."""
+    return sorted(set(cycles[k]["state"]) - set(cycles[k - 1]["state"]))
+
+
+def _issued(cycles, k: int) -> list[int]:
+    """Trace indices issued in cycle ``k``."""
+    before, after = cycles[k - 1]["state"], cycles[k]["state"]
+    return sorted(
+        dyn
+        for dyn, state in before.items()
+        if state == DISPATCHED and after[dyn] != DISPATCHED
+    )
+
+
+def _issue_groups(cycles, below: int) -> list[list[int]]:
+    """The trace indices below ``below`` issued in each cycle that issued
+    any, in cycle order."""
+    groups = (_issued(cycles, k) for k in range(1, len(cycles)))
+    groups = ([dyn for dyn in group if dyn < below] for group in groups)
+    return [group for group in groups if group]
+
+
+def _first(cycles, predicate) -> int:
+    """The first observation satisfying ``predicate``."""
+    return next(k for k, cycle in enumerate(cycles) if predicate(cycle))
+
+
+class TestMachineSemantics:
+    """The machine the two kernels define, stage by stage: the scalar
+    stages stepped through directed streams, and each stream replayed to
+    the same statistics under both kernels."""
+
+    def test_a_full_region_stops_dispatch_until_its_oldest_entry_issues(self):
+        """Figure 2: a hint of 3 entries stops dispatch once the region
+        holds 3; when the region's oldest entry issues, ``new_head``
+        slides past its hole and dispatch resumes in the same cycle; the
+        older region's entries stay resident throughout."""
+        program = _straight_line(
+            *_long_load(),  # 0, 1
+            _add(3, 2),  # 2: older region, waits on the load
+            _add(4, 2, 2),  # 3: older region, waits on the load
+            _div(5, 6),  # 4: 12 cycles
+            Instruction.hint(3),
+            _add(7, 5),  # 5: the region's oldest, waits on the divide
+            _add(8, 2, 3),  # 6
+            _add(9, 2, 4),  # 7
+            _add(10, 2, 5),  # 8: blocked by the full region
+            _add(11, 2, 6),  # 9
+        )
+        stats = _kernels_agree(program, SoftwareDirectedPolicy)
+        core, cycles = _step(program, SoftwareDirectedPolicy())
+        assert _stats_bytes(core.stats) == _stats_bytes(stats)
+
+        full = [k for k, cycle in enumerate(cycles) if cycle["region"] == [5, 6, 7]]
+        assert len(full) >= 8 and full == list(range(full[0], full[-1] + 1))
+        for k in full[1:]:
+            cycle, before = cycles[k], cycles[k - 1]
+            assert 8 not in cycle["state"]  # dispatch stopped
+            assert cycle["resident"] == [2, 3, 5, 6, 7]  # the older region stays
+            assert (
+                cycle["stats"]["iq_dispatch_stall_cycles"]
+                == before["stats"]["iq_dispatch_stall_cycles"] + 1
+            )
+        resumed = full[-1] + 1
+        assert _issued(cycles, resumed) == [5]
+        assert _dispatched(cycles, resumed) == [8]
+        assert cycles[resumed]["region"] == [6, 7, 8]
+        assert cycles[resumed]["resident"] == [2, 3, 6, 7, 8]
+        assert core.iq.max_new_range == 3
+        assert stats.iq_full_stall_cycles == 0
+
+    def _dependents(self, count: int) -> Program:
+        """A long load and ``count`` entries waiting on it."""
+        dependents = (_add(3 + k % 27, 2, k) for k in range(count))
+        return _straight_line(*_long_load(), *dependents)
+
+    def test_the_global_limit_caps_the_span(self):
+        """A fixed limit of 12 stops dispatch at a span of 12, counted as
+        a limit stall, never as a full queue."""
+        program = self._dependents(20)
+        stats = _kernels_agree(program, lambda: FixedLimitPolicy(12))
+        _, cycles = _step(program, FixedLimitPolicy(12))
+        assert max(cycle["span"] for cycle in cycles) == 12
+        held = [
+            k
+            for k in range(1, len(cycles))
+            if cycles[k]["span"] == cycles[k - 1]["span"] == 12
+        ]
+        assert len(held) >= 40
+        assert stats.iq_dispatch_stall_cycles >= len(held) - 1
+        assert stats.iq_full_stall_cycles == 0
+
+    def test_the_physical_queue_caps_the_span(self):
+        """A 16-entry queue stops dispatch at a span of 16, counted as a
+        full queue, never as a limit stall."""
+        config = ProcessorConfig(
+            iq_entries=16, iq_bank_size=4, l1i=DIRECTED_CONFIG.l1i
+        )
+        program = self._dependents(20)
+        stats = _kernels_agree(program, BaselinePolicy, config)
+        _, cycles = _step(program, BaselinePolicy(), config)
+        assert max(cycle["span"] for cycle in cycles) == 16
+        assert stats.iq_full_stall_cycles >= 40
+        assert stats.iq_dispatch_stall_cycles == 0
+
+    def test_the_queue_wraps_into_freed_slots(self):
+        """The queue is circular and non-collapsing: each entry takes the
+        slot after its predecessor's, modulo 16, and keeps it until it
+        issues.  The 17th entry reuses slot 0 while the 14 entries that
+        wait on the load stay where they are; the 32 instructions and
+        the halt wrap the queue twice."""
+        config = ProcessorConfig(
+            iq_entries=16, iq_bank_size=4, l1i=DIRECTED_CONFIG.l1i
+        )
+        program = self._dependents(30)
+        _kernels_agree(program, BaselinePolicy, config)
+        _, cycles = _step(program, BaselinePolicy(), config)
+        slots = {}
+        for cycle in cycles:
+            held = cycle["slots"]
+            assert len(set(held.values())) == len(held)  # one entry per slot
+            for dyn, slot in held.items():
+                assert slots.setdefault(dyn, slot) == slot  # never moved
+        assert slots == {dyn: dyn % 16 for dyn in range(33)}
+        wrapped = _first(cycles, lambda cycle: 16 in cycle["slots"])
+        assert cycles[wrapped]["resident"] == [*range(2, 16), 16]
+
+    def test_only_banks_holding_an_entry_are_on(self):
+        """Bank gating: in every cycle the queue counts as on the banks of
+        4 slots that hold a resident entry, and a gating policy's
+        ``iq_banks_on_sum`` adds those counts over the sampled cycles;
+        the ungated baseline counts all 4 banks in every cycle."""
+        config = ProcessorConfig(
+            iq_entries=16, iq_bank_size=4, l1i=DIRECTED_CONFIG.l1i
+        )
+        program = self._dependents(30)
+        sums = {}
+        for policy in (SoftwareDirectedPolicy, BaselinePolicy):
+            stats = _kernels_agree(program, policy, config)
+            _, cycles = _step(program, policy(), config)
+            holding = [len({slot // 4 for slot in c["slots"].values()}) for c in cycles]
+            assert [cycle["banks"] for cycle in cycles] == holding
+            assert stats.sampled_cycles == len(cycles) - 1
+            on = holding[1:] if policy.iq_bank_gating else [4] * (len(cycles) - 1)
+            assert stats.iq_banks_on_sum == sum(on)
+            sums[policy] = stats.iq_banks_on_sum
+        assert 0 < sums[SoftwareDirectedPolicy] < sums[BaselinePolicy]
+
+    def test_abella_limits_the_rob(self):
+        """Abella keeps the ROB at ``rob_ratio`` times its queue limit:
+        at a ratio of 0.25 on the 80-entry queue, 20 entries; the ROB
+        stop is counted by neither queue stall counter."""
+        program = self._dependents(30)
+
+        def abella():
+            return AbellaPolicy(rob_ratio=0.25)
+
+        stats = _kernels_agree(program, abella)
+        core, cycles = _step(program, abella())
+        assert core.rob.limit == 20
+        assert max(cycle["rob"] for cycle in cycles) == 20
+        assert max(cycle["span"] for cycle in cycles) <= 20
+        assert sum(cycle["rob"] == 20 for cycle in cycles) >= 40
+        assert stats.iq_dispatch_stall_cycles == stats.iq_full_stall_cycles == 0
+
+    def test_a_consumer_issues_once_its_last_producer_broadcasts(self):
+        """Wakeup: an entry with two producers issues in the cycle the
+        later one writes back, not before; every broadcast counts the
+        operands still waiting at its instant (``iq_cmp_gated``) and, for
+        the ungated baseline, every operand slot (``iq_cmp_full``)."""
+        program = _straight_line(
+            *_long_load(),  # 0, 1: 63 cycles
+            _div(3, 4),  # 2: 12 cycles
+            Instruction.alu(Opcode.ADD, int_reg(5), [int_reg(2), int_reg(3)]),  # 3
+            _add(6, 3),  # 4: the divide's only
+            _add(7, 5),  # 5: the consumer's consumer
+        )
+        stats = _kernels_agree(program, SoftwareDirectedPolicy)
+        core, cycles = _step(program, SoftwareDirectedPolicy())
+        assert _stats_bytes(core.stats) == _stats_bytes(stats)
+
+        def completed(dyn):
+            return _first(cycles, lambda cycle: cycle["state"].get(dyn) == COMPLETED)
+
+        divide, load = completed(2), completed(1)
+        assert divide < load
+        assert _issued(cycles, divide) == [4]
+        assert all(cycles[k]["state"][3] == DISPATCHED for k in range(divide, load))
+        assert _issued(cycles, load) == [3]
+        assert _issued(cycles, load + 1) == [5]
+        for before, after in zip(cycles, cycles[1:]):
+            counted, counts = before["stats"], after["stats"]
+            assert counts["iq_cmp_gated"] - counted["iq_cmp_gated"] == before["next_gated"]
+            assert (
+                counts["iq_broadcasts"] - counted["iq_broadcasts"]
+                == before["next_broadcasts"]
+            )
+        assert stats.iq_cmp_gated > 0
+        # Ungated, every broadcast compares both operand slots of all 80.
+        assert stats.iq_cmp_full == stats.iq_broadcasts * 2 * 80
+
+    def test_select_is_oldest_first(self):
+        """Two divides wake four entries in one cycle, the first divide's
+        two consumers first; at two issues per cycle select takes them by
+        age (3, 4 then 5, 6), not in wakeup order (3, 5 then 4, 6)."""
+        config = ProcessorConfig(issue_width=2, l1i=DIRECTED_CONFIG.l1i)
+        program = _straight_line(
+            _nop(),  # 0
+            _div(1, 20),  # 1
+            _div(2, 21),  # 2
+            _add(3, 1),  # 3
+            _add(4, 2),  # 4
+            _add(5, 1, 2),  # 5
+            _add(6, 2, 2),  # 6
+        )
+        _kernels_agree(program, BaselinePolicy, config)
+        _, cycles = _step(program, BaselinePolicy(), config)
+        assert _issue_groups(cycles, below=7) == [[1, 2], [3, 4], [5, 6]]
+
+    def test_commit_stays_in_order_past_an_out_of_order_completion(self):
+        """A younger add completes long before the older divide; it
+        leaves the ROB only with or after it, in order."""
+        program = _straight_line(
+            _nop(),  # 0
+            _div(1, 20),  # 1
+            _add(2, 21),  # 2
+            _add(3, 2),  # 3
+        )
+        _kernels_agree(program, BaselinePolicy)
+        _, cycles = _step(program, BaselinePolicy())
+        done_early = _first(
+            cycles,
+            lambda cycle: cycle["state"].get(2) == COMPLETED
+            and cycle["state"].get(1) == ISSUED,
+        )
+
+        def retired(dyn):
+            return _first(cycles[done_early:], lambda cycle: dyn not in cycle["state"])
+
+        assert 10 <= retired(1) <= retired(2) <= retired(3)
+        assert all(
+            cycles[done_early + k]["state"][2] == COMPLETED for k in range(retired(1))
+        )
+
+    def test_registers_are_allocated_lowest_first(self):
+        """The first integer destinations take registers 32, 33, 34 (the
+        lowest free); the first FP destination takes FP register 16, whose
+        tag sits above the 112 integer ones."""
+        program = _straight_line(
+            _nop(),  # 0
+            _add(1, 20),  # 1
+            _add(2, 20),  # 2
+            _add(1, 1),  # 3: renames r1 again
+            Instruction.alu(Opcode.FADD, fp_reg(1), [fp_reg(2), fp_reg(3)]),  # 4
+        )
+        _kernels_agree(program, BaselinePolicy)
+        _, cycles = _step(program, BaselinePolicy())
+        cycle = cycles[_first(cycles, lambda cycle: 4 in cycle["state"])]
+        dests = [cycle["dests"][dyn] for dyn in range(1, 5)]
+        assert dests == [(32,), (33,), (34,), (112 + 16,)]
+        freed = [cycle["freed"][dyn] for dyn in range(1, 5)]
+        assert freed == [(1,), (2,), (32,), (112 + 1,)]
+
+    def test_each_unit_class_keeps_its_per_cycle_limit(self):
+        """With one integer multiplier, four ready multiplies issue one
+        per cycle in age order, while the adds beside them all issue in
+        the first cycle."""
+        counts = dict(DIRECTED_CONFIG.fu_counts)
+        counts[FuClass.INT_MUL] = 1
+        config = ProcessorConfig(fu_counts=counts, l1i=DIRECTED_CONFIG.l1i)
+        program = _straight_line(
+            _nop(),  # 0
+            *(Instruction.alu(Opcode.MUL, int_reg(1 + k), [int_reg(20)]) for k in range(4)),
+            *(_add(10 + k, 21, k) for k in range(4)),  # 5-8
+        )
+        _kernels_agree(program, BaselinePolicy, config)
+        _, cycles = _step(program, BaselinePolicy(), config)
+        assert _issue_groups(cycles, below=9) == [[1, 5, 6, 7, 8], [2], [3], [4]]
+
+    @pytest.mark.parametrize("workload", ("gzip", "fpstream"))
+    def test_every_rename_and_issue_obeys_the_rules(self, workload):
+        """Over a benchmark's stream: in each cycle, each file's new
+        destinations are its lowest registers free once commit has
+        released its mappings (FP tags offset above the integer file),
+        and no class issues more than its units."""
+        config = ProcessorConfig.hpca2005()
+        program = build_benchmark(workload)
+        core, cycles = _step(program, BaselinePolicy(), config, budget=1_500)
+        table, pcs = core._table, core._trace.pc
+        limits = [config.fu_counts.get(fu, 0) for fu in FuClass]
+        offsets = (0, config.int_phys_regs)
+        sizes = (config.int_phys_regs, config.fp_phys_regs)
+        fp_dests = 0
+        for k in range(1, len(cycles)):
+            before, after = cycles[k - 1], cycles[k]
+            committed = set(before["state"]) - set(after["state"])
+            dests = [tag for dyn in _dispatched(cycles, k) for tag in after["dests"][dyn]]
+            for mask, offset, size in zip(before["free"], offsets, sizes):
+                in_file = range(offset, offset + size)
+                free = {offset + reg for reg in range(size) if mask >> reg & 1}
+                for dyn in committed:
+                    free |= {tag for tag in before["freed"][dyn] if tag in in_file}
+                taken = [tag for tag in dests if tag in in_file]
+                assert taken == sorted(free)[: len(taken)], (k, offset)
+            fp_dests += sum(tag >= offsets[1] for tag in dests)
+            issued = [table.fu[(pcs[dyn] - table.base) >> 2] for dyn in _issued(cycles, k)]
+            assert all(issued.count(fu) <= limits[fu] for fu in set(issued)), k
+        assert (fp_dests > 0) == (workload == "fpstream")
+
+
+# ---------------------------------------------------------------------------
+# Random machines: the two kernels against each other
+# ---------------------------------------------------------------------------
+
+#: A safety cap for the drawn machines: both kernels stop there, so a
+#: machine that could not drain would still be compared, not hang.
+FUZZ_MAX_CYCLES = 200_000
+
+
+@st.composite
+def machines(draw) -> ProcessorConfig:
+    """A machine within ``ProcessorConfig.validate`` (FP registers from
+    17, so an FP rename can always proceed): every structural field,
+    non-power-of-two sizes, banks larger than their structure, 3-way
+    caches and 48-byte lines included."""
+
+    def size(low: int, high: int) -> int:
+        return draw(st.integers(low, high))
+
+    def cache(name: str) -> CacheConfig:
+        line = draw(st.sampled_from((8, 16, 32, 48, 64)))
+        assoc = draw(st.sampled_from((1, 2, 3, 4, 8)))
+        return CacheConfig(name, size(line * assoc, 64 * 1024), assoc, line, size(1, 4))
+
+    dispatch = size(1, 12)
+    iq_entries = size(1, 96)
+    config = ProcessorConfig(
+        fetch_width=size(1, 12),
+        dispatch_width=dispatch,
+        issue_width=size(1, 12),
+        commit_width=size(1, 12),
+        fetch_queue_entries=size(1, 48),
+        decode_latency=size(0, 4),
+        branch_mispredict_penalty=size(0, 8),
+        rob_entries=size(dispatch, 160),
+        iq_entries=iq_entries,
+        iq_bank_size=size(1, iq_entries + 8),
+        int_phys_regs=size(32 + dispatch, 160),
+        fp_phys_regs=size(17, 160),
+        regfile_bank_size=size(1, 24),
+        fu_counts={fu: size(1, 6) for fu in FuClass},
+        l1i=cache("l1i"),
+        l1d=cache("l1d"),
+        l2=cache("l2"),
+        l2_miss_latency=size(1, 80),
+        branch=BranchPredictorConfig(
+            gshare_entries=size(1, 4096),
+            bimodal_entries=size(1, 4096),
+            selector_entries=size(1, 2048),
+            history_bits=size(0, 16),
+            btb_entries=size(1, 4096),
+            btb_assoc=size(1, 8),
+            ras_entries=size(0, 32),
+        ),
+    )
+    config.validate()
+    return config
+
+
+@needs_native
+def test_a_machine_without_a_return_stack():
+    """Found by the property below: with ``ras_entries=0`` the native
+    kernel's push moved ``(size_t)-1`` entries.  A stack of no entries
+    stays empty in both kernels, so every return mispredicts."""
+    config = ProcessorConfig(branch=BranchPredictorConfig(ras_entries=0))
+    scalar, native = (
+        simulate(
+            build_benchmark("vortex"),
+            config=config,
+            max_instructions=BUDGET,
+            engine=engine,
+        )
+        for engine in ("scalar", "native")
+    )
+    assert _stats_bytes(scalar) == _stats_bytes(native)
+    assert scalar.ras_mispredicts > 0
+
+
+@needs_native
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(
+    config=machines(),
+    workload=st.sampled_from(ALL_BENCHMARKS),
+    technique=st.sampled_from(TECHNIQUES),
+    budget=st.integers(0, 3_000),
+    warmup=st.sampled_from(("none", "one", "a third")),
+)
+def test_kernels_agree_on_random_machines(config, workload, technique, budget, warmup):
+    """Both kernels replay an extended-suite program under any technique
+    to the same statistics on any machine ``validate`` accepts."""
+    warmup_instructions = {"none": 0, "one": 1, "a third": budget // 3}[warmup]
+    scalar, native = (
+        simulate(
+            _technique_programs(workload)[technique],
+            make_policy(technique, _CONFIG),
+            config=config,
+            max_instructions=budget,
+            warmup_instructions=warmup_instructions,
+            max_cycles=FUZZ_MAX_CYCLES,
+            engine=engine,
+        )
+        for engine in ("scalar", "native")
+    )
+    assert _stats_bytes(scalar) == _stats_bytes(native)

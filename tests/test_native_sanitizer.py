@@ -5,7 +5,8 @@ buffer pointers, so an indexing slip is a silent out-of-bounds read in
 an optimised build.  This gate builds ``_native.c`` with
 ``-O1 -g -fsanitize=address,undefined -fno-sanitize-recover=all`` into a
 temporary directory, then runs ``tests/test_engines.py`` (the
-equivalence matrix and the kernel's failure paths) and the hint
+equivalence matrix, the machine-semantics streams, the random-machine
+fuzz and the kernel's failure paths) and the hint
 expansion tests of ``tests/test_hint_expansion.py`` (every benchmark's
 noop program at two budgets; the edge cases at every budget up to 39;
 the maps the kernel refuses) in a child interpreter with both sanitizer

@@ -18,13 +18,23 @@ from repro.core.loop_analysis import (
     analyse_loop_body,
 )
 from repro.core.pseudo_queue import PseudoIssueQueue, ScheduleResult
+from repro.harness.cache import stats_to_dict
 from repro.isa import Instruction, Opcode
 from repro.isa.encoding import HINT_MAX_VALUE, decode_hint_payload, encode_hint_payload
 from repro.isa.opcodes import FuClass
 from repro.isa.registers import ZERO_REG, Reg, fp_reg, int_reg
-from repro.uarch.issue_queue import BankedIssueQueue
+from repro.techniques import (
+    AbellaPolicy,
+    BaselinePolicy,
+    FixedLimitPolicy,
+    SoftwareDirectedPolicy,
+)
+from repro.uarch import get_engine
+from repro.uarch.config import ProcessorConfig
+from repro.uarch.engine.native import native_available
+from repro.uarch.engine.scalar import OutOfOrderCore
 from repro.uarch.regfile import PhysicalRegisterFile
-from repro.uarch.trace import program_digest
+from repro.uarch.trace import get_trace_stream, program_digest
 from repro.workloads.generator import SyntheticProgramGenerator
 from repro.workloads.traits import BenchmarkTraits
 from tests.conftest import synthetic_traits
@@ -441,36 +451,132 @@ def test_recurrence_analysis_matches_brute_force(instructions):
 
 
 # ---------------------------------------------------------------------------
-# Issue queue invariants under random operation sequences
+# Machine invariants: the scalar core stepped over random programs
 # ---------------------------------------------------------------------------
-@given(st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=120))
-@settings(max_examples=60, deadline=None)
-def test_issue_queue_invariants(operations):
-    """Random allocate/remove/broadcast sequences keep the queue consistent."""
-    iq = BankedIssueQueue(capacity=16, bank_size=4)
-    live = []
-    next_tag = 1000
-    for op in operations:
-        if op == 0:  # allocate if possible
-            ok, _ = iq.can_dispatch()
-            if ok:
-                entry = iq.allocate(len(live), {next_tag}, 1, FuClass.INT_ALU, 0)
-                live.append((entry, next_tag))
-                next_tag += 1
-        elif op == 1 and live:  # wake then remove the oldest live entry
-            entry, tag = live.pop(0)
-            iq.broadcast(tag)
-            iq.remove(entry)
-        elif op == 2 and live:  # broadcast a random live tag (wake only)
-            iq.broadcast(live[-1][1])
+def _check_issue_queue(core, fixed_limit: bool) -> None:
+    """The issue queue's fields agree with its slots after a cycle."""
+    iq = core.iq
+    capacity = iq.capacity
+    window = [(iq.head + k) % capacity for k in range(iq.span)]
+    resident = [iq.slots[slot] for slot in window if iq.slots[slot] is not None]
+    outside = set(range(capacity)) - set(window)
+    assert all(iq.slots[slot] is None for slot in outside)
+    assert iq.tail == (iq.head + iq.span) % capacity
+    assert iq.count == len(resident) == sum(iq.bank_counts)
+    banks = [0] * iq.num_banks
+    for entry in resident:
+        banks[entry.slot // iq.bank_size] += 1
+    assert banks == iq.bank_counts
+    assert iq.active_banks == sum(count > 0 for count in banks)
+    if iq.span:
+        assert iq.slots[iq.head] is not None
+        assert iq.new_head == iq.tail or iq.slots[iq.new_head] is not None
+    assert (iq.new_head - iq.head) % capacity <= iq.span
+    ages = [entry.age for entry in resident]
+    assert ages == sorted(set(ages))
+    assert iq.waiting_operand_count == sum(len(entry.waiting_tags) for entry in resident)
+    assert iq._ready_by_age == {
+        entry.age: entry for entry in resident if not entry.waiting_tags
+    }
+    assert not any(core._tag_ready[tag] for entry in resident for tag in entry.waiting_tags)
+    if iq.max_new_range is not None and iq.span:
+        assert (iq.tail - iq.new_head) % capacity <= iq.max_new_range
+    if fixed_limit:
+        assert iq.span <= iq.global_limit
 
-        # Invariants.
-        assert iq.occupancy == len(live)
-        assert 0 <= iq.occupancy <= iq.span <= iq.capacity
-        assert sum(iq.bank_counts) == iq.occupancy
-        assert iq.waiting_operand_count >= 0
-        assert iq.enabled_banks(True) <= iq.num_banks
-        assert iq.region_occupancy <= iq.span
+
+def _check_register_file(rf) -> None:
+    """A register file's counts agree with its free mask and its map."""
+    mask = rf._free_mask
+    assert mask >> rf.num_physical == 0
+    assert bin(mask).count("1") == rf.free_count
+    assert rf.allocated + rf.free_count == rf.num_physical
+    assert not any(mask >> phys & 1 for phys in rf.rename_map)
+    banks = [0] * rf.num_banks
+    for phys in range(rf.num_physical):
+        if not mask >> phys & 1:
+            banks[phys // rf.bank_size] += 1
+    assert banks == rf.bank_counts
+    assert rf.active_banks == sum(count > 0 for count in banks)
+
+
+#: The policies the invariant property draws from, hinted and limited ones included.
+INVARIANT_TECHNIQUES = ("baseline", "abella", "noop", "extension", "fixed-limit")
+
+#: Hints sized with no margin or slack, so the regions they open fill
+#: and the region limit binds often.
+TIGHT_HINTS = CompilerConfig(sizing_margin=1.0, sizing_slack=0)
+
+
+def _invariant_policy(technique: str, limit: int):
+    """A fresh policy for ``technique``; abella decides every 64 cycles
+    and may shrink to one bank of a small queue."""
+    if technique == "fixed-limit":
+        return FixedLimitPolicy(limit)
+    if technique == "abella":
+        return AbellaPolicy(interval_cycles=64, step_entries=4, min_entries=4)
+    if technique == "baseline":
+        return BaselinePolicy()
+    return SoftwareDirectedPolicy(technique)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    shape=st.tuples(st.integers(1, 3), st.integers(0, 2), st.integers(0, 2)),
+    technique=st.sampled_from(INVARIANT_TECHNIQUES),
+    iq_entries=st.sampled_from((12, 16)),
+    iq_bank_size=st.sampled_from((3, 5, 7)),
+    int_phys_regs=st.sampled_from((40, 47, 64)),
+    regfile_bank_size=st.sampled_from((3, 5, 8)),
+    limit=st.integers(min_value=1, max_value=16),
+)
+@settings(max_examples=30, deadline=None)
+def test_issue_queue_invariants(
+    seed,
+    shape,
+    technique,
+    iq_entries,
+    iq_bank_size,
+    int_phys_regs,
+    regfile_bank_size,
+    limit,
+):
+    """After every cycle of the scalar core on a random program, small
+    machine and policy, the issue queue and both register files are
+    consistent: counts, banks, pointers, ages, waiting sets, the ready
+    set, the region and fixed limits, the free masks and the rename
+    maps.  The native kernel, where it builds, replays the same stream
+    to the same statistics."""
+    program = SyntheticProgramGenerator(synthetic_traits(seed, *shape)).build()
+    if technique in ("noop", "extension"):
+        program = compile_program(program, TIGHT_HINTS, mode=technique).instrumented_program
+    config = ProcessorConfig(
+        iq_entries=iq_entries,
+        iq_bank_size=iq_bank_size,
+        int_phys_regs=int_phys_regs,
+        fp_phys_regs=24,
+        regfile_bank_size=regfile_bank_size,
+    )
+    budget = 800
+    core = OutOfOrderCore(
+        get_trace_stream(program, budget),
+        config=config,
+        policy=_invariant_policy(technique, limit),
+    )
+    while not core._finished():
+        core.step()
+        _check_issue_queue(core, technique == "fixed-limit")
+        _check_register_file(core.int_file)
+        _check_register_file(core.fp_file)
+    core._finalize_sample()
+    assert core.stats.committed_instructions == core._committed_total > 0
+    if native_available():
+        native = get_engine("native").run(
+            get_trace_stream(program, budget),
+            _invariant_policy(technique, limit),
+            config=config,
+        )
+        assert stats_to_dict(native) == stats_to_dict(core.stats)
 
 
 # ---------------------------------------------------------------------------
@@ -479,20 +585,24 @@ def test_issue_queue_invariants(operations):
 @given(st.lists(st.integers(min_value=0, max_value=31), min_size=1, max_size=70))
 @settings(max_examples=50, deadline=None)
 def test_register_file_allocation_invariants(arch_regs):
+    """Lowest-first allocation and release keep the free mask, the counts,
+    the banks and the rename map consistent after every step, and
+    releasing every previous mapping restores the architectural state."""
     rf = PhysicalRegisterFile(112, 32, 8)
     released = []
     for arch in arch_regs:
         if rf.free_count == 0:
             break
-        _, old = rf.allocate(arch)
+        lowest = (rf._free_mask & -rf._free_mask).bit_length() - 1
+        new, old = rf.allocate(arch)
+        assert new == lowest and rf.rename_map[arch] == new
         released.append(old)
-        assert rf.allocated + rf.free_count == 112
-        assert sum(rf.bank_counts) == rf.allocated
+        _check_register_file(rf)
     for phys in released:
         rf.release(phys)
-    assert rf.allocated + rf.free_count == 112
-    assert rf.allocated == 32 - len([r for r in []])  # all transients released
-    assert sum(rf.bank_counts) == rf.allocated
+        _check_register_file(rf)
+    assert rf.allocated == 32
+    assert sorted(rf.rename_map) == sorted(set(rf.rename_map))
 
 
 # ---------------------------------------------------------------------------

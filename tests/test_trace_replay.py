@@ -29,7 +29,7 @@ from repro.core import CompilerConfig, compile_program
 from repro.harness import ParallelSuiteRunner, RunConfig
 from repro.harness.cache import ResultCache, stats_to_dict
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import Opcode
+from repro.isa.opcodes import FU_ORDER, Opcode
 from repro.isa.registers import int_reg
 from repro.techniques import (
     AbellaPolicy,
@@ -40,7 +40,6 @@ from repro.techniques import (
 from repro.uarch import TraceCache, get_engine, simulate
 from repro.uarch.emulator import CODE_BASE, FunctionalEmulator, ProgramLayout
 from repro.uarch.engine import native as native_module
-from repro.uarch.functional_units import FU_ORDER
 from repro.uarch import trace as trace_module
 from repro.uarch.trace import (
     F_BRANCH,

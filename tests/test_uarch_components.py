@@ -1,4 +1,11 @@
-"""Unit tests for the simulator's building blocks (:mod:`repro.uarch`)."""
+"""Unit tests for the simulator's building blocks (:mod:`repro.uarch`).
+
+What the structures do in a cycle (dispatch, wakeup, select, commit,
+renaming, unit limits) is defined by the replay kernels' stages and
+tested on them in ``tests/test_engines.py``; this module covers what the
+components still define themselves: the configuration, the caches, the
+predictor, the register file's free list, the geometry and capacity
+errors and the clamps a policy's limits go through."""
 
 from __future__ import annotations
 
@@ -8,9 +15,8 @@ from repro.isa.opcodes import FuClass
 from repro.uarch.branch import HybridBranchPredictor
 from repro.uarch.cache import MemoryHierarchy, SetAssociativeCache
 from repro.uarch.config import CacheConfig, ProcessorConfig
-from repro.uarch.functional_units import FunctionalUnitPool
-from repro.uarch.issue_queue import BankedIssueQueue
-from repro.uarch.regfile import OutOfPhysicalRegisters, PhysicalRegisterFile, RenameUnit
+from repro.uarch.issue_queue import BankedIssueQueue, IssueQueueEntry
+from repro.uarch.regfile import OutOfPhysicalRegisters, PhysicalRegisterFile
 from repro.uarch.rob import ReorderBuffer
 
 
@@ -44,30 +50,31 @@ class TestCaches:
         cache = SetAssociativeCache(CacheConfig("t", 1024, 2, 32, 1))
         assert cache.access(0x100) is False
         assert cache.access(0x100) is True
-        assert cache.miss_rate == 0.5
+        assert cache.access(0x11F) is True  # same 32-byte line
 
     def test_lru_eviction(self):
         cache = SetAssociativeCache(CacheConfig("t", 64, 1, 32, 1))  # 2 sets, direct mapped
         cache.access(0x0)
         cache.access(0x40)  # same set, evicts 0x0
-        assert cache.probe(0x0) is False
-        assert cache.probe(0x40) is True
+        assert cache.access(0x40) is True
+        assert cache.access(0x0) is False
 
     def test_hierarchy_latencies(self):
         hierarchy = MemoryHierarchy(ProcessorConfig.hpca2005())
-        miss = hierarchy.data_access(0x5000)
-        hit = hierarchy.data_access(0x5000)
-        assert miss.latency > hit.latency
-        assert hit.l1_hit and not miss.l1_hit
-        assert hit.latency == 2
+        miss = hierarchy.data_access_fast(0x5000)
+        hit = hierarchy.data_access_fast(0x5000)
+        assert miss == (2 + 10 + 50, False, False)
+        assert hit == (2, True, True)
+        assert hierarchy.instruction_fetch_fast(0x5000) == (1 + 10, False, True)
 
     def test_l2_hit_faster_than_memory(self):
         config = ProcessorConfig.hpca2005()
         hierarchy = MemoryHierarchy(config)
-        first = hierarchy.data_access(0x9000)   # misses everywhere
+        first, _, _ = hierarchy.data_access_fast(0x9000)  # misses everywhere
         hierarchy.l1d = SetAssociativeCache(config.l1d)  # clear L1 only
-        second = hierarchy.data_access(0x9000)  # L1 miss, L2 hit
-        assert first.latency > second.latency > 2
+        second, l1_hit, l2_hit = hierarchy.data_access_fast(0x9000)
+        assert (l1_hit, l2_hit) == (False, True)
+        assert first > second > 2
 
 
 class TestBranchPredictor:
@@ -76,21 +83,20 @@ class TestBranchPredictor:
         outcomes = [
             predictor.predict_and_update(0x400, True, 0x800) for _ in range(20)
         ]
-        assert outcomes[-1].correct
+        assert outcomes[-1] is True
 
     def test_learns_not_taken_branch(self):
         predictor = HybridBranchPredictor()
         for _ in range(10):
-            outcome = predictor.predict_and_update(0x404, False, 0x800)
-        assert outcome.correct
+            correct = predictor.predict_and_update(0x404, False, 0x800)
+        assert correct is True
 
     def test_alternating_pattern_learned_by_gshare(self):
         predictor = HybridBranchPredictor()
         correct = 0
         for index in range(200):
             taken = index % 2 == 0
-            outcome = predictor.predict_and_update(0x500, taken, 0x900)
-            if index >= 100 and outcome.correct:
+            if predictor.predict_and_update(0x500, taken, 0x900) and index >= 100:
                 correct += 1
         assert correct > 80
 
@@ -102,70 +108,14 @@ class TestBranchPredictor:
         assert predictor.predict_return(0x1000) is True
         assert predictor.predict_return(0x3000) is False  # empty stack
 
-    def test_mispredict_counter(self):
-        predictor = HybridBranchPredictor()
-        predictor.predict_and_update(0x600, True, 0x700)
-        assert predictor.lookups == 1
-        assert predictor.mispredicts >= 0
-
-
-class TestFunctionalUnits:
-    def test_per_cycle_limit(self):
-        pool = FunctionalUnitPool({FuClass.INT_MUL: 2})
-        pool.new_cycle()
-        assert pool.try_acquire(FuClass.INT_MUL)
-        assert pool.try_acquire(FuClass.INT_MUL)
-        assert not pool.try_acquire(FuClass.INT_MUL)
-        pool.new_cycle()
-        assert pool.try_acquire(FuClass.INT_MUL)
-
-    def test_structural_stall_counter(self):
-        pool = FunctionalUnitPool({FuClass.INT_ALU: 1})
-        pool.new_cycle()
-        pool.try_acquire(FuClass.INT_ALU)
-        pool.try_acquire(FuClass.INT_ALU)
-        assert pool.structural_stalls == 1
-
-    def test_available(self):
-        pool = FunctionalUnitPool({FuClass.MEM_PORT: 2})
-        pool.new_cycle()
-        assert pool.available(FuClass.MEM_PORT) == 2
-        pool.try_acquire(FuClass.MEM_PORT)
-        assert pool.available(FuClass.MEM_PORT) == 1
-
 
 class TestReorderBuffer:
-    def test_allocate_complete_commit(self):
-        rob = ReorderBuffer(4)
-        entry = rob.allocate(dyn="i0")
-        assert rob.occupancy == 1
-        assert rob.commit_ready() is None
-        rob.mark_completed(entry, cycle=3)
-        assert rob.commit_ready() is entry
-        committed = rob.commit()
-        assert committed is entry and rob.is_empty
-
-    def test_in_order_commit(self):
-        rob = ReorderBuffer(4)
-        first = rob.allocate("a")
-        second = rob.allocate("b")
-        rob.mark_completed(second, 1)
-        assert rob.commit_ready() is None  # head not finished yet
-        rob.mark_completed(first, 2)
-        assert rob.commit() is first
-        assert rob.commit() is second
-
     def test_capacity_and_limit(self):
-        rob = ReorderBuffer(2)
-        rob.allocate("a")
-        rob.allocate("b")
-        assert not rob.can_allocate()
-        with pytest.raises(RuntimeError):
-            rob.allocate("c")
-        rob2 = ReorderBuffer(8)
-        rob2.set_limit(1)
-        rob2.allocate("a")
-        assert not rob2.can_allocate()
+        """``set_limit`` (abella's ROB limit) clamps into 1..capacity."""
+        rob = ReorderBuffer(8)
+        for requested, clamped in ((0, 1), (5, 5), (99, 8), (None, None)):
+            rob.set_limit(requested)
+            assert rob.limit == clamped
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -175,14 +125,14 @@ class TestReorderBuffer:
 class TestPhysicalRegisterFile:
     def test_initial_mapping_identity(self):
         rf = PhysicalRegisterFile(112, 32, 8)
-        assert rf.lookup(5) == 5
+        assert rf.rename_map[5] == 5
         assert rf.free_count == 80
         assert rf.allocated == 32
 
     def test_allocate_and_release(self):
         rf = PhysicalRegisterFile(40, 32, 8)
         new, old = rf.allocate(3)
-        assert rf.lookup(3) == new and old == 3
+        assert rf.rename_map[3] == new and old == 3
         assert rf.free_count == 7
         rf.release(old)
         assert rf.free_count == 8
@@ -201,123 +151,51 @@ class TestPhysicalRegisterFile:
 
     def test_bank_gating_counts(self):
         rf = PhysicalRegisterFile(112, 32, 8)
-        assert rf.enabled_banks(bank_gating=False) == 14
-        assert rf.enabled_banks(bank_gating=True) == 4  # 32 regs in 4 banks of 8
-
-
-class TestRenameUnit:
-    def test_rename_tracks_mappings(self):
-        from repro.isa import Instruction, Opcode
-        from repro.isa.registers import int_reg
-
-        unit = RenameUnit(112, 112, 8)
-        instr = Instruction.alu(Opcode.ADD, int_reg(1), [int_reg(2), int_reg(3)])
-        renamed = unit.rename(instr)
-        assert renamed.source_tags == [2, 3]
-        assert renamed.dest_tags[0] >= 32
-        assert renamed.freed_on_commit == [1]
-        # A later reader sees the new mapping.
-        reader = Instruction.alu(Opcode.ADD, int_reg(4), [int_reg(1)])
-        assert unit.rename(reader).source_tags == [renamed.dest_tags[0]]
-
-    def test_fp_tags_offset_above_int(self):
-        from repro.isa import Instruction, Opcode
-        from repro.isa.registers import fp_reg
-
-        unit = RenameUnit(112, 112, 8)
-        instr = Instruction.alu(Opcode.FADD, fp_reg(1), [fp_reg(2), fp_reg(3)])
-        renamed = unit.rename(instr)
-        assert all(tag >= 112 for tag in renamed.dest_tags)
-        unit.release(renamed.dest_tags[0])  # round-trips through the offset
+        assert rf.num_banks == 14
+        assert rf.active_banks == 4  # 32 regs in 4 banks of 8
+        rf.allocate(0)  # register 32 opens bank 4
+        assert rf.active_banks == 5 and rf.bank_counts[4] == 1
 
 
 class TestBankedIssueQueue:
-    def make_queue(self) -> BankedIssueQueue:
-        return BankedIssueQueue(capacity=16, bank_size=4)
-
-    def test_allocate_and_remove(self):
-        iq = self.make_queue()
-        entry = iq.allocate(0, set(), 0, FuClass.INT_ALU, 0)
-        assert iq.occupancy == 1 and iq.span == 1
-        iq.remove(entry)
-        assert iq.occupancy == 0 and iq.span == 0
-
-    def test_physical_capacity_blocks_dispatch(self):
-        iq = self.make_queue()
-        for index in range(16):
-            iq.allocate(index, set(), 0, FuClass.INT_ALU, 0)
-        ok, reason = iq.can_dispatch()
-        assert not ok and reason == "physical"
-
     def test_global_limit(self):
-        iq = self.make_queue()
-        iq.set_global_limit(4)
-        for index in range(4):
-            iq.allocate(index, set(), 0, FuClass.INT_ALU, 0)
-        ok, reason = iq.can_dispatch()
-        assert not ok and reason == "global_limit"
+        """``set_global_limit`` clamps into one bank..capacity; None
+        lifts the limit."""
+        iq = BankedIssueQueue(capacity=16, bank_size=4)
+        for requested, clamped in ((1, 4), (6, 6), (99, 16), (None, None)):
+            iq.set_global_limit(requested)
+            assert iq.global_limit == clamped
 
-    def test_region_limit_and_new_head_advance(self):
-        iq = self.make_queue()
-        old = iq.allocate(0, set(), 0, FuClass.INT_ALU, 0)
-        iq.start_new_region(2)
-        first = iq.allocate(1, set(), 0, FuClass.INT_ALU, 0)
-        iq.allocate(2, set(), 0, FuClass.INT_ALU, 0)
-        ok, reason = iq.can_dispatch()
-        assert not ok and reason == "region_limit"
-        # Issuing the region's oldest entry frees a slot (figure 2).
-        iq.remove(first)
-        ok, _ = iq.can_dispatch()
-        assert ok
-        # The old region's entry is still resident and unaffected.
-        assert iq.slots[old.slot] is old
+    def test_start_new_region_points_new_head_at_the_tail(self):
+        iq = BankedIssueQueue(capacity=16, bank_size=4)
+        iq.tail = 5
+        iq.start_new_region(0)
+        assert (iq.new_head, iq.max_new_range) == (5, 1)
+        iq.start_new_region(7)
+        assert iq.max_new_range == 7
 
-    def test_wakeup_broadcast(self):
-        iq = self.make_queue()
-        entry = iq.allocate(0, {42, 43}, 2, FuClass.INT_ALU, 0)
-        assert iq.waiting_operand_count == 2
-        assert iq.broadcast(42) == 1
-        assert not entry.is_ready
-        assert iq.broadcast(43) == 1
-        assert entry.is_ready
-        assert iq.waiting_operand_count == 0
-        assert iq.broadcast(42) == 0  # no duplicate wakeups
+    def test_advance_pointers_slides_across_the_wrap(self):
+        """``_advance_pointers`` (the scalar issue stage's slide after a
+        removal; ``iq_advance`` in C) moves ``head`` past holes modulo the
+        capacity and ``new_head`` past the region's issued oldest entry
+        (figure 2), never leaves ``new_head`` behind ``head``, and puts
+        both at the tail once the queue is empty."""
+        iq = BankedIssueQueue(capacity=8, bank_size=4)
+        for slot in (6, 7, 0, 1, 2):
+            iq.slots[slot] = IssueQueueEntry(rob_index=slot, slot=slot)
+        iq.head, iq.tail, iq.span = 6, 3, 5
+        iq.new_head = 7  # the region holds slots 7, 0, 1 and 2
 
-    def test_ready_entries_in_age_order(self):
-        iq = self.make_queue()
-        first = iq.allocate(0, set(), 0, FuClass.INT_ALU, 0)
-        second = iq.allocate(1, {9}, 1, FuClass.INT_ALU, 0)
-        third = iq.allocate(2, set(), 0, FuClass.INT_ALU, 0)
-        ready = iq.ready_entries_in_age_order()
-        assert ready == [first, third]
-        iq.broadcast(9)
-        assert iq.ready_entries_in_age_order() == [first, second, third]
+        def issue(*slots):
+            for slot in slots:
+                iq.slots[slot] = None
+            iq._advance_pointers()
+            return iq.head, iq.span, iq.new_head
 
-    def test_bank_gating_counts(self):
-        iq = self.make_queue()
-        assert iq.enabled_banks(bank_gating=False) == 4
-        assert iq.enabled_banks(bank_gating=True) == 0
-        iq.allocate(0, set(), 0, FuClass.INT_ALU, 0)
-        assert iq.enabled_banks(bank_gating=True) == 1
-
-    def test_wraparound_reuses_freed_slots(self):
-        iq = self.make_queue()
-        entries = [iq.allocate(i, set(), 0, FuClass.INT_ALU, 0) for i in range(16)]
-        for entry in entries[:8]:
-            iq.remove(entry)
-        # Head advanced past the removed entries, so dispatch can continue.
-        for index in range(8):
-            ok, _ = iq.can_dispatch()
-            assert ok
-            iq.allocate(100 + index, set(), 0, FuClass.INT_ALU, 0)
-        assert iq.occupancy == 16
-
-    def test_comparison_counts(self):
-        iq = self.make_queue()
-        iq.allocate(0, {7}, 1, FuClass.INT_ALU, 0)
-        full, gated = iq.comparison_counts()
-        assert full == 2 * iq.capacity
-        assert gated == 1
+        assert issue(7) == (6, 5, 0)  # new_head wraps; head stays on slot 6
+        assert issue(6, 0) == (1, 2, 1)  # head passes new_head, which follows
+        assert issue(2) == (1, 2, 1)  # a hole behind the head entry moves nothing
+        assert issue(1) == (3, 0, 3)
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
