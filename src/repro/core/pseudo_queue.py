@@ -75,7 +75,6 @@ class PseudoIssueQueue:
     def schedule(
         self,
         instructions: Sequence[Instruction],
-        ddg: object = None,
         entry_latency: Optional[dict[Reg, int]] = None,
     ) -> ScheduleResult:
         """Schedule ``instructions`` and compute the IQ entries they need.
@@ -83,8 +82,6 @@ class PseudoIssueQueue:
         Args:
             instructions: the sequence in program order.  Hint NOOPs are
                 ignored (they never occupy an IQ entry).
-            ddg: not read; the dependences always come from the
-                instructions' decodes.  Kept so existing callers work.
             entry_latency: availability delay of registers defined before
                 the sequence starts (the conservative path summary).
         """

@@ -9,9 +9,11 @@ runs the probe in :data:`PROBE_REFERENCE_S` would have taken.  The figure
 grid benchmark (``gridbench/``) keeps its own copy of both and scales its
 steps the same way.
 
-:func:`reference_seconds` is what the perf benches call: it repeats a run
-until it has used a minimum of process time and returns the scaled time
-per call.  Probes and runs read one clock, process time.  gridbench
+:func:`reference_seconds` is how the perf benches take every sample: it
+repeats a run until it has used a minimum of process time and returns
+the scaled time per call, and a sample is the fastest of five such runs
+(``benchmarks/test_perf_simulator.py``).  Probes and runs read one
+clock, process time.  gridbench
 times both on the wall clock instead; a wall-clock probe next to a
 process-time run would also count the time the host gave to other guests,
 and scale the run by a stall the run never saw.

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.isa.opcodes import FuClass
+from repro.isa.registers import NUM_FP_ARCH_REGS
 
 
 @dataclass
@@ -122,13 +123,27 @@ class ProcessorConfig:
         return (self.int_phys_regs + self.regfile_bank_size - 1) // self.regfile_bank_size
 
     def validate(self) -> None:
-        """Sanity-check structural parameters."""
+        """Sanity-check structural parameters: reject a machine that
+        could never drain a program."""
         if self.iq_entries <= 0 or self.iq_bank_size <= 0:
             raise ValueError("issue queue must have positive capacity and bank size")
         if self.int_phys_regs < 32 + self.dispatch_width:
             raise ValueError("too few integer physical registers to rename")
+        if self.fp_phys_regs < NUM_FP_ARCH_REGS + 1:
+            raise ValueError(f"fp_phys_regs must be at least {NUM_FP_ARCH_REGS + 1} to rename")
         if self.rob_entries < self.dispatch_width:
             raise ValueError("ROB must hold at least one dispatch group")
-        for width_name in ("fetch_width", "dispatch_width", "issue_width", "commit_width"):
-            if getattr(self, width_name) <= 0:
-                raise ValueError(f"{width_name} must be positive")
+        for name in (
+            "fetch_width",
+            "dispatch_width",
+            "issue_width",
+            "commit_width",
+            "fetch_queue_entries",
+            "regfile_bank_size",
+        ):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        # JUMP, CALL, RET, HALT, NOP and HINT issue on FuClass.NONE.
+        for fu in FuClass:
+            if self.fu_counts.get(fu, 0) <= 0:
+                raise ValueError(f"fu_counts needs at least one {fu.name} unit")

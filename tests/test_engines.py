@@ -1274,10 +1274,13 @@ FUZZ_MAX_CYCLES = 200_000
 
 @st.composite
 def machines(draw) -> ProcessorConfig:
-    """A machine within ``ProcessorConfig.validate`` (FP registers from
-    17, so an FP rename can always proceed): every structural field,
-    non-power-of-two sizes, banks larger than their structure, 3-way
-    caches and 48-byte lines included."""
+    """A machine ``ProcessorConfig.validate`` accepts: every structural
+    field, non-power-of-two sizes, banks larger than their structure,
+    3-way caches and 48-byte lines included.  The draw stays inside the
+    bounds ``validate`` sets because no replay of a machine outside them
+    finishes: with no fetch queue, 16 FP registers or no unit of some
+    class it never drains, and register banks of no registers divide by
+    zero."""
 
     def size(low: int, high: int) -> int:
         return draw(st.integers(low, high))
@@ -1320,6 +1323,31 @@ def machines(draw) -> ProcessorConfig:
     )
     config.validate()
     return config
+
+
+@needs_native
+def test_the_smallest_machine_validate_accepts_drains():
+    """A one-entry fetch queue, 17 FP registers, one unit of every class
+    and register banks of one: fpstream replays to its end under both
+    kernels, to the same statistics."""
+    config = ProcessorConfig(
+        fetch_queue_entries=1,
+        fp_phys_regs=17,
+        regfile_bank_size=1,
+        fu_counts={fu: 1 for fu in FuClass},
+    )
+    scalar, native = (
+        simulate(
+            build_benchmark("fpstream"),
+            config=config,
+            max_instructions=BUDGET,
+            max_cycles=FUZZ_MAX_CYCLES,
+            engine=engine,
+        )
+        for engine in ("scalar", "native")
+    )
+    assert _stats_bytes(scalar) == _stats_bytes(native)
+    assert scalar.committed_instructions == BUDGET
 
 
 @needs_native

@@ -20,6 +20,16 @@ from repro.uarch.regfile import OutOfPhysicalRegisters, PhysicalRegisterFile
 from repro.uarch.rob import ReorderBuffer
 
 
+#: The smallest machine ``validate`` accepts in each field a drain needs;
+#: ``tests/test_engines.py`` replays fpstream on it.
+BOUNDARY = dict(
+    fetch_queue_entries=1,
+    fp_phys_regs=17,
+    regfile_bank_size=1,
+    fu_counts={fu: 1 for fu in FuClass},
+)
+
+
 class TestProcessorConfig:
     def test_table1_defaults(self):
         config = ProcessorConfig.hpca2005()
@@ -39,6 +49,33 @@ class TestProcessorConfig:
         config = ProcessorConfig(int_phys_regs=16)
         with pytest.raises(ValueError):
             config.validate()
+
+    @pytest.mark.parametrize(
+        "field, below",
+        [
+            pytest.param("fetch_queue_entries", {"fetch_queue_entries": 0}, id="fetch-queue"),
+            pytest.param("fp_phys_regs", {"fp_phys_regs": 16}, id="fp-regs"),
+            pytest.param("regfile_bank_size", {"regfile_bank_size": 0}, id="rf-bank"),
+            pytest.param(
+                "fu_counts",
+                {"fu_counts": {fu: 1 for fu in FuClass if fu is not FuClass.MEM_PORT}},
+                id="no-MEM_PORT-key",
+            ),
+        ]
+        + [
+            pytest.param("fu_counts", {"fu_counts": {**BOUNDARY["fu_counts"], fu: 0}}, id=fu.name)
+            for fu in FuClass
+        ],
+    )
+    def test_validation_rejects_a_machine_that_cannot_drain(self, field, below):
+        """One step below the boundary in any field a replay needs: a
+        machine with no fetch queue, no FP register to rename into or no
+        unit of some class (``NONE`` runs jumps, calls, returns, halts,
+        nops and hints) never drains, and register banks of no registers
+        divide by zero.  The error names the field."""
+        ProcessorConfig(**BOUNDARY).validate()
+        with pytest.raises(ValueError, match=field):
+            ProcessorConfig(**{**BOUNDARY, **below}).validate()
 
     def test_cache_sets(self):
         cache = CacheConfig("x", 64 * 1024, 2, 32, 1)
