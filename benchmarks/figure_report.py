@@ -25,37 +25,28 @@ def report(title: str, figure) -> None:
     print(figure.to_text())
 
 
+def _cache_line(name: str, stats: dict) -> str:
+    """One cache's ``--cache-stats`` line, from its ``cache_stats()``."""
+    size = stats["total_bytes"]
+    size_text = f"{size / 2**20:.1f} MiB" if size >= 2**20 else f"{size / 1024:.1f} KiB"
+    return (
+        f"{name}: {stats['entries']} entries ({size_text}) — "
+        f"{stats['hits']} hits / {stats['misses']} misses / "
+        f"{stats['stores']} stores / {stats['quarantined']} quarantined / "
+        f"{stats['degraded_stores']} degraded stores [{stats['directory']}]"
+    )
+
+
 def print_cache_stats(runner) -> None:
     """Print the result-cache and trace-cache ``--cache-stats`` report."""
     from repro.uarch.trace import trace_events
 
-    if runner.cache is not None:
-        stats = runner.cache.cache_stats()
-        cap = stats["max_entries"] if stats["max_entries"] is not None else "unbounded"
-        print(
-            f"result cache: {stats['entries']} entries "
-            f"({stats['total_bytes'] / 1024:.1f} KiB, cap {cap}) — "
-            f"{stats['hits']} hits / {stats['misses']} misses / "
-            f"{stats['stores']} stores / {stats['evictions']} evictions "
-            f"[{stats['directory']}]"
-        )
-    if runner.trace_cache is not None:
-        stats = runner.trace_cache.cache_stats()
-        cap = (
-            f"{stats['max_bytes'] / 1024:.0f} KiB"
-            if stats["max_bytes"] is not None
-            else "unbounded"
-        )
-        # Workers ship their counter deltas back with each job result and
-        # the runner folds them in, so these totals are exact for any
-        # worker count.
-        print(
-            f"trace cache: {stats['traces']} traces "
-            f"({stats['total_bytes'] / 2**20:.1f} MiB, cap {cap}) — "
-            f"{stats['hits']} hits / {stats['misses']} misses / "
-            f"{stats['stores']} stores / {stats['evictions']} evictions "
-            f"[{stats['directory']}]"
-        )
+    # Workers ship their trace-cache counters back with each job result
+    # and the runner folds them in, so both lines are exact for any
+    # worker count.
+    for name, cache in (("result cache", runner.cache), ("trace cache", runner.trace_cache)):
+        if cache is not None:
+            print(_cache_line(name, cache.cache_stats()))
     events = trace_events
     print(
         f"emulations this process: {events['emulations']} "
@@ -85,9 +76,11 @@ def main(argv: list[str] | None = None) -> None:
     )
     parser.add_argument(
         "--cache-max-entries",
+        dest="max_entries",
         type=int,
         default=None,
-        help="LRU size cap for the result cache (default: unbounded)",
+        help="with --gc, the sweep's LRU cap on result-cache entries "
+        "(default: none); a run itself never evicts",
     )
     parser.add_argument(
         "--cache-stats",
@@ -98,7 +91,8 @@ def main(argv: list[str] | None = None) -> None:
         "--max-trace-bytes",
         type=int,
         default=None,
-        help="LRU byte cap for the trace cache (default: unbounded)",
+        help="with --gc, the sweep's LRU byte cap on the trace cache "
+        "(default: none); a run itself never evicts",
     )
     parser.add_argument("--workers", type=int, default=None, help="pool size")
     # Choices come from the engine registry so new kernels need no edit
@@ -118,7 +112,8 @@ def main(argv: list[str] | None = None) -> None:
         "--gc",
         action="store_true",
         help="garbage-collect --cache-dir first (orphaned .tmp-* files, "
-        "offline cap enforcement) and print a summary",
+        "expired quarantine, the LRU caps of --cache-max-entries and "
+        "--max-trace-bytes) and print a summary",
     )
     parser.add_argument("--max-instructions", type=int, default=100_000)
     parser.add_argument("--warmup-instructions", type=int, default=20_000)
@@ -142,7 +137,7 @@ def main(argv: list[str] | None = None) -> None:
             format_gc_summary(
                 gc_cache_tree(
                     args.cache_dir,
-                    max_entries=args.cache_max_entries,
+                    max_entries=args.max_entries,
                     max_trace_bytes=args.max_trace_bytes,
                 )
             )
@@ -158,8 +153,6 @@ def main(argv: list[str] | None = None) -> None:
         RunConfig(**config_kwargs),
         workers=args.workers,
         cache_dir=args.cache_dir,
-        cache_max_entries=args.cache_max_entries,
-        trace_cache_max_bytes=args.max_trace_bytes,
         engine=args.engine,
     )
     runner.run_suite()

@@ -33,18 +33,21 @@ and the load reports a clean miss.  A store that keeps failing after the
 shared retry policy (read-only directory, disk full) falls back to an
 **in-memory** entry with a warn-once per directory: the process keeps
 its cache semantics for the rest of the run and the next healthy store
-resumes persisting.
+resumes persisting.  The quarantine, the read's classification and the
+failed-store count are :class:`repro.atomicio.EntryStore`'s, shared with
+the trace cache.
 
 The module doubles as the cache-maintenance CLI for shared directories::
 
     PYTHONPATH=src python -m repro.harness.cache gc <cache_dir> \\
         [--max-entries N] [--max-bytes B] [--max-trace-bytes B] [--tmp-age S]
 
-``gc`` sweeps orphaned ``.tmp-*`` writer files (left by processes killed
-mid-store — the online pruners deliberately skip them because a live
-writer may still own one), enforces the LRU caps offline over the result
-directory and its ``traces/`` subdirectory, expires aged-out
-quarantine entries, and prints a summary.
+``gc`` is the only pruner: no run evicts anything.  It sweeps orphaned
+``.tmp-*`` writer files (left by processes killed mid-store — entry
+listings skip them because a live writer may still own one), enforces
+the LRU caps over the result directory and its ``traces/``
+subdirectory, expires aged-out quarantine entries, and prints a
+summary.
 """
 
 from __future__ import annotations
@@ -56,27 +59,24 @@ import hashlib
 import json
 import os
 import time
-import warnings
 from pathlib import Path
 from typing import Any, Optional
 
-from repro.atomicio import TMP_PREFIX, publish_atomically
+from repro.atomicio import (
+    QUARANTINE_DIR_NAME,
+    TMP_PREFIX,
+    EntryStore,
+    publish_atomically,
+    stat_entries,
+)
 from repro.harness import faults
 from repro.uarch.stats import SimulationStats
-
-#: Subdirectory (of a cache directory) holding quarantined corrupt
-#: entries: visible for post-mortem, swept by ``cache gc`` once older
-#: than :data:`QUARANTINE_MAX_AGE_SECONDS`.
-QUARANTINE_DIR_NAME = "quarantine"
+from repro.uarch.trace import TraceCache
 
 #: Quarantined entries older than this are expired by ``cache gc``: a
 #: week is long enough to post-mortem a bad disk episode, and bounded so
 #: one cannot grow the tree forever.
 QUARANTINE_MAX_AGE_SECONDS = 7 * 24 * 3600.0
-
-#: Directories that have already warned about degraded (in-memory)
-#: operation this process; one warning per directory, not per store.
-_DEGRADED_WARNED: set[str] = set()
 
 #: Bump when the stored payload layout changes so old entries stop
 #: matching.  Simulation-semantics changes are covered automatically by
@@ -179,67 +179,32 @@ def stats_from_dict(payload: dict) -> SimulationStats:
     return SimulationStats(**{name: payload[name] for name in _STATS_FIELDS})
 
 
-class ResultCache:
+class ResultCache(EntryStore):
     """One-file-per-cell JSON cache of simulation statistics.
 
-    The cache can be bounded: with ``max_entries`` set, every store prunes
-    the least-recently-used cells down to the cap.  Recency is tracked
-    through file modification times — each hit re-touches its cell — so
-    the policy survives across processes sharing one directory and needs
-    no sidecar index.
-
-    Attributes:
-        directory: cache root (created on first store).
-        max_entries: size cap (None means unbounded, the default).
-        hits / misses / stores / evictions: counters for tests and the
-            ``--cache-stats`` report.
-        quarantined / memory_stores: degradation counters — corrupt
-            entries moved aside, and stores that fell back to process
-            memory because the directory stopped accepting writes.
+    The directory discipline — entry listing, quarantine of corrupt
+    cells, read failures as misses, counted and warned failed stores,
+    the counters — is :class:`~repro.atomicio.EntryStore`'s.  What is
+    the result cache's own: the JSON cell format, the shared
+    :data:`~repro.harness.faults.DEFAULT_RETRY_POLICY` around every
+    publication, and an in-memory fallback.  A cell whose store still
+    fails after the retries (read-only directory, disk full) is kept in
+    process memory, so this process keeps its cache semantics for the
+    rest of the run; the next healthy store of the cell persists it.
+    Nothing is pruned here: ``cache gc`` caps the directory offline, by
+    file mtime, which every hit refreshes.
     """
 
-    def __init__(
-        self, directory: str | os.PathLike, max_entries: Optional[int] = None
-    ):
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be a positive integer or None")
-        self.directory = Path(directory)
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.evictions = 0
-        self.quarantined = 0
-        self.memory_stores = 0
+    SUFFIX = ".json"
+    KIND = "result cache"
+    DEGRADED = "falling back to in-memory caching for this process"
+
+    def __init__(self, directory: str | os.PathLike):
+        super().__init__(directory)
         # Degraded-mode fallback: entries that could not be persisted
         # (read-only or full directory) live here for this process's
         # lifetime so cache semantics survive the outage.
         self._memory: dict[str, SimulationStats] = {}
-
-    def path_for(self, fingerprint: str) -> Path:
-        """Cache file holding the cell identified by ``fingerprint``."""
-        return self.directory / f"{fingerprint}.json"
-
-    def quarantine_path(self, fingerprint: str) -> Path:
-        """Where a corrupt cell is set aside for post-mortem."""
-        return self.directory / QUARANTINE_DIR_NAME / f"{fingerprint}.json"
-
-    def _quarantine(self, path: Path) -> None:
-        """Move a corrupt entry aside — visible, gc-swept, never reloaded.
-
-        Without this, a corrupt cell would be re-read and re-missed on
-        every lookup forever (the fingerprint keeps addressing the same
-        bad file); moving it aside makes the next store land cleanly and
-        leaves the evidence where ``cache gc`` reports and eventually
-        expires it.
-        """
-        target = self.directory / QUARANTINE_DIR_NAME / path.name
-        try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(path, target)
-            self.quarantined += 1
-        except OSError:  # pragma: no cover - hostile or raced directory
-            pass
 
     def load(self, fingerprint: str) -> Optional[SimulationStats]:
         """Return the cached stats for ``fingerprint``, or None on a miss.
@@ -248,52 +213,16 @@ class ResultCache:
         the ``"format"`` marker every store writes (a foreign or
         truncated-then-rewritten file sharing the directory), or a
         ``"stats"`` value that isn't a counter mapping or lacks one of
-        the counters every store writes — is quarantined
-        and counts as a miss, forcing a clean re-simulation.  A read
-        error (EIO, permissions) is a plain miss: the file may be fine
-        and the fault transient, so it is left in place.  Corruption
-        must never crash a run.
+        the counters every store writes — is quarantined and counts as
+        a miss, forcing a clean re-simulation.  A read error (EIO,
+        permissions) is a plain miss.  Corruption must never crash a
+        run.
         """
         memory = self._memory.get(fingerprint)
         if memory is not None:
             self.hits += 1
             return memory
-        path = self.path_for(fingerprint)
-        try:
-            faults.maybe_fire("cache.load", fingerprint)
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if payload.get("format") != CACHE_FORMAT_VERSION:
-                raise ValueError("foreign or stale cache payload")
-            counters = payload["stats"]
-            if not isinstance(counters, dict):
-                raise ValueError("stats payload is not a counter mapping")
-            stats = stats_from_dict(counters)
-        except (FileNotFoundError, OSError):
-            # Missing file or a read error (EIO, permissions, an
-            # injected cache.load fault): the file may be absent or
-            # merely unreadable right now — plain miss, leave it alone.
-            self.misses += 1
-            return None
-        except (
-            json.JSONDecodeError,
-            UnicodeDecodeError,
-            KeyError,
-            TypeError,
-            ValueError,
-            AttributeError,
-        ):
-            # These only arise for a file that *was* read successfully,
-            # i.e. genuine corruption or a foreign payload: set it aside.
-            self._quarantine(path)
-            self.misses += 1
-            return None
-        self.hits += 1
-        try:
-            os.utime(path)  # refresh LRU recency
-        except OSError:  # pragma: no cover - concurrent eviction
-            pass
-        return stats
+        return self._read(fingerprint, _read_cell)
 
     def store(
         self,
@@ -302,103 +231,41 @@ class ResultCache:
         benchmark: str = "",
         technique: str = "",
     ) -> Path:
-        """Persist ``stats`` under ``fingerprint``; degrade, never fail.
-
-        The atomic write is retried under the shared policy; when the
-        directory stays unwritable (read-only remount, disk full) the
-        entry is kept in process memory instead, with one warning per
-        directory — a broken cache must cost performance, not the run.
-        """
+        """Persist ``stats`` under ``fingerprint``; degrade, never fail."""
         payload = {
             "format": CACHE_FORMAT_VERSION,
             "benchmark": benchmark,
             "technique": technique,
             "stats": stats_to_dict(stats),
         }
-        path = self.path_for(fingerprint)
-        try:
-            faults.DEFAULT_RETRY_POLICY.call(
-                lambda: publish_atomically(
-                    path,
-                    lambda handle: json.dump(payload, handle, sort_keys=True),
-                ),
-                key=f"cache-store/{fingerprint}",
-            )
-        except OSError as error:
+        if self._store_entry(
+            fingerprint, lambda handle: json.dump(payload, handle, sort_keys=True)
+        ):
+            self._memory.pop(fingerprint, None)
+        else:
             self._memory[fingerprint] = stats
-            self.memory_stores += 1
-            directory_key = str(self.directory)
-            if directory_key not in _DEGRADED_WARNED:
-                _DEGRADED_WARNED.add(directory_key)
-                warnings.warn(
-                    f"result cache {directory_key} is not accepting writes "
-                    f"({error}); falling back to in-memory caching for this "
-                    f"process",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            self.stores += 1
-            return path
-        self._memory.pop(fingerprint, None)
-        self.stores += 1
-        if self.max_entries is not None:
-            self._prune()
-        return path
+        return self.path_for(fingerprint)
 
-    def _entry_paths(self) -> list[Path]:
-        # pathlib's glob matches dot-prefixed names, so exclude in-flight
-        # (or orphaned) ``.tmp-*`` writer files explicitly.
-        if not self.directory.is_dir():
-            return []
-        return [
-            path
-            for path in self.directory.glob("*.json")
-            if not path.name.startswith(".")
-        ]
+    def _publish(self, path: Path, write, binary: bool) -> None:
+        """Publish under the shared retry policy: transient errors are
+        ridden out, and only a persistent one degrades the store."""
+        faults.DEFAULT_RETRY_POLICY.call(
+            lambda: publish_atomically(path, write, binary),
+            key=f"cache-store/{path.stem}",
+        )
 
-    def _prune(self) -> None:
-        """Evict least-recently-used cells beyond ``max_entries``."""
-        entries = []
-        for path in self._entry_paths():
-            try:
-                entries.append((path.stat().st_mtime, path))
-            except OSError:  # pragma: no cover - concurrent eviction
-                continue
-        excess = len(entries) - self.max_entries
-        if excess <= 0:
-            return
-        entries.sort()
-        for _, path in entries[:excess]:
-            try:
-                path.unlink()
-                self.evictions += 1
-            except OSError:  # pragma: no cover - concurrent eviction
-                pass
 
-    def cache_stats(self) -> dict:
-        """Size and traffic summary for reports (``--cache-stats``)."""
-        paths = self._entry_paths()
-        total_bytes = 0
-        for path in paths:
-            try:
-                total_bytes += path.stat().st_size
-            except OSError:  # pragma: no cover - concurrent eviction
-                pass
-        return {
-            "directory": str(self.directory),
-            "entries": len(paths),
-            "total_bytes": total_bytes,
-            "max_entries": self.max_entries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "quarantined": self.quarantined,
-            "memory_stores": self.memory_stores,
-        }
-
-    def __len__(self) -> int:
-        return len(self._entry_paths())
+def _read_cell(path: Path) -> SimulationStats:
+    """The statistics of one stored cell; ``ValueError`` (or a JSON or
+    UTF-8 decode error) for a payload that is not a cell."""
+    with open(path, "r", encoding="utf-8") as handle:
+        payload = json.load(handle)
+    if not isinstance(payload, dict) or payload.get("format") != CACHE_FORMAT_VERSION:
+        raise ValueError("foreign or stale cache payload")
+    counters = payload["stats"]
+    if not isinstance(counters, dict):
+        raise ValueError("stats payload is not a counter mapping")
+    return stats_from_dict(counters)
 
 
 # ----------------------------------------------------------------------
@@ -411,7 +278,7 @@ DEFAULT_TMP_MAX_AGE_SECONDS = 3600.0
 
 def collect_garbage(
     directory: str | os.PathLike,
-    pattern: Optional[str] = "*.json",
+    pattern: str = "*.json",
     max_entries: Optional[int] = None,
     max_bytes: Optional[int] = None,
     tmp_max_age_seconds: float = DEFAULT_TMP_MAX_AGE_SECONDS,
@@ -434,9 +301,11 @@ def collect_garbage(
     4. **byte cap** — with ``max_bytes``, least-recently-used entries
        are deleted until the directory's payload fits.
 
-    Entries are files matching ``pattern`` whose names don't start with
-    a dot, i.e. ``*.json`` for a :class:`ResultCache` directory and
-    ``*.trace.bin`` for a :class:`~repro.uarch.trace.TraceCache` one.
+    Entries are listed as the caches list them
+    (:func:`repro.atomicio.list_entries`): files matching ``pattern``
+    whose names don't start with a dot, i.e. ``*.json`` for a
+    :class:`ResultCache` directory and ``*.trace.bin`` for a
+    :class:`~repro.uarch.trace.TraceCache` one.
     """
     directory = Path(directory)
     now = time.time() if now is None else now
@@ -459,46 +328,29 @@ def collect_garbage(
         except OSError:  # pragma: no cover - concurrent removal
             continue
 
-    entries = []
-    for path in directory.glob(pattern) if pattern else ():
-        if path.name.startswith("."):
-            continue
-        try:
-            stat = path.stat()
-        except OSError:  # pragma: no cover - concurrent removal
-            continue
-        entries.append((stat.st_mtime, stat.st_size, path))
-    entries.sort()
+    entries = stat_entries(directory, pattern)
     summary["entries_before"] = len(entries)
     summary["bytes_before"] = sum(size for _, size, _ in entries)
-
-    def _remove(victims: list[tuple[float, int, Path]]) -> None:
-        for _, size, path in victims:
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - concurrent removal
-                continue
-            summary["entries_removed"] += 1
-            summary["bytes_removed"] += size
-
+    # Entries are listed least recently used first, so every pass's
+    # victims extend one prefix of the list.
+    victims = 0
     if entry_max_age_seconds is not None:
         cutoff = now - entry_max_age_seconds
-        expired = [entry for entry in entries if entry[0] < cutoff]
-        _remove(expired)
-        entries = entries[len(expired):]
-    if max_entries is not None and len(entries) > max_entries:
-        excess = len(entries) - max_entries
-        _remove(entries[:excess])
-        entries = entries[excess:]
+        victims = sum(1 for mtime, _, _ in entries if mtime < cutoff)
+    if max_entries is not None:
+        victims = max(victims, len(entries) - max_entries)
     if max_bytes is not None:
-        total = sum(size for _, size, _ in entries)
-        victims = []
-        for entry in entries:
-            if total <= max_bytes:
-                break
-            victims.append(entry)
-            total -= entry[1]
-        _remove(victims)
+        kept_bytes = sum(size for _, size, _ in entries[victims:])
+        while victims < len(entries) and kept_bytes > max_bytes:
+            kept_bytes -= entries[victims][1]
+            victims += 1
+    for _, size, path in entries[:victims]:
+        try:
+            path.unlink()
+        except OSError:  # pragma: no cover - concurrent removal
+            continue
+        summary["entries_removed"] += 1
+        summary["bytes_removed"] += size
     return summary
 
 
@@ -518,31 +370,26 @@ def gc_cache_tree(
     :data:`QUARANTINE_MAX_AGE_SECONDS`.
     """
     cache_dir = Path(cache_dir)
+    trees = (
+        (cache_dir, "*" + ResultCache.SUFFIX, max_entries, max_bytes),
+        (cache_dir / "traces", "*" + TraceCache.SUFFIX, None, max_trace_bytes),
+    )
     summaries = [
         collect_garbage(
-            cache_dir,
-            "*.json",
-            max_entries=max_entries,
-            max_bytes=max_bytes,
+            directory,
+            pattern,
+            max_entries=entry_cap,
+            max_bytes=byte_cap,
             tmp_max_age_seconds=tmp_max_age_seconds,
             now=now,
-        ),
-        collect_garbage(
-            cache_dir / "traces",
-            "*.trace.bin",
-            max_bytes=max_trace_bytes,
-            tmp_max_age_seconds=tmp_max_age_seconds,
-            now=now,
-        ),
+        )
+        for directory, pattern, entry_cap, byte_cap in trees
     ]
-    for quarantine_dir, pattern in (
-        (cache_dir / QUARANTINE_DIR_NAME, "*.json"),
-        (cache_dir / "traces" / QUARANTINE_DIR_NAME, "*.trace.bin"),
-    ):
-        if quarantine_dir.is_dir():
+    for directory, pattern, _, _ in trees:
+        if (directory / QUARANTINE_DIR_NAME).is_dir():
             summaries.append(
                 collect_garbage(
-                    quarantine_dir,
+                    directory / QUARANTINE_DIR_NAME,
                     pattern,
                     entry_max_age_seconds=QUARANTINE_MAX_AGE_SECONDS,
                     tmp_max_age_seconds=tmp_max_age_seconds,

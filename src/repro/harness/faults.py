@@ -32,20 +32,19 @@ Hook points and the no-op contract
 ----------------------------------
 
 The hooks live at the filesystem touchpoints of
-:func:`repro.atomicio.publish_atomically` (EIO/ENOSPC on write, torn
-temp files, crash before/after ``os.replace``) and ``ResultCache``
-(read errors).  Every hook is a module-level function
-that returns immediately while no injector is installed — one ``is
-None`` test, no allocation — so the production hot path pays nothing.
-:mod:`repro.atomicio` cannot import this module (it sits below the
-harness layer), so :func:`install` pushes the hook into it through
-``repro.atomicio._fault_hook``.
+:mod:`repro.atomicio`: :func:`~repro.atomicio.publish_atomically`
+(EIO/ENOSPC on write, torn temp files, crash before/after
+``os.replace``) and the entry read both caches share (``cache.load``,
+a read error).  :mod:`repro.atomicio` cannot import this module (it
+sits below the harness layer), so :func:`install` pushes the hook into
+it through ``repro.atomicio._fault_hook``, which stays ``None`` while no
+injector is installed — one ``is None`` test, no allocation — so the
+production hot path pays nothing.
 
 Fault hooks are **forbidden under** ``repro/uarch/`` (enforced by the
 ``retry-discipline`` rule): injection must never perturb the
-bit-identical timing kernels.  ``TraceCache`` stores still come under
-chaos because they publish through :mod:`repro.atomicio`; trace *reads*
-are exercised by hand-corrupting files in the quarantine tests instead.
+bit-identical timing kernels.  ``TraceCache`` stores and reads still
+come under chaos because they go through :mod:`repro.atomicio`.
 
 Activation: ``pytest --faults <spec|preset>`` for a whole test
 session, or :func:`installed` as a context manager in tests.  Pool
@@ -71,7 +70,7 @@ FAULT_SITES = (
     "atomicio.torn",                  # temp file truncated mid-write, writer dies
     "atomicio.crash-before-replace",  # writer dies with a full temp file
     "atomicio.crash-after-replace",   # writer dies after publishing
-    "cache.load",                     # read error on a result-cache cell
+    "cache.load",                     # read error on an entry of either cache
 )
 
 #: Named plans for ``pytest --faults light`` style invocations.  Both
@@ -254,17 +253,21 @@ class FaultInjector:
     # The hook behaviours
     # ------------------------------------------------------------------
     def hook(self, site: str, key: str, temp_path: Optional[str] = None) -> None:
-        """The :mod:`repro.atomicio` publication hook; may raise.
+        """The :mod:`repro.atomicio` hook; may raise.
 
-        ``atomicio.write`` raises a plain transient error (cleanup
-        removes the temp file, callers retry).  The three crash sites
-        raise :class:`InjectedCrashError` so the temp file survives as
-        the orphan debris real writer deaths leave; ``atomicio.torn``
-        additionally truncates the temp file first — the canonical torn
-        write the rename discipline keeps readers from ever observing.
+        ``cache.load`` raises a plain read error (the read is a miss and
+        the file stays).  ``atomicio.write`` raises a plain transient
+        error (cleanup removes the temp file, callers retry).  The three
+        crash sites raise :class:`InjectedCrashError` so the temp file
+        survives as the orphan debris real writer deaths leave;
+        ``atomicio.torn`` additionally truncates the temp file first —
+        the canonical torn write the rename discipline keeps readers
+        from ever observing.
         """
         if not self.decide(site, key):
             return
+        if site == "cache.load":
+            raise InjectedFaultError(errno.EIO, f"injected read fault at {site}", key)
         if site == "atomicio.write":
             code = errno.ENOSPC if len(key) % 2 == 0 else errno.EIO
             raise InjectedFaultError(code, os.strerror(code), key)
@@ -291,7 +294,7 @@ _INJECTOR: Optional[FaultInjector] = None
 def install(injector: Optional[FaultInjector]) -> Optional[FaultInjector]:
     """Install (or with None, remove) the process-wide injector.
 
-    Also pushes the publication hook into :mod:`repro.atomicio`, which
+    Also pushes the hook into :mod:`repro.atomicio`, which
     sits below the harness layer and therefore cannot import this
     module.  Returns the previously installed injector.
     """
@@ -322,16 +325,6 @@ class installed:
 
     def __exit__(self, *exc_info) -> None:
         install(self._previous)
-
-
-def maybe_fire(site: str, key: str = "") -> None:
-    """Raise an injected transient error at ``site``; no-op by default."""
-    if _INJECTOR is None:
-        return
-    if _INJECTOR.decide(site, key):
-        raise InjectedFaultError(
-            errno.EIO, f"injected read fault at {site}", key
-        )
 
 
 def sleep(seconds: float) -> None:

@@ -70,13 +70,14 @@ Semantics:
   A result-cache miss that only changed the technique or the
   processor/energy configuration re-times the benchmark without
   re-emulating it, in-process and across pool workers.  Workers return
-  their trace-cache hit/miss/store counter deltas with each job result
-  and the runner folds them into its own ``trace_cache``, so traffic
-  reports are exact for any worker count.
-* **Bounding** — pass ``cache_max_entries`` to cap the result cache and
-  ``trace_cache_max_bytes`` to cap the trace directory; stores prune
-  least-recently-used entries (hits refresh recency via file mtimes, so
-  the bounds hold across processes sharing the directory).
+  every trace-cache counter (:attr:`~repro.atomicio.EntryStore.COUNTERS`)
+  with each job result and the runner folds them into its own
+  ``trace_cache``, so traffic reports are exact for any worker count.
+* **Bounding** — nothing is evicted during a run.  ``cache gc``
+  (``python -m repro.harness.cache gc``, or the figure CLI's ``--gc``)
+  is the only pruner: it caps the result directory and ``traces/``
+  offline, least recently used first by file mtime, which every hit
+  refreshes, so recency holds across processes sharing the directory.
 * **Replay engines** — ``engine="scalar"|"native"`` pins the replay
   kernel (:mod:`repro.uarch.engine`) every job runs under; None (the
   default) lets each executing process resolve its own: its
@@ -116,20 +117,18 @@ class SimulationJob:
     """Picklable description of one (benchmark, technique) simulation.
 
     ``trace_cache_dir`` names the shared on-disk trace cache (see
-    :mod:`repro.uarch.trace`), ``trace_cache_max_bytes`` its LRU byte
-    cap, and ``engine`` the replay kernel (:mod:`repro.uarch.engine`;
-    None: the executing process's own resolution).  All three are
-    transport, not identity — replay statistics are bit-identical for
-    every cache setting and engine — so none participates in
-    :meth:`fingerprint`, and a result produced by one kernel is a cache
-    hit for every other.
+    :mod:`repro.uarch.trace`) and ``engine`` the replay kernel
+    (:mod:`repro.uarch.engine`; None: the executing process's own
+    resolution).  Both are transport, not identity — replay statistics
+    are bit-identical for every cache setting and engine — so neither
+    participates in :meth:`fingerprint`, and a result produced by one
+    kernel is a cache hit for every other.
     """
 
     benchmark: str
     technique: str
     config: RunConfig
     trace_cache_dir: Optional[str] = None
-    trace_cache_max_bytes: Optional[int] = None
     engine: Optional[str] = None
 
     def fingerprint(self) -> str:
@@ -164,10 +163,10 @@ def run_simulation_job(job: SimulationJob, program=None, trace_cache=None) -> di
     and ``trace_cache`` (the runner's live
     :class:`~repro.uarch.trace.TraceCache`) so trace-cache traffic
     accumulates there directly; pool workers instead build a private
-    ``TraceCache`` over ``job.trace_cache_dir`` and ship its counter
-    deltas back under the ``"trace_cache"`` key, which the runner folds
-    into its own cache — without this, every hit/miss/store observed in
-    a worker process would be silently dropped and ``--cache-stats``
+    ``TraceCache`` over ``job.trace_cache_dir`` and ship every one of
+    its counters back under the ``"trace_cache"`` key, which the runner
+    folds into its own cache — without this, every event observed in a
+    worker process would be silently dropped and ``--cache-stats``
     would underreport traffic on parallel runs.
     """
     config = job.config
@@ -182,9 +181,7 @@ def run_simulation_job(job: SimulationJob, program=None, trace_cache=None) -> di
             program = build_benchmark(job.benchmark)
     local_cache = trace_cache
     if local_cache is None and job.trace_cache_dir is not None:
-        local_cache = TraceCache(
-            job.trace_cache_dir, max_bytes=job.trace_cache_max_bytes
-        )
+        local_cache = TraceCache(job.trace_cache_dir)
     stats = simulate(
         program,
         policy,
@@ -196,12 +193,7 @@ def run_simulation_job(job: SimulationJob, program=None, trace_cache=None) -> di
     )
     payload: dict = {"stats": stats_to_dict(stats)}
     if local_cache is not None and local_cache is not trace_cache:
-        payload["trace_cache"] = {
-            "hits": local_cache.hits,
-            "misses": local_cache.misses,
-            "stores": local_cache.stores,
-            "evictions": local_cache.evictions,
-        }
+        payload["trace_cache"] = local_cache.counters()
     return payload
 
 
@@ -244,9 +236,7 @@ class ParallelSuiteRunner(SuiteRunner):
         config: Optional[RunConfig] = None,
         workers: Optional[int] = None,
         cache_dir: Optional[str] = None,
-        cache_max_entries: Optional[int] = None,
         trace_cache_dir: Optional[str] = None,
-        trace_cache_max_bytes: Optional[int] = None,
         backend: str = "local",
         engine: Optional[str] = None,
     ):
@@ -269,11 +259,7 @@ class ParallelSuiteRunner(SuiteRunner):
         if workers < 1:
             raise ValueError("workers must be a positive integer")
         self.workers = workers
-        self.cache = (
-            ResultCache(cache_dir, max_entries=cache_max_entries)
-            if cache_dir is not None
-            else None
-        )
+        self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         # Traces are shared one level below the result cache: a
         # result-cache miss (new technique, changed processor/energy
         # config) still reuses the benchmark's emulation if the trace
@@ -282,12 +268,7 @@ class ParallelSuiteRunner(SuiteRunner):
         if trace_cache_dir is None and cache_dir is not None:
             trace_cache_dir = str(Path(cache_dir) / "traces")
         self.trace_cache_dir = trace_cache_dir
-        self.trace_cache_max_bytes = trace_cache_max_bytes
-        self.trace_cache = (
-            TraceCache(trace_cache_dir, max_bytes=trace_cache_max_bytes)
-            if trace_cache_dir is not None
-            else None
-        )
+        self.trace_cache = TraceCache(trace_cache_dir) if trace_cache_dir is not None else None
         self.simulations_run = 0
 
     # ------------------------------------------------------------------
@@ -297,12 +278,11 @@ class ParallelSuiteRunner(SuiteRunner):
             technique,
             self.config,
             trace_cache_dir=self.trace_cache_dir,
-            trace_cache_max_bytes=self.trace_cache_max_bytes,
             engine=self.engine,
         )
 
     def _fold_trace_counters(self, payload: dict) -> None:
-        """Fold a worker's trace-cache counter deltas into the runner's.
+        """Fold a worker's trace-cache counters into the runner's.
 
         The in-process path simulates against ``self.trace_cache``
         directly (no ``"trace_cache"`` key in the payload), so nothing is
@@ -312,10 +292,8 @@ class ParallelSuiteRunner(SuiteRunner):
         if deltas is None or self.trace_cache is None:
             return
         cache = self.trace_cache
-        cache.hits += deltas["hits"]
-        cache.misses += deltas["misses"]
-        cache.stores += deltas["stores"]
-        cache.evictions += deltas["evictions"]
+        for name in cache.COUNTERS:
+            setattr(cache, name, getattr(cache, name) + deltas[name])
 
     def result(self, benchmark: str, technique: str) -> BenchmarkResult:
         """One cell, consulting memory first, then disk, then simulating."""

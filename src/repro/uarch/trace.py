@@ -75,12 +75,11 @@ import marshal
 import os
 import struct
 import sys
-import warnings
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from repro.atomicio import publish_atomically
+from repro.atomicio import EntryStore
 from repro.isa.instruction import Instruction
 # The kernels and tests read the classification flags from here, beside
 # the static table that carries them.
@@ -107,10 +106,6 @@ TRACE_FORMAT_VERSION = 3
 #: Bytes per stored dynamic instruction: three ``int64`` columns (pc,
 #: next_pc, mem_address) plus one taken byte.
 _ENTRY_BYTES = 25
-
-#: Trace-cache directories that already warned about degraded (store
-#: publication failing) operation this process; one warning each.
-_DEGRADED_STORE_WARNED: set[str] = set()
 
 #: Counters for tests and reports: how often the emulator actually ran
 #: versus how often an emulated trace was reused.
@@ -681,7 +676,7 @@ def trace_fingerprint(program, max_instructions: int) -> str:
 # ----------------------------------------------------------------------
 # On-disk cache
 # ----------------------------------------------------------------------
-class TraceCache:
+class TraceCache(EntryStore):
     """Content-addressed binary cache of emulation results.
 
     On-disk layout (format 3): one file per trace, named
@@ -697,80 +692,35 @@ class TraceCache:
 
     Any malformation — a missing or stale-format header, a ``length``
     that is not a non-negative integer, a truncated or overlong payload,
-    a pc that doesn't resolve in the program — is a clean miss: the
-    trace is re-emulated and re-stored,
-    never partially trusted.  A *corrupt* file (one that was read
-    successfully but failed validation) is additionally moved aside to
-    ``quarantine/`` inside the cache directory — visible for
-    post-mortem, swept by ``cache gc`` once a week old,
-    and out of the way so the re-store lands cleanly; a file that merely
-    failed to *read* (EIO, permissions) is left in place, since it may
-    be intact and the fault transient.  A store whose publication fails
-    (read-only or full directory) degrades to a counted no-op with one
+    a pc that doesn't resolve in the program — makes the file corrupt:
+    the trace is re-emulated and re-stored, never partially trusted.
+    The directory discipline is :class:`~repro.atomicio.EntryStore`'s,
+    shared with :class:`repro.harness.cache.ResultCache`: a corrupt file
+    is quarantined, a read error is a plain miss, and a hit refreshes
+    the file's mtime.  A store whose publication fails (read-only or
+    full directory) is a counted degraded store, with no retry and one
     warning per directory: traces are pure acceleration, so losing the
     persistence must never fail the simulation that produced them.
-
-    Writes are atomic (temp file + ``os.replace``), making one directory
-    safe to share between concurrent workers — the same discipline as
-    :class:`repro.harness.cache.ResultCache`.  With ``max_bytes`` set,
-    every store prunes least-recently-used traces until the directory
-    fits under the cap (hits refresh recency via file mtimes, mirroring
-    ``ResultCache.max_entries``); the freshly stored file is never the
-    victim.
-
-    Attributes:
-        directory: cache root (created on first store).
-        max_bytes: directory size cap (None means unbounded, the default).
-        hits / misses / stores / evictions: counters for tests and the
-            ``--cache-stats`` report.
+    Nothing is pruned here: ``cache gc`` caps the directory offline.
     """
 
-    def __init__(
-        self, directory: str | os.PathLike, max_bytes: Optional[int] = None
-    ):
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be a positive integer or None")
-        self.directory = Path(directory)
-        self.max_bytes = max_bytes
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.evictions = 0
-        self.quarantined = 0
-        self.degraded_stores = 0
-
-    def path_for(self, fingerprint: str) -> Path:
-        return self.directory / f"{fingerprint}.trace.bin"
-
-    def _quarantine(self, path: Path) -> None:
-        """Move a corrupt trace aside — visible, gc-swept, never re-read.
-
-        Mirrors ``ResultCache._quarantine``: without the move the bad
-        file keeps the fingerprint's slot, so the re-emulated trace
-        could never be re-stored past some failure modes and every
-        future lookup would re-parse the corruption.
-        """
-        target = self.directory / "quarantine" / path.name
-        try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(path, target)
-            self.quarantined += 1
-        except OSError:  # pragma: no cover - hostile or raced directory
-            pass
+    SUFFIX = ".trace.bin"
+    KIND = "trace cache"
+    DEGRADED = "traces will be re-emulated until it recovers"
 
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def _read_columns(self, fingerprint: str) -> tuple[TraceWindow, Path]:
-        """Parse and fully validate one stored trace.
+    @staticmethod
+    def _read_columns(path: Path) -> TraceWindow:
+        """Parse and fully validate one stored trace file.
 
-        Returns ``(columns, path)``, raising ``ValueError`` (or the
-        ``KeyError``, ``UnicodeDecodeError`` or JSON error of a broken
-        header) on any malformation.  The whole payload is read up
-        front — it is compact, 25 bytes per instruction — so a replay
-        can never fail halfway through on a bad file.
+        Raises ``ValueError`` (or the ``KeyError``, ``UnicodeDecodeError``
+        or JSON error of a broken header) on any malformation.  The whole
+        payload is read up front — it is compact, 25 bytes per
+        instruction — so a replay can never fail halfway through on a
+        bad file.
         """
-        path = self.path_for(fingerprint)
         with open(path, "rb") as handle:
             header = json.loads(handle.readline())
             payload = memoryview(handle.read())
@@ -792,7 +742,7 @@ class TraceCache:
             if swap:
                 column.byteswap()
             columns.append(column)
-        return TraceWindow(*columns, bytearray(payload[3 * words :])), path
+        return TraceWindow(*columns, bytearray(payload[3 * words :]))
 
     def _open_validated(self, fingerprint: str, pcs: range) -> Optional[TraceWindow]:
         """Read, validate and pc-resolve a stored trace; None on a miss.
@@ -800,41 +750,18 @@ class TraceCache:
         ``pcs`` are the pcs the trace may hold (:func:`_trace_pcs`): the
         rows of the program's static table, or for a program with
         :class:`HintRuns` every pc of its stripped layout.  A stored pc
-        outside them means corruption (or a fingerprint collision) and
-        is a miss like any other malformed payload, forcing a clean
-        re-emulation.  Hits refresh the file's mtime (LRU recency).
+        outside them means corruption (or a fingerprint collision), like
+        any other malformed payload, forcing a clean re-emulation.
         """
-        try:
-            columns, path = self._read_columns(fingerprint)
+
+        def resolved(path: Path) -> TraceWindow:
+            columns = self._read_columns(path)
             if not set(columns.pc).issubset(pcs):
                 raise ValueError("unresolvable pc in stored trace")
-        except (FileNotFoundError, OSError):
-            # Missing, or unreadable right now: plain miss, leave the
-            # file (if any) alone — it may be intact under a transient
-            # read error.
-            self.misses += 1
-            trace_events["disk_misses"] += 1
-            return None
-        except (
-            ValueError,
-            KeyError,
-            TypeError,
-            UnicodeDecodeError,
-            json.JSONDecodeError,
-        ):
-            # Validation failures only arise for a file that *was* read:
-            # genuine corruption (or a fingerprint collision) — set it
-            # aside so the re-store lands cleanly.
-            self._quarantine(self.path_for(fingerprint))
-            self.misses += 1
-            trace_events["disk_misses"] += 1
-            return None
-        self.hits += 1
-        trace_events["disk_hits"] += 1
-        try:
-            os.utime(path)  # refresh LRU recency
-        except OSError:  # pragma: no cover - concurrent eviction
-            pass
+            return columns
+
+        columns = self._read(fingerprint, resolved)
+        trace_events["disk_misses" if columns is None else "disk_hits"] += 1
         return columns
 
     def load(self, fingerprint: str, program) -> Optional[TraceWindow]:
@@ -848,77 +775,6 @@ class TraceCache:
     def store(self, fingerprint: str, columns: TraceWindow) -> Path:
         """Atomically persist ``columns`` under ``fingerprint``."""
         return TraceWindowWriter(self, fingerprint, columns).commit()
-
-    # ------------------------------------------------------------------
-    # Bounding and reporting
-    # ------------------------------------------------------------------
-    def _entry_paths(self) -> list[Path]:
-        # Exclude in-flight (or orphaned) ``.tmp-*`` writer files.
-        if not self.directory.is_dir():
-            return []
-        return [
-            path
-            for path in self.directory.glob("*.trace.bin")
-            if not path.name.startswith(".")
-        ]
-
-    def _prune(self, protect: Optional[Path] = None) -> None:
-        """Evict least-recently-used traces until the byte cap is met.
-
-        ``protect`` (the file a store just wrote) is never evicted, so a
-        single trace larger than the cap does not immediately evict
-        itself and thrash.
-        """
-        if self.max_bytes is None:
-            return
-        entries = []
-        total = 0
-        for path in self._entry_paths():
-            try:
-                stat = path.stat()
-            except OSError:  # pragma: no cover - concurrent eviction
-                continue
-            entries.append((stat.st_mtime, stat.st_size, path))
-            total += stat.st_size
-        if total <= self.max_bytes:
-            return
-        entries.sort()
-        for _, size, path in entries:
-            if total <= self.max_bytes:
-                break
-            if protect is not None and path == protect:
-                continue
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - concurrent eviction
-                continue
-            total -= size
-            self.evictions += 1
-
-    def cache_stats(self) -> dict:
-        """Size and traffic summary for reports (``--cache-stats``)."""
-        paths = self._entry_paths()
-        total_bytes = 0
-        for path in paths:
-            try:
-                total_bytes += path.stat().st_size
-            except OSError:  # pragma: no cover - concurrent eviction
-                pass
-        return {
-            "directory": str(self.directory),
-            "traces": len(paths),
-            "total_bytes": total_bytes,
-            "max_bytes": self.max_bytes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "quarantined": self.quarantined,
-            "degraded_stores": self.degraded_stores,
-        }
-
-    def __len__(self) -> int:
-        return len(self._entry_paths())
 
 
 class TraceWindowWriter:
@@ -934,8 +790,11 @@ class TraceWindowWriter:
         self._columns = columns
 
     def commit(self) -> Path:
-        """Write header + columns and atomically publish the file."""
-        cache = self._cache
+        """Write header + columns and atomically publish the file.
+
+        Returns the file's path, also when the store failed and was
+        counted as degraded (the file may then be absent).
+        """
         header = {
             "format": TRACE_FORMAT_VERSION,
             "length": self._columns.length,
@@ -948,30 +807,9 @@ class TraceWindowWriter:
             for column in self._columns:
                 handle.write(column)
 
-        path = cache.path_for(self._fingerprint)
-        try:
-            publish_atomically(path, _write, binary=True)
-        except OSError as error:
-            # Traces are pure acceleration: a directory that stopped
-            # accepting writes (read-only remount, disk full, an
-            # injected fault) costs a re-emulation next run, never the
-            # simulation that produced this trace.  Warn once per
-            # directory, count it, and report the intended path.
-            cache.degraded_stores += 1
-            directory_key = str(cache.directory)
-            if directory_key not in _DEGRADED_STORE_WARNED:
-                _DEGRADED_STORE_WARNED.add(directory_key)
-                warnings.warn(
-                    f"trace cache {directory_key} is not accepting writes "
-                    f"({error}); traces will be re-emulated until it recovers",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return path
-        cache.stores += 1
-        trace_events["disk_stores"] += 1
-        cache._prune(protect=path)
-        return path
+        if self._cache._store_entry(self._fingerprint, _write, binary=True):
+            trace_events["disk_stores"] += 1
+        return self._cache.path_for(self._fingerprint)
 
 
 # ----------------------------------------------------------------------

@@ -46,7 +46,6 @@ from repro.harness.faults import (
     RetryPolicy,
     active_injector,
     installed,
-    maybe_fire,
 )
 from repro.uarch.stats import SimulationStats
 from repro.uarch.trace import (
@@ -173,7 +172,9 @@ class TestFaultInjector:
 
         assert active_injector() is None
         assert atomicio._fault_hook is None
-        maybe_fire("cache.load", "k")  # must not raise
+        # The cache.load site passes on both caches' reads: plain misses.
+        assert ResultCache(tmp_path / "cells").load("k") is None
+        assert TraceCache(tmp_path / "traces").load("k", build_benchmark("gzip")) is None
         _publish(tmp_path / "cell.json")  # every atomicio site passes
         assert (tmp_path / "cell.json").read_text() == "payload"
 
@@ -443,17 +444,6 @@ class TestResultCacheQuarantine:
         stats = cache.cache_stats()
         assert stats["quarantined"] == 1
 
-    def test_read_error_is_a_miss_not_a_quarantine(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        fingerprint = _store_cell(cache)
-        with installed(
-            FaultPlan(seed=1, rate=1.0, fire_limit=1, sites=("cache.load",))
-        ):
-            assert cache.load(fingerprint) is None  # injected EIO: miss
-        assert cache.quarantined == 0
-        assert cache.path_for(fingerprint).exists()  # file left alone
-        assert cache.load(fingerprint).cycles == 42  # intact afterwards
-
     def test_unwritable_directory_falls_back_to_memory(self, tmp_path):
         cache = ResultCache(tmp_path / "cells")
         # Every publication attempt fails: the directory is effectively
@@ -464,7 +454,7 @@ class TestResultCacheQuarantine:
             with pytest.warns(RuntimeWarning, match="in-memory"):
                 _store_cell(cache, "a" * 8)
             _store_cell(cache, "b" * 8)  # second store: no second warning
-            assert cache.memory_stores == 2
+            assert cache.degraded_stores == 2
             assert cache.load("a" * 8).cycles == 42  # served from memory
             assert cache.load("b" * 8).cycles == 42
         assert len(cache) == 0  # nothing reached the disk
@@ -487,7 +477,32 @@ class TestResultCacheQuarantine:
                 with pytest.warns(RuntimeWarning, match=name):
                     _store_cell(cache, "a" * 8)
                 _store_cell(cache, "b" * 8)  # same directory: no warning
-                assert cache.memory_stores == 2
+                assert cache.degraded_stores == 2
+
+
+@pytest.mark.parametrize("kind", ["result", "trace"])
+def test_read_error_is_a_miss_not_a_quarantine(tmp_path, kind):
+    """An injected read error (``cache.load``) is a plain miss on either
+    cache: the file may be intact, so it stays, and reads back after."""
+    if kind == "result":
+        cache = ResultCache(tmp_path)
+        fingerprint = _store_cell(cache)
+        load_args = ()
+    else:
+        program = build_benchmark("gzip")
+        cache = TraceCache(tmp_path)
+        fingerprint = trace_fingerprint(program, 200)
+        cache.store(fingerprint, get_trace_columns(program, 200, live=True))
+        load_args = (program,)
+    with installed(
+        FaultPlan(seed=1, rate=1.0, fire_limit=1, sites=("cache.load",))
+    ) as injector:
+        assert cache.load(fingerprint, *load_args) is None  # injected EIO: miss
+    assert injector.fired_total() == 1
+    assert (cache.misses, cache.quarantined) == (1, 0)
+    assert cache.path_for(fingerprint).exists()  # file left alone
+    assert cache.load(fingerprint, *load_args) is not None  # intact afterwards
+    assert cache.hits == 1
 
 
 def _edit_trace_header(edit):
@@ -565,7 +580,7 @@ class TestTraceCacheQuarantine:
         path = cache.path_for(fingerprint)
         path.write_bytes(TRACE_CORRUPTIONS[corruption](path.read_bytes()))
         with pytest.raises(ValueError, match="trace length is not a non-negative integer"):
-            cache._read_columns(fingerprint)
+            cache._read_columns(cache.path_for(fingerprint))
 
     @pytest.mark.parametrize("where", ["misaligned", "below", "past"])
     def test_stored_pc_without_a_static_is_quarantined(self, tmp_path, where):

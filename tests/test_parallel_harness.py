@@ -8,6 +8,7 @@ the serial :class:`SuiteRunner` — identical metrics for any worker count
 from __future__ import annotations
 
 import dataclasses
+import functools
 import importlib.util
 import os
 import time
@@ -25,6 +26,7 @@ from repro.harness.cache import (
     QUARANTINE_DIR_NAME,
     QUARANTINE_MAX_AGE_SECONDS,
     ResultCache,
+    collect_garbage,
     gc_cache_tree,
     stats_from_dict,
     stats_to_dict,
@@ -33,7 +35,7 @@ from repro.harness.faults import installed
 from repro.harness import parallel as parallel_module
 from repro.harness.parallel import run_simulation_job
 from repro.uarch import SimulationStats, TraceCache
-from repro.uarch.trace import clear_trace_memo, get_trace_columns, trace_fingerprint
+from repro.uarch.trace import clear_trace_memo, get_trace_columns
 from repro.workloads import build_benchmark
 from test_faults import READ_ONLY_PLAN
 
@@ -160,20 +162,6 @@ class TestDiskCache:
         assert dataclasses.asdict(loaded) == dataclasses.asdict(stats)
         assert cache.stores == 1 and cache.hits == 1
 
-    def test_hits_refresh_recency(self, tmp_path):
-        cache = ResultCache(tmp_path, max_entries=2)
-        for offset, name in ((-100, "a"), (-50, "b")):
-            path = cache.store(name * 64, SimulationStats(cycles=1))
-            os.utime(path, (time.time() + offset, time.time() + offset))
-        # The hit re-touches A, so the next store evicts B instead.
-        assert cache.load("a" * 64) is not None
-        cache.store("c" * 64, SimulationStats(cycles=1))
-        assert {path.name[0] for path in cache._entry_paths()} == {"a", "c"}
-
-    def test_rejects_nonpositive_entry_caps(self, tmp_path):
-        with pytest.raises(ValueError):
-            ResultCache(tmp_path, max_entries=0)
-
     def test_missing_entry_counts_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         assert cache.load("b" * 64) is None
@@ -213,9 +201,9 @@ class TestDiskCache:
 
 def _counter_deltas(cache, names, action) -> dict:
     """How far each of ``names`` in ``cache.cache_stats()`` moves over
-    ``action(cache)``, zeros left out."""
+    ``action()``, zeros left out."""
     before = cache.cache_stats()
-    action(cache)
+    action()
     after = cache.cache_stats()
     return {name: after[name] - before[name] for name in names if after[name] != before[name]}
 
@@ -225,118 +213,115 @@ def _corrupt(path: Path) -> None:
     path.write_bytes(b"\x00 not a cache entry")
 
 
-class TestResultCacheCounters:
-    """The counters behind ``cache_stats()`` are plain ints, and each
-    event moves exactly the counters it names."""
-
-    COUNTERS = ("hits", "misses", "stores", "evictions", "quarantined", "memory_stores")
-
-    @staticmethod
-    def _store(cache, name="a"):
-        cache.store(name * 64, SimulationStats(cycles=7))
-
-    @staticmethod
-    def _load(cache):
-        cache.load("a" * 64)
-
-    @staticmethod
-    def _store_read_only(cache):
-        with installed(READ_ONLY_PLAN):
-            with pytest.warns(RuntimeWarning, match="in-memory"):
-                TestResultCacheCounters._store(cache)
-
-    @pytest.mark.parametrize("counter", COUNTERS)
-    def test_each_event_moves_only_its_counters(self, tmp_path, counter):
-        # A one-entry cap: every store evicts every other cell.
-        cache = ResultCache(tmp_path / "cells", max_entries=1)
-        setup, action, expected = {
-            "hits": (self._store, self._load, {"hits": 1}),
-            "misses": (lambda cache: None, self._load, {"misses": 1}),
-            "stores": (lambda cache: None, self._store, {"stores": 1}),
-            "evictions": (
-                self._store,
-                lambda cache: self._store(cache, "b"),
-                {"stores": 1, "evictions": 1},
-            ),
-            "quarantined": (
-                lambda cache: _corrupt(cache.path_for("a" * 64)),
-                self._load,
-                {"misses": 1, "quarantined": 1},
-            ),
-            "memory_stores": (
-                lambda cache: None,
-                self._store_read_only,
-                {"stores": 1, "memory_stores": 1},
-            ),
-        }[counter]
-        setup(cache)
-        assert _counter_deltas(cache, self.COUNTERS, action) == expected
-        assert type(getattr(cache, counter)) is int
-
-    def test_cache_stats_keys_are_stable(self, tmp_path):
-        """``--cache-stats`` and gridbench read these keys."""
-        assert set(ResultCache(tmp_path).cache_stats()) == {
-            "directory",
-            "entries",
-            "total_bytes",
-            "max_entries",
-            *self.COUNTERS,
-        }
-
-
-def _stored_trace(budget: int):
+@functools.lru_cache(maxsize=1)
+def _gzip_trace():
+    """gzip and its 200-instruction trace columns."""
     program = build_benchmark("gzip")
-    return trace_fingerprint(program, budget), get_trace_columns(program, budget, live=True)
+    return program, get_trace_columns(program, 200, live=True)
 
 
-class TestTraceCacheCounters:
-    """The trace cache's counters follow the same accounting."""
+class _ResultEntries:
+    """Entries of a :class:`ResultCache`, one cell per key letter."""
 
-    COUNTERS = ("hits", "misses", "stores", "evictions", "quarantined", "degraded_stores")
+    warning = "in-memory"
+
+    def __init__(self, directory: Path):
+        self.cache = ResultCache(directory)
+
+    def store(self, key: str = "a") -> Path:
+        return self.cache.store(key * 64, SimulationStats(cycles=7))
+
+    def load(self, key: str = "a"):
+        return self.cache.load(key * 64)
+
+
+class _TraceEntries:
+    """Entries of a :class:`TraceCache`: gzip's trace under each key."""
+
+    warning = "re-emulated"
+
+    def __init__(self, directory: Path):
+        self.cache = TraceCache(directory)
+        self.program, self.columns = _gzip_trace()
+
+    def store(self, key: str = "a") -> Path:
+        return self.cache.store(key * 64, self.columns)
+
+    def load(self, key: str = "a"):
+        return self.cache.load(key * 64, self.program)
+
+
+@pytest.fixture(params=["result", "trace"])
+def entries(request, tmp_path):
+    kind = {"result": _ResultEntries, "trace": _TraceEntries}[request.param]
+    return kind(tmp_path / request.param)
+
+
+class TestEntryStore:
+    """What both caches share (:class:`repro.atomicio.EntryStore`), checked
+    once per cache: the counters behind ``cache_stats()`` are plain ints,
+    each event moves only its own counters, and a hit refreshes the
+    recency by which ``cache gc`` evicts."""
+
+    COUNTERS = ("hits", "misses", "stores", "quarantined", "degraded_stores")
 
     @staticmethod
-    def _store(cache, budget=200):
-        cache.store(*_stored_trace(budget))
-
-    @staticmethod
-    def _load(cache, budget=200):
-        program = build_benchmark("gzip")
-        cache.load(trace_fingerprint(program, budget), program)
-
-    @staticmethod
-    def _store_read_only(cache):
+    def _store_read_only(entries):
         with installed(READ_ONLY_PLAN):
-            with pytest.warns(RuntimeWarning, match="re-emulated"):
-                TestTraceCacheCounters._store(cache)
+            with pytest.warns(RuntimeWarning, match=entries.warning):
+                entries.store()
 
     @pytest.mark.parametrize("counter", COUNTERS)
-    def test_each_event_moves_only_its_counters(self, tmp_path, counter):
-        # A one-byte cap: every store evicts every other trace.
-        cache = TraceCache(tmp_path / "traces", max_bytes=1)
-        fingerprint = _stored_trace(200)[0]
+    def test_each_event_moves_only_its_counters(self, entries, counter):
         setup, action, expected = {
-            "hits": (self._store, self._load, {"hits": 1}),
-            "misses": (lambda cache: None, self._load, {"misses": 1}),
-            "stores": (lambda cache: None, self._store, {"stores": 1}),
-            "evictions": (
-                self._store,
-                lambda cache: self._store(cache, 100),
-                {"stores": 1, "evictions": 1},
-            ),
+            "hits": (entries.store, entries.load, {"hits": 1}),
+            "misses": (lambda: None, entries.load, {"misses": 1}),
+            "stores": (lambda: None, entries.store, {"stores": 1}),
             "quarantined": (
-                lambda cache: _corrupt(cache.path_for(fingerprint)),
-                self._load,
+                lambda: _corrupt(entries.cache.path_for("a" * 64)),
+                entries.load,
                 {"misses": 1, "quarantined": 1},
             ),
             "degraded_stores": (
-                lambda cache: None,
-                self._store_read_only,
+                lambda: None,
+                lambda: self._store_read_only(entries),
                 {"degraded_stores": 1},
             ),
         }[counter]
-        setup(cache)
-        assert _counter_deltas(cache, self.COUNTERS, action) == expected
-        assert type(getattr(cache, counter)) is int
+        setup()
+        assert _counter_deltas(entries.cache, self.COUNTERS, action) == expected
+        assert type(getattr(entries.cache, counter)) is int
+
+    def test_cache_stats_keys_are_stable(self, entries):
+        """``--cache-stats`` prints both caches through one formatter over
+        these keys."""
+        assert set(entries.cache.cache_stats()) == {
+            "directory",
+            "entries",
+            "total_bytes",
+            *self.COUNTERS,
+        }
+
+    def test_cache_stats_reports_traffic_and_size(self, entries):
+        path = entries.store()
+        assert entries.load() is not None
+        assert entries.load("b") is None
+        report = entries.cache.cache_stats()
+        assert report["entries"] == len(entries.cache) == 1
+        assert report["total_bytes"] == path.stat().st_size > 0
+        assert (report["hits"], report["misses"], report["stores"]) == (1, 1, 1)
+
+    def test_hits_refresh_recency(self, entries):
+        """After a hit refreshes the older entry's mtime, a one-entry gc
+        sweep keeps that entry and evicts the other."""
+        for offset, key in ((-100, "a"), (-50, "b")):
+            path = entries.store(key)
+            os.utime(path, (time.time() + offset, time.time() + offset))
+        assert entries.load("a") is not None
+        directory = entries.cache.directory
+        summary = collect_garbage(directory, "*" + entries.cache.SUFFIX, max_entries=1)
+        assert summary["entries_removed"] == 1
+        assert {path.name[0] for path in entries.cache._entry_paths()} == {"a"}
 
 
 class TestWorkerTraceCounters:
@@ -353,7 +338,8 @@ class TestWorkerTraceCounters:
             "hits": 0,
             "misses": 1,
             "stores": 1,
-            "evictions": 0,
+            "quarantined": 0,
+            "degraded_stores": 0,
         }
         clear_trace_memo()
         assert run_simulation_job(job)["trace_cache"]["hits"] == 1
@@ -382,6 +368,33 @@ class TestWorkerTraceCounters:
         assert cache.stores >= 2
         assert cache.misses >= 2
         assert cache.hits + cache.misses + cache.stores > 0
+
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_counter_reaches_the_runner(self, tmp_path, workers):
+        """Stored traces overwritten with junk are quarantined wherever the
+        cells run: a pool worker ships every counter, ``quarantined``
+        included, and the runner folds them all."""
+        traces = tmp_path / "traces"
+        clear_trace_memo()
+        ParallelSuiteRunner(TINY_CONFIG, workers=1, trace_cache_dir=str(traces)).run_suite(
+            techniques=("baseline",)
+        )
+        stored = sorted(traces.glob("*.trace.bin"))
+        assert len(stored) == len(TINY_CONFIG.benchmarks)
+        for path in stored:
+            _corrupt(path)
+        clear_trace_memo()
+        runner = ParallelSuiteRunner(TINY_CONFIG, workers=workers, trace_cache_dir=str(traces))
+        runner.run_suite(techniques=("baseline",))
+        cache = runner.trace_cache
+        assert {name: getattr(cache, name) for name in TestEntryStore.COUNTERS} == {
+            "hits": 0,
+            "misses": 2,
+            "stores": 2,
+            "quarantined": 2,
+            "degraded_stores": 0,
+        }
 
 
 class TestStatsSerialisation:
@@ -660,6 +673,9 @@ class TestFigureReportCli:
         runner.run_suite(techniques=("baseline",))
         _figure_report().print_cache_stats(runner)
         out = capsys.readouterr().out
-        assert out.startswith("result cache: 2 entries")
-        assert "\ntrace cache: 2 traces" in out
+        result_line, trace_line = out.splitlines()[:2]
+        assert result_line.startswith("result cache: 2 entries")
+        assert trace_line.startswith("trace cache: 2 entries")
+        for line in (result_line, trace_line):
+            assert "0 quarantined / 0 degraded stores" in line
         assert "queue" not in out

@@ -27,7 +27,7 @@ import pytest
 
 from repro.core import CompilerConfig, compile_program
 from repro.harness import ParallelSuiteRunner, RunConfig
-from repro.harness.cache import ResultCache, stats_to_dict
+from repro.harness.cache import ResultCache, gc_cache_tree, stats_to_dict
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import FU_ORDER, Opcode
 from repro.isa.registers import int_reg
@@ -233,70 +233,30 @@ class TestTraceFile:
 
 
 class TestTraceCacheBounding:
-    """The trace cache's byte cap: LRU pruning with utime-on-hit recency."""
-
-    def _trace(self):
-        clear_trace_memo()
-        return get_trace_columns(build_benchmark("gzip"), 1_000)
+    """The trace cache's byte cap, which ``cache gc`` enforces offline:
+    LRU eviction over file mtime, and the survivors still replay."""
 
     def test_byte_cap_evicts_least_recently_used(self, tmp_path):
         import os
         import time
 
-        trace = self._trace()
-        probe = TraceCache(tmp_path / "probe")
-        size = probe.store("f" * 64, trace).stat().st_size
-        cache = TraceCache(tmp_path / "cache", max_bytes=3 * size + size // 2)
+        program = build_benchmark("gzip")
+        clear_trace_memo()
+        trace = get_trace_columns(program, 1_000)
+        cache = TraceCache(tmp_path / "traces")
         for index in range(5):
             path = cache.store(f"{index:064x}", trace)
             stamp = time.time() - 100 + index
             os.utime(path, (stamp, stamp))
-        assert len(cache) == 3
-        assert cache.evictions == 2
+        size = path.stat().st_size
+        summaries = gc_cache_tree(tmp_path, max_trace_bytes=3 * size + size // 2)
+        by_dir = {summary["directory"]: summary for summary in summaries}
+        assert by_dir[str(cache.directory)]["entries_removed"] == 2
+        assert by_dir[str(tmp_path)]["entries_removed"] == 0
         survivors = {path.name for path in cache._entry_paths()}
         assert survivors == {f"{index:064x}.trace.bin" for index in (2, 3, 4)}
-
-    def test_hits_refresh_recency(self, tmp_path):
-        import os
-        import time
-
-        program = build_benchmark("gzip")
-        trace = self._trace()
-        probe = TraceCache(tmp_path / "probe")
-        size = probe.store("f" * 64, trace).stat().st_size
-        cache = TraceCache(tmp_path / "cache", max_bytes=2 * size + size // 2)
-        fingerprint_a = trace_fingerprint(program, 1_000)
-        path_a = cache.store(fingerprint_a, trace)
-        path_b = cache.store("b" * 64, trace)
-        for offset, path in ((-100, path_a), (-50, path_b)):
-            stamp = time.time() + offset
-            os.utime(path, (stamp, stamp))
-        # The hit re-touches A, so the later store evicts B instead.
-        assert cache.load(fingerprint_a, program) is not None
-        cache.store("c" * 64, trace)
-        survivors = {path.name for path in cache._entry_paths()}
-        assert survivors == {f"{fingerprint_a}.trace.bin", "c" * 64 + ".trace.bin"}
-
-    def test_cache_stats_reports_traffic_and_size(self, tmp_path):
-        program = build_benchmark("gzip")
-        trace = self._trace()
-        cache = TraceCache(tmp_path, max_bytes=1 << 30)
-        fingerprint = trace_fingerprint(program, 1_000)
-        cache.store(fingerprint, trace)
-        assert cache.load(fingerprint, program) is not None
-        assert cache.load("0" * 64, program) is None
-        report = cache.cache_stats()
-        assert report["traces"] == 1
-        assert report["total_bytes"] > 0
-        assert report["max_bytes"] == 1 << 30
-        assert report["hits"] == 1
-        assert report["misses"] == 1
-        assert report["stores"] == 1
-        assert report["evictions"] == 0
-
-    def test_rejects_nonpositive_byte_caps(self, tmp_path):
-        with pytest.raises(ValueError):
-            TraceCache(tmp_path, max_bytes=0)
+        assert cache.load(f"{4:064x}", program) is not None
+        assert cache.quarantined == 0
 
 
 class TestTraceFingerprint:
@@ -744,34 +704,22 @@ class TestGridReuse:
 
 class TestResultCacheHygiene:
     def test_lru_pruning_keeps_most_recent_cells(self, tmp_path):
+        """``cache gc --max-entries`` keeps the most recently used cells,
+        and they still load byte-identical."""
         import os
         import time
 
-        cache = ResultCache(tmp_path, max_entries=3)
+        cache = ResultCache(tmp_path)
         stats = simulate(build_benchmark("gzip"), max_instructions=500)
         for index in range(5):
             fingerprint = f"{index:064x}"
             path = cache.store(fingerprint, stats)
-            # Deterministic, strictly increasing recency without sleeping;
-            # all stamps sit in the past so a freshly stored cell is never
-            # the pruning victim.
+            # Deterministic, strictly increasing recency without sleeping.
             stamp = time.time() - 100 + index
             os.utime(path, (stamp, stamp))
-        assert len(cache) == 3
-        assert cache.evictions == 2
+        summaries = gc_cache_tree(tmp_path, max_entries=3)
+        by_dir = {summary["directory"]: summary for summary in summaries}
+        assert by_dir[str(tmp_path)]["entries_removed"] == 2
         survivors = {path.name for path in cache._entry_paths()}
         assert survivors == {f"{index:064x}.json" for index in (2, 3, 4)}
-
-    def test_cache_stats_reports_traffic_and_size(self, tmp_path):
-        cache = ResultCache(tmp_path, max_entries=10)
-        stats = simulate(build_benchmark("gzip"), max_instructions=500)
-        cache.store("a" * 64, stats)
-        assert cache.load("a" * 64) is not None
-        assert cache.load("b" * 64) is None
-        report = cache.cache_stats()
-        assert report["entries"] == 1
-        assert report["total_bytes"] > 0
-        assert report["hits"] == 1
-        assert report["misses"] == 1
-        assert report["stores"] == 1
-        assert report["max_entries"] == 10
+        assert _stats_bytes(cache.load(f"{4:064x}")) == _stats_bytes(stats)
